@@ -145,7 +145,8 @@ func renderAnalyze(planText string, tr *Trace, st Stats, rows int) string {
 		fmt.Fprintf(&sb, "  fuel used          %d\n", st.FuelUsed)
 	}
 	if st.PeakMemBytes > 0 {
-		fmt.Fprintf(&sb, "  peak memory        %d KiB\n", st.PeakMemBytes/1024)
+		fmt.Fprintf(&sb, "  peak memory        %d KiB reserved, %d KiB committed\n",
+			st.PeakMemBytes/1024, st.CommittedMemBytes/1024)
 	}
 	if st.Workers > 1 {
 		fmt.Fprintf(&sb, "  workers            %d (%d pipelines parallel, %d serial)\n",

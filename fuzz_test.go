@@ -200,6 +200,11 @@ func FuzzAdversarialModuleExecution(f *testing.F) {
 	f.Add([]byte("divide and conquer"))
 	f.Add([]byte{0xE0, 0xE0, 0xE0}) // loop-heavy
 	f.Add(bytes.Repeat([]byte{0x55, 0xAA}, 64))
+	// memory.grow(2821 rem_u 1347 = 127) reaches the module's 128-page
+	// maximum, then a store goes to 0x328 * 0x2841 = 0x7F0D28 on the last
+	// page. Reserving is free under demand-zero memory, so it is the 64-page
+	// budget that must end this one in ErrMemoryLimit.
+	f.Add(growToMaxSeed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bin := buildAdversarialModule(data)
@@ -242,6 +247,38 @@ func FuzzAdversarialModuleExecution(f *testing.F) {
 			}
 		}
 	})
+}
+
+// growToMaxSeed is the fuzz input that grows to the maximum and touches the
+// last page (see FuzzAdversarialModuleExecution's seeds).
+var growToMaxSeed = []byte{0x00, 0x0B, 0x05, 0x43, 0xA0, 0x03, 0x28, 0x41, 0x90, 0x00}
+
+// TestGrowToMaxSeed pins what that seed does, so it keeps exercising the
+// budget rather than silently turning into some other program: unbudgeted it
+// reserves 128 pages and commits only the page it stores to; under the fuzz
+// target's budget the grow is ErrMemoryLimit.
+func TestGrowToMaxSeed(t *testing.T) {
+	m, err := engine.New(engine.Config{Tier: engine.TierLiftoff}).Compile(buildAdversarialModule(growToMaxSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := m.Instantiate(engine.Imports{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.SetMemoryBudget(64)
+	if _, err := inst.Call("adv"); !errors.Is(err, engine.ErrMemoryLimit) {
+		t.Fatalf("budgeted: %v, want ErrMemoryLimit", err)
+	}
+	inst.SetMemoryBudget(0)
+	if _, err := inst.Call("adv"); err != nil {
+		t.Fatalf("unbudgeted: %v", err)
+	}
+	mem := inst.Memory()
+	if mem.Pages() != 128 || mem.Committed() != 1 || mem.U64(0x7F0D28) == 0 {
+		t.Fatalf("pages %d, committed %d, last-page word %#x; want 128, 1, non-zero",
+			mem.Pages(), mem.Committed(), mem.U64(0x7F0D28))
+	}
 }
 
 // buildAdversarialModule translates fuzz bytes into a valid module with an

@@ -21,9 +21,10 @@ import (
 
 // Process-wide executor metrics, resolved once so recording is atomic-only.
 var (
-	mFuelConsumed  = obs.Default.Counter(obs.MetricFuelConsumed)
-	mPeakHeapPages = obs.Default.Gauge(obs.MetricPeakHeapPages)
-	mMorselLatency = obs.Default.Histogram(obs.MetricMorselLatency)
+	mFuelConsumed   = obs.Default.Counter(obs.MetricFuelConsumed)
+	mPeakHeapPages  = obs.Default.Gauge(obs.MetricPeakHeapPages)
+	mPagesCommitted = obs.Default.Counter(obs.MetricPagesCommitted)
+	mMorselLatency  = obs.Default.Histogram(obs.MetricMorselLatency)
 )
 
 // ExecOptions configures query execution.
@@ -126,9 +127,15 @@ type ExecStats struct {
 	// budget is bookkeeping, not a user contract, and is never reported here.
 	FuelUsed int64
 	// PeakMemBytes is the high-water linear-memory size (pages never
-	// shrink, so the final size is the peak). Under parallel execution it is
-	// the sum across all worker memories — the query's total footprint.
+	// shrink, so the final size is the peak): the address space the query
+	// reserved, host-mapped columns included. Under parallel execution it is
+	// the sum across all worker memories.
 	PeakMemBytes uint64
+	// CommittedMemBytes is the part of PeakMemBytes the query actually
+	// allocated: module-owned pages committed by a first touch, summed
+	// across workers. Reserved pages nobody touched and host-mapped columns
+	// cost nothing and are not counted.
+	CommittedMemBytes uint64
 	// Workers is the size of the morsel worker pool the query ran with (1
 	// when serial).
 	Workers int
@@ -329,7 +336,7 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 	t0 := time.Now()
 	spRewire := tr.Begin(obs.SpanRewire)
 	ws := make([]*worker, workers)
-	mapped := 0
+	mapped, pagesMapped := 0, 0
 	for wi := range ws {
 		w := &worker{id: wi}
 		w.mem = wmem.New(cq.MinPages, 65536)
@@ -348,11 +355,13 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 			if col.MappedBytes() == 0 {
 				continue
 			}
-			if err := w.mem.Map(cm.Base, col.Data()); err != nil {
+			data := col.Data()
+			if err := w.mem.Map(cm.Base, data); err != nil {
 				return nil, nil, fmt.Errorf("core: rewiring column %s.%s: %w",
 					q.Tables[cm.TableIdx].Table.Name, col.Name, err)
 			}
 			mapped++
+			pagesMapped += len(data) / wmem.PageSize
 		}
 		if len(cq.ParamSlots) > 0 {
 			// The execution's parameter values become plain memory contents
@@ -363,7 +372,7 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		}
 		ws[wi] = w
 	}
-	spRewire.End(obs.I("columns", int64(mapped)), obs.I("workers", int64(workers)))
+	spRewire.End(obs.I("columns", int64(mapped)), obs.I("pages_mapped", int64(pagesMapped)), obs.I("workers", int64(workers)))
 	stats.Rewire = time.Since(t0)
 
 	primary := ws[0]
@@ -883,7 +892,9 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		stats.MorselsLiftoff += lo
 		stats.MorselsTurbofan += tf
 		stats.PeakMemBytes += uint64(w.mem.Pages()) * wmem.PageSize
+		stats.CommittedMemBytes += uint64(w.mem.Committed()) * wmem.PageSize
 		mPeakHeapPages.SetMax(int64(w.mem.Pages()))
+		mPagesCommitted.Add(int64(w.mem.Committed()))
 		if workers > 1 {
 			tr.Set(obs.WorkerCtr(w.id, obs.CtrMorselsLiftoff), int64(lo))
 			tr.Set(obs.WorkerCtr(w.id, obs.CtrMorselsTurbofan), int64(tf))
@@ -902,6 +913,7 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		tr.Set(obs.CtrModuleBytes, int64(stats.ModuleBytes))
 		tr.Set(obs.CtrFuelUsed, stats.FuelUsed)
 		tr.Set(obs.CtrPeakMemBytes, int64(stats.PeakMemBytes))
+		tr.Set(obs.CtrCommittedMemBytes, int64(stats.CommittedMemBytes))
 		tr.Set(obs.CtrResultRows, int64(len(res.Rows)))
 		tr.Set(obs.CtrWorkers, int64(stats.Workers))
 		tr.Set(obs.CtrPipelinesParallel, int64(stats.PipelinesParallel))

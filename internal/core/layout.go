@@ -19,12 +19,17 @@ import (
 	"wasmdb/internal/wasm"
 )
 
-// Address-space plan (§6): page 0 traps, a small constant region holds
-// string literals and LIKE patterns, a writable parameter region holds the
-// per-execution query parameters (hoisted literals and prepared-statement
-// arguments — written by the host before q_init, read by generated code),
-// referenced table columns are rewired page-aligned after it, then the
-// result buffer, then the bump-allocated heap for generated data structures.
+// Address-space plan (§6): page 0 is left unused (ordinary zero memory that
+// nothing is placed in, so a null pointer reads zeros — it does not trap), a
+// small constant region holds string literals and LIKE patterns, a writable
+// parameter region holds the per-execution query parameters (hoisted literals
+// and prepared-statement arguments — written by the host before q_init, read
+// by generated code), referenced table columns are rewired page-aligned after
+// it, then the result buffer, then the bump-allocated heap for generated data
+// structures.
+// The plan is address space, not allocation: linear memory is demand-zero
+// (see wmem), so the result buffer and the heap cost only the pages a query
+// touches.
 const (
 	pageSize    = 64 * 1024
 	constBase   = pageSize // string constants live in page 1

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"wasmdb/internal/catalog"
 	"wasmdb/internal/engine"
@@ -65,4 +67,36 @@ func BenchmarkMorselDispatchDetail(b *testing.B) {
 		tr.Detail = true
 		return tr
 	})
+}
+
+// BenchmarkExecuteStartup measures what a warm query pays before its first
+// morsel — building each worker's linear memory, rewiring the columns,
+// instantiating the precompiled module and running q_init — on a table small
+// enough (1000 rows, one morsel) that the run phase is noise. init-ns/op is
+// ExecStats.Init; B/op is the whole execution and is dominated by the pages
+// q_init and the single morsel commit.
+func BenchmarkExecuteStartup(b *testing.B) {
+	cq, q := compileOn(b, parCatalog(b, 1000), "SELECT COUNT(*), SUM(i0), MIN(i1) FROM t WHERE i0 < 0")
+	eng := engine.New(engine.Config{Tier: engine.TierTurbofan})
+	mod, err := eng.Compile(cq.Bin)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var init time.Duration
+			for i := 0; i < b.N; i++ {
+				_, st, err := Execute(cq, q, eng, ExecOptions{Precompiled: mod, Parallelism: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Workers != workers {
+					b.Fatalf("ran with %d workers, want %d", st.Workers, workers)
+				}
+				init += st.Init
+			}
+			b.ReportMetric(float64(init.Nanoseconds())/float64(b.N), "init-ns/op")
+		})
+	}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // compileOn compiles src against cat.
-func compileOn(t *testing.T, cat *catalog.Catalog, src string) (*CompiledQuery, *sema.Query) {
+func compileOn(t testing.TB, cat *catalog.Catalog, src string) (*CompiledQuery, *sema.Query) {
 	t.Helper()
 	stmt, err := sql.ParseSelect(src)
 	if err != nil {
@@ -38,7 +38,7 @@ func compileOn(t *testing.T, cat *catalog.Catalog, src string) (*CompiledQuery, 
 	return cq, q
 }
 
-func parCatalog(t *testing.T, rows int) *catalog.Catalog {
+func parCatalog(t testing.TB, rows int) *catalog.Catalog {
 	t.Helper()
 	cat, err := workload.Catalog(workload.Spec{Name: "t", Rows: rows, IntCols: 2, FloatCols: 2, Seed: 99})
 	if err != nil {

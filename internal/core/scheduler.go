@@ -141,7 +141,9 @@ func (l *Lease) Extras() int {
 // retire at this morsel boundary because the lease was marked down. Worker 0
 // (the primary) never yields. The first observation by a given worker
 // returns its slot to the pool immediately; the call is cheap enough for the
-// morsel loop (one mutex acquisition, uncontended in steady state).
+// morsel loop (one mutex acquisition, uncontended in steady state). A worker
+// id beyond the grant holds no slot: it is told to yield and gives nothing
+// back.
 func (l *Lease) ShouldYield(workerID int) bool {
 	if l == nil || workerID == 0 {
 		return false
@@ -152,7 +154,7 @@ func (l *Lease) ShouldYield(workerID int) bool {
 		return false
 	}
 	idx := workerID - 1
-	give := !l.released && !l.yielded[idx]
+	give := idx < len(l.yielded) && !l.released && !l.yielded[idx]
 	if give {
 		l.yielded[idx] = true
 		l.returned++

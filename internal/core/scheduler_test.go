@@ -79,6 +79,36 @@ func TestSchedulerNilLeaseIsInert(t *testing.T) {
 	l.Release()
 }
 
+// TestSchedulerYieldBeyondGrant pins ShouldYield as total: a worker id above
+// the lease's grant holds no slot, so it is told to yield without a slot
+// being returned — and without indexing past the per-worker slice.
+func TestSchedulerYieldBeyondGrant(t *testing.T) {
+	s := NewScheduler(2)
+	l := s.Acquire(4) // wants 3 extras, the pool has 2
+	if l.Extras() != 2 {
+		t.Fatalf("first acquire: %d extras, want 2", l.Extras())
+	}
+	if l2 := s.Acquire(4); l2 != nil {
+		t.Fatalf("competing acquire granted %d extras, want denial", l2.Extras())
+	}
+	// The denial marked l down to one extra; ids 3 and 4 were never granted.
+	for _, id := range []int{3, 4} {
+		if !l.ShouldYield(id) {
+			t.Errorf("worker %d beyond the grant should yield", id)
+		}
+	}
+	if s.InUse() != 2 {
+		t.Fatalf("ungranted workers returned slots: InUse = %d, want 2", s.InUse())
+	}
+	if !l.ShouldYield(2) || s.InUse() != 1 {
+		t.Fatalf("worker 2 should yield its slot: InUse = %d, want 1", s.InUse())
+	}
+	l.Release()
+	if s.InUse() != 0 {
+		t.Fatalf("slots leaked: InUse = %d, want 0", s.InUse())
+	}
+}
+
 func TestSchedulerConcurrentAcquireRelease(t *testing.T) {
 	s := NewScheduler(4)
 	var wg sync.WaitGroup

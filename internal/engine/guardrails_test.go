@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -135,6 +136,59 @@ func TestMemoryBudget(t *testing.T) {
 		}
 		if got := mustCall(t, inst, "grow", 0); got[0] != 3 {
 			t.Errorf("%v: size = %d, want 3", tier, got[0])
+		}
+	}
+}
+
+// TestGrowToMaximumTouchesOnePage: a module-defined memory is demand-zero, so
+// a guest that grows its memory to the 4 GiB maximum and stores to the last
+// page costs the host one page plus the page table — and the same guest under
+// a memory budget still ends in ErrMemoryLimit at the grow.
+func TestGrowToMaximumTouchesOnePage(t *testing.T) {
+	b := wasm.NewModuleBuilder()
+	b.AddMemory(1, 65536)
+	f := b.NewFunc("hog", wasm.FuncType{Results: []wasm.ValType{wasm.I32}})
+	f.I32Const(65535)
+	f.Op(wasm.OpMemoryGrow)
+	f.Drop()
+	f.I32Const(-8) // 0xFFFFFFF8: the last eight bytes of the address space
+	f.I64Const(0x1122334455667788)
+	f.I64Store(0)
+	f.I32Const(-8)
+	f.I32Load(4)
+	b.Export("hog", wasm.ExternFunc, f.Index)
+	bin := b.Bytes()
+
+	for _, tier := range tiers {
+		m, err := New(Config{Tier: tier}).Compile(bin)
+		if err != nil {
+			t.Fatalf("%v compile: %v", tier, err)
+		}
+		if err := m.WaitOptimized(); err != nil {
+			t.Fatal(err)
+		}
+		inst, err := m.Instantiate(Imports{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.SetMemoryBudget(64)
+		if _, err := inst.Call("hog"); !errors.Is(err, ErrMemoryLimit) {
+			t.Fatalf("%v: hog under a 64-page budget returned %v, want ErrMemoryLimit", tier, err)
+		}
+		inst.SetMemoryBudget(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := mustCall(t, inst, "hog")
+		runtime.ReadMemStats(&after)
+		if got[0] != 0x11223344 {
+			t.Errorf("%v: hog = %#x, want 0x11223344", tier, got[0])
+		}
+		mem := inst.Memory()
+		if mem.Pages() != 65536 || mem.Committed() != 1 {
+			t.Errorf("%v: %d pages, %d committed; want 65536 and 1", tier, mem.Pages(), mem.Committed())
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("%v: growing to 4 GiB and touching one page allocated %d bytes", tier, grew)
 		}
 	}
 }

@@ -169,17 +169,17 @@ func (c *Code) run(env *rt.Env, frame []uint64) {
 		case uint16(wasm.OpF64Load):
 			stack[sp-1] = rt.LdU64(pages, mem, rt.CheckAddr(stack[sp-1], in.a, 8))
 		case uint16(wasm.OpI32Load8S):
-			stack[sp-1] = uint64(uint32(int32(int8(rt.LdU8(pages, mem, rt.CheckAddr(stack[sp-1], in.a, 1))))))
+			stack[sp-1] = uint64(uint32(int32(int8(rt.LdU8(mem, rt.CheckAddr(stack[sp-1], in.a, 1))))))
 		case uint16(wasm.OpI32Load8U):
-			stack[sp-1] = uint64(rt.LdU8(pages, mem, rt.CheckAddr(stack[sp-1], in.a, 1)))
+			stack[sp-1] = uint64(rt.LdU8(mem, rt.CheckAddr(stack[sp-1], in.a, 1)))
 		case uint16(wasm.OpI32Load16S):
 			stack[sp-1] = uint64(uint32(int32(int16(rt.LdU16(pages, mem, rt.CheckAddr(stack[sp-1], in.a, 2))))))
 		case uint16(wasm.OpI32Load16U):
 			stack[sp-1] = uint64(rt.LdU16(pages, mem, rt.CheckAddr(stack[sp-1], in.a, 2)))
 		case uint16(wasm.OpI64Load8S):
-			stack[sp-1] = uint64(int64(int8(rt.LdU8(pages, mem, rt.CheckAddr(stack[sp-1], in.a, 1)))))
+			stack[sp-1] = uint64(int64(int8(rt.LdU8(mem, rt.CheckAddr(stack[sp-1], in.a, 1)))))
 		case uint16(wasm.OpI64Load8U):
-			stack[sp-1] = uint64(rt.LdU8(pages, mem, rt.CheckAddr(stack[sp-1], in.a, 1)))
+			stack[sp-1] = uint64(rt.LdU8(mem, rt.CheckAddr(stack[sp-1], in.a, 1)))
 		case uint16(wasm.OpI64Load16S):
 			stack[sp-1] = uint64(int64(int16(rt.LdU16(pages, mem, rt.CheckAddr(stack[sp-1], in.a, 2)))))
 		case uint16(wasm.OpI64Load16U):
@@ -196,7 +196,7 @@ func (c *Code) run(env *rt.Env, frame []uint64) {
 			rt.StU64(pages, mem, rt.CheckAddr(stack[sp], in.a, 8), stack[sp+1])
 		case uint16(wasm.OpI32Store8), uint16(wasm.OpI64Store8):
 			sp -= 2
-			rt.StU8(pages, mem, rt.CheckAddr(stack[sp], in.a, 1), byte(stack[sp+1]))
+			rt.StU8(mem, rt.CheckAddr(stack[sp], in.a, 1), byte(stack[sp+1]))
 		case uint16(wasm.OpI32Store16), uint16(wasm.OpI64Store16):
 			sp -= 2
 			rt.StU16(pages, mem, rt.CheckAddr(stack[sp], in.a, 2), uint16(stack[sp+1]))

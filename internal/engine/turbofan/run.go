@@ -125,17 +125,17 @@ func (c *Code) run(env *rt.Env, regs []uint64) {
 		case uint16(wasm.OpF64Load):
 			regs[t.d] = rt.LdU64(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 8))
 		case uint16(wasm.OpI32Load8S):
-			regs[t.d] = uint64(uint32(int32(int8(rt.LdU8(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 1))))))
+			regs[t.d] = uint64(uint32(int32(int8(rt.LdU8(mem, rt.CheckAddr(regs[t.a], t.imm, 1))))))
 		case uint16(wasm.OpI32Load8U):
-			regs[t.d] = uint64(rt.LdU8(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 1)))
+			regs[t.d] = uint64(rt.LdU8(mem, rt.CheckAddr(regs[t.a], t.imm, 1)))
 		case uint16(wasm.OpI32Load16S):
 			regs[t.d] = uint64(uint32(int32(int16(rt.LdU16(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 2))))))
 		case uint16(wasm.OpI32Load16U):
 			regs[t.d] = uint64(rt.LdU16(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 2)))
 		case uint16(wasm.OpI64Load8S):
-			regs[t.d] = uint64(int64(int8(rt.LdU8(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 1)))))
+			regs[t.d] = uint64(int64(int8(rt.LdU8(mem, rt.CheckAddr(regs[t.a], t.imm, 1)))))
 		case uint16(wasm.OpI64Load8U):
-			regs[t.d] = uint64(rt.LdU8(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 1)))
+			regs[t.d] = uint64(rt.LdU8(mem, rt.CheckAddr(regs[t.a], t.imm, 1)))
 		case uint16(wasm.OpI64Load16S):
 			regs[t.d] = uint64(int64(int16(rt.LdU16(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 2)))))
 		case uint16(wasm.OpI64Load16U):
@@ -149,7 +149,7 @@ func (c *Code) run(env *rt.Env, regs []uint64) {
 		case uint16(wasm.OpI64Store), uint16(wasm.OpF64Store):
 			rt.StU64(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 8), regs[t.b])
 		case uint16(wasm.OpI32Store8), uint16(wasm.OpI64Store8):
-			rt.StU8(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 1), byte(regs[t.b]))
+			rt.StU8(mem, rt.CheckAddr(regs[t.a], t.imm, 1), byte(regs[t.b]))
 		case uint16(wasm.OpI32Store16), uint16(wasm.OpI64Store16):
 			rt.StU16(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 2), uint16(regs[t.b]))
 		case uint16(wasm.OpI64Store32):

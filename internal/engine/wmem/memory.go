@@ -9,6 +9,12 @@
 // pages directly into the page table, so guest loads read host memory
 // in place. Mapping granularity is the 64 KiB WebAssembly page, mirroring the
 // OS page granularity of mmap-based rewiring.
+//
+// Like an anonymous mmap, the address space is demand-zero: New, Grow and
+// Unmap only size the page table, and a module-owned page is allocated
+// (already zero) by the first access that touches it. Building a memory and
+// rewiring host columns into it therefore costs O(pages mapped) pointer
+// writes plus O(pages touched) allocations — never O(address space).
 package wmem
 
 import (
@@ -49,11 +55,15 @@ func (t *Trap) Error() string {
 func (t *Trap) Unwrap() error { return t.Cause }
 
 // Memory is a 32-bit addressable linear memory backed by a page table.
-// Pages are either module-owned (allocated by Grow or at construction) or
-// host-mapped (installed by Map). A nil page is unmapped and traps.
+// Pages are either module-owned or host-mapped (installed by Map). A nil
+// entry below Pages() is a reserved module-owned page: it reads as zero and
+// is committed — allocated, zero-filled — by the first load or store that
+// touches it. Only addresses at or beyond Pages() trap.
 type Memory struct {
 	pages    [][]byte
 	maxPages uint32
+	// committed counts the module-owned pages allocated on first touch.
+	committed uint32
 	// budget, when non-zero, caps the total size in pages that Grow may
 	// reach; exceeding it traps with ErrMemoryLimit (unlike maxPages, whose
 	// wasm semantics silently return -1 to the guest).
@@ -64,9 +74,10 @@ type Memory struct {
 	tr *obs.Trace
 }
 
-// New creates a memory with min zero-initialized module-owned pages and the
-// given maximum size in pages (the paper's 4 GiB address budget corresponds
-// to maxPages = 65536; experiments shrink it to force chunked rewiring).
+// New creates a memory with minPages reserved (demand-zero) module-owned
+// pages and the given maximum size in pages (the paper's 4 GiB address budget
+// corresponds to maxPages = 65536; experiments shrink it to force chunked
+// rewiring). It allocates only the page table.
 func New(minPages, maxPages uint32) *Memory {
 	if maxPages > 65536 {
 		maxPages = 65536
@@ -74,21 +85,23 @@ func New(minPages, maxPages uint32) *Memory {
 	if minPages > maxPages {
 		minPages = maxPages
 	}
-	m := &Memory{pages: make([][]byte, minPages), maxPages: maxPages}
-	for i := range m.pages {
-		m.pages[i] = make([]byte, PageSize)
-	}
-	return m
+	return &Memory{pages: make([][]byte, minPages), maxPages: maxPages}
 }
 
 // Pages returns the current size in pages.
 func (m *Memory) Pages() uint32 { return uint32(len(m.pages)) }
 
 // PageSlice exposes the page table for the interpreters' inline fast paths
-// (see rt.LdU32 and friends). The returned slice becomes stale after Grow,
-// Map, or Unmap; callers refresh it after any operation that may mutate the
-// table.
+// (see rt.LdU32 and friends). The returned slice becomes stale after Grow;
+// callers refresh it after any operation that may grow the memory. Map,
+// Unmap and first-touch commits write into the same backing array, so a
+// cached slice sees them.
 func (m *Memory) PageSlice() [][]byte { return m.pages }
+
+// Committed returns how many module-owned pages have been committed —
+// allocated by a first touch — since the memory was created. Host-mapped
+// pages and reserved pages nobody touched are not counted.
+func (m *Memory) Committed() uint32 { return m.committed }
 
 // MaxPages returns the maximum size in pages.
 func (m *Memory) MaxPages() uint32 { return m.maxPages }
@@ -96,13 +109,14 @@ func (m *Memory) MaxPages() uint32 { return m.maxPages }
 // SetBudget installs a per-query heap budget: Grow traps with
 // ErrMemoryLimit once the memory would exceed budget pages in total. Zero
 // removes the budget. The budget is checked only on growth — pages already
-// allocated or host-mapped are unaffected.
+// reserved or host-mapped are unaffected. Committed pages never exceed
+// Pages(), so the budget bounds what first touches can allocate as well.
 func (m *Memory) SetBudget(pages uint32) { m.budget = pages }
 
 // SetTracer routes growth events into the given query trace (nil detaches).
 func (m *Memory) SetTracer(tr *obs.Trace) { m.tr = tr }
 
-// Grow extends the memory by delta zero-initialized module-owned pages,
+// Grow extends the memory by delta reserved (demand-zero) module-owned pages,
 // returning the previous size in pages, or -1 if the wasm maximum would be
 // exceeded (the semantics of memory.grow). Exceeding a host-installed
 // budget (SetBudget) instead traps with a typed ErrMemoryLimit cause.
@@ -120,9 +134,7 @@ func (m *Memory) Grow(delta uint32) int32 {
 			Cause: ErrMemoryLimit,
 		})
 	}
-	for i := uint32(0); i < delta; i++ {
-		m.pages = append(m.pages, make([]byte, PageSize))
-	}
+	m.pages = append(m.pages, make([][]byte, delta)...)
 	if m.tr != nil {
 		m.tr.Event(obs.EvGrow, obs.I("delta", int64(delta)), obs.I("pages", int64(len(m.pages))))
 	}
@@ -152,8 +164,8 @@ func (m *Memory) Map(addr uint32, data []byte) error {
 	return nil
 }
 
-// Unmap replaces n pages starting at the page-aligned addr with fresh
-// module-owned zero pages.
+// Unmap returns n pages starting at the page-aligned addr to the reserved
+// state: whatever they held is dropped and they read as zero again.
 func (m *Memory) Unmap(addr uint32, n uint32) error {
 	if addr&pageMask != 0 {
 		return fmt.Errorf("wmem: unmap address %#x not page-aligned", addr)
@@ -162,9 +174,7 @@ func (m *Memory) Unmap(addr uint32, n uint32) error {
 	if uint64(first)+uint64(n) > uint64(len(m.pages)) {
 		return fmt.Errorf("wmem: unmap out of range")
 	}
-	for i := uint32(0); i < n; i++ {
-		m.pages[first+i] = make([]byte, PageSize)
-	}
+	clear(m.pages[first : first+n])
 	return nil
 }
 
@@ -172,38 +182,50 @@ func (m *Memory) trap(addr, size uint32) {
 	panic(&Trap{Addr: addr, Size: size, Msg: "out-of-bounds memory access"})
 }
 
-// span returns the in-page slice for a fast-path access of size bytes at
-// addr, or nil if the access is unmapped, out of bounds, or straddles a page
-// boundary (slow path).
-func (m *Memory) span(addr, size uint32) []byte {
+// checkRange traps unless the n bytes at addr all lie below the memory size.
+// Multi-page accesses check up front, so a trap leaves nothing half-written
+// and commits nothing.
+func (m *Memory) checkRange(addr uint32, n int) {
+	if uint64(addr)+uint64(n) > uint64(len(m.pages))<<pageShift {
+		m.trap(addr, uint32(n))
+	}
+}
+
+// page returns the page holding addr for an access of size bytes, committing
+// it if it is still reserved; an address beyond the memory size traps.
+func (m *Memory) page(addr, size uint32) []byte {
 	p := addr >> pageShift
-	off := addr & pageMask
-	if p >= uint32(len(m.pages)) || off+size > PageSize {
-		return nil
+	if p >= uint32(len(m.pages)) {
+		m.trap(addr, size)
 	}
 	pg := m.pages[p]
 	if pg == nil {
+		pg = make([]byte, PageSize)
+		m.pages[p] = pg
+		m.committed++
+	}
+	return pg
+}
+
+// span returns the in-page slice for an access of size bytes at addr, or nil
+// if the access straddles a page boundary (slow path). An access beyond the
+// memory size traps.
+func (m *Memory) span(addr, size uint32) []byte {
+	off := addr & pageMask
+	if off+size > PageSize {
 		return nil
 	}
-	return pg[off : off+size]
+	return m.page(addr, size)[off : off+size]
 }
 
 // U8 loads a byte.
 func (m *Memory) U8(addr uint32) byte {
-	p := addr >> pageShift
-	if p >= uint32(len(m.pages)) || m.pages[p] == nil {
-		m.trap(addr, 1)
-	}
-	return m.pages[p][addr&pageMask]
+	return m.page(addr, 1)[addr&pageMask]
 }
 
 // PutU8 stores a byte.
 func (m *Memory) PutU8(addr uint32, v byte) {
-	p := addr >> pageShift
-	if p >= uint32(len(m.pages)) || m.pages[p] == nil {
-		m.trap(addr, 1)
-	}
-	m.pages[p][addr&pageMask] = v
+	m.page(addr, 1)[addr&pageMask] = v
 }
 
 // U16 loads a little-endian 16-bit value.
@@ -259,9 +281,7 @@ func (m *Memory) PutU64(addr uint32, v uint64) {
 
 // slowLoad assembles a value that straddles a page boundary byte by byte.
 func (m *Memory) slowLoad(addr, size uint32) uint64 {
-	if uint64(addr)+uint64(size) > uint64(len(m.pages))<<pageShift {
-		m.trap(addr, size)
-	}
+	m.checkRange(addr, int(size))
 	var v uint64
 	for i := uint32(0); i < size; i++ {
 		v |= uint64(m.U8(addr+i)) << (8 * i)
@@ -270,9 +290,7 @@ func (m *Memory) slowLoad(addr, size uint32) uint64 {
 }
 
 func (m *Memory) slowStore(addr, size uint32, v uint64) {
-	if uint64(addr)+uint64(size) > uint64(len(m.pages))<<pageShift {
-		m.trap(addr, size)
-	}
+	m.checkRange(addr, int(size))
 	for i := uint32(0); i < size; i++ {
 		m.PutU8(addr+i, byte(v>>(8*i)))
 	}
@@ -280,32 +298,28 @@ func (m *Memory) slowStore(addr, size uint32, v uint64) {
 
 // ReadBytes copies n bytes starting at addr into a fresh slice, crossing page
 // boundaries as needed. It is the host-side accessor for result retrieval.
+// Reserved pages read as zero and stay uncommitted.
 func (m *Memory) ReadBytes(addr, n uint32) []byte {
+	m.checkRange(addr, int(n))
 	out := make([]byte, n)
-	got := uint32(0)
-	for got < n {
-		s := m.span(addr+got, 1)
-		if s == nil {
-			m.trap(addr+got, 1)
+	for got := uint32(0); got < n; {
+		a := addr + got
+		off := a & pageMask
+		c := min(n-got, PageSize-off)
+		if pg := m.pages[a>>pageShift]; pg != nil {
+			copy(out[got:got+c], pg[off:])
 		}
-		pg := m.pages[(addr+got)>>pageShift]
-		off := (addr + got) & pageMask
-		c := copy(out[got:], pg[off:])
-		got += uint32(c)
+		got += c
 	}
 	return out
 }
 
-// WriteBytes copies b into memory at addr, crossing page boundaries.
+// WriteBytes copies b into memory at addr, crossing page boundaries and
+// committing the pages it touches.
 func (m *Memory) WriteBytes(addr uint32, b []byte) {
-	done := 0
-	for done < len(b) {
+	m.checkRange(addr, len(b))
+	for done := 0; done < len(b); {
 		a := addr + uint32(done)
-		p := a >> pageShift
-		if p >= uint32(len(m.pages)) || m.pages[p] == nil {
-			m.trap(a, uint32(len(b)-done))
-		}
-		off := a & pageMask
-		done += copy(m.pages[p][off:], b[done:])
+		done += copy(m.page(a, 1)[a&pageMask:], b[done:])
 	}
 }

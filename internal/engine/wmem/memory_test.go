@@ -1,6 +1,7 @@
 package wmem
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -58,31 +59,6 @@ func TestCrossPageAccess(t *testing.T) {
 	m.PutU32(PageSize-2, 0xCAFEBABE)
 	if got := m.U32(PageSize - 2); got != 0xCAFEBABE {
 		t.Fatalf("straddling u32 = %#x", got)
-	}
-}
-
-func TestOutOfBoundsTraps(t *testing.T) {
-	m := New(1, 1)
-	cases := []func(){
-		func() { m.U8(PageSize) },
-		func() { m.U32(PageSize - 2) },
-		func() { m.U64(PageSize - 7) },
-		func() { m.PutU8(PageSize, 1) },
-		func() { m.PutU64(PageSize-1, 1) },
-		func() { m.ReadBytes(PageSize-4, 8) },
-		func() { m.WriteBytes(PageSize-4, make([]byte, 8)) },
-	}
-	for i, fn := range cases {
-		func() {
-			defer func() {
-				if r := recover(); r == nil {
-					t.Errorf("case %d: no trap", i)
-				} else if _, ok := r.(*Trap); !ok {
-					t.Errorf("case %d: wrong panic type %T", i, r)
-				}
-			}()
-			fn()
-		}()
 	}
 }
 
@@ -179,5 +155,188 @@ func TestReadWriteBytesRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// mustTrap runs fn and fails unless it raises a *Trap.
+func mustTrap(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if _, ok := recover().(*Trap); !ok {
+			t.Errorf("%s: no trap", what)
+		}
+	}()
+	fn()
+}
+
+// TestReservedPagesReadZero: pages that New, Grow and Unmap reserve read as
+// zero through every width, including accesses that straddle from a committed
+// page into a reserved one and the other way round.
+func TestReservedPagesReadZero(t *testing.T) {
+	m := New(2, 16)
+	m.Grow(2)
+	host := make([]byte, PageSize)
+	host[0] = 0xFF
+	if err := m.Map(3*PageSize, host); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Unmap(3*PageSize, 1); err != nil {
+		t.Fatal(err)
+	}
+	for p := uint32(0); p < 4; p++ { // 0,1 fresh; 2 grown; 3 unmapped
+		base := p * PageSize
+		if m.U8(base+1) != 0 || m.U16(base+2) != 0 || m.U32(base+4) != 0 || m.U64(base+8) != 0 {
+			t.Errorf("page %d does not read as zero", p)
+		}
+	}
+
+	// One side of the straddle is committed and holds a marker byte, the
+	// other is still reserved; every width gets a fresh memory so the load
+	// under test is the first touch of the reserved side.
+	loads := map[uint32]func(m *Memory, addr uint32) uint64{
+		2: func(m *Memory, addr uint32) uint64 { return uint64(m.U16(addr)) },
+		4: func(m *Memory, addr uint32) uint64 { return uint64(m.U32(addr)) },
+		8: func(m *Memory, addr uint32) uint64 { return m.U64(addr) },
+	}
+	for size, load := range loads {
+		for _, marker := range []uint32{PageSize - 1, PageSize} { // page 0's last byte, page 1's first
+			m := New(2, 2)
+			m.PutU8(marker, 0xAB)
+			addr := PageSize - size/2
+			want := uint64(0xAB) << (8 * (marker - addr))
+			if got := load(m, addr); got != want {
+				t.Errorf("u%d at %#x with marker at %#x = %#x, want %#x", 8*size, addr, marker, got, want)
+			}
+			if m.Committed() != 2 {
+				t.Errorf("u%d straddle committed %d pages, want both", 8*size, m.Committed())
+			}
+		}
+	}
+
+	// A straddling store commits both sides.
+	m = New(2, 2)
+	m.PutU64(PageSize-3, 0x1122334455667788)
+	if m.Committed() != 2 || m.U64(PageSize-3) != 0x1122334455667788 {
+		t.Errorf("straddling store: committed %d, value %#x", m.Committed(), m.U64(PageSize-3))
+	}
+}
+
+// TestSizingAllocatesOnlyThePageTable: New, Grow and Unmap cost O(page
+// table), not O(address space) — asserted on bytes allocated, not on time.
+func TestSizingAllocatesOnlyThePageTable(t *testing.T) {
+	const entry = 24 // one []byte header per page
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var m *Memory
+	if got := allocated(func() { m = New(4096, 65536) }); got > 2*4096*entry {
+		t.Errorf("New(4096, 65536) allocated %d bytes, want O(page table) ≈ %d", got, 4096*entry)
+	}
+	if got := allocated(func() { m.Grow(60000) }); got > 2*(4096+60000)*entry {
+		t.Errorf("Grow(60000) allocated %d bytes, want O(page table) ≈ %d", got, (4096+60000)*entry)
+	}
+	if m.Pages() != 64096 || m.Committed() != 0 {
+		t.Fatalf("pages = %d, committed = %d", m.Pages(), m.Committed())
+	}
+	if n := testing.AllocsPerRun(10, func() { New(4096, 65536) }); n > 2 {
+		t.Errorf("New makes %v allocations, want the Memory and its page table", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = m.Unmap(0, 64096) }); n != 0 {
+		t.Errorf("Unmap makes %v allocations, want 0", n)
+	}
+	// Touching the last page of a 4 GiB reservation commits exactly it.
+	m.PutU32(64095*PageSize+PageSize-4, 7)
+	if m.Committed() != 1 || m.U32(64096*PageSize-4) != 7 {
+		t.Errorf("last-page touch: committed %d", m.Committed())
+	}
+}
+
+// TestReadBytesCommitsNothing: the host-side bulk read sees zeros on reserved
+// pages and leaves them reserved, also when the range mixes committed,
+// mapped and reserved pages.
+func TestReadBytesCommitsNothing(t *testing.T) {
+	m := New(4, 4)
+	for _, b := range m.ReadBytes(PageSize-100, 2*PageSize) {
+		if b != 0 {
+			t.Fatal("reserved pages read non-zero")
+		}
+	}
+	if m.Committed() != 0 {
+		t.Fatalf("ReadBytes committed %d pages", m.Committed())
+	}
+	m.PutU8(PageSize-1, 1) // page 0 committed
+	host := make([]byte, PageSize)
+	host[0] = 3
+	if err := m.Map(2*PageSize, host); err != nil { // page 2 mapped, page 1 reserved
+		t.Fatal(err)
+	}
+	got := m.ReadBytes(PageSize-1, PageSize+2)
+	if got[0] != 1 || got[1] != 0 || got[PageSize] != 0 || got[PageSize+1] != 3 {
+		t.Errorf("mixed read = %d %d … %d %d", got[0], got[1], got[PageSize], got[PageSize+1])
+	}
+	if m.Committed() != 1 {
+		t.Errorf("mixed ReadBytes committed pages: %d, want 1", m.Committed())
+	}
+	// WriteBytes commits exactly the pages it touches.
+	m.WriteBytes(PageSize-2, []byte{9, 9, 9, 9})
+	if m.Committed() != 2 || m.U32(PageSize-2) != 0x09090909 {
+		t.Errorf("WriteBytes: committed %d, value %#x", m.Committed(), m.U32(PageSize-2))
+	}
+}
+
+// TestOutOfBoundsTraps: accesses at or past Pages() trap, and neither a
+// trapping access nor a straddle past the end commits the last (reserved)
+// page on its way out.
+func TestOutOfBoundsTraps(t *testing.T) {
+	m := New(2, 4)
+	end := uint32(2 * PageSize)
+	mustTrap(t, "u8 at end", func() { m.U8(end) })
+	mustTrap(t, "u16 straddling end", func() { m.U16(end - 1) })
+	mustTrap(t, "u32 straddling end", func() { m.U32(end - 3) })
+	mustTrap(t, "u64 straddling end", func() { m.U64(end - 7) })
+	mustTrap(t, "put u8 at end", func() { m.PutU8(end, 1) })
+	mustTrap(t, "put u16 straddling end", func() { m.PutU16(end-1, 1) })
+	mustTrap(t, "put u32 straddling end", func() { m.PutU32(end-1, 1) })
+	mustTrap(t, "put u64 straddling end", func() { m.PutU64(end-4, 1) })
+	mustTrap(t, "read bytes past end", func() { m.ReadBytes(end-4, 8) })
+	mustTrap(t, "write bytes past end", func() { m.WriteBytes(end-4, make([]byte, 8)) })
+	mustTrap(t, "wrapping address", func() { m.U64(0xFFFFFFFC) })
+	if m.Committed() != 0 {
+		t.Errorf("trapping accesses committed %d pages", m.Committed())
+	}
+	// Growing makes the same addresses valid, zero pages.
+	m.Grow(1)
+	if m.U64(end-7) != 0 {
+		t.Error("grown page not zero")
+	}
+}
+
+// TestMapAndUnmapDropCommittedContents: Map over a page the guest already
+// committed replaces it, and Unmap returns the range to zero — the old
+// contents never come back.
+func TestMapAndUnmapDropCommittedContents(t *testing.T) {
+	m := New(2, 2)
+	m.PutU32(PageSize+8, 0xDEADBEEF)
+	host := make([]byte, PageSize)
+	host[8] = 1
+	if err := m.Map(PageSize, host); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.U32(PageSize + 8); got != 1 {
+		t.Errorf("after Map: %#x, want the host buffer's 1", got)
+	}
+	if err := m.Unmap(PageSize, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.U32(PageSize + 8); got != 0 {
+		t.Errorf("after Unmap: %#x, want 0", got)
+	}
+	m.PutU8(PageSize, 5)
+	if host[0] != 0 {
+		t.Error("store after Unmap reached the host buffer")
 	}
 }

@@ -67,18 +67,18 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	f := NewFlightRecorder(8, 2)
 	tr := NewTrace()
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	// Background tier-up into a captured trace, one event per dump below:
+	// each append races the dump that released it, and the trace stays a
+	// fixed size. (An unthrottled producer made every dump — which
+	// serialises the trace once per ring entry — slower than the last, which
+	// let the trace grow further still.)
+	tick := make(chan struct{})
 	wg.Add(1)
-	go func() { // background tier-up into a captured trace
+	go func() {
 		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				tr.Event(EvTierUp, I("func", 1), I("morsel", tr.MorselCount()))
-				tr.AddMorsel()
-			}
+		for range tick {
+			tr.Event(EvTierUp, I("func", 1), I("morsel", tr.MorselCount()))
+			tr.AddMorsel()
 		}
 	}()
 	for g := 0; g < 4; g++ {
@@ -90,7 +90,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			}
 		}(g)
 	}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 10; i++ {
+		tick <- struct{}{}
 		var buf bytes.Buffer
 		if err := f.WriteJSON(&buf); err != nil {
 			t.Fatalf("WriteJSON during churn: %v", err)
@@ -99,7 +100,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			t.Fatalf("WriteTraceEvents during churn: %v", err)
 		}
 	}
-	close(stop)
+	close(tick)
 	wg.Wait()
 	if f.Len() != 8 {
 		t.Errorf("Len = %d, want full ring of 8", f.Len())

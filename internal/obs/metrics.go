@@ -18,6 +18,7 @@ const (
 	MetricTurbofanFailures = "engine_turbofan_failures_total"
 	MetricFuelConsumed     = "core_fuel_consumed_total"
 	MetricPeakHeapPages    = "core_peak_heap_pages"
+	MetricPagesCommitted   = "wmem_pages_committed"
 	MetricMorselLatency    = "core_morsel_latency_ns"
 	MetricFaultpointHits   = "faultpoint_hits_total" // + "." + point
 

@@ -46,6 +46,7 @@ var helpText = map[string]string{
 	MetricTurbofanFailures:          "Background optimizing compiles that failed (query degraded to liftoff).",
 	MetricFuelConsumed:              "Fuel units consumed against explicit WithFuel budgets.",
 	MetricPeakHeapPages:             "High-water linear-memory pages of the most memory-hungry query.",
+	MetricPagesCommitted:            "Module-owned linear-memory pages committed (allocated on first touch) by queries.",
 	MetricMorselLatency:             "Per-morsel dispatch latency.",
 	MetricFaultpointHits:            "Armed fault-injection points evaluated, by point.",
 	MetricPlanCacheHits:             "Plan-cache lookups that reused a cached module.",

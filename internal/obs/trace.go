@@ -103,7 +103,10 @@ const (
 	CtrModuleBytes     = "module_bytes"
 	CtrFuelUsed        = "fuel_used"
 	CtrPeakMemBytes    = "peak_mem_bytes"
-	CtrResultRows      = "result_rows"
+	// CtrCommittedMemBytes is the part of peak_mem_bytes the query allocated:
+	// module-owned pages committed by a first touch.
+	CtrCommittedMemBytes = "committed_mem_bytes"
+	CtrResultRows        = "result_rows"
 	// CtrWorkers is the size of the morsel worker pool the query ran with.
 	CtrWorkers = "workers"
 	// CtrPipelinesParallel / CtrPipelinesSerial count pipelines driven by the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -176,12 +177,38 @@ func TestTraceEventExportFromQuery(t *testing.T) {
 }
 
 // TestStatsFuelAndPeakMem: the unified Stats surfaces the fuel and memory
-// counters, and the process-wide registry accumulates them.
+// counters — reserved address space and the demand-zero pages actually
+// committed — the rewire span says how many pages it mapped, EXPLAIN ANALYZE
+// prints both memory figures, and the process-wide registry accumulates them.
 func TestStatsFuelAndPeakMem(t *testing.T) {
 	db := obsDB(t, 4000)
-	res, err := db.Query("SELECT COUNT(*) FROM t WHERE a < 1000000", wasmdb.WithFuel(100_000_000))
+	tr := wasmdb.NewTrace()
+	res, err := db.Query("SELECT COUNT(*) FROM t WHERE a < 1000000", wasmdb.WithFuel(100_000_000), wasmdb.WithTrace(tr))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c := res.Stats.CommittedMemBytes; c == 0 || c%65536 != 0 || c >= res.Stats.PeakMemBytes {
+		t.Errorf("CommittedMemBytes = %d, want whole pages, non-zero and below the %d reserved", c, res.Stats.PeakMemBytes)
+	}
+	mapped := int64(-1)
+	for _, sp := range tr.Spans() {
+		if sp.Name == obs.SpanRewire {
+			for _, a := range sp.Args {
+				if a.Key == "pages_mapped" {
+					mapped = a.Val
+				}
+			}
+		}
+	}
+	if mapped < 1 {
+		t.Errorf("rewire span pages_mapped = %d, want the scanned column's pages", mapped)
+	}
+	out, err := db.ExplainAnalyze("SELECT COUNT(*) FROM t WHERE a < 1000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`peak memory +\d+ KiB reserved, \d+ KiB committed`).MatchString(out) {
+		t.Errorf("EXPLAIN ANALYZE lacks the reserved/committed memory line:\n%s", out)
 	}
 	if res.Stats.FuelUsed <= 0 {
 		t.Errorf("FuelUsed = %d on a metered query", res.Stats.FuelUsed)
@@ -191,7 +218,7 @@ func TestStatsFuelAndPeakMem(t *testing.T) {
 	}
 	dump := db.Metrics().Dump()
 	for _, want := range []string{
-		obs.MetricFuelConsumed, obs.MetricPeakHeapPages, obs.MetricMorselLatency,
+		obs.MetricFuelConsumed, obs.MetricPeakHeapPages, obs.MetricPagesCommitted, obs.MetricMorselLatency,
 		obs.MetricCompiles + ".liftoff", obs.MetricQueries + "." + wasmdb.BackendWasm.String(),
 	} {
 		if !strings.Contains(dump, want) {

@@ -457,9 +457,14 @@ type Stats struct {
 	// was set; the implicit metering a cancellable context arms is internal
 	// bookkeeping and is not reported).
 	FuelUsed int64
-	// PeakMemBytes is the high-water linear-memory size of the query, summed
-	// across all workers under parallel execution.
+	// PeakMemBytes is the high-water linear-memory size of the query — the
+	// address space it reserved, rewired columns included — summed across
+	// all workers under parallel execution.
 	PeakMemBytes uint64
+	// CommittedMemBytes is the part of PeakMemBytes the query allocated:
+	// linear-memory pages are demand-zero, so only pages the generated code
+	// touched count (rewired columns and untouched reservations do not).
+	CommittedMemBytes uint64
 	// Workers is the morsel worker-pool size the query ran with (1 when
 	// serial; see WithParallelism).
 	Workers int
@@ -505,6 +510,7 @@ func statsFromTrace(tr *obs.Trace, b Backend) Stats {
 		ModuleBytes:          int(tr.Value(obs.CtrModuleBytes)),
 		FuelUsed:             tr.Value(obs.CtrFuelUsed),
 		PeakMemBytes:         uint64(tr.Value(obs.CtrPeakMemBytes)),
+		CommittedMemBytes:    uint64(tr.Value(obs.CtrCommittedMemBytes)),
 		Workers:              int(tr.Value(obs.CtrWorkers)),
 		PipelinesParallel:    int(tr.Value(obs.CtrPipelinesParallel)),
 		PipelinesSerial:      int(tr.Value(obs.CtrPipelinesSerial)),
