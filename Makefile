@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify fuzz lint-layers flake-guard bench-smoke
+.PHONY: build test verify fuzz lint-layers flake-guard tier-diff retired bench-smoke
 
 build:
 	$(GO) build ./...
@@ -10,15 +10,31 @@ test:
 
 # verify is the CI gate: compile everything, lint with vet, enforce the
 # observability layering invariant, repeat the two once-flaky concurrency
-# tests, and run the full suite under the race detector (the guardrail
-# watchdog, background tier-up, and the parallel morsel worker pool —
-# including the fault-injection and cancellation tests in
-# internal/core/parallel_test.go — are concurrency-heavy paths).
+# tests, check the two engine tiers against each other, and run the full
+# suite under the race detector (the guardrail watchdog, background tier-up,
+# and the parallel morsel worker pool — including the fault-injection and
+# cancellation tests in internal/core/parallel_test.go — are
+# concurrency-heavy paths).
 verify: lint-layers
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) flake-guard
+	$(MAKE) tier-diff
 	$(GO) test -race ./...
+
+# tier-diff runs what pins the optimizing tier to the baseline tier, ahead of
+# the full suite so a back-end bug fails here by name: the tier-differential
+# corpora (generated programs, every immediate form, every addressing mode),
+# the fuel-equivalence and exhaustion-point tests, the golden listings of the
+# three hot kernels, and the density of the dispatch switch's opcode space.
+tier-diff:
+	$(GO) test -race -run 'Differential|Fuel|Golden|OpcodeSpace' ./internal/engine/...
+
+# retired prints the instructions the optimizing tier's code retires per
+# TPC-H query next to the recorded parent figures, with the counter compiled
+# into the run loop by a build tag (it is absent from normal builds).
+retired:
+	$(GO) test -tags turbofan_count -run 'TestRetiredInstructions' -count=1 -v .
 
 # flake-guard repeats the two tests that used to fail intermittently on two
 # cores — the scheduler's concurrent acquire/release (a lease granted fewer
@@ -73,9 +89,12 @@ lint-layers:
 # what it wrote). It then asserts the disabled-tracer contract on the morsel
 # dispatch path: with no trace attached the telemetry must cost only a nil
 # check, so traced-vs-untraced overhead stays ≈0% (≤5% allows timer noise).
-# Last it runs the per-query start-up benchmark once (rewire + instantiate +
+# Then it runs the per-query start-up benchmark once (rewire + instantiate +
 # q_init, 1 and 2 workers) and prints its B/op: demand-zero linear memory
 # keeps that near 0.1 MiB per worker, an eager allocation shows as MiB.
+# Last it prints the engine's kernel benchmarks once: ns/row and emitted
+# instructions of the three golden kernels on each tier, and the optimizing
+# tier's compile speed in B/µs.
 bench-smoke:
 	$(GO) run ./cmd/bench -experiment smoke,scaling,plancache,serving,auto -rows 100000 -reps 1 -sf 0.01 -json
 	@rm -f BENCH_smoke.json BENCH_scaling.json BENCH_plancache.json BENCH_serving.json BENCH_auto.json
@@ -89,7 +108,13 @@ bench-smoke:
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkExecuteStartup$$' -benchtime 500x -benchmem \
 		| awk '/^BenchmarkExecuteStartup/ { n++; printf "bench-smoke: %s %s init-ns/op, %s B/op\n", $$1, $$5, $$7 } \
 		       END { if (n != 2) { print "bench-smoke: missing start-up benchmark output" > "/dev/stderr"; exit 1 } }'
+	@$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkTier[12]Kernels|BenchmarkTurbofanCompile$$' -benchtime 5x \
+		| awk '/^Benchmark/ { n++; printf "bench-smoke: %s", $$1; for (i = 5; i <= NF; i += 2) printf " %s %s", $$i, $$(i+1); print "" } \
+		       END { if (n != 7) { print "bench-smoke: missing kernel benchmark output" > "/dev/stderr"; exit 1 } }'
 
-# fuzz the adversarial-module executor for a short budget.
+# fuzz the adversarial-module executor and the tier-differential generator
+# for a short budget each (an input that grows coverage is minimised for at
+# most a second, or the slow differential target spends its budget there).
 fuzz:
 	$(GO) test . -run '^$$' -fuzz FuzzAdversarialModuleExecution -fuzztime 30s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzTierDifferential -fuzztime 20s -fuzzminimizetime 1s

@@ -44,8 +44,23 @@ func renderAnalyze(planText string, tr *Trace, st Stats, rows int) string {
 		{"instantiate", obs.SpanInstantiate},
 		{"execute", obs.SpanExecute},
 	}
+	// The two compile spans carry the instructions the tier emitted.
+	instrs := map[string]int64{}
+	for _, sp := range tr.Spans() {
+		for _, a := range sp.Args {
+			if a.Key == "instrs" {
+				instrs[sp.Name] += a.Val
+			}
+		}
+	}
 	for _, p := range phases {
-		if d := tr.Dur(p.span); d > 0 {
+		d := tr.Dur(p.span)
+		if d <= 0 {
+			continue
+		}
+		if n := instrs[p.span]; n > 0 {
+			fmt.Fprintf(&sb, "  %-18s %-10s %d instrs\n", p.label, fmtAnalyzeDur(d), n)
+		} else {
 			fmt.Fprintf(&sb, "  %-18s %s\n", p.label, fmtAnalyzeDur(d))
 		}
 	}

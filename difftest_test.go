@@ -1,6 +1,7 @@
 package wasmdb_test
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -199,6 +200,60 @@ func TestExplain(t *testing.T) {
 	for _, want := range []string{"$pipeline_0", "$qsort_", "$grow_group", "$q_init"} {
 		if !strings.Contains(wat, want) {
 			t.Errorf("WAT missing %q", want)
+		}
+	}
+}
+
+// TestEmptyInputAggregates pins the rule of DESIGN.md §5.4 on every backend:
+// the dialect has no NULL, so a keyless aggregation over no rows yields one
+// row of zero-initialised state — COUNT and SUM are 0, MIN and MAX the zero
+// value of their type, AVG is 0/0 = NaN — and HAVING filters that row like
+// any other. The input is emptied by a predicate, by a join that matches
+// nothing, and by a parameter bound on a warm prepared statement.
+func TestEmptyInputAggregates(t *testing.T) {
+	db := tpchDB(t)
+	const aggs = "MIN(l_quantity), MAX(l_shipdate), AVG(l_quantity), SUM(l_extendedprice), COUNT(*), MIN(l_orderkey)"
+	const zeroRow = "0.00|1970-01-01|NaN|0.00|0|0"
+	cases := []struct{ src, want string }{
+		{"SELECT " + aggs + " FROM lineitem WHERE l_quantity < 0", zeroRow},
+		{"SELECT " + aggs + " FROM lineitem WHERE l_quantity < 0 HAVING COUNT(*) = 0", zeroRow},
+		{"SELECT " + aggs + " FROM lineitem WHERE l_quantity < 0 HAVING MIN(l_quantity) = 0", zeroRow},
+		{"SELECT " + aggs + " FROM lineitem WHERE l_quantity < 0 HAVING COUNT(*) > 0", ""},
+		{"SELECT " + aggs + " FROM orders, lineitem WHERE o_orderkey = l_orderkey AND o_totalprice < 0", zeroRow},
+		{"SELECT l_returnflag, " + aggs + " FROM lineitem WHERE l_quantity < 0 GROUP BY l_returnflag", ""},
+	}
+	backends := append([]wasmdb.Backend{wasmdb.BackendAuto}, allBackends...)
+	for _, c := range cases {
+		for _, b := range backends {
+			res, err := db.Query(c.src, wasmdb.WithBackend(b))
+			if err != nil {
+				t.Fatalf("%v: %v\nquery: %s", b, err, c.src)
+			}
+			if got := formatSorted(t, res, true); got != c.want {
+				t.Errorf("%v on %q:\n got %q\nwant %q", b, c.src, got, c.want)
+			}
+		}
+	}
+
+	stmt, err := db.Prepare("SELECT " + aggs + " FROM lineitem WHERE l_quantity < ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range backends {
+		// Warm the plan with a bind that selects rows, then empty the input.
+		warm, err := stmt.QueryContext(context.Background(), []any{24}, wasmdb.WithBackend(b))
+		if err != nil {
+			t.Fatalf("%v: %v", b, err)
+		}
+		if warm.NumRows() != 1 || warm.Row(0)[4] == "0" {
+			t.Fatalf("%v: warm-up bind selected nothing: %v", b, warm.Row(0))
+		}
+		res, err := stmt.QueryContext(context.Background(), []any{-1}, wasmdb.WithBackend(b))
+		if err != nil {
+			t.Fatalf("%v: %v", b, err)
+		}
+		if got := formatSorted(t, res, true); got != zeroRow {
+			t.Errorf("%v, prepared with an emptying bind:\n got %q\nwant %q", b, got, zeroRow)
 		}
 	}
 }

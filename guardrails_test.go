@@ -202,3 +202,37 @@ func TestConstantRegionOverflowIsAnError(t *testing.T) {
 		t.Fatalf("database unusable after overflow: %v", err)
 	}
 }
+
+// TestFuelIsTierIndependent pins the contract that lets Stats.FuelUsed mean
+// something under adaptive execution: the same query burns the same fuel
+// whether its morsels run baseline or optimized code (one unit per function
+// entry and per completed loop iteration), so the figure cannot depend on
+// when tier-up lands. The optimizing tier rotates loops; the rotated branch
+// and the explicit charge at the loop exit together have to add up to what
+// the back-edge jump charged.
+func TestFuelIsTierIndependent(t *testing.T) {
+	db := wasmdb.Open()
+	if err := db.LoadTPCH(0.002, 42); err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string]string{
+		"scan loop": "SELECT COUNT(*), SUM(l_quantity) FROM lineitem WHERE l_quantity < 24",
+	}
+	for _, id := range []string{"Q1", "Q3", "Q6"} {
+		queries[id], _ = wasmdb.TPCHQuery(id)
+	}
+	for name, src := range queries {
+		used := map[wasmdb.Backend]int64{}
+		for _, backend := range []wasmdb.Backend{wasmdb.BackendWasmLiftoff, wasmdb.BackendWasmTurbofan} {
+			res, err := db.Query(src, wasmdb.WithBackend(backend), wasmdb.WithFuel(1<<40))
+			if err != nil {
+				t.Fatalf("%s on %v: %v", name, backend, err)
+			}
+			used[backend] = res.Stats.FuelUsed
+		}
+		lo, tf := used[wasmdb.BackendWasmLiftoff], used[wasmdb.BackendWasmTurbofan]
+		if lo <= 0 || lo != tf {
+			t.Errorf("%s: FuelUsed liftoff %d, turbofan %d; want equal and positive", name, lo, tf)
+		}
+	}
+}

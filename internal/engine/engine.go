@@ -38,6 +38,10 @@ var (
 	// (turbofan) the first morsel".
 	hCompileLiftoff  = obs.Default.HistogramWith(obs.MetricEngineCompileLatency, obs.Label{Key: "tier", Val: "liftoff"})
 	hCompileTurbofan = obs.Default.HistogramWith(obs.MetricEngineCompileLatency, obs.Label{Key: "tier", Val: "turbofan"})
+	// Instructions emitted per tier — with the compile counters above, the
+	// static code-size view of what each tier produces.
+	mInstrsLiftoff  = obs.Default.CounterWith(obs.MetricEngineCodeInstrs, obs.Label{Key: "tier", Val: "liftoff"})
+	mInstrsTurbofan = obs.Default.CounterWith(obs.MetricEngineCodeInstrs, obs.Label{Key: "tier", Val: "turbofan"})
 )
 
 // Typed guardrail sentinels, re-exported so embedders need not import the
@@ -139,6 +143,11 @@ type CompileStats struct {
 	// TurbofanFailed counts functions whose background optimizing compile
 	// failed (error or panic); those functions keep serving liftoff code.
 	TurbofanFailed int
+	// LiftoffInstrs and TurbofanInstrs are the instructions each tier
+	// emitted, summed over the module's functions (TurbofanInstrs, like
+	// Turbofan, is valid after WaitOptimized under TierAdaptive).
+	LiftoffInstrs  int
+	TurbofanInstrs int
 }
 
 // safeTurbofanCompile runs the optimizing compiler with panic isolation: a
@@ -146,7 +155,7 @@ type CompileStats struct {
 // not crash the process (under TierAdaptive the compile runs on a background
 // goroutine, where an escaped panic is fatal). The "turbofan-compile" fault
 // point lets tests force a failure here.
-func safeTurbofanCompile(m *wasm.Module, fn *wasm.Func, rounds int) (c rt.Callee, err error) {
+func safeTurbofanCompile(m *wasm.Module, fn *wasm.Func, rounds int) (c *turbofan.Code, err error) {
 	if ferr := faultpoint.Hit("turbofan-compile"); ferr != nil {
 		return nil, ferr
 	}
@@ -239,11 +248,13 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 			g := &guestFunc{}
 			g.code.Store(&tiered{tier: TierTurbofan, c: tf})
 			m.funcs = append(m.funcs, g)
+			m.stats.TurbofanInstrs += tf.NumInstrs()
 		}
 		m.stats.Turbofan = time.Since(start)
 		mCompilesTurbofan.Add(int64(len(wmod.Funcs)))
+		mInstrsTurbofan.Add(int64(m.stats.TurbofanInstrs))
 		hCompileTurbofan.Observe(m.stats.Turbofan.Nanoseconds())
-		sp.End(obs.I("funcs", int64(len(wmod.Funcs))))
+		sp.End(obs.I("funcs", int64(len(wmod.Funcs))), obs.I("instrs", int64(m.stats.TurbofanInstrs)))
 		close(m.optimized)
 	default:
 		sp := tr.Begin(obs.SpanLiftoff)
@@ -256,11 +267,13 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 			g := &guestFunc{}
 			g.code.Store(&tiered{tier: TierLiftoff, c: lo})
 			m.funcs = append(m.funcs, g)
+			m.stats.LiftoffInstrs += lo.NumInstrs()
 		}
 		m.stats.Liftoff = time.Since(start)
 		mCompilesLiftoff.Add(int64(len(wmod.Funcs)))
+		mInstrsLiftoff.Add(int64(m.stats.LiftoffInstrs))
 		hCompileLiftoff.Observe(m.stats.Liftoff.Nanoseconds())
-		sp.End(obs.I("funcs", int64(len(wmod.Funcs))))
+		sp.End(obs.I("funcs", int64(len(wmod.Funcs))), obs.I("instrs", int64(m.stats.LiftoffInstrs)))
 		if e.cfg.Tier == TierAdaptive {
 			m.adaptive = true
 			m.optRounds = e.optRounds()
@@ -296,7 +309,7 @@ func (m *Module) optimize(rounds int) {
 	sp := m.tr.Begin(obs.SpanTurbofan)
 	start := time.Now()
 	var firstErr error
-	failed := 0
+	failed, instrs := 0, 0
 	for i := range m.wmod.Funcs {
 		tf, err := safeTurbofanCompile(m.wmod, &m.wmod.Funcs[i], rounds)
 		if err != nil {
@@ -308,17 +321,20 @@ func (m *Module) optimize(rounds int) {
 			continue // keep running on liftoff code
 		}
 		m.funcs[i].code.Store(&tiered{tier: TierTurbofan, c: tf})
+		instrs += tf.NumInstrs()
 		mCompilesTurbofan.Add(1)
 		mTierUpLatency.Observe(time.Since(start).Nanoseconds())
 		if m.tr != nil {
 			m.tr.Event(obs.EvTierUp, obs.I("func", int64(i)), obs.I("morsel", m.tr.MorselCount()))
 		}
 	}
-	sp.End(obs.I("funcs", int64(len(m.wmod.Funcs))), obs.I("failed", int64(failed)))
+	sp.End(obs.I("funcs", int64(len(m.wmod.Funcs))), obs.I("failed", int64(failed)), obs.I("instrs", int64(instrs)))
+	mInstrsTurbofan.Add(int64(instrs))
 	hCompileTurbofan.Observe(time.Since(start).Nanoseconds())
 	m.mu.Lock()
 	m.stats.Turbofan = time.Since(start)
 	m.stats.TurbofanFailed = failed
+	m.stats.TurbofanInstrs = instrs
 	m.optErr = firstErr
 	m.mu.Unlock()
 	close(m.optimized)

@@ -10,7 +10,9 @@ import (
 	"wasmdb/internal/wasm"
 )
 
-// spinModule builds a module with a never-terminating "spin" function and a
+// spinModule builds a module with two never-terminating functions — "spin",
+// a bare `loop br 0 end`, and "spin_rotated", a top-tested `while (1)` whose
+// header the optimizing tier rotates to the bottom of the loop — and a
 // well-behaved "calc" function, the canonical runaway-guest scenario.
 func spinModule() []byte {
 	b := wasm.NewModuleBuilder()
@@ -19,6 +21,20 @@ func spinModule() []byte {
 	spin.Br(0)
 	spin.End()
 	b.Export("spin", wasm.ExternFunc, spin.Index)
+
+	rot := b.NewFunc("spin_rotated", wasm.FuncType{})
+	one := rot.AddLocal(wasm.I32)
+	rot.I32Const(1)
+	rot.LocalSet(one)
+	rot.Block(wasm.BlockVoid)
+	rot.Loop(wasm.BlockVoid)
+	rot.LocalGet(one)
+	rot.I32Eqz()
+	rot.BrIf(1)
+	rot.Br(0)
+	rot.End()
+	rot.End()
+	b.Export("spin_rotated", wasm.ExternFunc, rot.Index)
 
 	calc := b.NewFunc("calc", wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}})
 	calc.LocalGet(0)
@@ -42,13 +58,15 @@ func TestFuelExhaustionStopsSpinLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst.SetFuel(10000)
-		_, err = inst.Call("spin")
-		if !errors.Is(err, ErrFuelExhausted) {
-			t.Fatalf("%v: spin returned %v, want ErrFuelExhausted", tier, err)
-		}
-		if left := inst.FuelLeft(); left != 0 {
-			t.Errorf("%v: FuelLeft after exhaustion = %d, want 0", tier, left)
+		for _, spin := range []string{"spin", "spin_rotated"} {
+			inst.SetFuel(10000)
+			_, err = inst.Call(spin)
+			if !errors.Is(err, ErrFuelExhausted) {
+				t.Fatalf("%v: %s returned %v, want ErrFuelExhausted", tier, spin, err)
+			}
+			if left := inst.FuelLeft(); left != 0 {
+				t.Errorf("%v: FuelLeft after exhausting %s = %d, want 0", tier, spin, left)
+			}
 		}
 		// Re-fueling makes the instance usable again.
 		inst.SetFuel(10000)
@@ -81,14 +99,16 @@ func TestInterruptStopsSpinLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst.SetFuel(1 << 60) // effectively unlimited; metering = interruptible
-		go func() {
-			time.Sleep(10 * time.Millisecond)
-			inst.Interrupt()
-		}()
-		_, err = inst.Call("spin")
-		if !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("%v: spin returned %v, want ErrInterrupted", tier, err)
+		for _, spin := range []string{"spin", "spin_rotated"} {
+			inst.SetFuel(1 << 60) // effectively unlimited; metering = interruptible
+			go func() {
+				time.Sleep(10 * time.Millisecond)
+				inst.Interrupt()
+			}()
+			_, err = inst.Call(spin)
+			if !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("%v: %s returned %v, want ErrInterrupted", tier, spin, err)
+			}
 		}
 		// SetFuel clears the interrupt; the instance serves calls again.
 		inst.SetFuel(1 << 60)

@@ -47,6 +47,9 @@ type Code struct {
 	tables   [][]tableTarget
 }
 
+// NumInstrs returns the number of instructions emitted for the function.
+func (c *Code) NumInstrs() int { return len(c.ins) }
+
 // Compile translates one validated function body. The module supplies type
 // information for calls.
 func Compile(m *wasm.Module, fn *wasm.Func) (*Code, error) {

@@ -331,11 +331,11 @@ func (lo *lowerer) instr(in wasm.Instr) error {
 		lo.adjust(1, 0)
 		lo.emit(tin{op: tGlobalSet, a: lo.reg(lo.height), imm: in.A})
 	case wasm.OpMemorySize:
-		lo.emit(tin{op: tMemorySize, d: lo.reg(B)})
+		lo.emit(tin{op: uint16(wasm.OpMemorySize), d: lo.reg(B)})
 		lo.adjust(0, 1)
 	case wasm.OpMemoryGrow:
 		r := lo.reg(B - 1)
-		lo.emit(tin{op: tMemoryGrow, d: r, a: r})
+		lo.emit(tin{op: uint16(wasm.OpMemoryGrow), d: r, a: r})
 	default:
 		pop, push, ok := in.Op.InOut()
 		if !ok {

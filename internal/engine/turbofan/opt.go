@@ -14,34 +14,6 @@ type graph struct {
 	tables [][]uint32 // entries are block ids during optimization
 }
 
-// isBranch reports whether op transfers control, and whether it is
-// unconditional (ends fallthrough).
-func isBranch(op uint16) (branch, uncond bool) {
-	switch {
-	case op == tJump:
-		return true, true
-	case op == tRet, op == tUnreachable:
-		return true, true
-	case op == tJumpIfZero, op == tJumpIfNot:
-		return true, false
-	case op == tBrTable:
-		return true, true
-	case op >= tBrCmpBase && op < tBrCmpBase+numCmpKinds,
-		op >= tBrCmpNotBase && op < tBrCmpNotBase+numCmpKinds:
-		return true, false
-	}
-	return false, false
-}
-
-// hasTarget reports whether the branch op's imm is a jump target.
-func hasTarget(op uint16) bool {
-	if op == tRet || op == tUnreachable || op == tBrTable {
-		return false
-	}
-	b, _ := isBranch(op)
-	return b
-}
-
 // buildBlocks splits linear code (with pc targets) into basic blocks and
 // rewrites targets to block ids.
 func buildBlocks(ins []tin, tables [][]uint32) *graph {
@@ -152,75 +124,16 @@ func (o *optimizer) run() {
 		o.passes++
 		o.threadJumps()
 		o.passes++
-		o.deadCodeElim()
+		// The last round runs the back end (isel.go): its forward pass
+		// before dead-code elimination, its liveness-dependent peepholes
+		// inside it.
+		last := round == o.rounds-1
+		if last {
+			o.selectInstructions()
+			o.passes++
+		}
+		o.deadCodeElim(last)
 		o.passes++
-	}
-}
-
-// regUses calls fn for every register read by t.
-func (o *optimizer) regUses(t *tin, fn func(r int32)) {
-	kind, _ := classify(t.op)
-	switch kind {
-	case kindBin:
-		fn(t.a)
-		fn(t.b)
-	case kindUn, kindLoad, kindMove:
-		fn(t.a)
-	case kindStore:
-		fn(t.a)
-		fn(t.b)
-	case kindSelect:
-		fn(t.a)
-		fn(t.b)
-		fn(int32(t.imm))
-	case kindConst:
-	default:
-		switch {
-		case t.op == tJumpIfZero || t.op == tJumpIfNot || t.op == tMemoryGrow ||
-			t.op == tGlobalSet || t.op == tBrTable:
-			fn(t.a)
-		case t.op >= tBrCmpBase && t.op < tBrCmpNotBase+numCmpKinds && t.op >= 0x200:
-			fn(t.a)
-			fn(t.b)
-		case t.op == tCall:
-			np := int32(t.b >> 16)
-			for r := t.a; r < t.a+np; r++ {
-				fn(r)
-			}
-		case t.op == tCallIndirect:
-			np := int32(t.b >> 16)
-			for r := t.a; r <= t.a+np; r++ {
-				fn(r)
-			}
-		case t.op == tRet:
-			for i := 0; i < o.code.NResults; i++ {
-				fn(int32(o.code.NLocals + i))
-			}
-		}
-	}
-}
-
-// regDefs calls fn for every register written by t.
-func (o *optimizer) regDefs(t *tin, fn func(r int32)) {
-	kind, _ := classify(t.op)
-	switch kind {
-	case kindBin, kindUn, kindLoad, kindMove, kindConst, kindSelect:
-		fn(t.d)
-	default:
-		switch t.op {
-		case tMemorySize, tMemoryGrow, tGlobalGet:
-			fn(t.d)
-		case tCall:
-			nr := int32(t.b & 0xFFFF)
-			for r := t.a; r < t.a+nr; r++ {
-				fn(r)
-			}
-		case tCallIndirect:
-			nr := int32(t.b & 0xFFFF)
-			for r := t.a; r < t.a+nr; r++ {
-				fn(r)
-			}
-		}
 	}
 }
 
@@ -247,33 +160,15 @@ func (o *optimizer) foldBlocks() {
 		}
 		for ii := range ins {
 			t := &ins[ii]
-			// Rewrite uses through available copies.
-			rewrite := func(r int32) int32 {
+			// Rewrite uses through available copies (calls and returns read
+			// fixed registers and are left alone).
+			renameUses(t, func(r int32) int32 {
 				if s := copySrc[r]; s >= 0 {
 					return s
 				}
 				return r
-			}
-			kind, _ := classify(t.op)
-			switch kind {
-			case kindBin:
-				t.a, t.b = rewrite(t.a), rewrite(t.b)
-			case kindUn, kindLoad, kindMove:
-				t.a = rewrite(t.a)
-			case kindStore:
-				t.a, t.b = rewrite(t.a), rewrite(t.b)
-			case kindSelect:
-				t.a, t.b = rewrite(t.a), rewrite(t.b)
-				t.imm = uint64(rewrite(int32(t.imm)))
-			default:
-				switch {
-				case t.op == tJumpIfZero || t.op == tJumpIfNot || t.op == tGlobalSet || t.op == tBrTable || t.op == tMemoryGrow:
-					t.a = rewrite(t.a)
-				case t.op >= tBrCmpBase && t.op < tBrCmpNotBase+numCmpKinds:
-					t.a, t.b = rewrite(t.a), rewrite(t.b)
-				}
-				// Calls and rets use canonical registers; no rewriting.
-			}
+			})
+			kind := ops[t.op].kind
 
 			// Transform and update dataflow facts.
 			switch kind {
@@ -354,7 +249,7 @@ func (o *optimizer) foldBlocks() {
 						}
 					}
 				default:
-					o.regDefs(t, func(r int32) { kill(r) })
+					regDefs(t, func(r int32) { kill(r) })
 				}
 			}
 		}
@@ -390,23 +285,16 @@ func (o *optimizer) fuseBranches() {
 			// values zero-extended, so testing the full register is safe
 			// for i32.eqz as well.
 			if def.op == uint16(wasm.OpI32Eqz) || def.op == uint16(wasm.OpI64Eqz) {
-				flip := uint16(tJumpIfZero)
-				if br.op == tJumpIfZero {
-					flip = tJumpIfNot
-				}
-				*br = tin{op: flip, a: def.a, imm: br.imm}
+				*br = tin{op: ops[br.op].inv, a: def.a, imm: br.imm}
 				*def = tin{op: tNop}
 				continue
 			}
-			k, ok := cmpKind(def.op)
-			if !ok {
+			fused := ops[def.op].br
+			if fused == 0 {
 				continue
 			}
-			var fused uint16
-			if br.op == tJumpIfNot {
-				fused = uint16(tBrCmpBase + k)
-			} else {
-				fused = uint16(tBrCmpNotBase + k)
+			if br.op == tJumpIfZero {
+				fused = ops[fused].inv
 			}
 			*br = tin{op: fused, a: def.a, b: def.b, imm: br.imm}
 			*def = tin{op: tNop}
@@ -456,8 +344,11 @@ func (o *optimizer) threadJumps() {
 }
 
 // deadCodeElim removes pure instructions whose results are never used,
-// using global liveness over the block graph.
-func (o *optimizer) deadCodeElim() {
+// using global liveness over the block graph. When selecting (the last
+// round), the removal walk also applies the back end's peepholes that need to
+// know a register is dead (isel.go) — they reuse this pass's liveness, so
+// selection pays for no fix-point of its own.
+func (o *optimizer) deadCodeElim(selecting bool) {
 	nb := len(o.g.blocks)
 	words := (o.nRegs + 63) / 64
 	liveIn := make([][]uint64, nb)
@@ -468,7 +359,6 @@ func (o *optimizer) deadCodeElim() {
 	}
 	set := func(bs []uint64, r int32) { bs[r>>6] |= 1 << (r & 63) }
 	clear := func(bs []uint64, r int32) { bs[r>>6] &^= 1 << (r & 63) }
-	get := func(bs []uint64, r int32) bool { return bs[r>>6]&(1<<(r&63)) != 0 }
 
 	// Backward fixpoint.
 	scratch := make([]uint64, words)
@@ -493,8 +383,8 @@ func (o *optimizer) deadCodeElim() {
 				if t.op == tNop {
 					continue
 				}
-				o.regDefs(t, func(r int32) { clear(scratch, r) })
-				o.regUses(t, func(r int32) { set(scratch, r) })
+				regDefs(t, func(r int32) { clear(scratch, r) })
+				o.code.regUses(t, func(r int32) { set(scratch, r) })
 			}
 			for w := range scratch {
 				if scratch[w] != liveIn[bi][w] {
@@ -506,6 +396,7 @@ func (o *optimizer) deadCodeElim() {
 	}
 
 	// Removal pass: walk each block backwards with running liveness.
+	live := liveSet(scratch)
 	for bi := 0; bi < nb; bi++ {
 		copy(scratch, liveOut[bi])
 		ins := o.g.blocks[bi].ins
@@ -514,45 +405,47 @@ func (o *optimizer) deadCodeElim() {
 			if t.op == tNop {
 				continue
 			}
-			kind, traps := classify(t.op)
-			removable := false
-			switch kind {
-			case kindBin, kindUn, kindConst, kindMove, kindSelect, kindLoad:
-				removable = !traps
+			if pure(t.op) && !live.has(t.d) {
+				*t = tin{op: tNop}
+				continue
 			}
-			if removable {
-				dead := true
-				o.regDefs(t, func(r int32) {
-					if get(scratch, r) {
-						dead = false
-					}
-				})
-				if dead {
-					*t = tin{op: tNop}
-					continue
-				}
+			if selecting {
+				o.code.peephole(ins, ii, live)
 			}
-			o.regDefs(t, func(r int32) { clear(scratch, r) })
-			o.regUses(t, func(r int32) { set(scratch, r) })
+			regDefs(t, func(r int32) { clear(scratch, r) })
+			o.code.regUses(t, func(r int32) { set(scratch, r) })
 		}
 	}
 }
 
+// liveSet is a register bit set; during the removal walk it holds the
+// registers live after the instruction being visited.
+type liveSet []uint64
+
+func (l liveSet) has(r int32) bool { return l[r>>6]&(1<<(r&63)) != 0 }
+
 // ---------------------------------------------------------------------------
 // Linearization: blocks → final instruction stream with pc targets.
 
+// maxRotatedHeader bounds how many instructions of a loop header are copied
+// to the loop's bottom when the loop is rotated.
+const maxRotatedHeader = 4
+
 func linearize(c *Code, g *graph) {
-	// Emit blocks in order, dropping nops and jumps to the next block, and
-	// record each block's start pc.
+	// Emit blocks in order, dropping nops and jumps to the next block,
+	// rotating loops at their back-edges, and record each block's start pc.
 	var out []tin
 	start := make([]int, len(g.blocks)+1)
 	for bi := range g.blocks {
 		start[bi] = len(out)
 		for _, t := range g.blocks[bi].ins {
-			if t.op == tNop || (t.op == tJump && int(t.imm) == bi+1) {
-				continue
+			switch {
+			case t.op == tNop, t.op == tJump && int(t.imm) == bi+1:
+			case t.op == tJump && int(t.imm) <= bi:
+				out = g.rotate(out, bi, t)
+			default:
+				out = append(out, t)
 			}
-			out = append(out, t)
 		}
 	}
 	start[len(g.blocks)] = len(out)
@@ -575,6 +468,49 @@ func linearize(c *Code, g *graph) {
 		out = append(out, tin{op: tRet})
 	}
 	c.ins = out
+}
+
+// rotate emits the back-edge jump that ends block bi. When the loop header it
+// targets is a few pure instructions and a conditional exit branch, the
+// header is copied here with the branch inverted — a bottom-tested loop: each
+// iteration dispatches one branch instead of the jump plus the header's
+// branch. Pure instructions can be re-executed in place without an observable
+// difference, and the original header stays where it is for the loop's entry
+// and for any other branch to it.
+//
+// Fuel: the jump charged one unit per completed iteration. The inverted
+// branch is a taken backward branch while the loop continues, so it charges
+// the same unit; on the last iteration it falls through to an explicit fuel
+// charge. Both tiers therefore burn the same fuel whenever tier-up lands. The
+// exit target must lie behind this block, or the jump to it would itself be
+// a backward branch the original never took.
+func (g *graph) rotate(out []tin, bi int, jump tin) []tin {
+	h := int(jump.imm)
+	var header [maxRotatedHeader + 1]tin
+	n := 0
+	for _, t := range g.blocks[h].ins {
+		if t.op == tNop {
+			continue
+		}
+		if n == len(header) || n > 0 && !pure(header[n-1].op) {
+			return append(out, jump)
+		}
+		header[n] = t
+		n++
+	}
+	if n == 0 {
+		return append(out, jump)
+	}
+	exit := header[n-1]
+	if ops[exit.op].inv == 0 || int(exit.imm) <= bi {
+		return append(out, jump)
+	}
+	out = append(out, header[:n-1]...)
+	out = append(out, tin{op: ops[exit.op].inv, a: exit.a, b: exit.b, imm: uint64(h + 1)}, tin{op: tFuel})
+	if int(exit.imm) != bi+1 {
+		out = append(out, tin{op: tJump, imm: exit.imm})
+	}
+	return out
 }
 
 func isUncond(op uint16) bool {

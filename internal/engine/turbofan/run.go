@@ -21,6 +21,14 @@ func (c *Code) Call(env *rt.Env, args, res []uint64) {
 	env.Exit()
 }
 
+// run is the dispatch loop. Every op of the ops table is a case of one
+// switch over a dense opcode space, which the Go compiler turns into a jump
+// table (it does so only while the case values span less than four times
+// their count — TestOpcodeSpaceDense). The instruction is read through a
+// pointer: a copy of the 24-byte tin would be spilled to the stack on every
+// dispatch. Taken branches share one tail that charges fuel on backward
+// targets, so runaway loops stay interruptible while unmetered runs pay only
+// the bool test.
 func (c *Code) run(env *rt.Env, regs []uint64) {
 	mem := env.Mem
 	var pages [][]byte
@@ -30,7 +38,8 @@ func (c *Code) run(env *rt.Env, regs []uint64) {
 	ins := c.ins
 	pc := 0
 	for {
-		t := ins[pc]
+		t := &ins[pc]
+		retire(t.op)
 		switch t.op {
 		case tMove:
 			regs[t.d] = regs[t.a]
@@ -38,33 +47,23 @@ func (c *Code) run(env *rt.Env, regs []uint64) {
 			uint16(wasm.OpF32Const), uint16(wasm.OpF64Const):
 			regs[t.d] = t.imm
 		case tJump:
-			// Taken backward jumps (loop back-edges) charge fuel so runaway
-			// loops stay interruptible; unmetered runs pay only the bool test.
-			if env.Metered && int(t.imm) <= pc {
-				env.UseFuel(1)
-			}
-			pc = int(t.imm)
-			continue
+			goto taken
 		case tJumpIfZero:
 			if regs[t.a] == 0 {
-				if env.Metered && int(t.imm) <= pc {
-					env.UseFuel(1)
-				}
-				pc = int(t.imm)
-				continue
+				goto taken
 			}
 		case tJumpIfNot:
 			if regs[t.a] != 0 {
-				if env.Metered && int(t.imm) <= pc {
-					env.UseFuel(1)
-				}
-				pc = int(t.imm)
-				continue
+				goto taken
 			}
 		case tRet:
 			return
 		case tUnreachable:
 			rt.Trap("unreachable executed")
+		case tFuel:
+			if env.Metered {
+				env.UseFuel(1)
+			}
 		case tBrTable:
 			tbl := c.tables[t.imm]
 			i := int(uint32(regs[t.a]))
@@ -105,13 +104,19 @@ func (c *Code) run(env *rt.Env, regs []uint64) {
 			} else {
 				regs[t.d] = regs[t.b]
 			}
+		case tSelectImm:
+			if regs[t.imm] != 0 {
+				regs[t.d] = regs[t.a]
+			} else {
+				regs[t.d] = uint64(uint32(t.b))
+			}
 		case tGlobalGet:
 			regs[t.d] = env.Globals[t.imm]
 		case tGlobalSet:
 			env.Globals[t.imm] = regs[t.a]
-		case tMemorySize:
+		case uint16(wasm.OpMemorySize):
 			regs[t.d] = uint64(mem.Pages())
-		case tMemoryGrow:
+		case uint16(wasm.OpMemoryGrow):
 			regs[t.d] = uint64(uint32(mem.Grow(uint32(regs[t.a]))))
 			pages = mem.PageSlice()
 
@@ -422,28 +427,389 @@ func (c *Code) run(env *rt.Env, regs []uint64) {
 		case uint16(wasm.OpI64Extend32S):
 			regs[t.d] = uint64(int64(int32(uint32(regs[t.a]))))
 
-		default:
-			// Fused compare-and-branch families.
-			if t.op >= tBrCmpBase && t.op < tBrCmpBase+numCmpKinds {
-				if evalCmp(int(t.op-tBrCmpBase), regs[t.a], regs[t.b]) {
-					if env.Metered && int(t.imm) <= pc {
-						env.UseFuel(1)
-					}
-					pc = int(t.imm)
-					continue
-				}
-			} else if t.op >= tBrCmpNotBase && t.op < tBrCmpNotBase+numCmpKinds {
-				if !evalCmp(int(t.op-tBrCmpNotBase), regs[t.a], regs[t.b]) {
-					if env.Metered && int(t.imm) <= pc {
-						env.UseFuel(1)
-					}
-					pc = int(t.imm)
-					continue
-				}
-			} else {
-				rt.Trap("turbofan: unknown opcode %#x", t.op)
+		// Fused compare-and-branch, register operands.
+		case tBrI32Eq:
+			if uint32(regs[t.a]) == uint32(regs[t.b]) {
+				goto taken
 			}
+		case tBrI32Ne:
+			if uint32(regs[t.a]) != uint32(regs[t.b]) {
+				goto taken
+			}
+		case tBrI32LtS:
+			if int32(regs[t.a]) < int32(regs[t.b]) {
+				goto taken
+			}
+		case tBrI32LtU:
+			if uint32(regs[t.a]) < uint32(regs[t.b]) {
+				goto taken
+			}
+		case tBrI32GtS:
+			if int32(regs[t.a]) > int32(regs[t.b]) {
+				goto taken
+			}
+		case tBrI32GtU:
+			if uint32(regs[t.a]) > uint32(regs[t.b]) {
+				goto taken
+			}
+		case tBrI32LeS:
+			if int32(regs[t.a]) <= int32(regs[t.b]) {
+				goto taken
+			}
+		case tBrI32LeU:
+			if uint32(regs[t.a]) <= uint32(regs[t.b]) {
+				goto taken
+			}
+		case tBrI32GeS:
+			if int32(regs[t.a]) >= int32(regs[t.b]) {
+				goto taken
+			}
+		case tBrI32GeU:
+			if uint32(regs[t.a]) >= uint32(regs[t.b]) {
+				goto taken
+			}
+		case tBrI64Eq:
+			if regs[t.a] == regs[t.b] {
+				goto taken
+			}
+		case tBrI64Ne:
+			if regs[t.a] != regs[t.b] {
+				goto taken
+			}
+		case tBrI64LtS:
+			if int64(regs[t.a]) < int64(regs[t.b]) {
+				goto taken
+			}
+		case tBrI64LtU:
+			if regs[t.a] < regs[t.b] {
+				goto taken
+			}
+		case tBrI64GtS:
+			if int64(regs[t.a]) > int64(regs[t.b]) {
+				goto taken
+			}
+		case tBrI64GtU:
+			if regs[t.a] > regs[t.b] {
+				goto taken
+			}
+		case tBrI64LeS:
+			if int64(regs[t.a]) <= int64(regs[t.b]) {
+				goto taken
+			}
+		case tBrI64LeU:
+			if regs[t.a] <= regs[t.b] {
+				goto taken
+			}
+		case tBrI64GeS:
+			if int64(regs[t.a]) >= int64(regs[t.b]) {
+				goto taken
+			}
+		case tBrI64GeU:
+			if regs[t.a] >= regs[t.b] {
+				goto taken
+			}
+		case tBrF32Eq:
+			if rt.F32(regs[t.a]) == rt.F32(regs[t.b]) {
+				goto taken
+			}
+		case tBrF32Ne:
+			if rt.F32(regs[t.a]) != rt.F32(regs[t.b]) {
+				goto taken
+			}
+		case tBrF32Lt:
+			if rt.F32(regs[t.a]) < rt.F32(regs[t.b]) {
+				goto taken
+			}
+		case tBrF32Gt:
+			if rt.F32(regs[t.a]) > rt.F32(regs[t.b]) {
+				goto taken
+			}
+		case tBrF32Le:
+			if rt.F32(regs[t.a]) <= rt.F32(regs[t.b]) {
+				goto taken
+			}
+		case tBrF32Ge:
+			if rt.F32(regs[t.a]) >= rt.F32(regs[t.b]) {
+				goto taken
+			}
+		case tBrF64Eq:
+			if rt.F64(regs[t.a]) == rt.F64(regs[t.b]) {
+				goto taken
+			}
+		case tBrF64Ne:
+			if rt.F64(regs[t.a]) != rt.F64(regs[t.b]) {
+				goto taken
+			}
+		case tBrF64Lt:
+			if rt.F64(regs[t.a]) < rt.F64(regs[t.b]) {
+				goto taken
+			}
+		case tBrF64Gt:
+			if rt.F64(regs[t.a]) > rt.F64(regs[t.b]) {
+				goto taken
+			}
+		case tBrF64Le:
+			if rt.F64(regs[t.a]) <= rt.F64(regs[t.b]) {
+				goto taken
+			}
+		case tBrF64Ge:
+			if rt.F64(regs[t.a]) >= rt.F64(regs[t.b]) {
+				goto taken
+			}
+		case tBrF32NotLt:
+			if !(rt.F32(regs[t.a]) < rt.F32(regs[t.b])) {
+				goto taken
+			}
+		case tBrF32NotGt:
+			if !(rt.F32(regs[t.a]) > rt.F32(regs[t.b])) {
+				goto taken
+			}
+		case tBrF32NotLe:
+			if !(rt.F32(regs[t.a]) <= rt.F32(regs[t.b])) {
+				goto taken
+			}
+		case tBrF32NotGe:
+			if !(rt.F32(regs[t.a]) >= rt.F32(regs[t.b])) {
+				goto taken
+			}
+		case tBrF64NotLt:
+			if !(rt.F64(regs[t.a]) < rt.F64(regs[t.b])) {
+				goto taken
+			}
+		case tBrF64NotGt:
+			if !(rt.F64(regs[t.a]) > rt.F64(regs[t.b])) {
+				goto taken
+			}
+		case tBrF64NotLe:
+			if !(rt.F64(regs[t.a]) <= rt.F64(regs[t.b])) {
+				goto taken
+			}
+		case tBrF64NotGe:
+			if !(rt.F64(regs[t.a]) >= rt.F64(regs[t.b])) {
+				goto taken
+			}
+
+		// Fused compare-and-branch against a constant.
+		case tBrI32EqImm:
+			if int32(regs[t.a]) == t.b {
+				goto taken
+			}
+		case tBrI32NeImm:
+			if int32(regs[t.a]) != t.b {
+				goto taken
+			}
+		case tBrI32LtSImm:
+			if int32(regs[t.a]) < t.b {
+				goto taken
+			}
+		case tBrI32LtUImm:
+			if uint32(regs[t.a]) < uint32(t.b) {
+				goto taken
+			}
+		case tBrI32GtSImm:
+			if int32(regs[t.a]) > t.b {
+				goto taken
+			}
+		case tBrI32GtUImm:
+			if uint32(regs[t.a]) > uint32(t.b) {
+				goto taken
+			}
+		case tBrI32LeSImm:
+			if int32(regs[t.a]) <= t.b {
+				goto taken
+			}
+		case tBrI32LeUImm:
+			if uint32(regs[t.a]) <= uint32(t.b) {
+				goto taken
+			}
+		case tBrI32GeSImm:
+			if int32(regs[t.a]) >= t.b {
+				goto taken
+			}
+		case tBrI32GeUImm:
+			if uint32(regs[t.a]) >= uint32(t.b) {
+				goto taken
+			}
+		case tBrI64EqImm:
+			if int64(regs[t.a]) == int64(t.b) {
+				goto taken
+			}
+		case tBrI64NeImm:
+			if int64(regs[t.a]) != int64(t.b) {
+				goto taken
+			}
+		case tBrI64LtSImm:
+			if int64(regs[t.a]) < int64(t.b) {
+				goto taken
+			}
+		case tBrI64LtUImm:
+			if regs[t.a] < uint64(int64(t.b)) {
+				goto taken
+			}
+		case tBrI64GtSImm:
+			if int64(regs[t.a]) > int64(t.b) {
+				goto taken
+			}
+		case tBrI64GtUImm:
+			if regs[t.a] > uint64(int64(t.b)) {
+				goto taken
+			}
+		case tBrI64LeSImm:
+			if int64(regs[t.a]) <= int64(t.b) {
+				goto taken
+			}
+		case tBrI64LeUImm:
+			if regs[t.a] <= uint64(int64(t.b)) {
+				goto taken
+			}
+		case tBrI64GeSImm:
+			if int64(regs[t.a]) >= int64(t.b) {
+				goto taken
+			}
+		case tBrI64GeUImm:
+			if regs[t.a] >= uint64(int64(t.b)) {
+				goto taken
+			}
+
+		// Comparison against a constant.
+		case tI32EqImm:
+			regs[t.d] = rt.B2i(uint32(regs[t.a]) == uint32(t.imm))
+		case tI32NeImm:
+			regs[t.d] = rt.B2i(uint32(regs[t.a]) != uint32(t.imm))
+		case tI32LtSImm:
+			regs[t.d] = rt.B2i(int32(regs[t.a]) < int32(t.imm))
+		case tI32LtUImm:
+			regs[t.d] = rt.B2i(uint32(regs[t.a]) < uint32(t.imm))
+		case tI32GtSImm:
+			regs[t.d] = rt.B2i(int32(regs[t.a]) > int32(t.imm))
+		case tI32GtUImm:
+			regs[t.d] = rt.B2i(uint32(regs[t.a]) > uint32(t.imm))
+		case tI32LeSImm:
+			regs[t.d] = rt.B2i(int32(regs[t.a]) <= int32(t.imm))
+		case tI32LeUImm:
+			regs[t.d] = rt.B2i(uint32(regs[t.a]) <= uint32(t.imm))
+		case tI32GeSImm:
+			regs[t.d] = rt.B2i(int32(regs[t.a]) >= int32(t.imm))
+		case tI32GeUImm:
+			regs[t.d] = rt.B2i(uint32(regs[t.a]) >= uint32(t.imm))
+		case tI64EqImm:
+			regs[t.d] = rt.B2i(regs[t.a] == t.imm)
+		case tI64NeImm:
+			regs[t.d] = rt.B2i(regs[t.a] != t.imm)
+		case tI64LtSImm:
+			regs[t.d] = rt.B2i(int64(regs[t.a]) < int64(t.imm))
+		case tI64LtUImm:
+			regs[t.d] = rt.B2i(regs[t.a] < t.imm)
+		case tI64GtSImm:
+			regs[t.d] = rt.B2i(int64(regs[t.a]) > int64(t.imm))
+		case tI64GtUImm:
+			regs[t.d] = rt.B2i(regs[t.a] > t.imm)
+		case tI64LeSImm:
+			regs[t.d] = rt.B2i(int64(regs[t.a]) <= int64(t.imm))
+		case tI64LeUImm:
+			regs[t.d] = rt.B2i(regs[t.a] <= t.imm)
+		case tI64GeSImm:
+			regs[t.d] = rt.B2i(int64(regs[t.a]) >= int64(t.imm))
+		case tI64GeUImm:
+			regs[t.d] = rt.B2i(regs[t.a] >= t.imm)
+
+		// Arithmetic with a constant operand. Shift counts were masked when
+		// the form was selected.
+		case tI32AddImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) + uint32(t.imm))
+		case tI32MulImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) * uint32(t.imm))
+		case tI32AndImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) & uint32(t.imm))
+		case tI32OrImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) | uint32(t.imm))
+		case tI32XorImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) ^ uint32(t.imm))
+		case tI32ShlImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) << (t.imm & 31))
+		case tI32ShrSImm:
+			regs[t.d] = uint64(uint32(int32(regs[t.a]) >> (t.imm & 31)))
+		case tI32ShrUImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) >> (t.imm & 31))
+		case tI32RsubImm:
+			regs[t.d] = uint64(uint32(t.imm) - uint32(regs[t.a]))
+		case tI64AddImm:
+			regs[t.d] = regs[t.a] + t.imm
+		case tI64MulImm:
+			regs[t.d] = regs[t.a] * t.imm
+		case tI64AndImm:
+			regs[t.d] = regs[t.a] & t.imm
+		case tI64OrImm:
+			regs[t.d] = regs[t.a] | t.imm
+		case tI64XorImm:
+			regs[t.d] = regs[t.a] ^ t.imm
+		case tI64ShlImm:
+			regs[t.d] = regs[t.a] << (t.imm & 63)
+		case tI64ShrSImm:
+			regs[t.d] = uint64(int64(regs[t.a]) >> (t.imm & 63))
+		case tI64ShrUImm:
+			regs[t.d] = regs[t.a] >> (t.imm & 63)
+		case tI64RsubImm:
+			regs[t.d] = t.imm - regs[t.a]
+
+		// Loads with an addressing mode. The index arithmetic wraps at 32 bits
+		// exactly like the i32.shl / i32.add it replaces, then CheckAddr adds
+		// the offset without wrapping — the same address, the same trap.
+		case tLoad32Scaled:
+			regs[t.d] = uint64(rt.LdU32(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 4)))
+		case tLoad64Scaled:
+			regs[t.d] = rt.LdU64(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 8))
+		case tLoad8S32Scaled:
+			regs[t.d] = uint64(uint32(int32(int8(rt.LdU8(mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 1))))))
+		case tLoad8UScaled:
+			regs[t.d] = uint64(rt.LdU8(mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 1)))
+		case tLoad16S32Scaled:
+			regs[t.d] = uint64(uint32(int32(int16(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 2))))))
+		case tLoad16UScaled:
+			regs[t.d] = uint64(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 2)))
+		case tLoad8S64Scaled:
+			regs[t.d] = uint64(int64(int8(rt.LdU8(mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 1)))))
+		case tLoad16S64Scaled:
+			regs[t.d] = uint64(int64(int16(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 2)))))
+		case tLoad32S64Scaled:
+			regs[t.d] = uint64(int64(int32(rt.LdU32(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 4)))))
+		case tLoad32Indexed:
+			regs[t.d] = uint64(rt.LdU32(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 4)))
+		case tLoad64Indexed:
+			regs[t.d] = rt.LdU64(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 8))
+		case tLoad8S32Indexed:
+			regs[t.d] = uint64(uint32(int32(int8(rt.LdU8(mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 1))))))
+		case tLoad8UIndexed:
+			regs[t.d] = uint64(rt.LdU8(mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 1)))
+		case tLoad16S32Indexed:
+			regs[t.d] = uint64(uint32(int32(int16(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 2))))))
+		case tLoad16UIndexed:
+			regs[t.d] = uint64(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 2)))
+		case tLoad8S64Indexed:
+			regs[t.d] = uint64(int64(int8(rt.LdU8(mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 1)))))
+		case tLoad16S64Indexed:
+			regs[t.d] = uint64(int64(int16(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 2)))))
+		case tLoad32S64Indexed:
+			regs[t.d] = uint64(int64(int32(rt.LdU32(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 4)))))
+
+		// Read-modify-write accumulation.
+		case tI64AddMem:
+			ea := rt.CheckAddr(regs[t.a], t.imm, 8)
+			rt.StU64(pages, mem, ea, rt.LdU64(pages, mem, ea)+regs[t.b])
+		case tI64AddMemImm:
+			ea := rt.CheckAddr(regs[t.a], t.imm, 8)
+			rt.StU64(pages, mem, ea, rt.LdU64(pages, mem, ea)+uint64(int64(t.b)))
+
+		default:
+			rt.Trap("turbofan: unknown opcode %#x", t.op)
 		}
 		pc++
+		continue
+
+	taken:
+		if env.Metered && int(t.imm) <= pc {
+			env.UseFuel(1)
+		}
+		pc = int(t.imm)
 	}
 }

@@ -84,7 +84,7 @@ func TestBranchFusion(t *testing.T) {
 	// Fused form present?
 	fused := false
 	for _, in := range tf.ins {
-		if in.op >= tBrCmpBase && in.op < tBrCmpNotBase+numCmpKinds {
+		if k := ops[in.op].kind; k == kindBrCmp || k == kindBrCmpImm {
 			fused = true
 		}
 	}

@@ -62,6 +62,7 @@ const (
 	MetricSerialFallbacks      = "serial_fallback_total"     // {reason}
 	MetricAutopilotDecisions   = "autopilot_decisions_total" // {choice}
 	MetricEngineCompileLatency = "engine_compile_latency_ns" // {tier}
+	MetricEngineCodeInstrs     = "engine_code_instrs"        // {tier}
 	MetricSchedSlotsTotal      = "sched_slots_total"
 	MetricServerDraining       = "server_draining"
 

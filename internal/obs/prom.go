@@ -70,6 +70,7 @@ var helpText = map[string]string{
 	MetricServerRequests:            "HTTP requests by route and status code.",
 	MetricSerialFallbacks:           "Parallelism requests that ran serially, by fallback reason.",
 	MetricEngineCompileLatency:      "Engine compile latency by tier.",
+	MetricEngineCodeInstrs:          "Instructions emitted by the engine's compilers, by tier.",
 	MetricServerDraining:            "1 while the server is draining for shutdown, else 0.",
 	MetricQuerylogRecords:           "Structured query-log records emitted.",
 	MetricQuerylogDropped:           "Query-log records dropped on sink-queue overflow.",

@@ -2,7 +2,6 @@ package vectorized
 
 import (
 	"fmt"
-	"math"
 
 	"wasmdb/internal/engine"
 	"wasmdb/internal/engine/wmem"
@@ -149,11 +148,6 @@ func Run(q *sema.Query, root plan.Node) ([]string, [][]types.Value, *Stats, erro
 	}
 	if err := r.exec(inner, emit); err != nil && err != errLimitReached {
 		return nil, nil, nil, err
-	}
-	// SQL: global aggregation over zero rows yields one row. With HAVING,
-	// execGlobalAgg already emitted (or filtered) the zero group itself.
-	if g, ok := inner.(*plan.Group); ok && len(g.Keys) == 0 && len(rows) == 0 && len(g.Having) == 0 {
-		rows = append(rows, zeroAggRow(proj.Cols, g.Aggs))
 	}
 	return names, rows, &r.stats, nil
 }
@@ -308,59 +302,3 @@ func elemOf(t types.Type) (int, bool) {
 }
 
 func roundup8(n int) int { return (n + 7) &^ 7 }
-
-// zeroAggRow fabricates the single output row of a global aggregation over
-// zero input rows.
-func zeroAggRow(cols []sema.OutputCol, aggs []sema.Aggregate) []types.Value {
-	ctx := zeroCtx{aggs: aggs}
-	out := make([]types.Value, len(cols))
-	for i, oc := range cols {
-		out[i] = evalConstish(oc.Expr, ctx)
-	}
-	return out
-}
-
-type zeroCtx struct{ aggs []sema.Aggregate }
-
-func evalConstish(e sema.Expr, ctx zeroCtx) types.Value {
-	switch x := e.(type) {
-	case *sema.Const:
-		return x.V
-	case *sema.AggRef:
-		t := ctx.aggs[x.Idx].T
-		switch t.Kind {
-		case types.Float64:
-			return types.NewFloat64(0)
-		case types.Decimal:
-			return types.NewDecimal(0, t.Prec, t.Scale)
-		case types.Int32:
-			return types.NewInt32(0)
-		case types.Date:
-			return types.NewDate(0)
-		default:
-			return types.NewInt64(0)
-		}
-	case *sema.Binary:
-		l := evalConstish(x.L, ctx)
-		rr := evalConstish(x.R, ctx)
-		if x.Op == sema.OpDiv {
-			v := l.F / rr.F
-			if math.IsNaN(v) {
-				v = 0
-			}
-			return types.NewFloat64(v)
-		}
-		return l
-	case *sema.Cast:
-		inner := evalConstish(x.E, ctx)
-		switch x.To.Kind {
-		case types.Float64:
-			if inner.Type.Kind == types.Decimal {
-				return types.NewFloat64(float64(inner.I) / float64(types.Pow10(inner.Type.Scale)))
-			}
-			return types.NewFloat64(float64(inner.I))
-		}
-		return inner
-	}
-	return types.Value{Type: e.Type()}
-}

@@ -227,12 +227,10 @@ func (r *Runner) execGlobalAgg(g *plan.Group, emit func(*batch) error) error {
 	defer func() { r.vecPoolN++ }()
 
 	seeded := false
-	rowsSeen := 0
 	err := r.exec(g.Input, func(b *batch) error {
 		if b.selN == 0 {
 			return nil
 		}
-		rowsSeen += b.selN
 		// All rows share the one state entry.
 		r.call("fill", uint64(b.sel), uint64(b.selN), uint64(entry), uint64(ptrs.addr))
 		argVecs := make([]vec, nAggs)
@@ -288,11 +286,9 @@ func (r *Runner) execGlobalAgg(g *plan.Group, emit func(*batch) error) error {
 	if err != nil {
 		return err
 	}
-	if rowsSeen == 0 && len(g.Having) == 0 {
-		return nil // the driver fabricates the zero row
-	}
-	// With HAVING, fall through even on empty input: the zero-filled state
-	// entry is the zero group, and HAVING decides whether it is emitted.
+	// On empty input the zero-filled state entry is the zero group: it flows
+	// through HAVING and the output expressions like any other, so AVG is
+	// 0/0 = NaN exactly as in the compiled engine.
 	r.resetScratch()
 	b := &batch{n: 1, sel: r.selA, start: -1, vecs: map[string]vec{}, chars: map[string]charBuf{}}
 	b.selN = int(int32(r.call("sel_seq", uint64(r.selA), 0, 1)))

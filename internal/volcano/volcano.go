@@ -491,10 +491,17 @@ func (g *groupIter) nextGroup() (Tuple, bool) {
 			default:
 				t[len(g.g.Keys)+i] = types.NewInt64(acc.sumI)
 			}
-		case sema.AggMin:
-			t[len(g.g.Keys)+i] = acc.min
-		case sema.AggMax:
-			t[len(g.g.Keys)+i] = acc.max
+		case sema.AggMin, sema.AggMax:
+			// Over no rows MIN and MAX are the zero value of their type, as
+			// in the compiled engine's zero-initialised state (there is no
+			// NULL in this dialect).
+			v := types.Value{Type: a.T}
+			if acc.seen && a.Func == sema.AggMin {
+				v = acc.min
+			} else if acc.seen {
+				v = acc.max
+			}
+			t[len(g.g.Keys)+i] = v
 		}
 	}
 	return t, true
