@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 # verify is the CI gate: compile everything, lint with vet, enforce the
-# observability layering invariant, repeat the two once-flaky concurrency
+# observability layering invariant, repeat the three once-flaky concurrency
 # tests, check the two engine tiers against each other, and run the full
 # suite under the race detector (the guardrail watchdog, background tier-up,
 # and the parallel morsel worker pool — including the fault-injection and
@@ -36,14 +36,17 @@ tier-diff:
 retired:
 	$(GO) test -tags turbofan_count -run 'TestRetiredInstructions' -count=1 -v .
 
-# flake-guard repeats the two tests that used to fail intermittently on two
+# flake-guard repeats the three tests that used to fail intermittently on two
 # cores — the scheduler's concurrent acquire/release (a lease granted fewer
-# extras than the ids probed) and the flight recorder's dump-during-churn
-# (an unbounded producer) — 20 times under the race detector, so a relapse
-# fails here by name instead of once in a while somewhere in the full suite.
+# extras than the ids probed), the flight recorder's dump-during-churn (an
+# unbounded producer) and the shell's interrupt (the closed input channel
+# winning the select against ctx.Done()) — 20 times under the race detector,
+# so a relapse fails here by name instead of once in a while somewhere in the
+# full suite.
 flake-guard:
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestScheduler(ConcurrentAcquireRelease|YieldBeyondGrant)$$' ./internal/core
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestFlightRecorderConcurrent$$' ./internal/obs
+	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestReplInterrupt$$' ./cmd/wasmdb
 
 # internal/obs must stay at the bottom of the dependency graph: it may
 # import nothing from this module, or every layer recording into it would
@@ -92,6 +95,9 @@ lint-layers:
 # Then it runs the per-query start-up benchmark once (rewire + instantiate +
 # q_init, 1 and 2 workers) and prints its B/op: demand-zero linear memory
 # keeps that near 0.1 MiB per worker, an eager allocation shows as MiB.
+# Then it prints the join-build benchmark once (build rows {2 k, 32 k, 256 k} ×
+# build rows per key {1, 4} × workers {1, 2}): ns per build row for scan,
+# tuple append and barrier together, and the barrier alone in µs.
 # Last it prints the engine's kernel benchmarks once: ns/row and emitted
 # instructions of the three golden kernels on each tier, and the optimizing
 # tier's compile speed in B/µs.
@@ -108,6 +114,9 @@ bench-smoke:
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkExecuteStartup$$' -benchtime 500x -benchmem \
 		| awk '/^BenchmarkExecuteStartup/ { n++; printf "bench-smoke: %s %s init-ns/op, %s B/op\n", $$1, $$5, $$7 } \
 		       END { if (n != 2) { print "bench-smoke: missing start-up benchmark output" > "/dev/stderr"; exit 1 } }'
+	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkJoinBuild$$' -benchtime 3x \
+		| awk '/^BenchmarkJoinBuild/ { n++; printf "bench-smoke: %s %s %s, %s %s\n", $$1, $$7, $$8, $$5, $$6 } \
+		       END { if (n != 12) { print "bench-smoke: missing join-build benchmark output" > "/dev/stderr"; exit 1 } }'
 	@$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkTier[12]Kernels|BenchmarkTurbofanCompile$$' -benchtime 5x \
 		| awk '/^Benchmark/ { n++; printf "bench-smoke: %s", $$1; for (i = 5; i <= NF; i += 2) printf " %s %s", $$i, $$(i+1); print "" } \
 		       END { if (n != 7) { print "bench-smoke: missing kernel benchmark output" > "/dev/stderr"; exit 1 } }'

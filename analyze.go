@@ -77,17 +77,26 @@ func renderAnalyze(planText string, tr *Trace, st Stats, rows int) string {
 		for _, sp := range pipes {
 			name := strings.TrimPrefix(sp.Name, obs.SpanPipeline)
 			rowsArg, workersArg := int64(-1), int64(0)
+			arg := map[string]int64{}
 			for _, a := range sp.Args {
 				switch a.Key {
 				case "rows":
 					rowsArg = a.Val
 				case "workers":
 					workersArg = a.Val
+				default:
+					arg[a.Key] = a.Val
 				}
 			}
 			par := ""
 			if workersArg > 1 {
 				par = fmt.Sprintf("  [%d workers]", workersArg)
+			}
+			if slots, ok := arg["slots"]; ok {
+				// A join build pipeline carries its barrier's figures.
+				par += fmt.Sprintf("  build: %d tuples in %d chunks, %d pages aliased, %d slots %.0f%% full, barrier %s alias + %s finish",
+					arg["tuples"], arg["chunks"], arg["pages_aliased"], slots, 100*float64(arg["tuples"])/float64(slots),
+					fmtAnalyzeDur(time.Duration(arg["alias_ns"])), fmtAnalyzeDur(time.Duration(arg["finish_ns"])))
 			}
 			if rowsArg >= 0 {
 				fmt.Fprintf(&sb, "  %-18s %-10s %d rows%s\n", name, fmtAnalyzeDur(sp.Dur), rowsArg, par)

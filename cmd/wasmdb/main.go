@@ -246,6 +246,11 @@ loop:
 			break loop
 		case raw, ok := <-lines:
 			if !ok {
+				// On cancellation the scanner goroutine closes lines too, and
+				// the select may see that before ctx.Done(): still an interrupt.
+				if ctx.Err() != nil {
+					fmt.Fprintln(out, "\ninterrupted")
+				}
 				break loop
 			}
 			line := strings.TrimSpace(raw)

@@ -114,43 +114,34 @@ type GroupMerge struct {
 	Aggs []MergeAgg
 }
 
-// JoinMerge describes the ad-hoc exports a hash-join build table provides
-// for parallel partitioned builds. Each worker inserts its private partition
-// of the build side during the parallel build scan; at the barrier the host
-// drains every secondary worker's partition via DumpExport, concatenates the
-// records (join inserts are append-style — duplicates coexist, so no
-// host-side folding is needed), feeds them into the primary worker through
-// RecvExport + MergeExport, and finally replicates the primary's complete
-// table into every secondary via InstallExport so the probe pipeline can run
-// embarrassingly parallel. Serial execution never calls these exports.
+// JoinMerge describes the build barrier of one ad-hoc hash-join table. The
+// build pipeline leaves each worker with a private list of tuple chunks; at
+// the barrier the executor walks every list, calls ReserveExport on each
+// worker with the exact tuple total, aliases the other workers' chunks into
+// the region it returns (page-table writes, no copy), and drives FinishExport
+// once per chunk so every worker places all tuples in its own directory.
+// Serial execution runs the same barrier with one worker and nothing to
+// alias.
 type JoinMerge struct {
-	// DumpExport compacts the occupied entries of the worker's partition
-	// into a fresh allocation and returns its base address; the record count
-	// is read from CountGlobal.
-	DumpExport string
-	// RecvExport allocates room for n records on the primary worker and
-	// returns the base address the host writes them to.
-	RecvExport string
-	// PresizeExport(needed) grows the primary's table until needed records
-	// fit under the load-factor ceiling, so the merge loop never grows
-	// mid-insertion (slot-ordered dump records against a near-full table
-	// probe pathologically long clusters).
-	PresizeExport string
-	// MergeExport re-inserts received records [begin, end) into the primary
-	// worker's table (append at the first empty probe slot; never combines).
-	MergeExport string
-	// InstallExport(cap, count) allocates cap*Stride bytes on a secondary
-	// worker, repoints the table globals at it, and returns the base the
-	// host writes the primary's entry image to — replacing the secondary's
-	// partial partition with the complete table before the probe runs.
-	InstallExport string
-	// BaseGlobal / MaskGlobal / CountGlobal are the table's module globals
-	// (read host-side to locate and describe the primary's entry image).
-	BaseGlobal  uint32
-	MaskGlobal  uint32
-	CountGlobal uint32
-	// Stride is the entry size in bytes, occupancy flag word included.
-	Stride uint32
+	// ReserveExport(total, foreignPages) allocates the directory for total
+	// tuples plus a page-aligned region of foreignPages pages, and returns
+	// the region's address.
+	ReserveExport string
+	// FinishExport(addr, n) places the n tuples starting at addr in the
+	// directory; morsel-shaped, driven through callMorsel.
+	FinishExport string
+	// HeadGlobal holds the address of the worker's newest chunk (0 for none;
+	// a chunk's first word links to the one before it), PosGlobal the append
+	// cursor inside it, MaskGlobal the directory's slot mask after reserve.
+	HeadGlobal uint32
+	PosGlobal  uint32
+	MaskGlobal uint32
+	// Stride is the tuple size in bytes, hash word included; ChunkCap the
+	// number of tuples every chunk but the newest holds; ChunkPages a chunk's
+	// size in pages.
+	Stride     uint32
+	ChunkCap   uint32
+	ChunkPages uint32
 	// BuildPipeline is the index into CompiledQuery.Pipelines of the build
 	// pipeline this table is filled by; the executor barriers after it.
 	BuildPipeline int
@@ -217,12 +208,14 @@ type CompiledQuery struct {
 	// parallel executor uses it to drain each worker's partial groups, fold
 	// them per key host-side, and feed the result into the primary worker.
 	GroupMerge *GroupMerge
-	// JoinMerges describes the partition merge exports of each ad-hoc hash
-	// join build table, in build-pipeline order (empty when the query has no
-	// specialized joins). The parallel executor barriers after each build
-	// pipeline, merges every worker's partition into the primary, and
-	// replicates the result to all workers before the probe continues.
-	JoinMerges []*JoinMerge
+	// JoinMerges describes the build barrier of each ad-hoc hash-join table,
+	// in build-pipeline order (empty when the query has no specialized
+	// joins). ChunkAlignGlobal, valid when it is non-empty, is the module
+	// global holding the alignment of tuple chunks: the executor raises it to
+	// a page before q_init when a worker pool runs the query, so chunks can
+	// be rewired between workers.
+	JoinMerges       []*JoinMerge
+	ChunkAlignGlobal uint32
 	// SortMerge describes the sorted-run merge metadata of an order-by
 	// module (nil when the query has no specialized sort). The parallel
 	// executor k-way merges per-worker sorted runs host-side and installs
@@ -319,10 +312,11 @@ type compiler struct {
 	fnResultFlush uint32
 
 	// Shared generated helpers, created on demand.
-	fnAlloc       *wasm.FuncBuilder
-	fnExtractYear *wasm.FuncBuilder
-	strcmps       map[[2]int]*wasm.FuncBuilder
-	likes         map[string]*wasm.FuncBuilder
+	fnAlloc        *wasm.FuncBuilder
+	fnAllocAligned *wasm.FuncBuilder
+	fnExtractYear  *wasm.FuncBuilder
+	strcmps        map[[2]int]*wasm.FuncBuilder
+	likes          map[string]*wasm.FuncBuilder
 
 	// Globals.
 	gHeap      uint32 // bump-allocator cursor

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,9 +157,9 @@ type ExecStats struct {
 	// GroupsMerged counts the distinct groups folded at the parallel
 	// group-by barrier (0 when no group merge ran).
 	GroupsMerged int
-	// JoinPartitionsMerged counts the secondary-worker build partitions
-	// drained at parallel join barriers, summed across the query's joins (0
-	// when no join merge ran).
+	// JoinPartitionsMerged counts the secondary workers whose tuple chunks
+	// were shared at parallel join build barriers (workers − 1 per barrier),
+	// summed across the query's joins (0 when the query ran serially).
 	JoinPartitionsMerged int
 }
 
@@ -449,6 +450,11 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 	}
 
 	for _, w := range ws {
+		if workers > 1 && len(cq.JoinMerges) > 0 {
+			// Whole-page tuple chunks, so the build barriers can rewire them
+			// between workers.
+			w.inst.SetGlobal(int(cq.ChunkAlignGlobal), wmem.PageSize)
+		}
 		if _, err := w.inst.Call("q_init"); err != nil {
 			return nil, nil, fmt.Errorf("core: q_init: %w", wrapErr(err))
 		}
@@ -485,6 +491,30 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 			return false, fmt.Errorf("core: %s[%d,%d): %w", export, begin, end, wrapErr(err))
 		}
 		return r[0] != 0, nil
+	}
+
+	// forWorkers runs fn on every worker — concurrently when there is more
+	// than one — and returns the first error in worker order.
+	forWorkers := func(fn func(w *worker) error) error {
+		if len(ws) == 1 {
+			return fn(primary)
+		}
+		errs := make([]error, len(ws))
+		var wg sync.WaitGroup
+		for i, w := range ws {
+			wg.Add(1)
+			go func(i int, w *worker) {
+				defer wg.Done()
+				errs[i] = fn(w)
+			}(i, w)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	// runParallel drives one pipeline with the whole pool: morsels come off
@@ -605,22 +635,13 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 	mergeSortRuns := func(export string) error {
 		sm := cq.SortMerge
 		sp := tr.Begin(obs.SpanMerge)
-		var wg sync.WaitGroup
-		errs := make([]error, len(ws))
-		for i, w := range ws {
-			wg.Add(1)
-			go func(i int, w *worker) {
-				defer wg.Done()
-				if _, err := w.inst.Call(export, 0, 0); err != nil {
-					errs[i] = fmt.Errorf("core: %s: %w", export, wrapErr(err))
-				}
-			}(i, w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
+		if err := forWorkers(func(w *worker) error {
+			if _, err := w.inst.Call(export, 0, 0); err != nil {
+				return fmt.Errorf("core: %s: %w", export, wrapErr(err))
 			}
+			return nil
+		}); err != nil {
+			return err
 		}
 		total := 0
 		runs := make([][]byte, 0, len(ws))
@@ -642,78 +663,87 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		return nil
 	}
 
-	// mergeJoin drains every secondary worker's private build partition,
-	// appends the records into the primary worker's table (morsel-wise
-	// through callMorsel, so tracing and fault injection cover the merge),
-	// and replicates the primary's completed table into every secondary so
-	// the parallel probe sees the full build side — the join pipeline
-	// barrier. Join inserts are append-style (duplicate keys coexist), so
-	// the host concatenates the dumps without folding. An error leaves the
-	// query failed, never partially merged.
-	mergeJoin := func(jm *JoinMerge) error {
+	// buildJoin is the build barrier of one join table (see joinbuild.go),
+	// the same code serially and in parallel: count the tuples in every
+	// worker's chunk list, have each worker reserve a directory of that size,
+	// alias every other worker's chunks into the region reserve returned, and
+	// let the workers place all tuples concurrently — one finish call per
+	// chunk through callMorsel, in worker order and build-scan order within a
+	// worker on every worker alike. A worker that yielded its slot never runs
+	// again and builds no directory; its chunks are shared like everyone's.
+	// Returns the figures for the trace.
+	buildJoin := func(jm *JoinMerge) ([]obs.Arg, error) {
 		sp := tr.Begin(obs.SpanMerge)
-		var recs []byte
-		records := 0
-		for _, w := range ws[1:] {
-			if err := canceled(); err != nil {
-				return err
+		tAlias := time.Now()
+		type run struct{ addr, n uint32 } // first tuple, tuples
+		chunks := make([][]run, len(ws))
+		total, nChunks := uint32(0), 0
+		for wi, w := range ws {
+			head := uint32(w.inst.Global(int(jm.HeadGlobal)))
+			n := (uint32(w.inst.Global(int(jm.PosGlobal))) - head - joinChunkHdr) / jm.Stride
+			for c := head; c != 0; c = w.mem.U32(c) {
+				chunks[wi] = append(chunks[wi], run{c + joinChunkHdr, n})
+				total += n
+				n = jm.ChunkCap
 			}
-			r, err := w.inst.Call(jm.DumpExport)
-			if err != nil {
-				return fmt.Errorf("core: %s: %w", jm.DumpExport, wrapErr(err))
-			}
-			n := int(uint32(w.inst.Global(int(jm.CountGlobal))))
-			recs = append(recs, w.mem.ReadBytes(uint32(r[0]), uint32(n)*jm.Stride)...)
-			records += n
+			slices.Reverse(chunks[wi])
+			nChunks += len(chunks[wi])
 		}
-		if records > 0 {
-			// Grow the primary's table to its final size up front: the merge
-			// loop then only claims slots, never rehashes mid-insertion.
-			needed := records + int(uint32(primary.inst.Global(int(jm.CountGlobal))))
-			if _, err := primary.inst.Call(jm.PresizeExport, uint64(uint32(needed))); err != nil {
-				return fmt.Errorf("core: %s: %w", jm.PresizeExport, wrapErr(err))
+		todo := make([][]run, len(ws))
+		aliased := 0
+		for wi, w := range ws {
+			if lease.ShouldYield(w.id) {
+				continue
 			}
-			r, err := primary.inst.Call(jm.RecvExport, uint64(uint32(records)))
+			foreign := uint32(nChunks-len(chunks[wi])) * jm.ChunkPages
+			r, err := w.inst.Call(jm.ReserveExport, uint64(total), uint64(foreign))
 			if err != nil {
-				return fmt.Errorf("core: %s: %w", jm.RecvExport, wrapErr(err))
+				return nil, fmt.Errorf("core: %s: %w", jm.ReserveExport, wrapErr(err))
 			}
-			primary.mem.WriteBytes(uint32(r[0]), recs)
-			for begin := 0; begin < records; begin += opt.MorselRows {
+			region := uint32(r[0])
+			todo[wi] = make([]run, 0, nChunks)
+			for vi, v := range ws {
+				for _, c := range chunks[vi] {
+					if vi != wi {
+						if err := w.mem.Alias(region, v.mem, c.addr-joinChunkHdr, jm.ChunkPages); err != nil {
+							return nil, fmt.Errorf("core: rewiring join chunks: %w", err)
+						}
+						c.addr = region + joinChunkHdr
+						region += jm.ChunkPages * wmem.PageSize
+					}
+					todo[wi] = append(todo[wi], c)
+				}
+			}
+			aliased += int(foreign)
+		}
+		if workers > 1 {
+			if err := faultpoint.Hit("core-rewire"); err != nil {
+				return nil, fmt.Errorf("core: rewiring join chunks: %w", err)
+			}
+		}
+		tFinish := time.Now()
+		err := forWorkers(func(w *worker) error {
+			for _, c := range todo[w.id] {
 				if err := canceled(); err != nil {
 					return err
 				}
-				end := begin + opt.MorselRows
-				if end > records {
-					end = records
-				}
-				if _, err := callMorsel(primary, jm.MergeExport, begin, end); err != nil {
+				if _, err := callMorsel(w, jm.FinishExport, int(c.addr), int(c.n)); err != nil {
 					return err
 				}
 			}
-		}
-		// Replicate the completed table to every secondary — their partial
-		// partitions must be replaced even when no records moved the other
-		// way, or the parallel probe would miss the primary's entries. A
-		// verbatim image is position-correct because slot indexes depend
-		// only on hash and mask, which travel with it.
-		cap := uint32(primary.inst.Global(int(jm.MaskGlobal))) + 1
-		count := uint64(uint32(primary.inst.Global(int(jm.CountGlobal))))
-		img := primary.mem.ReadBytes(uint32(primary.inst.Global(int(jm.BaseGlobal))), cap*jm.Stride)
-		for _, w := range ws[1:] {
-			if err := canceled(); err != nil {
-				return err
-			}
-			r, err := w.inst.Call(jm.InstallExport, uint64(cap), count)
-			if err != nil {
-				return fmt.Errorf("core: %s: %w", jm.InstallExport, wrapErr(err))
-			}
-			w.mem.WriteBytes(uint32(r[0]), img)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		stats.JoinPartitionsMerged += len(ws) - 1
-		tr.Event(obs.EvJoinMerge, obs.I("records", int64(records)),
-			obs.I("partitions", int64(len(ws)-1)), obs.I("workers", int64(workers)))
-		sp.End(obs.I("records", int64(records)))
-		return nil
+		args := []obs.Arg{obs.I("tuples", int64(total)), obs.I("chunks", int64(nChunks)),
+			obs.I("pages_aliased", int64(aliased)),
+			obs.I("slots", int64(uint32(primary.inst.Global(int(jm.MaskGlobal))))+1),
+			obs.I("alias_ns", tFinish.Sub(tAlias).Nanoseconds()), obs.I("finish_ns", time.Since(tFinish).Nanoseconds())}
+		tr.Event(obs.EvJoinMerge, append(args, obs.I("workers", int64(workers)))...)
+		sp.End(obs.I("tuples", int64(total)))
+		return args, nil
 	}
 
 	// The last table scan is the probe pipeline the terminal merge barriers
@@ -730,6 +760,22 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 	aggMerged, groupMerged, sortMerged := false, false, false
 	for pi, p := range cq.Pipelines {
 		spPipe := tr.Begin(obs.SpanPipeline + p.Export)
+		// endPipe closes a morsel-driven pipeline: if it filled a join table
+		// the build barrier runs first — whichever way the pipeline was driven
+		// — and its figures go on the pipeline's span.
+		endPipe := func(args ...obs.Arg) error {
+			for _, jm := range cq.JoinMerges {
+				if jm.BuildPipeline == pi {
+					built, err := buildJoin(jm)
+					if err != nil {
+						return err
+					}
+					args = append(args, built...)
+				}
+			}
+			spPipe.End(args...)
+			return nil
+		}
 		var total int
 		switch p.Kind {
 		case PipeScanTable:
@@ -778,17 +824,6 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 				return nil, nil, err
 			}
 			stats.PipelinesParallel++
-			// Join barrier: if this scan was a build pipeline, merge every
-			// worker's partition and replicate the completed table before
-			// anything probes it. Fires in every parallel mode — downstream
-			// group/sort/agg merges compose after the probe.
-			for _, jm := range cq.JoinMerges {
-				if jm.BuildPipeline == pi {
-					if err := mergeJoin(jm); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
 			if mode == parGroup && !groupMerged && pi == lastScan {
 				// Group barrier: the parallel scan just filled every worker's
 				// private group table; merge them into the primary before any
@@ -798,7 +833,9 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 					return nil, nil, err
 				}
 			}
-			spPipe.End(obs.I("rows", int64(total)), obs.I("workers", int64(workers)))
+			if err := endPipe(obs.I("rows", int64(total)), obs.I("workers", int64(workers))); err != nil {
+				return nil, nil, err
+			}
 			continue
 		}
 		stats.PipelinesSerial++
@@ -829,7 +866,9 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 					stop = stop || primary.limitHit
 				}
 			}
-			spPipe.End(obs.I("rows", int64(total)))
+			if err := endPipe(obs.I("rows", int64(total))); err != nil {
+				return nil, nil, err
+			}
 			if userFuel {
 				tr.Event(obs.EvFuel, obs.I("remaining", primary.inst.FuelLeft()))
 			}
@@ -851,7 +890,9 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 			// remaining morsels cannot contribute — short-circuit them.
 			stop = stop || primary.limitHit
 		}
-		spPipe.End(obs.I("rows", int64(total)))
+		if err := endPipe(obs.I("rows", int64(total))); err != nil {
+			return nil, nil, err
+		}
 		// Fuel checkpoint at every pipeline boundary on metered queries —
 		// the audit trail of where the budget went.
 		if userFuel {

@@ -16,7 +16,7 @@ import (
 // fpSalt versions the fingerprint format itself: any change to the
 // serialization below, or to codegen that is not otherwise captured, must
 // bump it so stale cache keys cannot alias new modules.
-const fpSalt = "wasmdb-plancache-v3"
+const fpSalt = "wasmdb-plancache-v4"
 
 // Fingerprint computes the plan-cache key of a parameterized query: a
 // sha256 over everything that determines the bytes of the compiled module —
@@ -25,10 +25,10 @@ const fpSalt = "wasmdb-plancache-v3"
 // version, and each referenced column's mapped page count (column base
 // addresses are baked into generated loads). Parameter *values* are
 // deliberately excluded: two queries that differ only in hoisted literals
-// hash identically and share one cache entry. The one estimate-derived input
-// codegen consumes — a hash join's initial capacity — is serialized in its
-// quantized (power-of-two) form, so row-count drift only changes the key
-// when it would change the generated table.
+// hash identically and share one cache entry. No cardinality estimate is
+// read, because codegen consumes none (every table is sized from what
+// execution produces): row-count drift that leaves a column's page count
+// alone never changes the key.
 func Fingerprint(q *sema.Query, root plan.Node, schemaVersion uint64, style Style, tier engine.Tier, optRounds int) string {
 	w := &fpWriter{h: sha256.New()}
 	w.str(fpSalt)
@@ -101,9 +101,6 @@ func (w *fpWriter) node(q *sema.Query, n plan.Node) {
 		}
 	case *plan.HashJoin:
 		w.str("join")
-		// The only estimate → codegen dependency: the build table's initial
-		// capacity, in the quantized form newHashTable actually allocates.
-		w.u64(uint64(joinInitialCap(x.Build.Rows())))
 		w.u64(uint64(len(x.BuildKeys)))
 		for _, k := range x.BuildKeys {
 			w.expr(k)

@@ -205,12 +205,7 @@ func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sem
 	}
 	f.Br(2) // this record done
 	f.End()
-	f.LocalGet(idx)
-	f.I32Const(1)
-	f.I32Add()
-	f.GlobalGet(ht.gMask)
-	f.I32And()
-	f.LocalSet(idx)
+	g.emitNextSlot(ht, idx)
 	f.Br(0)
 	f.End()
 	f.End()

@@ -11,8 +11,10 @@ import (
 // in the entry, monomorphically laid out for the QEP's types; hashing and
 // key comparison are emitted directly into the pipeline code — no
 // type-agnostic interface, no comparison callbacks, no per-access function
-// calls. A generated grow function doubles and rehashes when the table
-// exceeds 75 % load.
+// calls. A group table starts small and a generated grow function doubles
+// and rehashes it above 75 % load; a join table is built once at its exact
+// size (joinbuild.go) and shares the hashing, key comparison and field
+// access below.
 
 // htEntryFlagSize reserves 8 bytes at the front of each entry for the
 // occupancy flag so that 8-byte fields stay naturally aligned.
@@ -27,13 +29,10 @@ type htInfo struct {
 	gMask  uint32
 	gCount uint32
 	grow   *wasm.FuncBuilder
-	// canonFloatKeys hashes Float64 keys through -0.0→+0.0 canonicalization
-	// so every F64Eq-equal key lands in the same probe chain. Join tables set
-	// it (the probe compares with F64Eq, so +0.0 and -0.0 must collide);
-	// group tables keep raw-bit hashing, where ±0 forming two groups is the
-	// established cross-backend behavior.
-	canonFloatKeys bool
 }
+
+// groupInitialCap is the slot count a group table starts with.
+const groupInitialCap = 1024
 
 // keySrc supplies one key value in the current emission context: pushVal
 // leaves the value (or CHAR pointer) on the stack.
@@ -43,26 +42,22 @@ type keySrc struct {
 }
 
 // newHashTable declares globals, the init step, and the grow function for a
-// hash table whose entries contain the given fields (keys must be a prefix
+// group table whose entries contain the given fields (keys must be a prefix
 // subset of fields by structural equality).
-func (c *compiler) newHashTable(name string, fields []sema.Expr, keys []sema.Expr, initialCap uint32, canonFloatKeys bool) *htInfo {
+func (c *compiler) newHashTable(name string, fields []sema.Expr, keys []sema.Expr) *htInfo {
 	ht := &htInfo{
-		name:           name,
-		layout:         buildLayout(dedupExprs(fields), htEntryFlagSize),
-		keys:           keys,
-		gBase:          c.b.AddGlobal(wasm.I32, true, 0),
-		gMask:          c.b.AddGlobal(wasm.I32, true, 0),
-		gCount:         c.b.AddGlobal(wasm.I32, true, 0),
-		canonFloatKeys: canonFloatKeys,
+		name:   name,
+		layout: buildLayout(dedupExprs(fields), htEntryFlagSize),
+		keys:   keys,
+		gBase:  c.b.AddGlobal(wasm.I32, true, 0),
+		gMask:  c.b.AddGlobal(wasm.I32, true, 0),
+		gCount: c.b.AddGlobal(wasm.I32, true, 0),
 	}
-	if initialCap < 64 {
-		initialCap = 64
-	}
-	initialCap = pow2ceil(initialCap)
 	// The init step bakes initialCap*stride into an i32 immediate; halve the
-	// capacity until the product fits comfortably, so a huge cardinality
-	// estimate can never wrap into a negative (or tiny) allocation. The table
-	// still grows on demand.
+	// capacity until the product fits comfortably, so a very wide entry can
+	// never wrap into a negative (or tiny) allocation. The table still grows
+	// on demand.
+	initialCap := uint32(groupInitialCap)
 	for initialCap > 64 && uint64(initialCap)*uint64(ht.layout.stride) > 1<<30 {
 		initialCap >>= 1
 	}
@@ -97,19 +92,6 @@ func dedupExprs(in []sema.Expr) []sema.Expr {
 		}
 	}
 	return out
-}
-
-func pow2ceil(v uint32) uint32 {
-	// Saturate above 2^31: doubling past it would wrap p to zero and the
-	// loop would never terminate.
-	if v > 1<<31 {
-		return 1 << 31
-	}
-	p := uint32(1)
-	for p < v {
-		p <<= 1
-	}
-	return p
 }
 
 // emitHash computes the hash of the key sources into an i64 local and
@@ -215,6 +197,17 @@ func (g *gen) emitSlotIndex(ht *htInfo, h wasm.Local) wasm.Local {
 	return idx
 }
 
+// emitNextSlot advances idx to the next slot of a power-of-two table.
+func (g *gen) emitNextSlot(ht *htInfo, idx wasm.Local) {
+	f := g.f
+	f.LocalGet(idx)
+	f.I32Const(1)
+	f.I32Add()
+	f.GlobalGet(ht.gMask)
+	f.I32And()
+	f.LocalSet(idx)
+}
+
 // emitEntryPtr computes base + idx*stride into a local.
 func (g *gen) emitEntryPtr(ht *htInfo, idx wasm.Local, entry wasm.Local) {
 	f := g.f
@@ -274,14 +267,46 @@ func (g *gen) storeFieldFromStack(ptr wasm.Local, fld field, pushVal func()) {
 	}
 }
 
+// copyCharInlineMax is the widest CHAR field copied with straight-line code.
+const copyCharInlineMax = 64
+
 // copyChar copies a CHAR value (source pointer pushed by pushSrc) into
-// dst+offset, width bytes, with a simple byte loop.
+// dst+offset. Up to copyCharInlineMax bytes the copy is straight-line
+// load–store pairs, widest first, of exactly width bytes — a field can end
+// where a mapped column ends, so nothing may read past it. Wider fields keep
+// a byte loop.
 func (g *gen) copyChar(dst wasm.Local, offset uint32, pushSrc func(), width int) {
 	f := g.f
 	src := f.AddLocal(wasm.I32)
-	i := f.AddLocal(wasm.I32)
 	pushSrc()
 	f.LocalSet(src)
+	if width <= copyCharInlineMax {
+		for at := uint32(0); at < uint32(width); {
+			f.LocalGet(dst)
+			f.LocalGet(src)
+			// Alignment hint 0: fields follow each other unpadded.
+			switch rest := uint32(width) - at; {
+			case rest >= 8:
+				f.Emit(wasm.OpI64Load, uint64(at), 0)
+				f.Emit(wasm.OpI64Store, uint64(offset+at), 0)
+				at += 8
+			case rest >= 4:
+				f.Emit(wasm.OpI32Load, uint64(at), 0)
+				f.Emit(wasm.OpI32Store, uint64(offset+at), 0)
+				at += 4
+			case rest >= 2:
+				f.Emit(wasm.OpI32Load16U, uint64(at), 0)
+				f.Emit(wasm.OpI32Store16, uint64(offset+at), 0)
+				at += 2
+			default:
+				f.I32Load8U(at)
+				f.I32Store8(offset + at)
+				at++
+			}
+		}
+		return
+	}
+	i := f.AddLocal(wasm.I32)
 	f.I32Const(0)
 	f.LocalSet(i)
 	f.Block(wasm.BlockVoid)
@@ -433,7 +458,7 @@ func (c *compiler) genGrowFunc(ht *htInfo) *wasm.FuncBuilder {
 		kf := fld
 		stored = append(stored, keySrc{t: kf.t, pushVal: func() { g.loadField(entry, kf) }})
 	}
-	h := g.emitHashCanon(stored, ht.canonFloatKeys)
+	h := g.emitHash(stored)
 	// j = h & newMask
 	f.LocalGet(h)
 	f.Op(wasm.OpI32WrapI64)

@@ -600,7 +600,7 @@ type libHT struct {
 	gCtrl   uint32 // global holding the ctrl pointer
 	keyGlob []uint32
 	cmpIdx  uint32 // table index of the key comparator
-	// canonFloatKeys mirrors htInfo's flag: join tables hash Float64 keys
+	// canonFloatKeys is set for join tables, which hash Float64 keys
 	// through -0.0→+0.0 canonicalization so the F64Eq comparator and the
 	// hash agree; group tables keep raw-bit hashing.
 	canonFloatKeys bool

@@ -12,6 +12,7 @@ import (
 	"wasmdb/internal/sema"
 	"wasmdb/internal/sql"
 	"wasmdb/internal/types"
+	"wasmdb/internal/workload"
 )
 
 // benchmarkMorselDispatch measures executor overhead at a deliberately tiny
@@ -98,5 +99,53 @@ func BenchmarkExecuteStartup(b *testing.B) {
 			}
 			b.ReportMetric(float64(init.Nanoseconds())/float64(b.N), "init-ns/op")
 		})
+	}
+}
+
+// BenchmarkJoinBuild measures the build side of an ad-hoc hash join on tier-2
+// code: build-ns/row is the build pipeline — scan, tuple append and the
+// barrier — per build row, barrier-µs the barrier alone (reserve, alias and
+// finish, from the join-merge event). dup is the number of build rows per
+// key; the probe side is one row larger than the build side so the planner
+// keeps `build` on the build side, and its time is in ns/op only.
+func BenchmarkJoinBuild(b *testing.B) {
+	eng := engine.New(engine.Config{Tier: engine.TierTurbofan})
+	for _, rows := range []int{2_000, 32_000, 256_000} {
+		for _, dup := range []int{1, 4} {
+			cat, err := workload.JoinPair(rows, rows+1, rows/dup, 31)
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := "SELECT COUNT(*) FROM build, probe WHERE build.pk = probe.fk"
+			if dup > 1 {
+				src = "SELECT COUNT(*) FROM build, probe WHERE build.nk = probe.nk"
+			}
+			cq, q := compileOn(b, cat, src)
+			mod, err := eng.Compile(cq.Bin)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("rows=%d/dup=%d/workers=%d", rows, dup, workers), func(b *testing.B) {
+					var build, barrier time.Duration
+					for i := 0; i < b.N; i++ {
+						tr := obs.NewTrace()
+						if _, _, err := Execute(cq, q, eng, ExecOptions{Precompiled: mod, Parallelism: workers, Trace: tr}); err != nil {
+							b.Fatal(err)
+						}
+						build += tr.Dur(obs.SpanPipeline + cq.Pipelines[0].Export)
+						for _, ev := range tr.Events() {
+							for _, a := range ev.Args {
+								if ev.Name == obs.EvJoinMerge && (a.Key == "alias_ns" || a.Key == "finish_ns") {
+									barrier += time.Duration(a.Val)
+								}
+							}
+						}
+					}
+					b.ReportMetric(float64(build.Nanoseconds())/float64(b.N*rows), "build-ns/row")
+					b.ReportMetric(float64(barrier.Microseconds())/float64(b.N), "barrier-µs")
+				})
+			}
+		}
 	}
 }

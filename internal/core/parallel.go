@@ -17,7 +17,7 @@ import (
 // background TurboFan tier-up benefits every worker at once because the
 // published code objects are shared at function granularity.
 //
-// Only pipelines whose state the host can merge afterwards are eligible:
+// Only pipelines whose state the host can combine afterwards are eligible:
 //
 //	scan/filter/project   → per-worker result buffers, merged by concatenation
 //	keyless aggregation   → per-worker partial states in module globals,
@@ -27,10 +27,12 @@ import (
 //	                        host-side, and fed into the primary worker
 //	order by              → per-worker sorted runs, k-way merged host-side
 //	                        and installed on the primary worker
-//	hash-join builds      → per-worker partition tables, drained via the
-//	                        module's ad-hoc join merge exports, appended into
-//	                        the primary, and the completed table replicated
-//	                        to every worker before the probe pipeline runs
+//	hash-join builds      → per-worker lists of tuple chunks; at the build
+//	                        barrier every worker's chunks are aliased into
+//	                        every other worker's memory (rewiring, no copy)
+//	                        and each worker builds its own directory over
+//	                        all of them — the barrier serial execution runs
+//	                        with one worker (Execute's buildJoin)
 //
 // Pipelines whose state the host cannot combine (library-style hash tables
 // and sorts) fall back to serial execution; the fallback is recorded in
@@ -60,8 +62,8 @@ const (
 	// merges the sorted runs into the primary worker.
 	parSort
 	// parJoin parallelizes a join query whose output is plain rows: the
-	// build scans run parallel into per-worker partition tables (merged and
-	// replicated at each build barrier), the probe scan runs parallel, and
+	// build scans run parallel into per-worker tuple chunks (shared by
+	// rewiring at each build barrier), the probe scan runs parallel, and
 	// the result buffers merge by concatenation. Joins feeding an
 	// aggregation or sort classify as parAgg/parGroup/parSort instead — the
 	// build barriers fire the same way, the terminal merge differs.
@@ -133,7 +135,7 @@ func classifyParallel(cq *CompiledQuery, opt ExecOptions, workers int, limit int
 
 	// The last table scan is the pipeline the terminal merge barriers on;
 	// every earlier pipeline must be a hash-join build scan with its own
-	// merge exports (a barrier entry) or the query cannot run parallel.
+	// build barrier (a JoinMerges entry) or the query cannot run parallel.
 	lastScan := -1
 	for i, p := range ps {
 		if p.Kind == PipeScanTable {
@@ -154,8 +156,8 @@ func classifyParallel(cq *CompiledQuery, opt ExecOptions, workers int, limit int
 	}
 	for i := 0; i < lastScan; i++ {
 		if ps[i].Kind != PipeScanTable || !barrier[i] {
-			// A pre-probe pipeline without join merge exports (library-style
-			// hash table, or any other host-opaque state) cannot be merged.
+			// A pre-probe pipeline without a join build barrier (library-style
+			// hash table, or any other host-opaque state) cannot be shared.
 			return parNone, fallbackUnmergeable
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"strings"
 	"testing"
 
 	"wasmdb/internal/catalog"
@@ -135,43 +135,6 @@ func TestClassifyParallelJoin(t *testing.T) {
 				t.Errorf("classifyParallel = (%v, %q), want (%v, %q)", mode, reason, c.mode, c.reason)
 			}
 		})
-	}
-}
-
-// TestJoinInitialCap pins the degenerate-capacity fix: the join build table's
-// initial capacity used to be computed as rows/2 with no floor, so an empty or
-// single-row build produced a capacity-0 table. The estimate is now clamped to
-// a sane power-of-two range.
-func TestJoinInitialCap(t *testing.T) {
-	cases := []struct {
-		est  float64
-		want uint32
-	}{
-		{0, 64},
-		{1, 64},
-		{-5, 64},
-		{math.NaN(), 64},
-		{127, 64},
-		{129, 64},
-		{257, 128},
-		{300, 256},
-		{1 << 21, 1 << 20},
-		{math.Inf(1), 1 << 20},
-	}
-	for _, c := range cases {
-		if got := joinInitialCap(c.est); got != c.want {
-			t.Errorf("joinInitialCap(%v) = %d, want %d", c.est, got, c.want)
-		}
-	}
-}
-
-// TestPow2CeilSaturates pins the overflow guard: rounding a value above 2^31
-// up to a power of two would otherwise loop forever (the doubling wraps to 0).
-func TestPow2CeilSaturates(t *testing.T) {
-	for _, v := range []uint32{1<<31 + 1, math.MaxUint32} {
-		if got := pow2ceil(v); got != 1<<31 {
-			t.Errorf("pow2ceil(%d) = %d, want saturation at 2^31", v, got)
-		}
 	}
 }
 
@@ -436,10 +399,12 @@ func TestParallelUnmergeableFallsBack(t *testing.T) {
 }
 
 // TestParallelJoinMatchesSerial checks the join build barrier: the build side
-// is partitioned across workers, drained and appended into one table at the
-// barrier, and the probe pipeline then runs embarrassingly parallel. Results
-// must match serial execution exactly and the stats must show both pipelines
-// parallel with the secondaries' partitions merged.
+// is materialized into per-worker tuple chunks, every worker's chunks are
+// aliased into every other worker's memory at the barrier, each worker builds
+// its own directory over all of them, and the probe pipeline then runs
+// embarrassingly parallel. Results must match serial execution exactly and
+// the stats must show both pipelines parallel with the secondaries' chunks
+// shared.
 func TestParallelJoinMatchesSerial(t *testing.T) {
 	cat, err := workload.JoinPair(2000, 8000, 1, 31)
 	if err != nil {
@@ -455,9 +420,12 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 		"SELECT build.pk, probe.payload FROM build, probe WHERE build.pk = probe.fk AND probe.fk < 500",
 	} {
 		cq, q := compileOn(t, cat, src)
-		serial, _, err := Execute(cq, q, eng, ExecOptions{})
+		serial, sst, err := Execute(cq, q, eng, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: serial: %v", src, err)
+		}
+		if sst.JoinPartitionsMerged != 0 {
+			t.Errorf("%s: serial run reports %d partitions shared", src, sst.JoinPartitionsMerged)
 		}
 		par, st, err := Execute(cq, q, eng, ExecOptions{Parallelism: 4, MorselRows: 512})
 		if err != nil {
@@ -472,58 +440,112 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 			t.Errorf("%s: stats = parallel %d, serial %d, fallback %q; want both pipelines parallel",
 				src, st.PipelinesParallel, st.PipelinesSerial, st.SerialFallback)
 		}
-		if st.JoinPartitionsMerged == 0 {
-			t.Errorf("%s: JoinPartitionsMerged = 0, want secondaries' partitions merged", src)
+		if st.JoinPartitionsMerged != 3 {
+			t.Errorf("%s: JoinPartitionsMerged = %d, want workers − 1 = 3", src, st.JoinPartitionsMerged)
 		}
 	}
 }
 
-// TestParallelJoinMergeFault injects a failure into the morsel-wise merge of
-// drained build partitions; the query must fail with the injected error and
-// never return a partial result.
-func TestParallelJoinMergeFault(t *testing.T) {
-	cat, err := workload.JoinPair(10_000, 20_000, 1, 31)
+// TestJoinModuleExports pins what a join module exports for its barrier — two
+// functions per table — and that nothing of the protocols it replaced (grow,
+// dump, recv, presize, merge, install) is generated any more.
+func TestJoinModuleExports(t *testing.T) {
+	cat, err := workload.JoinPair(100, 200, 1, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, q := compileOn(t, cat, "SELECT COUNT(*) FROM build, probe WHERE build.pk = probe.fk")
-	boom := errors.New("injected join-merge failure")
-	// With 1000-row morsels the build pipeline dispatches ~10 morsels per
-	// worker wave; hit 11 lands inside or after the merge drain.
-	faultpoint.Enable("core-morsel", faultpoint.AtHit(11, boom))
-	defer faultpoint.Disable("core-morsel")
-	res, _, err := Execute(cq, q, engine.New(engine.Config{Tier: engine.TierLiftoff}),
-		ExecOptions{Parallelism: 4, MorselRows: 1000})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Execute returned %v, want injected failure", err)
+	cq, _ := compileOn(t, cat, "SELECT COUNT(*) FROM build, probe WHERE build.pk = probe.fk")
+	var barrier []string
+	for _, e := range cq.Module.Exports {
+		if strings.HasPrefix(e.Name, "q_join_") {
+			barrier = append(barrier, e.Name)
+		}
 	}
-	if res != nil {
-		t.Fatal("Execute returned a partial result alongside the error")
+	if fmt.Sprint(barrier) != "[q_join_reserve_0 q_join_finish_0]" {
+		t.Errorf("join barrier exports = %v, want reserve and finish", barrier)
+	}
+	wat := cq.WAT()
+	for _, gone := range []string{"grow_join", "_dump", "_recv", "_presize", "_merge", "_install"} {
+		if strings.Contains(wat, gone) {
+			t.Errorf("generated join module still contains a %q function", gone)
+		}
 	}
 }
 
-// TestParallelJoinMergeEnginePanic arms the engine's call-panic fault once the
-// build pipeline's morsels are done, so the panic lands in a merge or probe
-// call: the guardrail must convert it into a typed error with no partial
-// result.
-func TestParallelJoinMergeEnginePanic(t *testing.T) {
+// TestJoinBarrierFaults fires the executor's fault points inside the build
+// barrier of a 4-worker join: a morsel failure in the first and in a later
+// finish call, a rewiring failure between alias and finish, a cancellation
+// and an engine panic inside finish. Each must surface as its typed error
+// with no partial result; armed points that inject nothing must leave the
+// result identical to serial execution. With 2500-row morsels the build
+// pipeline is hits 1–4 and the 4 workers' finish calls (one per chunk, at
+// least 3 chunks) are hits 5–16 at least; the probe comes after. The
+// package's TestMain sweeps for leaked goroutines.
+func TestJoinBarrierFaults(t *testing.T) {
 	cat, err := workload.JoinPair(10_000, 20_000, 1, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, q := compileOn(t, cat, "SELECT COUNT(*) FROM build, probe WHERE build.pk = probe.fk")
-	faultpoint.Enable("core-morsel", func(hit int) error {
-		if hit == 11 {
-			faultpoint.Enable("engine-call-panic", faultpoint.Always(errors.New("simulated engine bug")))
-		}
-		return nil
-	})
+	cq, q := compileOn(t, cat, "SELECT COUNT(*), SUM(build.payload) FROM build, probe WHERE build.pk = probe.fk")
+	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
+	want, _, err := Execute(cq, q, eng, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("injected barrier failure")
+	var cancel context.CancelFunc // of the running case's context
+	for _, c := range []struct {
+		name  string
+		point string
+		fn    func(hit int) error
+		check func(err error) bool
+	}{
+		{"first-finish", "core-morsel", faultpoint.AtHit(5, boom), func(err error) bool { return errors.Is(err, boom) }},
+		{"later-finish", "core-morsel", faultpoint.AtHit(9, boom), func(err error) bool { return errors.Is(err, boom) }},
+		{"alias-to-finish", "core-rewire", faultpoint.Always(boom), func(err error) bool {
+			return errors.Is(err, boom) && strings.Contains(err.Error(), "rewiring join chunks")
+		}},
+		{"cancel-in-finish", "core-morsel", func(hit int) error {
+			if hit == 6 {
+				cancel()
+			}
+			return nil
+		}, func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{"panic-in-finish", "core-morsel", func(hit int) error {
+			if hit == 5 {
+				faultpoint.Enable("engine-call-panic", faultpoint.Always(errors.New("simulated engine bug")))
+			}
+			return nil
+		}, func(err error) bool { return err != nil }},
+		{"armed-idle", "core-rewire", func(int) error { return nil }, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var ctx context.Context
+			ctx, cancel = context.WithCancel(context.Background())
+			defer cancel()
+			faultpoint.Enable(c.point, c.fn)
+			defer faultpoint.Disable(c.point)
+			defer faultpoint.Disable("engine-call-panic")
+			res, _, err := Execute(cq, q, eng, ExecOptions{Parallelism: 4, MorselRows: 2500, Ctx: ctx})
+			if c.check == nil {
+				if err != nil || fmt.Sprint(res.Rows) != fmt.Sprint(want.Rows) {
+					t.Fatalf("Execute = (%v, %v), want the serial result %v", res, err, want.Rows)
+				}
+				return
+			}
+			if !c.check(err) || res != nil {
+				t.Fatalf("Execute = (%v, %v), want the injected failure and no result", res, err)
+			}
+		})
+	}
+
+	// Serially the barrier is the same code: the build is one morsel, so hit 2
+	// is the first finish call.
+	faultpoint.Enable("core-morsel", faultpoint.AtHit(2, boom))
 	defer faultpoint.Disable("core-morsel")
-	defer faultpoint.Disable("engine-call-panic")
-	res, _, err := Execute(cq, q, engine.New(engine.Config{Tier: engine.TierLiftoff}),
-		ExecOptions{Parallelism: 4, MorselRows: 1000})
-	if err == nil || res != nil {
-		t.Fatalf("Execute = (%v, %v), want typed engine error and nil result", res, err)
+	if res, _, err := Execute(cq, q, eng, ExecOptions{}); !errors.Is(err, boom) || res != nil ||
+		!strings.Contains(err.Error(), "q_join_finish_0") {
+		t.Fatalf("serial Execute = (%v, %v), want the injected failure inside q_join_finish_0", res, err)
 	}
 }
 

@@ -100,8 +100,7 @@ func (c *compiler) produceGroup(gr *plan.Group, consume consumer) error {
 			return fmt.Errorf("core: aggregates over CHAR are not supported")
 		}
 	}
-	est := uint32(1024)
-	ht := c.newHashTable(fmt.Sprintf("group%d", len(c.pipes)), fields, gr.Keys, est, false)
+	ht := c.newHashTable(fmt.Sprintf("group%d", len(c.pipes)), fields, gr.Keys)
 	// Merge exports for parallel execution (dead code on serial runs).
 	c.genGroupMerge(gr, ht, aggSlots)
 
@@ -162,12 +161,7 @@ func (c *compiler) produceGroup(gr *plan.Group, consume consumer) error {
 		}
 		f.Br(2) // done
 		f.End()
-		f.LocalGet(idx)
-		f.I32Const(1)
-		f.I32Add()
-		f.GlobalGet(ht.gMask)
-		f.I32And()
-		f.LocalSet(idx)
+		g.emitNextSlot(ht, idx)
 		f.Br(0)
 		f.End()
 		f.End()
@@ -306,9 +300,10 @@ func emitFloatKeysNotNaN(f *wasm.FuncBuilder, keys []keySrc) bool {
 	return emitted
 }
 
-// produceJoin compiles a simple hash join (§4.3): the build pipeline inserts
-// build-side tuples into a generated table; the probe side continues its
-// pipeline through an inlined probe loop.
+// produceJoin compiles a simple hash join (§4.3): the build pipeline appends
+// build-side tuples to the join table's chunk list, the build barrier turns
+// them into a table (joinbuild.go), and the probe side continues its pipeline
+// through an inlined probe loop.
 func (c *compiler) produceJoin(j *plan.HashJoin, consume consumer) error {
 	// Payload: every referenced column of the build side, plus the keys.
 	buildTables := j.Build.Tables()
@@ -326,53 +321,21 @@ func (c *compiler) produceJoin(j *plan.HashJoin, consume consumer) error {
 			}
 		}
 	}
-	ht := c.newHashTable(fmt.Sprintf("join%d", len(c.pipes)), fields, j.BuildKeys, joinInitialCap(j.Build.Rows()), true)
+	jt := c.newJoinTable(fmt.Sprintf("join%d", len(c.pipes)), fields, j.BuildKeys)
 
-	// Build pipeline: append-style insert (duplicates coexist).
+	// Build pipeline: append (duplicates coexist). Float keys hash through
+	// -0.0→+0.0 canonicalization on both sides, because the probe's F64Eq
+	// treats the two zeros as equal.
 	err := c.produce(j.Build, func(g *gen, e *env) {
 		f := g.f
 		keys := g.keySrcsFromEnv(e, j.BuildKeys)
-		// A NaN key can never satisfy the probe's F64Eq, so inserting it
-		// would only bloat the table with unreachable entries — skip the row.
+		// A NaN key can never satisfy the probe's F64Eq, so keeping it would
+		// only bloat the table with unreachable tuples — skip the row.
 		nanGuard := emitFloatKeysNotNaN(f, keys)
 		if nanGuard {
 			f.If(wasm.BlockVoid)
 		}
-		h := g.emitHashCanon(keys, true)
-		idx := g.emitSlotIndex(ht, h)
-		entry := f.AddLocal(wasm.I32)
-
-		f.Block(wasm.BlockVoid)
-		f.Loop(wasm.BlockVoid)
-		g.emitEntryPtr(ht, idx, entry)
-		f.LocalGet(entry)
-		f.Emit(wasm.OpI32Load, 0, 2)
-		f.I32Eqz()
-		f.If(wasm.BlockVoid)
-		f.LocalGet(entry)
-		f.I32Const(1)
-		f.I32Store(0)
-		// Store every entry field from the build-side environment.
-		for _, fld := range ht.layout.fields {
-			fld := fld
-			g.storeFieldFromStack(entry, fld, func() { g.expr(e, fld.expr) })
-		}
-		f.GlobalGet(ht.gCount)
-		f.I32Const(1)
-		f.I32Add()
-		f.GlobalSet(ht.gCount)
-		g.emitMaybeGrow(ht)
-		f.Br(2)
-		f.End()
-		f.LocalGet(idx)
-		f.I32Const(1)
-		f.I32Add()
-		f.GlobalGet(ht.gMask)
-		f.I32And()
-		f.LocalSet(idx)
-		f.Br(0)
-		f.End()
-		f.End()
+		g.emitJoinAppend(jt, g.emitHashCanon(keys, true), e)
 		if nanGuard {
 			f.End()
 		}
@@ -380,34 +343,46 @@ func (c *compiler) produceJoin(j *plan.HashJoin, consume consumer) error {
 	if err != nil {
 		return err
 	}
-	// Merge exports for parallel execution (dead code on serial runs). The
-	// pipeline just produced — the last one — is the build pipeline the
+	// The pipeline just produced — the last one — is the build pipeline the
 	// executor barriers on.
-	c.genJoinMerge(ht, len(c.out.Pipelines)-1)
+	c.genJoinBarrier(jt, len(c.out.Pipelines)-1)
 
 	// Probe side: continue the enclosing pipeline.
 	return c.produce(j.Probe, func(g *gen, e *env) {
 		f := g.f
 		keys := g.keySrcsFromEnv(e, j.ProbeKeys)
 		h := g.emitHashCanon(keys, true)
-		idx := g.emitSlotIndex(ht, h)
-		entry := f.AddLocal(wasm.I32)
+		idx := g.emitSlotIndex(&jt.htInfo, h)
+		tup := f.AddLocal(wasm.I32)
+		if jt.hashCheck {
+			f.LocalGet(h)
+			f.I64Const(joinHashBit)
+			f.Op(wasm.OpI64Or)
+			f.LocalSet(h)
+		}
 
-		// Extended environment: probe bindings plus entry fields.
+		// Extended environment: probe bindings plus tuple fields.
 		e2 := &env{binds: append([]binding{}, e.binds...)}
-		for _, fld := range ht.layout.fields {
+		for _, fld := range jt.layout.fields {
 			fld := fld
-			e2.add(fld.expr, func() { g.loadField(entry, fld) })
+			e2.add(fld.expr, func() { g.loadField(tup, fld) })
 		}
 
 		f.Block(wasm.BlockVoid) // probe done
 		f.Loop(wasm.BlockVoid)
-		g.emitEntryPtr(ht, idx, entry)
-		f.LocalGet(entry)
-		f.Emit(wasm.OpI32Load, 0, 2)
+		g.emitDirSlot(jt, idx)
+		f.I32Load(0)
+		f.LocalTee(tup)
 		f.I32Eqz()
 		f.BrIf(1) // empty slot: no more candidates
-		g.emitKeysEqual(ht, keys, entry)
+		if jt.hashCheck {
+			f.LocalGet(tup)
+			f.I64Load(0)
+			f.LocalGet(h)
+			f.Op(wasm.OpI64Eq)
+			f.If(wasm.BlockVoid)
+		}
+		g.emitKeysEqual(&jt.htInfo, keys, tup)
 		f.If(wasm.BlockVoid)
 		if len(j.Residual) > 0 {
 			if err := g.conjunction(e2, j.Residual); err != nil {
@@ -420,12 +395,10 @@ func (c *compiler) produceJoin(j *plan.HashJoin, consume consumer) error {
 			consume(g, e2)
 		}
 		f.End()
-		f.LocalGet(idx)
-		f.I32Const(1)
-		f.I32Add()
-		f.GlobalGet(ht.gMask)
-		f.I32And()
-		f.LocalSet(idx)
+		if jt.hashCheck {
+			f.End()
+		}
+		g.emitNextSlot(&jt.htInfo, idx)
 		f.Br(0)
 		f.End()
 		f.End()

@@ -7,8 +7,9 @@
 // module's 32-bit address space without copying. Here, the same observable
 // property is obtained by aliasing Go slices: Map installs a host buffer's
 // pages directly into the page table, so guest loads read host memory
-// in place. Mapping granularity is the 64 KiB WebAssembly page, mirroring the
-// OS page granularity of mmap-based rewiring.
+// in place. Alias does the same between two memories, which is how parallel
+// workers share join build tuples. Mapping granularity is the 64 KiB
+// WebAssembly page, mirroring the OS page granularity of mmap-based rewiring.
 //
 // Like an anonymous mmap, the address space is demand-zero: New, Grow and
 // Unmap only size the page table, and a module-owned page is allocated
@@ -161,6 +162,26 @@ func (m *Memory) Map(addr uint32, data []byte) error {
 	for i := uint32(0); i < n; i++ {
 		m.pages[first+i] = data[i<<pageShift : (i+1)<<pageShift : (i+1)<<pageShift]
 	}
+	return nil
+}
+
+// Alias rewires n pages of src, starting at srcAddr, into m at addr: worker →
+// worker rewiring. Like Map it only writes page-table entries, so both
+// memories then read the same bytes. It is meant for ranges neither side
+// writes any more: a source page still reserved stays demand-zero on both
+// sides independently, and Committed() of neither memory changes. Both
+// addresses must be page-aligned and both ranges must lie below the
+// respective memory's size (so a budget on m bounds what can be aliased in).
+func (m *Memory) Alias(addr uint32, src *Memory, srcAddr, n uint32) error {
+	if (addr|srcAddr)&pageMask != 0 {
+		return fmt.Errorf("wmem: alias of %#x at %#x not page-aligned", srcAddr, addr)
+	}
+	first, sfirst := addr>>pageShift, srcAddr>>pageShift
+	if uint64(first)+uint64(n) > uint64(len(m.pages)) || uint64(sfirst)+uint64(n) > uint64(len(src.pages)) {
+		return fmt.Errorf("wmem: alias of %d pages from %#x to %#x exceeds memory size (%d and %d pages)",
+			n, srcAddr, addr, len(src.pages), len(m.pages))
+	}
+	copy(m.pages[first:first+n], src.pages[sfirst:sfirst+n])
 	return nil
 }
 

@@ -340,3 +340,103 @@ func TestMapAndUnmapDropCommittedContents(t *testing.T) {
 		t.Error("store after Unmap reached the host buffer")
 	}
 }
+
+// TestAliasSharesPages pins worker → worker rewiring over the three kinds of
+// source page: a committed page is shared in place, a reserved page stays
+// demand-zero on both sides independently, and a host-mapped page aliases the
+// host buffer through both memories. Nothing is copied or committed by the
+// call, and neither memory changes size.
+func TestAliasSharesPages(t *testing.T) {
+	src, dst := New(4, 8), New(6, 8)
+	host := make([]byte, PageSize)
+	host[7] = 0x5A
+	if err := src.Map(2*PageSize, host); err != nil {
+		t.Fatal(err)
+	}
+	src.PutU32(PageSize+16, 0xFEEDF00D) // page 1 committed, page 3 stays reserved
+	if err := dst.Alias(3*PageSize, src, PageSize, 3); err != nil {
+		t.Fatal(err)
+	}
+	if src.Committed() != 1 || dst.Committed() != 0 || src.Pages() != 4 || dst.Pages() != 6 {
+		t.Fatalf("after Alias: committed %d/%d, pages %d/%d; want 1/0 and 4/6",
+			src.Committed(), dst.Committed(), src.Pages(), dst.Pages())
+	}
+	if got := dst.U32(3*PageSize + 16); got != 0xFEEDF00D {
+		t.Errorf("committed page through the alias = %#x", got)
+	}
+	if got := dst.U8(4*PageSize + 7); got != 0x5A {
+		t.Errorf("host-mapped page through the alias = %#x", got)
+	}
+	host[8] = 0x66
+	if dst.U8(4*PageSize+8) != 0x66 || src.U8(2*PageSize+8) != 0x66 {
+		t.Error("host write not visible through both memories")
+	}
+	// The committed page is one page, not a copy.
+	src.PutU8(PageSize+20, 9)
+	if dst.U8(3*PageSize+20) != 9 {
+		t.Error("aliased committed page was copied")
+	}
+	if dst.Committed() != 0 {
+		t.Errorf("reading shared pages committed %d pages in dst", dst.Committed())
+	}
+	// The reserved page reads zero and commits privately on first touch.
+	if dst.U8(5*PageSize+1) != 0 || dst.Committed() != 1 || src.Committed() != 1 {
+		t.Errorf("reserved page through the alias: dst committed %d, src %d; want 1 and 1",
+			dst.Committed(), src.Committed())
+	}
+}
+
+func TestAliasValidation(t *testing.T) {
+	src, dst := New(2, 8), New(2, 8)
+	for _, c := range []struct {
+		name          string
+		addr, from, n uint32
+	}{
+		{"unaligned destination", 100, 0, 1},
+		{"unaligned source", 0, 100, 1},
+		{"beyond destination", PageSize, 0, 2},
+		{"beyond source", 0, PageSize, 2},
+	} {
+		if err := dst.Alias(c.addr, src, c.from, c.n); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+	// The destination must already exist, so a budget on it bounds what can
+	// be aliased in: growing room for the region is what trips it.
+	dst.SetBudget(3)
+	defer func() {
+		tr, ok := recover().(*Trap)
+		if !ok || tr.Cause != ErrMemoryLimit {
+			t.Fatalf("growing past the budget for an alias region: recovered %v", tr)
+		}
+		if err := dst.Alias(PageSize, src, 0, 2); err == nil {
+			t.Error("alias into pages the budget refused was accepted")
+		}
+	}()
+	dst.Grow(2)
+}
+
+// TestAliasConcurrentReaders is the shape the join barrier relies on: once
+// aliased, a range is read by both memories' owners at the same time and
+// written by neither. Run under -race.
+func TestAliasConcurrentReaders(t *testing.T) {
+	src, dst := New(4, 4), New(4, 4)
+	for a := uint32(PageSize); a < 3*PageSize; a += 8 {
+		src.PutU64(a, uint64(a))
+	}
+	if err := dst.Alias(2*PageSize, src, PageSize, 2); err != nil {
+		t.Fatal(err)
+	}
+	sum := func(m *Memory, base uint32) (s uint64) {
+		for a := uint32(0); a < 2*PageSize; a += 8 {
+			s += m.U64(base + a)
+		}
+		return s
+	}
+	got := make(chan uint64, 2)
+	go func() { got <- sum(src, PageSize) }()
+	go func() { got <- sum(dst, 2*PageSize) }()
+	if a, b := <-got, <-got; a != b || a == 0 {
+		t.Errorf("readers saw %d and %d", a, b)
+	}
+}

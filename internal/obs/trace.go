@@ -87,11 +87,13 @@ const (
 	// EvSortMerge marks the order-by barrier: per-worker sorted runs were
 	// k-way merged into the primary worker's array (args: tuples, workers).
 	EvSortMerge = "sort-merge"
-	// EvJoinMerge marks a join build barrier of parallel execution: every
-	// secondary worker's build partition was drained, appended into the
-	// primary worker's table, and the completed table replicated to all
-	// workers (args: records — partition records drained, partitions,
-	// workers).
+	// EvJoinMerge marks a join build barrier: the build pipeline's tuple
+	// chunks were counted, every worker reserved a directory of the exact
+	// size, the other workers' chunks were aliased in, and every worker
+	// placed all tuples (args: tuples, chunks, pages_aliased — page-table
+	// entries written, 0 when serial —, slots — directory size per worker —,
+	// alias_ns and finish_ns — the barrier's two phases —, workers). The
+	// build pipeline's span carries the same figures.
 	EvJoinMerge = "join-merge"
 )
 
@@ -116,8 +118,8 @@ const (
 	// CtrGroupsMerged counts the distinct groups the host folded at the
 	// parallel group-by barrier (0 when no group merge ran).
 	CtrGroupsMerged = "groups_merged"
-	// CtrJoinPartitionsMerged counts the secondary-worker build partitions
-	// drained at parallel join barriers (0 when no join merge ran).
+	// CtrJoinPartitionsMerged counts the secondary workers whose tuple chunks
+	// were shared at parallel join build barriers (0 when serial).
 	CtrJoinPartitionsMerged = "join_partitions_merged"
 )
 

@@ -24,10 +24,9 @@ const maxRowsEst = 1e18
 // [1, maxRowsEst]. Degenerate statistics — empty tables, long conjunct
 // chains multiplying selectivity toward zero, NaN or Inf propagated through
 // estimate arithmetic — must not escape the planner: every consumer of
-// Rows() (the autopilot cost model, hash-table pre-sizing, plan-fingerprint
-// quantization) assumes finite, ≥1 estimates. core's joinInitialCap keeps
-// its own clamp as a backstop, but the planner boundary is where the
-// invariant is owed.
+// Rows() (join ordering, the autopilot cost model) assumes finite, ≥1
+// estimates. Code generation no longer reads estimates at all — join tables
+// are sized from the tuples actually built.
 func sanitizeRows(est float64) float64 {
 	if math.IsNaN(est) || est < 1 {
 		return 1

@@ -197,9 +197,7 @@ func TestGlobalAggregateSingleGroup(t *testing.T) {
 
 // Degenerate cardinality estimates — zero, negative, NaN, or overflowing —
 // must not escape the planner: every Rows() is clamped to a finite value in
-// [1, 1e18] at the planner boundary. core's joinInitialCap keeps its own
-// clamp as a defense-in-depth backstop (pinned in core's tests), but the
-// invariant is owed here.
+// [1, 1e18] at the planner boundary.
 func TestRowsEstimatesSanitized(t *testing.T) {
 	nan := math.NaN()
 	leaf := &Scan{est: 100}

@@ -327,15 +327,16 @@ func WithFuel(n int64) Option { return func(o *queryOpts) { o.fuel = n } }
 
 // WithParallelism runs the query's morsel loops on a pool of n workers, each
 // owning a private instance and linear memory created from the shared
-// compiled module (n <= 0 means GOMAXPROCS). Scans, keyless aggregation,
-// single-level GROUP BY over a scan, and ORDER BY over a scan parallelize:
-// per-worker partial state (result buffers, aggregate globals, group hash
-// tables, sorted runs) is merged by the host at pipeline barriers.
-// Pipelines whose state the host cannot merge — hash-join builds,
-// library-style tables and sorts, float SUM/group-key orderings — run
-// serially; the trace and Stats record the fallback reason. Applies to the
-// Wasm backends; result row order may differ from serial execution for
-// unordered scan and group-by queries.
+// compiled module (n <= 0 means GOMAXPROCS). Scans, hash joins, keyless
+// aggregation, single-level GROUP BY and ORDER BY parallelize: per-worker
+// partial state (result buffers, aggregate globals, group hash tables,
+// sorted runs) is merged by the host at pipeline barriers, and a join's
+// build-side tuples are shared between the workers by rewiring, each worker
+// building its own directory over all of them. Pipelines whose state the
+// host cannot combine — library-style tables and sorts, float
+// SUM/group-key orderings — run serially; the trace and Stats record the
+// fallback reason. Applies to the Wasm backends; result row order may
+// differ from serial execution for unordered queries.
 func WithParallelism(n int) Option {
 	return func(o *queryOpts) {
 		if n <= 0 {
@@ -482,8 +483,9 @@ type Stats struct {
 	// GroupsMerged counts the distinct groups the host folded at the
 	// parallel group-by barrier (0 when no group merge ran).
 	GroupsMerged int
-	// JoinPartitionsMerged counts the secondary-worker build partitions
-	// drained at parallel join barriers (0 when no join merge ran).
+	// JoinPartitionsMerged counts the secondary workers whose build-side
+	// tuples were shared at parallel join build barriers: workers − 1 per
+	// barrier (0 when the query ran serially).
 	JoinPartitionsMerged int
 	// Auto is the autopilot's resolved choice for a BackendAuto query
 	// ("vectorized", "liftoff", "adaptive"; empty for manual backends), and
