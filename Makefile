@@ -10,7 +10,7 @@ test:
 
 # verify is the CI gate: compile everything, lint with vet, enforce the
 # observability layering invariant, repeat the three once-flaky concurrency
-# tests, check the two engine tiers against each other, and run the full
+# tests, check the engine's two compilers against each other, and run the full
 # suite under the race detector (the guardrail watchdog, background tier-up,
 # and the parallel morsel worker pool — including the fault-injection and
 # cancellation tests in internal/core/parallel_test.go — are
@@ -22,17 +22,25 @@ verify: lint-layers
 	$(MAKE) tier-diff
 	$(GO) test -race ./...
 
-# tier-diff runs what pins the optimizing tier to the baseline tier, ahead of
-# the full suite so a back-end bug fails here by name: the tier-differential
-# corpora (generated programs, every immediate form, every addressing mode),
-# the fuel-equivalence and exhaustion-point tests, the golden listings of the
-# three hot kernels, and the density of the dispatch switch's opcode space.
+# tier-diff runs what pins the two compilers to each other and to the values
+# computed outside them, ahead of the full suite so a compiler bug fails here
+# by name: the tier-differential corpora (generated programs, every immediate
+# form, every addressing mode), the abstract-stack hazards and the opcode ×
+# operand-place matrix (both checked against Go), the fuel-equivalence and
+# exhaustion-point tests, the golden listings of the three hot kernels from
+# either compiler, and the density of the dispatch switch's opcode space. A
+# pattern that stops matching after a rename would pass vacuously, so the
+# number of selected tests is checked first.
+TIER_DIFF = Differential|Fuel|Golden|OpcodeSpace|AbstractStack|NumericOpcodes
 tier-diff:
-	$(GO) test -race -run 'Differential|Fuel|Golden|OpcodeSpace' ./internal/engine/...
+	@n=$$($(GO) test -list '$(TIER_DIFF)' ./internal/engine/... | grep -c '^Test\|^Fuzz'); \
+		if [ $$n -lt 15 ]; then echo "tier-diff: the pattern selects $$n tests, expected at least 15" >&2; exit 1; fi
+	$(GO) test -race -run '$(TIER_DIFF)' ./internal/engine/...
 
-# retired prints the instructions the optimizing tier's code retires per
-# TPC-H query next to the recorded parent figures, with the counter compiled
-# into the run loop by a build tag (it is absent from normal builds).
+# retired prints the instructions each tier's code retires per TPC-H query
+# (tier forced) next to the recorded parent figures, with the counter compiled
+# into the engine's one run loop by a build tag (it is absent from normal
+# builds), and fails above the ceilings in retired_test.go.
 retired:
 	$(GO) test -tags turbofan_count -run 'TestRetiredInstructions' -count=1 -v .
 
@@ -99,8 +107,8 @@ lint-layers:
 # build rows per key {1, 4} × workers {1, 2}): ns per build row for scan,
 # tuple append and barrier together, and the barrier alone in µs.
 # Last it prints the engine's kernel benchmarks once: ns/row and emitted
-# instructions of the three golden kernels on each tier, and the optimizing
-# tier's compile speed in B/µs.
+# instructions of the three golden kernels on each tier, and each compiler's
+# speed in B/µs over the same three modules.
 bench-smoke:
 	$(GO) run ./cmd/bench -experiment smoke,scaling,plancache,serving,auto -rows 100000 -reps 1 -sf 0.01 -json
 	@rm -f BENCH_smoke.json BENCH_scaling.json BENCH_plancache.json BENCH_serving.json BENCH_auto.json
@@ -117,13 +125,17 @@ bench-smoke:
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkJoinBuild$$' -benchtime 3x \
 		| awk '/^BenchmarkJoinBuild/ { n++; printf "bench-smoke: %s %s %s, %s %s\n", $$1, $$7, $$8, $$5, $$6 } \
 		       END { if (n != 12) { print "bench-smoke: missing join-build benchmark output" > "/dev/stderr"; exit 1 } }'
-	@$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkTier[12]Kernels|BenchmarkTurbofanCompile$$' -benchtime 5x \
+	@$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkTier[12]Kernels|Benchmark(Turbofan|Baseline)Compile$$' -benchtime 5x \
 		| awk '/^Benchmark/ { n++; printf "bench-smoke: %s", $$1; for (i = 5; i <= NF; i += 2) printf " %s %s", $$i, $$(i+1); print "" } \
-		       END { if (n != 7) { print "bench-smoke: missing kernel benchmark output" > "/dev/stderr"; exit 1 } }'
+		       END { if (n != 8) { print "bench-smoke: missing kernel benchmark output" > "/dev/stderr"; exit 1 } }'
 
 # fuzz the adversarial-module executor and the tier-differential generator
 # for a short budget each (an input that grows coverage is minimised for at
 # most a second, or the slow differential target spends its budget there).
+# Both targets must exist by name: -fuzz with no match is not an error.
 fuzz:
+	@$(GO) test -list '^FuzzAdversarialModuleExecution$$' . | grep -q '^Fuzz' && \
+		$(GO) test -list '^FuzzTierDifferential$$' ./internal/engine | grep -q '^Fuzz' || \
+		{ echo "fuzz: a fuzz target is missing" >&2; exit 1; }
 	$(GO) test . -run '^$$' -fuzz FuzzAdversarialModuleExecution -fuzztime 30s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzTierDifferential -fuzztime 20s -fuzzminimizetime 1s

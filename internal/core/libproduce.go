@@ -28,7 +28,7 @@ func (c *compiler) produceJoinLib(j *plan.HashJoin, consume consumer) error {
 			}
 		}
 	}
-	ht := c.newLibHT(fmt.Sprintf("join%d", len(c.pipes)), fields, j.BuildKeys, true)
+	ht := c.newLibHT(fmt.Sprintf("join%d", len(c.pipes)), fields, j.BuildKeys, j.ProbeKeys, true)
 	l := c.libs()
 
 	err := c.produce(j.Build, func(g *gen, e *env) {

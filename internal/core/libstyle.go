@@ -607,7 +607,7 @@ type libHT struct {
 }
 
 // newLibHT declares globals, the comparator, and the init step.
-func (c *compiler) newLibHT(name string, fields []sema.Expr, keys []sema.Expr, canonFloatKeys bool) *libHT {
+func (c *compiler) newLibHT(name string, fields []sema.Expr, keys, lookupKeys []sema.Expr, canonFloatKeys bool) *libHT {
 	l := c.libs()
 	ht := &libHT{
 		layout:         buildLayout(dedupExprs(fields), libEntryData),
@@ -630,7 +630,10 @@ func (c *compiler) newLibHT(name string, fields []sema.Expr, keys []sema.Expr, c
 		}
 		switch k.Type().Kind {
 		case types.Char:
-			sc := c.strcmpFunc(k.Type().Length, fld.t.Length)
+			// The key global points at the looked-up value, which has the
+			// width of its own column — a join's probe key may be narrower
+			// or wider than the build key stored in the entry.
+			sc := c.strcmpFunc(lookupKeys[i].Type().Length, fld.t.Length)
 			cmp.GlobalGet(ht.keyGlob[i])
 			g.loadField(entry, fld)
 			cmp.Call(sc.Index)
@@ -696,7 +699,7 @@ func (c *compiler) produceGroupLib(gr *plan.Group, consume consumer) error {
 		aggSlots = append(aggSlots, ref)
 		fields = append(fields, ref)
 	}
-	ht := c.newLibHT(fmt.Sprintf("group%d", len(c.pipes)), fields, gr.Keys, false)
+	ht := c.newLibHT(fmt.Sprintf("group%d", len(c.pipes)), fields, gr.Keys, gr.Keys, false)
 	l := c.libs()
 
 	err := c.produce(gr.Input, func(g *gen, e *env) {

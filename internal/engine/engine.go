@@ -1,13 +1,15 @@
 // Package engine is the embeddable WebAssembly execution engine — the
 // stand-in for V8 in the paper's architecture (§2.2). It decodes and
-// validates binary modules, compiles every function with the fast baseline
-// tier (liftoff), optionally compiles with the optimizing tier (turbofan) —
-// synchronously or concurrently in the background — and dispatches each call
-// to the best code available at that moment. Background tier-up replaces
-// code at function granularity via an atomic pointer swap, so a query that
-// invokes its pipeline function once per morsel transparently migrates from
-// baseline to optimized code mid-query, exactly the adaptive execution the
-// paper delegates to the engine.
+// validates binary modules, compiles every function with the baseline
+// compiler (tier 1, "liftoff"), optionally with the optimizing compiler
+// (tier 2, "turbofan") — synchronously or concurrently in the background —
+// and dispatches each call to the best code available at that moment. Both
+// compilers live in package turbofan and target one register machine with
+// one run loop; a tier is a compiler, not a second VM. Background tier-up
+// replaces code at function granularity via an atomic pointer swap, so a
+// query that invokes its pipeline function once per morsel transparently
+// migrates from baseline to optimized code mid-query, exactly the adaptive
+// execution the paper delegates to the engine.
 package engine
 
 import (
@@ -18,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wasmdb/internal/engine/liftoff"
 	"wasmdb/internal/engine/rt"
 	"wasmdb/internal/engine/turbofan"
 	"wasmdb/internal/engine/wmem"
@@ -260,7 +261,7 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 		sp := tr.Begin(obs.SpanLiftoff)
 		start := time.Now()
 		for i := range wmod.Funcs {
-			lo, err := liftoff.Compile(wmod, &wmod.Funcs[i])
+			lo, err := turbofan.CompileBaseline(wmod, &wmod.Funcs[i])
 			if err != nil {
 				return nil, err
 			}

@@ -7,7 +7,6 @@ import (
 
 	"wasmdb/internal/core"
 	"wasmdb/internal/engine"
-	"wasmdb/internal/engine/liftoff"
 	"wasmdb/internal/engine/turbofan"
 	"wasmdb/internal/plan"
 	"wasmdb/internal/sema"
@@ -90,20 +89,15 @@ func benchmarkKernels(b *testing.B, tier engine.Tier) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var instrs int
+			compile := turbofan.CompileBaseline
 			if tier == engine.TierTurbofan {
-				c, err := turbofan.Compile(k.mod, k.fn)
-				if err != nil {
-					b.Fatal(err)
-				}
-				instrs = c.NumInstrs()
-			} else {
-				c, err := liftoff.Compile(k.mod, k.fn)
-				if err != nil {
-					b.Fatal(err)
-				}
-				instrs = c.NumInstrs()
+				compile = turbofan.Compile
 			}
+			c, err := compile(k.mod, k.fn)
+			if err != nil {
+				b.Fatal(err)
+			}
+			instrs := c.NumInstrs()
 			var run time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -119,16 +113,16 @@ func benchmarkKernels(b *testing.B, tier engine.Tier) {
 	}
 }
 
-// BenchmarkTier2Kernels runs the kernels on turbofan code.
+// BenchmarkTier2Kernels runs the kernels on the optimizing compiler's code.
 func BenchmarkTier2Kernels(b *testing.B) { benchmarkKernels(b, engine.TierTurbofan) }
 
-// BenchmarkTier1Kernels runs the kernels on liftoff code.
+// BenchmarkTier1Kernels runs the kernels on the baseline compiler's code.
 func BenchmarkTier1Kernels(b *testing.B) { benchmarkKernels(b, engine.TierLiftoff) }
 
-// BenchmarkTurbofanCompile compiles the three queries' modules with the
-// optimizing tier and reports module bytes per microsecond, the unit the
-// benchmark's engine.turbofan_compile_bytes_per_us uses.
-func BenchmarkTurbofanCompile(b *testing.B) {
+// benchmarkCompile compiles every function of the three queries' modules and
+// reports module bytes per microsecond, the unit of the benchmark's
+// engine.liftoff_compile_bytes_per_us and engine.turbofan_compile_bytes_per_us.
+func benchmarkCompile(b *testing.B, compile func(*wasm.Module, *wasm.Func) (*turbofan.Code, error)) {
 	ks := loadKernels(b)
 	bytes := 0
 	for _, k := range ks {
@@ -138,7 +132,7 @@ func BenchmarkTurbofanCompile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, k := range ks {
 			for fi := range k.mod.Funcs {
-				if _, err := turbofan.Compile(k.mod, &k.mod.Funcs[fi]); err != nil {
+				if _, err := compile(k.mod, &k.mod.Funcs[fi]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -146,3 +140,9 @@ func BenchmarkTurbofanCompile(b *testing.B) {
 	}
 	b.ReportMetric(float64(bytes)*float64(b.N)/float64(b.Elapsed().Microseconds()), "B/µs")
 }
+
+// BenchmarkTurbofanCompile is the optimizing compiler's speed.
+func BenchmarkTurbofanCompile(b *testing.B) { benchmarkCompile(b, turbofan.Compile) }
+
+// BenchmarkBaselineCompile is the baseline compiler's — the emitter alone.
+func BenchmarkBaselineCompile(b *testing.B) { benchmarkCompile(b, turbofan.CompileBaseline) }

@@ -1,15 +1,20 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 	"testing"
 
 	"wasmdb/internal/wasm"
 )
 
 // TestAllNumericOpcodes exercises every numeric instruction on both tiers
-// against host-computed expectations, over normal and edge-case operands.
+// against host-computed expectations, over normal and edge-case operands, with
+// each operand in each place the baseline compiler's abstract stack can find
+// it: a canonical register, a local, a constant — nine functions per binary
+// instruction, three per unary one.
 func TestAllNumericOpcodes(t *testing.T) {
 	f32 := func(x float32) uint64 { return uint64(math.Float32bits(x)) }
 	f64 := func(x float64) uint64 { return math.Float64bits(x) }
@@ -53,6 +58,9 @@ func TestAllNumericOpcodes(t *testing.T) {
 		{wasm.OpI32GeU, i32(3), i32(4), 0},
 		{wasm.OpI32Eq, 42, 42, 1},
 		{wasm.OpI32Ne, 42, 43, 1},
+		{wasm.OpI32LeU, i32(-1), i32(1), 0},
+		{wasm.OpI32GeS, i32(-1), i32(1), 0},
+		{wasm.OpI32GeS, i32(1), i32(-1), 1},
 
 		// i64.
 		{wasm.OpI64Add, math.MaxUint64, 1, 0},
@@ -74,6 +82,18 @@ func TestAllNumericOpcodes(t *testing.T) {
 		{wasm.OpI64LtS, negI64(5), 5, 1},
 		{wasm.OpI64LtU, negI64(5), 5, 0},
 		{wasm.OpI64GeS, 5, 5, 1},
+		{wasm.OpI64Eq, 1 << 40, 1 << 40, 1},
+		{wasm.OpI64Ne, 1 << 40, 1, 1},
+		{wasm.OpI64GtS, negI64(5), 5, 0},
+		{wasm.OpI64GtU, negI64(5), 5, 1},
+		{wasm.OpI64LeS, negI64(5), 5, 1},
+		{wasm.OpI64LeU, negI64(5), 5, 0},
+		{wasm.OpI64GeU, 5, negI64(5), 0},
+		{wasm.OpI64And, 0xFF00FF00FF, 0x0FF00FF00F, 0x0F000F000F},
+		{wasm.OpI64Or, 1 << 40, 1, 1<<40 | 1},
+		{wasm.OpI64Xor, math.MaxUint64, 1 << 63, math.MaxInt64},
+
+		{wasm.OpI64RemS, 1 << 63, negI64(1), 0},
 
 		// f64 arithmetic and comparisons, incl. NaN and signed zero.
 		{wasm.OpF64Add, f64(1.5), f64(2.25), f64(3.75)},
@@ -137,32 +157,73 @@ func TestAllNumericOpcodes(t *testing.T) {
 		t.Fatal("self-check failed")
 	}
 
+	// Traps, which the table above cannot hold; the matrix below puts the
+	// zero divisor in a constant too.
+	type trapcase struct {
+		opcase
+		trap string
+	}
+	all := []trapcase{
+		{opcase{op: wasm.OpI32DivS, a: i32(7)}, "integer divide by zero"},
+		{opcase{op: wasm.OpI32DivS, a: i32(math.MinInt32), b: i32(-1)}, "integer overflow"},
+		{opcase{op: wasm.OpI32RemU, a: i32(7)}, "integer divide by zero"},
+		{opcase{op: wasm.OpI64DivU, a: 7}, "integer divide by zero"},
+		{opcase{op: wasm.OpI64RemS, a: 7}, "integer divide by zero"},
+		{opcase{op: wasm.OpI32TruncF64S, a: f64(3e10)}, "integer overflow"},
+	}
 	for _, c := range cases {
-		c := c
+		all = append(all, trapcase{opcase: c})
+	}
+
+	// The places an operand can be: "register" wraps the parameter in a block,
+	// whose end leaves its result in the position's canonical register.
+	const (
+		inRegister = iota
+		inLocal
+		inConstant
+		numPlaces
+	)
+	constOps := map[wasm.ValType]wasm.Opcode{wasm.I32: wasm.OpI32Const, wasm.I64: wasm.OpI64Const,
+		wasm.F32: wasm.OpF32Const, wasm.F64: wasm.OpF64Const}
+	for _, c := range all {
 		in, out, ok := c.op.InOut()
 		if !ok || out != 1 {
 			t.Fatalf("%s: unexpected signature", c.op)
 		}
-		b := wasm.NewModuleBuilder()
-		var params []wasm.ValType
-		ft, _ := c.op.ResultType()
-		_ = ft
-		// Determine operand types from the validator's signature by probing
-		// a trivial build: use raw emit with consts of the right type.
 		sigIn := operandTypes(c.op, in)
-		for _, p := range sigIn {
-			params = append(params, p)
-		}
 		rt0, _ := c.op.ResultType()
-		f := b.NewFunc("f", wasm.FuncType{Params: params, Results: []wasm.ValType{rt0}})
-		for pi := range sigIn {
-			f.LocalGet(f.Param(pi))
+		args := []uint64{c.a, c.b}[:in]
+
+		b := wasm.NewModuleBuilder()
+		var names []string
+		for places := 0; places < numPlaces*numPlaces; places++ {
+			if in == 1 && places >= numPlaces {
+				break
+			}
+			name := fmt.Sprintf("f%d%d", places%numPlaces, places/numPlaces)
+			f := b.NewFunc(name, wasm.FuncType{Params: sigIn, Results: []wasm.ValType{rt0}})
+			for pi, ty := range sigIn {
+				place := places % numPlaces
+				if pi == 1 {
+					place = places / numPlaces
+				}
+				switch place {
+				case inRegister:
+					f.Block(wasm.BlockOf(ty))
+					f.LocalGet(f.Param(pi))
+					f.End()
+				case inLocal:
+					f.LocalGet(f.Param(pi))
+				case inConstant:
+					f.Emit(constOps[ty], args[pi], 0)
+				}
+			}
+			f.Op(c.op)
+			b.Export(name, wasm.ExternFunc, f.Index)
+			names = append(names, name)
 		}
-		f.Op(c.op)
-		b.Export("f", wasm.ExternFunc, f.Index)
 		bin := b.Bytes()
 
-		args := []uint64{c.a, c.b}[:in]
 		for _, tier := range []Tier{TierLiftoff, TierTurbofan} {
 			m, err := New(Config{Tier: tier}).Compile(bin)
 			if err != nil {
@@ -172,13 +233,19 @@ func TestAllNumericOpcodes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := inst.Call("f", args...)
-			if err != nil {
-				t.Fatalf("%s (%v): %v", c.op, tier, err)
-			}
-			if !sameBits(c.op, got[0], c.want) {
-				t.Errorf("%s(%#x, %#x) on %v = %#x, want %#x",
-					c.op, c.a, c.b, tier, got[0], c.want)
+			for _, name := range names {
+				got, err := inst.Call(name, args...)
+				switch {
+				case c.trap != "":
+					if err == nil || !strings.Contains(err.Error(), c.trap) {
+						t.Errorf("%s(%#x, %#x) %s on %v = %#x, %v; want trap %q", c.op, c.a, c.b, name, tier, got, err, c.trap)
+					}
+				case err != nil:
+					t.Errorf("%s %s (%v): %v", c.op, name, tier, err)
+				case !sameBits(c.op, got[0], c.want):
+					t.Errorf("%s(%#x, %#x) %s on %v = %#x, want %#x",
+						c.op, c.a, c.b, name, tier, got[0], c.want)
+				}
 			}
 		}
 	}

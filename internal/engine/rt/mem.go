@@ -6,8 +6,8 @@ import (
 	"wasmdb/internal/engine/wmem"
 )
 
-// Inline fast paths for linear-memory access. The interpreters cache the
-// memory's page table ([][]byte) in a local and go through these helpers.
+// Inline fast paths for linear-memory access. The run loop caches the
+// memory's page table ([][]byte) in a local and goes through these helpers.
 // One test against the page's length covers both bounds and presence: a
 // committed or host-mapped page is 64 KiB long, a reserved (demand-zero) page
 // is nil and has length 0. Everything else — a reserved page, a
@@ -19,7 +19,7 @@ import (
 //
 // One-byte accesses cannot straddle, so they have no slow path to keep out of
 // line: LdU8 and StU8 are Memory.U8 and Memory.PutU8, which inline (commit and
-// trap included) into the interpreter loops.
+// trap included) into the run loop.
 
 // LdU8 loads a byte.
 func LdU8(m *wmem.Memory, ea uint32) byte { return m.U8(ea) }

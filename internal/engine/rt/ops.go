@@ -5,7 +5,8 @@ import (
 	"math/bits"
 )
 
-// Numeric helpers with exact WebAssembly semantics, shared by both tiers.
+// Numeric helpers with exact WebAssembly semantics, shared by the run loop and
+// the optimizer's constant folding.
 // Values are passed as raw 64-bit patterns; i32 values are zero-extended.
 
 // I32DivS performs signed 32-bit division, trapping on division by zero and

@@ -1,4 +1,4 @@
-// Package rt holds the shared runtime types used by both execution tiers.
+// Package rt holds the runtime types shared by the engine and its run loop.
 // It defines the call convention between compiled functions, the execution
 // environment (memory, globals, function table), and trap handling.
 package rt
@@ -16,7 +16,7 @@ import (
 const MaxCallDepth = 20000
 
 // ErrFuelExhausted reports that a fuel-metered instance ran out of its
-// execution budget. Both tiers consume fuel at loop back-edges and function
+// execution budget. Compiled code consumes fuel at loop back-edges and function
 // entries, so even generated code the host cannot otherwise interrupt
 // mid-morsel is bounded.
 var ErrFuelExhausted = errors.New("wasm trap: fuel exhausted")
@@ -56,12 +56,12 @@ type Env struct {
 	Table []uint32
 	Depth int
 
-	// Metered enables fuel accounting (set via SetFuel). The interpreters
-	// check it before touching the atomic counters so unmetered execution
+	// Metered enables fuel accounting (set via SetFuel). The run loop
+	// checks it before touching the atomic counters so unmetered execution
 	// pays a single predictable branch per back-edge.
 	Metered bool
 
-	// arena is the shared value-stack arena for interpreter frames.
+	// arena is the shared arena the register frames are carved from.
 	arena []uint64
 	top   int
 

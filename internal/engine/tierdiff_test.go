@@ -13,11 +13,15 @@ import (
 )
 
 // Tier-differential testing: random valid functions, biased towards the
-// patterns the optimizing tier's back end rewrites, run on liftoff and on
-// turbofan under the same fuel budget. The tiers must agree on the result or
-// the trap message, on every byte of memory, on the set of committed pages,
-// on the globals and on the fuel left — the baseline-vs-optimizing
-// equivalence the architecture rests on.
+// patterns the optimizing compiler's back end rewrites and towards the shapes
+// the shared emitter's abstract stack has to get right, compiled by the
+// baseline compiler (TierLiftoff: the emitter alone) and by the optimizing
+// one (TierTurbofan) and run on the one machine under the same fuel budget.
+// The two must agree on the result or the trap message, on every byte of
+// memory, on the set of committed pages, on the globals and on the fuel left
+// — the baseline-vs-optimizing equivalence the architecture rests on. What
+// both compilers could get wrong together is checked against values computed
+// in Go: emitdiff_test.go and opcodes_test.go.
 
 const diffPages = 4 // address space of the generated programs
 
@@ -60,6 +64,7 @@ type progGen struct {
 
 	f      *wasm.FuncBuilder
 	helper uint32
+	hType  uint32 // the helper's type, for calling it through table slot 0
 	v32    []wasm.Local
 	v64    []wasm.Local
 	// slot holds an address inside the memory; the read-modify-write
@@ -251,7 +256,7 @@ func (g *progGen) offset() uint64 {
 func (g *progGen) stmt(depth int) {
 	f := g.f
 	g.stmts--
-	switch g.pick(12) {
+	switch g.pick(18) {
 	case 0:
 		g.expr32(2)
 		f.LocalSet(g.local32())
@@ -340,6 +345,76 @@ func (g *progGen) stmt(depth int) {
 		f.Else()
 		g.expr64(1)
 		f.End()
+		f.LocalSet(g.local64())
+	case 12: // a local read, then overwritten while the read is still on the stack
+		l := g.local32()
+		f.LocalGet(l)
+		g.expr32(1)
+		if g.pick(2) == 0 {
+			f.LocalSet(l)
+			f.LocalGet(l)
+		} else {
+			f.LocalTee(l)
+		}
+		f.Op(g.bin(diffBin32))
+		f.LocalSet(g.local32())
+	case 13: // a local and a constant on the stack across a whole statement
+		l := g.local64()
+		f.LocalGet(l)
+		f.I64Const(diffConst64[g.pick(len(diffConst64))])
+		if depth > 0 {
+			g.stmt(depth - 1)
+		} else {
+			g.expr64(1)
+			f.LocalSet(l)
+		}
+		f.Op(diffBin64[g.pick(3)])
+		f.LocalSet(g.local64())
+	case 14: // select over locals and constants, the condition one too
+		g.expr64(0)
+		g.expr64(0)
+		g.expr32(g.pick(2))
+		f.Select()
+		f.LocalSet(g.local64())
+	case 15: // a branch that carries a value over one it discards
+		f.Block(wasm.BlockOf(wasm.I64))
+		g.ctl = append(g.ctl, false)
+		g.expr64(0)
+		g.expr64(0)
+		g.expr32(1)
+		f.BrIf(0)
+		f.Op(diffBin64[g.pick(3)])
+		g.ctl = g.ctl[:len(g.ctl)-1]
+		f.End()
+		f.LocalSet(g.local64())
+	case 16: // br_table with a local and a constant beneath it
+		l := g.local64()
+		f.LocalGet(l)
+		f.I64Const(diffConst64[g.pick(len(diffConst64))])
+		f.Block(wasm.BlockVoid)
+		f.Block(wasm.BlockVoid)
+		g.expr32(0)
+		f.BrTable([]uint32{0, 1}, uint32(g.pick(2)))
+		f.End()
+		g.expr64(1)
+		f.LocalSet(l)
+		f.End()
+		f.Op(diffBin64[g.pick(3)])
+		f.LocalSet(g.local64())
+	case 17: // an indirect call, or an early return, below a value
+		f.LocalGet(g.local64())
+		g.expr64(0)
+		if g.pick(4) != 0 {
+			f.I32Const(0)
+			f.Emit(wasm.OpCallIndirect, uint64(g.hType), 0)
+		} else {
+			g.expr32(1)
+			f.If(wasm.BlockVoid)
+			f.LocalGet(g.local64())
+			f.Return()
+			f.End()
+		}
+		f.Op(diffBin64[g.pick(3)])
 		f.LocalSet(g.local64())
 	}
 }
@@ -458,7 +533,7 @@ func diffProgram(data []byte) []byte {
 	h.I64Add()
 
 	f := b.NewFunc("p", wasm.FuncType{Params: []wasm.ValType{wasm.I64, wasm.I64}, Results: []wasm.ValType{wasm.I64}})
-	g := &progGen{data: data, f: f, helper: h.Index, stmts: 24}
+	g := &progGen{data: data, f: f, helper: h.Index, hType: b.AddType(h.Type()), stmts: 24}
 	g.v64 = []wasm.Local{f.Param(0), f.Param(1), f.AddLocal(wasm.I64), f.AddLocal(wasm.I64)}
 	for i := 0; i < 4; i++ {
 		g.v32 = append(g.v32, f.AddLocal(wasm.I32))
@@ -495,7 +570,10 @@ func diffProgram(data []byte) []byte {
 		f.Op(wasm.OpI64Xor)
 	}
 	b.Export("p", wasm.ExternFunc, f.Index)
-	return b.Bytes()
+	m := b.Module()
+	m.HasTable, m.TableMin = true, 1
+	m.Elems = []wasm.ElemSegment{{Offset: 0, Funcs: []uint32{h.Index}}}
+	return wasm.Encode(m)
 }
 
 // tierOutcome is everything observable about one run.

@@ -1,0 +1,515 @@
+package turbofan
+
+import (
+	"fmt"
+	"math"
+
+	"wasmdb/internal/wasm"
+)
+
+// The emitter is the one translation from WebAssembly to the register
+// machine: a single forward pass over a validated body with an abstract value
+// stack — no IR, no liveness, no second pass. The baseline compiler is this
+// pass alone; the optimizing compiler starts from its output.
+//
+// Operand-stack position i has a canonical register, NLocals+i, but a pushed
+// value need not be there yet: local.get and the constants push a slot that
+// only says where the value is and emit nothing. An operation reads a local's
+// register directly, takes a constant operand as the ops table's immediate
+// form (a left-hand one through the table's swap relation, or rsub) and
+// writes its result to the canonical register of the position it pushes.
+// local.set and local.tee retarget the destination of the instruction that
+// just produced the top of the stack instead of copying it, and a constant
+// shift directly in front of a load becomes the load's scaled form.
+//
+// Two rules keep the abstraction sound. Before local x is overwritten, every
+// slot that still says "the value is in x" is copied to its canonical
+// register. And wherever control splits, merges or may come back — loop, if,
+// else, end, every branch, return — the whole stack is flushed to canonical
+// registers first (a call flushes its arguments, which it reads from there):
+// at a label every value is where every other path put it, so no
+// reconciliation is needed. A block's entry is none of those places.
+
+type slotKind uint8
+
+const (
+	inReg   slotKind = iota // in the slot's canonical register
+	inLocal                 // in local v, which has not been written since the push
+	isConst                 // the constant v, pushed by wasm opcode op
+)
+
+type slot struct {
+	kind slotKind
+	op   uint16
+	v    uint64
+}
+
+// label is an open block, loop or if.
+type label struct {
+	isLoop  bool
+	liveIn  bool // entered by reachable code
+	endLive bool // a branch targets its end
+	height  int  // operand height at entry
+	arity   int  // results
+	startPC int  // loop: the branch target
+	// pending heads the chain of emitted jumps that await the label's end pc;
+	// each link is the imm of the jump before it. elseJump is an if's branch
+	// over its then-arm until else or end binds it. Both are -1 when empty.
+	pending  int
+	elseJump int
+}
+
+type emitter struct {
+	m      *wasm.Module
+	code   *Code
+	base   int32 // canonical register of stack position 0
+	stack  []slot
+	labels []label
+	live   bool
+	// lastDef is the index of the newest instruction that wrote a canonical
+	// register. It stands for "the instruction that produced the top of the
+	// stack" only while it is the last one emitted and no label has been bound
+	// behind it; control instructions reset it to -1.
+	lastDef int
+}
+
+// emitFunc translates one validated function body.
+func emitFunc(m *wasm.Module, fn *wasm.Func) (*Code, error) {
+	ft := m.Types[fn.Type]
+	nLocals := len(ft.Params) + len(fn.Locals)
+	e := &emitter{
+		m: m,
+		code: &Code{
+			Name:     fn.Name,
+			NParams:  len(ft.Params),
+			NResults: len(ft.Results),
+			NLocals:  nLocals,
+			ins:      make([]tin, 0, len(fn.Body)),
+		},
+		base:    int32(nLocals),
+		stack:   make([]slot, 0, 16),
+		labels:  make([]label, 1, 8),
+		live:    true,
+		lastDef: -1,
+	}
+	e.labels[0] = label{arity: len(ft.Results), liveIn: true, pending: -1, elseJump: -1}
+	for i := range fn.Body {
+		if err := e.instr(&fn.Body[i]); err != nil {
+			return nil, err
+		}
+		if len(e.labels) == 0 {
+			return e.code, nil
+		}
+	}
+	return nil, fmt.Errorf("missing end")
+}
+
+func (e *emitter) pc() int { return len(e.code.ins) }
+
+func (e *emitter) emit(t tin) int {
+	e.code.ins = append(e.code.ins, t)
+	return len(e.code.ins) - 1
+}
+
+// def emits an instruction whose destination is a canonical register.
+func (e *emitter) def(t tin) {
+	e.lastDef = len(e.code.ins)
+	e.code.ins = append(e.code.ins, t)
+}
+
+func (e *emitter) push(s slot) {
+	e.stack = append(e.stack, s)
+	if len(e.stack) > e.code.MaxStack {
+		e.code.MaxStack = len(e.stack)
+	}
+}
+
+// reg returns the register that holds stack position i, first loading a
+// constant into the position's canonical register.
+func (e *emitter) reg(i int) int32 {
+	s := &e.stack[i]
+	switch s.kind {
+	case inLocal:
+		return int32(s.v)
+	case isConst:
+		e.emit(tin{op: s.op, d: e.base + int32(i), imm: s.v})
+		s.kind = inReg
+	}
+	return e.base + int32(i)
+}
+
+// flush puts every value from stack position from upwards into its canonical
+// register.
+func (e *emitter) flush(from int) {
+	for i := from; i < len(e.stack); i++ {
+		if s := &e.stack[i]; s.kind == inLocal {
+			e.emit(tin{op: tMove, d: e.base + int32(i), a: int32(s.v)})
+			s.kind = inReg
+		} else {
+			e.reg(i)
+		}
+	}
+}
+
+// setHeight makes the stack height canonical-register slots followed by n
+// more: the shape every path reaches a label's end in.
+func (e *emitter) setHeight(height, n int) {
+	e.stack = e.stack[:height]
+	for ; n > 0; n-- {
+		e.push(slot{})
+	}
+}
+
+// producer returns the instruction that produced the top of the stack when it
+// is the last one emitted, or nil.
+func (e *emitter) producer() *tin {
+	top := len(e.stack) - 1
+	if e.stack[top].kind != inReg || e.lastDef != len(e.code.ins)-1 {
+		return nil
+	}
+	if t := &e.code.ins[e.lastDef]; t.d == e.base+int32(top) {
+		return t
+	}
+	return nil
+}
+
+// setLocal emits local.set (tee=false) or local.tee of local x.
+func (e *emitter) setLocal(x int32, tee bool) {
+	top := len(e.stack) - 1
+	for i := 0; i < top; i++ {
+		if s := &e.stack[i]; s.kind == inLocal && int32(s.v) == x {
+			e.emit(tin{op: tMove, d: e.base + int32(i), a: x})
+			s.kind = inReg
+		}
+	}
+	switch s := &e.stack[top]; s.kind {
+	case isConst:
+		e.emit(tin{op: s.op, d: x, imm: s.v})
+	case inLocal:
+		if int32(s.v) != x {
+			e.emit(tin{op: tMove, d: x, a: int32(s.v)})
+		}
+	default:
+		if p := e.producer(); p != nil {
+			p.d = x
+			*s = slot{kind: inLocal, v: uint64(x)}
+		} else {
+			e.emit(tin{op: tMove, d: x, a: e.base + int32(top)})
+		}
+	}
+	if !tee {
+		e.stack = e.stack[:top]
+	}
+}
+
+// binary emits a two-operand value operation. A constant operand selects the
+// immediate form where the table has one; the right-hand constant wins when
+// both are.
+func (e *emitter) binary(op uint16) {
+	n := len(e.stack)
+	l, r := &e.stack[n-2], &e.stack[n-1]
+	t := tin{op: op, d: e.base + int32(n-2)}
+	var (
+		form  uint16
+		c     uint64
+		ok    bool
+		other = n - 2
+	)
+	switch {
+	case r.kind == isConst:
+		form, c, ok = immForm(op, r.v, false)
+	case l.kind == isConst:
+		form, c, ok = immForm(op, l.v, true)
+		other = n - 1
+	}
+	if ok {
+		t.op, t.a, t.imm = form, e.reg(other), c
+	} else {
+		t.a, t.b = e.reg(n-2), e.reg(n-1)
+	}
+	e.def(t)
+	e.stack = e.stack[:n-1]
+	*l = slot{}
+}
+
+// load emits a load. A constant shift of the index right in front of it
+// moves into the load's scaled form.
+func (e *emitter) load(op uint16, offset uint64) {
+	top := len(e.stack) - 1
+	d := e.base + int32(top)
+	if p := e.producer(); p != nil && p.op == tI32ShlImm && ops[op].scaled != 0 {
+		*p = tin{op: ops[op].scaled, d: d, a: p.a, b: int32(p.imm), imm: offset}
+		return
+	}
+	e.def(tin{op: op, d: d, a: e.reg(top), imm: offset})
+	e.stack[top] = slot{}
+}
+
+// moveValues moves the n values from stack position src upwards to position
+// dst upwards; the stack has been flushed.
+func (e *emitter) moveValues(dst, src, n int) {
+	if src == dst {
+		return
+	}
+	for i := 0; i < n; i++ {
+		e.emit(tin{op: tMove, d: e.base + int32(dst+i), a: e.base + int32(src+i)})
+	}
+}
+
+// branchTo emits the transfer to a label: the moves that put the values the
+// label receives where it expects them, then the jump.
+func (e *emitter) branchTo(l *label) {
+	if l.isLoop {
+		e.emit(tin{op: tJump, imm: uint64(l.startPC)})
+		return
+	}
+	e.moveValues(l.height, len(e.stack)-l.arity, l.arity)
+	l.pending = e.emit(tin{op: tJump, imm: uint64(int64(l.pending))})
+	l.endLive = true
+}
+
+// bind resolves a chain of pending jumps to the current pc.
+func (e *emitter) bind(chain int) {
+	for pc := uint64(e.pc()); chain >= 0; {
+		t := &e.code.ins[chain]
+		chain = int(int64(t.imm))
+		t.imm = pc
+	}
+}
+
+func (e *emitter) labelAt(depth uint64) (*label, error) {
+	if depth >= uint64(len(e.labels)) {
+		return nil, fmt.Errorf("branch depth out of range")
+	}
+	return &e.labels[len(e.labels)-1-int(depth)], nil
+}
+
+func (e *emitter) pushLabel(in *wasm.Instr, l label) {
+	l.isLoop = in.Op == wasm.OpLoop
+	l.arity = len(wasm.BlockType(in.A).Results())
+	l.pending = -1
+	e.labels = append(e.labels, l)
+}
+
+// call emits a call whose arguments (and table index) start at stack position
+// first: they are flushed, because the callee reads them from their
+// registers, and replaced by the results.
+func (e *emitter) call(op uint16, imm uint64, ft wasm.FuncType, first int) {
+	e.flush(first)
+	e.emit(tin{op: op, a: e.base + int32(first), b: int32(len(ft.Params)<<16 | len(ft.Results)), imm: imm})
+	e.setHeight(first, len(ft.Results))
+}
+
+// popCond pops the condition or index a control instruction consumes, flushes
+// what stays on the stack and returns the register to test.
+func (e *emitter) popCond() int32 {
+	top := len(e.stack) - 1
+	r := e.reg(top)
+	e.stack = e.stack[:top]
+	e.flush(0)
+	return r
+}
+
+// ret emits return: the results move to the bottom of the stack.
+func (e *emitter) ret() {
+	e.flush(0)
+	n := e.code.NResults
+	e.moveValues(0, len(e.stack)-n, n)
+	e.emit(tin{op: tRet})
+}
+
+// end closes the innermost label; reachable reports whether control falls
+// into the end from the code in front of it.
+func (e *emitter) end(reachable bool) {
+	l := e.labels[len(e.labels)-1]
+	e.labels = e.labels[:len(e.labels)-1]
+	if reachable {
+		e.flush(0)
+	}
+	e.bind(l.pending)
+	if l.elseJump >= 0 {
+		// An if without else: the false path continues at the end.
+		e.bind(l.elseJump)
+		reachable = reachable || l.liveIn
+	}
+	switch {
+	case !reachable && !l.endLive:
+	case len(e.labels) == 0:
+		// The function's end: validation left exactly the results on the
+		// stack, and a branch here has moved them to the same registers.
+		e.emit(tin{op: tRet})
+	default:
+		e.live = true
+		e.setHeight(l.height, l.arity)
+	}
+}
+
+func (e *emitter) instr(in *wasm.Instr) error {
+	if !e.live {
+		// Unreachable code emits nothing; only the nesting is tracked.
+		switch in.Op {
+		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
+			e.pushLabel(in, label{elseJump: -1})
+		case wasm.OpElse:
+			if l := &e.labels[len(e.labels)-1]; l.liveIn {
+				e.bind(l.elseJump)
+				l.elseJump = -1
+				e.live = true
+				e.setHeight(l.height, 0)
+			}
+		case wasm.OpEnd:
+			e.end(false)
+		}
+		return nil
+	}
+
+	n := len(e.stack)
+	switch in.Op {
+	case wasm.OpLocalGet:
+		e.push(slot{kind: inLocal, v: in.A})
+		return nil
+	case wasm.OpLocalSet:
+		e.setLocal(int32(in.A), false)
+		return nil
+	case wasm.OpLocalTee:
+		e.setLocal(int32(in.A), true)
+		return nil
+	case wasm.OpDrop:
+		e.stack = e.stack[:n-1]
+		return nil
+	case wasm.OpNop:
+		return nil
+	case wasm.OpGlobalGet:
+		e.def(tin{op: tGlobalGet, d: e.base + int32(n), imm: in.A})
+		e.push(slot{})
+		return nil
+	case wasm.OpGlobalSet:
+		e.emit(tin{op: tGlobalSet, a: e.reg(n - 1), imm: in.A})
+		e.stack = e.stack[:n-1]
+		return nil
+	case wasm.OpMemorySize:
+		e.def(tin{op: uint16(wasm.OpMemorySize), d: e.base + int32(n)})
+		e.push(slot{})
+		return nil
+	case wasm.OpSelect:
+		d, cond, a := e.base+int32(n-3), e.reg(n-1), e.reg(n-3)
+		if f := &e.stack[n-2]; f.kind == isConst && f.v <= math.MaxUint32 {
+			e.def(tin{op: tSelectImm, d: d, a: a, b: int32(uint32(f.v)), imm: uint64(cond)})
+		} else {
+			e.def(tin{op: tSelect, d: d, a: a, b: e.reg(n - 2), imm: uint64(cond)})
+		}
+		e.stack = e.stack[:n-2]
+		e.stack[n-3] = slot{}
+		return nil
+	}
+	switch op := uint16(in.Op); ops[op].kind {
+	case kindConst:
+		e.push(slot{kind: isConst, op: op, v: in.A})
+		return nil
+	case kindBin:
+		e.binary(op)
+		return nil
+	case kindLoad:
+		e.load(op, in.A)
+		return nil
+	case kindUn, kindMemoryGrow:
+		e.def(tin{op: op, d: e.base + int32(n-1), a: e.reg(n - 1)})
+		e.stack[n-1] = slot{}
+		return nil
+	case kindStore:
+		e.emit(tin{op: op, a: e.reg(n - 2), b: e.reg(n - 1), imm: in.A})
+		e.stack = e.stack[:n-2]
+		return nil
+	}
+
+	// Control: no instruction behind a label may be taken for the producer of
+	// a value in front of it.
+	e.lastDef = -1
+	switch in.Op {
+	case wasm.OpUnreachable:
+		e.emit(tin{op: tUnreachable})
+		e.live = false
+	case wasm.OpBlock:
+		// No flush: the block's end is reached by falling into it or by a
+		// branch, and both flush.
+		e.pushLabel(in, label{height: n, liveIn: true, elseJump: -1})
+	case wasm.OpLoop:
+		e.flush(0)
+		e.pushLabel(in, label{height: n, liveIn: true, elseJump: -1, startPC: e.pc()})
+	case wasm.OpIf:
+		cond := e.popCond()
+		e.pushLabel(in, label{height: n - 1, liveIn: true, elseJump: e.emit(tin{op: tJumpIfZero, a: cond, imm: ^uint64(0)})})
+	case wasm.OpElse:
+		l := &e.labels[len(e.labels)-1]
+		e.flush(0)
+		l.pending = e.emit(tin{op: tJump, imm: uint64(int64(l.pending))})
+		l.endLive = true
+		e.bind(l.elseJump)
+		l.elseJump = -1
+		e.setHeight(l.height, 0)
+	case wasm.OpEnd:
+		e.end(true)
+	case wasm.OpBr:
+		l, err := e.labelAt(in.A)
+		if err != nil {
+			return err
+		}
+		e.flush(0)
+		e.branchTo(l)
+		e.live = false
+	case wasm.OpBrIf:
+		l, err := e.labelAt(in.A)
+		if err != nil {
+			return err
+		}
+		cond := e.popCond()
+		switch src := len(e.stack); {
+		case l.isLoop && src == l.height:
+			e.emit(tin{op: tJumpIfNot, a: cond, imm: uint64(l.startPC)})
+		case !l.isLoop && src-l.arity == l.height:
+			l.pending = e.emit(tin{op: tJumpIfNot, a: cond, imm: uint64(int64(l.pending))})
+			l.endLive = true
+		default:
+			// The taken path has values to move: branch around it.
+			skip := e.emit(tin{op: tJumpIfZero, a: cond})
+			e.branchTo(l)
+			e.code.ins[skip].imm = uint64(e.pc())
+		}
+	case wasm.OpBrTable:
+		idx := e.popCond()
+		tid := len(e.code.tables)
+		e.code.tables = append(e.code.tables, nil)
+		e.emit(tin{op: tBrTable, a: idx, imm: uint64(tid)})
+		// One stub per entry does that target's moves.
+		entries := make([]uint32, 0, len(in.Table)+1)
+		for i := 0; i <= len(in.Table); i++ {
+			depth := in.A
+			if i < len(in.Table) {
+				depth = uint64(in.Table[i])
+			}
+			l, err := e.labelAt(depth)
+			if err != nil {
+				return err
+			}
+			entries = append(entries, uint32(e.pc()))
+			e.branchTo(l)
+		}
+		e.code.tables[tid] = entries
+		e.live = false
+	case wasm.OpReturn:
+		e.ret()
+		e.live = false
+	case wasm.OpCall:
+		ft, err := e.m.FuncTypeAt(uint32(in.A))
+		if err != nil {
+			return err
+		}
+		e.call(tCall, in.A, ft, n-len(ft.Params))
+	case wasm.OpCallIndirect:
+		ft := e.m.Types[in.A]
+		e.call(tCallIndirect, in.A, ft, n-len(ft.Params)-1) // the table index sits on top of the arguments
+	default:
+		return fmt.Errorf("unhandled opcode %s", in.Op)
+	}
+	return nil
+}

@@ -15,26 +15,28 @@ import (
 	"wasmdb/internal/wasm"
 )
 
-// goldenKernels are the three hot functions whose tier-2 code is pinned as a
-// listing: what the query compiler generates for them at TPC-H SF 0.01,
-// seed 42. maxInstrs is a ceiling on the emitted instruction count (0 = none).
+// goldenKernels are the three hot functions whose code is pinned as a listing
+// per compiler — <name>.txt from the optimizing one, <name>_baseline.txt from
+// the baseline one: what the query compiler generates for them at TPC-H SF
+// 0.01, seed 42. The ceilings bound the emitted instruction counts (0 = none).
 var goldenKernels = []struct {
-	file, query, export string
-	maxInstrs           int
+	name, query, export       string
+	maxInstrs, maxBaselineIns int
 }{
 	// The scan loop of Q6: five predicates over three columns, two global
-	// accumulators. 52 instructions before the back end existed.
-	{"q6_scan.txt", "Q6", "pipeline_0", 32},
+	// accumulators. 52 instructions before the back end existed; 64 from the
+	// stack-machine baseline the emitter replaced.
+	{"q6_scan", "Q6", "pipeline_0", 32, 40},
 	// The group-update path of Q1: key hashing, the probe of the generated
-	// hash table, six aggregate slots updated in place.
-	{"q1_group_update.txt", "Q1", "pipeline_0", 0},
-	// The probe side of Q3's lineitem ⋈ orders hash join.
-	{"q3_join_probe.txt", "Q3", "pipeline_2", 0},
+	// hash table, six aggregate slots updated in place (baseline was 298).
+	{"q1_group_update", "Q1", "pipeline_0", 0, 165},
+	// The probe side of Q3's lineitem ⋈ orders hash join (baseline was 237).
+	{"q3_join_probe", "Q3", "pipeline_2", 0, 135},
 }
 
-// compileKernel returns the tier-2 code of one exported function of the
-// module generated for a TPC-H query.
-func compileKernel(t *testing.T, query, export string) *turbofan.Code {
+// kernelFunc returns one exported function of the module generated for a
+// TPC-H query.
+func kernelFunc(t *testing.T, query, export string) (*wasm.Module, *wasm.Func) {
 	t.Helper()
 	cat, err := tpch.Generate(0.01, 42)
 	if err != nil {
@@ -64,36 +66,53 @@ func compileKernel(t *testing.T, query, export string) *turbofan.Code {
 	if !ok {
 		t.Fatalf("%s exports no %s", query, export)
 	}
-	code, err := turbofan.Compile(m, &m.Funcs[int(idx)-m.NumImportedFuncs()])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return code
+	return m, &m.Funcs[int(idx)-m.NumImportedFuncs()]
 }
 
-// TestGoldenListings compares the disassembly of the three kernels with the
-// committed listings, so every change to the optimizer or the back end shows
-// up as a reviewable diff of the code it emits. Run with -update to accept.
+// TestGoldenListings compares the disassembly of the three kernels, from
+// either compiler, with the committed listings, so every change to the
+// emitter, the optimizer or the back end shows up as a reviewable diff of the
+// code it emits. Run with -update to accept.
 func TestGoldenListings(t *testing.T) {
 	for _, k := range goldenKernels {
-		code := compileKernel(t, k.query, k.export)
-		got := code.String()
-		if k.maxInstrs > 0 && code.NumInstrs() > k.maxInstrs {
-			t.Errorf("%s: %d instructions emitted, ceiling is %d", k.file, code.NumInstrs(), k.maxInstrs)
-		}
-		path := filepath.Join("testdata", k.file)
-		if *turbofan.Update {
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		m, fn := kernelFunc(t, k.query, k.export)
+		for _, c := range []struct {
+			file     string
+			baseline bool
+			max      int
+		}{
+			{k.name + ".txt", false, k.maxInstrs},
+			{k.name + "_baseline.txt", true, k.maxBaselineIns},
+		} {
+			compile := turbofan.Compile
+			if c.baseline {
+				compile = turbofan.CompileBaseline
+			}
+			code, err := compile(m, fn)
+			if err != nil {
 				t.Fatal(err)
 			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (run with -update to create it)", err)
-		}
-		if got != string(want) {
-			t.Errorf("%s differs from the golden listing (rerun with -update to accept):\n%s", k.file, lineDiff(string(want), got))
+			got := code.String()
+			if name := turbofan.OutsideBaseline(code); c.baseline && name != "" {
+				t.Errorf("%s: the baseline compiler emitted %s, an optimizer-only form", c.file, name)
+			}
+			if c.max > 0 && code.NumInstrs() > c.max {
+				t.Errorf("%s: %d instructions emitted, ceiling is %d", c.file, code.NumInstrs(), c.max)
+			}
+			path := filepath.Join("testdata", c.file)
+			if *turbofan.Update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if got != string(want) {
+				t.Errorf("%s differs from the golden listing (rerun with -update to accept):\n%s", c.file, lineDiff(string(want), got))
+			}
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Update is the -update flag of this package's tests (golden listings, the
 // ISA table in DESIGN.md); exported for the external test package.
-var Update = flag.Bool("update", false, "rewrite golden files: testdata/*.txt and the tier-2 ISA table in DESIGN.md")
+var Update = flag.Bool("update", false, "rewrite golden files: testdata/*.txt and the ISA table in DESIGN.md")
 
 var shapes = map[opKind]string{
 	kindBin: "`d ← a op b`", kindBinImm: "`d ← a op imm`", kindUn: "`d ← op a`", kindConst: "`d ← imm`",
@@ -25,23 +25,47 @@ var shapes = map[opKind]string{
 	kindNop: "no operands",
 }
 
+// optimizerOnly are the operand shapes the baseline compiler never produces:
+// they come out of the optimizer's fusion, its back end or linearization.
+var optimizerOnly = map[opKind]bool{kindBrCmp: true, kindBrCmpImm: true, kindLoadIndexed: true,
+	kindMemOp: true, kindMemOpImm: true, kindNop: true}
+
+// OutsideBaseline returns the name of the first instruction of c that has an
+// optimizer-only shape, or "" — what the ISA table's last column promises of
+// baseline code. Exported for the external test package.
+func OutsideBaseline(c *Code) string {
+	for i := range c.ins {
+		if optimizerOnly[ops[c.ins[i].op].kind] {
+			return ops[c.ins[i].op].name
+		}
+	}
+	return ""
+}
+
 // isaTable renders the ops table as the markdown table of DESIGN.md §5.3:
-// one row per run of consecutive opcodes with the same operand shape.
+// one row per run of consecutive opcodes with the same operand shape, and
+// which compiler produces it.
 func isaTable() string {
 	var b strings.Builder
-	b.WriteString("| opcodes | operand shape | instructions |\n|---|---|---|\n")
+	b.WriteString("| opcodes | operand shape | instructions | produced by |\n|---|---|---|---|\n")
+	by := func(k opKind) string {
+		if optimizerOnly[k] {
+			return "optimizing only"
+		}
+		return "both"
+	}
 	row := func(lo, hi int) {
 		names := make([]string, 0, hi-lo)
 		for op := lo; op < hi; op++ {
 			names = append(names, "`"+ops[op].name+"`")
 		}
-		fmt.Fprintf(&b, "| %#x–%#x | %s | %s |\n", lo, hi-1, shapes[ops[lo].kind], strings.Join(names, " "))
+		fmt.Fprintf(&b, "| %#x–%#x | %s | %s | %s |\n", lo, hi-1, shapes[ops[lo].kind], strings.Join(names, " "), by(ops[lo].kind))
 	}
 	first := 0
 	for ops[first].kind == kindNone {
 		first++
 	}
-	fmt.Fprintf(&b, "| %#x–%#x | as in WebAssembly | the %d wasm memory, constant, comparison, numeric and conversion instructions under their wasm opcodes |\n",
+	fmt.Fprintf(&b, "| %#x–%#x | as in WebAssembly | the %d wasm memory, constant, comparison, numeric and conversion instructions under their wasm opcodes | both |\n",
 		first, tMove-1, int(tMove)-first)
 	lo := int(tMove)
 	for op := lo + 1; op <= int(numOps); op++ {
@@ -53,7 +77,7 @@ func isaTable() string {
 	return b.String()
 }
 
-// TestISATableInDesignDoc keeps the "tier-2 ISA" table of DESIGN.md generated
+// TestISATableInDesignDoc keeps the ISA table of DESIGN.md generated
 // from the ops table: it must equal isaTable() between its two markers.
 func TestISATableInDesignDoc(t *testing.T) {
 	const path = "../../../DESIGN.md"
@@ -73,7 +97,7 @@ func TestISATableInDesignDoc(t *testing.T) {
 		return
 	}
 	if !*Update {
-		t.Fatalf("the tier-2 ISA table in DESIGN.md is out of date with the ops table; rerun with -update")
+		t.Fatalf("the ISA table in DESIGN.md is out of date with the ops table; rerun with -update")
 	}
 	if err := os.WriteFile(path, []byte(s[:i]+want+s[j:]), 0o644); err != nil {
 		t.Fatal(err)

@@ -7,9 +7,12 @@ import (
 	"wasmdb/internal/wasm"
 )
 
-// Instruction selection: the back end of the optimizing tier. It runs once,
-// inside the last optimization round, and rewrites the register IR into the
-// forms the VM executes in one dispatch. It has two halves:
+// Instruction selection: the back end of the optimizing compiler. The emitter
+// has already chosen every form it can see from one instruction and the
+// abstract stack; this pass runs once, inside the last optimization round,
+// and adds the forms that need dataflow facts — a constant that reached its
+// use through a local or a copy, an address computed several instructions
+// before the load. It has two halves:
 //
 //   - selectInstructions, a forward pass over every block before dead-code
 //     elimination. It only rewrites *uses* — a constant operand becomes an
@@ -83,6 +86,9 @@ func (s *selector) visit(ii int) {
 	switch ops[t.op].kind {
 	case kindBin:
 		s.selectBin(t)
+		reduceMul(t)
+	case kindBinImm:
+		reduceMul(t)
 	case kindBrCmp:
 		s.selectBrCmp(t)
 	case kindLoad:
@@ -101,60 +107,44 @@ func (s *selector) visit(ii int) {
 	regDefs(t, func(r int32) { s.defAt[r] = s.base + int32(ii) + 1 })
 }
 
-// is32 reports whether a binary integer operation or comparison works on i32
-// operands, whose constants are kept zero-extended.
-func is32(op uint16) bool {
-	return op >= uint16(wasm.OpI32Eq) && op <= uint16(wasm.OpI32GeU) ||
-		op >= uint16(wasm.OpI32Add) && op <= uint16(wasm.OpI32Rotr)
-}
-
 // selectBin gives an integer operation or comparison with one constant
-// operand its immediate form. A constant on the left is moved to the right
-// through the operation's mirror (commutative operations are their own,
-// a < b mirrors to b > a, a constant minuend selects rsub); a subtracted
-// constant becomes an added one; a multiplication by one is a move and by a
-// power of two a shift.
+// operand its immediate form (immForm), which the emitter could not when the
+// constant only became known through propagation.
 func (s *selector) selectBin(t *tin) {
-	add, sub, mul, shl, rsub := uint16(wasm.OpI64Add), uint16(wasm.OpI64Sub), uint16(wasm.OpI64Mul), uint16(wasm.OpI64Shl), uint16(tI64RsubImm)
-	mask := uint64(math.MaxUint64)
-	if is32(t.op) {
-		add, sub, mul, shl, rsub = uint16(wasm.OpI32Add), uint16(wasm.OpI32Sub), uint16(wasm.OpI32Mul), uint16(wasm.OpI32Shl), tI32RsubImm
-		mask = math.MaxUint32
-	}
-	if ops[t.op].imm == 0 && t.op != sub {
-		return
-	}
 	c, ok := s.constOf(t.b)
-	if !ok {
+	left := !ok
+	if left {
 		if c, ok = s.constOf(t.a); !ok {
 			return
 		}
-		switch {
-		case t.op == sub:
-			t.op, t.a = rsub, t.b
-		case ops[t.op].swap != 0:
-			t.op, t.a = ops[t.op].swap, t.b
-		default:
-			return // a constant shifted by a register
-		}
 	}
-	if t.op == sub {
-		t.op, c = add, -c
-	}
-	c &= mask
-	switch {
-	case t.op == mul && c == 1:
-		*t = tin{op: tMove, d: t.d, a: t.a}
+	form, imm, ok := immForm(t.op, c, left)
+	if !ok {
 		return
-	case t.op == mul && bits.OnesCount64(c) == 1:
-		t.op, c = shl, uint64(bits.TrailingZeros64(c))
-	case t.op >= shl && t.op <= shl+2: // shl, shr_s, shr_u: the count is taken modulo the width
-		c &= uint64(bits.Len64(mask) - 1)
 	}
-	if t.op != rsub {
-		t.op = ops[t.op].imm
+	if left {
+		t.a = t.b
 	}
-	t.b, t.imm = 0, c
+	t.op, t.b, t.imm = form, 0, imm
+}
+
+// reduceMul turns a multiplication by one into a move and by a power of two
+// into a shift.
+func reduceMul(t *tin) {
+	shl := uint16(tI64ShlImm)
+	switch t.op {
+	case tI32MulImm:
+		shl = tI32ShlImm
+	case tI64MulImm:
+	default:
+		return
+	}
+	switch {
+	case t.imm == 1:
+		*t = tin{op: tMove, d: t.d, a: t.a}
+	case bits.OnesCount64(t.imm) == 1:
+		t.op, t.imm = shl, uint64(bits.TrailingZeros64(t.imm))
+	}
 }
 
 // selectBrCmp gives a fused integer compare-and-branch with a constant
@@ -173,14 +163,9 @@ func (s *selector) selectBrCmp(t *tin) {
 		}
 		op, a = ops[t.op].swap, t.b
 	}
-	v := int64(c)
-	if op < tBrI64Eq {
-		v = int64(int32(uint32(c)))
+	if b, ok := brImmOperand(op >= tBrI64Eq, c); ok {
+		t.op, t.a, t.b = ops[op].imm, a, b
 	}
-	if v != int64(int32(v)) {
-		return
-	}
-	t.op, t.a, t.b = ops[op].imm, a, int32(v)
 }
 
 // selectLoad moves the address computation into the load when the address
@@ -207,8 +192,9 @@ func (s *selector) selectLoad(t *tin) {
 // ins[ii].
 //
 // Destination forwarding: `op x ← …; move l ← x` with x dead afterwards
-// becomes `op l ← …` — the shape a local.set leaves behind. A local.tee's
-// stack copy stays live, so it is left alone.
+// becomes `op l ← …`. The emitter forwards a local.set or local.tee that
+// directly follows the producing instruction; this catches the moves that
+// copy propagation and the block-end flushes leave behind.
 //
 // Read-modify-write: `i64.load x ← [a+off]; i64.add x ← x, y; i64.store
 // [a+off] ← x` with x dead afterwards — the update of an aggregate slot —

@@ -1,25 +1,34 @@
-// Package turbofan is the optimizing tier of the execution engine, named
-// after V8's optimizing compiler. It compiles validated WebAssembly into
-// register-machine code in three stages:
+// Package turbofan is the engine's code generator: two compilers, one
+// machine. Both tiers of the paper's architecture (§2.2) — V8's Liftoff and
+// TurboFan — compile validated WebAssembly for the register machine of
+// run.go, whose instruction set one table (ops, below) describes, and differ
+// only in how hard they try:
 //
-//   - lowering (compile.go) eliminates the operand stack: every stack slot
-//     maps to a fixed virtual register behind the locals;
-//   - the optimizer (opt.go) runs OptRounds rounds of block-local constant
-//     folding and copy propagation, compare-and-branch fusion, jump threading
-//     and global liveness-based dead-code elimination over the basic-block
-//     graph;
-//   - the back end (isel.go, inside the last round) selects the forms the VM
-//     executes in one dispatch — immediate operands, scaled and indexed
-//     addressing modes, multiply strength reduction, destination forwarding,
-//     read-modify-write accumulation — and linearization rotates small loop
-//     headers into bottom-tested loops.
+//   - the baseline compiler (CompileBaseline, the engine's TierLiftoff) is
+//     the single-pass emitter of emit.go alone: an abstract value stack whose
+//     slots are register, local or constant, so local.get and the constants
+//     cost no instruction, a constant operand selects an immediate form, a
+//     local.set retargets the instruction before it — no IR, no liveness, no
+//     second pass;
+//   - the optimizing compiler (Compile, TierTurbofan) starts from the same
+//     emitter's output, splits it into basic blocks and runs OptRounds rounds
+//     of block-local constant folding and copy propagation,
+//     compare-and-branch fusion, jump threading and global liveness-based
+//     dead-code elimination (opt.go); inside the last round its back end
+//     (isel.go) selects the forms only dataflow facts justify — immediates of
+//     propagated constants, scaled and indexed addressing across
+//     instructions, multiply strength reduction, read-modify-write
+//     accumulation — and linearization rotates small loop headers into
+//     bottom-tested loops.
 //
-// One table (ops, below) describes every instruction of the resulting
-// "tier-2 ISA": its operand shape drives the dataflow passes, the
+// The ops table gives every instruction's operand shape and its related
+// forms; it drives the emitter's form selection, the dataflow passes, the
 // disassembler and the tests that keep the dispatch switch in run.go dense
-// and complete. Compilation costs several passes — an order of magnitude more
-// than liftoff — and yields correspondingly faster code, reproducing the tier
-// asymmetry the paper's architecture delegates to V8 (§2.2).
+// and complete. The optimizing compiler costs several passes over a graph —
+// an order of magnitude more than the baseline's one — and yields
+// correspondingly faster code, reproducing the tier asymmetry the paper's
+// architecture delegates to V8. (The package keeps the name of its first
+// tenant.)
 package turbofan
 
 import (
@@ -249,6 +258,7 @@ type opInfo struct {
 	traps bool
 	// Related forms, 0 when there is none:
 	imm     uint16 // the same operation with a constant right-hand operand
+	reg     uint16 // immediate form → the operation on two registers (rsub: sub, operands exchanged)
 	swap    uint16 // the operation with its operands exchanged: a op b == b swap a
 	br      uint16 // comparison → the branch taken when it holds
 	inv     uint16 // conditional branch → the branch taken exactly when this one is not
@@ -340,7 +350,7 @@ func buildOps() [numOps]opInfo {
 			cmp.imm = f.cmpImmFam + k
 			cmp.swap = uint16(f.cmp) + intCmpSwap[k]
 			cmp.br = f.br + k
-			t[f.cmpImmFam+k] = opInfo{name: name + "@imm", kind: kindBinImm}
+			t[f.cmpImmFam+k] = opInfo{name: name + "@imm", kind: kindBinImm, reg: uint16(f.cmp) + k, br: f.brImm + k}
 			t[f.br+k] = opInfo{name: "br." + name, kind: kindBrCmp,
 				imm: f.brImm + k, swap: f.br + intCmpSwap[k], inv: f.br + intCmpInv[k]}
 			t[f.brImm+k] = opInfo{name: "br." + name + "@imm", kind: kindBrCmpImm,
@@ -390,9 +400,9 @@ func buildOps() [numOps]opInfo {
 			if off <= 9 { // add mul and or xor
 				bin.swap = f.add + off
 			}
-			t[bin.imm] = opInfo{name: bin.name + "@imm", kind: kindBinImm}
+			t[bin.imm] = opInfo{name: bin.name + "@imm", kind: kindBinImm, reg: f.add + off}
 		}
-		t[f.imm+8] = opInfo{name: f.ty + ".rsub@imm", kind: kindBinImm}
+		t[f.imm+8] = opInfo{name: f.ty + ".rsub@imm", kind: kindBinImm, reg: f.add + 1}
 	}
 
 	// Addressing modes. Loads that behave identically share a form.
@@ -415,6 +425,48 @@ func buildOps() [numOps]opInfo {
 		t[ix] = opInfo{name: t[ws[0]].name + "@indexed", kind: kindLoadIndexed, traps: true}
 	}
 	return t
+}
+
+// is32 reports whether a binary integer operation or comparison works on i32
+// operands, whose constants are kept zero-extended.
+func is32(op uint16) bool {
+	return op >= uint16(wasm.OpI32Eq) && op <= uint16(wasm.OpI32GeU) ||
+		op >= uint16(wasm.OpI32Add) && op <= uint16(wasm.OpI32Rotr)
+}
+
+// immForm returns the immediate form of binary operation op with the constant
+// c as its right-hand operand, or (left) as its left-hand one, and the
+// immediate to give it; ok is false when the table has no such form. A
+// left-hand constant moves to the right through the operation's mirror
+// (commutative operations are their own, a < b mirrors to b > a) or selects
+// rsub; a subtracted constant becomes an added one; a shift count is reduced
+// modulo the width.
+func immForm(op uint16, c uint64, left bool) (form uint16, imm uint64, ok bool) {
+	add, sub, shl, rsub, mask := uint16(wasm.OpI64Add), uint16(wasm.OpI64Sub), uint16(wasm.OpI64Shl), uint16(tI64RsubImm), uint64(math.MaxUint64)
+	if is32(op) {
+		add, sub, shl, rsub, mask = uint16(wasm.OpI32Add), uint16(wasm.OpI32Sub), uint16(wasm.OpI32Shl), tI32RsubImm, math.MaxUint32
+	}
+	switch {
+	case op == sub && left:
+		return rsub, c & mask, true
+	case op == sub:
+		op, c = add, -c
+	case left:
+		op = ops[op].swap // 0, which has no immediate form, when there is no mirror
+	case op >= shl && op <= shl+2: // shl, shr_s, shr_u
+		c &= uint64(bits.Len64(mask) - 1)
+	}
+	return ops[op].imm, c & mask, ops[op].imm != 0
+}
+
+// brImmOperand returns the constant c of a comparison as the literal b of a
+// fused compare-and-branch, whose imm holds the target: it must fit an int32,
+// which the branch sign-extends (every i32 constant does).
+func brImmOperand(i64 bool, c uint64) (b int32, ok bool) {
+	if !i64 {
+		return int32(uint32(c)), true
+	}
+	return int32(c), int64(c) == int64(int32(c))
 }
 
 // isBranch reports whether op transfers control, and whether it is

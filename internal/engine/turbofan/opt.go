@@ -158,6 +158,12 @@ func (o *optimizer) foldBlocks() {
 				}
 			}
 		}
+		toConst := func(t *tin, v uint64) {
+			*t = tin{op: uint16(wasm.OpI64Const), d: t.d, imm: v}
+			kill(t.d)
+			constKnown[t.d] = true
+			constVal[t.d] = v
+		}
 		for ii := range ins {
 			t := &ins[ii]
 			// Rewrite uses through available copies (calls and returns read
@@ -169,6 +175,19 @@ func (o *optimizer) foldBlocks() {
 				return r
 			})
 			kind := ops[t.op].kind
+			if kind == kindSelect || kind == kindSelectImm {
+				if cr := int32(t.imm); constKnown[cr] {
+					switch {
+					case constVal[cr] != 0:
+						*t = tin{op: tMove, d: t.d, a: t.a}
+					case kind == kindSelect:
+						*t = tin{op: tMove, d: t.d, a: t.b}
+					default:
+						*t = tin{op: uint16(wasm.OpI64Const), d: t.d, imm: uint64(uint32(t.b))}
+					}
+					kind = ops[t.op].kind
+				}
+			}
 
 			// Transform and update dataflow facts.
 			switch kind {
@@ -178,11 +197,7 @@ func (o *optimizer) foldBlocks() {
 				constVal[t.d] = t.imm
 			case kindMove:
 				if constKnown[t.a] {
-					v := constVal[t.a]
-					*t = tin{op: uint16(wasm.OpI64Const), d: t.d, imm: v}
-					kill(t.d)
-					constKnown[t.d] = true
-					constVal[t.d] = v
+					toConst(t, constVal[t.a])
 				} else {
 					src := t.a
 					kill(t.d)
@@ -193,10 +208,7 @@ func (o *optimizer) foldBlocks() {
 			case kindBin:
 				if constKnown[t.a] && constKnown[t.b] {
 					if v, ok := pureEval(t.op, constVal[t.a], constVal[t.b]); ok {
-						*t = tin{op: uint16(wasm.OpI64Const), d: t.d, imm: v}
-						kill(t.d)
-						constKnown[t.d] = true
-						constVal[t.d] = v
+						toConst(t, v)
 						continue
 					}
 				}
@@ -204,30 +216,21 @@ func (o *optimizer) foldBlocks() {
 			case kindUn:
 				if constKnown[t.a] {
 					if v, ok := pureEval(t.op, constVal[t.a], 0); ok {
-						*t = tin{op: uint16(wasm.OpI64Const), d: t.d, imm: v}
-						kill(t.d)
-						constKnown[t.d] = true
-						constVal[t.d] = v
+						toConst(t, v)
 						continue
 					}
 				}
 				kill(t.d)
-			case kindSelect:
-				if cr := int32(t.imm); constKnown[cr] {
-					if constVal[cr] != 0 {
-						*t = tin{op: tMove, d: t.d, a: t.a}
-					} else {
-						*t = tin{op: tMove, d: t.d, a: t.b}
+			case kindBinImm:
+				if constKnown[t.a] {
+					x, y := constVal[t.a], t.imm
+					if t.op == tI32RsubImm || t.op == tI64RsubImm {
+						x, y = y, x
 					}
-					src := t.a
-					kill(t.d)
-					if constKnown[src] {
-						constKnown[t.d] = true
-						constVal[t.d] = constVal[src]
-					} else if src != t.d {
-						copySrc[t.d] = src
+					if v, ok := pureEval(ops[t.op].reg, x, y); ok {
+						toConst(t, v)
+						continue
 					}
-					continue
 				}
 				kill(t.d)
 			default:
@@ -257,18 +260,18 @@ func (o *optimizer) foldBlocks() {
 }
 
 // fuseBranches fuses comparison results consumed directly by a conditional
-// branch into a single compare-and-branch instruction, and folds eqz into
-// branch polarity.
+// branch into a single compare-and-branch instruction — a comparison with a
+// constant, which the emitter hands over in immediate form, into the branch's
+// immediate form — and folds eqz into branch polarity.
 //
-// Correctness: the stack-to-register lowering reuses slots, so the compare's
-// destination usually aliases its first operand (d == a). The fused branch
-// reads the *operands*, so the compare must be removed, not merely left for
-// DCE — otherwise it clobbers the operand before the branch reads it. The
-// removal is safe exactly when d is an operand-stack slot (d ≥ NLocals):
-// the branch pops that stack position, and the wasm stack discipline
-// guarantees any later use of the slot is preceded by a write. When the
-// result lands in a local (via local.tee), it may outlive the branch and we
-// skip fusion.
+// Correctness: the fused branch reads the comparison's *operands*, and the
+// comparison may have overwritten one of them (its destination is the
+// canonical register of the stack position its first operand was popped
+// from). So the compare must be removed, not merely left for DCE. The removal
+// is safe exactly when d is an operand-stack slot (d ≥ NLocals): the branch
+// pops that stack position, and the wasm stack discipline guarantees any
+// later use of the slot is preceded by a write. When the result lands in a
+// local (via local.tee), it may outlive the branch and we skip fusion.
 func (o *optimizer) fuseBranches() {
 	nLocals := int32(o.code.NLocals)
 	for bi := range o.g.blocks {
@@ -289,14 +292,22 @@ func (o *optimizer) fuseBranches() {
 				*def = tin{op: tNop}
 				continue
 			}
-			fused := ops[def.op].br
+			fused, b := ops[def.op].br, def.b
 			if fused == 0 {
 				continue
+			}
+			if ops[def.op].kind == kindBinImm {
+				// A comparison with a constant the fused form cannot hold
+				// stays as it is: no worse than loading the constant.
+				var fits bool
+				if b, fits = brImmOperand(def.op >= tI64EqImm, def.imm); !fits {
+					continue
+				}
 			}
 			if br.op == tJumpIfZero {
 				fused = ops[fused].inv
 			}
-			*br = tin{op: fused, a: def.a, b: def.b, imm: br.imm}
+			*br = tin{op: fused, a: def.a, b: b, imm: br.imm}
 			*def = tin{op: tNop}
 		}
 	}

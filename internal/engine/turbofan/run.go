@@ -10,7 +10,9 @@ import (
 
 // Call executes the compiled function, implementing rt.Callee. All registers
 // (locals followed by stack slots) live in a frame carved from the shared
-// arena.
+// arena. This and run below are the engine's only execution path: fuel,
+// traps, interrupts and the rt memory fast paths exist once, for both
+// compilers' code.
 func (c *Code) Call(env *rt.Env, args, res []uint64) {
 	env.Enter()
 	frame := env.Frame(c.NLocals + c.MaxStack)

@@ -4,12 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"wasmdb/internal/engine/liftoff"
 	"wasmdb/internal/engine/rt"
 	"wasmdb/internal/wasm"
 )
 
-func compileBoth(t *testing.T, m *wasm.Module) (*Code, *liftoff.Code) {
+// compileBoth compiles the module's first function with the optimizing and
+// with the baseline compiler.
+func compileBoth(t *testing.T, m *wasm.Module) (tf, lo *Code) {
 	t.Helper()
 	if err := wasm.Validate(m); err != nil {
 		t.Fatalf("validate: %v", err)
@@ -18,9 +19,9 @@ func compileBoth(t *testing.T, m *wasm.Module) (*Code, *liftoff.Code) {
 	if err != nil {
 		t.Fatalf("turbofan: %v", err)
 	}
-	lo, err := liftoff.Compile(m, &m.Funcs[0])
+	lo, err = CompileBaseline(m, &m.Funcs[0])
 	if err != nil {
-		t.Fatalf("liftoff: %v", err)
+		t.Fatalf("baseline: %v", err)
 	}
 	return tf, lo
 }

@@ -92,7 +92,7 @@ func New(minPages, maxPages uint32) *Memory {
 // Pages returns the current size in pages.
 func (m *Memory) Pages() uint32 { return uint32(len(m.pages)) }
 
-// PageSlice exposes the page table for the interpreters' inline fast paths
+// PageSlice exposes the page table for the run loop's inline fast paths
 // (see rt.LdU32 and friends). The returned slice becomes stale after Grow;
 // callers refresh it after any operation that may grow the memory. Map,
 // Unmap and first-touch commits write into the same backing array, so a

@@ -39,6 +39,22 @@ func describeKeys(exprs []sema.Expr) ([]keyDesc, int) {
 	return out, off / 8
 }
 
+// alignKeys gives each key of a join the same key words on both sides: a CHAR
+// key takes the wider column's, and kw_char space-fills the narrower value up
+// to it, so values that differ only in padding have equal key words (their
+// hashes, taken over the unpadded bytes, agree already). It returns the key
+// words per entry.
+func alignKeys(build, probe []keyDesc) int {
+	off := 0
+	for i := range build {
+		w := max(build[i].words, probe[i].words)
+		build[i].words, probe[i].words = w, w
+		build[i].byteOff, probe[i].byteOff = off, off
+		off += w * 8
+	}
+	return off / 8
+}
+
 // hashAndNormalize computes the hash vector and the key-word area for the
 // given key expressions over a batch. canonFloat hashes (and stores key
 // words for) Float64 keys through a -0.0→+0.0 canonical copy so the join's
@@ -315,7 +331,9 @@ func (r *Runner) execGlobalAgg(g *plan.Group, emit func(*batch) error) error {
 // Hash join.
 
 func (r *Runner) execJoin(j *plan.HashJoin, emit func(*batch) error) error {
-	keys, nKW := describeKeys(j.BuildKeys)
+	keys, _ := describeKeys(j.BuildKeys)
+	probeKeys, _ := describeKeys(j.ProbeKeys)
+	nKW := alignKeys(keys, probeKeys)
 	// Payload: every referenced column of the build side.
 	buildTables := j.Build.Tables()
 	var payload []keyDesc
@@ -402,10 +420,6 @@ func (r *Runner) execJoin(j *plan.HashJoin, emit func(*batch) error) error {
 	}
 
 	// Probe side: leaves needed downstream from the probe side.
-	probeKeys, pnKW := describeKeys(j.ProbeKeys)
-	if pnKW != nKW {
-		return fmt.Errorf("vectorized: key width mismatch")
-	}
 	var probeLeaves []keyDesc
 	{
 		probeTables := j.Probe.Tables()

@@ -296,14 +296,10 @@ func TestJoinBuildKeyCanonicalisation(t *testing.T) {
 	runJoinCase(t, db, joinCase{name: "char", adhoc: "SELECT ca.v, cc.x FROM ca, cc WHERE ca.s = cc.s",
 		want: "2|6\n2|7\n3|5\n4|8"})
 	// The prepared form's extra conjunct moves the build side to the wider
-	// column. Two baselines cannot take this case, at the parent commit
-	// either: the vectorized interpreter rejects join keys of different
-	// widths, and the HyPer-like library table finds nothing when the build
-	// key is the wider one (ROADMAP, open items).
+	// column.
 	runJoinCase(t, db, joinCase{name: "char-widths", adhoc: "SELECT ca.v, cb.w FROM ca, cb WHERE ca.s = cb.s",
 		prepared: "SELECT ca.v, cb.w FROM ca, cb WHERE ca.s = cb.s AND cb.w < ?", args: []any{1000},
-		want: "1|10\n1|60\n2|20\n3|50\n4|30",
-		skip: func(b wasmdb.Backend) bool { return b == wasmdb.BackendVectorized || b == wasmdb.BackendHyperLike }})
+		want: "1|10\n1|60\n2|20\n3|50\n4|30"})
 
 	two := make([][]types.Value, 300)
 	for i := range two {

@@ -9,52 +9,37 @@ import (
 	"wasmdb/internal/engine/turbofan"
 )
 
-// parentRetired is what the same measurement gave at the commit before the
-// tier-2 back end (PR 12, f7e1549): instructions dispatched by turbofan code
-// for one serial execution of each query at TPC-H SF 0.01, seed 42, tier
-// forced, plan cache off. To reproduce them, check out f7e1549, add to
-// internal/engine/turbofan a file declaring `var retired uint64` with the
-// ResetRetired and Retired functions of count_on.go, insert the one line
-// `retired++` after `t := ins[pc]` at the top of the loop in run.go, and run
-// this test without its build tag. ISSUE 14 quotes lower parent figures (Q1
-// 8 483 585 … Q6 2 073 920) from a prototype whose counter did not see every
-// dispatch — Q6's gap is exactly its 60 500 unconditional jumps, one per row;
-// EXPERIMENTS.md ("Ledger: tier-2 back end") has both sets side by side.
-var parentRetired = map[string]uint64{
-	"Q1":  9271190,
-	"Q3":  11711859,
-	"Q6":  2134420,
-	"Q12": 10221720,
-	"Q14": 1995271,
+// Instructions dispatched by the engine's one run loop for one serial
+// execution of each query at TPC-H SF 0.01, seed 42, tier forced, plan cache
+// off. Both tiers' code runs in that loop, so the counter of count_on.go sees
+// either.
+//
+// pr12Retired is the optimizing tier before it had a back end (PR 12,
+// f7e1549; EXPERIMENTS.md, "Ledger: tier-2 back end", says how to reproduce
+// it there), pr16Retired the optimizing tier at the parent of the shared
+// emitter (7e8ac5c, this test as it stood there). The baseline tier was a
+// stack machine with a loop of its own until then; the same counter patched
+// into that loop gave pr16Baseline.
+var (
+	pr12Retired  = map[string]uint64{"Q1": 9271190, "Q3": 11711859, "Q6": 2134420, "Q12": 10221720, "Q14": 1995271}
+	pr16Retired  = map[string]uint64{"Q1": 4909587, "Q3": 2021370, "Q6": 1039389, "Q12": 5657514, "Q14": 646766}
+	pr16Baseline = map[string]uint64{"Q1": 14298097, "Q3": 5149051, "Q6": 2681350, "Q12": 15584492, "Q14": 1739741}
+)
+
+// retiredCeiling holds the figures of the change that made both compilers
+// share one emitter (ISSUE 18), recorded as the ceilings for what follows:
+// the optimizing tier may not retire more than it did at its parent —
+// sharing the emitter took 0 to 5 % off — and the baseline tier, whose count
+// is the mechanism of that change, may not lose what it gained.
+var retiredCeiling = map[wasmdb.Backend]map[string]uint64{
+	wasmdb.BackendWasmTurbofan: {"Q1": 4848048, "Q3": 1919500, "Q6": 1039389, "Q12": 5645293, "Q14": 639577},
+	wasmdb.BackendWasmLiftoff:  {"Q1": 6665122, "Q3": 2415426, "Q6": 1160390, "Q12": 6890781, "Q14": 784115},
 }
 
-// headRetired is the same measurement at the commit before build-once joins
-// (abf113a, this test as it stood there), and joinCeiling what ISSUE 16 named
-// beforehand for that change: 58.6 % of Q3's instructions were rehashing
-// entries already placed, Q14's part build rehashed twice and copied p_type a
-// byte at a time, Q12 and Q1 may only lose instructions (Q1 only its CHAR(1)
-// key copies) and Q6, which has no hash table, must not move at all.
-var headRetired = map[string]uint64{
-	"Q1":  4909739,
-	"Q3":  7102350,
-	"Q6":  1039389,
-	"Q12": 5675236,
-	"Q14": 1011829,
-}
-
-var joinCeiling = map[string]uint64{
-	"Q1":  4909739,
-	"Q3":  3900000,
-	"Q6":  1039389,
-	"Q12": 5675236,
-	"Q14": 930000,
-}
-
-// TestRetiredInstructions is the mechanism of the tier-2 back end, and of
-// build-once joins after it, shown as a count: per query, the instructions
-// the optimizing tier's code retires must repeat exactly from run to run, lie
-// at least 25 % below the PR 12 parent's and not above the ceiling named for
-// the join change (Q6 exactly on it).
+// TestRetiredInstructions shows the code quality of both tiers as a count:
+// per query and tier, the instructions retired must repeat exactly from run
+// to run and stay at or below the recorded ceiling; the optimizing tier's
+// must also lie at least 25 % below the PR 12 parent's.
 // It needs the counter compiled into the run loop:
 //
 //	go test -tags turbofan_count -run TestRetiredInstructions -v .
@@ -63,27 +48,32 @@ func TestRetiredInstructions(t *testing.T) {
 	if err := db.LoadTPCH(0.01, 42); err != nil {
 		t.Fatal(err)
 	}
-	measure := func(src string) uint64 {
+	measure := func(src string, backend wasmdb.Backend) uint64 {
 		turbofan.ResetRetired()
-		if _, err := db.Query(src, wasmdb.WithBackend(wasmdb.BackendWasmTurbofan), wasmdb.WithPlanCache(false)); err != nil {
+		if _, err := db.Query(src, wasmdb.WithBackend(backend), wasmdb.WithPlanCache(false)); err != nil {
 			t.Fatal(err)
 		}
 		return turbofan.Retired()
 	}
 	for _, id := range []string{"Q1", "Q3", "Q6", "Q12", "Q14"} {
 		src, _ := wasmdb.TPCHQuery(id)
-		first, second := measure(src), measure(src)
-		if first != second {
-			t.Errorf("%s: retired count does not repeat: %d then %d", id, first, second)
+		var now [2]uint64
+		for i, backend := range []wasmdb.Backend{wasmdb.BackendWasmLiftoff, wasmdb.BackendWasmTurbofan} {
+			first, second := measure(src, backend), measure(src, backend)
+			if first != second {
+				t.Errorf("%s on %v: retired count does not repeat: %d then %d", id, backend, first, second)
+			}
+			if ceiling := retiredCeiling[backend][id]; first > ceiling {
+				t.Errorf("%s on %v: %d instructions retired, ceiling %d", id, backend, first, ceiling)
+			}
+			now[i] = first
 		}
-		parent, head := parentRetired[id], headRetired[id]
-		t.Logf("%-3s PR 12 %9d  PR 15 %9d  now %9d  %+.1f %% / %+.1f %%", id, parent, head, first,
-			100*(float64(first)/float64(parent)-1), 100*(float64(first)/float64(head)-1))
-		if float64(first) > 0.75*float64(parent) {
-			t.Errorf("%s: %d instructions retired, more than 75 %% of the parent's %d", id, first, parent)
-		}
-		if first > joinCeiling[id] || (id == "Q6" && first != head) {
-			t.Errorf("%s: %d instructions retired, ceiling %d (PR 15: %d)", id, first, joinCeiling[id], head)
+		t.Logf("%-3s tier 1: PR 16 %9d  now %9d  %+.1f %%   tier 2: PR 12 %9d  PR 16 %9d  now %9d  %+.1f %%   tier 1 / tier 2 %.2f",
+			id, pr16Baseline[id], now[0], 100*(float64(now[0])/float64(pr16Baseline[id])-1),
+			pr12Retired[id], pr16Retired[id], now[1], 100*(float64(now[1])/float64(pr16Retired[id])-1),
+			float64(now[0])/float64(now[1]))
+		if float64(now[1]) > 0.75*float64(pr12Retired[id]) {
+			t.Errorf("%s: %d instructions retired by tier 2, more than 75 %% of PR 12's %d", id, now[1], pr12Retired[id])
 		}
 	}
 }
