@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify fuzz lint-layers flake-guard tier-diff retired bench-smoke
+.PHONY: build test verify fuzz lint-layers flake-guard tier-diff parallel-diff retired bench-smoke
 
 build:
 	$(GO) build ./...
@@ -10,16 +10,16 @@ test:
 
 # verify is the CI gate: compile everything, lint with vet, enforce the
 # observability layering invariant, repeat the three once-flaky concurrency
-# tests, check the engine's two compilers against each other, and run the full
-# suite under the race detector (the guardrail watchdog, background tier-up,
-# and the parallel morsel worker pool — including the fault-injection and
-# cancellation tests in internal/core/parallel_test.go — are
-# concurrency-heavy paths).
+# tests, check the engine's two compilers against each other and parallel
+# execution against serial, and run the full suite under the race detector
+# (the guardrail watchdog, background tier-up, and the parallel morsel worker
+# pool are concurrency-heavy paths).
 verify: lint-layers
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) flake-guard
 	$(MAKE) tier-diff
+	$(MAKE) parallel-diff
 	$(GO) test -race ./...
 
 # tier-diff runs what pins the two compilers to each other and to the values
@@ -36,6 +36,23 @@ tier-diff:
 	@n=$$($(GO) test -list '$(TIER_DIFF)' ./internal/engine/... | grep -c '^Test\|^Fuzz'); \
 		if [ $$n -lt 15 ]; then echo "tier-diff: the pattern selects $$n tests, expected at least 15" >&2; exit 1; fi
 	$(GO) test -race -run '$(TIER_DIFF)' ./internal/engine/...
+
+# parallel-diff runs what pins a worker pool to serial execution, ahead of the
+# full suite so a barrier bug fails here by name: the serial-vs-parallel
+# differentials (public corpus, TPC-H, prepared LIMIT, the join-build corpus
+# over six backends × workers {1,2,4}, and the core-level group, keyless,
+# sort, scan, join and FLOAT-key cases), the fallback matrix through Execute
+# and its DESIGN.md rendering, the faults, engine panics and cancellations
+# injected into the group, keyless and join barriers and the morsel loop, and
+# the scheduler's lease and yield tests — under the race detector on two
+# cores, where workers really interleave. A pattern that stops matching after
+# a rename would pass vacuously, so the number of selected tests is checked
+# first.
+PARALLEL_DIFF = Parallel|Barrier|Scheduler|Fallback|JoinBuild
+parallel-diff:
+	@n=$$($(GO) test -list '$(PARALLEL_DIFF)' . ./internal/core | grep -c '^Test'); \
+		if [ $$n -lt 30 ]; then echo "parallel-diff: the pattern selects $$n tests, expected at least 30" >&2; exit 1; fi
+	GOMAXPROCS=2 $(GO) test -race -run '$(PARALLEL_DIFF)' . ./internal/core
 
 # retired prints the instructions each tier's code retires per TPC-H query
 # (tier forced) next to the recorded parent figures, with the counter compiled

@@ -56,62 +56,44 @@ type ResultField struct {
 	Offset uint32
 }
 
-// AggGlobal describes one keyless-aggregation state global — the metadata
-// the parallel executor needs to merge per-worker partial aggregates
-// host-side (each worker instance accumulates into its own copy of the
-// global; the merge folds them with the aggregate's combine rule).
-type AggGlobal struct {
-	// Global is the module global index holding the running state.
-	Global uint32
-	// Func is the aggregate function (COUNT/SUM/MIN/MAX) selecting the
-	// combine rule.
-	Func sema.AggFunc
-	// T is the aggregate's state type (determines bit interpretation).
-	T types.Type
+// Barrier is one synchronization point of the query, declared by the code
+// generator where it emitted the operator that needs it: once the pipeline at
+// index Pipeline has been driven, the state it left on each worker is turned
+// into the state the following pipelines read. Exactly one of Join, Fold and
+// Sort is set. The executor runs the barriers of a pipeline in the order they
+// are listed, with a pool of one as with many; it never works out from the
+// pipelines what state they hold.
+type Barrier struct {
+	Pipeline int
+	// Join: every worker builds a directory over all workers' tuple chunks.
+	Join *JoinMerge
+	// Fold: the secondaries' partial aggregation state is folded into the
+	// primary, which runs every later pipeline.
+	Fold *FoldMerge
+	// Sort: Pipeline is the sort call every worker runs on its own tuple
+	// array; the sorted runs are merged into the primary's.
+	Sort *SortMerge
 }
 
-// MergeField locates one group-key field inside a partial group record
-// (offsets are relative to the record base, which mirrors a hash-table
-// entry including its occupancy flag word).
-type MergeField struct {
-	Offset uint32
-	T      types.Type
-}
-
-// MergeAgg locates one aggregate state field inside a partial group record
-// and names the fold rule the host applies when two partials collide.
-type MergeAgg struct {
-	Offset uint32
-	T      types.Type
-	Func   sema.AggFunc
-}
-
-// GroupMerge describes the ad-hoc exports a keyed group-by module provides
-// for parallel partial-state merging. Each worker builds a private group
-// hash table during the parallel scan; at the barrier the host drains every
-// secondary worker's table via DumpExport, folds records per key, and feeds
-// the merged records into the primary worker through RecvExport +
-// MergeExport (a morsel-shaped probe-or-combine loop over the primary's own
-// table). Serial execution never calls these exports.
-type GroupMerge struct {
-	// DumpExport compacts the occupied entries of the worker's group table
-	// into a fresh allocation and returns its base address; the record count
-	// is read from CountGlobal.
-	DumpExport string
-	// RecvExport allocates room for n merged records on the primary worker
-	// and returns the base address the host writes them to.
-	RecvExport string
-	// MergeExport folds received records [begin, end) into the primary
-	// worker's group table (insert new keys, combine colliding partials).
+// FoldMerge describes a fold barrier. The fold rule itself — which aggregate
+// adds, which compares, when two keys are equal — exists only in the module:
+// MergeExport folds partial state into the instance it is called on, and the
+// host moves that state between workers without interpreting it.
+type FoldMerge struct {
+	// MergeExport, when Globals is set (keyless aggregation), takes the
+	// values another worker's Globals hold, in order, as its arguments.
+	// Otherwise (a group table) it is morsel-shaped over records
+	// [begin, end) of the buffer RecvExport allocated.
 	MergeExport string
-	// CountGlobal is the module global holding the live group count.
+	Globals     []uint32
+	// DumpExport compacts the occupied entries of the worker's group table
+	// into a fresh allocation of verbatim entry images, Stride bytes each,
+	// and returns its address; CountGlobal holds their number. RecvExport(n)
+	// allocates room for n records and returns where to write them.
+	DumpExport  string
+	RecvExport  string
 	CountGlobal uint32
-	// Stride is the record size in bytes, occupancy flag word included.
-	Stride uint32
-	// Keys identifies the group-key fields (host fold key = their raw bytes).
-	Keys []MergeField
-	// Aggs identifies the aggregate state fields and their fold rules.
-	Aggs []MergeAgg
+	Stride      uint32
 }
 
 // JoinMerge describes the build barrier of one ad-hoc hash-join table. The
@@ -133,18 +115,19 @@ type JoinMerge struct {
 	// HeadGlobal holds the address of the worker's newest chunk (0 for none;
 	// a chunk's first word links to the one before it), PosGlobal the append
 	// cursor inside it, MaskGlobal the directory's slot mask after reserve.
-	HeadGlobal uint32
-	PosGlobal  uint32
-	MaskGlobal uint32
+	// AlignGlobal holds the alignment of tuple chunks: the executor raises it
+	// to a page before q_init when a worker pool runs the query, so chunks
+	// can be rewired between workers.
+	HeadGlobal  uint32
+	PosGlobal   uint32
+	MaskGlobal  uint32
+	AlignGlobal uint32
 	// Stride is the tuple size in bytes, hash word included; ChunkCap the
 	// number of tuples every chunk but the newest holds; ChunkPages a chunk's
 	// size in pages.
 	Stride     uint32
 	ChunkCap   uint32
 	ChunkPages uint32
-	// BuildPipeline is the index into CompiledQuery.Pipelines of the build
-	// pipeline this table is filled by; the executor barriers after it.
-	BuildPipeline int
 }
 
 // SortKeyField is one ORDER BY key inside a sorted-run tuple; the host-side
@@ -194,33 +177,14 @@ type CompiledQuery struct {
 	// MinPages is the initial memory size the executor must provide.
 	MinPages uint32
 
-	// AggGlobals lists the keyless-aggregation state globals (empty unless
-	// the query has a single global aggregation); AggCountGlobal is the
-	// matched-row counter feeding the zero-input guard. aggStateSets counts
-	// how many aggregation operators allocated global state — the parallel
-	// merge only applies when exactly one did.
-	AggGlobals     []AggGlobal
-	AggCountGlobal uint32
-	aggStateSets   int
-
-	// GroupMerge describes the ad-hoc merge exports of a keyed group-by
-	// module (nil when the query has no specialized group hash table). The
-	// parallel executor uses it to drain each worker's partial groups, fold
-	// them per key host-side, and feed the result into the primary worker.
-	GroupMerge *GroupMerge
-	// JoinMerges describes the build barrier of each ad-hoc hash-join table,
-	// in build-pipeline order (empty when the query has no specialized
-	// joins). ChunkAlignGlobal, valid when it is non-empty, is the module
-	// global holding the alignment of tuple chunks: the executor raises it to
-	// a page before q_init when a worker pool runs the query, so chunks can
-	// be rewired between workers.
-	JoinMerges       []*JoinMerge
-	ChunkAlignGlobal uint32
-	// SortMerge describes the sorted-run merge metadata of an order-by
-	// module (nil when the query has no specialized sort). The parallel
-	// executor k-way merges per-worker sorted runs host-side and installs
-	// the merged array into the primary worker.
-	SortMerge *SortMerge
+	// Barriers lists the query's synchronization points in the order they
+	// run (ascending Pipeline). SerialReason, when non-empty, is the reason a
+	// worker pool can never run this module — a property of the generated
+	// code, known when it was generated: float-sum-order, or
+	// unmergeable-pipeline-state for state a table scan fills that no barrier
+	// combines.
+	Barriers     []Barrier
+	SerialReason string
 
 	Limit int64 // -1 if none
 
@@ -314,6 +278,7 @@ type compiler struct {
 	// Shared generated helpers, created on demand.
 	fnAlloc        *wasm.FuncBuilder
 	fnAllocAligned *wasm.FuncBuilder
+	gChunkAlign    uint32 // alignment of alloc_aligned, valid once it exists
 	fnExtractYear  *wasm.FuncBuilder
 	strcmps        map[[2]int]*wasm.FuncBuilder
 	likes          map[string]*wasm.FuncBuilder
@@ -488,6 +453,22 @@ func (c *compiler) newPipeline(kind PipelineKind, tableIdx int, countGlobal uint
 		c.out.Uncacheable = true
 	}
 	return &gen{c: c, f: f}
+}
+
+// addBarrier declares b on the pipeline emitted last.
+func (c *compiler) addBarrier(b Barrier) {
+	b.Pipeline = len(c.out.Pipelines) - 1
+	c.out.Barriers = append(c.out.Barriers, b)
+}
+
+// serialOnly records that no barrier combines the state the pipeline emitted
+// last has just filled. That only matters for a table scan: a pool spreads
+// nothing else (every other pipeline runs on the primary, over state the
+// barriers left there). The first reason recorded stands.
+func (c *compiler) serialOnly(reason string) {
+	if c.out.SerialReason == "" && c.out.Pipelines[len(c.out.Pipelines)-1].Kind == PipeScanTable {
+		c.out.SerialReason = reason
+	}
 }
 
 // consumer emits the code that consumes one tuple in the current pipeline;

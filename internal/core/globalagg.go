@@ -5,6 +5,7 @@ import (
 
 	"wasmdb/internal/plan"
 	"wasmdb/internal/sema"
+	"wasmdb/internal/types"
 	"wasmdb/internal/wasm"
 )
 
@@ -13,48 +14,19 @@ import (
 // aggregate registers directly (data-centric compilation as in HyPer and
 // mutable). MIN/MAX updates are branch-free via select (§8.2, Fig. 7d).
 func (c *compiler) produceGlobalAgg(gr *plan.Group, consume consumer) error {
-	states, gCount := c.newGlobalAggStates(gr)
+	states, gCount, fold := c.newGlobalAggStates(gr)
 
 	err := c.produce(gr.Input, func(g *gen, e *env) {
-		f := g.f
-		f.GlobalGet(gCount)
-		f.I64Const(1)
-		f.I64Add()
-		f.GlobalSet(gCount)
+		// The matched-row counter folds like a COUNT(*).
+		g.emitAggFold(sema.AggCountStar, g.globalAgg(gCount, types.TInt64), foldVal{})
 		for i, a := range gr.Aggs {
-			st := states[i]
-			switch a.Func {
-			case sema.AggCountStar, sema.AggCount:
-				f.GlobalGet(st.glob)
-				f.I64Const(1)
-				f.I64Add()
-				f.GlobalSet(st.glob)
-			case sema.AggSum:
-				f.GlobalGet(st.glob)
-				g.expr(e, a.Arg)
-				if st.t == wasm.F64 {
-					f.F64Add()
-				} else {
-					f.I64Add()
-				}
-				f.GlobalSet(st.glob)
-			case sema.AggMin, sema.AggMax:
-				v := f.AddLocal(st.t)
-				g.expr(e, a.Arg)
-				f.LocalSet(v)
-				f.LocalGet(v)
-				f.GlobalGet(st.glob)
-				f.LocalGet(v)
-				f.GlobalGet(st.glob)
-				f.Op(minMaxCmp(a.Func, a.T))
-				f.Select()
-				f.GlobalSet(st.glob)
-			}
+			g.emitAggFold(a.Func, g.globalAgg(states[i].glob, a.T), foldVal{push: func() { g.expr(e, a.Arg) }, expr: true})
 		}
 	})
 	if err != nil {
 		return err
 	}
+	c.declareFold(gr, fold)
 	return c.emitGlobalAggOutput(gr, states, gCount, consume)
 }
 
@@ -63,17 +35,23 @@ type globalAggState struct {
 	t    wasm.ValType
 }
 
+// aggMergeExport is the fold export of keyless aggregation.
+const aggMergeExport = "q_agg_merge"
+
 // newGlobalAggStates allocates one global per aggregate (initialized to the
-// aggregate's identity) plus a matched-row counter, and records the merge
-// metadata the parallel executor uses to combine per-worker partial states.
-func (c *compiler) newGlobalAggStates(gr *plan.Group) ([]globalAggState, uint32) {
+// aggregate's identity) plus a matched-row counter, and emits
+// q_agg_merge(count, s0, …): fold the keyless state of another worker — the
+// values of the globals the returned FoldMerge lists, passed as arguments —
+// into this instance's.
+func (c *compiler) newGlobalAggStates(gr *plan.Group) ([]globalAggState, uint32, *FoldMerge) {
 	states := make([]globalAggState, len(gr.Aggs))
 	gCount := c.b.AddGlobal(wasm.I64, true, 0)
-	c.out.AggCountGlobal = gCount
-	c.out.aggStateSets++
+	fold := &FoldMerge{MergeExport: aggMergeExport, Globals: []uint32{gCount}}
+	params := []wasm.ValType{wasm.I64}
 	for i, a := range gr.Aggs {
 		states[i] = globalAggState{glob: c.b.AddGlobal(wasmType(a.T), true, 0), t: wasmType(a.T)}
-		c.out.AggGlobals = append(c.out.AggGlobals, AggGlobal{Global: states[i].glob, Func: a.Func, T: a.T})
+		fold.Globals = append(fold.Globals, states[i].glob)
+		params = append(params, states[i].t)
 		st := states[i]
 		a := a
 		c.initSteps = append(c.initSteps, func(g *gen) {
@@ -101,7 +79,19 @@ func (c *compiler) newGlobalAggStates(gr *plan.Group) ([]globalAggState, uint32)
 			f.GlobalSet(st.glob)
 		})
 	}
-	return states, gCount
+
+	f := c.b.NewFunc(aggMergeExport, wasm.FuncType{Params: params})
+	c.b.Export(aggMergeExport, wasm.ExternFunc, f.Index)
+	g := &gen{c: c, f: f}
+	g.emitAggFold(sema.AggCountStar, g.globalAgg(gCount, types.TInt64), foldVal{push: func() { f.LocalGet(f.Param(0)) }, partial: true})
+	for i, a := range gr.Aggs {
+		p := f.Param(i + 1)
+		g.emitAggFold(a.Func, g.globalAgg(states[i].glob, a.T), foldVal{push: func() { f.LocalGet(p) }, partial: true})
+	}
+	if g.err != nil && c.err == nil {
+		c.err = g.err
+	}
+	return states, gCount, fold
 }
 
 // emitGlobalAggOutput creates the run-once pipeline producing the single

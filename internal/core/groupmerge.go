@@ -3,19 +3,17 @@ package core
 import (
 	"wasmdb/internal/plan"
 	"wasmdb/internal/sema"
-	"wasmdb/internal/types"
 	"wasmdb/internal/wasm"
 )
 
-// Parallel group-merge exports (host-side partial-state merge). Every worker
-// builds a private group hash table during the parallel scan; these three
-// ad-hoc exports let the host drain secondary workers' tables, fold the
-// partial records per key, and feed the merged records into the primary
-// worker, whose output pipeline then runs unchanged. Like the rest of the
-// module they are monomorphized against the QEP's types — the merge loop is
-// the same inlined probe/claim/combine code shape as the feeding pipeline,
-// except that colliding aggregates fold partial states instead of rows.
-// Serial execution never calls them.
+// Exports of the group table's fold barrier. Every worker builds a private
+// group hash table during the parallel scan; these three ad-hoc exports let
+// the host move the secondaries' entries into the primary worker, whose own
+// generated code folds them into its table, and whose output pipeline then
+// runs unchanged. Like the rest of the module they are monomorphized against
+// the QEP's types — the merge loop is the same inlined probe/claim/combine
+// code shape as the feeding pipeline, except that colliding aggregates fold
+// partial states instead of rows. Serial execution never calls them.
 
 const (
 	groupDumpExport  = "q_groups_dump"
@@ -24,44 +22,24 @@ const (
 )
 
 // genGroupMerge emits the dump/recv/merge exports for the group hash table
-// and records the metadata the parallel executor needs. Only the first
-// (and in practice only) keyed group of a query gets the exports.
-func (c *compiler) genGroupMerge(gr *plan.Group, ht *htInfo, aggSlots []*sema.AggRef) {
-	if c.out.GroupMerge != nil {
-		return
-	}
-	gm := &GroupMerge{
-		DumpExport:  groupDumpExport,
-		RecvExport:  groupRecvExport,
-		MergeExport: groupMergeExport,
-		CountGlobal: ht.gCount,
-		Stride:      ht.layout.stride,
-	}
-	for _, k := range gr.Keys {
-		fld, ok := ht.layout.find(k)
-		if !ok {
-			return
-		}
-		gm.Keys = append(gm.Keys, MergeField{Offset: fld.offset, T: fld.t})
-	}
-	for i, a := range gr.Aggs {
-		fld, ok := ht.layout.find(aggSlots[i])
-		if !ok {
-			return
-		}
-		gm.Aggs = append(gm.Aggs, MergeAgg{Offset: fld.offset, T: fld.t, Func: a.Func})
-	}
-
+// and returns what the executor needs to run the fold barrier with them.
+func (c *compiler) genGroupMerge(gr *plan.Group, ht *htInfo, aggSlots []*sema.AggRef) *FoldMerge {
 	c.genDumpFunc(groupDumpExport, ht)
 	gRecv := c.genRecvFunc(groupRecvExport, ht)
 	c.genGroupMergeFunc(gr, ht, aggSlots, gRecv)
-	c.out.GroupMerge = gm
+	return &FoldMerge{
+		MergeExport: groupMergeExport,
+		DumpExport:  groupDumpExport,
+		RecvExport:  groupRecvExport,
+		CountGlobal: ht.gCount,
+		Stride:      ht.layout.stride,
+	}
 }
 
 // genDumpFunc emits <name>() -> i32: compact the occupied entries of the
 // hash table into a fresh allocation (flag word included, so each record is
 // a verbatim entry image) and return its base. The record count is the live
-// gCount, read host-side. Shared by the group and join merge protocols.
+// gCount, read host-side.
 func (c *compiler) genDumpFunc(name string, ht *htInfo) {
 	f := c.b.NewFunc(name, wasm.FuncType{Results: []wasm.ValType{wasm.I32}})
 	c.b.Export(name, wasm.ExternFunc, f.Index)
@@ -118,8 +96,7 @@ func (c *compiler) genDumpFunc(name string, ht *htInfo) {
 
 // genRecvFunc emits <name>(n) -> i32: allocate room for n merged records,
 // remember the base in a dedicated global (the merge loop reads it), and
-// return it so the host can write the records. Shared by the group and join
-// merge protocols.
+// return it so the host can write the records.
 func (c *compiler) genRecvFunc(name string, ht *htInfo) uint32 {
 	gRecv := c.b.AddGlobal(wasm.I32, true, 0)
 	f := c.b.NewFunc(name, wasm.FuncType{
@@ -201,7 +178,7 @@ func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sem
 	for ai, a := range gr.Aggs {
 		fld, _ := ht.layout.find(aggSlots[ai])
 		af := fld
-		g.emitAggMerge(entry, af, a, func() { g.loadField(rec, af) })
+		g.emitAggFold(a.Func, g.fieldAgg(entry, af), foldVal{push: func() { g.loadField(rec, af) }, partial: true})
 	}
 	f.Br(2) // this record done
 	f.End()
@@ -223,56 +200,14 @@ func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sem
 	}
 }
 
-// emitAggMerge folds a partial aggregate state (pushed by pushPartial, same
-// type as the slot) into an entry's slot — the guest half of the parallel
-// group merge. It differs from emitAggUpdate in that COUNT adds the partial
-// count rather than 1; SUM and MIN/MAX fold the partial like a row value.
-func (g *gen) emitAggMerge(entry wasm.Local, fld field, a sema.Aggregate, pushPartial func()) {
-	f := g.f
-	switch a.Func {
-	case sema.AggCountStar, sema.AggCount:
-		g.storeFieldFromStack(entry, fld, func() {
-			g.loadField(entry, fld)
-			pushPartial()
-			f.I64Add()
-		})
-	case sema.AggSum:
-		g.storeFieldFromStack(entry, fld, func() {
-			g.loadField(entry, fld)
-			pushPartial()
-			if fld.t.Kind == types.Float64 {
-				f.F64Add()
-			} else {
-				f.I64Add()
-			}
-		})
-	case sema.AggMin, sema.AggMax:
-		g.storeFieldFromStack(entry, fld, func() {
-			// select(partial, old, cmp) — same branch-free shape as the
-			// per-row update.
-			pushPartial()
-			g.loadField(entry, fld)
-			pushPartial()
-			g.loadField(entry, fld)
-			f.Op(minMaxCmp(a.Func, fld.t))
-			f.Select()
-		})
-	default:
-		g.fail("no merge rule for aggregate %v", a.Func)
-	}
-}
-
 // sortRecvExport is the receive export of the parallel sorted-run merge.
 const sortRecvExport = "q_sort_recv"
 
 // genSortMerge emits q_sort_recv(n) -> i32 — allocate room for n merged
 // tuples, point the sort array globals at it, and return the base the host
-// writes the k-way-merged run to — and records the SortMerge metadata. Only
-// the first sort of a query gets the export.
-func (c *compiler) genSortMerge(s *plan.Sort, layout tupleLayout, gBase, gCount uint32) {
-	if c.out.SortMerge != nil {
-		return
-	}
+// writes the k-way-merged run to — and returns the sorted-run barrier's
+// metadata.
+func (c *compiler) genSortMerge(s *plan.Sort, layout tupleLayout, gBase, gCount uint32) *SortMerge {
 	sm := &SortMerge{
 		RecvExport:  sortRecvExport,
 		BaseGlobal:  gBase,
@@ -280,10 +215,7 @@ func (c *compiler) genSortMerge(s *plan.Sort, layout tupleLayout, gBase, gCount 
 		Stride:      layout.stride,
 	}
 	for _, k := range s.Keys {
-		fld, ok := layout.find(k.Expr)
-		if !ok {
-			return
-		}
+		fld, _ := layout.find(k.Expr)
 		sm.Keys = append(sm.Keys, SortKeyField{Offset: fld.offset, T: fld.t, Desc: k.Desc})
 	}
 
@@ -299,7 +231,7 @@ func (c *compiler) genSortMerge(s *plan.Sort, layout tupleLayout, gBase, gCount 
 	f.LocalGet(f.Param(0))
 	f.GlobalSet(gCount)
 	f.GlobalGet(gBase)
-	c.out.SortMerge = sm
+	return sm
 }
 
 // emitWordCopy copies stride bytes (a multiple of 8) from src to dst with

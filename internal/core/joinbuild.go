@@ -86,7 +86,7 @@ func (c *compiler) allocAlignedFunc() *wasm.FuncBuilder {
 		return c.fnAllocAligned
 	}
 	gAlign := c.b.AddGlobal(wasm.I32, true, 8)
-	c.out.ChunkAlignGlobal = gAlign
+	c.gChunkAlign = gAlign
 	f := c.b.NewFunc("alloc_aligned", wasm.FuncType{Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32}})
 	c.fnAllocAligned = f
 	// heap = (heap + align - 1) & -align
@@ -160,20 +160,25 @@ func (g *gen) emitDirSlot(jt *joinTable, idx wasm.Local) {
 }
 
 // genJoinBarrier emits the two barrier exports of one join build table and
-// records what the executor needs to drive them. Export names carry the
-// join's ordinal so multi-join queries keep them distinct.
-func (c *compiler) genJoinBarrier(jt *joinTable, buildPipeline int) {
-	ord := len(c.out.JoinMerges)
+// declares the barrier on the build pipeline, the one emitted last. Export
+// names carry the join's ordinal so multi-join queries keep them distinct.
+func (c *compiler) genJoinBarrier(jt *joinTable) {
+	ord := 0
+	for _, b := range c.out.Barriers {
+		if b.Join != nil {
+			ord++
+		}
+	}
 	jm := &JoinMerge{
 		ReserveExport: fmt.Sprintf("q_join_reserve_%d", ord),
 		FinishExport:  fmt.Sprintf("q_join_finish_%d", ord),
 		HeadGlobal:    jt.gHead,
 		PosGlobal:     jt.gPos,
 		MaskGlobal:    jt.gMask,
+		AlignGlobal:   c.gChunkAlign,
 		Stride:        jt.layout.stride,
 		ChunkCap:      jt.chunkCap,
 		ChunkPages:    jt.chunkBytes / pageSize,
-		BuildPipeline: buildPipeline,
 	}
 	i32x2 := wasm.FuncType{Params: []wasm.ValType{wasm.I32, wasm.I32}, Results: []wasm.ValType{wasm.I32}}
 
@@ -188,7 +193,7 @@ func (c *compiler) genJoinBarrier(jt *joinTable, buildPipeline int) {
 	// allocator: the directory starts right behind the tuples, and a small
 	// build side commits no page for the space a chunk did not need.
 	allocAligned := c.allocAlignedFunc()
-	f.GlobalGet(c.out.ChunkAlignGlobal)
+	f.GlobalGet(c.gChunkAlign)
 	f.I32Const(8)
 	f.I32Eq()
 	f.GlobalGet(jt.gHead)
@@ -299,5 +304,5 @@ func (c *compiler) genJoinBarrier(jt *joinTable, buildPipeline int) {
 	f.End()
 	f.I32Const(0)
 
-	c.out.JoinMerges = append(c.out.JoinMerges, jm)
+	c.addBarrier(Barrier{Join: jm})
 }

@@ -59,6 +59,8 @@ func (c *compiler) produceJoinLib(j *plan.HashJoin, consume consumer) error {
 	if err != nil {
 		return err
 	}
+	// A library table has no barrier: what one worker inserted no other sees.
+	c.serialOnly(fallbackUnmergeable)
 
 	return c.produce(j.Probe, func(g *gen, e *env) {
 		f := g.f
@@ -153,6 +155,7 @@ func (c *compiler) produceSortLib(s *plan.Sort, consume consumer) error {
 	if err != nil {
 		return err
 	}
+	c.serialOnly(fallbackUnmergeable)
 
 	// The comparator: a generated function over two tuple pointers,
 	// invoked indirectly by the generic sort for every comparison.
@@ -280,7 +283,7 @@ func emitLessTuple(g *gen, keys []sema.OrderKey, layout tupleLayout, a, b wasm.L
 // select) — no conditional branch depends on the data, so execution time is
 // flat across selectivities (the paper's reading of HyPer in Fig. 6).
 func (c *compiler) producePredicatedGlobalAgg(gr *plan.Group, scan *plan.Scan, consume consumer) error {
-	states, gCount := c.newGlobalAggStates(gr)
+	states, gCount, fold := c.newGlobalAggStates(gr)
 
 	// Fused scan pipeline.
 	g := c.newPipeline(PipeScanTable, scan.TableIdx, 0)
@@ -306,53 +309,38 @@ func (c *compiler) producePredicatedGlobalAgg(gr *plan.Group, scan *plan.Scan, c
 		f.I32Const(1)
 	}
 	f.LocalSet(mask)
-	// count += mask
-	f.GlobalGet(gCount)
-	f.LocalGet(mask)
-	f.Op(wasm.OpI64ExtendI32U)
-	f.I64Add()
-	f.GlobalSet(gCount)
+	// A masked row is a partial state of zero or one rows: count += mask,
+	// sum += mask ? v : 0, min/max fold mask ? v : cur.
+	pushMask := func() {
+		f.LocalGet(mask)
+		f.Op(wasm.OpI64ExtendI32U)
+	}
+	g.emitAggFold(sema.AggCountStar, g.globalAgg(gCount, types.TInt64), foldVal{push: pushMask, partial: true})
 	for i, a := range gr.Aggs {
 		st := states[i]
+		v := foldVal{push: pushMask, partial: true}
 		switch a.Func {
-		case sema.AggCountStar, sema.AggCount:
-			f.GlobalGet(st.glob)
-			f.LocalGet(mask)
-			f.Op(wasm.OpI64ExtendI32U)
-			f.I64Add()
-			f.GlobalSet(st.glob)
 		case sema.AggSum:
-			f.GlobalGet(st.glob)
-			g.expr(e, a.Arg)
-			if st.t == wasm.F64 {
-				f.F64Const(0)
-			} else {
-				f.I64Const(0)
+			v.push = func() {
+				g.expr(e, a.Arg)
+				if st.t == wasm.F64 {
+					f.F64Const(0)
+				} else {
+					f.I64Const(0)
+				}
+				f.LocalGet(mask)
+				f.Select()
 			}
-			f.LocalGet(mask)
-			f.Select()
-			if st.t == wasm.F64 {
-				f.F64Add()
-			} else {
-				f.I64Add()
-			}
-			f.GlobalSet(st.glob)
 		case sema.AggMin, sema.AggMax:
-			// cand = mask ? v : cur; glob = cmp(cand, cur) ? cand : cur
 			cand := f.AddLocal(st.t)
 			g.expr(e, a.Arg)
 			f.GlobalGet(st.glob)
 			f.LocalGet(mask)
 			f.Select()
 			f.LocalSet(cand)
-			f.LocalGet(cand)
-			f.GlobalGet(st.glob)
-			f.LocalGet(cand)
-			f.GlobalGet(st.glob)
-			f.Op(minMaxCmp(a.Func, a.T))
-			f.Select()
-			f.GlobalSet(st.glob)
+			v.push = func() { f.LocalGet(cand) }
 		}
+		g.emitAggFold(a.Func, g.globalAgg(st.glob, a.T), v)
 	}
 	f.LocalGet(row)
 	f.I32Const(1)
@@ -365,6 +353,6 @@ func (c *compiler) producePredicatedGlobalAgg(gr *plan.Group, scan *plan.Scan, c
 	if g.err != nil {
 		return g.err
 	}
-
+	c.declareFold(gr, fold)
 	return c.emitGlobalAggOutput(gr, states, gCount, consume)
 }

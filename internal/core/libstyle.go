@@ -741,13 +741,15 @@ func (c *compiler) produceGroupLib(gr *plan.Group, consume consumer) error {
 		f.Else()
 		for i, a := range gr.Aggs {
 			fld, _ := ht.layout.find(aggSlots[i])
-			g.emitAggUpdate(entry, fld, a, argLocals[i])
+			arg := argLocals[i]
+			g.emitAggFold(a.Func, g.fieldAgg(entry, fld), foldVal{push: func() { f.LocalGet(arg) }})
 		}
 		f.End()
 	})
 	if err != nil {
 		return err
 	}
+	c.serialOnly(fallbackUnmergeable)
 
 	// Scan pipeline: walk buckets [begin, end), following chains. The host
 	// reads the bucket count from the ctrl block (PipeScanBuckets).

@@ -5,8 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"time"
 
-	"wasmdb/internal/sema"
+	"wasmdb/internal/engine/wmem"
+	"wasmdb/internal/faultpoint"
+	"wasmdb/internal/obs"
 	"wasmdb/internal/types"
 )
 
@@ -17,72 +21,71 @@ import (
 // background TurboFan tier-up benefits every worker at once because the
 // published code objects are shared at function granularity.
 //
-// Only pipelines whose state the host can combine afterwards are eligible:
+// Where the workers' private state has to become one is not worked out here:
+// the code generator declares a Barrier on the pipeline that needs one, at the
+// point where it emitted the operator (CompiledQuery.Barriers), and names the
+// one reason a module can never be spread over a pool
+// (CompiledQuery.SerialReason). The executor drives a pipeline, then runs its
+// barriers — with one worker as with many:
 //
-//	scan/filter/project   → per-worker result buffers, merged by concatenation
-//	keyless aggregation   → per-worker partial states in module globals,
-//	                        merged with the aggregate's combine rule
-//	grouped aggregation   → per-worker partial group hash tables, drained via
-//	                        the module's ad-hoc merge exports, folded per key
-//	                        host-side, and fed into the primary worker
-//	order by              → per-worker sorted runs, k-way merged host-side
-//	                        and installed on the primary worker
-//	hash-join builds      → per-worker lists of tuple chunks; at the build
-//	                        barrier every worker's chunks are aliased into
-//	                        every other worker's memory (rewiring, no copy)
-//	                        and each worker builds its own directory over
-//	                        all of them — the barrier serial execution runs
-//	                        with one worker (Execute's buildJoin)
+//	join build    every worker's tuple chunks are aliased into every other
+//	              worker's memory (rewiring, no copy) and each worker builds
+//	              its own directory over all of them
+//	fold          the secondaries' partial aggregation state — a group table's
+//	              entries, or the globals of a keyless aggregation — is handed,
+//	              uninterpreted and in worker order, to the primary's generated
+//	              merge export; the fold rule exists only in the module
+//	sorted runs   every worker sorts its own tuple array and the host k-way
+//	              merges the runs into the primary's — the one place the host
+//	              still mirrors generated code (sortTupleLess), because folding
+//	              runs pairwise in the guest would turn one native pass into
+//	              workers − 1 interpreted ones
 //
-// Pipelines whose state the host cannot combine (library-style hash tables
-// and sorts) fall back to serial execution; the fallback is recorded in
-// ExecStats.PipelinesSerial, ExecStats.SerialFallback, and an
-// EvSerialFallback trace event — observable, never silent.
+// Result rows need no barrier: per-worker buffers are concatenated in worker
+// order. Whatever runs serially although a pool was asked for is recorded in
+// ExecStats.SerialFallback and an EvSerialFallback trace event — never silent.
 
-// parMode is the parallel execution strategy chosen for a query.
-type parMode int
-
-const (
-	// parNone drives every pipeline serially on one worker.
-	parNone parMode = iota
-	// parScan parallelizes a single scan/filter/project pipeline; workers
-	// flush into private result buffers and the merge concatenates them.
-	parScan
-	// parAgg parallelizes the scan feeding a keyless aggregation; workers
-	// accumulate private partial states and the merge combines them before
-	// the run-once output pipeline executes on the primary worker.
-	parAgg
-	// parGroup parallelizes the scan feeding a grouped aggregation; workers
-	// build private group hash tables and the barrier drains, folds, and
-	// feeds the partial groups into the primary worker, which then runs the
-	// output pipeline(s) serially.
-	parGroup
-	// parSort parallelizes the scan feeding an ORDER BY; every worker
-	// quicksorts its private tuple array at the barrier and the host k-way
-	// merges the sorted runs into the primary worker.
-	parSort
-	// parJoin parallelizes a join query whose output is plain rows: the
-	// build scans run parallel into per-worker tuple chunks (shared by
-	// rewiring at each build barrier), the probe scan runs parallel, and
-	// the result buffers merge by concatenation. Joins feeding an
-	// aggregation or sort classify as parAgg/parGroup/parSort instead — the
-	// build barriers fire the same way, the terminal merge differs.
-	parJoin
-)
-
-// Serial-fallback reasons (the "serial-fallback matrix" of DESIGN.md §9).
+// Serial-fallback reasons.
 const (
 	fallbackChunked     = "chunked-rewiring"
 	fallbackFuel        = "fuel-budget"
 	fallbackLimit       = "limit"
 	fallbackFloatSum    = "float-sum-order"
-	fallbackFloatKey    = "float-group-key"
 	fallbackUnmergeable = "unmergeable-pipeline-state"
-	// fallbackSlots reports that the shared global scheduler had no worker
-	// slots to grant — the query was parallel-eligible but the pool's fair
-	// share under the current inter-query load is serial execution.
-	fallbackSlots = "worker-slots-exhausted"
+	fallbackSlots       = "worker-slots-exhausted"
 )
+
+// fallbackTable is the serial-fallback matrix (DESIGN.md §9 is generated from
+// it), in the order the executor checks it. intrinsic marks reasons that are
+// properties of the query shape and recur on every execution of the same
+// fingerprint. perCall tests a reason that depends on this execution's
+// options; a row without one is either decided when the module was generated
+// (CompiledQuery.SerialReason) or, for the last row, by the scheduler's lease.
+var fallbackTable = []struct {
+	name      string
+	intrinsic bool
+	cause     string
+	perCall   func(x *executor) bool
+}{
+	{fallbackChunked, false,
+		"the chunk window position is per-memory state the shared dispatch counter cannot coordinate",
+		func(x *executor) bool { return x.opt.ChunkRows > 0 }},
+	{fallbackFuel, false,
+		"a user fuel budget is one sequential account; splitting it changes which morsel exhausts it",
+		func(x *executor) bool { return x.opt.Fuel > 0 }},
+	{fallbackLimit, true,
+		"LIMIT without a sorted-run barrier picks whichever rows arrive first; serial keeps the choice deterministic (under ORDER BY the merge fixes the order, and ties resolve as they do in the equally unstable serial quicksort)",
+		func(x *executor) bool { return x.limit >= 0 && !x.cq.sorted() }},
+	{fallbackFloatSum, true,
+		"float addition is not associative; folded partial sums (keyless or grouped) could differ from the row-order sum in the last ulps and break the bit-identical differential oracle",
+		nil},
+	{fallbackUnmergeable, true,
+		"a table scan fills state for which the module declares no barrier: library-style hash tables and sorts",
+		nil},
+	{fallbackSlots, false,
+		"the shared scheduler (§12) had no free worker slots; running serially now beats queueing for parallelism later, and the global pool stays bounded under concurrency",
+		nil},
+}
 
 // FallbackIntrinsic reports whether a serial-fallback reason (from
 // ExecStats.SerialFallback or the trace) is intrinsic to the query shape —
@@ -93,280 +96,246 @@ const (
 // granted workers on warm decisions, while a transiently starved one may
 // try again.
 func FallbackIntrinsic(reason string) bool {
-	switch reason {
-	case fallbackLimit, fallbackFloatSum, fallbackFloatKey, fallbackUnmergeable:
-		return true
+	for _, r := range fallbackTable {
+		if r.name == reason {
+			return r.intrinsic
+		}
 	}
 	return false
 }
 
-// classifyParallel decides whether the compiled query's pipelines can be
-// driven by a worker pool of the requested size, and if not, why. The reason
-// string is empty when parallel execution applies or when the caller never
-// asked for parallelism. limit is the query's *effective* row limit (-1 for
-// none), resolved by the executor from the baked constant or the bound
-// LimitSlot parameter — a cached module compiled for `LIMIT ?` must be
-// classified against the value this execution runs with, not the
-// compile-time placeholder.
-func classifyParallel(cq *CompiledQuery, opt ExecOptions, workers int, limit int64) (parMode, string) {
-	if workers <= 1 {
-		return parNone, ""
+// serialReason returns the first reason of the table that keeps this
+// execution off a worker pool, or "".
+func (x *executor) serialReason() string {
+	for _, r := range fallbackTable {
+		if r.name == x.cq.SerialReason || r.perCall != nil && r.perCall(x) {
+			return r.name
+		}
 	}
-	if opt.ChunkRows > 0 {
-		// Chunked rewiring remaps column windows between morsel batches; the
-		// window position is per-memory state the dispatch counter cannot
-		// share.
-		return parNone, fallbackChunked
-	}
-	if opt.Fuel > 0 {
-		// A user fuel budget is a single sequential account; splitting it
-		// across workers would change which morsel exhausts it.
-		return parNone, fallbackFuel
-	}
-	if limit >= 0 && cq.SortMerge == nil {
-		// LIMIT without a total order picks whichever rows arrive first;
-		// serial execution keeps the choice deterministic. Under an ORDER BY
-		// the sorted-run merge fixes the order, so LIMIT rides along (ties
-		// beyond the sort keys resolve as the merge encounters them — same
-		// contract as serial quicksort, which is also unstable).
-		return parNone, fallbackLimit
-	}
-	ps := cq.Pipelines
+	return x.cq.SerialReason // a reason the table lacks still means serial
+}
 
-	// The last table scan is the pipeline the terminal merge barriers on;
-	// every earlier pipeline must be a hash-join build scan with its own
-	// build barrier (a JoinMerges entry) or the query cannot run parallel.
-	lastScan := -1
-	for i, p := range ps {
-		if p.Kind == PipeScanTable {
-			lastScan = i
-		}
-	}
-	if lastScan < 0 {
-		return parNone, fallbackUnmergeable
-	}
-	barrier := make(map[int]bool, len(cq.JoinMerges))
-	for _, jm := range cq.JoinMerges {
-		if jm.BuildPipeline < 0 || jm.BuildPipeline >= lastScan {
-			// A build fed by something other than a plain table scan before
-			// the probe (e.g. nested non-scan input) is not partitionable.
-			return parNone, fallbackUnmergeable
-		}
-		barrier[jm.BuildPipeline] = true
-	}
-	for i := 0; i < lastScan; i++ {
-		if ps[i].Kind != PipeScanTable || !barrier[i] {
-			// A pre-probe pipeline without a join build barrier (library-style
-			// hash table, or any other host-opaque state) cannot be shared.
-			return parNone, fallbackUnmergeable
-		}
-	}
-	tail := ps[lastScan+1:]
+// sorted reports whether a sorted-run barrier orders the rows before a LIMIT
+// applies.
+func (cq *CompiledQuery) sorted() bool {
+	return slices.ContainsFunc(cq.Barriers, func(b Barrier) bool { return b.Sort != nil })
+}
 
-	switch {
-	case len(tail) == 0 && cq.aggStateSets == 0 && cq.GroupMerge == nil:
-		// Plain row output: per-worker result buffers merge by concatenation.
-		if len(barrier) > 0 {
-			return parJoin, ""
+// poolDriven reports whether pipeline pi runs on every worker: a table scan's
+// morsels are spread over the pool, and a sort call carrying a sorted-run
+// barrier sorts each worker's own array. Every other pipeline reads state the
+// barriers left on the primary.
+func (cq *CompiledQuery) poolDriven(pi int) bool {
+	return cq.Pipelines[pi].Kind == PipeScanTable ||
+		slices.ContainsFunc(cq.Barriers, func(b Barrier) bool { return b.Sort != nil && b.Pipeline == pi })
+}
+
+// runBarriers runs the barriers declared on pipeline pi and returns what they
+// add to the pipeline's span. An error leaves the query failed, never
+// partially merged.
+func (x *executor) runBarriers(pi int) ([]obs.Arg, error) {
+	var args []obs.Arg
+	for _, b := range x.cq.Barriers {
+		if b.Pipeline != pi {
+			continue
 		}
-		return parScan, ""
-	case len(tail) == 1 && tail[0].Kind == PipeRunOnce &&
-		cq.aggStateSets == 1 && len(cq.AggGlobals) > 0:
-		for _, ag := range cq.AggGlobals {
-			if !mergeableAggFunc(ag.Func) {
-				// An aggregate without a combine rule must never reach
-				// combineAgg, which panics on unknown functions.
-				return parNone, fallbackUnmergeable
+		var err error
+		switch {
+		case b.Join != nil:
+			var built []obs.Arg
+			built, err = x.buildJoin(b.Join)
+			args = append(args, built...)
+		case b.Fold != nil:
+			err = x.fold(b.Fold)
+		case b.Sort != nil:
+			err = x.mergeRuns(b.Sort)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return args, nil
+}
+
+// fold hands every secondary worker's partial aggregation state to the
+// primary's merge export, in worker order. The host moves the state and
+// interprets none of it: a group table's entries arrive in the primary's
+// table by the same probe-or-claim code as rows do, and the fold rule and key
+// equality exist only in the module. Group records are driven through the
+// morsel loop like any pipeline, so tracing, cancellation and fault injection
+// cover the merge.
+func (x *executor) fold(fm *FoldMerge) error {
+	if len(x.ws) == 1 {
+		return nil
+	}
+	primary := x.ws[0]
+	if fm.Globals != nil {
+		args := make([]uint64, len(fm.Globals))
+		for _, w := range x.ws[1:] {
+			if err := x.canceled(); err != nil {
+				return err
 			}
-			if ag.Func == sema.AggSum && ag.T.Kind == types.Float64 {
-				// Float addition is not associative: merging per-worker
-				// partial sums could differ from the serial row-order sum in
-				// the last ulps, breaking the bit-identical differential
-				// oracle. Serial keeps results reproducible.
-				return parNone, fallbackFloatSum
+			if err := faultpoint.Hit("core-morsel"); err != nil {
+				return fmt.Errorf("core: %s: %w", fm.MergeExport, err)
+			}
+			for i, g := range fm.Globals {
+				args[i] = w.inst.Global(int(g))
+			}
+			if _, err := x.call(primary, fm.MergeExport, args...); err != nil {
+				return err
 			}
 		}
-		return parAgg, ""
-	case cq.GroupMerge != nil && cq.aggStateSets == 0 &&
-		len(tail) >= 1 && tail[0].Kind == PipeScanSlots:
-		// Single-level GROUP BY fed by the final table scan (directly or
-		// through join probes): workers build private partial tables, the
-		// barrier merges them into the primary, and every post-barrier
-		// pipeline (slot scan, and any sort on top) runs serially on the
-		// primary over the merged state.
-		gm := cq.GroupMerge
-		for _, k := range gm.Keys {
-			if k.T.Kind == types.Float64 {
-				// The host folds partial groups by raw key bytes; distinct
-				// NaN keys compare unequal in the guest (F64Eq) but can be
-				// bit-identical, so byte folding would merge groups serial
-				// execution keeps apart.
-				return parNone, fallbackFloatKey
+		return nil
+	}
+
+	sp := x.tr.Begin(obs.SpanMerge)
+	runs := make([][]byte, 0, len(x.ws)-1)
+	records := 0
+	for _, w := range x.ws[1:] {
+		if err := x.canceled(); err != nil {
+			return err
+		}
+		r, err := x.call(w, fm.DumpExport)
+		if err != nil {
+			return err
+		}
+		n := uint32(w.inst.Global(int(fm.CountGlobal)))
+		runs = append(runs, w.mem.ReadBytes(uint32(r[0]), n*fm.Stride))
+		records += int(n)
+	}
+	if records > 0 {
+		r, err := x.call(primary, fm.RecvExport, uint64(uint32(records)))
+		if err != nil {
+			return err
+		}
+		at := uint32(r[0])
+		for _, run := range runs {
+			primary.mem.WriteBytes(at, run)
+			at += uint32(len(run))
+		}
+		if _, err := x.drive(x.ws[:1], fm.MergeExport, records); err != nil {
+			return err
+		}
+	}
+	x.stats.GroupsMerged = records
+	x.tr.Event(obs.EvGroupMerge, obs.I("groups", int64(records)), obs.I("workers", int64(len(x.ws))))
+	sp.End(obs.I("groups", int64(records)))
+	return nil
+}
+
+// mergeRuns merges the workers' sorted tuple runs into the primary's array:
+// a host k-way merge with the emitLess-mirroring comparator, installed
+// through the module's receive export. When only the primary holds tuples —
+// serial execution, or a sort fed by state a fold barrier already brought to
+// the primary — its sorted run is the result.
+func (x *executor) mergeRuns(sm *SortMerge) error {
+	primary := x.ws[0]
+	counts := make([]uint32, len(x.ws))
+	total := uint32(0)
+	for i, w := range x.ws {
+		counts[i] = uint32(w.inst.Global(int(sm.CountGlobal)))
+		total += counts[i]
+	}
+	if total == counts[0] {
+		return nil
+	}
+	sp := x.tr.Begin(obs.SpanMerge)
+	runs := make([][]byte, len(x.ws))
+	for i, w := range x.ws {
+		runs[i] = w.mem.ReadBytes(uint32(w.inst.Global(int(sm.BaseGlobal))), counts[i]*sm.Stride)
+	}
+	r, err := x.call(primary, sm.RecvExport, uint64(total))
+	if err != nil {
+		return err
+	}
+	primary.mem.WriteBytes(uint32(r[0]), mergeSortedRuns(sm, runs))
+	x.tr.Event(obs.EvSortMerge, obs.I("tuples", int64(total)), obs.I("workers", int64(len(x.ws))))
+	sp.End(obs.I("tuples", int64(total)))
+	return nil
+}
+
+// buildJoin is the build barrier of one join table (see joinbuild.go), the
+// same code serially and in parallel: count the tuples in every worker's
+// chunk list, have each worker reserve a directory of that size, alias every
+// other worker's chunks into the region reserve returned, and let the workers
+// place all tuples concurrently — one finish call per chunk through
+// callMorsel, in worker order and build-scan order within a worker on every
+// worker alike. A worker that yielded its slot never runs again and builds no
+// directory; its chunks are shared like everyone's. Returns the figures for
+// the build pipeline's span.
+func (x *executor) buildJoin(jm *JoinMerge) ([]obs.Arg, error) {
+	ws := x.ws
+	sp := x.tr.Begin(obs.SpanMerge)
+	tAlias := time.Now()
+	type run struct{ addr, n uint32 } // first tuple, tuples
+	chunks := make([][]run, len(ws))
+	total, nChunks := uint32(0), 0
+	for wi, w := range ws {
+		head := uint32(w.inst.Global(int(jm.HeadGlobal)))
+		n := (uint32(w.inst.Global(int(jm.PosGlobal))) - head - joinChunkHdr) / jm.Stride
+		for c := head; c != 0; c = w.mem.U32(c) {
+			chunks[wi] = append(chunks[wi], run{c + joinChunkHdr, n})
+			total += n
+			n = jm.ChunkCap
+		}
+		slices.Reverse(chunks[wi])
+		nChunks += len(chunks[wi])
+	}
+	todo := make([][]run, len(ws))
+	aliased := 0
+	for wi, w := range ws {
+		if x.lease.ShouldYield(w.id) {
+			continue
+		}
+		foreign := uint32(nChunks-len(chunks[wi])) * jm.ChunkPages
+		r, err := x.call(w, jm.ReserveExport, uint64(total), uint64(foreign))
+		if err != nil {
+			return nil, err
+		}
+		region := uint32(r[0])
+		todo[wi] = make([]run, 0, nChunks)
+		for vi, v := range ws {
+			for _, c := range chunks[vi] {
+				if vi != wi {
+					if err := w.mem.Alias(region, v.mem, c.addr-joinChunkHdr, jm.ChunkPages); err != nil {
+						return nil, fmt.Errorf("core: rewiring join chunks: %w", err)
+					}
+					c.addr = region + joinChunkHdr
+					region += jm.ChunkPages * wmem.PageSize
+				}
+				todo[wi] = append(todo[wi], c)
 			}
 		}
-		for _, a := range gm.Aggs {
-			if !mergeableAggFunc(a.Func) {
-				return parNone, fallbackUnmergeable
+		aliased += int(foreign)
+	}
+	if len(ws) > 1 {
+		if err := faultpoint.Hit("core-rewire"); err != nil {
+			return nil, fmt.Errorf("core: rewiring join chunks: %w", err)
+		}
+	}
+	tFinish := time.Now()
+	err := x.each(ws, func(w *worker) error {
+		for _, c := range todo[w.id] {
+			if err := x.canceled(); err != nil {
+				return err
 			}
-			if a.Func == sema.AggSum && a.T.Kind == types.Float64 {
-				return parNone, fallbackFloatSum
-			}
-		}
-		return parGroup, ""
-	case cq.SortMerge != nil && cq.GroupMerge == nil && cq.aggStateSets == 0 &&
-		len(tail) == 2 && tail[0].Kind == PipeRunOnce && tail[1].Kind == PipeScanArray:
-		// ORDER BY over the final scan: every worker sorts its private run
-		// at the run-once barrier and the host k-way merges.
-		return parSort, ""
-	}
-	return parNone, fallbackUnmergeable
-}
-
-// mergeableAggFunc reports whether the aggregate function has a partial-state
-// combine rule — the gate classifyParallel applies before any path that ends
-// in combineAgg.
-func mergeableAggFunc(fn sema.AggFunc) bool {
-	switch fn {
-	case sema.AggCountStar, sema.AggCount, sema.AggSum, sema.AggMin, sema.AggMax:
-		return true
-	}
-	return false
-}
-
-// mergeAggGlobals folds every worker's partial aggregation state into the
-// primary worker (ws[0]) — the host-side merge pass at the pipeline barrier.
-// After it returns, the primary's globals hold the combined state and its
-// run-once output pipeline produces the same row serial execution would.
-func mergeAggGlobals(cq *CompiledQuery, ws []*worker) {
-	primary := ws[0]
-	var count int64
-	for _, w := range ws {
-		count += int64(w.inst.Global(int(cq.AggCountGlobal)))
-	}
-	primary.inst.SetGlobal(int(cq.AggCountGlobal), uint64(count))
-	for _, ag := range cq.AggGlobals {
-		idx := int(ag.Global)
-		acc := primary.inst.Global(idx)
-		for _, w := range ws[1:] {
-			acc = combineAgg(ag, acc, w.inst.Global(idx))
-		}
-		primary.inst.SetGlobal(idx, acc)
-	}
-}
-
-// combineAgg combines two partial aggregate states under the aggregate's
-// merge rule. Values use the wasm value representation (i32 states occupy
-// the low 32 bits). The rule set is exhaustive over the functions
-// mergeableAggFunc admits; reaching the panic means classifyParallel let an
-// unknown aggregate through, which would silently drop partial state — fail
-// loudly instead.
-func combineAgg(ag AggGlobal, a, b uint64) uint64 {
-	switch ag.Func {
-	case sema.AggCountStar, sema.AggCount:
-		return uint64(int64(a) + int64(b))
-	case sema.AggSum:
-		switch ag.T.Kind {
-		case types.Float64:
-			return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
-		case types.Int32, types.Date, types.Bool:
-			return uint64(uint32(int32(a) + int32(b)))
-		default: // Int64, Decimal
-			return uint64(int64(a) + int64(b))
-		}
-	case sema.AggMin:
-		if aggLess(ag.T, a, b) {
-			return a
-		}
-		return b
-	case sema.AggMax:
-		if aggLess(ag.T, a, b) {
-			return b
-		}
-		return a
-	}
-	panic(fmt.Sprintf("core: combineAgg: no merge rule for aggregate %v; classifyParallel must reject it", ag.Func))
-}
-
-// aggLess orders two aggregate states of type t.
-func aggLess(t types.Type, a, b uint64) bool {
-	switch t.Kind {
-	case types.Int32, types.Date, types.Bool:
-		return int32(a) < int32(b)
-	case types.Float64:
-		return math.Float64frombits(a) < math.Float64frombits(b)
-	default: // Int64, Decimal
-		return int64(a) < int64(b)
-	}
-}
-
-// foldGroupRecords folds the drained per-worker partial group records into
-// one record list: records sharing a key collapse with combineAgg, distinct
-// keys keep first-seen order (Go map iteration order must not leak into the
-// merged feed — a fixed drain order gives a fixed output). Each record is a
-// verbatim hash-table entry image of gm.Stride bytes. Returns the merged
-// records and their count.
-func foldGroupRecords(gm *GroupMerge, runs [][]byte) ([]byte, int) {
-	stride := int(gm.Stride)
-	index := make(map[string]int)
-	var out []byte
-	for _, run := range runs {
-		for off := 0; off+stride <= len(run); off += stride {
-			rec := run[off : off+stride]
-			key := string(groupKeyBytes(gm, rec))
-			at, seen := index[key]
-			if !seen {
-				index[key] = len(out)
-				out = append(out, rec...)
-				continue
-			}
-			dst := out[at : at+stride]
-			for _, ma := range gm.Aggs {
-				st := combineAgg(AggGlobal{Func: ma.Func, T: ma.T},
-					loadAggState(ma.T, dst[ma.Offset:]),
-					loadAggState(ma.T, rec[ma.Offset:]))
-				storeAggState(ma.T, dst[ma.Offset:], st)
+			if _, err := x.callMorsel(w, jm.FinishExport, int(c.addr), int(c.n)); err != nil {
+				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, len(out) / stride
-}
-
-// groupKeyBytes concatenates the raw bytes of a record's key fields. CHAR
-// keys are stored space-padded at fixed width, so byte equality coincides
-// with the guest's padded strcmp equality; Float64 keys never reach here
-// (classifyParallel rejects them — NaN bit patterns would alias).
-func groupKeyBytes(gm *GroupMerge, rec []byte) []byte {
-	key := make([]byte, 0, 16)
-	for _, k := range gm.Keys {
-		key = append(key, rec[k.Offset:int(k.Offset)+k.T.Size()]...)
-	}
-	return key
-}
-
-// loadAggState reads an aggregate state field in the wasm value
-// representation the guest uses (Bool via 8-bit unsigned load, Int32/Date
-// via 32-bit load, everything else 64-bit).
-func loadAggState(t types.Type, b []byte) uint64 {
-	switch t.Kind {
-	case types.Bool:
-		return uint64(b[0])
-	case types.Int32, types.Date:
-		return uint64(binary.LittleEndian.Uint32(b))
-	default: // Int64, Decimal, Float64
-		return binary.LittleEndian.Uint64(b)
-	}
-}
-
-// storeAggState writes an aggregate state field, inverse of loadAggState.
-func storeAggState(t types.Type, b []byte, v uint64) {
-	switch t.Kind {
-	case types.Bool:
-		b[0] = byte(v)
-	case types.Int32, types.Date:
-		binary.LittleEndian.PutUint32(b, uint32(v))
-	default:
-		binary.LittleEndian.PutUint64(b, v)
-	}
+	x.stats.JoinPartitionsMerged += len(ws) - 1
+	args := []obs.Arg{obs.I("tuples", int64(total)), obs.I("chunks", int64(nChunks)),
+		obs.I("pages_aliased", int64(aliased)),
+		obs.I("slots", int64(uint32(ws[0].inst.Global(int(jm.MaskGlobal))))+1),
+		obs.I("alias_ns", tFinish.Sub(tAlias).Nanoseconds()), obs.I("finish_ns", time.Since(tFinish).Nanoseconds())}
+	x.tr.Event(obs.EvJoinMerge, append(args, obs.I("workers", int64(len(ws))))...)
+	sp.End(obs.I("tuples", int64(total)))
+	return args, nil
 }
 
 // mergeSortedRuns k-way merges per-worker sorted tuple runs. The comparator

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"wasmdb/internal/catalog"
@@ -13,11 +15,19 @@ import (
 	"wasmdb/internal/plan"
 	"wasmdb/internal/sema"
 	"wasmdb/internal/sql"
+	"wasmdb/internal/storage"
+	"wasmdb/internal/types"
 	"wasmdb/internal/workload"
 )
 
-// compileOn compiles src against cat.
+// compileOn compiles src against cat in the paper's ad-hoc style.
 func compileOn(t testing.TB, cat *catalog.Catalog, src string) (*CompiledQuery, *sema.Query) {
+	t.Helper()
+	return compileStyledOn(t, cat, src, Style{})
+}
+
+// compileStyledOn compiles src against cat in the given style.
+func compileStyledOn(t testing.TB, cat *catalog.Catalog, src string, style Style) (*CompiledQuery, *sema.Query) {
 	t.Helper()
 	stmt, err := sql.ParseSelect(src)
 	if err != nil {
@@ -31,7 +41,7 @@ func compileOn(t testing.TB, cat *catalog.Catalog, src string) (*CompiledQuery, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, err := Compile(q, p)
+	cq, err := CompileStyled(q, p, style)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,107 +57,78 @@ func parCatalog(t testing.TB, rows int) *catalog.Catalog {
 	return cat
 }
 
-// TestClassifyParallel pins the serial-fallback matrix: every condition that
-// forces serial execution must be named, and the mergeable shapes must be
-// recognized.
-func TestClassifyParallel(t *testing.T) {
-	cat := parCatalog(t, 1000)
-	agg, _ := compileOn(t, cat, "SELECT COUNT(*), SUM(i0), MIN(i1) FROM t WHERE i0 < 0")
-	scan, _ := compileOn(t, cat, "SELECT i0, i1 FROM t WHERE i0 < 0")
-	fagg, _ := compileOn(t, cat, "SELECT SUM(f0) FROM t")
-	lim, _ := compileOn(t, cat, "SELECT i0 FROM t LIMIT 10")
-	grp, _ := compileOn(t, cat, "SELECT i0, COUNT(*), SUM(i1), MIN(i1) FROM t GROUP BY i0")
-	grpOrd, _ := compileOn(t, cat, "SELECT i0, COUNT(*) FROM t GROUP BY i0 ORDER BY i0")
-	grpFKey, _ := compileOn(t, cat, "SELECT f0, COUNT(*) FROM t GROUP BY f0")
-	grpFSum, _ := compileOn(t, cat, "SELECT i0, SUM(f0) FROM t GROUP BY i0")
-	grpHav, _ := compileOn(t, cat, "SELECT i0, COUNT(*) FROM t GROUP BY i0 HAVING COUNT(*) > 1")
-	srt, _ := compileOn(t, cat, "SELECT i0, f0 FROM t ORDER BY i0 DESC, f0")
-
-	cases := []struct {
-		name    string
-		cq      *CompiledQuery
-		opt     ExecOptions
-		workers int
-		limit   int64
-		mode    parMode
-		reason  string
-	}{
-		{"serial-request", agg, ExecOptions{}, 1, -1, parNone, ""},
-		{"agg", agg, ExecOptions{}, 4, -1, parAgg, ""},
-		{"scan", scan, ExecOptions{}, 4, -1, parScan, ""},
-		{"chunked", agg, ExecOptions{ChunkRows: 65536}, 4, -1, parNone, fallbackChunked},
-		{"fuel", agg, ExecOptions{Fuel: 1 << 40}, 4, -1, parNone, fallbackFuel},
-		{"limit", lim, ExecOptions{}, 4, 10, parNone, fallbackLimit},
-		{"float-sum", fagg, ExecOptions{}, 4, -1, parNone, fallbackFloatSum},
-		{"group-by", grp, ExecOptions{}, 4, -1, parGroup, ""},
-		{"group-order", grpOrd, ExecOptions{}, 4, -1, parGroup, ""},
-		{"group-having", grpHav, ExecOptions{}, 4, -1, parGroup, ""},
-		{"group-float-key", grpFKey, ExecOptions{}, 4, -1, parNone, fallbackFloatKey},
-		{"group-float-sum", grpFSum, ExecOptions{}, 4, -1, parNone, fallbackFloatSum},
-		{"sort", srt, ExecOptions{}, 4, -1, parSort, ""},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			mode, reason := classifyParallel(c.cq, c.opt, c.workers, c.limit)
-			if mode != c.mode || reason != c.reason {
-				t.Errorf("classifyParallel = (%v, %q), want (%v, %q)", mode, reason, c.mode, c.reason)
-			}
-		})
-	}
-}
-
-// TestClassifyParallelJoin pins the classifier over join shapes: mergeable
-// ad-hoc joins reach the matching parallel mode (parJoin for a bare join,
-// parAgg/parGroup/parSort when the join feeds those tails), and LIMIT still
-// forces serial unless a sort merge orders the rows first.
-func TestClassifyParallelJoin(t *testing.T) {
-	cat, err := workload.JoinPair(2000, 8000, 1, 31)
+// TestSerialFallbackMatrix pins, through Execute, which query × options run
+// on a pool and which fall back and why: every condition that forces serial
+// execution must be named, and every shape whose barriers the code generator
+// declares must run with all four workers — a bare join with both its scans
+// parallel, a join feeding an aggregation, a group table or a sort likewise,
+// and a LIMIT only where a sorted-run barrier orders the rows first.
+func TestSerialFallbackMatrix(t *testing.T) {
+	tcat := parCatalog(t, 1000)
+	jcat, err := workload.JoinPair(2000, 8000, 1, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	join, _ := compileOn(t, cat, "SELECT build.pk, probe.payload FROM build, probe WHERE build.pk = probe.fk")
-	joinAgg, _ := compileOn(t, cat, "SELECT COUNT(*) FROM build, probe WHERE build.pk = probe.fk")
-	joinGrp, _ := compileOn(t, cat, "SELECT build.nk, COUNT(*) FROM build, probe WHERE build.pk = probe.fk GROUP BY build.nk")
-	joinSrt, _ := compileOn(t, cat, "SELECT build.pk, probe.payload FROM build, probe WHERE build.pk = probe.fk ORDER BY build.pk")
-	joinLim, _ := compileOn(t, cat, "SELECT build.pk FROM build, probe WHERE build.pk = probe.fk LIMIT 5")
-	joinSrtLim, _ := compileOn(t, cat, "SELECT build.pk FROM build, probe WHERE build.pk = probe.fk ORDER BY build.pk LIMIT 5")
-
+	const join = "FROM build, probe WHERE build.pk = probe.fk"
+	par := ExecOptions{Parallelism: 4}
 	cases := []struct {
-		name   string
-		cq     *CompiledQuery
-		limit  int64
-		mode   parMode
-		reason string
+		name     string
+		cat      *catalog.Catalog
+		src      string
+		style    Style
+		opt      ExecOptions
+		fallback string
+		parallel int // ExecStats.PipelinesParallel
 	}{
-		{"join", join, -1, parJoin, ""},
-		{"join-agg", joinAgg, -1, parAgg, ""},
-		{"join-group", joinGrp, -1, parGroup, ""},
-		{"join-sort", joinSrt, -1, parSort, ""},
-		{"join-limit", joinLim, 5, parNone, fallbackLimit},
-		// LIMIT over a merged sort is exact: the k-way merge orders tuples
-		// before the limit applies, so parallelism stays on.
-		{"join-sort-limit", joinSrtLim, 5, parSort, ""},
+		{"serial-request", tcat, "SELECT COUNT(*), SUM(i0), MIN(i1) FROM t WHERE i0 < 0", Style{}, ExecOptions{}, "", 0},
+		{"agg", tcat, "SELECT COUNT(*), SUM(i0), MIN(i1) FROM t WHERE i0 < 0", Style{}, par, "", 1},
+		{"agg-predicated", tcat, "SELECT COUNT(*), SUM(i0), MIN(i1) FROM t WHERE i0 < 0", Style{PredicatedSelection: true}, par, "", 1},
+		{"scan", tcat, "SELECT i0, i1 FROM t WHERE i0 < 0", Style{}, par, "", 1},
+		{"chunked", tcat, "SELECT COUNT(*) FROM t", Style{}, ExecOptions{Parallelism: 4, ChunkRows: 65536}, fallbackChunked, 0},
+		{"fuel", tcat, "SELECT COUNT(*) FROM t", Style{}, ExecOptions{Parallelism: 4, Fuel: 1 << 40}, fallbackFuel, 0},
+		{"limit", tcat, "SELECT i0 FROM t LIMIT 10", Style{}, par, fallbackLimit, 0},
+		{"float-sum", tcat, "SELECT SUM(f0) FROM t", Style{}, par, fallbackFloatSum, 0},
+		{"group-by", tcat, "SELECT i0, COUNT(*), SUM(i1), MIN(i1) FROM t GROUP BY i0", Style{}, par, "", 1},
+		{"group-order", tcat, "SELECT i0, COUNT(*) FROM t GROUP BY i0 ORDER BY i0", Style{}, par, "", 1},
+		{"group-order-limit", tcat, "SELECT i0, COUNT(*) FROM t GROUP BY i0 ORDER BY i0 LIMIT 3", Style{}, par, "", 1},
+		{"group-having", tcat, "SELECT i0, COUNT(*) FROM t GROUP BY i0 HAVING COUNT(*) > 1", Style{}, par, "", 1},
+		{"group-float-key", tcat, "SELECT f0, COUNT(*) FROM t GROUP BY f0", Style{}, par, "", 1},
+		{"group-float-sum", tcat, "SELECT i0, SUM(f0) FROM t GROUP BY i0", Style{}, par, fallbackFloatSum, 0},
+		{"group-library", tcat, "SELECT i0, COUNT(*) FROM t GROUP BY i0", Style{LibraryHT: true}, par, fallbackUnmergeable, 0},
+		{"sort", tcat, "SELECT i0, f0 FROM t ORDER BY i0 DESC, f0", Style{}, par, "", 1},
+		{"sort-limit", tcat, "SELECT i0 FROM t ORDER BY i0 LIMIT 5", Style{}, par, "", 1},
+		{"sort-library", tcat, "SELECT i0 FROM t ORDER BY i0", Style{LibrarySort: true}, par, fallbackUnmergeable, 0},
+		{"group-sort-library", tcat, "SELECT i0, COUNT(*) FROM t GROUP BY i0 ORDER BY i0", Style{LibrarySort: true}, par, "", 1},
+		{"join", jcat, "SELECT build.pk, probe.payload " + join, Style{}, par, "", 2},
+		{"join-agg", jcat, "SELECT COUNT(*) " + join, Style{}, par, "", 2},
+		{"join-group", jcat, "SELECT build.nk, COUNT(*) " + join + " GROUP BY build.nk", Style{}, par, "", 2},
+		{"join-sort", jcat, "SELECT build.pk, probe.payload " + join + " ORDER BY build.pk", Style{}, par, "", 2},
+		{"join-limit", jcat, "SELECT build.pk " + join + " LIMIT 5", Style{}, par, fallbackLimit, 0},
+		// LIMIT over merged sorted runs is exact: the k-way merge orders the
+		// tuples before the limit applies, so parallelism stays on.
+		{"join-sort-limit", jcat, "SELECT build.pk " + join + " ORDER BY build.pk LIMIT 5", Style{}, par, "", 2},
+		{"join-library", jcat, "SELECT COUNT(*) " + join, Style{LibraryHT: true}, par, fallbackUnmergeable, 0},
+		// The library join is met first, so its reason stands.
+		{"join-library-float-sum", jcat, "SELECT SUM(probe.payload * 0.5) " + join, Style{LibraryHT: true}, par, fallbackUnmergeable, 0},
 	}
+	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			mode, reason := classifyParallel(c.cq, ExecOptions{}, 4, c.limit)
-			if mode != c.mode || reason != c.reason {
-				t.Errorf("classifyParallel = (%v, %q), want (%v, %q)", mode, reason, c.mode, c.reason)
+			cq, q := compileStyledOn(t, c.cat, c.src, c.style)
+			_, st, err := Execute(cq, q, eng, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			workers := 1
+			if c.parallel > 0 {
+				workers = 4
+			}
+			if st.SerialFallback != c.fallback || st.PipelinesParallel != c.parallel || st.Workers != workers {
+				t.Errorf("fallback %q, %d pipelines parallel, %d workers; want %q, %d, %d",
+					st.SerialFallback, st.PipelinesParallel, st.Workers, c.fallback, c.parallel, workers)
 			}
 		})
 	}
-}
-
-// TestCombineAggUnknownFuncPanics pins the satellite fix: combineAgg used to
-// silently return the first operand for an aggregate it had no rule for,
-// dropping every other worker's partial state. It must fail loudly instead.
-func TestCombineAggUnknownFuncPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("combineAgg accepted an unknown aggregate function")
-		}
-	}()
-	combineAgg(AggGlobal{Func: sema.AggFunc(127)}, 1, 2)
 }
 
 // TestParallelAggMatchesSerial checks the host-side merge pass: a keyless
@@ -321,6 +302,159 @@ func TestParallelGroupMergeEnginePanic(t *testing.T) {
 	}
 }
 
+// TestParallelGroupBarrierFoldsAndGrows runs the group barrier where both of
+// its paths are taken a known number of times. The table is four morsels, and
+// a rendezvous in the morsel fault point holds the first four morsel calls
+// until four workers have arrived, so every worker scans exactly one. Each
+// morsel holds the same 200 keys — they meet a group in the primary's table
+// and fold — and 400 keys no other morsel has, which claim new slots: the
+// primary enters the barrier with 600 groups and leaves with 1800, growing
+// its 1024-slot table twice mid-merge. The host folds nothing beforehand, so
+// GroupsMerged is the secondaries' record count, 3 × 600, not the number of
+// distinct keys among them.
+func TestParallelGroupBarrierFoldsAndGrows(t *testing.T) {
+	const morsel, common, rare = 2000, 200, 400
+	tbl := storage.NewTable("t", []string{"k", "v"}, []types.Type{types.TInt32, types.TInt32})
+	for m := 0; m < 4; m++ {
+		for i := 0; i < morsel; i++ {
+			k := i / 5 % common
+			if i%5 == 0 {
+				k = common + m*rare + i/5
+			}
+			if err := tbl.AppendRow(types.NewInt32(int32(k)), types.NewInt32(int32(m*morsel+i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cat := catalog.New()
+	if err := cat.Add(tbl); err != nil {
+		t.Fatal(err)
+	}
+	cq, q := compileOn(t, cat, "SELECT k, COUNT(*), SUM(v), MIN(v), MAX(v) FROM t GROUP BY k")
+	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
+	serial, _, err := Execute(cq, q, eng, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived sync.WaitGroup
+	arrived.Add(4)
+	faultpoint.Enable("core-morsel", func(hit int) error {
+		if hit <= 4 {
+			arrived.Done()
+			arrived.Wait()
+		}
+		return nil
+	})
+	defer faultpoint.Disable("core-morsel")
+	par, st, err := Execute(cq, q, eng, ExecOptions{Parallelism: 4, MorselRows: morsel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.GroupsMerged != 3*(common+rare) {
+		t.Errorf("GroupsMerged = %d, want the secondaries' %d records", st.GroupsMerged, 3*(common+rare))
+	}
+	if len(par.Rows) != common+4*rare {
+		t.Errorf("%d groups, want %d", len(par.Rows), common+4*rare)
+	}
+	if fmt.Sprint(sortedRows(par)) != fmt.Sprint(sortedRows(serial)) {
+		t.Errorf("rows differ from serial execution")
+	}
+}
+
+// TestParallelFloatGroupKeys is the serial-vs-parallel differential on FLOAT
+// group keys: the guest's key comparison is the only equality there is, so a
+// pool groups exactly as one worker does. The
+// oracle is the same module run serially, rows compared as a multiset.
+// Ordinary values group by value; +0.0 and −0.0 hash to the same slot and
+// compare equal, so they are one group, keyed by whichever zero its table saw
+// first (the comparison ignores that sign); NaN equals nothing, so every NaN
+// row is a group of its own — in a worker's table and again when its record
+// is merged into the primary's.
+func TestParallelFloatGroupKeys(t *testing.T) {
+	tbl := storage.NewTable("t", []string{"k", "v"}, []types.Type{types.TFloat64, types.TInt32})
+	nan2 := math.Float64frombits(0x7ff8000000000001)
+	for i := 0; i < 40_000; i++ {
+		k := float64(i%50)*0.5 + 1
+		switch {
+		case i%1009 == 0:
+			k = math.NaN()
+		case i%1013 == 0:
+			k = nan2
+		case i%97 == 0:
+			k = 0
+		case i%101 == 0:
+			k = math.Copysign(0, -1)
+		}
+		if err := tbl.AppendRow(types.NewFloat64(k), types.NewInt32(int32(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := catalog.New()
+	if err := cat.Add(tbl); err != nil {
+		t.Fatal(err)
+	}
+	cq, q := compileOn(t, cat, "SELECT k, COUNT(*), SUM(v), MIN(v), MAX(v) FROM t GROUP BY k")
+	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
+	rows := func(r *ResultSet) []string {
+		for _, row := range r.Rows {
+			if row[0].F == 0 {
+				row[0].F = 0 // −0.0 → +0.0
+			}
+		}
+		return sortedRows(r)
+	}
+	serial, _, err := Execute(cq, q, eng, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rows(serial)
+	if nans := 40_000/1009 + 40_000/1013 + 1; len(want) != 50+1+nans {
+		t.Fatalf("serial run has %d groups, want 50 values, one zero and %d NaN rows", len(want), nans)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		par, st, err := Execute(cq, q, eng, ExecOptions{Parallelism: workers, MorselRows: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Workers != workers || st.SerialFallback != "" {
+			t.Errorf("%d workers: ran with %d, fallback %q", workers, st.Workers, st.SerialFallback)
+		}
+		if got := rows(par); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%d workers: %d groups differ from the serial run's %d", workers, len(got), len(want))
+		}
+	}
+}
+
+// TestParallelAggMergeFaults fails the keyless fold barrier: the scan is 10
+// morsels, so hits 11–13 are the three q_agg_merge calls. An injected
+// failure at the second — one partial state folded, two not — and an engine
+// panic inside the first must surface as errors with no result, never as a
+// partially folded aggregate.
+func TestParallelAggMergeFaults(t *testing.T) {
+	cat := parCatalog(t, 10_000)
+	cq, q := compileOn(t, cat, "SELECT COUNT(*), SUM(i0), MIN(i1), MAX(f0) FROM t")
+	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
+	opt := ExecOptions{Parallelism: 4, MorselRows: 1000}
+	boom := errors.New("injected fold failure")
+	faultpoint.Enable("core-morsel", faultpoint.AtHit(12, boom))
+	defer faultpoint.Disable("core-morsel")
+	res, _, err := Execute(cq, q, eng, opt)
+	if !errors.Is(err, boom) || res != nil || !strings.Contains(err.Error(), aggMergeExport) {
+		t.Fatalf("Execute = (%v, %v), want the injected failure inside %s and no result", res, err, aggMergeExport)
+	}
+
+	faultpoint.Enable("core-morsel", func(hit int) error {
+		if hit == 11 {
+			faultpoint.Enable("engine-call-panic", faultpoint.Always(errors.New("simulated engine bug")))
+		}
+		return nil
+	})
+	defer faultpoint.Disable("engine-call-panic")
+	if res, _, err := Execute(cq, q, eng, opt); err == nil || res != nil {
+		t.Fatalf("Execute = (%v, %v) with a panicking fold call, want an error and no result", res, err)
+	}
+}
+
 // TestParallelScanMatchesSerial checks the concatenation merge: a parallel
 // filter+project must produce the same multiset of rows as serial execution
 // (order may differ across workers).
@@ -354,47 +488,51 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelUnmergeableFallsBack checks that a pipeline whose state the
-// host cannot merge still runs serially — correct results, recorded fallback.
-// Library-style hash tables carry no dump/merge exports, so a library-HT join
-// is the canonical unmergeable shape now that ad-hoc joins parallelize.
+// TestParallelUnmergeableFallsBack pins that whether partial states can be
+// combined is decided by the code generator alone. A module that exports no
+// fold or build barrier — a library-style group table or join — says so
+// itself, and the executor runs it serially with the reason recorded, results
+// unchanged.
 func TestParallelUnmergeableFallsBack(t *testing.T) {
-	cat, err := workload.JoinPair(2000, 8000, 1, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := "SELECT COUNT(*) FROM build, probe WHERE build.pk = probe.fk"
-	stmt, err := sql.ParseSelect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := sema.Analyze(stmt, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := plan.Build(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cq, err := CompileStyled(q, p, Style{LibraryHT: true})
+	jcat, err := workload.JoinPair(2000, 8000, 1, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
-	serial, _, err := Execute(cq, q, eng, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, st, err := Execute(cq, q, eng, ExecOptions{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(sortedRows(par)) != fmt.Sprint(sortedRows(serial)) {
-		t.Errorf("join under fallback disagrees with serial")
-	}
-	if st.SerialFallback != fallbackUnmergeable || st.PipelinesParallel != 0 || st.PipelinesSerial == 0 {
-		t.Errorf("stats = workers %d, parallel %d, serial %d, fallback %q; want recorded unmergeable fallback",
-			st.Workers, st.PipelinesParallel, st.PipelinesSerial, st.SerialFallback)
+	for _, c := range []struct {
+		cat *catalog.Catalog
+		src string
+	}{
+		{grpCatalog(t, 20_000, 100), "SELECT g0, COUNT(*), SUM(i0), MIN(i1) FROM t GROUP BY g0"},
+		{jcat, "SELECT COUNT(*) FROM build, probe WHERE build.pk = probe.fk"},
+	} {
+		if adhoc, _ := compileOn(t, c.cat, c.src); adhoc.SerialReason != "" || len(adhoc.Barriers) == 0 {
+			t.Fatalf("%s: ad-hoc module has reason %q, barriers %+v", c.src, adhoc.SerialReason, adhoc.Barriers)
+		}
+		cq, q := compileStyledOn(t, c.cat, c.src, Style{LibraryHT: true})
+		if cq.SerialReason != fallbackUnmergeable {
+			t.Fatalf("%s: library module has reason %q, want %q", c.src, cq.SerialReason, fallbackUnmergeable)
+		}
+		for _, e := range cq.Module.Exports {
+			if strings.Contains(e.Name, "group") || strings.Contains(e.Name, "join") {
+				t.Errorf("%s: library module exports %s", c.src, e.Name)
+			}
+		}
+		serial, _, err := Execute(cq, q, eng, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, st, err := Execute(cq, q, eng, ExecOptions{Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(sortedRows(par)) != fmt.Sprint(sortedRows(serial)) {
+			t.Errorf("%s: rows under the fallback differ from serial", c.src)
+		}
+		if st.SerialFallback != fallbackUnmergeable || st.Workers != 1 || st.PipelinesParallel != 0 || st.PipelinesSerial == 0 || st.GroupsMerged != 0 {
+			t.Errorf("%s: workers %d, parallel %d, serial %d, fallback %q; want a recorded serial run",
+				c.src, st.Workers, st.PipelinesParallel, st.PipelinesSerial, st.SerialFallback)
+		}
 	}
 }
 
@@ -454,7 +592,8 @@ func TestJoinModuleExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, _ := compileOn(t, cat, "SELECT COUNT(*) FROM build, probe WHERE build.pk = probe.fk")
+	// A bare join: an aggregate on top would add its own fold export.
+	cq, _ := compileOn(t, cat, "SELECT build.pk, probe.payload FROM build, probe WHERE build.pk = probe.fk")
 	var barrier []string
 	for _, e := range cq.Module.Exports {
 		if strings.HasPrefix(e.Name, "q_join_") {

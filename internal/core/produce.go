@@ -101,8 +101,8 @@ func (c *compiler) produceGroup(gr *plan.Group, consume consumer) error {
 		}
 	}
 	ht := c.newHashTable(fmt.Sprintf("group%d", len(c.pipes)), fields, gr.Keys)
-	// Merge exports for parallel execution (dead code on serial runs).
-	c.genGroupMerge(gr, ht, aggSlots)
+	// Merge exports of the fold barrier (dead code on serial runs).
+	fold := c.genGroupMerge(gr, ht, aggSlots)
 
 	// Feeding pipeline: insert-or-update.
 	err := c.produce(gr.Input, func(g *gen, e *env) {
@@ -157,7 +157,8 @@ func (c *compiler) produceGroup(gr *plan.Group, consume consumer) error {
 		f.If(wasm.BlockVoid)
 		for i, a := range gr.Aggs {
 			fld, _ := ht.layout.find(aggSlots[i])
-			g.emitAggUpdate(entry, fld, a, argLocals[i])
+			arg := argLocals[i]
+			g.emitAggFold(a.Func, g.fieldAgg(entry, fld), foldVal{push: func() { f.LocalGet(arg) }})
 		}
 		f.Br(2) // done
 		f.End()
@@ -169,6 +170,7 @@ func (c *compiler) produceGroup(gr *plan.Group, consume consumer) error {
 	if err != nil {
 		return err
 	}
+	c.declareFold(gr, fold)
 
 	// Scanning pipeline: iterate slots [begin, end), skip empty, bind
 	// KeyRef/AggRef to entry fields.
@@ -223,38 +225,94 @@ func (g *gen) emitAggInit(entry wasm.Local, fld field, a sema.Aggregate, arg was
 	}
 }
 
-// emitAggUpdate folds the current tuple into an aggregate slot. MIN and MAX
-// are branch-free via select (§8.2, Fig. 7d).
-func (g *gen) emitAggUpdate(entry wasm.Local, fld field, a sema.Aggregate, arg wasm.Local) {
+// aggState is where one aggregate's running state lives: a module global
+// (keyless aggregation) or a field of a group-table entry.
+type aggState struct {
+	t     types.Type
+	load  func()
+	store func(push func())
+}
+
+func (g *gen) globalAgg(glob uint32, t types.Type) aggState {
 	f := g.f
-	switch a.Func {
+	return aggState{t, func() { f.GlobalGet(glob) }, func(push func()) { push(); f.GlobalSet(glob) }}
+}
+
+func (g *gen) fieldAgg(ptr wasm.Local, fld field) aggState {
+	return aggState{fld.t, func() { g.loadField(ptr, fld) }, func(push func()) { g.storeFieldFromStack(ptr, fld, push) }}
+}
+
+// foldVal is the value an aggregate state absorbs: one row's argument, or —
+// partial — the state another worker accumulated, of which COUNT adds the
+// value where a row counts 1. push must be repeatable; expr marks it as an
+// expression rather than a local or a field, so a rule that reads it twice
+// evaluates it once.
+type foldVal struct {
+	push    func()
+	partial bool
+	expr    bool
+}
+
+// emitAggFold is the one fold rule of the generated code, state ← state ⊕ v:
+// the per-row update of keyless and grouped aggregation and the partial-state
+// merge of both fold barriers are this function, so they cannot drift apart,
+// and an aggregate it does not know fails the compilation. MIN and MAX are
+// branch-free via select (§8.2, Fig. 7d).
+func (g *gen) emitAggFold(fn sema.AggFunc, st aggState, v foldVal) {
+	f := g.f
+	switch fn {
 	case sema.AggCountStar, sema.AggCount:
-		g.storeFieldFromStack(entry, fld, func() {
-			g.loadField(entry, fld)
-			f.I64Const(1)
+		st.store(func() {
+			st.load()
+			if v.partial {
+				v.push()
+			} else {
+				f.I64Const(1)
+			}
 			f.I64Add()
 		})
 	case sema.AggSum:
-		g.storeFieldFromStack(entry, fld, func() {
-			g.loadField(entry, fld)
-			f.LocalGet(arg)
-			if fld.t.Kind == types.Float64 {
+		st.store(func() {
+			st.load()
+			v.push()
+			if st.t.Kind == types.Float64 {
 				f.F64Add()
 			} else {
 				f.I64Add()
 			}
 		})
 	case sema.AggMin, sema.AggMax:
-		g.storeFieldFromStack(entry, fld, func() {
-			// select(new, old, cmp) — branch-free.
-			f.LocalGet(arg)
-			g.loadField(entry, fld)
-			f.LocalGet(arg)
-			g.loadField(entry, fld)
-			op := minMaxCmp(a.Func, fld.t)
-			f.Op(op)
+		push := v.push
+		if v.expr {
+			l := f.AddLocal(wasmType(st.t))
+			v.push()
+			f.LocalSet(l)
+			push = func() { f.LocalGet(l) }
+		}
+		st.store(func() {
+			// select(new, old, cmp)
+			push()
+			st.load()
+			push()
+			st.load()
+			f.Op(minMaxCmp(fn, st.t))
 			f.Select()
 		})
+	default:
+		g.fail("no fold rule for aggregate %v", fn)
+	}
+}
+
+// declareFold attaches the fold barrier of the aggregation just fed to the
+// pipeline that fed it. Float addition is not associative: folding partial
+// sums could differ from the serial row-order sum in the last ulps, so such a
+// module is never spread over a pool.
+func (c *compiler) declareFold(gr *plan.Group, fm *FoldMerge) {
+	c.addBarrier(Barrier{Fold: fm})
+	for _, a := range gr.Aggs {
+		if a.Func == sema.AggSum && a.T.Kind == types.Float64 {
+			c.serialOnly(fallbackFloatSum)
+		}
 	}
 }
 
@@ -343,9 +401,7 @@ func (c *compiler) produceJoin(j *plan.HashJoin, consume consumer) error {
 	if err != nil {
 		return err
 	}
-	// The pipeline just produced — the last one — is the build pipeline the
-	// executor barriers on.
-	c.genJoinBarrier(jt, len(c.out.Pipelines)-1)
+	c.genJoinBarrier(jt)
 
 	// Probe side: continue the enclosing pipeline.
 	return c.produce(j.Probe, func(g *gen, e *env) {

@@ -82,17 +82,17 @@ func (c *compiler) produceSort(s *plan.Sort, consume consumer) error {
 	// The generated quicksort and its helpers.
 	qs := c.genQuicksort(sortID, s.Keys, layout, gBase, gScratchA, gScratchB)
 
-	// Sorted-run merge metadata + receive export for parallel execution:
-	// the host k-way merges per-worker sorted runs and installs the merged
-	// array on the primary via q_sort_recv. Dead code on serial runs.
-	c.genSortMerge(s, layout, gBase, gCount)
+	// Receive export of the sorted-run barrier (dead code on serial runs).
+	runs := c.genSortMerge(s, layout, gBase, gCount)
 
-	// Run-once pipeline invoking qsort(0, count).
+	// Run-once pipeline invoking qsort(0, count): under a pool every worker
+	// calls it on its own array, and the barrier merges the sorted runs.
 	g := c.newPipeline(PipeRunOnce, -1, 0)
 	g.f.I32Const(0)
 	g.f.GlobalGet(gCount)
 	g.f.Call(qs.Index)
 	g.f.I32Const(0)
+	c.addBarrier(Barrier{Sort: runs})
 
 	// Scan pipeline over the sorted array.
 	g = c.newPipeline(PipeScanArray, -1, gCount)

@@ -510,11 +510,9 @@ func (i *Instance) Memory() *wmem.Memory { return i.env.Mem }
 // Global returns the current value of a module-defined global.
 func (i *Instance) Global(idx int) uint64 { return i.env.Globals[idx] }
 
-// SetGlobal overwrites a module-defined global. It is the host side of the
-// parallel executor's merge pass: partial aggregate states read from worker
-// instances are combined and written back into one instance before its
-// output pipeline runs. Callers must not race it with a running call on the
-// same instance.
+// SetGlobal overwrites a module-defined global — how the executor sets a
+// knob the generated code reads (the chunk alignment of join builds) before
+// q_init. Callers must not race it with a running call on the same instance.
 func (i *Instance) SetGlobal(idx int, v uint64) { i.env.Globals[idx] = v }
 
 // Call invokes an exported function by name. Raw 64-bit argument and result

@@ -17,9 +17,9 @@ import (
 var ScalingWorkers = []int{1, 2, 4}
 
 // scalingQueries are the parallel-eligible shapes the experiment sweeps:
-// a keyless aggregation (merged via ad-hoc partial-state exports), a
-// grouped aggregation (merged host-side through the group-merge barrier),
-// and a hash join (build partitions merged at the join barrier, probe
+// a keyless aggregation and a grouped aggregation (both folded into the
+// primary by the module's generated merge export at the fold barrier), and
+// a hash join (tuple chunks shared at the build barrier, probe
 // embarrassingly parallel). The join runs on its own build/probe table
 // pair; the others on the generic table t.
 var scalingQueries = []struct {
@@ -35,7 +35,7 @@ var scalingQueries = []struct {
 // Scaling measures intra-query parallel speedup: each query is compiled
 // once and executed with 1, 2, and 4 morsel workers on fully optimized
 // code. The queries are chosen to be parallel-eligible, so a serial
-// fallback at w > 1 indicates a classifier regression; rather than abort
+// fallback at w > 1 indicates a regression; rather than abort
 // the whole experiment, the fallback reason is recorded on the result row
 // so the regression is visible in BENCH_scaling.json next to the numbers.
 func Scaling(o Options) ([]Record, error) {

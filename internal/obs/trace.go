@@ -39,9 +39,9 @@ const (
 	// SpanMorsel prefixes per-morsel spans, recorded only when Trace.Detail
 	// is set (they are numerous).
 	SpanMorsel = "morsel:"
-	// SpanMerge covers the host-side merge barrier of parallel execution:
-	// draining per-worker partial group states (or sorted runs), folding
-	// them, and feeding the result into the primary worker.
+	// SpanMerge covers a barrier of parallel execution: moving the secondary
+	// workers' partial group states into the primary and folding them there,
+	// merging sorted runs, or building a join table.
 	SpanMerge = "merge"
 	// SpanAdmission covers the time a request spent waiting in the query
 	// service's bounded admission queue before execution began.
@@ -80,9 +80,9 @@ const (
 	// cached module currently dispatches to on a hit).
 	EvPlanCache = "plan-cache"
 	// EvGroupMerge marks the group-by pipeline barrier of parallel execution:
-	// every worker's partial groups were drained, folded per key, and fed
-	// into the primary worker (args: groups — distinct merged groups,
-	// records — partial records drained, workers).
+	// every secondary worker's partial groups were drained and folded into
+	// the primary worker by its generated merge (args: groups — the partial
+	// group records folded —, workers).
 	EvGroupMerge = "group-merge"
 	// EvSortMerge marks the order-by barrier: per-worker sorted runs were
 	// k-way merged into the primary worker's array (args: tuples, workers).
@@ -115,8 +115,9 @@ const (
 	// worker pool vs. pipelines that fell back to serial execution.
 	CtrPipelinesParallel = "pipelines_parallel"
 	CtrPipelinesSerial   = "pipelines_serial"
-	// CtrGroupsMerged counts the distinct groups the host folded at the
-	// parallel group-by barrier (0 when no group merge ran).
+	// CtrGroupsMerged counts the partial group records folded into the
+	// primary worker at the parallel group-by barrier (0 when no group merge
+	// ran).
 	CtrGroupsMerged = "groups_merged"
 	// CtrJoinPartitionsMerged counts the secondary workers whose tuple chunks
 	// were shared at parallel join build barriers (0 when serial).

@@ -329,13 +329,14 @@ func WithFuel(n int64) Option { return func(o *queryOpts) { o.fuel = n } }
 // owning a private instance and linear memory created from the shared
 // compiled module (n <= 0 means GOMAXPROCS). Scans, hash joins, keyless
 // aggregation, single-level GROUP BY and ORDER BY parallelize: per-worker
-// partial state (result buffers, aggregate globals, group hash tables,
-// sorted runs) is merged by the host at pipeline barriers, and a join's
-// build-side tuples are shared between the workers by rewiring, each worker
-// building its own directory over all of them. Pipelines whose state the
-// host cannot combine — library-style tables and sorts, float
-// SUM/group-key orderings — run serially; the trace and Stats record the
-// fallback reason. Applies to the Wasm backends; result row order may
+// partial state is combined at the barriers the code generator declared —
+// aggregate globals and group hash tables by the module's own generated
+// merge functions, sorted runs by a k-way merge, result buffers by
+// concatenation — and a join's build-side tuples are shared between the
+// workers by rewiring, each worker building its own directory over all of
+// them. Modules without a barrier for state a scan fills (library-style
+// tables and sorts) and float SUMs, whose result depends on addition order,
+// run serially; the trace and Stats record the fallback reason. Applies to the Wasm backends; result row order may
 // differ from serial execution for unordered queries.
 func WithParallelism(n int) Option {
 	return func(o *queryOpts) {
@@ -480,8 +481,8 @@ type Stats struct {
 	// ("limit", "float-sum-order", "unmergeable-pipeline-state", ...) and is
 	// empty when the query parallelized or never asked to.
 	SerialFallback string
-	// GroupsMerged counts the distinct groups the host folded at the
-	// parallel group-by barrier (0 when no group merge ran).
+	// GroupsMerged counts the partial group records folded into the primary
+	// worker at the parallel group-by barrier (0 when no group merge ran).
 	GroupsMerged int
 	// JoinPartitionsMerged counts the secondary workers whose build-side
 	// tuples were shared at parallel join build barriers: workers − 1 per
