@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the serial-fallback matrix in DESIGN.md")
+var update = flag.Bool("update", false, "rewrite the serial-fallback matrix in DESIGN.md and testdata/module_hashes.txt")
 
 // fallbackMatrix renders fallbackTable as the markdown table of DESIGN.md §9.
 func fallbackMatrix() string {

@@ -64,6 +64,39 @@ func parCatalog(t testing.TB, rows int) *catalog.Catalog {
 // parallel, a join feeding an aggregation, a group table or a sort likewise,
 // and a LIMIT only where a sorted-run barrier orders the rows first.
 func TestSerialFallbackMatrix(t *testing.T) {
+	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
+	for _, c := range fallbackCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			cq, q := compileStyledOn(t, c.cat, c.src, c.style)
+			_, st, err := Execute(cq, q, eng, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			workers := 1
+			if c.parallel > 0 {
+				workers = 4
+			}
+			if st.SerialFallback != c.fallback || st.PipelinesParallel != c.parallel || st.Workers != workers {
+				t.Errorf("fallback %q, %d pipelines parallel, %d workers; want %q, %d, %d",
+					st.SerialFallback, st.PipelinesParallel, st.Workers, c.fallback, c.parallel, workers)
+			}
+		})
+	}
+}
+
+type fallbackCase struct {
+	name     string
+	cat      *catalog.Catalog
+	src      string
+	style    Style
+	opt      ExecOptions
+	fallback string
+	parallel int // ExecStats.PipelinesParallel
+}
+
+// fallbackCases is the matrix of TestSerialFallbackMatrix; TestModuleGolden
+// hashes the modules of its queries.
+func fallbackCases(t *testing.T) []fallbackCase {
 	tcat := parCatalog(t, 1000)
 	jcat, err := workload.JoinPair(2000, 8000, 1, 31)
 	if err != nil {
@@ -71,15 +104,7 @@ func TestSerialFallbackMatrix(t *testing.T) {
 	}
 	const join = "FROM build, probe WHERE build.pk = probe.fk"
 	par := ExecOptions{Parallelism: 4}
-	cases := []struct {
-		name     string
-		cat      *catalog.Catalog
-		src      string
-		style    Style
-		opt      ExecOptions
-		fallback string
-		parallel int // ExecStats.PipelinesParallel
-	}{
+	return []fallbackCase{
 		{"serial-request", tcat, "SELECT COUNT(*), SUM(i0), MIN(i1) FROM t WHERE i0 < 0", Style{}, ExecOptions{}, "", 0},
 		{"agg", tcat, "SELECT COUNT(*), SUM(i0), MIN(i1) FROM t WHERE i0 < 0", Style{}, par, "", 1},
 		{"agg-predicated", tcat, "SELECT COUNT(*), SUM(i0), MIN(i1) FROM t WHERE i0 < 0", Style{PredicatedSelection: true}, par, "", 1},
@@ -110,24 +135,6 @@ func TestSerialFallbackMatrix(t *testing.T) {
 		{"join-library", jcat, "SELECT COUNT(*) " + join, Style{LibraryHT: true}, par, fallbackUnmergeable, 0},
 		// The library join is met first, so its reason stands.
 		{"join-library-float-sum", jcat, "SELECT SUM(probe.payload * 0.5) " + join, Style{LibraryHT: true}, par, fallbackUnmergeable, 0},
-	}
-	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			cq, q := compileStyledOn(t, c.cat, c.src, c.style)
-			_, st, err := Execute(cq, q, eng, c.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			workers := 1
-			if c.parallel > 0 {
-				workers = 4
-			}
-			if st.SerialFallback != c.fallback || st.PipelinesParallel != c.parallel || st.Workers != workers {
-				t.Errorf("fallback %q, %d pipelines parallel, %d workers; want %q, %d, %d",
-					st.SerialFallback, st.PipelinesParallel, st.Workers, c.fallback, c.parallel, workers)
-			}
-		})
 	}
 }
 
