@@ -42,10 +42,10 @@ func autoDiff(t *testing.T, db *wasmdb.DB, src string, ordered bool) {
 		}
 	}
 	db.FlushPlanCache()
-	check("cold", wasmdb.WithAutoTuning())
-	check("warm", wasmdb.WithAutoTuning())
-	check("parallel", wasmdb.WithAutoTuning(), wasmdb.WithParallelism(2))
-	check("cache-off", wasmdb.WithAutoTuning(), wasmdb.WithPlanCache(false))
+	check("cold", wasmdb.WithBackend(wasmdb.BackendAuto))
+	check("warm", wasmdb.WithBackend(wasmdb.BackendAuto))
+	check("parallel", wasmdb.WithBackend(wasmdb.BackendAuto), wasmdb.WithParallelism(2))
+	check("cache-off", wasmdb.WithBackend(wasmdb.BackendAuto), wasmdb.WithPlanCache(false))
 }
 
 // TestAutoDifferential is the auto-tuning correctness oracle: whatever the
@@ -101,7 +101,7 @@ func TestAutoPreparedDecisionFlip(t *testing.T) {
 			}
 			run := func(limit int) string {
 				t.Helper()
-				res, err := stmt.QueryContext(nil, []any{limit}, wasmdb.WithAutoTuning())
+				res, err := stmt.QueryContext(nil, []any{limit}, wasmdb.WithBackend(wasmdb.BackendAuto))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -146,7 +146,7 @@ func TestAutoMispredictionCorrected(t *testing.T) {
 		"ORDER BY c_custkey"
 	query := func() wasmdb.Stats {
 		t.Helper()
-		res, err := db.Query(src, wasmdb.WithAutoTuning())
+		res, err := db.Query(src, wasmdb.WithBackend(wasmdb.BackendAuto))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestAutoConcurrentWarmHits(t *testing.T) {
 	db := tpchDB(t)
 	src := "SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_quantity < 25"
 	// Prime: one cold run creates the cache entry and the feedback slot.
-	if _, err := db.Query(src, wasmdb.WithAutoTuning()); err != nil {
+	if _, err := db.Query(src, wasmdb.WithBackend(wasmdb.BackendAuto)); err != nil {
 		t.Fatal(err)
 	}
 	const goroutines, perG = 8, 10
@@ -197,7 +197,7 @@ func TestAutoConcurrentWarmHits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				res, err := db.Query(src, wasmdb.WithAutoTuning())
+				res, err := db.Query(src, wasmdb.WithBackend(wasmdb.BackendAuto))
 				if err != nil {
 					errs <- err
 					return
@@ -218,7 +218,7 @@ func TestAutoConcurrentWarmHits(t *testing.T) {
 // TestAutoExplainAnalyze checks the decision's EXPLAIN ANALYZE surface.
 func TestAutoExplainAnalyze(t *testing.T) {
 	db := tpchDB(t)
-	out, err := db.ExplainAnalyze("SELECT COUNT(*) FROM lineitem WHERE l_quantity < 25", wasmdb.WithAutoTuning())
+	out, err := db.ExplainAnalyze("SELECT COUNT(*) FROM lineitem WHERE l_quantity < 25", wasmdb.WithBackend(wasmdb.BackendAuto))
 	if err != nil {
 		t.Fatal(err)
 	}

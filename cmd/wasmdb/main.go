@@ -325,24 +325,15 @@ func (sh *shell) meta(line string) bool {
 				sh.frec.Len(), map[bool]string{true: "y", false: "ies"}[sh.frec.Len() == 1], arg)
 		}
 	case "\\backend":
-		switch arg {
-		case "auto":
-			sh.backend = wasmdb.BackendAuto
-		case "wasm", "adaptive":
-			sh.backend = wasmdb.BackendWasm
-		case "liftoff":
-			sh.backend = wasmdb.BackendWasmLiftoff
-		case "turbofan":
-			sh.backend = wasmdb.BackendWasmTurbofan
-		case "hyper":
-			sh.backend = wasmdb.BackendHyperLike
-		case "vectorized":
-			sh.backend = wasmdb.BackendVectorized
-		case "volcano":
-			sh.backend = wasmdb.BackendVolcano
-		default:
-			fmt.Fprintln(sh.out, "backends: auto, wasm, liftoff, turbofan, hyper, vectorized, volcano")
+		if b, ok := wasmdb.ParseBackend(arg); ok {
+			sh.backend = b
+			break
 		}
+		var names []string
+		for b := wasmdb.Backend(0); b.String() != "unknown"; b++ {
+			names = append(names, b.String())
+		}
+		fmt.Fprintln(sh.out, "backends:", strings.Join(names, ", "))
 	case "\\set":
 		key, val, _ := strings.Cut(arg, " ")
 		switch key {

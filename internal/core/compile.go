@@ -471,18 +471,28 @@ func (c *compiler) serialOnly(reason string) {
 	}
 }
 
+// noteErr keeps the first failure of a generator that has no pipeline to
+// return it through.
+func (c *compiler) noteErr(g *gen) {
+	if c.err == nil {
+		c.err = g.err
+	}
+}
+
 // consumer emits the code that consumes one tuple in the current pipeline;
 // the environment provides the tuple's attribute bindings.
 type consumer func(g *gen, e *env)
 
-// havingConsumer gates a group consumer behind the HAVING conjunction: the
-// group tuple reaches the downstream consumer only when every conjunct holds.
-func havingConsumer(having []sema.Expr, consume consumer) consumer {
+// filterConsumer gates a consumer behind a conjunction: the tuple reaches
+// consume only when every conjunct holds. The whole conjunction is evaluated
+// and decided by one conditional branch (no short-circuiting — §8.2's
+// analysis of Fig. 6c depends on this).
+func filterConsumer(conjuncts []sema.Expr, consume consumer) consumer {
+	if len(conjuncts) == 0 {
+		return consume
+	}
 	return func(g *gen, e *env) {
-		if g.err != nil {
-			return
-		}
-		if err := g.conjunction(e, having); err != nil {
+		if g.err != nil || g.conjunction(e, conjuncts) != nil {
 			return
 		}
 		g.f.If(wasm.BlockVoid)
@@ -498,18 +508,13 @@ func (c *compiler) produce(n plan.Node, consume consumer) error {
 	case *plan.Scan:
 		return c.produceScan(x, consume)
 	case *plan.HashJoin:
-		if c.style.LibraryHT {
-			return c.produceJoinLib(x, consume)
-		}
 		return c.produceJoin(x, consume)
 	case *plan.Group:
-		if len(x.Having) > 0 {
-			// Wrap the consumer once, centrally: every group output path
-			// (ad-hoc slot scan, library bucket walk, keyless run-once) binds
-			// KeyRef/AggRef in its env, so the compiled HAVING conjunction
-			// gates emission uniformly across styles.
-			consume = havingConsumer(x.Having, consume)
-		}
+		// HAVING wraps the consumer once, centrally: every group output path
+		// (ad-hoc slot scan, library bucket walk, keyless run-once) binds
+		// KeyRef/AggRef in its env, so the compiled conjunction gates emission
+		// uniformly across styles.
+		consume = filterConsumer(x.Having, consume)
 		if len(x.Keys) == 0 {
 			// Keyless aggregation never needs a hash table.
 			if c.style.PredicatedSelection {
@@ -519,14 +524,8 @@ func (c *compiler) produce(n plan.Node, consume consumer) error {
 			}
 			return c.produceGlobalAgg(x, consume)
 		}
-		if c.style.LibraryHT {
-			return c.produceGroupLib(x, consume)
-		}
 		return c.produceGroup(x, consume)
 	case *plan.Sort:
-		if c.style.LibrarySort {
-			return c.produceSortLib(x, consume)
-		}
 		return c.produceSort(x, consume)
 	case *plan.Limit:
 		// LIMIT is enforced in the result consumer via gTotalRows.
@@ -537,55 +536,41 @@ func (c *compiler) produce(n plan.Node, consume consumer) error {
 	return fmt.Errorf("core: unsupported plan node %T", n)
 }
 
+// rangePipeline opens a new pipeline whose body runs for every i in the
+// morsel [begin, end) the host calls it with — table rows, hash-table slots or
+// buckets, sort-array elements.
+func (c *compiler) rangePipeline(kind PipelineKind, tableIdx int, countGlobal uint32, body func(g *gen, i wasm.Local)) error {
+	g := c.newPipeline(kind, tableIdx, countGlobal)
+	f := g.f
+	i := f.AddLocal(wasm.I32)
+	f.LocalGet(f.Param(0))
+	f.LocalSet(i)
+	f.Block(wasm.BlockVoid) // exit
+	f.Loop(wasm.BlockVoid)
+	f.LocalGet(i)
+	f.LocalGet(f.Param(1))
+	f.I32GeU()
+	f.BrIf(1)
+	body(g, i)
+	f.LocalGet(i)
+	f.I32Const(1)
+	f.I32Add()
+	f.LocalSet(i)
+	f.Br(0)
+	f.End()
+	f.End()
+	f.I32Const(0)
+	return g.err
+}
+
 // produceScan generates the morsel-driven table-scan pipeline.
 func (c *compiler) produceScan(s *plan.Scan, consume consumer) error {
-	g := c.newPipeline(PipeScanTable, s.TableIdx, 0)
-	row := g.f.AddLocal(wasm.I32)
-	g.f.LocalGet(g.f.Param(0))
-	g.f.LocalSet(row)
-
-	e := &env{}
-	c.bindTableColumns(g, e, s.TableIdx, row)
-
-	// for (row = begin; row < end; row++)
-	g.f.Block(wasm.BlockVoid) // exit
-	g.f.Loop(wasm.BlockVoid)
-	g.f.LocalGet(row)
-	g.f.LocalGet(g.f.Param(1))
-	g.f.I32GeU()
-	g.f.BrIf(1)
-
-	// Selection: evaluate the whole conjunction, one conditional branch
-	// (no short-circuiting — §8.2's analysis of Fig. 6c depends on this).
-	body := func() error {
+	consume = filterConsumer(s.Filter, consume)
+	return c.rangePipeline(PipeScanTable, s.TableIdx, 0, func(g *gen, row wasm.Local) {
+		e := &env{}
+		c.bindTableColumns(g, e, s.TableIdx, row)
 		consume(g, e)
-		return g.err
-	}
-	if len(s.Filter) > 0 {
-		if err := g.conjunction(e, s.Filter); err != nil {
-			return err
-		}
-		g.f.If(wasm.BlockVoid)
-		if err := body(); err != nil {
-			return err
-		}
-		g.f.End()
-	} else {
-		if err := body(); err != nil {
-			return err
-		}
-	}
-
-	// row++
-	g.f.LocalGet(row)
-	g.f.I32Const(1)
-	g.f.I32Add()
-	g.f.LocalSet(row)
-	g.f.Br(0)
-	g.f.End()
-	g.f.End()
-	g.f.I32Const(0)
-	return g.err
+	})
 }
 
 // bindTableColumns adds bindings for all referenced columns of a table,

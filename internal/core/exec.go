@@ -29,8 +29,6 @@ var (
 
 // ExecOptions configures query execution.
 type ExecOptions struct {
-	// Tier selects the engine configuration (default TierAdaptive).
-	Tier engine.Tier
 	// MorselRows is the morsel size (default DefaultMorselRows).
 	MorselRows int
 	// ChunkRows enables chunked rewiring (§6.1) for table-scan pipelines:

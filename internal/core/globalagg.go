@@ -88,9 +88,7 @@ func (c *compiler) newGlobalAggStates(gr *plan.Group) ([]globalAggState, uint32,
 		p := f.Param(i + 1)
 		g.emitAggFold(a.Func, g.globalAgg(states[i].glob, a.T), foldVal{push: func() { f.LocalGet(p) }, partial: true})
 	}
-	if g.err != nil && c.err == nil {
-		c.err = g.err
-	}
+	c.noteErr(g)
 	return states, gCount, fold
 }
 

@@ -50,6 +50,7 @@ func (c *compiler) genDumpFunc(name string, ht *htInfo) {
 	cap := f.AddLocal(wasm.I32)
 	i := f.AddLocal(wasm.I32)
 	entry := f.AddLocal(wasm.I32)
+	w := f.AddLocal(wasm.I32)
 
 	f.GlobalGet(ht.gCount)
 	f.I32Const(stride)
@@ -78,7 +79,7 @@ func (c *compiler) genDumpFunc(name string, ht *htInfo) {
 	f.LocalGet(entry)
 	f.Emit(wasm.OpI32Load, 0, 2) // occupancy flag
 	f.If(wasm.BlockVoid)
-	emitWordCopy(f, out, entry, stride)
+	emitWordCopy(f, w, out, entry, stride)
 	f.LocalGet(out)
 	f.I32Const(stride)
 	f.I32Add()
@@ -113,10 +114,11 @@ func (c *compiler) genRecvFunc(name string, ht *htInfo) uint32 {
 }
 
 // genGroupMergeFunc emits q_group_merge(begin, end) -> i32: fold received
-// records [begin, end) into this worker's group table — claim empty slots
-// with a verbatim record copy, combine colliding partial states. The
-// morsel-shaped signature lets the executor drive it through the same
-// callMorsel path as pipelines (tracing and fault injection apply).
+// records [begin, end) into this worker's group table through the feeding
+// pipeline's own upsert loop — an empty slot is claimed with a verbatim record
+// copy, colliding partial states are combined. The morsel-shaped signature
+// lets the executor drive it through the same callMorsel path as pipelines
+// (tracing and fault injection apply).
 func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sema.AggRef, gRecv uint32) {
 	f := c.b.NewFunc(groupMergeExport, wasm.FuncType{
 		Params: []wasm.ValType{wasm.I32, wasm.I32}, Results: []wasm.ValType{wasm.I32},
@@ -152,40 +154,18 @@ func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sem
 		kf := fld
 		keys[ki] = keySrc{t: kf.t, pushVal: func() { g.loadField(rec, kf) }}
 	}
-	h := g.emitHash(keys)
-	idx := g.emitSlotIndex(ht, h)
-
-	f.Block(wasm.BlockVoid) // this record done
-	f.Loop(wasm.BlockVoid)
-	g.emitEntryPtr(ht, idx, entry)
-	f.LocalGet(entry)
-	f.Emit(wasm.OpI32Load, 0, 2)
-	f.I32Eqz()
-	f.If(wasm.BlockVoid)
-	// Claim: the record is a full entry image (flag, keys, partial states),
-	// so a verbatim copy installs the group.
-	emitWordCopy(f, entry, rec, stride)
-	f.GlobalGet(ht.gCount)
-	f.I32Const(1)
-	f.I32Add()
-	f.GlobalSet(ht.gCount)
-	g.emitMaybeGrow(ht)
-	f.Br(2) // this record done
-	f.End()
-	// Occupied: keys equal → fold partial states; else advance.
-	g.emitKeysEqual(ht, keys, entry)
-	f.If(wasm.BlockVoid)
-	for ai, a := range gr.Aggs {
-		fld, _ := ht.layout.find(aggSlots[ai])
-		af := fld
-		g.emitAggFold(a.Func, g.fieldAgg(entry, af), foldVal{push: func() { g.loadField(rec, af) }, partial: true})
-	}
-	f.Br(2) // this record done
-	f.End()
-	g.emitNextSlot(ht, idx)
-	f.Br(0)
-	f.End()
-	f.End()
+	idx := g.emitSlotIndex(ht, g.emitHash(keys))
+	g.emitUpsert(ht, keys, idx, entry, func() {
+		// The record is a full entry image (flag, keys, partial states), so a
+		// verbatim copy installs the group.
+		emitWordCopy(f, f.AddLocal(wasm.I32), entry, rec, stride)
+	}, func() {
+		for ai, a := range gr.Aggs {
+			fld, _ := ht.layout.find(aggSlots[ai])
+			af := fld
+			g.emitAggFold(a.Func, g.fieldAgg(entry, af), foldVal{push: func() { g.loadField(rec, af) }, partial: true})
+		}
+	})
 
 	f.LocalGet(i)
 	f.I32Const(1)
@@ -195,9 +175,7 @@ func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sem
 	f.End()
 	f.End()
 	f.I32Const(0)
-	if g.err != nil && c.err == nil {
-		c.err = g.err
-	}
+	c.noteErr(g)
 }
 
 // sortRecvExport is the receive export of the parallel sorted-run merge.
@@ -234,10 +212,9 @@ func (c *compiler) genSortMerge(s *plan.Sort, layout tupleLayout, gBase, gCount 
 	return sm
 }
 
-// emitWordCopy copies stride bytes (a multiple of 8) from src to dst with
-// an i64 word loop — the same shape the grow function uses.
-func emitWordCopy(f *wasm.FuncBuilder, dst, src wasm.Local, stride int32) {
-	w := f.AddLocal(wasm.I32)
+// emitWordCopy copies stride bytes (a multiple of 8) from src to dst with an
+// i64 word loop counted in the local w.
+func emitWordCopy(f *wasm.FuncBuilder, w, dst, src wasm.Local, stride int32) {
 	f.I32Const(0)
 	f.LocalSet(w)
 	f.Block(wasm.BlockVoid)

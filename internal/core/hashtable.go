@@ -77,6 +77,87 @@ func (c *compiler) newHashTable(name string, fields []sema.Expr, keys []sema.Exp
 	return ht
 }
 
+// groupTable is what produceGroup asks of the code-generation style: the
+// ad-hoc table below, inlined into the pipelines, or the library table of
+// libstyle.go, reached through calls.
+type groupTable interface {
+	// fields is the entry layout: the group keys and one slot per aggregate.
+	fields() *tupleLayout
+	// keySrcs evaluates the key expressions of the current tuple, once.
+	keySrcs(g *gen, e *env, keys []sema.Expr) []keySrc
+	// upsert locates the entry of the keys, or claims one where there is
+	// none: claim fills a new entry, fold updates the one found.
+	upsert(g *gen, keys []keySrc, claim, fold func(entry wasm.Local))
+	// scan emits the pipeline that visits every entry.
+	scan(c *compiler, body func(g *gen, entry wasm.Local)) error
+}
+
+func (ht *htInfo) fields() *tupleLayout { return &ht.layout }
+
+func (ht *htInfo) keySrcs(g *gen, e *env, keys []sema.Expr) []keySrc {
+	return g.keySrcsFromEnv(e, keys)
+}
+
+func (ht *htInfo) upsert(g *gen, keys []keySrc, claim, fold func(entry wasm.Local)) {
+	idx := g.emitSlotIndex(ht, g.emitHash(keys))
+	entry := g.f.AddLocal(wasm.I32)
+	g.emitUpsert(ht, keys, idx, entry, func() {
+		g.f.LocalGet(entry)
+		g.f.I32Const(1)
+		g.f.I32Store(0) // occupancy flag
+		claim(entry)
+	}, func() { fold(entry) })
+}
+
+// emitUpsert is the one probe-or-claim loop of an ad-hoc group table, inlined
+// where a tuple (the feeding pipeline) or another worker's entry (the fold
+// barrier) meets the table: walk from slot idx, the keys' own, with entry
+// pointing at the slot under inspection; an empty slot is claimed — claim must
+// leave the occupancy flag set — and counted, and the table grown above its
+// load factor; a slot holding equal keys is folded into.
+func (g *gen) emitUpsert(ht *htInfo, keys []keySrc, idx, entry wasm.Local, claim, fold func()) {
+	f := g.f
+	f.Block(wasm.BlockVoid) // done
+	f.Loop(wasm.BlockVoid)
+	g.emitEntryPtr(ht, idx, entry)
+	f.LocalGet(entry)
+	f.Emit(wasm.OpI32Load, 0, 2) // occupancy flag
+	f.I32Eqz()
+	f.If(wasm.BlockVoid)
+	claim()
+	// count++, maybe grow.
+	f.GlobalGet(ht.gCount)
+	f.I32Const(1)
+	f.I32Add()
+	f.GlobalSet(ht.gCount)
+	g.emitMaybeGrow(ht)
+	f.Br(2) // done
+	f.End()
+	// Occupied: keys equal → fold; else advance.
+	g.emitKeysEqual(ht, keys, entry)
+	f.If(wasm.BlockVoid)
+	fold()
+	f.Br(2) // done
+	f.End()
+	g.emitNextSlot(ht, idx)
+	f.Br(0)
+	f.End()
+	f.End()
+}
+
+// scan iterates slots [begin, end) and skips the empty ones.
+func (ht *htInfo) scan(c *compiler, body func(g *gen, entry wasm.Local)) error {
+	return c.rangePipeline(PipeScanSlots, -1, ht.gMask, func(g *gen, slot wasm.Local) {
+		entry := g.f.AddLocal(wasm.I32)
+		g.emitEntryPtr(ht, slot, entry)
+		g.f.LocalGet(entry)
+		g.f.Emit(wasm.OpI32Load, 0, 2)
+		g.f.If(wasm.BlockVoid)
+		body(g, entry)
+		g.f.End()
+	})
+}
+
 func dedupExprs(in []sema.Expr) []sema.Expr {
 	var out []sema.Expr
 	for _, e := range in {
@@ -265,6 +346,23 @@ func (g *gen) storeFieldFromStack(ptr wasm.Local, fld field, pushVal func()) {
 	case types.Char:
 		g.copyChar(ptr, fld.offset, pushVal, fld.t.Length)
 	}
+}
+
+// storeTuple materializes the current tuple: every field of the layout is
+// evaluated in e and stored at ptr.
+func (g *gen) storeTuple(ptr wasm.Local, layout tupleLayout, e *env) {
+	for _, fld := range layout.fields {
+		g.storeFieldFromStack(ptr, fld, func() { g.expr(e, fld.expr) })
+	}
+}
+
+// tupleEnv returns e extended by the fields of the materialized tuple at ptr.
+func tupleEnv(g *gen, e *env, ptr wasm.Local, layout tupleLayout) *env {
+	e2 := &env{binds: append([]binding{}, e.binds...)}
+	for _, fld := range layout.fields {
+		e2.add(fld.expr, func() { g.loadField(ptr, fld) })
+	}
+	return e2
 }
 
 // copyCharInlineMax is the widest CHAR field copied with straight-line code.
@@ -487,30 +585,7 @@ func (c *compiler) genGrowFunc(ht *htInfo) *wasm.FuncBuilder {
 	f.Br(0)
 	f.End()
 	f.End()
-	// copy entry (stride is a multiple of 8): word loop
-	f.I32Const(0)
-	f.LocalSet(w)
-	f.Block(wasm.BlockVoid)
-	f.Loop(wasm.BlockVoid)
-	f.LocalGet(w)
-	f.I32Const(stride)
-	f.I32GeU()
-	f.BrIf(1)
-	f.LocalGet(ne)
-	f.LocalGet(w)
-	f.I32Add()
-	f.LocalGet(entry)
-	f.LocalGet(w)
-	f.I32Add()
-	f.I64Load(0)
-	f.I64Store(0)
-	f.LocalGet(w)
-	f.I32Const(8)
-	f.I32Add()
-	f.LocalSet(w)
-	f.Br(0)
-	f.End()
-	f.End()
+	emitWordCopy(f, w, ne, entry, stride)
 	f.End() // if filled
 	// i++
 	f.LocalGet(i)

@@ -105,11 +105,12 @@ func (c *compiler) allocAlignedFunc() *wasm.FuncBuilder {
 	return f
 }
 
-// emitJoinAppend appends the current build-side tuple, with its key hash h,
-// to the chunk list.
-func (g *gen) emitJoinAppend(jt *joinTable, h wasm.Local, e *env) {
+// append appends the current build-side tuple, with its key hash, to the
+// chunk list.
+func (jt *joinTable) append(g *gen, keys []keySrc, e *env) {
 	f := g.f
 	stride := jt.layout.stride
+	h := g.emitHashCanon(keys, true)
 	tup := f.AddLocal(wasm.I32)
 	// Chunk full (or none yet): link a fresh one in front of the list.
 	f.GlobalGet(jt.gPos)
@@ -139,14 +140,53 @@ func (g *gen) emitJoinAppend(jt *joinTable, h wasm.Local, e *env) {
 	f.I64Const(joinHashBit)
 	f.Op(wasm.OpI64Or)
 	f.I64Store(0)
-	for _, fld := range jt.layout.fields {
-		fld := fld
-		g.storeFieldFromStack(tup, fld, func() { g.expr(e, fld.expr) })
-	}
+	g.storeTuple(tup, jt.layout, e)
 	f.LocalGet(tup)
 	f.I32Const(int32(stride))
 	f.I32Add()
 	f.GlobalSet(jt.gPos)
+}
+
+// probe walks the directory from the probe keys' slot, inline: an empty slot
+// ends the walk, a tuple with equal keys is a match.
+func (jt *joinTable) probe(g *gen, e *env, probeKeys []sema.Expr, match consumer) {
+	f := g.f
+	keys := g.keySrcsFromEnv(e, probeKeys)
+	h := g.emitHashCanon(keys, true)
+	idx := g.emitSlotIndex(&jt.htInfo, h)
+	tup := f.AddLocal(wasm.I32)
+	if jt.hashCheck {
+		f.LocalGet(h)
+		f.I64Const(joinHashBit)
+		f.Op(wasm.OpI64Or)
+		f.LocalSet(h)
+	}
+
+	f.Block(wasm.BlockVoid) // probe done
+	f.Loop(wasm.BlockVoid)
+	g.emitDirSlot(jt, idx)
+	f.I32Load(0)
+	f.LocalTee(tup)
+	f.I32Eqz()
+	f.BrIf(1) // empty slot: no more candidates
+	if jt.hashCheck {
+		f.LocalGet(tup)
+		f.I64Load(0)
+		f.LocalGet(h)
+		f.Op(wasm.OpI64Eq)
+		f.If(wasm.BlockVoid)
+	}
+	g.emitKeysEqual(&jt.htInfo, keys, tup)
+	f.If(wasm.BlockVoid)
+	match(g, tupleEnv(g, e, tup, jt.layout))
+	f.End()
+	if jt.hashCheck {
+		f.End()
+	}
+	g.emitNextSlot(&jt.htInfo, idx)
+	f.Br(0)
+	f.End()
+	f.End()
 }
 
 // emitDirSlot pushes the address of directory slot idx.

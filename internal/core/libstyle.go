@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"wasmdb/internal/plan"
 	"wasmdb/internal/sema"
 	"wasmdb/internal/types"
@@ -26,7 +24,7 @@ type libRoutines struct {
 	htInsert *wasm.FuncBuilder // (ctrl, hash) -> entry
 	htLookup *wasm.FuncBuilder // (ctrl, hash, cmpFn) -> entry | 0
 	htNext   *wasm.FuncBuilder // (entry, hash, cmpFn) -> entry | 0
-	sort     *wasm.FuncBuilder // (base, n, stride, cmpFn)
+	sort     *wasm.FuncBuilder // (lo, hi, base, stride, cmpFn, scratchA, scratchB)
 	cmp1Type uint32            // type of (entry i32) -> i32
 	cmp2Type uint32            // type of (a i32, b i32) -> i32
 }
@@ -291,8 +289,7 @@ func (c *compiler) libs() *libRoutines {
 		chainScan(f, e, hash, cmpFn)
 	}
 
-	// lib_sort(base, n, stride, cmpFn): generic quicksort + insertion sort,
-	// comparator via call_indirect, element moves via byte loops.
+	// lib_copy(dst, src, n): the generic element move, a byte loop.
 	copyBytes := b.NewFunc("lib_copy", wasm.FuncType{Params: []wasm.ValType{i32, i32, i32}})
 	{
 		f := copyBytes
@@ -321,265 +318,42 @@ func (c *compiler) libs() *libRoutines {
 		f.End()
 	}
 
-	isort := b.NewFunc("lib_isort", wasm.FuncType{
-		Params: []wasm.ValType{i32, i32, i32, i32, i32, i32}}) // base, lo, hi, stride, cmpFn, scratch
-	{
-		f := isort
-		base, lo, hi, stride, cmpFn, scr := f.Param(0), f.Param(1), f.Param(2), f.Param(3), f.Param(4), f.Param(5)
-		kk := f.AddLocal(i32)
-		m := f.AddLocal(i32)
-		prev := f.AddLocal(i32)
-		eAddr := func(idx wasm.Local) {
-			f.LocalGet(idx)
+	// lib_sort(lo, hi, base, stride, cmpFn, scrA, scrB): the one quicksort
+	// (genQuicksort), type-agnostic — the stride is an argument, every
+	// comparison an indirect call, every element move a byte loop.
+	const base, stride, cmpFn, scr = 2, 3, 4, 5
+	move := func(f *wasm.FuncBuilder, pushDst, pushSrc func()) {
+		pushDst()
+		pushSrc()
+		f.LocalGet(stride)
+		f.Call(copyBytes.Index)
+	}
+	l.sort = c.genQuicksort(sortEmit{
+		isort: "lib_isort",
+		qsort: "lib_sort",
+		pass:  []wasm.ValType{i32, i32, i32, i32, i32},
+		addr: func(f *wasm.FuncBuilder, pushIdx func()) {
+			f.LocalGet(base)
+			pushIdx()
 			f.LocalGet(stride)
 			f.I32Mul()
-			f.LocalGet(base)
 			f.I32Add()
-		}
-		f.LocalGet(lo)
-		f.I32Const(1)
-		f.I32Add()
-		f.LocalSet(kk)
-		f.Block(wasm.BlockVoid)
-		f.Loop(wasm.BlockVoid)
-		f.LocalGet(kk)
-		f.LocalGet(hi)
-		f.Op(wasm.OpI32GeS)
-		f.BrIf(1)
-		f.LocalGet(scr)
-		eAddr(kk)
-		f.LocalGet(stride)
-		f.Call(copyBytes.Index)
-		f.LocalGet(kk)
-		f.LocalSet(m)
-		f.Block(wasm.BlockVoid)
-		f.Loop(wasm.BlockVoid)
-		f.LocalGet(m)
-		f.LocalGet(lo)
-		f.Op(wasm.OpI32LeS)
-		f.BrIf(1)
-		f.LocalGet(m)
-		f.I32Const(1)
-		f.I32Sub()
-		f.LocalGet(stride)
-		f.I32Mul()
-		f.LocalGet(base)
-		f.I32Add()
-		f.LocalSet(prev)
-		// if !(scratch < prev): break
-		f.LocalGet(scr)
-		f.LocalGet(prev)
-		f.LocalGet(cmpFn)
-		f.Emit(wasm.OpCallIndirect, uint64(l.cmp2Type), 0)
-		f.I32Eqz()
-		f.BrIf(1)
-		eAddr(m)
-		f.LocalGet(prev)
-		f.LocalGet(stride)
-		f.Call(copyBytes.Index)
-		f.LocalGet(m)
-		f.I32Const(1)
-		f.I32Sub()
-		f.LocalSet(m)
-		f.Br(0)
-		f.End()
-		f.End()
-		eAddr(m)
-		f.LocalGet(scr)
-		f.LocalGet(stride)
-		f.Call(copyBytes.Index)
-		f.LocalGet(kk)
-		f.I32Const(1)
-		f.I32Add()
-		f.LocalSet(kk)
-		f.Br(0)
-		f.End()
-		f.End()
-	}
-
-	sortRec := b.NewFunc("lib_qsort_rec", wasm.FuncType{
-		Params: []wasm.ValType{i32, i32, i32, i32, i32, i32, i32}}) // base, lo, hi, stride, cmpFn, scrA, scrB
-	{
-		f := sortRec
-		base, lo0, hi0, stride, cmpFn, scrA, scrB := f.Param(0), f.Param(1), f.Param(2), f.Param(3), f.Param(4), f.Param(5), f.Param(6)
-		lo := f.AddLocal(i32)
-		hi := f.AddLocal(i32)
-		i := f.AddLocal(i32)
-		j := f.AddLocal(i32)
-		pi := f.AddLocal(i32)
-		pj := f.AddLocal(i32)
-		eAddr := func(idx wasm.Local) {
-			f.LocalGet(idx)
-			f.LocalGet(stride)
-			f.I32Mul()
-			f.LocalGet(base)
-			f.I32Add()
-		}
-		f.LocalGet(lo0)
-		f.LocalSet(lo)
-		f.LocalGet(hi0)
-		f.LocalSet(hi)
-		f.Block(wasm.BlockVoid)
-		f.Loop(wasm.BlockVoid)
-		f.LocalGet(hi)
-		f.LocalGet(lo)
-		f.I32Sub()
-		f.I32Const(16)
-		f.Op(wasm.OpI32LeS)
-		f.BrIf(1)
-		// pivot → scrA
-		f.LocalGet(scrA)
-		f.LocalGet(lo)
-		f.LocalGet(hi)
-		f.LocalGet(lo)
-		f.I32Sub()
-		f.I32Const(1)
-		f.Op(wasm.OpI32ShrU)
-		f.I32Add()
-		f.LocalGet(stride)
-		f.I32Mul()
-		f.LocalGet(base)
-		f.I32Add()
-		f.LocalGet(stride)
-		f.Call(copyBytes.Index)
-		f.LocalGet(lo)
-		f.I32Const(1)
-		f.I32Sub()
-		f.LocalSet(i)
-		f.LocalGet(hi)
-		f.LocalSet(j)
-		f.Block(wasm.BlockVoid)
-		f.Loop(wasm.BlockVoid)
-		f.Block(wasm.BlockVoid)
-		f.Loop(wasm.BlockVoid)
-		f.LocalGet(i)
-		f.I32Const(1)
-		f.I32Add()
-		f.LocalSet(i)
-		eAddr(i)
-		f.LocalSet(pi)
-		f.LocalGet(pi)
-		f.LocalGet(scrA)
-		f.LocalGet(cmpFn)
-		f.Emit(wasm.OpCallIndirect, uint64(l.cmp2Type), 0)
-		f.I32Eqz()
-		f.BrIf(1)
-		f.Br(0)
-		f.End()
-		f.End()
-		f.Block(wasm.BlockVoid)
-		f.Loop(wasm.BlockVoid)
-		f.LocalGet(j)
-		f.I32Const(1)
-		f.I32Sub()
-		f.LocalSet(j)
-		eAddr(j)
-		f.LocalSet(pj)
-		f.LocalGet(scrA)
-		f.LocalGet(pj)
-		f.LocalGet(cmpFn)
-		f.Emit(wasm.OpCallIndirect, uint64(l.cmp2Type), 0)
-		f.I32Eqz()
-		f.BrIf(1)
-		f.Br(0)
-		f.End()
-		f.End()
-		f.LocalGet(i)
-		f.LocalGet(j)
-		f.Op(wasm.OpI32GeS)
-		f.BrIf(1)
-		// swap via scrB (generic byte moves)
-		f.LocalGet(scrB)
-		f.LocalGet(pi)
-		f.LocalGet(stride)
-		f.Call(copyBytes.Index)
-		f.LocalGet(pi)
-		f.LocalGet(pj)
-		f.LocalGet(stride)
-		f.Call(copyBytes.Index)
-		f.LocalGet(pj)
-		f.LocalGet(scrB)
-		f.LocalGet(stride)
-		f.Call(copyBytes.Index)
-		f.Br(0)
-		f.End()
-		f.End()
-		// recurse smaller partition
-		f.LocalGet(j)
-		f.I32Const(1)
-		f.I32Add()
-		f.LocalGet(lo)
-		f.I32Sub()
-		f.LocalGet(hi)
-		f.LocalGet(j)
-		f.I32Const(1)
-		f.I32Add()
-		f.I32Sub()
-		f.Op(wasm.OpI32LeS)
-		f.If(wasm.BlockVoid)
-		f.LocalGet(base)
-		f.LocalGet(lo)
-		f.LocalGet(j)
-		f.I32Const(1)
-		f.I32Add()
-		f.LocalGet(stride)
-		f.LocalGet(cmpFn)
-		f.LocalGet(scrA)
-		f.LocalGet(scrB)
-		f.CallBuilder(sortRec)
-		f.LocalGet(j)
-		f.I32Const(1)
-		f.I32Add()
-		f.LocalSet(lo)
-		f.Else()
-		f.LocalGet(base)
-		f.LocalGet(j)
-		f.I32Const(1)
-		f.I32Add()
-		f.LocalGet(hi)
-		f.LocalGet(stride)
-		f.LocalGet(cmpFn)
-		f.LocalGet(scrA)
-		f.LocalGet(scrB)
-		f.CallBuilder(sortRec)
-		f.LocalGet(j)
-		f.I32Const(1)
-		f.I32Add()
-		f.LocalSet(hi)
-		f.End()
-		f.Br(0)
-		f.End()
-		f.End()
-		f.LocalGet(base)
-		f.LocalGet(lo)
-		f.LocalGet(hi)
-		f.LocalGet(stride)
-		f.LocalGet(cmpFn)
-		f.LocalGet(scrB)
-		f.Call(isort.Index)
-	}
-
-	{
-		f := b.NewFunc("lib_sort", wasm.FuncType{Params: []wasm.ValType{i32, i32, i32, i32}})
-		l.sort = f
-		base, n, stride, cmpFn := f.Param(0), f.Param(1), f.Param(2), f.Param(3)
-		scrA := f.AddLocal(i32)
-		scrB := f.AddLocal(i32)
-		f.LocalGet(stride)
-		f.Call(c.allocFunc().Index)
-		f.LocalSet(scrA)
-		f.LocalGet(stride)
-		f.Call(c.allocFunc().Index)
-		f.LocalSet(scrB)
-		f.LocalGet(base)
-		f.I32Const(0)
-		f.LocalGet(n)
-		f.LocalGet(stride)
-		f.LocalGet(cmpFn)
-		f.LocalGet(scrA)
-		f.LocalGet(scrB)
-		f.Call(sortRec.Index)
-	}
+		},
+		scratch: func(f *wasm.FuncBuilder, n int) { f.LocalGet(wasm.Local(scr + n)) },
+		less: func(g *gen, a, b wasm.Local) {
+			g.f.LocalGet(a)
+			g.f.LocalGet(b)
+			g.f.LocalGet(cmpFn)
+			g.f.Emit(wasm.OpCallIndirect, uint64(l.cmp2Type), 0)
+		},
+		move: move,
+		swap: func(f *wasm.FuncBuilder, a, b, _ wasm.Local) {
+			carrier := func() { f.LocalGet(scr + 1) }
+			move(f, carrier, func() { f.LocalGet(a) })
+			move(f, func() { f.LocalGet(a) }, func() { f.LocalGet(b) })
+			move(f, func() { f.LocalGet(b) }, carrier)
+		},
+	})
 	return l
 }
 
@@ -590,14 +364,11 @@ func (c *compiler) registerTableFunc(fn *wasm.FuncBuilder) uint32 {
 	return uint32(len(c.tableFuncs) - 1)
 }
 
-// ---------------------------------------------------------------------------
-// Library-style grouping.
-
-// libHT describes one chained library hash table used by a query.
+// libHT describes one chained library hash table used by a query: the
+// groupTable or buildSide of the library style.
 type libHT struct {
 	layout  tupleLayout // fields start at libEntryData
-	keys    []sema.Expr
-	gCtrl   uint32 // global holding the ctrl pointer
+	gCtrl   uint32      // global holding the ctrl pointer
 	keyGlob []uint32
 	cmpIdx  uint32 // table index of the key comparator
 	// canonFloatKeys is set for join tables, which hash Float64 keys
@@ -611,7 +382,6 @@ func (c *compiler) newLibHT(name string, fields []sema.Expr, keys, lookupKeys []
 	l := c.libs()
 	ht := &libHT{
 		layout:         buildLayout(dedupExprs(fields), libEntryData),
-		keys:           keys,
 		gCtrl:          c.b.AddGlobal(wasm.I32, true, 0),
 		canonFloatKeys: canonFloatKeys,
 	}
@@ -669,141 +439,174 @@ func (c *compiler) newLibHT(name string, fields []sema.Expr, keys, lookupKeys []
 	return ht
 }
 
-// emitSetKeys evaluates the table's own key expressions into the key
-// globals and computes the hash.
-func (g *gen) emitSetKeys(e *env, ht *libHT) wasm.Local {
-	return g.emitSetKeysFor(e, ht, ht.keys)
-}
+func (ht *libHT) fields() *tupleLayout { return &ht.layout }
 
-// emitSetKeysFor evaluates the given key expressions (e.g. the probe side's
-// keys) into the key globals and computes the hash (same mixing as the
-// specialized path, so both sides agree).
-func (g *gen) emitSetKeysFor(e *env, ht *libHT, keys []sema.Expr) wasm.Local {
-	var srcs []keySrc
+// keySrcs evaluates the key expressions (the table's own, or a probe side's)
+// into the key globals, where the comparator callback finds them.
+func (ht *libHT) keySrcs(g *gen, e *env, keys []sema.Expr) []keySrc {
+	srcs := make([]keySrc, len(keys))
 	for i, k := range keys {
-		g.expr(e, k)
-		g.f.GlobalSet(ht.keyGlob[i])
 		gi := ht.keyGlob[i]
-		t := k.Type()
-		srcs = append(srcs, keySrc{t: t, pushVal: func() { g.f.GlobalGet(gi) }})
+		g.expr(e, k)
+		g.f.GlobalSet(gi)
+		srcs[i] = keySrc{t: k.Type(), pushVal: func() { g.f.GlobalGet(gi) }}
 	}
-	return g.emitHashCanon(srcs, ht.canonFloatKeys)
+	return srcs
 }
 
-// produceGroupLib compiles grouping through the generic library hash table.
-func (c *compiler) produceGroupLib(gr *plan.Group, consume consumer) error {
-	fields := append([]sema.Expr{}, gr.Keys...)
-	var aggSlots []*sema.AggRef
-	for i, a := range gr.Aggs {
-		ref := &sema.AggRef{Idx: i, T: a.T}
-		aggSlots = append(aggSlots, ref)
-		fields = append(fields, ref)
-	}
-	ht := c.newLibHT(fmt.Sprintf("group%d", len(c.pipes)), fields, gr.Keys, gr.Keys, false)
-	l := c.libs()
+// emitLookup pushes lib_ht_lookup(ctrl, h, comparator): the first entry of
+// the hash's chain the comparator callback accepts, or 0.
+func (ht *libHT) emitLookup(g *gen, h wasm.Local) {
+	g.f.GlobalGet(ht.gCtrl)
+	g.f.LocalGet(h)
+	g.f.I32Const(int32(ht.cmpIdx))
+	g.f.Call(g.c.libs().htLookup.Index)
+}
 
-	err := c.produce(gr.Input, func(g *gen, e *env) {
-		f := g.f
-		h := g.emitSetKeys(e, ht)
-		argLocals := make([]wasm.Local, len(gr.Aggs))
-		for i, a := range gr.Aggs {
-			if a.Arg == nil {
-				continue
-			}
-			lv := f.AddLocal(wasmType(a.Arg.Type()))
-			g.expr(e, a.Arg)
-			f.LocalSet(lv)
-			argLocals[i] = lv
-		}
-		entry := f.AddLocal(wasm.I32)
-		// entry = lookup(ctrl, h, cmp) — a library call per tuple.
-		f.GlobalGet(ht.gCtrl)
-		f.LocalGet(h)
-		f.I32Const(int32(ht.cmpIdx))
-		f.Call(l.htLookup.Index)
-		f.LocalTee(entry)
-		f.I32Eqz()
-		f.If(wasm.BlockVoid)
-		// entry = insert(ctrl, h); store keys; init aggregates.
-		f.GlobalGet(ht.gCtrl)
-		f.LocalGet(h)
-		f.Call(l.htInsert.Index)
-		f.LocalSet(entry)
-		for i, k := range gr.Keys {
-			fld, _ := ht.layout.find(k)
-			gi := ht.keyGlob[i]
-			g.storeFieldFromStack(entry, fld, func() { f.GlobalGet(gi) })
-		}
-		for i, a := range gr.Aggs {
-			fld, _ := ht.layout.find(aggSlots[i])
-			g.emitAggInit(entry, fld, a, argLocals[i])
-		}
-		f.Else()
-		for i, a := range gr.Aggs {
-			fld, _ := ht.layout.find(aggSlots[i])
-			arg := argLocals[i]
-			g.emitAggFold(a.Func, g.fieldAgg(entry, fld), foldVal{push: func() { f.LocalGet(arg) }})
-		}
-		f.End()
-	})
-	if err != nil {
-		return err
-	}
-	c.serialOnly(fallbackUnmergeable)
+// emitInsert pushes lib_ht_insert(ctrl, h): a new entry at the head of the
+// hash's chain. Insert needs only the hash (the key globals feed the
+// comparator, not the insert).
+func (ht *libHT) emitInsert(g *gen, h wasm.Local) {
+	g.f.GlobalGet(ht.gCtrl)
+	g.f.LocalGet(h)
+	g.f.Call(g.c.libs().htInsert.Index)
+}
 
-	// Scan pipeline: walk buckets [begin, end), following chains. The host
-	// reads the bucket count from the ctrl block (PipeScanBuckets).
-	g := c.newPipeline(PipeScanBuckets, -1, ht.gCtrl)
+// upsert is a lookup call per tuple, and an insert call per new group.
+func (ht *libHT) upsert(g *gen, keys []keySrc, claim, fold func(entry wasm.Local)) {
 	f := g.f
-	bi := f.AddLocal(wasm.I32)
+	h := g.emitHashCanon(keys, ht.canonFloatKeys)
 	entry := f.AddLocal(wasm.I32)
-	f.LocalGet(f.Param(0))
-	f.LocalSet(bi)
+	ht.emitLookup(g, h)
+	f.LocalTee(entry)
+	f.I32Eqz()
+	f.If(wasm.BlockVoid)
+	ht.emitInsert(g, h)
+	f.LocalSet(entry)
+	claim(entry)
+	f.Else()
+	fold(entry)
+	f.End()
+}
 
-	e := &env{}
-	for i, k := range gr.Keys {
-		kf, _ := ht.layout.find(k)
-		e.add(&sema.KeyRef{Idx: i, T: k.Type()}, func() { g.loadField(entry, kf) })
-	}
-	for i := range gr.Aggs {
-		af, _ := ht.layout.find(aggSlots[i])
-		e.add(aggSlots[i], func() { g.loadField(entry, af) })
-	}
+// append is an insert call per build tuple.
+func (ht *libHT) append(g *gen, keys []keySrc, e *env) {
+	entry := g.f.AddLocal(wasm.I32)
+	ht.emitInsert(g, g.emitHashCanon(keys, ht.canonFloatKeys))
+	g.f.LocalSet(entry)
+	g.storeTuple(entry, ht.layout, e)
+}
 
-	f.Block(wasm.BlockVoid)
-	f.Loop(wasm.BlockVoid)
-	f.LocalGet(bi)
-	f.LocalGet(f.Param(1))
-	f.I32GeU()
-	f.BrIf(1)
-	// entry = buckets[bi]
-	f.GlobalGet(ht.gCtrl)
-	f.I32Load(0)
-	f.LocalGet(bi)
-	f.I32Const(2)
-	f.Op(wasm.OpI32Shl)
-	f.I32Add()
-	f.I32Load(0)
+// probe: entry = lookup(...); while entry: match; entry = next(...).
+func (ht *libHT) probe(g *gen, e *env, probeKeys []sema.Expr, match consumer) {
+	f := g.f
+	h := g.emitHashCanon(ht.keySrcs(g, e, probeKeys), ht.canonFloatKeys)
+	entry := f.AddLocal(wasm.I32)
+	ht.emitLookup(g, h)
 	f.LocalSet(entry)
 	f.Block(wasm.BlockVoid)
 	f.Loop(wasm.BlockVoid)
 	f.LocalGet(entry)
 	f.I32Eqz()
 	f.BrIf(1)
-	consume(g, e)
+	match(g, tupleEnv(g, e, entry, ht.layout))
 	f.LocalGet(entry)
-	f.I32Load(libEntryNext)
+	f.LocalGet(h)
+	f.I32Const(int32(ht.cmpIdx))
+	f.Call(g.c.libs().htNext.Index)
 	f.LocalSet(entry)
 	f.Br(0)
 	f.End()
 	f.End()
-	f.LocalGet(bi)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(bi)
-	f.Br(0)
-	f.End()
-	f.End()
-	f.I32Const(0)
-	return g.err
+}
+
+// scan walks buckets [begin, end), following chains. The host reads the
+// bucket count from the ctrl block (PipeScanBuckets).
+func (ht *libHT) scan(c *compiler, body func(g *gen, entry wasm.Local)) error {
+	return c.rangePipeline(PipeScanBuckets, -1, ht.gCtrl, func(g *gen, bi wasm.Local) {
+		f := g.f
+		entry := f.AddLocal(wasm.I32)
+		// entry = buckets[bi]
+		f.GlobalGet(ht.gCtrl)
+		f.I32Load(0)
+		f.LocalGet(bi)
+		f.I32Const(2)
+		f.Op(wasm.OpI32Shl)
+		f.I32Add()
+		f.I32Load(0)
+		f.LocalSet(entry)
+		f.Block(wasm.BlockVoid)
+		f.Loop(wasm.BlockVoid)
+		f.LocalGet(entry)
+		f.I32Eqz()
+		f.BrIf(1)
+		body(g, entry)
+		f.LocalGet(entry)
+		f.I32Load(libEntryNext)
+		f.LocalSet(entry)
+		f.Br(0)
+		f.End()
+		f.End()
+	})
+}
+
+// producePredicatedGlobalAgg fuses scan, selection, and keyless aggregation
+// into one branch-free pipeline: the selection mask participates in every
+// aggregate update arithmetically (count += mask; sum += mask ? v : 0 via
+// select) — no conditional branch depends on the data, so execution time is
+// flat across selectivities (the paper's reading of HyPer in Fig. 6).
+func (c *compiler) producePredicatedGlobalAgg(gr *plan.Group, scan *plan.Scan, consume consumer) error {
+	states, gCount, fold := c.newGlobalAggStates(gr)
+
+	// Fused scan pipeline.
+	err := c.rangePipeline(PipeScanTable, scan.TableIdx, 0, func(g *gen, row wasm.Local) {
+		f := g.f
+		mask := f.AddLocal(wasm.I32)
+		e := &env{}
+		c.bindTableColumns(g, e, scan.TableIdx, row)
+		if len(scan.Filter) == 0 {
+			f.I32Const(1)
+		} else if g.conjunction(e, scan.Filter) != nil {
+			return
+		}
+		f.LocalSet(mask)
+		// A masked row is a partial state of zero or one rows: count += mask,
+		// sum += mask ? v : 0, min/max fold mask ? v : cur.
+		pushMask := func() {
+			f.LocalGet(mask)
+			f.Op(wasm.OpI64ExtendI32U)
+		}
+		g.emitAggFold(sema.AggCountStar, g.globalAgg(gCount, types.TInt64), foldVal{push: pushMask, partial: true})
+		for i, a := range gr.Aggs {
+			st := states[i]
+			v := foldVal{push: pushMask, partial: true}
+			switch a.Func {
+			case sema.AggSum:
+				v.push = func() {
+					g.expr(e, a.Arg)
+					if st.t == wasm.F64 {
+						f.F64Const(0)
+					} else {
+						f.I64Const(0)
+					}
+					f.LocalGet(mask)
+					f.Select()
+				}
+			case sema.AggMin, sema.AggMax:
+				cand := f.AddLocal(st.t)
+				g.expr(e, a.Arg)
+				f.GlobalGet(st.glob)
+				f.LocalGet(mask)
+				f.Select()
+				f.LocalSet(cand)
+				v.push = func() { f.LocalGet(cand) }
+			}
+			g.emitAggFold(a.Func, g.globalAgg(st.glob, a.T), v)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	c.declareFold(gr, fold)
+	return c.emitGlobalAggOutput(gr, states, gCount, consume)
 }

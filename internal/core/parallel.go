@@ -80,7 +80,7 @@ var fallbackTable = []struct {
 		"float addition is not associative; folded partial sums (keyless or grouped) could differ from the row-order sum in the last ulps and break the bit-identical differential oracle",
 		nil},
 	{fallbackUnmergeable, true,
-		"a table scan fills state for which the module declares no barrier: library-style hash tables and sorts",
+		"a table scan fills state for which the module declares no barrier: library-style hash tables, whose entries no other worker sees",
 		nil},
 	{fallbackSlots, false,
 		"the shared scheduler (§12) had no free worker slots; running serially now beats queueing for parallelism later, and the global pool stays bounded under concurrency",

@@ -122,7 +122,7 @@ func fallbackCases(t *testing.T) []fallbackCase {
 		{"group-library", tcat, "SELECT i0, COUNT(*) FROM t GROUP BY i0", Style{LibraryHT: true}, par, fallbackUnmergeable, 0},
 		{"sort", tcat, "SELECT i0, f0 FROM t ORDER BY i0 DESC, f0", Style{}, par, "", 1},
 		{"sort-limit", tcat, "SELECT i0 FROM t ORDER BY i0 LIMIT 5", Style{}, par, "", 1},
-		{"sort-library", tcat, "SELECT i0 FROM t ORDER BY i0", Style{LibrarySort: true}, par, fallbackUnmergeable, 0},
+		{"sort-library", tcat, "SELECT i0 FROM t ORDER BY i0", Style{LibrarySort: true}, par, "", 1},
 		{"group-sort-library", tcat, "SELECT i0, COUNT(*) FROM t GROUP BY i0 ORDER BY i0", Style{LibrarySort: true}, par, "", 1},
 		{"join", jcat, "SELECT build.pk, probe.payload " + join, Style{}, par, "", 2},
 		{"join-agg", jcat, "SELECT COUNT(*) " + join, Style{}, par, "", 2},
@@ -260,6 +260,44 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 		if st.Workers != 4 || st.PipelinesParallel != 1 || st.SerialFallback != "" {
 			t.Errorf("%s: stats = workers %d, parallel %d, fallback %q; want 4/1/none",
 				src, st.Workers, st.PipelinesParallel, st.SerialFallback)
+		}
+	}
+}
+
+// TestStyledSortParallelMatchesSerial checks that the library sort carries the
+// sorted-run barrier like the generated one: it sorts the same per-worker
+// array, so ORDER BY under Style{LibrarySort} on 2 and 4 workers must equal
+// serial execution row for row — ASC and DESC, CHAR and FLOAT keys, with and
+// without LIMIT — with no fallback recorded. Every order ends in the unique id,
+// so ties cannot hide an order bug.
+func TestStyledSortParallelMatchesSerial(t *testing.T) {
+	cat := microCatalog(t, 20_000)
+	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
+	for _, src := range []string{
+		"SELECT name, id FROM r ORDER BY name, id",
+		"SELECT name, id FROM r WHERE g < 5 ORDER BY name DESC, id DESC",
+		"SELECT y, id FROM r ORDER BY y, id",
+		"SELECT y, id FROM r ORDER BY y DESC, id LIMIT 40",
+		"SELECT name, y, id FROM r ORDER BY name, y DESC, id LIMIT 1000",
+		"SELECT x, id FROM r ORDER BY x DESC, id",
+	} {
+		cq, q := compileStyledOn(t, cat, src, Style{LibrarySort: true})
+		serial, _, err := Execute(cq, q, eng, ExecOptions{})
+		if err != nil {
+			t.Fatalf("serial %s: %v", src, err)
+		}
+		for _, workers := range []int{2, 4} {
+			par, st, err := Execute(cq, q, eng, ExecOptions{Parallelism: workers, MorselRows: 1024})
+			if err != nil {
+				t.Fatalf("%d workers %s: %v", workers, src, err)
+			}
+			if fmt.Sprint(par.Rows) != fmt.Sprint(serial.Rows) {
+				t.Errorf("%s: order on %d workers differs from serial", src, workers)
+			}
+			if st.Workers != workers || st.PipelinesParallel != 1 || st.SerialFallback != "" {
+				t.Errorf("%s: stats = workers %d, parallel %d, fallback %q; want %d/1/none",
+					src, st.Workers, st.PipelinesParallel, st.SerialFallback, workers)
+			}
 		}
 	}
 }

@@ -85,8 +85,9 @@ func (c *compiler) resultConsumer(proj *plan.Project) consumer {
 }
 
 // produceGroup compiles hash-based grouping & aggregation (§4.3): the
-// feeding pipeline updates a generated hash table; a new pipeline then scans
-// the table's slots.
+// feeding pipeline updates a hash table; a new pipeline then scans its
+// entries. The style picks the table — generated for this query and inlined,
+// or the type-agnostic library — and nothing else.
 func (c *compiler) produceGroup(gr *plan.Group, consume consumer) error {
 	// Entry fields: group keys followed by one slot per aggregate
 	// (referenced as AggRef in the post-aggregation domain).
@@ -100,14 +101,29 @@ func (c *compiler) produceGroup(gr *plan.Group, consume consumer) error {
 			return fmt.Errorf("core: aggregates over CHAR are not supported")
 		}
 	}
-	ht := c.newHashTable(fmt.Sprintf("group%d", len(c.pipes)), fields, gr.Keys)
-	// Merge exports of the fold barrier (dead code on serial runs).
-	fold := c.genGroupMerge(gr, ht, aggSlots)
+	name := fmt.Sprintf("group%d", len(c.pipes))
+	var tbl groupTable
+	// A library table has no fold barrier: what one worker inserted no other
+	// sees.
+	var fold *FoldMerge
+	if c.style.LibraryHT {
+		tbl = c.newLibHT(name, fields, gr.Keys, gr.Keys, false)
+	} else {
+		ht := c.newHashTable(name, fields, gr.Keys)
+		// Merge exports of the fold barrier (dead code on serial runs).
+		fold = c.genGroupMerge(gr, ht, aggSlots)
+		tbl = ht
+	}
+	layout := tbl.fields()
+	aggField := func(i int) field {
+		fld, _ := layout.find(aggSlots[i])
+		return fld
+	}
 
 	// Feeding pipeline: insert-or-update.
 	err := c.produce(gr.Input, func(g *gen, e *env) {
 		f := g.f
-		keys := g.keySrcsFromEnv(e, gr.Keys)
+		keys := tbl.keySrcs(g, e, gr.Keys)
 		// Aggregate arguments, computed once per tuple.
 		argLocals := make([]wasm.Local, len(gr.Aggs))
 		for i, a := range gr.Aggs {
@@ -119,99 +135,44 @@ func (c *compiler) produceGroup(gr *plan.Group, consume consumer) error {
 			f.LocalSet(l)
 			argLocals[i] = l
 		}
-
-		h := g.emitHash(keys)
-		idx := g.emitSlotIndex(ht, h)
-		entry := f.AddLocal(wasm.I32)
-
-		f.Block(wasm.BlockVoid) // done
-		f.Loop(wasm.BlockVoid)
-		g.emitEntryPtr(ht, idx, entry)
-		f.LocalGet(entry)
-		f.Emit(wasm.OpI32Load, 0, 2) // occupancy flag
-		f.I32Eqz()
-		f.If(wasm.BlockVoid)
-		// Claim: flag=1, store keys, init aggregates.
-		f.LocalGet(entry)
-		f.I32Const(1)
-		f.I32Store(0)
-		for i, k := range gr.Keys {
-			fld, _ := ht.layout.find(k)
-			ks := keys[i]
-			g.storeFieldFromStack(entry, fld, ks.pushVal)
-		}
-		for i, a := range gr.Aggs {
-			fld, _ := ht.layout.find(aggSlots[i])
-			g.emitAggInit(entry, fld, a, argLocals[i])
-		}
-		// count++, maybe grow.
-		f.GlobalGet(ht.gCount)
-		f.I32Const(1)
-		f.I32Add()
-		f.GlobalSet(ht.gCount)
-		g.emitMaybeGrow(ht)
-		f.Br(2) // done
-		f.End()
-		// Occupied: keys equal → update; else advance.
-		g.emitKeysEqual(ht, keys, entry)
-		f.If(wasm.BlockVoid)
-		for i, a := range gr.Aggs {
-			fld, _ := ht.layout.find(aggSlots[i])
-			arg := argLocals[i]
-			g.emitAggFold(a.Func, g.fieldAgg(entry, fld), foldVal{push: func() { f.LocalGet(arg) }})
-		}
-		f.Br(2) // done
-		f.End()
-		g.emitNextSlot(ht, idx)
-		f.Br(0)
-		f.End()
-		f.End()
+		tbl.upsert(g, keys, func(entry wasm.Local) {
+			// Claim: store keys, init aggregates.
+			for i, k := range gr.Keys {
+				fld, _ := layout.find(k)
+				g.storeFieldFromStack(entry, fld, keys[i].pushVal)
+			}
+			for i, a := range gr.Aggs {
+				g.emitAggInit(entry, aggField(i), a, argLocals[i])
+			}
+		}, func(entry wasm.Local) {
+			for i, a := range gr.Aggs {
+				arg := argLocals[i]
+				g.emitAggFold(a.Func, g.fieldAgg(entry, aggField(i)), foldVal{push: func() { f.LocalGet(arg) }})
+			}
+		})
 	})
 	if err != nil {
 		return err
 	}
-	c.declareFold(gr, fold)
-
-	// Scanning pipeline: iterate slots [begin, end), skip empty, bind
-	// KeyRef/AggRef to entry fields.
-	g := c.newPipeline(PipeScanSlots, -1, ht.gMask)
-	f := g.f
-	slot := f.AddLocal(wasm.I32)
-	entry := f.AddLocal(wasm.I32)
-	f.LocalGet(f.Param(0))
-	f.LocalSet(slot)
-
-	e := &env{}
-	for i, k := range gr.Keys {
-		kf, _ := ht.layout.find(k)
-		e.add(&sema.KeyRef{Idx: i, T: k.Type()}, func() { g.loadField(entry, kf) })
-	}
-	for i := range gr.Aggs {
-		af, _ := ht.layout.find(aggSlots[i])
-		e.add(aggSlots[i], func() { g.loadField(entry, af) })
+	if fold != nil {
+		c.declareFold(gr, fold)
+	} else {
+		c.serialOnly(fallbackUnmergeable)
 	}
 
-	f.Block(wasm.BlockVoid)
-	f.Loop(wasm.BlockVoid)
-	f.LocalGet(slot)
-	f.LocalGet(f.Param(1))
-	f.I32GeU()
-	f.BrIf(1)
-	g.emitEntryPtr(ht, slot, entry)
-	f.LocalGet(entry)
-	f.Emit(wasm.OpI32Load, 0, 2)
-	f.If(wasm.BlockVoid)
-	consume(g, e)
-	f.End()
-	f.LocalGet(slot)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(slot)
-	f.Br(0)
-	f.End()
-	f.End()
-	f.I32Const(0)
-	return g.err
+	// Scanning pipeline: bind KeyRef/AggRef to entry fields.
+	return tbl.scan(c, func(g *gen, entry wasm.Local) {
+		e := &env{}
+		for i, k := range gr.Keys {
+			kf, _ := layout.find(k)
+			e.add(&sema.KeyRef{Idx: i, T: k.Type()}, func() { g.loadField(entry, kf) })
+		}
+		for i := range gr.Aggs {
+			af := aggField(i)
+			e.add(aggSlots[i], func() { g.loadField(entry, af) })
+		}
+		consume(g, e)
+	})
 }
 
 // emitAggInit initializes an aggregate slot from the first tuple of a group.
@@ -358,10 +319,22 @@ func emitFloatKeysNotNaN(f *wasm.FuncBuilder, keys []keySrc) bool {
 	return emitted
 }
 
-// produceJoin compiles a simple hash join (§4.3): the build pipeline appends
-// build-side tuples to the join table's chunk list, the build barrier turns
-// them into a table (joinbuild.go), and the probe side continues its pipeline
-// through an inlined probe loop.
+// buildSide is what produceJoin asks of the code-generation style: the
+// ad-hoc build-once table of joinbuild.go, probed inline, or the library
+// table of libstyle.go, where every insert and every probe candidate costs a
+// function call (Listing 3).
+type buildSide interface {
+	// append stores the current build-side tuple under its keys.
+	append(g *gen, keys []keySrc, e *env)
+	// probe evaluates the probe keys in e and emits match once per build
+	// tuple with equal keys, in e extended by that tuple's fields.
+	probe(g *gen, e *env, keys []sema.Expr, match consumer)
+}
+
+// produceJoin compiles a simple hash join (§4.3): the build pipeline stores
+// the build-side tuples, a barrier (ad-hoc tables only) turns them into a
+// table, and the probe side continues its pipeline through the table's probe
+// loop. The style picks the table and nothing else.
 func (c *compiler) produceJoin(j *plan.HashJoin, consume consumer) error {
 	// Payload: every referenced column of the build side, plus the keys.
 	buildTables := j.Build.Tables()
@@ -379,10 +352,20 @@ func (c *compiler) produceJoin(j *plan.HashJoin, consume consumer) error {
 			}
 		}
 	}
-	jt := c.newJoinTable(fmt.Sprintf("join%d", len(c.pipes)), fields, j.BuildKeys)
+	name := fmt.Sprintf("join%d", len(c.pipes))
+	var tbl buildSide
+	// A library table has no build barrier: what one worker inserted no other
+	// sees.
+	var jt *joinTable
+	if c.style.LibraryHT {
+		tbl = c.newLibHT(name, fields, j.BuildKeys, j.ProbeKeys, true)
+	} else {
+		jt = c.newJoinTable(name, fields, j.BuildKeys)
+		tbl = jt
+	}
 
-	// Build pipeline: append (duplicates coexist). Float keys hash through
-	// -0.0→+0.0 canonicalization on both sides, because the probe's F64Eq
+	// Build pipeline: duplicates coexist. Float keys hash through -0.0→+0.0
+	// canonicalization on both sides, because the key comparison's F64Eq
 	// treats the two zeros as equal.
 	err := c.produce(j.Build, func(g *gen, e *env) {
 		f := g.f
@@ -393,7 +376,7 @@ func (c *compiler) produceJoin(j *plan.HashJoin, consume consumer) error {
 		if nanGuard {
 			f.If(wasm.BlockVoid)
 		}
-		g.emitJoinAppend(jt, g.emitHashCanon(keys, true), e)
+		tbl.append(g, keys, e)
 		if nanGuard {
 			f.End()
 		}
@@ -401,62 +384,14 @@ func (c *compiler) produceJoin(j *plan.HashJoin, consume consumer) error {
 	if err != nil {
 		return err
 	}
-	c.genJoinBarrier(jt)
+	if jt != nil {
+		c.genJoinBarrier(jt)
+	} else {
+		c.serialOnly(fallbackUnmergeable)
+	}
 
 	// Probe side: continue the enclosing pipeline.
 	return c.produce(j.Probe, func(g *gen, e *env) {
-		f := g.f
-		keys := g.keySrcsFromEnv(e, j.ProbeKeys)
-		h := g.emitHashCanon(keys, true)
-		idx := g.emitSlotIndex(&jt.htInfo, h)
-		tup := f.AddLocal(wasm.I32)
-		if jt.hashCheck {
-			f.LocalGet(h)
-			f.I64Const(joinHashBit)
-			f.Op(wasm.OpI64Or)
-			f.LocalSet(h)
-		}
-
-		// Extended environment: probe bindings plus tuple fields.
-		e2 := &env{binds: append([]binding{}, e.binds...)}
-		for _, fld := range jt.layout.fields {
-			fld := fld
-			e2.add(fld.expr, func() { g.loadField(tup, fld) })
-		}
-
-		f.Block(wasm.BlockVoid) // probe done
-		f.Loop(wasm.BlockVoid)
-		g.emitDirSlot(jt, idx)
-		f.I32Load(0)
-		f.LocalTee(tup)
-		f.I32Eqz()
-		f.BrIf(1) // empty slot: no more candidates
-		if jt.hashCheck {
-			f.LocalGet(tup)
-			f.I64Load(0)
-			f.LocalGet(h)
-			f.Op(wasm.OpI64Eq)
-			f.If(wasm.BlockVoid)
-		}
-		g.emitKeysEqual(&jt.htInfo, keys, tup)
-		f.If(wasm.BlockVoid)
-		if len(j.Residual) > 0 {
-			if err := g.conjunction(e2, j.Residual); err != nil {
-				return
-			}
-			f.If(wasm.BlockVoid)
-			consume(g, e2)
-			f.End()
-		} else {
-			consume(g, e2)
-		}
-		f.End()
-		if jt.hashCheck {
-			f.End()
-		}
-		g.emitNextSlot(&jt.htInfo, idx)
-		f.Br(0)
-		f.End()
-		f.End()
+		tbl.probe(g, e, j.ProbeKeys, filterConsumer(j.Residual, consume))
 	})
 }

@@ -10,17 +10,18 @@ import (
 )
 
 // produceSort compiles ORDER BY via the paper's §5 running example: the
-// feeding pipeline materializes tuples into a growable array; a generated,
-// fully specialized recursive quicksort (Hoare partitioning, median-of-three
-// pivot, insertion sort below a cutoff) sorts it with the multi-key
-// comparison *inlined* at every use site; a final pipeline scans the sorted
-// array.
+// feeding pipeline materializes tuples into a growable array, a quicksort
+// sorts it in place, and a final pipeline scans the sorted array. The style
+// picks the quicksort and nothing else: generated for this query, with the
+// multi-key comparison *inlined* at every use site and the stride baked in, or
+// the generic library routine that reaches the same comparison through a
+// function pointer and moves elements with a byte copy.
 func (c *compiler) produceSort(s *plan.Sort, consume consumer) error {
 	// Tuple fields: sort keys plus everything downstream needs. Downstream
 	// expressions live in the same domain as the sort input, so collecting
 	// the leaf references of select/order expressions suffices.
-	fieldSet := dedupExprs(c.sortFieldExprs(s))
-	layout := buildLayout(fieldSet, 0)
+	layout := buildLayout(dedupExprs(c.sortFieldExprs(s)), 0)
+	stride := int32(layout.stride)
 
 	gBase := c.b.AddGlobal(wasm.I32, true, 0)
 	gCount := c.b.AddGlobal(wasm.I32, true, 0)
@@ -38,10 +39,10 @@ func (c *compiler) produceSort(s *plan.Sort, consume consumer) error {
 		f.GlobalSet(gCap)
 		f.I32Const(0)
 		f.GlobalSet(gCount)
-		f.I32Const(int32(layout.stride))
+		f.I32Const(stride)
 		f.Call(c.allocFunc().Index)
 		f.GlobalSet(gScratchA)
-		f.I32Const(int32(layout.stride))
+		f.I32Const(stride)
 		f.Call(c.allocFunc().Index)
 		f.GlobalSet(gScratchB)
 	})
@@ -62,14 +63,11 @@ func (c *compiler) produceSort(s *plan.Sort, consume consumer) error {
 		ptr := f.AddLocal(wasm.I32)
 		f.GlobalGet(gBase)
 		f.GlobalGet(gCount)
-		f.I32Const(int32(layout.stride))
+		f.I32Const(stride)
 		f.I32Mul()
 		f.I32Add()
 		f.LocalSet(ptr)
-		for _, fld := range layout.fields {
-			fld := fld
-			g.storeFieldFromStack(ptr, fld, func() { g.expr(e, fld.expr) })
-		}
+		g.storeTuple(ptr, layout, e)
 		f.GlobalGet(gCount)
 		f.I32Const(1)
 		f.I32Add()
@@ -79,55 +77,54 @@ func (c *compiler) produceSort(s *plan.Sort, consume consumer) error {
 		return err
 	}
 
-	// The generated quicksort and its helpers.
-	qs := c.genQuicksort(sortID, s.Keys, layout, gBase, gScratchA, gScratchB)
+	// The sort routine, and what its call hands over besides the bounds.
+	var qs *wasm.FuncBuilder
+	pushPass := func(*wasm.FuncBuilder) {}
+	if c.style.LibrarySort {
+		// The comparison becomes a function of two tuple pointers, which the
+		// generic sort invokes through the table for every comparison.
+		cmp := c.b.NewFunc(fmt.Sprintf("sortcmp_%d", sortID),
+			wasm.FuncType{Params: []wasm.ValType{wasm.I32, wasm.I32}, Results: []wasm.ValType{wasm.I32}})
+		g := &gen{c: c, f: cmp}
+		emitLess(g, s.Keys, layout, cmp.Param(0), cmp.Param(1))
+		c.noteErr(g)
+		cmpIdx := c.registerTableFunc(cmp)
+		qs = c.libs().sort
+		pushPass = func(f *wasm.FuncBuilder) {
+			f.GlobalGet(gBase)
+			f.I32Const(stride)
+			f.I32Const(int32(cmpIdx))
+			f.GlobalGet(gScratchA)
+			f.GlobalGet(gScratchB)
+		}
+	} else {
+		qs = c.genQuicksort(inlinedSort(sortID, s.Keys, layout, gBase, [2]uint32{gScratchA, gScratchB}))
+	}
 
 	// Receive export of the sorted-run barrier (dead code on serial runs).
 	runs := c.genSortMerge(s, layout, gBase, gCount)
 
-	// Run-once pipeline invoking qsort(0, count): under a pool every worker
-	// calls it on its own array, and the barrier merges the sorted runs.
+	// Run-once pipeline sorting [0, count): under a pool every worker calls
+	// it on its own array, and the barrier merges the sorted runs.
 	g := c.newPipeline(PipeRunOnce, -1, 0)
 	g.f.I32Const(0)
 	g.f.GlobalGet(gCount)
+	pushPass(g.f)
 	g.f.Call(qs.Index)
 	g.f.I32Const(0)
 	c.addBarrier(Barrier{Sort: runs})
 
 	// Scan pipeline over the sorted array.
-	g = c.newPipeline(PipeScanArray, -1, gCount)
-	f := g.f
-	i := f.AddLocal(wasm.I32)
-	ptr := f.AddLocal(wasm.I32)
-	f.LocalGet(f.Param(0))
-	f.LocalSet(i)
-	e := &env{}
-	for _, fld := range layout.fields {
-		fld := fld
-		e.add(fld.expr, func() { g.loadField(ptr, fld) })
-	}
-	f.Block(wasm.BlockVoid)
-	f.Loop(wasm.BlockVoid)
-	f.LocalGet(i)
-	f.LocalGet(f.Param(1))
-	f.I32GeU()
-	f.BrIf(1)
-	f.GlobalGet(gBase)
-	f.LocalGet(i)
-	f.I32Const(int32(layout.stride))
-	f.I32Mul()
-	f.I32Add()
-	f.LocalSet(ptr)
-	consume(g, e)
-	f.LocalGet(i)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(i)
-	f.Br(0)
-	f.End()
-	f.End()
-	f.I32Const(0)
-	return g.err
+	return c.rangePipeline(PipeScanArray, -1, gCount, func(g *gen, i wasm.Local) {
+		ptr := g.f.AddLocal(wasm.I32)
+		g.f.GlobalGet(gBase)
+		g.f.LocalGet(i)
+		g.f.I32Const(stride)
+		g.f.I32Mul()
+		g.f.I32Add()
+		g.f.LocalSet(ptr)
+		consume(g, tupleEnv(g, &env{}, ptr, layout))
+	})
 }
 
 // sortFieldExprs collects the expressions a sort tuple must carry: the sort
@@ -222,100 +219,84 @@ func (c *compiler) genArrayGrow(id int, gBase, gCount, gCap uint32, stride uint3
 
 const insertionCutoff = 16
 
-// genQuicksort generates the specialized quicksort of §5.3: recursive, Hoare
-// partitioning against a pivot copied to scratch, the multi-key less-than
-// comparison inlined at each of its call sites, tail-recursion on the right
-// partition converted to a loop, and insertion sort below the cutoff.
-func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout, gBase, gScratchA, gScratchB uint32) *wasm.FuncBuilder {
-	stride := int32(layout.stride)
+// sortEmit is what a code-generation style decides about the quicksort: how
+// an element is addressed, compared and moved. The algorithm is
+// genQuicksort's, once, so two styles differ in these emissions and in
+// nothing else (§5.3, Fig. 9).
+type sortEmit struct {
+	isort, qsort string
+	// pass lists the parameters behind (lo, hi); every call hands them on
+	// unchanged.
+	pass []wasm.ValType
+	// addr pushes the address of the element whose index pushIdx pushes.
+	addr func(f *wasm.FuncBuilder, pushIdx func())
+	// scratch pushes the address of scratch tuple n: 0 holds the pivot, 1
+	// carries the element insertion sort is placing.
+	scratch func(f *wasm.FuncBuilder, n int)
+	// less pushes tuple@a < tuple@b.
+	less func(g *gen, a, b wasm.Local)
+	// move copies the tuple at pushSrc's address to pushDst's.
+	move func(f *wasm.FuncBuilder, pushDst, pushSrc func())
+	// swap exchanges the tuples at a and b; tmp is a spare i64 local.
+	swap func(f *wasm.FuncBuilder, a, b, tmp wasm.Local)
+}
 
-	// elemPtr pushes gBase + i*stride for the index in local i.
-	elemPtr := func(f *wasm.FuncBuilder, idx wasm.Local) {
-		f.GlobalGet(gBase)
-		f.LocalGet(idx)
-		f.I32Const(stride)
-		f.I32Mul()
-		f.I32Add()
+// inlinedSort is the quicksort emission of the paper's style (§5.3): array
+// base and scratch tuples in globals, the stride a constant, the comparison
+// inlined, tuples moved word-wise and fully unrolled — no memcpy exists (§3.1).
+func inlinedSort(id int, keys []sema.OrderKey, layout tupleLayout, gBase uint32, gScratch [2]uint32) sortEmit {
+	return sortEmit{
+		isort: fmt.Sprintf("isort_%d", id),
+		qsort: fmt.Sprintf("qsort_%d", id),
+		addr: func(f *wasm.FuncBuilder, pushIdx func()) {
+			f.GlobalGet(gBase)
+			pushIdx()
+			f.I32Const(int32(layout.stride))
+			f.I32Mul()
+			f.I32Add()
+		},
+		scratch: func(f *wasm.FuncBuilder, n int) { f.GlobalGet(gScratch[n]) },
+		less:    func(g *gen, a, b wasm.Local) { emitLess(g, keys, layout, a, b) },
+		move: func(f *wasm.FuncBuilder, pushDst, pushSrc func()) {
+			for off := uint32(0); off < layout.stride; off += 8 {
+				pushDst()
+				pushSrc()
+				f.I64Load(off)
+				f.I64Store(off)
+			}
+		},
+		swap: func(f *wasm.FuncBuilder, a, b, tmp wasm.Local) {
+			for off := uint32(0); off < layout.stride; off += 8 {
+				f.LocalGet(a)
+				f.I64Load(off)
+				f.LocalSet(tmp)
+				f.LocalGet(a)
+				f.LocalGet(b)
+				f.I64Load(off)
+				f.I64Store(off)
+				f.LocalGet(b)
+				f.LocalGet(tmp)
+				f.I64Store(off)
+			}
+		},
 	}
+}
 
-	// copyTuple emits a word-wise copy of one tuple from src to dst
-	// (pointer push functions), fully unrolled — no memcpy exists (§3.1).
-	copyTuple := func(f *wasm.FuncBuilder, pushDst, pushSrc func()) {
-		for off := int32(0); off < stride; off += 8 {
-			pushDst()
-			pushSrc()
-			f.I64Load(uint32(off))
-			f.I64Store(uint32(off))
+// genQuicksort generates the quicksort of §5.3: recursive, Hoare partitioning
+// against a pivot copied to scratch, tail-recursion on the larger partition
+// converted to a loop, and insertion sort below the cutoff. It returns the
+// function sorting elements [lo, hi).
+func (c *compiler) genQuicksort(em sortEmit) *wasm.FuncBuilder {
+	typ := wasm.FuncType{Params: append([]wasm.ValType{wasm.I32, wasm.I32}, em.pass...)}
+	pushPass := func(f *wasm.FuncBuilder) {
+		for i := range em.pass {
+			f.LocalGet(f.Param(2 + i))
 		}
 	}
-
-	// emitLess generates the inlined multi-key "tuple@a < tuple@b"
-	// comparison honoring ASC/DESC: for each key, if the fields differ the
-	// result is their comparison; otherwise the next key decides.
-	emitLess := func(g *gen, a, b wasm.Local) {
-		f := g.f
-		f.Block(wasm.BlockOf(wasm.I32))
-		for _, k := range keys {
-			fld, ok := layout.find(k.Expr)
-			if !ok {
-				g.fail("sort key %s not materialized", k.Expr)
-				break
-			}
-			lo, hi := a, b
-			if k.Desc {
-				lo, hi = b, a
-			}
-			switch fld.t.Kind {
-			case types.Char:
-				cmp := g.c.strcmpFunc(fld.t.Length, fld.t.Length)
-				r := f.AddLocal(wasm.I32)
-				g.loadField(lo, fld)
-				g.loadField(hi, fld)
-				f.Call(cmp.Index)
-				f.LocalSet(r)
-				// if r != 0: result is r < 0
-				f.LocalGet(r)
-				f.I32Const(0)
-				f.Op(wasm.OpI32LtS)
-				f.LocalGet(r)
-				f.BrIf(0)
-				f.Drop()
-			case types.Float64:
-				g.loadField(lo, fld)
-				g.loadField(hi, fld)
-				f.Op(wasm.OpF64Lt)
-				g.loadField(lo, fld)
-				g.loadField(hi, fld)
-				f.Op(wasm.OpF64Ne)
-				f.BrIf(0)
-				f.Drop()
-			case types.Int64, types.Decimal:
-				g.loadField(lo, fld)
-				g.loadField(hi, fld)
-				f.Op(wasm.OpI64LtS)
-				g.loadField(lo, fld)
-				g.loadField(hi, fld)
-				f.Op(wasm.OpI64Ne)
-				f.BrIf(0)
-				f.Drop()
-			default: // i32-class
-				g.loadField(lo, fld)
-				g.loadField(hi, fld)
-				f.Op(wasm.OpI32LtS)
-				g.loadField(lo, fld)
-				g.loadField(hi, fld)
-				f.I32Ne()
-				f.BrIf(0)
-				f.Drop()
-			}
-		}
-		f.I32Const(0) // all keys equal: not less
-		f.End()
-	}
+	local := func(f *wasm.FuncBuilder, l wasm.Local) func() { return func() { f.LocalGet(l) } }
 
 	// --- Insertion sort --------------------------------------------------
-	isort := c.b.NewFunc(fmt.Sprintf("isort_%d", id),
-		wasm.FuncType{Params: []wasm.ValType{wasm.I32, wasm.I32}})
+	isort := c.b.NewFunc(em.isort, typ)
 	{
 		f := isort
 		g := &gen{c: c, f: f}
@@ -325,7 +306,7 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		cur := f.AddLocal(wasm.I32)
 		prev := f.AddLocal(wasm.I32)
 
-		f.GlobalGet(gScratchB)
+		em.scratch(f, 1)
 		f.LocalSet(carrier)
 		// for k = lo+1; k < hi; k++
 		f.LocalGet(f.Param(0))
@@ -339,7 +320,7 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		f.Op(wasm.OpI32GeS)
 		f.BrIf(1)
 		// carrier = arr[k]
-		copyTuple(f, func() { f.LocalGet(carrier) }, func() { elemPtr(f, k) })
+		em.move(f, local(f, carrier), func() { em.addr(f, local(f, k)) })
 		// m = k; while m > lo && carrier < arr[m-1]: arr[m] = arr[m-1]; m--
 		f.LocalGet(k)
 		f.LocalSet(m)
@@ -350,21 +331,19 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		f.Op(wasm.OpI32LeS)
 		f.BrIf(1)
 		// prev = &arr[m-1]
-		f.GlobalGet(gBase)
-		f.LocalGet(m)
-		f.I32Const(1)
-		f.I32Sub()
-		f.I32Const(stride)
-		f.I32Mul()
-		f.I32Add()
+		em.addr(f, func() {
+			f.LocalGet(m)
+			f.I32Const(1)
+			f.I32Sub()
+		})
 		f.LocalSet(prev)
-		emitLess(g, carrier, prev)
+		em.less(g, carrier, prev)
 		f.I32Eqz()
 		f.BrIf(1)
 		// arr[m] = arr[m-1]
-		elemPtr(f, m)
+		em.addr(f, local(f, m))
 		f.LocalSet(cur)
-		copyTuple(f, func() { f.LocalGet(cur) }, func() { f.LocalGet(prev) })
+		em.move(f, local(f, cur), local(f, prev))
 		f.LocalGet(m)
 		f.I32Const(1)
 		f.I32Sub()
@@ -373,9 +352,9 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		f.End()
 		f.End()
 		// arr[m] = carrier
-		elemPtr(f, m)
+		em.addr(f, local(f, m))
 		f.LocalSet(cur)
-		copyTuple(f, func() { f.LocalGet(cur) }, func() { f.LocalGet(carrier) })
+		em.move(f, local(f, cur), local(f, carrier))
 		f.LocalGet(k)
 		f.I32Const(1)
 		f.I32Add()
@@ -383,14 +362,11 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		f.Br(0)
 		f.End()
 		f.End()
-		if g.err != nil {
-			panic(g.err)
-		}
+		c.noteErr(g)
 	}
 
 	// --- Quicksort ---------------------------------------------------------
-	qs := c.b.NewFunc(fmt.Sprintf("qsort_%d", id),
-		wasm.FuncType{Params: []wasm.ValType{wasm.I32, wasm.I32}})
+	qs := c.b.NewFunc(em.qsort, typ)
 	{
 		f := qs
 		g := &gen{c: c, f: f}
@@ -408,7 +384,7 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		f.LocalSet(lo)
 		f.LocalGet(f.Param(1))
 		f.LocalSet(hi)
-		f.GlobalGet(gScratchA)
+		em.scratch(f, 0)
 		f.LocalSet(pivot)
 
 		// while hi - lo > cutoff
@@ -431,7 +407,7 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		f.Op(wasm.OpI32ShrU)
 		f.I32Add()
 		f.LocalSet(mid)
-		copyTuple(f, func() { f.LocalGet(pivot) }, func() { elemPtr(f, mid) })
+		em.move(f, local(f, pivot), func() { em.addr(f, local(f, mid)) })
 
 		// Hoare partition: i = lo-1, j = hi
 		f.LocalGet(lo)
@@ -449,9 +425,9 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		f.I32Const(1)
 		f.I32Add()
 		f.LocalSet(i)
-		elemPtr(f, i)
+		em.addr(f, local(f, i))
 		f.LocalSet(pi)
-		emitLess(g, pi, pivot)
+		em.less(g, pi, pivot)
 		f.I32Eqz()
 		f.BrIf(1)
 		f.Br(0)
@@ -464,9 +440,9 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		f.I32Const(1)
 		f.I32Sub()
 		f.LocalSet(j)
-		elemPtr(f, j)
+		em.addr(f, local(f, j))
 		f.LocalSet(pj)
-		emitLess(g, pivot, pj)
+		em.less(g, pivot, pj)
 		f.I32Eqz()
 		f.BrIf(1)
 		f.Br(0)
@@ -477,19 +453,7 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		f.LocalGet(j)
 		f.Op(wasm.OpI32GeS)
 		f.BrIf(1)
-		// swap arr[i], arr[j] — word-wise, unrolled
-		for off := int32(0); off < stride; off += 8 {
-			f.LocalGet(pi)
-			f.I64Load(uint32(off))
-			f.LocalSet(tmp)
-			f.LocalGet(pi)
-			f.LocalGet(pj)
-			f.I64Load(uint32(off))
-			f.I64Store(uint32(off))
-			f.LocalGet(pj)
-			f.LocalGet(tmp)
-			f.I64Store(uint32(off))
-		}
+		em.swap(f, pi, pj, tmp)
 		f.Br(0)
 		f.End()
 		f.End()
@@ -511,6 +475,7 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		f.LocalGet(j)
 		f.I32Const(1)
 		f.I32Add()
+		pushPass(f)
 		f.CallBuilder(qs)
 		f.LocalGet(j)
 		f.I32Const(1)
@@ -521,6 +486,7 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		f.I32Const(1)
 		f.I32Add()
 		f.LocalGet(hi)
+		pushPass(f)
 		f.CallBuilder(qs)
 		f.LocalGet(j)
 		f.I32Const(1)
@@ -533,10 +499,65 @@ func (c *compiler) genQuicksort(id int, keys []sema.OrderKey, layout tupleLayout
 		// insertion sort the remainder
 		f.LocalGet(lo)
 		f.LocalGet(hi)
+		pushPass(f)
 		f.Call(isort.Index)
-		if g.err != nil {
-			panic(g.err)
-		}
+		c.noteErr(g)
 	}
 	return qs
+}
+
+// emitLess pushes the multi-key "tuple@a < tuple@b" of ORDER BY, honoring
+// ASC/DESC: for each key, if the fields differ the result is their
+// comparison; otherwise the next key decides. It is the only definition of the
+// order in generated code — inlined at the quicksort's use sites, or the body
+// of the comparator a library sort calls — and the host's sortTupleLess
+// mirrors it for the k-way merge of sorted runs.
+func emitLess(g *gen, keys []sema.OrderKey, layout tupleLayout, a, b wasm.Local) {
+	f := g.f
+	f.Block(wasm.BlockOf(wasm.I32))
+	for _, k := range keys {
+		fld, ok := layout.find(k.Expr)
+		if !ok {
+			g.fail("sort key %s not materialized", k.Expr)
+			break
+		}
+		lo, hi := a, b
+		if k.Desc {
+			lo, hi = b, a
+		}
+		// differ pushes lo < hi, then lo != hi: where the fields differ the
+		// comparison is the result.
+		differ := func(lt, ne wasm.Opcode) {
+			g.loadField(lo, fld)
+			g.loadField(hi, fld)
+			f.Op(lt)
+			g.loadField(lo, fld)
+			g.loadField(hi, fld)
+			f.Op(ne)
+		}
+		switch fld.t.Kind {
+		case types.Char:
+			cmp := g.c.strcmpFunc(fld.t.Length, fld.t.Length)
+			r := f.AddLocal(wasm.I32)
+			g.loadField(lo, fld)
+			g.loadField(hi, fld)
+			f.Call(cmp.Index)
+			f.LocalSet(r)
+			// if r != 0: result is r < 0
+			f.LocalGet(r)
+			f.I32Const(0)
+			f.Op(wasm.OpI32LtS)
+			f.LocalGet(r)
+		case types.Float64:
+			differ(wasm.OpF64Lt, wasm.OpF64Ne)
+		case types.Int64, types.Decimal:
+			differ(wasm.OpI64LtS, wasm.OpI64Ne)
+		default: // i32-class
+			differ(wasm.OpI32LtS, wasm.OpI32Ne)
+		}
+		f.BrIf(0)
+		f.Drop()
+	}
+	f.I32Const(0) // all keys equal: not less
+	f.End()
 }

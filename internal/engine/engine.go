@@ -30,8 +30,8 @@ import (
 
 // Process-wide engine metrics, resolved once so recording is atomic-only.
 var (
-	mCompilesLiftoff  = obs.Default.Counter(obs.MetricCompiles + ".liftoff")
-	mCompilesTurbofan = obs.Default.Counter(obs.MetricCompiles + ".turbofan")
+	mCompilesLiftoff  = obs.Default.CounterWith(obs.MetricCompiles, obs.Label{Key: "tier", Val: "liftoff"})
+	mCompilesTurbofan = obs.Default.CounterWith(obs.MetricCompiles, obs.Label{Key: "tier", Val: "turbofan"})
 	mTurbofanFailures = obs.Default.Counter(obs.MetricTurbofanFailures)
 	mTierUpLatency    = obs.Default.Histogram(obs.MetricTierUpLatency)
 	// Per-module compile latency, labeled by the tier that did the work —

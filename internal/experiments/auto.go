@@ -105,14 +105,14 @@ func Auto(o Options) ([]Record, error) {
 
 		// Cold: every rep re-decides from estimates alone.
 		db.FlushPlanCache()
-		coldRes, err := db.Query(w.sql, wasmdb.WithAutoTuning())
+		coldRes, err := db.Query(w.sql, wasmdb.WithBackend(wasmdb.BackendAuto))
 		if err != nil {
 			return nil, fmt.Errorf("auto:%s cold: %w", w.name, err)
 		}
 		cold := coldRes.Stats
 		for i := 1; i < reps; i++ {
 			db.FlushPlanCache()
-			res, err := db.Query(w.sql, wasmdb.WithAutoTuning())
+			res, err := db.Query(w.sql, wasmdb.WithBackend(wasmdb.BackendAuto))
 			if err != nil {
 				return nil, fmt.Errorf("auto:%s cold: %w", w.name, err)
 			}
@@ -123,7 +123,7 @@ func Auto(o Options) ([]Record, error) {
 		recs = append(recs, rec("auto:"+w.name+":auto-cold", "auto", cold))
 
 		// Warm: decisions see the feedback the cold runs stored.
-		warm, err := minExec(w.sql, wasmdb.WithAutoTuning())
+		warm, err := minExec(w.sql, wasmdb.WithBackend(wasmdb.BackendAuto))
 		if err != nil {
 			return nil, fmt.Errorf("auto:%s warm: %w", w.name, err)
 		}
@@ -135,7 +135,7 @@ func Auto(o Options) ([]Record, error) {
 		// Crossover check on execution time. The 100µs floor keeps scheduler
 		// noise on sub-millisecond runs from failing a comparison between two
 		// executions of the same machine code.
-		if limit := bestClass+bestClass/10+100_000; warm.Execute.Nanoseconds() > limit {
+		if limit := bestClass + bestClass/10 + 100_000; warm.Execute.Nanoseconds() > limit {
 			return nil, fmt.Errorf("auto:%s: warm auto exec %dns exceeds best-in-class %dns by >10%%",
 				w.name, warm.Execute.Nanoseconds(), bestClass)
 		}
@@ -149,11 +149,11 @@ func Auto(o Options) ([]Record, error) {
 		"WHERE c_acctbal > -99999 AND c_acctbal > -99998 AND c_acctbal > -99997 AND c_acctbal > -99996 " +
 		"ORDER BY c_custkey"
 	db.FlushPlanCache()
-	coldRes, err := db.Query(mis, wasmdb.WithAutoTuning())
+	coldRes, err := db.Query(mis, wasmdb.WithBackend(wasmdb.BackendAuto))
 	if err != nil {
 		return nil, fmt.Errorf("auto:mispredict cold: %w", err)
 	}
-	warmRes, err := db.Query(mis, wasmdb.WithAutoTuning())
+	warmRes, err := db.Query(mis, wasmdb.WithBackend(wasmdb.BackendAuto))
 	if err != nil {
 		return nil, fmt.Errorf("auto:mispredict warm: %w", err)
 	}

@@ -79,7 +79,7 @@ func Hit(name string) error {
 		return nil
 	}
 	err := fn(n)
-	obs.Default.Counter(obs.MetricFaultpointHits + "." + name).Add(1)
+	obs.Default.CounterWith(obs.MetricFaultpointHits, obs.Label{Key: "point", Val: name}).Add(1)
 	if tr := obs.Active(); tr != nil {
 		injected := int64(0)
 		if err != nil {

@@ -9,18 +9,19 @@ import (
 	"sync/atomic"
 )
 
-// Standard metric names. Dotted suffixes carry the label (backend, tier,
-// fault-point name): "queries_total.wasm-adaptive".
+// Standard metric names. A family with a dimension (backend, tier,
+// fault-point name, reason) is recorded with CounterWith and a Label:
+// queries_total{backend="wasm-adaptive"}.
 const (
-	MetricQueries          = "queries_total"         // + "." + backend
-	MetricCompiles         = "engine_compiles_total" // + "." + tier (per function)
+	MetricQueries          = "queries_total"         // {backend}
+	MetricCompiles         = "engine_compiles_total" // {tier}, per function
 	MetricTierUpLatency    = "engine_tierup_latency_ns"
 	MetricTurbofanFailures = "engine_turbofan_failures_total"
 	MetricFuelConsumed     = "core_fuel_consumed_total"
 	MetricPeakHeapPages    = "core_peak_heap_pages"
 	MetricPagesCommitted   = "wmem_pages_committed"
 	MetricMorselLatency    = "core_morsel_latency_ns"
-	MetricFaultpointHits   = "faultpoint_hits_total" // + "." + point
+	MetricFaultpointHits   = "faultpoint_hits_total" // {point}
 
 	// Plan-cache outcomes: lookups that found a live compiled module, lookups
 	// that compiled, entries dropped by the LRU budget, and entries dropped by
@@ -38,12 +39,12 @@ const (
 	MetricSchedYields     = "sched_yields_total"
 	MetricSchedSlotsAvail = "sched_slots_avail"
 
-	// Query service: admission outcomes ("server_rejected_total.<reason>"
+	// Query service: admission outcomes (server_rejected_total{reason}
 	// carries queue-full, queue-timeout, session-quota, shutdown,
 	// faultpoint), queue and in-flight gauges, session count, and the
 	// admission-wait / end-to-end latency histograms.
 	MetricServerAdmitted      = "server_admitted_total"
-	MetricServerRejected      = "server_rejected_total" // + "." + reason
+	MetricServerRejected      = "server_rejected_total" // {reason}
 	MetricServerQueueDepth    = "server_queue_depth"
 	MetricServerActive        = "server_active_queries"
 	MetricServerSessions      = "server_sessions"

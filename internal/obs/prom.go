@@ -19,22 +19,11 @@ import (
 // runtime metrics captured by CaptureRuntimeMetrics keep their conventional
 // go_ names. Histograms whose base name ends in _ns are exported as
 // Prometheus-idiomatic _seconds histograms (power-of-two nanosecond buckets
-// scaled to seconds). Legacy dotted series ("queries_total.wasm-adaptive")
-// are exported with a proper label ({backend="wasm-adaptive"}) via the
-// legacyLabelKey table; dotted names without a known label key flatten the
-// dots into underscores.
+// scaled to seconds). A labeled series' registry key already is its
+// exposition syntax (base{k="v",...}).
 
 // ContentTypePrometheus is the Content-Type of the exposition format.
 const ContentTypePrometheus = "text/plain; version=0.0.4; charset=utf-8"
-
-// legacyLabelKey maps a dotted-suffix metric prefix to the label key its
-// suffix carries: "queries_total.wasm-adaptive" → queries_total{backend=...}.
-var legacyLabelKey = map[string]string{
-	MetricQueries:        "backend",
-	MetricCompiles:       "tier",
-	MetricFaultpointHits: "point",
-	MetricServerRejected: "reason",
-}
 
 // helpText documents the exported families; families not listed get a
 // generic line (every family always has HELP and TYPE — self-describing
@@ -99,18 +88,10 @@ type promFamily struct {
 	series []promSeries
 }
 
-// splitSeries decomposes a registry key into base name and rendered labels,
-// translating legacy dotted suffixes into labels.
+// splitSeries decomposes a registry key into base name and rendered labels.
 func splitSeries(name string) (base, labels string) {
 	if i := strings.IndexByte(name, '{'); i >= 0 {
 		return name[:i], name[i:]
-	}
-	if i := strings.IndexByte(name, '.'); i >= 0 {
-		prefix, suffix := name[:i], name[i+1:]
-		if key, ok := legacyLabelKey[prefix]; ok {
-			return prefix, "{" + key + `="` + escapeLabelValue(suffix) + `"}`
-		}
-		return strings.ReplaceAll(name, ".", "_"), ""
 	}
 	return name, ""
 }

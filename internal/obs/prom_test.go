@@ -100,11 +100,11 @@ func parseProm(t *testing.T, text string) map[string]float64 {
 }
 
 // TestPrometheusExposition exercises the renderer end to end on a fresh
-// registry: labeled and legacy-dotted counters, gauges, and an _ns histogram,
+// registry: labeled counters, gauges, and an _ns histogram,
 // checking the exact line set against a golden expectation.
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(MetricQueries + ".wasm-adaptive").Add(3)
+	r.CounterWith(MetricQueries, Label{"backend", "wasm-adaptive"}).Add(3)
 	r.CounterWith(MetricSerialFallbacks, Label{"reason", "limit"}).Add(2)
 	r.Gauge(MetricSchedSlotsAvail).Set(5)
 	h := r.HistogramWith(MetricQueryLatency,

@@ -230,7 +230,7 @@ var (
 
 // reject counts one shed request under its reason label.
 func reject(code string) {
-	obs.Default.Counter(obs.MetricServerRejected + "." + code).Add(1)
+	obs.Default.CounterWith(obs.MetricServerRejected, obs.Label{Key: "reason", Val: code}).Add(1)
 }
 
 // admit is the admission gate. It grants an execution slot or fails fast:

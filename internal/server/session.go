@@ -99,9 +99,9 @@ func (ss *session) set(key, value string) error {
 	defer ss.mu.Unlock()
 	switch key {
 	case "backend":
-		b, ok := backendByName(value)
+		b, ok := wasmdb.ParseBackend(value)
 		if !ok {
-			return fmt.Errorf("unknown backend %q (auto, wasm, liftoff, turbofan, hyper, vectorized, volcano)", value)
+			return fmt.Errorf("unknown backend %q", value)
 		}
 		ss.backend = b
 	case "parallelism":
@@ -159,24 +159,4 @@ func (ss *session) stmt(id string) (*wasmdb.Stmt, bool) {
 	defer ss.mu.Unlock()
 	s, ok := ss.stmts[id]
 	return s, ok
-}
-
-func backendByName(name string) (wasmdb.Backend, bool) {
-	switch name {
-	case "auto":
-		return wasmdb.BackendAuto, true
-	case "wasm", "adaptive":
-		return wasmdb.BackendWasm, true
-	case "liftoff":
-		return wasmdb.BackendWasmLiftoff, true
-	case "turbofan":
-		return wasmdb.BackendWasmTurbofan, true
-	case "hyper":
-		return wasmdb.BackendHyperLike, true
-	case "vectorized":
-		return wasmdb.BackendVectorized, true
-	case "volcano":
-		return wasmdb.BackendVolcano, true
-	}
-	return 0, false
 }

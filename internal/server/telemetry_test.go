@@ -128,7 +128,7 @@ func TestMetricsV1ContentNegotiation(t *testing.T) {
 	call(t, hs, "POST", "/v1/query", map[string]any{"sql": "SELECT 1 FROM t LIMIT 1"})
 
 	_, body, hdr := getBody(t, hs.URL+"/v1/metrics", nil)
-	if !strings.HasPrefix(hdr.Get("Content-Type"), "text/plain") || !strings.Contains(body, "queries_total.wasm-adaptive:") {
+	if !strings.HasPrefix(hdr.Get("Content-Type"), "text/plain") || !strings.Contains(body, `queries_total{backend="wasm-adaptive"}:`) {
 		t.Errorf("default /v1/metrics is not the legacy dump: %q", hdr.Get("Content-Type"))
 	}
 	_, body, hdr = getBody(t, hs.URL+"/v1/metrics", map[string]string{"Accept": "application/json"})

@@ -86,7 +86,6 @@ func buildKernels() []byte {
 	k.genStoreEntryChar()
 	k.genCompactGather()
 	k.genValLike()
-	k.genBlendAndBool()
 	k.genExtraKernels()
 	k.genSortKernels()
 	return b.Bytes()

@@ -609,10 +609,6 @@ func isCmpName(n string) bool {
 	return false
 }
 
-// genBlendAndBool: covered inside genMapOps (map_blend, map_and, map_or,
-// map_not); kept as a separate hook for readability.
-func (k *kb) genBlendAndBool() {}
-
 // hash_word(sel, n, vec, hashVec, first): xor-multiply mixing.
 func (k *kb) genHashWord() {
 	f := k.b.NewFunc("hash_word", wasm.FuncType{

@@ -229,7 +229,7 @@ func TestStatsFuelAndPeakMem(t *testing.T) {
 	dump := db.Metrics().Dump()
 	for _, want := range []string{
 		obs.MetricFuelConsumed, obs.MetricPeakHeapPages, obs.MetricPagesCommitted, obs.MetricMorselLatency,
-		obs.MetricCompiles + ".liftoff", obs.MetricQueries + "." + wasmdb.BackendWasm.String(),
+		obs.MetricCompiles + `{tier="liftoff"}`, obs.MetricQueries + `{backend="` + wasmdb.BackendWasm.String() + `"}`,
 	} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("metrics dump missing %q:\n%s", want, dump)
@@ -245,7 +245,8 @@ func TestFaultpointHitsAreTraced(t *testing.T) {
 	faultpoint.Enable("core-morsel", func(int) error { return nil })
 	defer faultpoint.Disable("core-morsel")
 
-	before := obs.Default.Counter(obs.MetricFaultpointHits + ".core-morsel").Value()
+	hits := obs.Default.CounterWith(obs.MetricFaultpointHits, obs.Label{Key: "point", Val: "core-morsel"})
+	before := hits.Value()
 	tr := wasmdb.NewTrace()
 	if _, err := db.Query("SELECT COUNT(*) FROM t", wasmdb.WithTrace(tr)); err != nil {
 		t.Fatal(err)
@@ -264,7 +265,7 @@ func TestFaultpointHitsAreTraced(t *testing.T) {
 	if !sawPoint {
 		t.Errorf("no faultpoint event for core-morsel on the trace; events: %+v", tr.Events())
 	}
-	if after := obs.Default.Counter(obs.MetricFaultpointHits + ".core-morsel").Value(); after <= before {
+	if after := hits.Value(); after <= before {
 		t.Errorf("faultpoint hit counter did not advance: %d -> %d", before, after)
 	}
 }

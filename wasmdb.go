@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -65,32 +66,47 @@ const (
 	BackendVectorized
 	// BackendVolcano is the PostgreSQL-style iterator baseline.
 	BackendVolcano
-	// BackendAuto lets the autopilot choose per query: interpret
-	// (vectorized) versus compile (liftoff-only versus adaptive tier-up),
-	// and the worker-pool size — from the planner's cardinality estimates,
-	// corrected on warm plan-cache hits by the execution feedback recorded
-	// for the query's fingerprint. See WithAutoTuning.
+	// BackendAuto lets the engine pick the execution strategy per query —
+	// interpretation (vectorized) for queries too small to amortize
+	// compilation, baseline-only compilation for the mid band, adaptive
+	// tier-up plus a sized worker pool for large ones — from the planner's
+	// cardinality estimates, corrected on warm plan-cache hits by the
+	// execution feedback recorded for the query's fingerprint. The decision
+	// is deterministic given the query shape, the catalog statistics and that
+	// feedback; Stats.Auto and EXPLAIN ANALYZE report what was chosen and
+	// why. An explicit WithParallelism overrides the worker half of the
+	// decision.
 	BackendAuto
 )
 
+// backendNames lists, per backend, its canonical name (what String returns)
+// followed by the aliases ParseBackend also accepts — the one name table of
+// the shell, the service and the metrics labels.
+var backendNames = [...][]string{
+	BackendWasm:         {"wasm-adaptive", "wasm", "adaptive"},
+	BackendWasmLiftoff:  {"wasm-liftoff", "liftoff"},
+	BackendWasmTurbofan: {"wasm-turbofan", "turbofan"},
+	BackendHyperLike:    {"hyper-like", "hyper"},
+	BackendVectorized:   {"vectorized"},
+	BackendVolcano:      {"volcano"},
+	BackendAuto:         {"auto"},
+}
+
 func (b Backend) String() string {
-	switch b {
-	case BackendWasm:
-		return "wasm-adaptive"
-	case BackendWasmLiftoff:
-		return "wasm-liftoff"
-	case BackendWasmTurbofan:
-		return "wasm-turbofan"
-	case BackendHyperLike:
-		return "hyper-like"
-	case BackendVectorized:
-		return "vectorized"
-	case BackendVolcano:
-		return "volcano"
-	case BackendAuto:
-		return "auto"
+	if b < 0 || int(b) >= len(backendNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return backendNames[b][0]
+}
+
+// ParseBackend returns the backend a name or alias denotes.
+func ParseBackend(name string) (Backend, bool) {
+	for b, names := range backendNames {
+		if slices.Contains(names, name) {
+			return Backend(b), true
+		}
+	}
+	return 0, false
 }
 
 // hyperOptRounds models LLVM-grade optimization cost for the HyPer-like
@@ -298,16 +314,6 @@ func WriteTraceEvents(w io.Writer, traces ...*Trace) error {
 // WithBackend selects the execution backend (default BackendWasm).
 func WithBackend(b Backend) Option { return func(o *queryOpts) { o.backend = b } }
 
-// WithAutoTuning is WithBackend(BackendAuto): the engine picks the
-// execution strategy per query — interpretation for queries too small to
-// amortize compilation, baseline-only compilation for the mid band,
-// adaptive tier-up plus a sized worker pool for large ones. The decision is
-// deterministic given the query shape, the catalog statistics, and the
-// feedback recorded for the shape's plan-cache fingerprint; Stats.Auto and
-// EXPLAIN ANALYZE report what was chosen and why. An explicit
-// WithParallelism overrides the worker half of the decision.
-func WithAutoTuning() Option { return func(o *queryOpts) { o.backend = BackendAuto } }
-
 // WithMorselRows overrides the morsel size for the Wasm backends.
 func WithMorselRows(n int) Option { return func(o *queryOpts) { o.morselRows = n } }
 
@@ -334,10 +340,11 @@ func WithFuel(n int64) Option { return func(o *queryOpts) { o.fuel = n } }
 // merge functions, sorted runs by a k-way merge, result buffers by
 // concatenation — and a join's build-side tuples are shared between the
 // workers by rewiring, each worker building its own directory over all of
-// them. Modules without a barrier for state a scan fills (library-style
-// tables and sorts) and float SUMs, whose result depends on addition order,
-// run serially; the trace and Stats record the fallback reason. Applies to the Wasm backends; result row order may
-// differ from serial execution for unordered queries.
+// them. Modules without a barrier for state a scan fills (library-style hash
+// tables) and float SUMs, whose result depends on addition order, run
+// serially; the trace and Stats record the fallback reason. Applies to the
+// Wasm backends; result row order may differ from serial execution for
+// unordered queries.
 func WithParallelism(n int) Option {
 	return func(o *queryOpts) {
 		if n <= 0 {
@@ -953,7 +960,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		res.rows = out.Rows
 	}
 	res.Stats = statsFromTrace(tr, o.backend)
-	obs.Default.Counter(obs.MetricQueries + "." + o.backend.String()).Add(1)
+	obs.Default.CounterWith(obs.MetricQueries, obs.Label{Key: "backend", Val: o.backend.String()}).Add(1)
 	if autoKey != "" {
 		// Close the feedback loop: store what actually happened under this
 		// fingerprint, so the next decision for the shape corrects itself.
