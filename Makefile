@@ -45,15 +45,17 @@ tier-diff:
 # (Styled: the library sort's sorted-run barrier on 2 and 4 workers, every
 # style flag over the style corpus), the fallback matrix through Execute and
 # its DESIGN.md rendering, the faults, engine panics and cancellations
-# injected into the group, keyless and join barriers and the morsel loop, and
-# the scheduler's lease and yield tests — under the race detector on two
-# cores, where workers really interleave. A pattern that stops matching after
+# injected into the group, keyless and join barriers and the morsel loop, the
+# scheduler's lease and yield tests, and the CHAR corpus (CharWord: equality,
+# IN, GROUP BY and joins across CHAR widths on six backends × workers
+# {1,2,4}, the word-width routines against Go, values on page boundaries) —
+# under the race detector on two cores, where workers really interleave. A pattern that stops matching after
 # a rename would pass vacuously, so the number of selected tests is checked
 # first.
-PARALLEL_DIFF = Parallel|Barrier|Scheduler|Fallback|JoinBuild|Styled
+PARALLEL_DIFF = Parallel|Barrier|Scheduler|Fallback|JoinBuild|Styled|CharWord
 parallel-diff:
 	@n=$$($(GO) test -list '$(PARALLEL_DIFF)' . ./internal/core | grep -c '^Test'); \
-		if [ $$n -lt 36 ]; then echo "parallel-diff: the pattern selects $$n tests, expected at least 36" >&2; exit 1; fi
+		if [ $$n -lt 40 ]; then echo "parallel-diff: the pattern selects $$n tests, expected at least 40" >&2; exit 1; fi
 	GOMAXPROCS=2 $(GO) test -race -run '$(PARALLEL_DIFF)' . ./internal/core
 
 # retired prints the instructions each tier's code retires per TPC-H query

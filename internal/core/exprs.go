@@ -282,21 +282,26 @@ func cmpOpcode(op sema.OpKind, t types.Type) wasm.Opcode {
 	panic("core: no comparison opcode")
 }
 
-// charCompare compiles CHAR comparisons through a generated monomorphic
+// charCompare compiles CHAR comparisons: = and <> (and so IN lists) inline
+// through emitCharEq, the orderings through a generated monomorphic
 // string-compare function specialized to the two operand widths.
 func (g *gen) charCompare(e *env, x *sema.Binary) {
 	w1 := x.L.Type().Length
 	w2 := x.R.Type().Length
+	if x.Op == sema.OpEq || x.Op == sema.OpNe {
+		a, b := g.charOperand(e, x.L), g.charOperand(e, x.R)
+		g.emitCharEq(a, w1, b, w2)
+		if x.Op == sema.OpNe {
+			g.f.I32Eqz()
+		}
+		return
+	}
 	cmp := g.c.strcmpFunc(w1, w2)
 	g.expr(e, x.L)
 	g.expr(e, x.R)
 	g.f.Call(cmp.Index)
 	g.f.I32Const(0)
 	switch x.Op {
-	case sema.OpEq:
-		g.f.I32Eq()
-	case sema.OpNe:
-		g.f.I32Ne()
 	case sema.OpLt:
 		g.f.Op(wasm.OpI32LtS)
 	case sema.OpLe:
@@ -308,8 +313,128 @@ func (g *gen) charCompare(e *env, x *sema.Binary) {
 	}
 }
 
+// charRef addresses a CHAR value for chunk loads: base pushes an i32 address
+// (from a local or a global) and off goes into the loads' offset immediates.
+type charRef struct {
+	base func()
+	off  uint32
+}
+
+// charOperand evaluates a CHAR operand once, into a local holding its
+// address.
+func (g *gen) charOperand(e *env, ex sema.Expr) charRef {
+	p := g.f.AddLocal(wasm.I32)
+	g.expr(e, ex)
+	g.f.LocalSet(p)
+	return g.localChars(p, 0)
+}
+
+// localChars addresses the value at ptr + off.
+func (g *gen) localChars(ptr wasm.Local, off uint32) charRef {
+	return charRef{base: func() { g.f.LocalGet(ptr) }, off: off}
+}
+
+// charChunk is the n bytes at offset at of a CHAR value, n one of 8, 4, 2, 1.
+type charChunk struct{ at, n int }
+
+// charChunks splits bytes [from, to) of a value widest first into 8/4/2/1-byte
+// chunks — the split copyChar uses — so no chunk reaches past byte to: a
+// value may end where a mapped column ends.
+func charChunks(from, to int) []charChunk {
+	var out []charChunk
+	for at := from; at < to; {
+		n := 8
+		for n > to-at {
+			n >>= 1
+		}
+		out = append(out, charChunk{at, n})
+		at += n
+	}
+	return out
+}
+
+// loadChunk pushes chunk c of the value at r, zero-extended to an i64.
+func (g *gen) loadChunk(r charRef, c charChunk) {
+	op := wasm.OpI64Load8U
+	switch c.n {
+	case 8:
+		op = wasm.OpI64Load
+	case 4:
+		op = wasm.OpI64Load32U
+	case 2:
+		op = wasm.OpI64Load16U
+	}
+	r.base()
+	// Alignment hint 0: values follow each other unpadded.
+	g.f.Emit(op, uint64(r.off)+uint64(c.at), 0)
+}
+
+// spaces is an n-byte chunk of padding, as loadChunk would push it.
+func spaces(n int) int64 {
+	return int64(uint64(0x2020202020202020) >> (64 - 8*n))
+}
+
+// loadPadded pushes chunk c of the value at r, which ends at byte w inside
+// the chunk, as if the value were padded: its bytes loaded widest first and
+// shifted into place, spaces above them.
+func (g *gen) loadPadded(r charRef, c charChunk, w int) {
+	f := g.f
+	for i, p := range charChunks(c.at, w) {
+		g.loadChunk(r, p)
+		if i > 0 {
+			f.I64Const(int64(8 * (p.at - c.at)))
+			f.Op(wasm.OpI64Shl)
+			f.Op(wasm.OpI64Or)
+		}
+	}
+	f.I64Const(int64(uint64(spaces(c.n)) &^ (1<<(8*(w-c.at)) - 1)))
+	f.Op(wasm.OpI64Or)
+}
+
+// emitCharEq pushes 1 if the CHAR(wa) value at a equals the CHAR(wb) value at
+// b under SQL's padded comparison — the shorter value compares as if padded
+// with spaces — and 0 otherwise. The widths are compile-time constants, so
+// this is straight-line code over the longer value's chunks: each is compared
+// with the same bytes of the shorter value — loaded whole, padded with spaces
+// in the register where the shorter value ends inside the chunk, or a
+// constant of spaces past its end — and the differences are or-ed into one
+// test. Nothing is loaded past either value's width.
+func (g *gen) emitCharEq(a charRef, wa int, b charRef, wb int) {
+	f := g.f
+	long, short, sw := a, b, wb
+	if wb > wa {
+		long, short, sw = b, a, wa
+	}
+	chunks := charChunks(0, max(wa, wb))
+	if len(chunks) == 0 {
+		f.I32Const(1) // two empty strings
+		return
+	}
+	for i, c := range chunks {
+		g.loadChunk(long, c)
+		switch {
+		case c.at+c.n <= sw:
+			g.loadChunk(short, c)
+		case c.at >= sw:
+			f.I64Const(spaces(c.n))
+		default:
+			g.loadPadded(short, c, sw)
+		}
+		if len(chunks) == 1 {
+			f.Op(wasm.OpI64Eq)
+			return
+		}
+		f.Op(wasm.OpI64Xor)
+		if i > 0 {
+			f.Op(wasm.OpI64Or)
+		}
+	}
+	f.Op(wasm.OpI64Eqz)
+}
+
 // strcmpFunc generates (once per width pair) a three-way comparison of two
-// space-padded CHAR values, honoring SQL padded-comparison semantics.
+// space-padded CHAR values, honoring SQL padded-comparison semantics. Only the
+// orderings (<, <=, >, >=, ORDER BY) use it; equality is emitCharEq.
 func (c *compiler) strcmpFunc(w1, w2 int) *wasm.FuncBuilder {
 	if f, ok := c.strcmps[[2]int{w1, w2}]; ok {
 		return f

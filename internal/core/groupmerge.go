@@ -148,13 +148,8 @@ func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sem
 	f.LocalSet(rec)
 
 	// Key sources read from the record, which mirrors the entry layout.
-	keys := make([]keySrc, len(gr.Keys))
-	for ki, k := range gr.Keys {
-		fld, _ := ht.layout.find(k)
-		kf := fld
-		keys[ki] = keySrc{t: kf.t, pushVal: func() { g.loadField(rec, kf) }}
-	}
-	idx := g.emitSlotIndex(ht, g.emitHash(keys))
+	keys := g.fieldKeys(rec, &ht.layout, gr.Keys)
+	idx := g.emitSlotIndex(ht, g.emitHash(keys, nil, false))
 	g.emitUpsert(ht, keys, idx, entry, func() {
 		// The record is a full entry image (flag, keys, partial states), so a
 		// verbatim copy installs the group.

@@ -41,6 +41,31 @@ type keySrc struct {
 	pushVal func()
 }
 
+// fieldKeys returns the sources of the keys stored in the entry (or entry
+// image) at ptr.
+func (g *gen) fieldKeys(ptr wasm.Local, layout *tupleLayout, keys []sema.Expr) []keySrc {
+	out := make([]keySrc, len(keys))
+	for i, k := range keys {
+		fld, ok := layout.find(k)
+		if !ok {
+			g.fail("key %s not in entry layout", k)
+		}
+		out[i] = keySrc{t: fld.t, pushVal: func() { g.loadField(ptr, fld) }}
+	}
+	return out
+}
+
+// hashWidths returns, per key position, the bytes of a CHAR key a join table
+// hashes: the narrower of the build and probe key widths. Values equal under
+// padded comparison agree on those bytes, whatever either side's padding.
+func hashWidths(build, probe []sema.Expr) []int {
+	out := make([]int, len(build))
+	for i, k := range build {
+		out[i] = min(k.Type().Length, probe[i].Type().Length)
+	}
+	return out
+}
+
 // newHashTable declares globals, the init step, and the grow function for a
 // group table whose entries contain the given fields (keys must be a prefix
 // subset of fields by structural equality).
@@ -99,7 +124,7 @@ func (ht *htInfo) keySrcs(g *gen, e *env, keys []sema.Expr) []keySrc {
 }
 
 func (ht *htInfo) upsert(g *gen, keys []keySrc, claim, fold func(entry wasm.Local)) {
-	idx := g.emitSlotIndex(ht, g.emitHash(keys))
+	idx := g.emitSlotIndex(ht, g.emitHash(keys, nil, false))
 	entry := g.f.AddLocal(wasm.I32)
 	g.emitUpsert(ht, keys, idx, entry, func() {
 		g.f.LocalGet(entry)
@@ -134,7 +159,7 @@ func (g *gen) emitUpsert(ht *htInfo, keys []keySrc, idx, entry wasm.Local, claim
 	f.Br(2) // done
 	f.End()
 	// Occupied: keys equal → fold; else advance.
-	g.emitKeysEqual(ht, keys, entry)
+	g.emitKeysEqual(&ht.layout, ht.keys, keys, entry)
 	f.If(wasm.BlockVoid)
 	fold()
 	f.Br(2) // done
@@ -176,72 +201,72 @@ func dedupExprs(in []sema.Expr) []sema.Expr {
 }
 
 // emitHash computes the hash of the key sources into an i64 local and
-// returns it. Numeric keys are mixed with multiply-xorshift; CHAR keys are
-// FNV-1a over the padding-stripped bytes, so equal logical strings of
-// different declared widths hash identically.
-func (g *gen) emitHash(keys []keySrc) wasm.Local {
-	return g.emitHashCanon(keys, false)
-}
-
-// emitHashCanon is emitHash with optional Float64 canonicalization: when
+// returns it. Each numeric key, and each chunk of a CHAR key, is one
+// multiply-xor step h = (h ^ v) · K. A CHAR key is hashed over a width fixed
+// at compile time — widths[i] bytes, or the key's own width where widths is
+// nil — split widest first into 8/4/2/1-byte chunks, so there is no
+// trailing-space scan and no loop. Values equal under padded comparison must
+// agree on the hashed bytes: a group table's keys all have the key's width,
+// a join table hashes both sides over the narrower side's (hashWidths). When
 // canonFloat is set, -0.0 hashes like +0.0 (join tables, where the probe's
 // F64Eq treats them as equal and a hash mismatch would silently drop
 // matching rows).
-func (g *gen) emitHashCanon(keys []keySrc, canonFloat bool) wasm.Local {
+func (g *gen) emitHash(keys []keySrc, widths []int, canonFloat bool) wasm.Local {
+	const mul = -0x61c8864680b583eb // golden-ratio multiplier
 	f := g.f
 	h := f.AddLocal(wasm.I64)
 	f.I64Const(-3750763034362895579) // FNV-1a 64 offset basis
 	f.LocalSet(h)
-	for _, k := range keys {
-		switch k.t.Kind {
-		case types.Char:
-			ptr := f.AddLocal(wasm.I32)
-			llen := f.AddLocal(wasm.I32)
-			i := f.AddLocal(wasm.I32)
-			k.pushVal()
-			f.LocalSet(ptr)
-			emitLogicalLen(f, ptr, llen, k.t.Length)
-			f.I32Const(0)
-			f.LocalSet(i)
-			f.Block(wasm.BlockVoid)
-			f.Loop(wasm.BlockVoid)
-			f.LocalGet(i)
-			f.LocalGet(llen)
-			f.I32GeU()
-			f.BrIf(1)
-			// h = (h ^ byte) * prime
-			f.LocalGet(h)
-			f.LocalGet(ptr)
-			f.LocalGet(i)
-			f.I32Add()
-			f.I32Load8U(0)
-			f.Op(wasm.OpI64ExtendI32U)
-			f.Op(wasm.OpI64Xor)
-			f.I64Const(1099511628211)
-			f.I64Mul()
-			f.LocalSet(h)
-			f.LocalGet(i)
-			f.I32Const(1)
-			f.I32Add()
-			f.LocalSet(i)
-			f.Br(0)
-			f.End()
-			f.End()
-		default:
-			f.LocalGet(h)
-			k.pushVal()
-			if canonFloat && k.t.Kind == types.Float64 {
-				// v + 0.0 maps -0.0 to +0.0 and leaves every other value
-				// (including NaN) alone — one branch-free instruction.
-				f.F64Const(0)
-				f.F64Add()
-			}
-			g.toI64Bits(k.t)
-			f.Op(wasm.OpI64Xor)
-			f.I64Const(-0x61c8864680b583eb) // golden-ratio multiplier
-			f.I64Mul()
-			f.LocalSet(h)
+	mix := func(push func()) {
+		f.LocalGet(h)
+		push()
+		f.Op(wasm.OpI64Xor)
+		f.I64Const(mul)
+		f.I64Mul()
+		f.LocalSet(h)
+	}
+	wideChunk := false
+	for i, k := range keys {
+		if k.t.Kind != types.Char {
+			mix(func() {
+				k.pushVal()
+				if canonFloat && k.t.Kind == types.Float64 {
+					// v + 0.0 maps -0.0 to +0.0 and leaves every other value
+					// (including NaN) alone — one branch-free instruction.
+					f.F64Const(0)
+					f.F64Add()
+				}
+				g.toI64Bits(k.t)
+			})
+			continue
 		}
+		w := k.t.Length
+		if widths != nil {
+			w = widths[i]
+		}
+		for _, c := range charChunks(0, w) {
+			mix(func() { g.loadChunk(charRef{base: k.pushVal}, c) })
+			wideChunk = wideChunk || c.n == 8
+		}
+	}
+	if wideChunk {
+		// A multiply moves bits only upwards, so the last bytes of an 8-byte
+		// chunk reach only the top of h, which the avalanche below does not
+		// bring down to the slot index: h ^= h >> 33, h *= K, h ^= h >> 33
+		// first (the first half of MurmurHash3's finalizer).
+		xorShift := func() {
+			f.LocalGet(h)
+			f.LocalGet(h)
+			f.I64Const(33)
+			f.Op(wasm.OpI64ShrU)
+			f.Op(wasm.OpI64Xor)
+		}
+		xorShift()
+		f.I64Const(mul)
+		f.I64Mul()
+		f.LocalSet(h)
+		xorShift()
+		f.LocalSet(h)
 	}
 	// Final avalanche: h ^= h >> 29.
 	f.LocalGet(h)
@@ -430,43 +455,22 @@ func (g *gen) copyChar(dst wasm.Local, offset uint32, pushSrc func(), width int)
 	f.End()
 }
 
-// emitKeysEqual pushes 1 if the probe keys equal the stored keys of the
-// entry at the pointer local. Comparison code is fully inlined and
-// monomorphic per key type.
-func (g *gen) emitKeysEqual(ht *htInfo, probe []keySrc, entry wasm.Local) {
+// emitKeysEqual pushes 1 if the probe keys equal the keys stored in the
+// entry at the pointer local, whose layout holds them. Comparison code is
+// fully inlined and monomorphic per key type and, for CHAR, per width pair;
+// it is also the body of the library style's comparator.
+func (g *gen) emitKeysEqual(layout *tupleLayout, keys []sema.Expr, probe []keySrc, entry wasm.Local) {
 	f := g.f
 	for i, k := range probe {
-		fld, ok := ht.layout.find(ht.keys[i])
+		fld, ok := layout.find(keys[i])
 		if !ok {
-			g.fail("hash table %s: key %s not in entry layout", ht.name, ht.keys[i])
+			g.fail("key %s not in entry layout", keys[i])
 			f.I32Const(0)
 			return
 		}
 		switch k.t.Kind {
 		case types.Char:
-			if k.t.Length == fld.t.Length && k.t.Length <= 8 {
-				// Fully inlined byte-wise equality for short fixed-width
-				// keys (both sides share the same padding).
-				ptr := f.AddLocal(wasm.I32)
-				k.pushVal()
-				f.LocalSet(ptr)
-				for j := 0; j < k.t.Length; j++ {
-					f.LocalGet(ptr)
-					f.I32Load8U(uint32(j))
-					g.loadField(entry, fld)
-					f.I32Load8U(uint32(j))
-					f.I32Eq()
-					if j > 0 {
-						f.I32And()
-					}
-				}
-				break
-			}
-			cmp := g.c.strcmpFunc(k.t.Length, fld.t.Length)
-			k.pushVal()
-			g.loadField(entry, fld)
-			f.Call(cmp.Index)
-			f.I32Eqz()
+			g.emitCharEq(charRef{base: k.pushVal}, k.t.Length, g.localChars(entry, fld.offset), fld.t.Length)
 		case types.Float64:
 			k.pushVal()
 			g.loadField(entry, fld)
@@ -546,17 +550,7 @@ func (c *compiler) genGrowFunc(ht *htInfo) *wasm.FuncBuilder {
 	f.Emit(wasm.OpI32Load, 0, 2)
 	f.If(wasm.BlockVoid)
 	// rehash from stored keys
-	var stored []keySrc
-	for _, k := range ht.keys {
-		fld, ok := ht.layout.find(k)
-		if !ok {
-			g.fail("grow: key not found")
-			continue
-		}
-		kf := fld
-		stored = append(stored, keySrc{t: kf.t, pushVal: func() { g.loadField(entry, kf) }})
-	}
-	h := g.emitHash(stored)
+	h := g.emitHash(g.fieldKeys(entry, &ht.layout, ht.keys), nil, false)
 	// j = h & newMask
 	f.LocalGet(h)
 	f.Op(wasm.OpI32WrapI64)

@@ -52,9 +52,11 @@ type joinTable struct {
 	// hashCheck makes the probe compare the stored hash before the keys:
 	// worth it where the key comparison is more than one integer compare.
 	hashCheck bool
+	// hashW is the hashed width of each CHAR key, the same on both sides.
+	hashW []int
 }
 
-func (c *compiler) newJoinTable(name string, fields, keys []sema.Expr) *joinTable {
+func (c *compiler) newJoinTable(name string, fields, keys, probeKeys []sema.Expr) *joinTable {
 	jt := &joinTable{
 		htInfo: htInfo{
 			name:   name,
@@ -67,6 +69,7 @@ func (c *compiler) newJoinTable(name string, fields, keys []sema.Expr) *joinTabl
 		gPos:      c.b.AddGlobal(wasm.I32, true, 0),
 		gEnd:      c.b.AddGlobal(wasm.I32, true, 0),
 		hashCheck: len(keys) > 1,
+		hashW:     hashWidths(keys, probeKeys),
 	}
 	for _, k := range keys {
 		jt.hashCheck = jt.hashCheck || k.Type().Kind == types.Char
@@ -110,7 +113,7 @@ func (c *compiler) allocAlignedFunc() *wasm.FuncBuilder {
 func (jt *joinTable) append(g *gen, keys []keySrc, e *env) {
 	f := g.f
 	stride := jt.layout.stride
-	h := g.emitHashCanon(keys, true)
+	h := g.emitHash(keys, jt.hashW, true)
 	tup := f.AddLocal(wasm.I32)
 	// Chunk full (or none yet): link a fresh one in front of the list.
 	f.GlobalGet(jt.gPos)
@@ -152,7 +155,7 @@ func (jt *joinTable) append(g *gen, keys []keySrc, e *env) {
 func (jt *joinTable) probe(g *gen, e *env, probeKeys []sema.Expr, match consumer) {
 	f := g.f
 	keys := g.keySrcsFromEnv(e, probeKeys)
-	h := g.emitHashCanon(keys, true)
+	h := g.emitHash(keys, jt.hashW, true)
 	idx := g.emitSlotIndex(&jt.htInfo, h)
 	tup := f.AddLocal(wasm.I32)
 	if jt.hashCheck {
@@ -176,7 +179,7 @@ func (jt *joinTable) probe(g *gen, e *env, probeKeys []sema.Expr, match consumer
 		f.Op(wasm.OpI64Eq)
 		f.If(wasm.BlockVoid)
 	}
-	g.emitKeysEqual(&jt.htInfo, keys, tup)
+	g.emitKeysEqual(&jt.layout, jt.keys, keys, tup)
 	f.If(wasm.BlockVoid)
 	match(g, tupleEnv(g, e, tup, jt.layout))
 	f.End()

@@ -375,6 +375,9 @@ type libHT struct {
 	// through -0.0→+0.0 canonicalization so the F64Eq comparator and the
 	// hash agree; group tables keep raw-bit hashing.
 	canonFloatKeys bool
+	// hashW is the hashed width of each CHAR key, the same for stored and
+	// looked-up keys (hashWidths).
+	hashW []int
 }
 
 // newLibHT declares globals, the comparator, and the init step.
@@ -384,50 +387,25 @@ func (c *compiler) newLibHT(name string, fields []sema.Expr, keys, lookupKeys []
 		layout:         buildLayout(dedupExprs(fields), libEntryData),
 		gCtrl:          c.b.AddGlobal(wasm.I32, true, 0),
 		canonFloatKeys: canonFloatKeys,
+		hashW:          hashWidths(keys, lookupKeys),
 	}
 	// One "current key" global per key; CHAR keys hold a pointer.
 	for _, k := range keys {
 		ht.keyGlob = append(ht.keyGlob, c.b.AddGlobal(wasmType(k.Type()), true, 0))
 	}
-	// Comparator: reads the key globals, compares against entry fields.
+	// Comparator: the inlined key comparison of the ad-hoc tables, reading the
+	// looked-up keys from the key globals. A CHAR global points at a value of
+	// its own column's width — a join's probe key may be narrower or wider
+	// than the build key stored in the entry.
 	cmp := c.b.NewFunc("cmp_"+name, wasm.FuncType{Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32}})
 	g := &gen{c: c, f: cmp}
-	entry := cmp.Param(0)
-	for i, k := range keys {
-		fld, ok := ht.layout.find(k)
-		if !ok {
-			panic("core: key missing from library entry layout")
-		}
-		switch k.Type().Kind {
-		case types.Char:
-			// The key global points at the looked-up value, which has the
-			// width of its own column — a join's probe key may be narrower
-			// or wider than the build key stored in the entry.
-			sc := c.strcmpFunc(lookupKeys[i].Type().Length, fld.t.Length)
-			cmp.GlobalGet(ht.keyGlob[i])
-			g.loadField(entry, fld)
-			cmp.Call(sc.Index)
-			cmp.I32Eqz()
-		case types.Float64:
-			cmp.GlobalGet(ht.keyGlob[i])
-			g.loadField(entry, fld)
-			cmp.Op(wasm.OpF64Eq)
-		case types.Int64, types.Decimal:
-			cmp.GlobalGet(ht.keyGlob[i])
-			g.loadField(entry, fld)
-			cmp.Op(wasm.OpI64Eq)
-		default:
-			cmp.GlobalGet(ht.keyGlob[i])
-			g.loadField(entry, fld)
-			cmp.I32Eq()
-		}
-		if i > 0 {
-			cmp.I32And()
-		}
+	looked := make([]keySrc, len(keys))
+	for i, k := range lookupKeys {
+		gi := ht.keyGlob[i]
+		looked[i] = keySrc{t: k.Type(), pushVal: func() { cmp.GlobalGet(gi) }}
 	}
-	if len(keys) == 0 {
-		cmp.I32Const(1)
-	}
+	g.emitKeysEqual(&ht.layout, keys, looked, cmp.Param(0))
+	c.noteErr(g)
 	ht.cmpIdx = c.registerTableFunc(cmp)
 
 	c.initSteps = append(c.initSteps, func(gi *gen) {
@@ -475,7 +453,7 @@ func (ht *libHT) emitInsert(g *gen, h wasm.Local) {
 // upsert is a lookup call per tuple, and an insert call per new group.
 func (ht *libHT) upsert(g *gen, keys []keySrc, claim, fold func(entry wasm.Local)) {
 	f := g.f
-	h := g.emitHashCanon(keys, ht.canonFloatKeys)
+	h := g.emitHash(keys, ht.hashW, ht.canonFloatKeys)
 	entry := f.AddLocal(wasm.I32)
 	ht.emitLookup(g, h)
 	f.LocalTee(entry)
@@ -492,7 +470,7 @@ func (ht *libHT) upsert(g *gen, keys []keySrc, claim, fold func(entry wasm.Local
 // append is an insert call per build tuple.
 func (ht *libHT) append(g *gen, keys []keySrc, e *env) {
 	entry := g.f.AddLocal(wasm.I32)
-	ht.emitInsert(g, g.emitHashCanon(keys, ht.canonFloatKeys))
+	ht.emitInsert(g, g.emitHash(keys, ht.hashW, ht.canonFloatKeys))
 	g.f.LocalSet(entry)
 	g.storeTuple(entry, ht.layout, e)
 }
@@ -500,7 +478,7 @@ func (ht *libHT) append(g *gen, keys []keySrc, e *env) {
 // probe: entry = lookup(...); while entry: match; entry = next(...).
 func (ht *libHT) probe(g *gen, e *env, probeKeys []sema.Expr, match consumer) {
 	f := g.f
-	h := g.emitHashCanon(ht.keySrcs(g, e, probeKeys), ht.canonFloatKeys)
+	h := g.emitHash(ht.keySrcs(g, e, probeKeys), ht.hashW, ht.canonFloatKeys)
 	entry := f.AddLocal(wasm.I32)
 	ht.emitLookup(g, h)
 	f.LocalSet(entry)

@@ -72,42 +72,17 @@ func (c *compiler) likeFunc(x *sema.Like, w int) *wasm.FuncBuilder {
 	return f
 }
 
-// emitMemEq emits code pushing 1 if the nlen bytes at (ptr + off) equal the
-// nlen bytes at the fixed address addr (constant region for baked needles,
-// parameter region for hoisted ones), where off is an i32 local.
-func (c *compiler) emitMemEq(f *wasm.FuncBuilder, ptr wasm.Local, offset wasm.Local, addr uint32, nlen int) {
-	i := f.AddLocal(wasm.I32)
-	f.I32Const(0)
-	f.LocalSet(i)
-	f.Block(wasm.BlockOf(wasm.I32))
-	f.Loop(wasm.BlockOf(wasm.I32))
-	// if i >= len: all equal
-	f.I32Const(1)
-	f.LocalGet(i)
-	f.I32Const(int32(nlen))
-	f.I32GeU()
-	f.BrIf(1)
-	f.Drop()
-	// if p[off+i] != needle[i]: 0
-	f.I32Const(0)
-	f.LocalGet(ptr)
-	f.LocalGet(offset)
-	f.I32Add()
-	f.LocalGet(i)
-	f.I32Add()
-	f.I32Load8U(0)
-	f.LocalGet(i)
-	f.I32Load8U(addr)
-	f.I32Ne()
-	f.BrIf(1)
-	f.Drop()
-	f.LocalGet(i)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(i)
-	f.Br(0)
-	f.End()
-	f.End()
+// emitMemEq emits code pushing 1 if the nlen bytes at the address in the
+// local p equal the nlen bytes at the fixed address addr (constant region for
+// baked needles, parameter region for hoisted ones): the needle's length is
+// known, so this is emitCharEq's straight-line chunk comparison of two
+// values of that width.
+func (c *compiler) emitMemEq(f *wasm.FuncBuilder, p wasm.Local, addr uint32, nlen int) {
+	g := &gen{c: c, f: f}
+	needle := f.AddLocal(wasm.I32)
+	f.I32Const(int32(addr))
+	f.LocalSet(needle)
+	g.emitCharEq(g.localChars(p, 0), nlen, g.localChars(needle, 0), nlen)
 }
 
 func (c *compiler) emitLikeExact(f *wasm.FuncBuilder, addr uint32, nlen, w int) {
@@ -116,14 +91,13 @@ func (c *compiler) emitLikeExact(f *wasm.FuncBuilder, addr uint32, nlen, w int) 
 		return
 	}
 	llen := f.AddLocal(wasm.I32)
-	zero := f.AddLocal(wasm.I32)
 	emitLogicalLen(f, f.Param(0), llen, w)
 	// llen == len(needle) && memeq
 	f.LocalGet(llen)
 	f.I32Const(int32(nlen))
 	f.I32Eq()
 	f.If(wasm.BlockOf(wasm.I32))
-	c.emitMemEq(f, f.Param(0), zero, addr, nlen)
+	c.emitMemEq(f, f.Param(0), addr, nlen)
 	f.Else()
 	f.I32Const(0)
 	f.End()
@@ -134,8 +108,7 @@ func (c *compiler) emitLikePrefix(f *wasm.FuncBuilder, addr uint32, nlen, w int)
 		f.I32Const(0)
 		return
 	}
-	zero := f.AddLocal(wasm.I32)
-	c.emitMemEq(f, f.Param(0), zero, addr, nlen)
+	c.emitMemEq(f, f.Param(0), addr, nlen)
 }
 
 func (c *compiler) emitLikeSuffix(f *wasm.FuncBuilder, addr uint32, nlen, w int) {
@@ -144,18 +117,20 @@ func (c *compiler) emitLikeSuffix(f *wasm.FuncBuilder, addr uint32, nlen, w int)
 		return
 	}
 	llen := f.AddLocal(wasm.I32)
-	off := f.AddLocal(wasm.I32)
+	p := f.AddLocal(wasm.I32)
 	emitLogicalLen(f, f.Param(0), llen, w)
 	// llen >= len && memeq at llen-len
 	f.LocalGet(llen)
 	f.I32Const(int32(nlen))
 	f.I32GeU()
 	f.If(wasm.BlockOf(wasm.I32))
+	f.LocalGet(f.Param(0))
 	f.LocalGet(llen)
+	f.I32Add()
 	f.I32Const(int32(nlen))
 	f.I32Sub()
-	f.LocalSet(off)
-	c.emitMemEq(f, f.Param(0), off, addr, nlen)
+	f.LocalSet(p)
+	c.emitMemEq(f, p, addr, nlen)
 	f.Else()
 	f.I32Const(0)
 	f.End()
@@ -168,6 +143,7 @@ func (c *compiler) emitLikeContains(f *wasm.FuncBuilder, addr uint32, nlen, w in
 	}
 	llen := f.AddLocal(wasm.I32)
 	off := f.AddLocal(wasm.I32)
+	p := f.AddLocal(wasm.I32)
 	emitLogicalLen(f, f.Param(0), llen, w)
 	f.I32Const(0)
 	f.LocalSet(off)
@@ -184,7 +160,11 @@ func (c *compiler) emitLikeContains(f *wasm.FuncBuilder, addr uint32, nlen, w in
 	f.Drop()
 	// if memeq at off: match
 	f.I32Const(1)
-	c.emitMemEq(f, f.Param(0), off, addr, nlen)
+	f.LocalGet(f.Param(0))
+	f.LocalGet(off)
+	f.I32Add()
+	f.LocalSet(p)
+	c.emitMemEq(f, p, addr, nlen)
 	f.BrIf(1)
 	f.Drop()
 	f.LocalGet(off)

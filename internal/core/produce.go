@@ -360,7 +360,7 @@ func (c *compiler) produceJoin(j *plan.HashJoin, consume consumer) error {
 	if c.style.LibraryHT {
 		tbl = c.newLibHT(name, fields, j.BuildKeys, j.ProbeKeys, true)
 	} else {
-		jt = c.newJoinTable(name, fields, j.BuildKeys)
+		jt = c.newJoinTable(name, fields, j.BuildKeys, j.ProbeKeys)
 		tbl = jt
 	}
 

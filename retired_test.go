@@ -26,20 +26,38 @@ var (
 	pr16Baseline = map[string]uint64{"Q1": 14298097, "Q3": 5149051, "Q6": 2681350, "Q12": 15584492, "Q14": 1739741}
 )
 
-// retiredCeiling holds the figures of the change that made both compilers
-// share one emitter (ISSUE 18), recorded as the ceilings for what follows:
-// the optimizing tier may not retire more than it did at its parent —
-// sharing the emitter took 0 to 5 % off — and the baseline tier, whose count
-// is the mechanism of that change, may not lose what it gained.
+// retiredQueries are the measured queries: the five TPC-H ones and two CHAR
+// GROUP BY shapes of the benchmark's auto-mixed workload.
+var retiredQueries = []struct{ id, src string }{
+	{"Q1", ""}, {"Q3", ""}, {"Q6", ""}, {"Q12", ""}, {"Q14", ""},
+	{"shipmode", "SELECT l_shipmode, COUNT(*), SUM(l_quantity) FROM lineitem WHERE l_shipdate >= DATE '1994-04-01' GROUP BY l_shipmode ORDER BY l_shipmode"},
+	{"priority", "SELECT o_orderpriority, COUNT(*) FROM orders WHERE o_orderstatus = 'F' GROUP BY o_orderpriority ORDER BY o_orderpriority"},
+}
+
+// charByteLoop holds both tiers' counts at 7d3362a, before CHAR equality, IN
+// lists and CHAR key hashing and comparison were compiled to straight-line
+// 8/4/2/1-byte loads: a CHAR key was hashed by a byte loop behind a
+// trailing-space scan and compared, like every CHAR =, <> and IN, by a called
+// byte loop (strcmp_N_M).
+var charByteLoop = map[wasmdb.Backend]map[string]uint64{
+	wasmdb.BackendWasmTurbofan: {"Q1": 4848048, "Q3": 1919500, "Q6": 1039389, "Q12": 5645293, "Q14": 639577, "shipmode": 7327145, "priority": 2137512},
+	wasmdb.BackendWasmLiftoff:  {"Q1": 6665122, "Q3": 2415426, "Q6": 1160390, "Q12": 6890781, "Q14": 784115, "shipmode": 10606935, "priority": 3092656},
+}
+
+// retiredCeiling holds the figures of the change that compiled CHAR at word
+// width, recorded as the ceilings for what follows: neither tier may retire
+// more than it does there.
 var retiredCeiling = map[wasmdb.Backend]map[string]uint64{
-	wasmdb.BackendWasmTurbofan: {"Q1": 4848048, "Q3": 1919500, "Q6": 1039389, "Q12": 5645293, "Q14": 639577},
-	wasmdb.BackendWasmLiftoff:  {"Q1": 6665122, "Q3": 2415426, "Q6": 1160390, "Q12": 6890781, "Q14": 784115},
+	wasmdb.BackendWasmTurbofan: {"Q1": 3093478, "Q3": 1878151, "Q6": 1039389, "Q12": 2865522, "Q14": 631508, "shipmode": 1657569, "priority": 475277},
+	wasmdb.BackendWasmLiftoff:  {"Q1": 4245052, "Q3": 2359749, "Q6": 1160390, "Q12": 3078583, "Q14": 775514, "shipmode": 2122703, "priority": 575958},
 }
 
 // TestRetiredInstructions shows the code quality of both tiers as a count:
 // per query and tier, the instructions retired must repeat exactly from run
 // to run and stay at or below the recorded ceiling; the optimizing tier's
-// must also lie at least 25 % below the PR 12 parent's.
+// must also lie at least 25 % below the PR 12 parent's on TPC-H, and each
+// tier's at least 70 % below its byte-loop count on the two CHAR GROUP BY
+// shapes, where hashing and comparing the key was most of the work.
 // It needs the counter compiled into the run loop:
 //
 //	go test -tags turbofan_count -run TestRetiredInstructions -v .
@@ -55,8 +73,12 @@ func TestRetiredInstructions(t *testing.T) {
 		}
 		return turbofan.Retired()
 	}
-	for _, id := range []string{"Q1", "Q3", "Q6", "Q12", "Q14"} {
-		src, _ := wasmdb.TPCHQuery(id)
+	for _, q := range retiredQueries {
+		id, src := q.id, q.src
+		_, tpch := pr16Retired[id]
+		if tpch {
+			src, _ = wasmdb.TPCHQuery(id)
+		}
 		var now [2]uint64
 		for i, backend := range []wasmdb.Backend{wasmdb.BackendWasmLiftoff, wasmdb.BackendWasmTurbofan} {
 			first, second := measure(src, backend), measure(src, backend)
@@ -66,9 +88,19 @@ func TestRetiredInstructions(t *testing.T) {
 			if ceiling := retiredCeiling[backend][id]; first > ceiling {
 				t.Errorf("%s on %v: %d instructions retired, ceiling %d", id, backend, first, ceiling)
 			}
+			if before := charByteLoop[backend][id]; !tpch && float64(first) > 0.3*float64(before) {
+				t.Errorf("%s on %v: %d instructions retired, not 70 %% below the byte-loop count %d", id, backend, first, before)
+			}
 			now[i] = first
 		}
-		t.Logf("%-3s tier 1: PR 16 %9d  now %9d  %+.1f %%   tier 2: PR 12 %9d  PR 16 %9d  now %9d  %+.1f %%   tier 1 / tier 2 %.2f",
+		before := [2]uint64{charByteLoop[wasmdb.BackendWasmLiftoff][id], charByteLoop[wasmdb.BackendWasmTurbofan][id]}
+		t.Logf("%-8s byte-loop CHAR → now:  tier 1 %9d → %9d  %+.1f %%   tier 2 %9d → %9d  %+.1f %%",
+			id, before[0], now[0], 100*(float64(now[0])/float64(before[0])-1),
+			before[1], now[1], 100*(float64(now[1])/float64(before[1])-1))
+		if !tpch {
+			continue
+		}
+		t.Logf("%-8s tier 1: PR 16 %9d  now %9d  %+.1f %%   tier 2: PR 12 %9d  PR 16 %9d  now %9d  %+.1f %%   tier 1 / tier 2 %.2f",
 			id, pr16Baseline[id], now[0], 100*(float64(now[0])/float64(pr16Baseline[id])-1),
 			pr12Retired[id], pr16Retired[id], now[1], 100*(float64(now[1])/float64(pr16Retired[id])-1),
 			float64(now[0])/float64(now[1]))
