@@ -171,9 +171,6 @@ func TestJoinBuildDegenerate(t *testing.T) {
 		// row that lands inside the cluster walks out of it, so the probe side
 		// is kept short: five conjuncts that hold for every build row make
 		// the planner take bld (estimated at a 32nd) for the smaller side.
-		// The vectorized interpreter's own insert walks the whole run for
-		// every tuple — 3 s here, 35 s under the race detector, where it is
-		// left out: it runs nothing concurrently.
 		bld := make([][]types.Value, 10_000)
 		for i := range bld {
 			bld[i] = ints(7, i)
@@ -183,8 +180,7 @@ func TestJoinBuildDegenerate(t *testing.T) {
 		db := joinTables(t, ddl, map[string][][]types.Value{"bld": bld, "prb": prb})
 		const src = "SELECT COUNT(*), SUM(bld.tag), SUM(prb.val) FROM bld, prb WHERE bld.k = prb.k" +
 			" AND bld.tag >= 0 AND bld.tag < 10000 AND bld.k < 8 AND bld.k > 6 AND bld.tag <= 9999"
-		runJoinCase(t, db, joinCase{name: "count", adhoc: src, want: "20000|99990000|30000", parallel: true,
-			skip: func(b wasmdb.Backend) bool { return raceEnabled && b == wasmdb.BackendVectorized }})
+		runJoinCase(t, db, joinCase{name: "count", adhoc: src, want: "20000|99990000|30000", parallel: true})
 		if b := buildBarrier(t, db, src); b["tuples"] != 10_000 {
 			t.Errorf("build barrier reported %v; want bld (10000 tuples) on the build side", b)
 		}
