@@ -2,6 +2,7 @@ package wasmdb_test
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -161,6 +162,53 @@ func TestCreateInsertQuery(t *testing.T) {
 	}
 	if res.NumRows() != 1 || res.Row(0)[0] != "4" || res.Row(0)[1] != "53.74" {
 		t.Fatalf("unexpected: %v", res.Row(0))
+	}
+}
+
+// TestDeepExpressionVectorized evaluates a CASE of 40 WHENs — more scratch
+// vectors per batch than the vectorized engine keeps in its fixed pool — on
+// the vectorized backend and through auto, which routes a table this small
+// there, and requires volcano's answer from both.
+func TestDeepExpressionVectorized(t *testing.T) {
+	db := wasmdb.Open()
+	if err := db.Exec("CREATE TABLE deep (k INT, v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	values := make([]string, 2000)
+	for i := range values {
+		values[i] = fmt.Sprintf("(%d, %d)", i, i%50)
+	}
+	if err := db.Exec("INSERT INTO deep VALUES " + strings.Join(values, ", ")); err != nil {
+		t.Fatal(err)
+	}
+	var c strings.Builder
+	c.WriteString("CASE")
+	for w := 0; w < 40; w++ {
+		fmt.Fprintf(&c, " WHEN v = %d THEN k * %d", w, w+1)
+	}
+	c.WriteString(" ELSE k END")
+	for _, q := range []struct {
+		src     string
+		ordered bool
+	}{
+		{"SELECT SUM(" + c.String() + ") FROM deep", false},
+		{"SELECT k, " + c.String() + " FROM deep WHERE k < 300 ORDER BY k", true},
+		{"SELECT v, SUM(" + c.String() + ") FROM deep GROUP BY v", false},
+	} {
+		ref, err := db.Query(q.src, wasmdb.WithBackend(wasmdb.BackendVolcano))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := formatSorted(t, ref, q.ordered)
+		for _, b := range []wasmdb.Backend{wasmdb.BackendVectorized, wasmdb.BackendAuto} {
+			res, err := db.Query(q.src, wasmdb.WithBackend(b))
+			if err != nil {
+				t.Fatalf("%v: %v\nquery: %s", b, err, q.src)
+			}
+			if got := formatSorted(t, res, q.ordered); got != want {
+				t.Errorf("%v disagrees with volcano on %.60q…:\n%s\nwant\n%s", b, q.src, clip(got), clip(want))
+			}
+		}
 	}
 }
 
