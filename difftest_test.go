@@ -33,11 +33,12 @@ func formatSorted(t *testing.T, r *wasmdb.Result, ordered bool) string {
 	return strings.Join(lines, "\n")
 }
 
+// diffQuery runs src on every backend and on auto and requires one answer.
 func diffQuery(t *testing.T, db *wasmdb.DB, src string, ordered bool) {
 	t.Helper()
 	var ref string
 	var refBackend wasmdb.Backend
-	for _, b := range allBackends {
+	for _, b := range append(allBackends[:len(allBackends):len(allBackends)], wasmdb.BackendAuto) {
 		res, err := db.Query(src, wasmdb.WithBackend(b))
 		if err != nil {
 			t.Fatalf("%v: %v\nquery: %s", b, err, src)
@@ -117,6 +118,9 @@ func TestMicroDifferential(t *testing.T) {
 		{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 10 OR l_quantity > 45", false},
 		{"SELECT EXTRACT(YEAR FROM o_orderdate) AS y, COUNT(*) FROM orders GROUP BY EXTRACT(YEAR FROM o_orderdate) ORDER BY y", true},
 		{"SELECT SUM(CASE WHEN l_discount > 0.05 THEN l_extendedprice ELSE 0 END) FROM lineitem", false},
+		// An INT CASE whose BIGINT literal arm is cast down to INT.
+		{"SELECT SUM(CASE WHEN l_linenumber > 3 THEN l_linenumber ELSE 0 END) FROM lineitem", false},
+		{"SELECT l_returnflag, SUM(CASE WHEN l_linenumber > 3 THEN l_linenumber ELSE 0 END) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag", true},
 		{"SELECT COUNT(*) FROM lineitem WHERE l_commitdate < l_receiptdate", false},
 		{"SELECT COUNT(*) FROM lineitem WHERE l_shipdate >= DATE '1995-01-01' AND l_shipdate < DATE '1996-01-01'", false},
 		{"SELECT COUNT(*), AVG(l_quantity) FROM lineitem WHERE l_discount = 0.03", false},

@@ -519,6 +519,8 @@ func (g *gen) cast(e *env, x *sema.Cast) {
 	switch {
 	case from.Kind == types.Int32 && to.Kind == types.Int64:
 		f.Op(wasm.OpI64ExtendI32S)
+	case from.Kind == types.Int64 && to.Kind == types.Int32:
+		f.Op(wasm.OpI32WrapI64)
 	case from.Kind == types.Int32 && to.Kind == types.Float64:
 		f.Op(wasm.OpF64ConvertI32S)
 	case from.Kind == types.Int64 && to.Kind == types.Float64:

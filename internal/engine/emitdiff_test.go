@@ -434,6 +434,175 @@ var hazards = []hazard{
 		f.I64Store(0) // … the same address is stored to
 		f.I64Load(0)
 	}, func(x, y uint64) (uint64, string) { return ok(y) }},
+	{"a local's constant reassigned inside a loop dies at the loop label", func(f *wasm.FuncBuilder, z wasm.Local, _, _ uint32) {
+		f.I64Const(1)
+		f.LocalSet(z)
+		f.Block(wasm.BlockVoid)
+		f.Loop(wasm.BlockVoid)
+		f.LocalGet(z) // 1 only on the first iteration
+		f.I64Const(2)
+		f.Op(wasm.OpI64GeU)
+		f.BrIf(1)
+		f.I64Const(2)
+		f.LocalSet(z)
+		f.LocalGet(z) // 2 until the back-edge
+		f.LocalGet(0)
+		f.I64Add()
+		f.LocalSet(0)
+		f.Br(0)
+		f.End()
+		f.End()
+		f.LocalGet(0)
+		f.LocalGet(z)
+		f.I64Mul()
+	}, func(x, y uint64) (uint64, string) { return ok((x + 2) * 2) }},
+	{"a local set to a computed value forgets its constant", func(f *wasm.FuncBuilder, z wasm.Local, _, _ uint32) {
+		f.I64Const(4)
+		f.LocalSet(z)
+		f.LocalGet(0)
+		f.LocalGet(1)
+		f.I64Add()
+		f.LocalSet(z) // forwarded into the addition
+		f.LocalGet(z)
+		f.I64Const(3)
+		f.I64Mul()
+		f.I64Const(5)
+		f.LocalSet(z)
+		f.LocalGet(1)
+		f.LocalSet(z) // a move
+		f.LocalGet(z)
+		f.I64Add()
+	}, func(x, y uint64) (uint64, string) { return ok((x+y)*3 + y) }},
+	{"a fused br_if with values below it to flush", func(f *wasm.FuncBuilder, _ wasm.Local, _, _ uint32) {
+		f.LocalGet(0)
+		f.I64Const(10)
+		f.I64Add() // in a register
+		f.LocalGet(1)
+		f.I64Const(3)
+		f.Block(wasm.BlockVoid)
+		f.LocalGet(0)
+		f.I64Const(1)
+		f.I64Add() // the comparison's operand sits above the flushed values
+		f.LocalGet(1)
+		f.Op(wasm.OpI64LtU)
+		f.BrIf(0)
+		f.I64Const(100)
+		f.LocalSet(1) // the alias below was flushed before the branch
+		f.End()
+		f.I64Add()
+		f.I64Add()
+		f.LocalGet(1)
+		f.Op(wasm.OpI64Xor)
+	}, func(x, y uint64) (uint64, string) {
+		s := x + 10 + y + 3
+		if x+1 < y {
+			return ok(s ^ y)
+		}
+		return ok(s ^ 100)
+	}},
+	{"a fused br_if that carries a value over ones it unwinds", func(f *wasm.FuncBuilder, _ wasm.Local, _, _ uint32) {
+		f.Block(wasm.BlockOf(wasm.I64))
+		f.LocalGet(0)
+		f.I64Const(10)
+		f.I64Add()
+		f.LocalGet(1)
+		f.I64Const(3)
+		f.LocalGet(0)
+		f.LocalGet(1)
+		f.Op(wasm.OpI64LtU)
+		f.BrIf(0)
+		f.I64Add()
+		f.I64Add()
+		f.End()
+	}, func(x, y uint64) (uint64, string) {
+		if x < y {
+			return ok(3)
+		}
+		return ok(x + 10 + y + 3)
+	}},
+	{"if on eqz", func(f *wasm.FuncBuilder, _ wasm.Local, _, _ uint32) {
+		f.LocalGet(0)
+		f.I64Const(5)
+		f.I64Add()
+		f.LocalGet(1)
+		f.Op(wasm.OpI64Eqz)
+		f.If(wasm.BlockOf(wasm.I64))
+		f.I64Const(7)
+		f.Else()
+		f.LocalGet(1)
+		f.Op(wasm.OpI32WrapI64) // zero when only the high half is set
+		f.I32Eqz()
+		f.If(wasm.BlockOf(wasm.I64))
+		f.I64Const(11)
+		f.Else()
+		f.LocalGet(1)
+		f.End()
+		f.End()
+		f.I64Add()
+	}, func(x, y uint64) (uint64, string) {
+		switch {
+		case y == 0:
+			return ok(x + 5 + 7)
+		case uint32(y) == 0:
+			return ok(x + 5 + 11)
+		}
+		return ok(x + 5 + y)
+	}},
+	{"i64 constants at and beyond the branch literal's range", func(f *wasm.FuncBuilder, z wasm.Local, _, _ uint32) {
+		for i, c := range []int64{1 << 40, 1 << 31, -1 << 31, -1 << 32} {
+			f.Block(wasm.BlockVoid)
+			f.LocalGet(0)
+			f.I64Const(c)
+			f.Op(wasm.OpI64GtS)
+			f.BrIf(0)
+			f.LocalGet(z)
+			f.I64Const(1 << i)
+			f.I64Add()
+			f.LocalSet(z)
+			f.End()
+		}
+		f.LocalGet(z)
+	}, func(x, y uint64) (uint64, string) {
+		var r uint64
+		for i, c := range []int64{1 << 40, 1 << 31, -1 << 31, -1 << 32} {
+			if int64(x) <= c {
+				r += 1 << i
+			}
+		}
+		return ok(r)
+	}},
+	{"a constant division by zero does not fold", func(f *wasm.FuncBuilder, _ wasm.Local, _, _ uint32) {
+		f.I64Const(123)
+		f.GlobalSet(0)
+		f.I32Const(7)
+		f.I32Const(0)
+		f.Op(wasm.OpI32DivS)
+		f.Op(wasm.OpI64ExtendI32S)
+		f.I64Const(456)
+		f.GlobalSet(0)
+	}, func(x, y uint64) (uint64, string) { return 123, "integer divide by zero" }},
+	{"a constant-condition select keeps an arm in a register", func(f *wasm.FuncBuilder, _ wasm.Local, _, _ uint32) {
+		c := f.AddLocal(wasm.I32)
+		f.I32Const(0)
+		f.LocalSet(c)
+		f.LocalGet(0)
+		f.I64Const(1)
+		f.I64Add()
+		f.LocalGet(1)
+		f.I64Const(2)
+		f.I64Mul()
+		f.LocalGet(c) // the false arm, in the register above the result's
+		f.Select()
+		f.LocalGet(0)
+		f.I64Const(3)
+		f.I64Add()
+		f.LocalGet(1)
+		f.I64Const(5)
+		f.I64Add()
+		f.I32Const(1) // the true arm, already in the result's register
+		f.Select()
+		f.Op(wasm.OpI64Xor)
+	}, func(x, y uint64) (uint64, string) { return ok(2*y ^ (x + 3)) }},
 	{"constants left of operations without a mirror", func(f *wasm.FuncBuilder, _ wasm.Local, _, _ uint32) {
 		f.I64Const(100)
 		f.LocalGet(0)

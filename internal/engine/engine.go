@@ -101,9 +101,11 @@ func (t Tier) String() string {
 // Config configures an Engine.
 type Config struct {
 	Tier Tier
-	// OptRounds overrides the optimizing tier's optimization budget
-	// (default turbofan.DefaultOptRounds). Large values model heavier,
-	// LLVM-grade compilation pipelines (used by the HyPer-like baseline).
+	// OptRounds exists only to model the HyPer-like baseline's compile cost:
+	// values above turbofan.DefaultOptRounds (the default) repeat the
+	// optimizing tier's dead-code elimination, spending the time a heavier,
+	// LLVM-grade pipeline would; the code it yields for the TPC-H queries is
+	// the same as with one round.
 	OptRounds int
 	// TierPolicy, when non-nil under TierAdaptive, gates background
 	// optimization per compiled module: Compile consults it once with the

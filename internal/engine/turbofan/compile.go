@@ -16,8 +16,6 @@ type Code struct {
 	MaxStack int
 	ins      []tin
 	tables   [][]uint32 // br_table jump tables (pcs)
-	// Passes reports how many optimization passes ran (0 for baseline code).
-	Passes int
 }
 
 // CompileBaseline is the baseline compiler — the engine's tier 1, what V8
@@ -36,25 +34,28 @@ func Compile(m *wasm.Module, fn *wasm.Func) (*Code, error) {
 	return CompileRounds(m, fn, DefaultOptRounds)
 }
 
-// DefaultOptRounds is the standard number of optimization rounds — the
-// TurboFan-grade setting. Higher values model heavier (LLVM-grade)
-// optimizing compilers: each round re-runs folding, fusion, jump threading,
-// and liveness-based DCE over the whole block graph, so compile time grows
-// accordingly while code quality saturates.
-const DefaultOptRounds = 2
+// DefaultOptRounds is the optimizing tier's number of optimization rounds.
+// One round is all the code needs; larger values model the compile cost of a
+// heavier (LLVM-grade) optimizing compiler, the HyPer-like baseline's.
+const DefaultOptRounds = 1
 
 // CompileRounds is the optimizing compiler with an explicit optimization
-// budget: the baseline emitter's output, split into basic blocks, optimized,
-// given its final instruction forms and laid out again.
+// budget: the baseline emitter's output, split into basic blocks, given its
+// final instruction forms (isel.go) with liveness-based dead-code elimination
+// and laid out again with its loops rotated. Every round runs the dead-code
+// elimination, the last one instruction selection with it.
 func CompileRounds(m *wasm.Module, fn *wasm.Func, rounds int) (*Code, error) {
 	c, err := emitFunc(m, fn)
 	if err != nil {
 		return nil, fmt.Errorf("turbofan: %s: %w", fn.Name, err)
 	}
 	g := buildBlocks(c.ins, c.tables)
-	opt := &optimizer{g: g, nRegs: c.NLocals + c.MaxStack, code: c, rounds: rounds}
-	opt.run()
-	c.Passes = opt.passes
+	o := &optimizer{g: g, nRegs: c.NLocals + c.MaxStack, code: c}
+	for r := 1; r < rounds; r++ {
+		o.deadCodeElim(false)
+	}
+	o.selectInstructions()
+	o.deadCodeElim(true)
 	linearize(c, g)
 	return c, nil
 }

@@ -20,7 +20,17 @@ import (
 // writes its result to the canonical register of the position it pushes.
 // local.set and local.tee retarget the destination of the instruction that
 // just produced the top of the stack instead of copying it, and a constant
-// shift directly in front of a load becomes the load's scaled form.
+// shift directly in front of a load becomes the load's scaled form. An
+// operation whose operands are all constant is evaluated here (pureEval) and
+// pushes its result as a constant; a select with a constant condition keeps
+// one arm. A br_if or if whose condition a comparison or eqz has just
+// computed takes that instruction back and becomes one compare-and-branch.
+//
+// Besides constant slots, a local counts as constant where an operation
+// folds or takes an immediate: a local.set of a constant records it, and
+// every control instruction forgets all such records at once by advancing
+// an epoch, so the record never outlives the straight-line code it was made
+// in — it needs no liveness.
 //
 // Two rules keep the abstraction sound. Before local x is overwritten, every
 // slot that still says "the value is in x" is copied to its canonical
@@ -71,6 +81,16 @@ type emitter struct {
 	// stack" only while it is the last one emitted and no label has been bound
 	// behind it; control instructions reset it to -1.
 	lastDef int
+	// consts[x] is the constant local x was last set to; it holds while its
+	// epoch is the emitter's, which every control instruction advances. The
+	// first local.set of a constant allocates it.
+	consts []localConst
+	epoch  uint32
+}
+
+type localConst struct {
+	v     uint64
+	epoch uint32
 }
 
 // emitFunc translates one validated function body.
@@ -91,6 +111,7 @@ func emitFunc(m *wasm.Module, fn *wasm.Func) (*Code, error) {
 		labels:  make([]label, 1, 8),
 		live:    true,
 		lastDef: -1,
+		epoch:   1,
 	}
 	e.labels[0] = label{arity: len(ft.Results), liveIn: true, pending: -1, elseJump: -1}
 	for i := range fn.Body {
@@ -173,9 +194,52 @@ func (e *emitter) producer() *tin {
 	return nil
 }
 
+// constant returns the value of stack position i when it is a constant or a
+// local last set to one since the last control instruction.
+func (e *emitter) constant(i int) (uint64, bool) {
+	switch s := e.stack[i]; s.kind {
+	case isConst:
+		return s.v, true
+	case inLocal:
+		if e.consts != nil && e.consts[s.v].epoch == e.epoch {
+			return e.consts[s.v].v, true
+		}
+	}
+	return 0, false
+}
+
+// fold replaces the top n stack positions, the constant operands of op, with
+// the constant op computes from x and y, if op may be evaluated here.
+func (e *emitter) fold(op uint16, n int, x, y uint64) bool {
+	v, ok := pureEval(op, x, y)
+	if !ok {
+		return false
+	}
+	c := wasm.OpI32Const
+	switch t, _ := wasm.Opcode(op).ResultType(); t {
+	case wasm.I64:
+		c = wasm.OpI64Const
+	case wasm.F32:
+		c = wasm.OpF32Const
+	case wasm.F64:
+		c = wasm.OpF64Const
+	}
+	e.stack = e.stack[:len(e.stack)-n+1]
+	e.stack[len(e.stack)-1] = slot{kind: isConst, op: uint16(c), v: v}
+	return true
+}
+
 // setLocal emits local.set (tee=false) or local.tee of local x.
 func (e *emitter) setLocal(x int32, tee bool) {
 	top := len(e.stack) - 1
+	if c, ok := e.constant(top); ok {
+		if e.consts == nil {
+			e.consts = make([]localConst, e.code.NLocals)
+		}
+		e.consts[x] = localConst{c, e.epoch}
+	} else if e.consts != nil {
+		e.consts[x].epoch = 0 // never current: the epoch starts at 1
+	}
 	for i := 0; i < top; i++ {
 		if s := &e.stack[i]; s.kind == inLocal && int32(s.v) == x {
 			e.emit(tin{op: tMove, d: e.base + int32(i), a: x})
@@ -202,12 +266,17 @@ func (e *emitter) setLocal(x int32, tee bool) {
 	}
 }
 
-// binary emits a two-operand value operation. A constant operand selects the
-// immediate form where the table has one; the right-hand constant wins when
-// both are.
+// binary emits a two-operand value operation. Two constant operands fold; one
+// selects the immediate form where the table has one, and the right-hand
+// constant wins when both are but the operation cannot be evaluated here (it
+// may trap).
 func (e *emitter) binary(op uint16) {
 	n := len(e.stack)
-	l, r := &e.stack[n-2], &e.stack[n-1]
+	lc, lok := e.constant(n - 2)
+	rc, rok := e.constant(n - 1)
+	if lok && rok && e.fold(op, 2, lc, rc) {
+		return
+	}
 	t := tin{op: op, d: e.base + int32(n-2)}
 	var (
 		form  uint16
@@ -216,10 +285,10 @@ func (e *emitter) binary(op uint16) {
 		other = n - 2
 	)
 	switch {
-	case r.kind == isConst:
-		form, c, ok = immForm(op, r.v, false)
-	case l.kind == isConst:
-		form, c, ok = immForm(op, l.v, true)
+	case rok:
+		form, c, ok = immForm(op, rc, false)
+	case lok:
+		form, c, ok = immForm(op, lc, true)
 		other = n - 1
 	}
 	if ok {
@@ -229,7 +298,7 @@ func (e *emitter) binary(op uint16) {
 	}
 	e.def(t)
 	e.stack = e.stack[:n-1]
-	*l = slot{}
+	e.stack[n-2] = slot{}
 }
 
 // load emits a load. A constant shift of the index right in front of it
@@ -308,6 +377,42 @@ func (e *emitter) popCond() int32 {
 	e.stack = e.stack[:top]
 	e.flush(0)
 	return r
+}
+
+// popBranch pops the condition of br_if or if, flushes what stays on the
+// stack and returns the branch taken when the condition holds, its target
+// left to the caller. A comparison or eqz that has just computed the
+// condition is taken back and the branch tests its operands instead
+// (br.<cmp>, br.<cmp>@imm; eqz flips the polarity). The flush cannot
+// overwrite those operands: they are locals or the canonical registers of the
+// positions the comparison popped, which lie above what is flushed.
+func (e *emitter) popBranch() tin {
+	if p := e.producer(); p != nil {
+		if br, ok := fusedBranch(p); ok {
+			e.code.ins = e.code.ins[:len(e.code.ins)-1]
+			e.stack = e.stack[:len(e.stack)-1]
+			e.flush(0)
+			return br
+		}
+	}
+	return tin{op: tJumpIfNot, a: e.popCond()}
+}
+
+// fusedBranch returns the branch taken when comparison or eqz p holds, and
+// whether there is one.
+func fusedBranch(p *tin) (tin, bool) {
+	switch {
+	case p.op == uint16(wasm.OpI32Eqz) || p.op == uint16(wasm.OpI64Eqz):
+		// Registers hold i32 values zero-extended, so testing the whole
+		// register is right for i32.eqz as well.
+		return tin{op: tJumpIfZero, a: p.a}, true
+	case ops[p.op].kind == kindBinImm:
+		// A constant the fused form cannot hold keeps the comparison: no
+		// worse than loading the constant.
+		b, fits := brImmOperand(p.op >= tI64EqImm, p.imm)
+		return tin{op: ops[p.op].br, a: p.a, b: b}, fits && ops[p.op].br != 0
+	}
+	return tin{op: ops[p.op].br, a: p.a, b: p.b}, ops[p.op].br != 0
 }
 
 // ret emits return: the results move to the bottom of the stack.
@@ -392,9 +497,22 @@ func (e *emitter) instr(in *wasm.Instr) error {
 		e.push(slot{})
 		return nil
 	case wasm.OpSelect:
+		if c, ok := e.constant(n - 1); ok {
+			// A constant condition keeps one arm, moved to the result's
+			// position if it is in the false arm's register.
+			keep := e.stack[n-3]
+			if c == 0 {
+				if keep = e.stack[n-2]; keep.kind == inReg {
+					e.def(tin{op: tMove, d: e.base + int32(n-3), a: e.base + int32(n-2)})
+				}
+			}
+			e.stack = e.stack[:n-2]
+			e.stack[n-3] = keep
+			return nil
+		}
 		d, cond, a := e.base+int32(n-3), e.reg(n-1), e.reg(n-3)
-		if f := &e.stack[n-2]; f.kind == isConst && f.v <= math.MaxUint32 {
-			e.def(tin{op: tSelectImm, d: d, a: a, b: int32(uint32(f.v)), imm: uint64(cond)})
+		if f, ok := e.constant(n - 2); ok && f <= math.MaxUint32 {
+			e.def(tin{op: tSelectImm, d: d, a: a, b: int32(uint32(f)), imm: uint64(cond)})
 		} else {
 			e.def(tin{op: tSelect, d: d, a: a, b: e.reg(n - 2), imm: uint64(cond)})
 		}
@@ -413,6 +531,9 @@ func (e *emitter) instr(in *wasm.Instr) error {
 		e.load(op, in.A)
 		return nil
 	case kindUn, kindMemoryGrow:
+		if c, ok := e.constant(n - 1); ok && e.fold(op, 1, c, 0) {
+			return nil
+		}
 		e.def(tin{op: op, d: e.base + int32(n-1), a: e.reg(n - 1)})
 		e.stack[n-1] = slot{}
 		return nil
@@ -423,8 +544,7 @@ func (e *emitter) instr(in *wasm.Instr) error {
 	}
 
 	// Control: no instruction behind a label may be taken for the producer of
-	// a value in front of it.
-	e.lastDef = -1
+	// a value in front of it, and no local keeps a constant across one.
 	switch in.Op {
 	case wasm.OpUnreachable:
 		e.emit(tin{op: tUnreachable})
@@ -437,8 +557,9 @@ func (e *emitter) instr(in *wasm.Instr) error {
 		e.flush(0)
 		e.pushLabel(in, label{height: n, liveIn: true, elseJump: -1, startPC: e.pc()})
 	case wasm.OpIf:
-		cond := e.popCond()
-		e.pushLabel(in, label{height: n - 1, liveIn: true, elseJump: e.emit(tin{op: tJumpIfZero, a: cond, imm: ^uint64(0)})})
+		br := e.popBranch()
+		br.op, br.imm = ops[br.op].inv, ^uint64(0)
+		e.pushLabel(in, label{height: n - 1, liveIn: true, elseJump: e.emit(br)})
 	case wasm.OpElse:
 		l := &e.labels[len(e.labels)-1]
 		e.flush(0)
@@ -462,16 +583,19 @@ func (e *emitter) instr(in *wasm.Instr) error {
 		if err != nil {
 			return err
 		}
-		cond := e.popCond()
+		br := e.popBranch()
 		switch src := len(e.stack); {
 		case l.isLoop && src == l.height:
-			e.emit(tin{op: tJumpIfNot, a: cond, imm: uint64(l.startPC)})
+			br.imm = uint64(l.startPC)
+			e.emit(br)
 		case !l.isLoop && src-l.arity == l.height:
-			l.pending = e.emit(tin{op: tJumpIfNot, a: cond, imm: uint64(int64(l.pending))})
+			br.imm = uint64(int64(l.pending))
+			l.pending = e.emit(br)
 			l.endLive = true
 		default:
 			// The taken path has values to move: branch around it.
-			skip := e.emit(tin{op: tJumpIfZero, a: cond})
+			br.op = ops[br.op].inv
+			skip := e.emit(br)
 			e.branchTo(l)
 			e.code.ins[skip].imm = uint64(e.pc())
 		}
@@ -511,5 +635,7 @@ func (e *emitter) instr(in *wasm.Instr) error {
 	default:
 		return fmt.Errorf("unhandled opcode %s", in.Op)
 	}
+	e.lastDef = -1
+	e.epoch++
 	return nil
 }

@@ -301,7 +301,7 @@ func TestAbstractStack(t *testing.T) {
    6  i64.add            r1 ← r1, r2
    7  return             
 `},
-		{"both operands constant", nil, i32, func(f *wasm.FuncBuilder) {
+		{"both operands constant: folded unless it traps", nil, i32, func(f *wasm.FuncBuilder) {
 			f.I32Const(6)
 			f.I32Const(35)
 			f.Op(wasm.OpI32Shl)
@@ -310,13 +310,73 @@ func TestAbstractStack(t *testing.T) {
 			f.Op(wasm.OpI32DivU)
 			f.I32Add()
 		}, `
-   0  i32.const          r0 ← 6
-   1  i32.shl@imm        r0 ← r0, 3
-   2  i32.const          r1 ← 3
-   3  i32.const          r2 ← 0
-   4  i32.div_u          r1 ← r1, r2
-   5  i32.add            r0 ← r0, r1
-   6  return             
+   0  i32.const          r1 ← 3
+   1  i32.const          r2 ← 0
+   2  i32.div_u          r1 ← r1, r2
+   3  i32.add@imm        r0 ← r1, 48
+   4  return             
+`},
+		{"a local set to a constant is one until control", []wasm.ValType{i64}, i64, func(f *wasm.FuncBuilder) {
+			f.I64Const(3)
+			f.LocalSet(f.AddLocal(i64))
+			f.LocalGet(0)
+			f.LocalGet(1)
+			f.I64Mul()
+			f.LocalGet(1)
+			f.I64Const(4)
+			f.I64Add()
+			f.I64Add()
+			f.Block(wasm.BlockVoid)
+			f.End()
+			f.LocalGet(1)
+			f.I64Add()
+		}, `
+   0  i64.const          r1 ← 3
+   1  i64.mul@imm        r2 ← r0, 3
+   2  i64.add@imm        r2 ← r2, 7
+   3  i64.add            r2 ← r2, r1
+   4  return             
+`},
+		{"a comparison feeding br_if or if is its branch", []wasm.ValType{i32, i32}, i32, func(f *wasm.FuncBuilder) {
+			f.Block(wasm.BlockVoid)
+			f.LocalGet(0)
+			f.I32Const(9)
+			f.I32LtS()
+			f.BrIf(0)
+			f.LocalGet(0)
+			f.LocalGet(1)
+			f.Op(wasm.OpI32GeU)
+			f.BrIf(0)
+			f.LocalGet(1)
+			f.I32Eqz()
+			f.If(wasm.BlockVoid)
+			f.I32Const(1)
+			f.LocalSet(0)
+			f.End()
+			f.End()
+			f.LocalGet(0)
+		}, `
+   0  br.i32.lt_s@imm    r0, 9 → @4
+   1  br.i32.ge_u        r0, r1 → @4
+   2  br.nez             r1 → @4
+   3  i32.const          r0 ← 1
+   4  move               r2 ← r0
+   5  return             
+`},
+		{"select with a constant condition keeps one arm", []wasm.ValType{i32, i32}, i32, func(f *wasm.FuncBuilder) {
+			f.LocalGet(0)
+			f.LocalGet(1)
+			f.I32Const(1)
+			f.Select()
+			f.LocalGet(0)
+			f.LocalGet(1)
+			f.I32Mul()
+			f.I32Const(0)
+			f.Select()
+		}, `
+   0  i32.mul            r3 ← r0, r1
+   1  move               r2 ← r3
+   2  return             
 `},
 		{"scaled load only right behind the shift", []wasm.ValType{i32}, i64, func(f *wasm.FuncBuilder) {
 			f.LocalGet(0)

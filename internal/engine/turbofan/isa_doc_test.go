@@ -26,9 +26,8 @@ var shapes = map[opKind]string{
 }
 
 // optimizerOnly are the operand shapes the baseline compiler never produces:
-// they come out of the optimizer's fusion, its back end or linearization.
-var optimizerOnly = map[opKind]bool{kindBrCmp: true, kindBrCmpImm: true, kindLoadIndexed: true,
-	kindMemOp: true, kindMemOpImm: true, kindNop: true}
+// they come out of the optimizer's back end or linearization.
+var optimizerOnly = map[opKind]bool{kindLoadIndexed: true, kindMemOp: true, kindMemOpImm: true, kindNop: true}
 
 // OutsideBaseline returns the name of the first instruction of c that has an
 // optimizer-only shape, or "" — what the ISA table's last column promises of

@@ -9,16 +9,17 @@ import (
 
 // Instruction selection: the back end of the optimizing compiler. The emitter
 // has already chosen every form it can see from one instruction and the
-// abstract stack; this pass runs once, inside the last optimization round,
-// and adds the forms that need dataflow facts — a constant that reached its
-// use through a local or a copy, an address computed several instructions
-// before the load. It has two halves:
+// abstract stack; this pass runs once, in the last optimization round, and
+// adds the forms that need dataflow facts — a constant that reached its use
+// through a local or a move past a control instruction, where the emitter
+// forgets it, an address computed several instructions before the load. It
+// has two halves:
 //
 //   - selectInstructions, a forward pass over every block before dead-code
-//     elimination. It only rewrites *uses* — a constant operand becomes an
-//     immediate, a shifted or summed address moves into the load — so the
-//     instructions that computed those operands become dead and the round's
-//     ordinary DCE removes them.
+//     elimination. It only rewrites *uses* — a use of a move's destination
+//     reads its source, a constant operand becomes an immediate, a shifted
+//     or summed address moves into the load — so the instructions that
+//     computed those operands become dead and the round's DCE removes them.
 //   - peephole, called by DCE's removal walk at every surviving instruction.
 //     Its rewrites need to know that a register is dead afterwards, which is
 //     exactly what that walk tracks, so they cost no liveness analysis of
@@ -68,8 +69,7 @@ func (s *selector) constOf(r int32) (uint64, bool) {
 	return 0, false
 }
 
-// resolve looks through a move: the moves this pass creates (x*1) come after
-// the round's copy propagation.
+// resolve looks through a move of this block whose source is still intact.
 func (s *selector) resolve(r int32) int32 {
 	if i := s.def(r); i >= 0 && s.ins[i].op == tMove && s.stable(s.ins[i].a, i) {
 		return s.ins[i].a
@@ -194,7 +194,7 @@ func (s *selector) selectLoad(t *tin) {
 // Destination forwarding: `op x ← …; move l ← x` with x dead afterwards
 // becomes `op l ← …`. The emitter forwards a local.set or local.tee that
 // directly follows the producing instruction; this catches the moves that
-// copy propagation and the block-end flushes leave behind.
+// selection and the block-end flushes leave behind.
 //
 // Read-modify-write: `i64.load x ← [a+off]; i64.add x ← x, y; i64.store
 // [a+off] ← x` with x dead afterwards — the update of an aggregate slot —

@@ -230,7 +230,7 @@ func TestDestinationForwarding(t *testing.T) {
 			f.LocalSet(l)
 		}
 		// A block boundary, so the local is live out of the block that set
-		// it and copy propagation cannot bypass it.
+		// it and no move can be bypassed.
 		f.LocalGet(0)
 		f.Op(wasm.OpI64Eqz)
 		f.If(wasm.BlockVoid)

@@ -7,28 +7,26 @@
 //   - the baseline compiler (CompileBaseline, the engine's TierLiftoff) is
 //     the single-pass emitter of emit.go alone: an abstract value stack whose
 //     slots are register, local or constant, so local.get and the constants
-//     cost no instruction, a constant operand selects an immediate form, a
+//     cost no instruction, a constant operand selects an immediate form,
+//     constant operands fold, a comparison fuses into the branch it feeds, a
 //     local.set retargets the instruction before it — no IR, no liveness, no
 //     second pass;
 //   - the optimizing compiler (Compile, TierTurbofan) starts from the same
-//     emitter's output, splits it into basic blocks and runs OptRounds rounds
-//     of block-local constant folding and copy propagation,
-//     compare-and-branch fusion, jump threading and global liveness-based
-//     dead-code elimination (opt.go); inside the last round its back end
-//     (isel.go) selects the forms only dataflow facts justify — immediates of
-//     propagated constants, scaled and indexed addressing across
-//     instructions, multiply strength reduction, read-modify-write
-//     accumulation — and linearization rotates small loop headers into
-//     bottom-tested loops.
+//     emitter's output, splits it into basic blocks and adds what needs
+//     dataflow facts: its back end (isel.go) selects the forms only those
+//     justify — immediates of constants that reached their use through a
+//     local or a move, scaled and indexed addressing across instructions,
+//     multiply strength reduction, read-modify-write accumulation — with
+//     global liveness-based dead-code elimination (opt.go), and
+//     linearization rotates small loop headers into bottom-tested loops.
 //
 // The ops table gives every instruction's operand shape and its related
 // forms; it drives the emitter's form selection, the dataflow passes, the
 // disassembler and the tests that keep the dispatch switch in run.go dense
 // and complete. The optimizing compiler costs several passes over a graph —
-// an order of magnitude more than the baseline's one — and yields
-// correspondingly faster code, reproducing the tier asymmetry the paper's
-// architecture delegates to V8. (The package keeps the name of its first
-// tenant.)
+// an order of magnitude more than the baseline's one — and yields faster
+// code, reproducing the tier asymmetry the paper's architecture delegates to
+// V8. (The package keeps the name of its first tenant.)
 package turbofan
 
 import (
@@ -258,7 +256,6 @@ type opInfo struct {
 	traps bool
 	// Related forms, 0 when there is none:
 	imm     uint16 // the same operation with a constant right-hand operand
-	reg     uint16 // immediate form → the operation on two registers (rsub: sub, operands exchanged)
 	swap    uint16 // the operation with its operands exchanged: a op b == b swap a
 	br      uint16 // comparison → the branch taken when it holds
 	inv     uint16 // conditional branch → the branch taken exactly when this one is not
@@ -350,7 +347,7 @@ func buildOps() [numOps]opInfo {
 			cmp.imm = f.cmpImmFam + k
 			cmp.swap = uint16(f.cmp) + intCmpSwap[k]
 			cmp.br = f.br + k
-			t[f.cmpImmFam+k] = opInfo{name: name + "@imm", kind: kindBinImm, reg: uint16(f.cmp) + k, br: f.brImm + k}
+			t[f.cmpImmFam+k] = opInfo{name: name + "@imm", kind: kindBinImm, br: f.brImm + k}
 			t[f.br+k] = opInfo{name: "br." + name, kind: kindBrCmp,
 				imm: f.brImm + k, swap: f.br + intCmpSwap[k], inv: f.br + intCmpInv[k]}
 			t[f.brImm+k] = opInfo{name: "br." + name + "@imm", kind: kindBrCmpImm,
@@ -400,9 +397,9 @@ func buildOps() [numOps]opInfo {
 			if off <= 9 { // add mul and or xor
 				bin.swap = f.add + off
 			}
-			t[bin.imm] = opInfo{name: bin.name + "@imm", kind: kindBinImm, reg: f.add + off}
+			t[bin.imm] = opInfo{name: bin.name + "@imm", kind: kindBinImm}
 		}
-		t[f.imm+8] = opInfo{name: f.ty + ".rsub@imm", kind: kindBinImm, reg: f.add + 1}
+		t[f.imm+8] = opInfo{name: f.ty + ".rsub@imm", kind: kindBinImm}
 	}
 
 	// Addressing modes. Loads that behave identically share a form.
@@ -569,135 +566,36 @@ func regDefs(t *tin, fn func(r int32)) {
 	}
 }
 
-// Comparison kind indices for compile-time evaluation (evalCmp).
-const (
-	cmpI32Eq = iota
-	cmpI32Ne
-	cmpI32LtS
-	cmpI32LtU
-	cmpI32GtS
-	cmpI32GtU
-	cmpI32LeS
-	cmpI32LeU
-	cmpI32GeS
-	cmpI32GeU
-	cmpI64Eq
-	cmpI64Ne
-	cmpI64LtS
-	cmpI64LtU
-	cmpI64GtS
-	cmpI64GtU
-	cmpI64LeS
-	cmpI64LeU
-	cmpI64GeS
-	cmpI64GeU
-	cmpF32Eq
-	cmpF32Ne
-	cmpF32Lt
-	cmpF32Gt
-	cmpF32Le
-	cmpF32Ge
-	cmpF64Eq
-	cmpF64Ne
-	cmpF64Lt
-	cmpF64Gt
-	cmpF64Le
-	cmpF64Ge
-)
-
-// cmpKind maps a wasm comparison opcode to its kind index; ok=false for
-// non-comparison opcodes (including eqz, which fuses differently).
-func cmpKind(op uint16) (int, bool) {
-	switch {
-	case op >= uint16(wasm.OpI32Eq) && op <= uint16(wasm.OpI32GeU):
-		return cmpI32Eq + int(op) - int(wasm.OpI32Eq), true
-	case op >= uint16(wasm.OpI64Eq) && op <= uint16(wasm.OpI64GeU):
-		return cmpI64Eq + int(op) - int(wasm.OpI64Eq), true
-	case op >= uint16(wasm.OpF32Eq) && op <= uint16(wasm.OpF32Ge):
-		return cmpF32Eq + int(op) - int(wasm.OpF32Eq), true
-	case op >= uint16(wasm.OpF64Eq) && op <= uint16(wasm.OpF64Ge):
-		return cmpF64Eq + int(op) - int(wasm.OpF64Eq), true
+// evalCmp evaluates a wasm comparison at compile time; ok is false for any
+// other op. The integer families are ordered eq ne lt_s lt_u gt_s gt_u le_s
+// le_u ge_s ge_u, the float ones eq ne lt gt le ge. An i32 or f32 operand is
+// widened first, which keeps every order and every NaN.
+func evalCmp(op uint16, x, y uint64) (holds, ok bool) {
+	intCmp := func(k wasm.Opcode, sx, sy int64, ux, uy uint64) bool {
+		return [10]bool{ux == uy, ux != uy, sx < sy, ux < uy, sx > sy, ux > uy, sx <= sy, ux <= uy, sx >= sy, ux >= uy}[k]
 	}
-	return 0, false
-}
-
-// evalCmp evaluates comparison kind k on raw values at compile time.
-func evalCmp(k int, x, y uint64) bool {
-	switch k {
-	case cmpI32Eq:
-		return uint32(x) == uint32(y)
-	case cmpI32Ne:
-		return uint32(x) != uint32(y)
-	case cmpI32LtS:
-		return int32(uint32(x)) < int32(uint32(y))
-	case cmpI32LtU:
-		return uint32(x) < uint32(y)
-	case cmpI32GtS:
-		return int32(uint32(x)) > int32(uint32(y))
-	case cmpI32GtU:
-		return uint32(x) > uint32(y)
-	case cmpI32LeS:
-		return int32(uint32(x)) <= int32(uint32(y))
-	case cmpI32LeU:
-		return uint32(x) <= uint32(y)
-	case cmpI32GeS:
-		return int32(uint32(x)) >= int32(uint32(y))
-	case cmpI32GeU:
-		return uint32(x) >= uint32(y)
-	case cmpI64Eq:
-		return x == y
-	case cmpI64Ne:
-		return x != y
-	case cmpI64LtS:
-		return int64(x) < int64(y)
-	case cmpI64LtU:
-		return x < y
-	case cmpI64GtS:
-		return int64(x) > int64(y)
-	case cmpI64GtU:
-		return x > y
-	case cmpI64LeS:
-		return int64(x) <= int64(y)
-	case cmpI64LeU:
-		return x <= y
-	case cmpI64GeS:
-		return int64(x) >= int64(y)
-	case cmpI64GeU:
-		return x >= y
-	case cmpF32Eq:
-		return rt.F32(x) == rt.F32(y)
-	case cmpF32Ne:
-		return rt.F32(x) != rt.F32(y)
-	case cmpF32Lt:
-		return rt.F32(x) < rt.F32(y)
-	case cmpF32Gt:
-		return rt.F32(x) > rt.F32(y)
-	case cmpF32Le:
-		return rt.F32(x) <= rt.F32(y)
-	case cmpF32Ge:
-		return rt.F32(x) >= rt.F32(y)
-	case cmpF64Eq:
-		return rt.F64(x) == rt.F64(y)
-	case cmpF64Ne:
-		return rt.F64(x) != rt.F64(y)
-	case cmpF64Lt:
-		return rt.F64(x) < rt.F64(y)
-	case cmpF64Gt:
-		return rt.F64(x) > rt.F64(y)
-	case cmpF64Le:
-		return rt.F64(x) <= rt.F64(y)
-	case cmpF64Ge:
-		return rt.F64(x) >= rt.F64(y)
+	floatCmp := func(k wasm.Opcode, x, y float64) bool {
+		return [6]bool{x == y, x != y, x < y, x > y, x <= y, x >= y}[k]
 	}
-	return false
+	switch w := wasm.Opcode(op); {
+	case w >= wasm.OpI32Eq && w <= wasm.OpI32GeU:
+		return intCmp(w-wasm.OpI32Eq, int64(int32(x)), int64(int32(y)), uint64(uint32(x)), uint64(uint32(y))), true
+	case w >= wasm.OpI64Eq && w <= wasm.OpI64GeU:
+		return intCmp(w-wasm.OpI64Eq, int64(x), int64(y), x, y), true
+	case w >= wasm.OpF32Eq && w <= wasm.OpF32Ge:
+		return floatCmp(w-wasm.OpF32Eq, float64(rt.F32(x)), float64(rt.F32(y))), true
+	case w >= wasm.OpF64Eq && w <= wasm.OpF64Ge:
+		return floatCmp(w-wasm.OpF64Eq, rt.F64(x), rt.F64(y)), true
+	}
+	return false, false
 }
 
 // pureEval evaluates side-effect-free value operations at compile time for
 // constant folding. Trapping operations (divisions, truncations) and memory
 // operations report ok=false and are never folded.
 func pureEval(op uint16, x, y uint64) (uint64, bool) {
-	if k, ok := cmpKind(op); ok {
-		return rt.B2i(evalCmp(k, x, y)), true
+	if holds, ok := evalCmp(op, x, y); ok {
+		return rt.B2i(holds), true
 	}
 	switch wasm.Opcode(op) {
 	case wasm.OpI32Eqz:

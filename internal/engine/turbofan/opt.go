@@ -1,7 +1,5 @@
 package turbofan
 
-import "wasmdb/internal/wasm"
-
 // A block is a basic block; branch instruction imm fields hold target block
 // ids while optimization runs, and the block falls through to its successor
 // in graph order unless it ends in an unconditional transfer.
@@ -106,252 +104,9 @@ func (g *graph) successors(bi int, dst []int) []int {
 // Optimizer.
 
 type optimizer struct {
-	g      *graph
-	nRegs  int
-	code   *Code
-	rounds int
-	passes int
-}
-
-func (o *optimizer) run() {
-	if o.rounds <= 0 {
-		o.rounds = 2
-	}
-	for round := 0; round < o.rounds; round++ {
-		o.foldBlocks()
-		o.passes++
-		o.fuseBranches()
-		o.passes++
-		o.threadJumps()
-		o.passes++
-		// The last round runs the back end (isel.go): its forward pass
-		// before dead-code elimination, its liveness-dependent peepholes
-		// inside it.
-		last := round == o.rounds-1
-		if last {
-			o.selectInstructions()
-			o.passes++
-		}
-		o.deadCodeElim(last)
-		o.passes++
-	}
-}
-
-// foldBlocks performs block-local constant propagation, copy propagation,
-// and constant folding.
-func (o *optimizer) foldBlocks() {
-	constKnown := make([]bool, o.nRegs)
-	constVal := make([]uint64, o.nRegs)
-	copySrc := make([]int32, o.nRegs)
-	for bi := range o.g.blocks {
-		for i := range constKnown {
-			constKnown[i] = false
-			copySrc[i] = -1
-		}
-		ins := o.g.blocks[bi].ins
-		kill := func(d int32) {
-			constKnown[d] = false
-			copySrc[d] = -1
-			for r := range copySrc {
-				if copySrc[r] == d {
-					copySrc[r] = -1
-				}
-			}
-		}
-		toConst := func(t *tin, v uint64) {
-			*t = tin{op: uint16(wasm.OpI64Const), d: t.d, imm: v}
-			kill(t.d)
-			constKnown[t.d] = true
-			constVal[t.d] = v
-		}
-		for ii := range ins {
-			t := &ins[ii]
-			// Rewrite uses through available copies (calls and returns read
-			// fixed registers and are left alone).
-			renameUses(t, func(r int32) int32 {
-				if s := copySrc[r]; s >= 0 {
-					return s
-				}
-				return r
-			})
-			kind := ops[t.op].kind
-			if kind == kindSelect || kind == kindSelectImm {
-				if cr := int32(t.imm); constKnown[cr] {
-					switch {
-					case constVal[cr] != 0:
-						*t = tin{op: tMove, d: t.d, a: t.a}
-					case kind == kindSelect:
-						*t = tin{op: tMove, d: t.d, a: t.b}
-					default:
-						*t = tin{op: uint16(wasm.OpI64Const), d: t.d, imm: uint64(uint32(t.b))}
-					}
-					kind = ops[t.op].kind
-				}
-			}
-
-			// Transform and update dataflow facts.
-			switch kind {
-			case kindConst:
-				kill(t.d)
-				constKnown[t.d] = true
-				constVal[t.d] = t.imm
-			case kindMove:
-				if constKnown[t.a] {
-					toConst(t, constVal[t.a])
-				} else {
-					src := t.a
-					kill(t.d)
-					if src != t.d {
-						copySrc[t.d] = src
-					}
-				}
-			case kindBin:
-				if constKnown[t.a] && constKnown[t.b] {
-					if v, ok := pureEval(t.op, constVal[t.a], constVal[t.b]); ok {
-						toConst(t, v)
-						continue
-					}
-				}
-				kill(t.d)
-			case kindUn:
-				if constKnown[t.a] {
-					if v, ok := pureEval(t.op, constVal[t.a], 0); ok {
-						toConst(t, v)
-						continue
-					}
-				}
-				kill(t.d)
-			case kindBinImm:
-				if constKnown[t.a] {
-					x, y := constVal[t.a], t.imm
-					if t.op == tI32RsubImm || t.op == tI64RsubImm {
-						x, y = y, x
-					}
-					if v, ok := pureEval(ops[t.op].reg, x, y); ok {
-						toConst(t, v)
-						continue
-					}
-				}
-				kill(t.d)
-			default:
-				switch t.op {
-				case tJumpIfZero:
-					if constKnown[t.a] {
-						if constVal[t.a] == 0 {
-							*t = tin{op: tJump, imm: t.imm}
-						} else {
-							*t = tin{op: tNop}
-						}
-					}
-				case tJumpIfNot:
-					if constKnown[t.a] {
-						if constVal[t.a] != 0 {
-							*t = tin{op: tJump, imm: t.imm}
-						} else {
-							*t = tin{op: tNop}
-						}
-					}
-				default:
-					regDefs(t, func(r int32) { kill(r) })
-				}
-			}
-		}
-	}
-}
-
-// fuseBranches fuses comparison results consumed directly by a conditional
-// branch into a single compare-and-branch instruction — a comparison with a
-// constant, which the emitter hands over in immediate form, into the branch's
-// immediate form — and folds eqz into branch polarity.
-//
-// Correctness: the fused branch reads the comparison's *operands*, and the
-// comparison may have overwritten one of them (its destination is the
-// canonical register of the stack position its first operand was popped
-// from). So the compare must be removed, not merely left for DCE. The removal
-// is safe exactly when d is an operand-stack slot (d ≥ NLocals): the branch
-// pops that stack position, and the wasm stack discipline guarantees any
-// later use of the slot is preceded by a write. When the result lands in a
-// local (via local.tee), it may outlive the branch and we skip fusion.
-func (o *optimizer) fuseBranches() {
-	nLocals := int32(o.code.NLocals)
-	for bi := range o.g.blocks {
-		ins := o.g.blocks[bi].ins
-		for i := 0; i+1 < len(ins); i++ {
-			def, br := &ins[i], &ins[i+1]
-			if br.op != tJumpIfZero && br.op != tJumpIfNot {
-				continue
-			}
-			if def.op == tNop || def.d < nLocals || br.a != def.d {
-				continue
-			}
-			// eqz feeding a branch flips polarity. Registers hold i32
-			// values zero-extended, so testing the full register is safe
-			// for i32.eqz as well.
-			if def.op == uint16(wasm.OpI32Eqz) || def.op == uint16(wasm.OpI64Eqz) {
-				*br = tin{op: ops[br.op].inv, a: def.a, imm: br.imm}
-				*def = tin{op: tNop}
-				continue
-			}
-			fused, b := ops[def.op].br, def.b
-			if fused == 0 {
-				continue
-			}
-			if ops[def.op].kind == kindBinImm {
-				// A comparison with a constant the fused form cannot hold
-				// stays as it is: no worse than loading the constant.
-				var fits bool
-				if b, fits = brImmOperand(def.op >= tI64EqImm, def.imm); !fits {
-					continue
-				}
-			}
-			if br.op == tJumpIfZero {
-				fused = ops[fused].inv
-			}
-			*br = tin{op: fused, a: def.a, b: b, imm: br.imm}
-			*def = tin{op: tNop}
-		}
-	}
-}
-
-// threadJumps retargets branches that point at blocks containing only an
-// unconditional jump.
-func (o *optimizer) threadJumps() {
-	target := func(bid uint64) uint64 {
-		for hops := 0; hops < 8; hops++ {
-			blk := &o.g.blocks[bid]
-			redirected := false
-			for _, t := range blk.ins {
-				switch t.op {
-				case tNop:
-					continue
-				case tJump:
-					if t.imm == bid {
-						return bid // self-loop
-					}
-					bid = t.imm
-					redirected = true
-				}
-				break
-			}
-			if !redirected {
-				return bid
-			}
-		}
-		return bid
-	}
-	for bi := range o.g.blocks {
-		for ii := range o.g.blocks[bi].ins {
-			t := &o.g.blocks[bi].ins[ii]
-			if hasTarget(t.op) {
-				t.imm = target(t.imm)
-			}
-		}
-	}
-	for ti := range o.g.tables {
-		for i := range o.g.tables[ti] {
-			o.g.tables[ti][i] = uint32(target(uint64(o.g.tables[ti][i])))
-		}
-	}
+	g     *graph
+	nRegs int
+	code  *Code
 }
 
 // deadCodeElim removes pure instructions whose results are never used,

@@ -109,8 +109,8 @@ func ParseBackend(name string) (Backend, bool) {
 	return 0, false
 }
 
-// hyperOptRounds models LLVM-grade optimization cost for the HyPer-like
-// backend (cf. engine.Config.OptRounds).
+// hyperOptRounds exists only to model the HyPer-like backend's LLVM-grade
+// compile cost: the extra rounds repeat work (cf. engine.Config.OptRounds).
 const hyperOptRounds = 10
 
 // DB is an in-memory database.
