@@ -118,17 +118,16 @@ lint-layers:
 	fi
 	@echo "lint-layers: ok (internal/obs imports stdlib only; plancache between core/engine and the API; server above the API; autopilot beside the planner)"
 
-# bench-smoke runs one micro-benchmark per backend at a small scale, the
-# 1/2/4-worker scaling experiment, the plan-cache cold/warm experiment, the
-# autopilot crossover experiment (small→interpret, large→compile, and the
-# feedback-corrected warm decision — fails if auto misses best-in-class by
-# >10%), and the concurrent-serving load experiment (throughput/p99/rejection-rate at
-# 1/4/8 virtual users against a 2-slot server, plus the telemetry-overhead
-# probe, which fails the run above a 5% p50 regression), and validates that
-# the emitted BENCH_*.json parse (the bench binary re-reads and unmarshals
-# what it wrote). It then asserts the disabled-tracer contract on the morsel
-# dispatch path: with no trace attached the telemetry must cost only a nil
-# check, so traced-vs-untraced overhead stays ≈0% (≤5% allows timer noise).
+# bench-smoke first builds and runs two of the paper's figures at a small
+# scale (Fig 1 and the tier ablation), then every workload of the repo
+# benchmark for three rounds, which checks each result against volcano and
+# exits non-zero on any failure. It then asserts the disabled-tracer contract
+# on the morsel dispatch path: with no trace attached the telemetry must cost
+# only a nil check, so traced-vs-untraced overhead stays ≈0% (≤5% allows
+# timer noise). Next it holds the serving layer's telemetry budget: one
+# parameterized /v1/query over HTTP with full telemetry (query log, every
+# query captured and classified slow) may cost at most 5% over the default
+# server, best of three runs each.
 # Then it runs the per-query start-up benchmark once (rewire + instantiate +
 # q_init, 1 and 2 workers) and prints its B/op: demand-zero linear memory
 # keeps that near 0.1 MiB per worker, an eager allocation shows as MiB.
@@ -139,8 +138,8 @@ lint-layers:
 # instructions of the three golden kernels on each tier, and each compiler's
 # speed in B/µs over the same three modules.
 bench-smoke:
-	$(GO) run ./cmd/bench -experiment smoke,scaling,plancache,serving,auto -rows 100000 -reps 1 -sf 0.01 -json
-	@rm -f BENCH_smoke.json BENCH_scaling.json BENCH_plancache.json BENCH_serving.json BENCH_auto.json
+	$(GO) run ./cmd/bench -experiment fig1,abl-tier -sf 0.01 -reps 1
+	$(GO) run ./benchmark -workload all -rounds 3 -seed 1
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkMorselDispatch(Untraced|Traced)$$' -benchtime 200x -count 3 \
 		| awk '/DispatchUntraced/ { if (u==0 || $$3<u) u=$$3 } \
 		       /DispatchTraced/   { if (t==0 || $$3<t) t=$$3 } \
@@ -148,6 +147,13 @@ bench-smoke:
 		             pct=(t-u)*100.0/u; \
 		             printf "bench-smoke: morsel-dispatch tracer overhead %.1f%% (untraced %d ns/op, traced %d ns/op)\n", pct, u, t; \
 		             if (pct > 5) { print "bench-smoke: tracer overhead exceeds the ≈0% budget" > "/dev/stderr"; exit 1 } }'
+	@$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkServerQueryTelemetry(Off|Full)$$' -benchtime 100x -count 3 \
+		| awk '/TelemetryOff/  { if (u==0 || $$3<u) u=$$3 } \
+		       /TelemetryFull/ { if (t==0 || $$3<t) t=$$3 } \
+		       END { if (u==0 || t==0) { print "bench-smoke: missing server telemetry benchmark output" > "/dev/stderr"; exit 1 } \
+		             pct=(t-u)*100.0/u; \
+		             printf "bench-smoke: server telemetry overhead %.1f%% (off %d ns/op, full %d ns/op)\n", pct, u, t; \
+		             if (pct > 5) { print "bench-smoke: telemetry overhead exceeds the 5% budget" > "/dev/stderr"; exit 1 } }'
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkExecuteStartup$$' -benchtime 500x -benchmem \
 		| awk '/^BenchmarkExecuteStartup/ { n++; printf "bench-smoke: %s %s init-ns/op, %s B/op\n", $$1, $$5, $$7 } \
 		       END { if (n != 2) { print "bench-smoke: missing start-up benchmark output" > "/dev/stderr"; exit 1 } }'

@@ -11,7 +11,8 @@ import (
 // autoDiff asserts backend-auto produces byte-identical results to every
 // manual backend for src — cold (plan cache flushed first), warm (second
 // run, feedback present), and with an explicit parallel worker request.
-func autoDiff(t *testing.T, db *wasmdb.DB, src string, ordered bool) {
+// A non-empty warm names the backend the warm decision must pick.
+func autoDiff(t *testing.T, db *wasmdb.DB, src string, ordered bool, warm string) {
 	t.Helper()
 	ref, err := db.Query(src, wasmdb.WithBackend(wasmdb.BackendVolcano))
 	if err != nil {
@@ -28,7 +29,7 @@ func autoDiff(t *testing.T, db *wasmdb.DB, src string, ordered bool) {
 				b, src, clip(want), b, clip(got))
 		}
 	}
-	check := func(label string, opts ...wasmdb.Option) {
+	check := func(label string, opts ...wasmdb.Option) wasmdb.Stats {
 		res, err := db.Query(src, opts...)
 		if err != nil {
 			t.Fatalf("auto %s: %v\nquery: %s", label, err, src)
@@ -40,18 +41,27 @@ func autoDiff(t *testing.T, db *wasmdb.DB, src string, ordered bool) {
 			t.Errorf("auto %s (chose %s) disagrees with volcano on %q:\n--- volcano ---\n%s\n--- auto ---\n%s",
 				label, res.Stats.Auto, src, clip(want), clip(got))
 		}
+		return res.Stats
 	}
 	db.FlushPlanCache()
 	check("cold", wasmdb.WithBackend(wasmdb.BackendAuto))
-	check("warm", wasmdb.WithBackend(wasmdb.BackendAuto))
+	if st := check("warm", wasmdb.WithBackend(wasmdb.BackendAuto)); warm != "" && st.Auto != warm {
+		t.Errorf("warm choice %q on %q, want %q", st.Auto, src, warm)
+	}
 	check("parallel", wasmdb.WithBackend(wasmdb.BackendAuto), wasmdb.WithParallelism(2))
 	check("cache-off", wasmdb.WithBackend(wasmdb.BackendAuto), wasmdb.WithPlanCache(false))
 }
 
 // TestAutoDifferential is the auto-tuning correctness oracle: whatever the
-// autopilot picks, the bytes must match every manual backend.
+// autopilot picks, the bytes must match every manual backend. It also pins
+// the warm crossover on SF 0.01: a tiny aggregation interprets, TPC-H Q1
+// compiles adaptively.
 func TestAutoDifferential(t *testing.T) {
 	db := tpchDB(t)
+	warmChoice := map[string]string{
+		"Q1": "adaptive",
+		"SELECT COUNT(*), SUM(s_acctbal) FROM supplier": "volcano",
+	}
 	for _, id := range []string{"Q1", "Q3", "Q6", "Q12", "Q14"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -59,7 +69,7 @@ func TestAutoDifferential(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown query %s", id)
 			}
-			autoDiff(t, db, src, strings.Contains(src, "ORDER BY"))
+			autoDiff(t, db, src, strings.Contains(src, "ORDER BY"), warmChoice[id])
 		})
 	}
 	t.Run("micro", func(t *testing.T) {
@@ -80,7 +90,7 @@ func TestAutoDifferential(t *testing.T) {
 			{"SELECT COUNT(*) FROM orders, lineitem WHERE o_orderkey = l_orderkey AND o_totalprice > 200000.0", false},
 			{"SELECT l_orderkey FROM lineitem WHERE l_quantity < 0", false},
 		} {
-			autoDiff(t, db, q.src, q.ordered)
+			autoDiff(t, db, q.src, q.ordered, warmChoice[q.src])
 		}
 	})
 }

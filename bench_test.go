@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wasmdb/internal/catalog"
+	"wasmdb/internal/core"
 	"wasmdb/internal/experiments"
 	"wasmdb/internal/tpch"
 	"wasmdb/internal/workload"
@@ -24,7 +25,7 @@ func benchQuery(b *testing.B, cat *catalog.Catalog, src string) {
 		sys := sys
 		b.Run(sys, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunOn(cat, src, sys, false); err != nil {
+				if _, err := experiments.RunOn(cat, src, sys, core.Style{}, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -125,7 +126,7 @@ func BenchmarkFig10TPCH(b *testing.B) {
 			sys := sys
 			b.Run(id+"/"+sys, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := experiments.RunOn(cat, tpch.Queries[id], sys, true); err != nil {
+					if _, err := experiments.RunOn(cat, tpch.Queries[id], sys, core.Style{}, true); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -144,7 +145,7 @@ func BenchmarkFig1CompileVsExecute(b *testing.B) {
 		sys := sys
 		b.Run(sys, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunOn(cat, tpch.Queries["Q1"], sys, true); err != nil {
+				if _, err := experiments.RunOn(cat, tpch.Queries["Q1"], sys, core.Style{}, true); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -160,7 +161,7 @@ func BenchmarkAblationHashTable(b *testing.B) {
 		sys := sys
 		b.Run(sys, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunOn(cat, src, sys, false); err != nil {
+				if _, err := experiments.RunOn(cat, src, sys, core.Style{}, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -176,7 +177,7 @@ func BenchmarkAblationSort(b *testing.B) {
 		sys := sys
 		b.Run(sys, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunOn(cat, src, sys, false); err != nil {
+				if _, err := experiments.RunOn(cat, src, sys, core.Style{}, false); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,30 +1,23 @@
 // Command bench regenerates the paper's tables and figures (§8) and the
-// ablation studies. Each experiment prints one aligned table (or CSV with
-// -csv) with one series per system; -json additionally writes machine-
-// readable BENCH_<experiment>.json records for plotting and regression
-// tracking.
+// ablation studies. Each experiment prints one aligned table to stdout with
+// one series per system; it writes no file. The engine's own end-to-end
+// workloads and their per-layer metrics live in ./benchmark.
 //
 // Usage:
 //
 //	bench -experiment fig6a
 //	bench -experiment all -rows 1000000 -sf 0.05
 //	bench -experiment fig10 -sf 0.1
-//	bench -experiment fig6a,fig6c -systems mutable,vectorized -csv
-//	bench -experiment smoke -rows 100000 -json   # health check, BENCH_smoke.json
-//	bench -experiment scaling -json              # 1/2/4-worker parallel speedup
-//	bench -experiment plancache -json            # cold vs warm plan-cache latency
-//	bench -experiment auto -json                 # autopilot crossover sweep
+//	bench -experiment fig6a,fig6c -systems mutable,vectorized
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"wasmdb/internal/experiments"
-	"wasmdb/internal/harness"
 )
 
 var allExperiments = []string{
@@ -32,18 +25,25 @@ var allExperiments = []string{
 	"fig7a", "fig7b", "fig7c", "fig7d",
 	"fig8a", "fig8b", "fig9", "fig10",
 	"abl-ht", "abl-sort", "abl-rewire", "abl-tier",
-	"smoke", "scaling", "plancache", "serving", "auto",
+}
+
+// figures are the experiments that measure one figure of per-system series.
+var figures = map[string]func(experiments.Options) *experiments.Figure{
+	"fig6a": experiments.Fig6a, "fig6b": experiments.Fig6b,
+	"fig6c": experiments.Fig6c, "fig6d": experiments.Fig6d,
+	"fig7a": experiments.Fig7a, "fig7b": experiments.Fig7b,
+	"fig7c": experiments.Fig7c, "fig7d": experiments.Fig7d,
+	"fig8a": experiments.Fig8a, "fig8b": experiments.Fig8b,
+	"abl-ht": experiments.AblationHashTable, "abl-sort": experiments.AblationSort,
 }
 
 func main() {
 	var (
 		experiment = flag.String("experiment", "all", "comma-separated experiment ids, or 'all' ("+strings.Join(allExperiments, ", ")+")")
 		rows       = flag.Int("rows", 1_000_000, "rows for the micro-benchmarks (the paper uses 10000000)")
-		reps       = flag.Int("reps", harness.Reps, "repetitions per measurement (median is reported)")
+		reps       = flag.Int("reps", experiments.Reps, "repetitions per measurement (median is reported)")
 		sf         = flag.Float64("sf", 0.05, "TPC-H scale factor (the paper uses 1.0)")
 		systems    = flag.String("systems", strings.Join(experiments.DefaultSystems, ","), "systems to measure")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut    = flag.Bool("json", false, "write BENCH_<experiment>.json machine-readable records")
 		full       = flag.Bool("full", false, "paper-scale settings (10M rows, SF 0.5) — slow on the VM substrate")
 	)
 	flag.Parse()
@@ -57,7 +57,6 @@ func main() {
 		Reps:    *reps,
 		SF:      *sf,
 		Systems: strings.Split(*systems, ","),
-		Out:     os.Stdout,
 	}
 
 	ids := strings.Split(*experiment, ",")
@@ -65,145 +64,35 @@ func main() {
 		ids = allExperiments
 	}
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		var figs []*harness.Figure
-		var recs []experiments.Record
-		switch id {
-		case "fig1":
-			if err := experiments.Fig1(opts, os.Stdout); err != nil {
-				fail(err)
-			}
-		case "fig6a":
-			figs = append(figs, experiments.Fig6a(opts))
-		case "fig6b":
-			figs = append(figs, experiments.Fig6b(opts))
-		case "fig6c":
-			figs = append(figs, experiments.Fig6c(opts))
-		case "fig6d":
-			figs = append(figs, experiments.Fig6d(opts))
-		case "fig7a":
-			figs = append(figs, experiments.Fig7a(opts))
-		case "fig7b":
-			figs = append(figs, experiments.Fig7b(opts))
-		case "fig7c":
-			figs = append(figs, experiments.Fig7c(opts))
-		case "fig7d":
-			figs = append(figs, experiments.Fig7d(opts))
-		case "fig8a":
-			figs = append(figs, experiments.Fig8a(opts))
-		case "fig8b":
-			figs = append(figs, experiments.Fig8b(opts))
-		case "fig9":
-			figs = experiments.Fig9(opts)
-		case "fig10":
-			if err := experiments.Fig10(opts, os.Stdout); err != nil {
-				fail(err)
-			}
-		case "abl-ht":
-			figs = append(figs, experiments.AblationHashTable(opts))
-		case "abl-sort":
-			figs = append(figs, experiments.AblationSort(opts))
-		case "abl-rewire":
-			experiments.AblationRewiring(opts, os.Stdout)
-		case "abl-tier":
-			if err := experiments.AblationTiers(opts, os.Stdout); err != nil {
-				fail(err)
-			}
-		case "smoke":
-			r, err := experiments.Smoke(opts)
-			if err != nil {
-				fail(err)
-			}
-			recs = r
-			if err := experiments.WriteRecords(os.Stdout, recs); err != nil {
-				fail(err)
-			}
-		case "scaling":
-			r, err := experiments.Scaling(opts)
-			if err != nil {
-				fail(err)
-			}
-			recs = r
-			if err := experiments.WriteRecords(os.Stdout, recs); err != nil {
-				fail(err)
-			}
-		case "plancache":
-			r, err := experiments.PlanCache(opts)
-			if err != nil {
-				fail(err)
-			}
-			recs = r
-			if err := experiments.WriteRecords(os.Stdout, recs); err != nil {
-				fail(err)
-			}
-		case "serving":
-			r, err := experiments.Serving(opts)
-			if err != nil {
-				fail(err)
-			}
-			recs = r
-			if err := experiments.WriteRecords(os.Stdout, recs); err != nil {
-				fail(err)
-			}
-		case "auto":
-			r, err := experiments.Auto(opts)
-			if err != nil {
-				fail(err)
-			}
-			recs = r
-			if err := experiments.WriteRecords(os.Stdout, recs); err != nil {
-				fail(err)
-			}
-		default:
-			fail(fmt.Errorf("unknown experiment %q", id))
-		}
-		for _, f := range figs {
-			if *csv {
-				f.RenderCSV(os.Stdout)
-			} else {
-				f.Render(os.Stdout)
-			}
-			recs = append(recs, experiments.RecordsFromFigure(id, f)...)
-		}
-		if *jsonOut && len(recs) > 0 {
-			path := "BENCH_" + id + ".json"
-			if err := writeAndValidate(path, recs); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d records)\n", path, len(recs))
+		if err := run(strings.TrimSpace(id), opts); err != nil {
+			fmt.Fprintln(os.Stderr, "bench:", err)
+			os.Exit(1)
 		}
 	}
 }
 
-// writeAndValidate emits the records and proves the file round-trips: a
-// BENCH_*.json that downstream tooling cannot parse is a bench bug.
-func writeAndValidate(path string, recs []experiments.Record) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// run measures experiment id and prints its table.
+func run(id string, o experiments.Options) error {
+	switch id {
+	case "fig1":
+		return experiments.Fig1(o, os.Stdout)
+	case "fig9":
+		for _, f := range experiments.Fig9(o) {
+			f.Render(os.Stdout)
+		}
+		return nil
+	case "fig10":
+		return experiments.Fig10(o, os.Stdout)
+	case "abl-rewire":
+		experiments.AblationRewiring(o, os.Stdout)
+		return nil
+	case "abl-tier":
+		return experiments.AblationTiers(o, os.Stdout)
 	}
-	if err := experiments.WriteRecords(f, recs); err != nil {
-		f.Close()
-		return err
+	fig, ok := figures[id]
+	if !ok {
+		return fmt.Errorf("unknown experiment %q", id)
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var check []experiments.Record
-	if err := json.Unmarshal(b, &check); err != nil {
-		return fmt.Errorf("%s does not parse: %w", path, err)
-	}
-	if len(check) != len(recs) {
-		return fmt.Errorf("%s round-trip lost records: wrote %d, read %d", path, len(recs), len(check))
-	}
+	fig(o).Render(os.Stdout)
 	return nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "bench:", err)
-	os.Exit(1)
 }

@@ -7,51 +7,17 @@ import (
 
 	"wasmdb/internal/catalog"
 	"wasmdb/internal/core"
-	"wasmdb/internal/engine"
 	"wasmdb/internal/engine/wmem"
-	"wasmdb/internal/harness"
-	"wasmdb/internal/plan"
-	"wasmdb/internal/sema"
-	"wasmdb/internal/sql"
 	"wasmdb/internal/tpch"
 	"wasmdb/internal/workload"
 )
 
-// styledExec measures execution time of src compiled with the given style
-// (optimizing tier, compile excluded).
-func styledExec(o *Options, cat *catalog.Catalog, src string, style core.Style) time.Duration {
-	stmt, err := sql.ParseSelect(src)
-	if err != nil {
-		panic(err)
-	}
-	q, err := sema.Analyze(stmt, cat)
-	if err != nil {
-		panic(err)
-	}
-	p, err := plan.Build(q)
-	if err != nil {
-		panic(err)
-	}
-	cq, err := core.CompileStyled(q, p, style)
-	if err != nil {
-		panic(err)
-	}
-	eng := engine.New(engine.Config{Tier: engine.TierTurbofan})
-	return harness.Median(o.Reps, func() time.Duration {
-		t0 := time.Now()
-		if _, _, err := core.Execute(cq, q, eng, core.ExecOptions{}); err != nil {
-			panic(err)
-		}
-		return time.Since(t0)
-	})
-}
-
 // AblationHashTable quantifies §4.3's claim: ad-hoc generated, fully
 // inlined hash tables vs the type-agnostic pre-compiled-library design
 // (chained buckets, call_indirect comparator, one call per access).
-func AblationHashTable(o Options) *harness.Figure {
+func AblationHashTable(o Options) *Figure {
 	o.norm()
-	fig := harness.NewFigure(
+	fig := NewFigure(
 		fmt.Sprintf("Ablation §4.3: inlined specialized HT vs library HT, %d rows", o.Rows),
 		"workload", "group-by 100", "group-by 100k", "fk-join")
 	catG, _ := workload.Catalog(workload.Spec{Name: "t", Rows: o.Rows, GroupCols: 1, GroupDistinct: 100, Seed: 811})
@@ -60,30 +26,31 @@ func AblationHashTable(o Options) *harness.Figure {
 	groupQ := "SELECT g0, COUNT(*) FROM t GROUP BY g0"
 	joinQ := "SELECT COUNT(*) FROM build, probe WHERE build.pk = probe.fk"
 
-	fig.Add("generated", styledExec(&o, catG, groupQ, core.Style{}))
-	fig.Add("library", styledExec(&o, catG, groupQ, core.Style{LibraryHT: true}))
-	fig.Add("generated", styledExec(&o, catG2, groupQ, core.Style{}))
-	fig.Add("library", styledExec(&o, catG2, groupQ, core.Style{LibraryHT: true}))
-	fig.Add("generated", styledExec(&o, catJ, joinQ, core.Style{}))
-	fig.Add("library", styledExec(&o, catJ, joinQ, core.Style{LibraryHT: true}))
+	for _, w := range []struct {
+		cat *catalog.Catalog
+		src string
+	}{{catG, groupQ}, {catG2, groupQ}, {catJ, joinQ}} {
+		fig.Add("generated", execTime(&o, w.cat, w.src, "mutable", core.Style{}))
+		fig.Add("library", execTime(&o, w.cat, w.src, "mutable", core.Style{LibraryHT: true}))
+	}
 	return fig
 }
 
 // AblationSort quantifies §5's claim: the generated quicksort with inlined
 // comparisons vs the generic qsort with a comparator function pointer.
-func AblationSort(o Options) *harness.Figure {
+func AblationSort(o Options) *Figure {
 	o.norm()
 	sizes := []int{o.Rows / 16, o.Rows / 4, o.Rows}
 	ticks := make([]string, len(sizes))
 	for i, s := range sizes {
 		ticks[i] = fmt.Sprintf("%d", s)
 	}
-	fig := harness.NewFigure("Ablation §5: generated quicksort vs library qsort (Θ(n log n) comparator calls)", "rows", ticks...)
+	fig := NewFigure("Ablation §5: generated quicksort vs library qsort (Θ(n log n) comparator calls)", "rows", ticks...)
 	for _, n := range sizes {
 		cat, _ := workload.Catalog(workload.Spec{Name: "t", Rows: n, IntCols: 2, Seed: 821})
 		src := "SELECT i0 FROM t ORDER BY i0, i1 LIMIT 100"
-		fig.Add("generated", styledExec(&o, cat, src, core.Style{}))
-		fig.Add("library", styledExec(&o, cat, src, core.Style{LibrarySort: true}))
+		fig.Add("generated", execTime(&o, cat, src, "mutable", core.Style{}))
+		fig.Add("library", execTime(&o, cat, src, "mutable", core.Style{LibrarySort: true}))
 	}
 	return fig
 }
@@ -99,7 +66,7 @@ func AblationRewiring(o Options, out io.Writer) {
 	}
 	pages := uint32(totalBytes/wmem.PageSize) + 8
 
-	rewire := harness.Median(o.Reps, func() time.Duration {
+	rewire := Median(o.Reps, func() time.Duration {
 		mem := wmem.New(pages, 65536)
 		t0 := time.Now()
 		addr := uint32(0)
@@ -111,7 +78,7 @@ func AblationRewiring(o Options, out io.Writer) {
 		}
 		return time.Since(t0)
 	})
-	copyIn := harness.Median(o.Reps, func() time.Duration {
+	copyIn := Median(o.Reps, func() time.Duration {
 		mem := wmem.New(pages, 65536)
 		t0 := time.Now()
 		addr := uint32(0)
@@ -149,7 +116,7 @@ func AblationTiers(o Options, out io.Writer) error {
 	}{{"short query (small data)", catSmall}, {"long query (large data)", catBig}} {
 		fmt.Fprintf(out, "%s:\n", c.name)
 		for _, sys := range []string{"liftoff", "turbofan", "adaptive"} {
-			tm, err := RunOn(c.cat, tpch.Queries["Q6"], sys, true)
+			tm, err := RunOn(c.cat, tpch.Queries["Q6"], sys, core.Style{}, true)
 			if err != nil {
 				return err
 			}
@@ -158,7 +125,7 @@ func AblationTiers(o Options, out io.Writer) error {
 				compile = tm.Turbofan
 			}
 			fmt.Fprintf(out, "  %-9s compile=%-10s execute=%-10s total=%-10s morsels lo/tf=%d/%d\n",
-				sys, fmtDur(compile), fmtDur(tm.Execute), fmtDur(compile+tm.Execute+tm.Translate),
+				sys, fmtDur(compile), fmtDur(tm.Execute), fmtDur(tm.Total),
 				tm.MorselsLo, tm.MorselsTf)
 		}
 	}

@@ -24,7 +24,6 @@ import (
 	"wasmdb/internal/catalog"
 	"wasmdb/internal/core"
 	"wasmdb/internal/engine"
-	"wasmdb/internal/harness"
 	"wasmdb/internal/plan"
 	"wasmdb/internal/sema"
 	"wasmdb/internal/sql"
@@ -42,7 +41,6 @@ type Options struct {
 	Reps    int
 	SF      float64
 	Systems []string
-	Out     io.Writer
 }
 
 // DefaultSystems lists all four architectures.
@@ -53,7 +51,7 @@ func (o *Options) norm() {
 		o.Rows = 1_000_000
 	}
 	if o.Reps == 0 {
-		o.Reps = harness.Reps
+		o.Reps = Reps
 	}
 	if o.SF == 0 {
 		o.SF = 0.05
@@ -72,20 +70,28 @@ func (o *Options) has(sys string) bool {
 	return false
 }
 
-// Timings is a full phase breakdown of one run.
+// Timings is a full phase breakdown of one run. Each phase is counted once:
+// Execute holds no compile time, and Total is measured, not summed.
 type Timings struct {
 	Translate time.Duration
 	Liftoff   time.Duration
 	Turbofan  time.Duration
-	Execute   time.Duration
+	// Execute is pipeline execution alone (core.ExecStats.Run on the
+	// compiling systems, the whole run on the interpreting ones).
+	Execute time.Duration
+	// Total is the wall time from translation to the end of execution:
+	// compiles, rewiring and instantiation included.
+	Total     time.Duration
 	MorselsLo uint64
 	MorselsTf uint64
 }
 
 // RunOn executes src against cat on the named system and returns the phase
-// breakdown. adaptive=true runs the wasm backends in adaptive mode (Fig. 10
-// and the tier ablation); otherwise execution waits for optimized code.
-func RunOn(cat *catalog.Catalog, src, system string, adaptive bool) (Timings, error) {
+// breakdown. style selects the library designs of the compiling systems;
+// hyper always compiles with all of them. adaptive=true runs the wasm
+// backends in adaptive mode (Fig. 10 and the tier ablation); otherwise
+// execution waits for optimized code.
+func RunOn(cat *catalog.Catalog, src, system string, style core.Style, adaptive bool) (Timings, error) {
 	var tm Timings
 	stmt, err := sql.ParseSelect(src)
 	if err != nil {
@@ -100,77 +106,49 @@ func RunOn(cat *catalog.Catalog, src, system string, adaptive bool) (Timings, er
 		return tm, err
 	}
 
+	t0 := time.Now()
 	switch system {
 	case "volcano":
-		t0 := time.Now()
-		if _, _, err := volcano.Run(q, p); err != nil {
-			return tm, err
-		}
+		_, _, err = volcano.Run(q, p)
 		tm.Execute = time.Since(t0)
 	case "vectorized":
-		t0 := time.Now()
-		if _, _, _, err := vectorized.Run(q, p); err != nil {
-			return tm, err
-		}
+		_, _, _, err = vectorized.Run(q, p)
 		tm.Execute = time.Since(t0)
 	case "mutable", "hyper", "liftoff", "turbofan", "adaptive":
-		style := core.Style{}
-		cfg := engine.Config{Tier: engine.TierTurbofan}
-		wait := true
-		switch system {
-		case "hyper":
+		cfg, wait := engine.Config{Tier: engine.TierTurbofan}, true
+		switch {
+		case system == "liftoff":
+			cfg.Tier, wait = engine.TierLiftoff, false
+		case system == "adaptive" || (adaptive && system != "turbofan"):
+			cfg.Tier, wait = engine.TierAdaptive, false
+		}
+		if system == "hyper" {
 			style = core.Style{LibraryHT: true, LibrarySort: true, PredicatedSelection: true}
 			cfg.OptRounds = 10
-			if adaptive {
-				cfg.Tier = engine.TierAdaptive
-				wait = false
-			}
-		case "liftoff":
-			cfg.Tier = engine.TierLiftoff
-			wait = false
-		case "adaptive":
-			cfg.Tier = engine.TierAdaptive
-			wait = false
-		case "mutable":
-			if adaptive {
-				cfg.Tier = engine.TierAdaptive
-				wait = false
-			}
 		}
-		t0 := time.Now()
-		cq, err := core.CompileStyled(q, p, style)
-		if err != nil {
-			return tm, err
+		var cq *core.CompiledQuery
+		if cq, err = core.CompileStyled(q, p, style); err != nil {
+			break
 		}
 		tm.Translate = time.Since(t0)
-		t1 := time.Now()
-		res, st, err := core.Execute(cq, q, engine.New(cfg), core.ExecOptions{WaitOptimized: wait})
-		if err != nil {
-			return tm, err
+		var st *core.ExecStats
+		if _, st, err = core.Execute(cq, q, engine.New(cfg), core.ExecOptions{WaitOptimized: wait}); err != nil {
+			break
 		}
-		_ = res
-		tm.Execute = time.Since(t1)
-		tm.Liftoff = st.Liftoff
-		tm.Turbofan = st.Turbofan
-		tm.MorselsLo = st.MorselsLiftoff
-		tm.MorselsTf = st.MorselsTurbofan
-		if wait {
-			// Compile happened before execution; subtract it from Execute.
-			tm.Execute -= st.Turbofan + st.Liftoff
-			if tm.Execute < 0 {
-				tm.Execute = 0
-			}
-		}
+		tm.Liftoff, tm.Turbofan, tm.Execute = st.Liftoff, st.Turbofan, st.Run
+		tm.MorselsLo, tm.MorselsTf = st.MorselsLiftoff, st.MorselsTurbofan
 	default:
 		return tm, fmt.Errorf("experiments: unknown system %q", system)
 	}
-	return tm, nil
+	tm.Total = time.Since(t0)
+	return tm, err
 }
 
-// execTime measures median execution time of src on system.
-func execTime(o *Options, cat *catalog.Catalog, src, system string) time.Duration {
-	return harness.Median(o.Reps, func() time.Duration {
-		tm, err := RunOn(cat, src, system, false)
+// execTime measures median execution time of src on system, compiled with
+// style where the system compiles.
+func execTime(o *Options, cat *catalog.Catalog, src, system string, style core.Style) time.Duration {
+	return Median(o.Reps, func() time.Duration {
+		tm, err := RunOn(cat, src, system, style, false)
 		if err != nil {
 			panic(fmt.Sprintf("%s on %s: %v", system, src, err))
 		}
@@ -178,13 +156,17 @@ func execTime(o *Options, cat *catalog.Catalog, src, system string) time.Duratio
 	})
 }
 
+// addAll measures src on every system as the next tick of fig.
+func (o *Options) addAll(fig *Figure, cat *catalog.Catalog, src string) {
+	for _, sys := range o.Systems {
+		fig.Add(sys, execTime(o, cat, src, sys, core.Style{}))
+	}
+}
+
 // sweep runs one query template across ticks for every system.
-func (o *Options) sweep(fig *harness.Figure, cat *catalog.Catalog, queryAt func(i int) string) {
+func (o *Options) sweep(fig *Figure, cat *catalog.Catalog, queryAt func(i int) string) {
 	for i := range fig.XTicks {
-		src := queryAt(i)
-		for _, sys := range o.Systems {
-			fig.Add(sys, execTime(o, cat, src, sys))
-		}
+		o.addAll(fig, cat, queryAt(i))
 	}
 }
 
@@ -206,10 +188,10 @@ func pctLabels() []string {
 }
 
 // Fig6a: selection on a 32-bit integer column across selectivities.
-func Fig6a(o Options) *harness.Figure {
+func Fig6a(o Options) *Figure {
 	o.norm()
 	cat, _ := workload.Catalog(workload.Spec{Name: "t", Rows: o.Rows, IntCols: 2, FloatCols: 2, Seed: 601})
-	fig := harness.NewFigure(
+	fig := NewFigure(
 		fmt.Sprintf("Fig 6a: selection COUNT(*) WHERE i0 < c, int32, %d rows", o.Rows),
 		"selectivity", pctLabels()...)
 	o.sweep(fig, cat, func(i int) string {
@@ -219,10 +201,10 @@ func Fig6a(o Options) *harness.Figure {
 }
 
 // Fig6b: selection on a 64-bit float column across selectivities.
-func Fig6b(o Options) *harness.Figure {
+func Fig6b(o Options) *Figure {
 	o.norm()
 	cat, _ := workload.Catalog(workload.Spec{Name: "t", Rows: o.Rows, IntCols: 2, FloatCols: 2, Seed: 602})
-	fig := harness.NewFigure(
+	fig := NewFigure(
 		fmt.Sprintf("Fig 6b: selection COUNT(*) WHERE f0 < c, float64, %d rows", o.Rows),
 		"selectivity", pctLabels()...)
 	o.sweep(fig, cat, func(i int) string {
@@ -232,10 +214,10 @@ func Fig6b(o Options) *harness.Figure {
 }
 
 // Fig6c: two conditions with equal, varying selectivity.
-func Fig6c(o Options) *harness.Figure {
+func Fig6c(o Options) *Figure {
 	o.norm()
 	cat, _ := workload.Catalog(workload.Spec{Name: "t", Rows: o.Rows, IntCols: 2, FloatCols: 2, Seed: 603})
-	fig := harness.NewFigure(
+	fig := NewFigure(
 		fmt.Sprintf("Fig 6c: COUNT(*) WHERE i0 < c AND i1 < c (equal per-condition selectivity), %d rows", o.Rows),
 		"selectivity", pctLabels()...)
 	o.sweep(fig, cat, func(i int) string {
@@ -246,11 +228,11 @@ func Fig6c(o Options) *harness.Figure {
 }
 
 // Fig6d: one condition varies, the other is fixed at 1%.
-func Fig6d(o Options) *harness.Figure {
+func Fig6d(o Options) *Figure {
 	o.norm()
 	cat, _ := workload.Catalog(workload.Spec{Name: "t", Rows: o.Rows, IntCols: 2, FloatCols: 2, Seed: 604})
 	fixed := selectivityCut(1)
-	fig := harness.NewFigure(
+	fig := NewFigure(
 		fmt.Sprintf("Fig 6d: COUNT(*) WHERE i0 < c AND i1 < 1%%, %d rows", o.Rows),
 		"selectivity", pctLabels()...)
 	o.sweep(fig, cat, func(i int) string {
@@ -260,51 +242,46 @@ func Fig6d(o Options) *harness.Figure {
 }
 
 // Fig7a: grouping, varying row count (100 distinct groups).
-func Fig7a(o Options) *harness.Figure {
+func Fig7a(o Options) *Figure {
 	o.norm()
 	rows := []int{o.Rows / 100, o.Rows / 10, o.Rows}
 	ticks := make([]string, len(rows))
 	for i, r := range rows {
 		ticks[i] = fmt.Sprintf("%d", r)
 	}
-	fig := harness.NewFigure("Fig 7a: COUNT(*) GROUP BY g0 (100 groups), varying rows", "rows", ticks...)
-	for i, r := range rows {
+	fig := NewFigure("Fig 7a: COUNT(*) GROUP BY g0 (100 groups), varying rows", "rows", ticks...)
+	for _, r := range rows {
 		cat, _ := workload.Catalog(workload.Spec{Name: "t", Rows: r, GroupCols: 1, GroupDistinct: 100, Seed: 701})
-		_ = i
-		for _, sys := range o.Systems {
-			fig.Add(sys, execTime(&o, cat, "SELECT g0, COUNT(*) FROM t GROUP BY g0", sys))
-		}
+		o.addAll(fig, cat, "SELECT g0, COUNT(*) FROM t GROUP BY g0")
 	}
 	return fig
 }
 
 // Fig7b: grouping, varying number of distinct values.
-func Fig7b(o Options) *harness.Figure {
+func Fig7b(o Options) *Figure {
 	o.norm()
 	distinct := []int{10, 100, 1000, 10000, 100000}
 	ticks := make([]string, len(distinct))
 	for i, d := range distinct {
 		ticks[i] = fmt.Sprintf("%d", d)
 	}
-	fig := harness.NewFigure(
+	fig := NewFigure(
 		fmt.Sprintf("Fig 7b: COUNT(*) GROUP BY g0, %d rows, varying distinct values", o.Rows),
 		"distinct", ticks...)
 	for _, d := range distinct {
 		cat, _ := workload.Catalog(workload.Spec{Name: "t", Rows: o.Rows, GroupCols: 1, GroupDistinct: d, Seed: 702})
-		for _, sys := range o.Systems {
-			fig.Add(sys, execTime(&o, cat, "SELECT g0, COUNT(*) FROM t GROUP BY g0", sys))
-		}
+		o.addAll(fig, cat, "SELECT g0, COUNT(*) FROM t GROUP BY g0")
 	}
 	return fig
 }
 
 // Fig7c: grouping, varying number of group-by attributes (~10k groups).
-func Fig7c(o Options) *harness.Figure {
+func Fig7c(o Options) *Figure {
 	o.norm()
 	attrs := []int{1, 2, 3, 4}
 	perAttr := []int{10000, 100, 22, 10}
 	ticks := []string{"1", "2", "3", "4"}
-	fig := harness.NewFigure(
+	fig := NewFigure(
 		fmt.Sprintf("Fig 7c: COUNT(*) GROUP BY g0..gn (~10k groups), %d rows", o.Rows),
 		"attributes", ticks...)
 	for ai, n := range attrs {
@@ -314,20 +291,18 @@ func Fig7c(o Options) *harness.Figure {
 			cols += fmt.Sprintf(", g%d", k)
 		}
 		src := fmt.Sprintf("SELECT %s, COUNT(*) FROM t GROUP BY %s", cols, cols)
-		for _, sys := range o.Systems {
-			fig.Add(sys, execTime(&o, cat, src, sys))
-		}
+		o.addAll(fig, cat, src)
 	}
 	return fig
 }
 
 // Fig7d: varying number of MIN aggregates (branch-free vs branching MIN).
-func Fig7d(o Options) *harness.Figure {
+func Fig7d(o Options) *Figure {
 	o.norm()
 	counts := []int{1, 2, 4, 8}
 	ticks := []string{"1", "2", "4", "8"}
 	cat, _ := workload.Catalog(workload.Spec{Name: "t", Rows: o.Rows, IntCols: 8, Seed: 704})
-	fig := harness.NewFigure(
+	fig := NewFigure(
 		fmt.Sprintf("Fig 7d: MIN(i0)..MIN(in), %d rows (branch-free min/max via select)", o.Rows),
 		"aggregates", ticks...)
 	for _, n := range counts {
@@ -336,34 +311,30 @@ func Fig7d(o Options) *harness.Figure {
 			sel += fmt.Sprintf(", MIN(i%d)", k)
 		}
 		src := "SELECT " + sel + " FROM t"
-		for _, sys := range o.Systems {
-			fig.Add(sys, execTime(&o, cat, src, sys))
-		}
+		o.addAll(fig, cat, src)
 	}
 	return fig
 }
 
 // Fig8a: foreign-key equi-join, varying build size (probe = 4×build).
-func Fig8a(o Options) *harness.Figure {
+func Fig8a(o Options) *Figure {
 	o.norm()
 	sizes := []int{o.Rows / 64, o.Rows / 16, o.Rows / 4, o.Rows}
 	ticks := make([]string, len(sizes))
 	for i, s := range sizes {
 		ticks[i] = fmt.Sprintf("%d", s)
 	}
-	fig := harness.NewFigure("Fig 8a: foreign-key join COUNT(*), probe=4×build, varying size", "build rows", ticks...)
+	fig := NewFigure("Fig 8a: foreign-key join COUNT(*), probe=4×build, varying size", "build rows", ticks...)
 	for _, n := range sizes {
 		cat, _ := workload.JoinPair(n, 4*n, 1, 801)
 		src := "SELECT COUNT(*) FROM build, probe WHERE build.pk = probe.fk"
-		for _, sys := range o.Systems {
-			fig.Add(sys, execTime(&o, cat, src, sys))
-		}
+		o.addAll(fig, cat, src)
 	}
 	return fig
 }
 
 // Fig8b: n:m equi-join on non-key columns, selectivity 1e-6.
-func Fig8b(o Options) *harness.Figure {
+func Fig8b(o Options) *Figure {
 	o.norm()
 	sizes := []int{o.Rows / 16, o.Rows / 4, o.Rows / 2, o.Rows}
 	ticks := make([]string, len(sizes))
@@ -377,23 +348,21 @@ func Fig8b(o Options) *harness.Figure {
 	if distinct < 1 {
 		distinct = 1
 	}
-	fig := harness.NewFigure(
+	fig := NewFigure(
 		fmt.Sprintf("Fig 8b: n:m join COUNT(*), %d distinct join values, n=m (expect superlinear; chains hurt hyper)", distinct),
 		"rows per side", ticks...)
 	for _, n := range sizes {
 		cat, _ := workload.JoinPair(n, n, distinct, 802)
 		src := "SELECT COUNT(*) FROM build, probe WHERE build.nk = probe.nk"
-		for _, sys := range o.Systems {
-			fig.Add(sys, execTime(&o, cat, src, sys))
-		}
+		o.addAll(fig, cat, src)
 	}
 	return fig
 }
 
 // Fig9 reproduces the sorting experiment in its three dimensions.
-func Fig9(o Options) []*harness.Figure {
+func Fig9(o Options) []*Figure {
 	o.norm()
-	var figs []*harness.Figure
+	var figs []*Figure
 
 	// (a) varying rows.
 	{
@@ -402,13 +371,11 @@ func Fig9(o Options) []*harness.Figure {
 		for i, r := range rows {
 			ticks[i] = fmt.Sprintf("%d", r)
 		}
-		fig := harness.NewFigure("Fig 9a: ORDER BY i0 LIMIT 100, varying rows", "rows", ticks...)
+		fig := NewFigure("Fig 9a: ORDER BY i0 LIMIT 100, varying rows", "rows", ticks...)
 		for _, r := range rows {
 			cat, _ := workload.Catalog(workload.Spec{Name: "t", Rows: r, IntCols: 4, Seed: 901})
 			src := "SELECT i0 FROM t ORDER BY i0 LIMIT 100"
-			for _, sys := range o.Systems {
-				fig.Add(sys, execTime(&o, cat, src, sys))
-			}
+			o.addAll(fig, cat, src)
 		}
 		figs = append(figs, fig)
 	}
@@ -417,14 +384,12 @@ func Fig9(o Options) []*harness.Figure {
 	{
 		distinct := []int{10, 1000, 100000}
 		ticks := []string{"10", "1000", "100000"}
-		fig := harness.NewFigure(
+		fig := NewFigure(
 			fmt.Sprintf("Fig 9b: ORDER BY g0 LIMIT 100, %d rows, varying distinct", o.Rows), "distinct", ticks...)
 		for _, d := range distinct {
 			cat, _ := workload.Catalog(workload.Spec{Name: "t", Rows: o.Rows, GroupCols: 1, GroupDistinct: d, Seed: 902})
 			src := "SELECT g0 FROM t ORDER BY g0 LIMIT 100"
-			for _, sys := range o.Systems {
-				fig.Add(sys, execTime(&o, cat, src, sys))
-			}
+			o.addAll(fig, cat, src)
 		}
 		figs = append(figs, fig)
 	}
@@ -434,7 +399,7 @@ func Fig9(o Options) []*harness.Figure {
 		attrs := []int{1, 2, 4}
 		ticks := []string{"1", "2", "4"}
 		cat, _ := workload.Catalog(workload.Spec{Name: "t", Rows: o.Rows, IntCols: 4, Seed: 903})
-		fig := harness.NewFigure(
+		fig := NewFigure(
 			fmt.Sprintf("Fig 9c: ORDER BY i0..in LIMIT 100, %d rows", o.Rows), "attributes", ticks...)
 		for _, n := range attrs {
 			keys := "i0"
@@ -442,9 +407,7 @@ func Fig9(o Options) []*harness.Figure {
 				keys += fmt.Sprintf(", i%d", k)
 			}
 			src := fmt.Sprintf("SELECT i0 FROM t ORDER BY %s LIMIT 100", keys)
-			for _, sys := range o.Systems {
-				fig.Add(sys, execTime(&o, cat, src, sys))
-			}
+			o.addAll(fig, cat, src)
 		}
 		figs = append(figs, fig)
 	}
@@ -465,28 +428,23 @@ func Fig10(o Options, out io.Writer) error {
 		"query", "system", "translate", "liftoff", "turbofan", "execute", "morsels lo/tf")
 	for _, id := range tpch.QueryIDs {
 		src := tpch.Queries[id]
-		for _, sys := range []string{"mutable", "hyper"} {
+		for _, sys := range []string{"mutable", "hyper", "vectorized", "volcano"} {
 			if !o.has(sys) {
 				continue
 			}
-			tm, err := RunOn(cat, src, sys, true) // adaptive: the architecture under test
+			// Adaptive: the architecture under test (the interpreters ignore it).
+			tm, err := RunOn(cat, src, sys, core.Style{}, true)
 			if err != nil {
 				return fmt.Errorf("%s on %s: %w", id, sys, err)
 			}
-			fmt.Fprintf(out, "%-5s%-11s%12s%12s%12s%12s%9d/%d\n",
-				id, sys, fmtDur(tm.Translate), fmtDur(tm.Liftoff), fmtDur(tm.Turbofan),
-				fmtDur(tm.Execute), tm.MorselsLo, tm.MorselsTf)
-		}
-		for _, sys := range []string{"vectorized", "volcano"} {
-			if !o.has(sys) {
-				continue
+			if sys == "mutable" || sys == "hyper" {
+				fmt.Fprintf(out, "%-5s%-11s%12s%12s%12s%12s%9d/%d\n",
+					id, sys, fmtDur(tm.Translate), fmtDur(tm.Liftoff), fmtDur(tm.Turbofan),
+					fmtDur(tm.Execute), tm.MorselsLo, tm.MorselsTf)
+			} else {
+				fmt.Fprintf(out, "%-5s%-11s%12s%12s%12s%12s%14s\n",
+					id, sys, "-", "-", "-", fmtDur(tm.Execute), "-")
 			}
-			tm, err := RunOn(cat, src, sys, false)
-			if err != nil {
-				return fmt.Errorf("%s on %s: %w", id, sys, err)
-			}
-			fmt.Fprintf(out, "%-5s%-11s%12s%12s%12s%12s%14s\n",
-				id, sys, "-", "-", "-", fmtDur(tm.Execute), "-")
 		}
 	}
 	return nil
@@ -502,19 +460,12 @@ func Fig1(o Options, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "\n== Fig 1: compile vs execute, TPC-H Q1 (SF %.2f) ==\n", o.SF)
 	for _, sys := range []string{"liftoff", "turbofan", "adaptive", "hyper"} {
-		tm, err := RunOn(cat, tpch.Queries["Q1"], sys, true)
+		tm, err := RunOn(cat, tpch.Queries["Q1"], sys, core.Style{}, true)
 		if err != nil {
 			return err
 		}
-		total := tm.Translate + tm.Execute
-		if sys == "turbofan" {
-			total += tm.Turbofan
-		}
-		if sys == "liftoff" {
-			total += tm.Liftoff
-		}
-		fmt.Fprintf(out, "%-10s translate=%-10s liftoff=%-10s turbofan=%-10s execute=%-10s latency≈%s\n",
-			sys, fmtDur(tm.Translate), fmtDur(tm.Liftoff), fmtDur(tm.Turbofan), fmtDur(tm.Execute), fmtDur(total))
+		fmt.Fprintf(out, "%-10s translate=%-10s liftoff=%-10s turbofan=%-10s execute=%-10s latency=%s\n",
+			sys, fmtDur(tm.Translate), fmtDur(tm.Liftoff), fmtDur(tm.Turbofan), fmtDur(tm.Execute), fmtDur(tm.Total))
 	}
 	return nil
 }

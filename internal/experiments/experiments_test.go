@@ -3,8 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
-	"wasmdb/internal/harness"
+	"wasmdb/internal/core"
 	"wasmdb/internal/tpch"
 	"wasmdb/internal/workload"
 )
@@ -21,7 +22,7 @@ func TestRunOnAllSystemsAgree(t *testing.T) {
 	}
 	src := "SELECT COUNT(*) FROM t WHERE i0 < 0"
 	for _, sys := range append(DefaultSystems, "liftoff", "turbofan", "adaptive") {
-		tm, err := RunOn(cat, src, sys, false)
+		tm, err := RunOn(cat, src, sys, core.Style{}, false)
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
@@ -29,8 +30,31 @@ func TestRunOnAllSystemsAgree(t *testing.T) {
 			t.Errorf("%s: no execution time", sys)
 		}
 	}
-	if _, err := RunOn(cat, src, "nonsense", false); err == nil {
+	if _, err := RunOn(cat, src, "nonsense", core.Style{}, false); err == nil {
 		t.Error("unknown system accepted")
+	}
+}
+
+// TestRunOnCountsEachPhaseOnce: on the single-tier systems every compile
+// runs before execution, so the phases, each measured once, fit inside the
+// measured wall time. Execute holding a compile would break the bound.
+func TestRunOnCountsEachPhaseOnce(t *testing.T) {
+	cat, err := tpch.Generate(0.002, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []string{"liftoff", "turbofan"} {
+		tm, err := RunOn(cat, tpch.Queries["Q1"], sys, core.Style{}, true)
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		if sum := tm.Translate + tm.Liftoff + tm.Turbofan + tm.Execute; sum > tm.Total {
+			t.Errorf("%s: translate %v + liftoff %v + turbofan %v + execute %v = %v exceeds total %v",
+				sys, tm.Translate, tm.Liftoff, tm.Turbofan, tm.Execute, sum, tm.Total)
+		}
+		if tm.Liftoff+tm.Turbofan == 0 || tm.Execute <= 0 {
+			t.Errorf("%s: missing a phase: %+v", sys, tm)
+		}
 	}
 }
 
@@ -92,5 +116,33 @@ func TestAblationMachinery(t *testing.T) {
 	if err := AblationTiers(o, &sb); err != nil {
 		t.Fatal(err)
 	}
-	_ = harness.Reps
+}
+
+func TestMedian(t *testing.T) {
+	vals := []time.Duration{5, 1, 9}
+	i := 0
+	got := Median(3, func() time.Duration {
+		d := vals[i]
+		i++
+		return d
+	})
+	if got != 5 {
+		t.Errorf("median = %v", got)
+	}
+}
+
+func TestFigureRender(t *testing.T) {
+	f := NewFigure("demo", "x", "a", "b")
+	f.Add("sys1", time.Millisecond)
+	f.Add("sys2", 2*time.Millisecond)
+	f.Add("sys1", 3*time.Millisecond)
+	f.Add("sys2", 4*time.Millisecond)
+	var sb strings.Builder
+	f.Render(&sb)
+	out := sb.String()
+	for _, want := range []string{"demo", "sys1", "sys2", "1.000ms", "4.000ms"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render missing %q:\n%s", want, out)
+		}
+	}
 }

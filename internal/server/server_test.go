@@ -43,6 +43,12 @@ func newServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err := db.Exec(sb.String()); err != nil {
 		t.Fatal(err)
 	}
+	return serveDB(t, db, cfg)
+}
+
+// serveDB stands up a service over db and tears it down (shutdown
+// included) at test end.
+func serveDB(t testing.TB, db *wasmdb.DB, cfg Config) (*Server, *httptest.Server) {
 	s := New(db, cfg)
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"wasmdb"
 	"wasmdb/internal/faultpoint"
 	"wasmdb/internal/obs"
 )
@@ -336,4 +337,38 @@ func TestQueryLogClosedOnShutdown(t *testing.T) {
 		t.Error("query log not flushed by Shutdown")
 	}
 	// Idempotent: the test-cleanup Shutdown must not panic on the closed log.
+}
+
+// BenchmarkServerQueryTelemetryOff and ...Full price the serving layer's
+// telemetry at its most expensive setting — a query-log sink, the flight
+// recorder capturing every query, every query classified slow — against the
+// default server. make bench-smoke fails if Full's best-of-3 ns/op exceeds
+// Off's by more than 5%.
+func BenchmarkServerQueryTelemetryOff(b *testing.B) { benchQueryTelemetry(b, Config{}) }
+
+func BenchmarkServerQueryTelemetryFull(b *testing.B) {
+	benchQueryTelemetry(b, Config{QueryLogWriter: io.Discard, TraceSampleEvery: 1, SlowQuery: time.Nanosecond})
+}
+
+// benchQueryTelemetry times one parameterized /v1/query per op over TPC-H
+// SF 0.01's lineitem, every one a plan-cache hit with a new literal.
+func benchQueryTelemetry(b *testing.B, cfg Config) {
+	db := wasmdb.Open()
+	if err := db.LoadTPCH(0.01, 42); err != nil {
+		b.Fatal(err)
+	}
+	_, hs := serveDB(b, db, cfg)
+	query := func(i int) {
+		status, m, _, err := callE(hs, "POST", "/v1/query", map[string]any{
+			"sql":  "SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_quantity < ?",
+			"args": []any{1 + i%50},
+		})
+		if err != nil || status != http.StatusOK {
+			b.Fatalf("query: %d %v %v", status, m, err)
+		}
+	}
+	query(0)
+	for i := 0; b.Loop(); i++ {
+		query(i)
+	}
 }

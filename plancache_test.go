@@ -113,10 +113,12 @@ func TestPlanCacheTPCHDifferential(t *testing.T) {
 
 // TestPlanCacheHitSkipsCompilation is the headline behavior: a repeated
 // query shape with a different literal records a cache-hit event, no
-// codegen or engine-compile spans, and zero compile time in Stats.
+// codegen or engine-compile spans, and zero compile time in Stats. A cold
+// run that waited for its optimizing compile leaves a fully tiered-up
+// module, so the hit runs every morsel on tier 2.
 func TestPlanCacheHitSkipsCompilation(t *testing.T) {
 	db := tpchDB(t)
-	if _, err := db.Query("SELECT COUNT(*) FROM lineitem WHERE l_quantity < 24"); err != nil {
+	if _, err := db.Query("SELECT COUNT(*) FROM lineitem WHERE l_quantity < 24", wasmdb.WithWaitOptimized()); err != nil {
 		t.Fatal(err)
 	}
 	tr := wasmdb.NewTrace()
@@ -148,6 +150,10 @@ func TestPlanCacheHitSkipsCompilation(t *testing.T) {
 	}
 	if res.Stats.Liftoff != 0 || res.Stats.Turbofan != 0 {
 		t.Errorf("hit reports compile time: liftoff=%v turbofan=%v", res.Stats.Liftoff, res.Stats.Turbofan)
+	}
+	if res.Stats.MorselsLiftoff != 0 || res.Stats.MorselsTurbofan == 0 {
+		t.Errorf("hit not fully on the optimizing tier: morsels liftoff=%d turbofan=%d",
+			res.Stats.MorselsLiftoff, res.Stats.MorselsTurbofan)
 	}
 	if st := db.PlanCacheStats(); st.Hits == 0 {
 		t.Errorf("stats recorded no hit: %+v", st)
