@@ -73,17 +73,19 @@ parallel-diff:
 retired:
 	$(GO) test -tags turbofan_count -run 'TestRetiredInstructions' -count=1 -v .
 
-# flake-guard repeats the three tests that used to fail intermittently on two
+# flake-guard repeats the tests that used to fail intermittently on two
 # cores — the scheduler's concurrent acquire/release (a lease granted fewer
 # extras than the ids probed), the flight recorder's dump-during-churn (an
-# unbounded producer) and the shell's interrupt (the closed input channel
-# winning the select against ctx.Done()) — 20 times under the race detector,
-# so a relapse fails here by name instead of once in a while somewhere in the
-# full suite.
+# unbounded producer), the shell's interrupt (the closed input channel
+# winning the select against ctx.Done()) and the join build's memory limit (a
+# budget taken from one two-worker run's high-water marks, which depend on
+# the morsel schedule) — 20 times under the race detector, so a relapse fails
+# here by name instead of once in a while somewhere in the full suite.
 flake-guard:
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestScheduler(ConcurrentAcquireRelease|YieldBeyondGrant)$$' ./internal/core
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestFlightRecorderConcurrent$$' ./internal/obs
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestReplInterrupt$$' ./cmd/wasmdb
+	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestJoinBuildMemoryLimitInReserve$$' .
 
 # internal/obs must stay at the bottom of the dependency graph: it may
 # import nothing from this module, or every layer recording into it would

@@ -175,10 +175,11 @@ func (e *Env) Enter() {
 // Exit decrements the call depth.
 func (e *Env) Exit() { e.Depth-- }
 
-// CheckAddr validates that an access of size bytes at base+offset stays
-// within the 32-bit address space and returns the effective address.
-func CheckAddr(base uint64, offset uint64, size uint32) uint32 {
-	ea := uint64(uint32(base)) + offset
+// CheckAddr validates that an access of size bytes at the effective address
+// ea — a 32-bit base plus a 32-bit offset, so up to 2³³ — stays within the
+// 32-bit address space, and returns ea as a 32-bit address. It is the run
+// loop's slow path; the trap carries the address truncated to 32 bits.
+func CheckAddr(ea uint64, size uint32) uint32 {
 	if ea+uint64(size) > 1<<32 {
 		panic(&wmem.Trap{Addr: uint32(ea), Size: size, Msg: "out-of-bounds memory access"})
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"wasmdb/internal/engine/wmem"
 )
 
 func expectTrap(t *testing.T, name string, fn func()) {
@@ -114,13 +116,16 @@ func TestCallDepthTrap(t *testing.T) {
 }
 
 func TestCheckAddr(t *testing.T) {
-	if got := CheckAddr(100, 28, 4); got != 128 {
+	if got := CheckAddr(128, 4); got != 128 {
 		t.Errorf("CheckAddr = %d", got)
 	}
+	if got := CheckAddr(1<<32-8, 8); got != 1<<32-8 {
+		t.Errorf("CheckAddr at the last word = %#x", got)
+	}
 	defer func() {
-		if recover() == nil {
-			t.Error("wraparound access not trapped")
+		if tr, ok := recover().(*wmem.Trap); !ok || tr.Addr != 15 || tr.Size != 8 {
+			t.Errorf("wraparound access: trap %v, want one at address 0xf", tr)
 		}
 	}()
-	CheckAddr(0xFFFFFFFF, 16, 8)
+	CheckAddr(0xFFFFFFFF+16, 8)
 }

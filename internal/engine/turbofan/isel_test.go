@@ -72,8 +72,7 @@ func TestEveryOpDispatches(t *testing.T) {
 				}
 			}()
 			c := &Code{MaxStack: 4, ins: []tin{{op: op, imm: 1}, {op: tRet}}, tables: [][]uint32{nil, {1}}}
-			if k := ops[op].kind; k == kindCall || k == kindGlobalGet || k == kindGlobalSet || k == kindLoad ||
-				k == kindStore || k == kindMemOp || k == kindMemOpImm || k == kindLoadScaled || k == kindLoadIndexed {
+			if k := ops[op].kind; k == kindCall || k == kindGlobalGet || k == kindGlobalSet || k.memory() {
 				c.ins[0].imm = 0
 			}
 			env := &rt.Env{Mem: wmem.New(1, 1), Globals: []uint64{0},

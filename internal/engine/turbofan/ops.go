@@ -247,6 +247,16 @@ const (
 	kindNop                        // nop, fuel
 )
 
+// memory reports whether the shape accesses linear memory: the loads, the
+// stores and the read-modify-write updates.
+func (k opKind) memory() bool {
+	switch k {
+	case kindLoad, kindLoadScaled, kindLoadIndexed, kindStore, kindMemOp, kindMemOpImm:
+		return true
+	}
+	return false
+}
+
 // opInfo is one row of the instruction table.
 type opInfo struct {
 	name string

@@ -11,8 +11,7 @@ import (
 // Call executes the compiled function, implementing rt.Callee. All registers
 // (locals followed by stack slots) live in a frame carved from the shared
 // arena. This and run below are the engine's only execution path: fuel,
-// traps, interrupts and the rt memory fast paths exist once, for both
-// compilers' code.
+// traps, interrupts and memory access exist once, for both compilers' code.
 func (c *Code) Call(env *rt.Env, args, res []uint64) {
 	env.Enter()
 	frame := env.Frame(c.NLocals + c.MaxStack)
@@ -30,7 +29,9 @@ func (c *Code) Call(env *rt.Env, args, res []uint64) {
 // pointer: a copy of the 24-byte tin would be spilled to the stack on every
 // dispatch. Taken branches share one tail that charges fuel on backward
 // targets, so runaway loops stay interruptible while unmetered runs pay only
-// the bool test.
+// the bool test. Memory ops share one access tail per width and extension in
+// the same way; their fast path is written out here because Go inlines almost
+// nothing into a function this big, so a helper would be a call per access.
 func (c *Code) run(env *rt.Env, regs []uint64) {
 	mem := env.Mem
 	var pages [][]byte
@@ -39,6 +40,7 @@ func (c *Code) run(env *rt.Env, regs []uint64) {
 	}
 	ins := c.ins
 	pc := 0
+	var ea, v uint64 // a memory op's effective address; add@mem's addend
 	for {
 		t := &ins[pc]
 		retire(t.op)
@@ -122,45 +124,48 @@ func (c *Code) run(env *rt.Env, regs []uint64) {
 			regs[t.d] = uint64(uint32(mem.Grow(uint32(regs[t.a]))))
 			pages = mem.PageSlice()
 
-		// Memory.
-		case uint16(wasm.OpI32Load):
-			regs[t.d] = uint64(rt.LdU32(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 4)))
-		case uint16(wasm.OpI64Load):
-			regs[t.d] = rt.LdU64(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 8))
-		case uint16(wasm.OpF32Load):
-			regs[t.d] = uint64(rt.LdU32(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 4)))
-		case uint16(wasm.OpF64Load):
-			regs[t.d] = rt.LdU64(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 8))
+		// Memory. Each case computes the effective address — the 32-bit base
+		// plus the offset, up to 2³³, without wrapping — and jumps to the
+		// access tail of its width and extension below the switch.
+		case uint16(wasm.OpI32Load), uint16(wasm.OpF32Load), uint16(wasm.OpI64Load32U):
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto ld32u
+		case uint16(wasm.OpI64Load), uint16(wasm.OpF64Load):
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto ld64
 		case uint16(wasm.OpI32Load8S):
-			regs[t.d] = uint64(uint32(int32(int8(rt.LdU8(mem, rt.CheckAddr(regs[t.a], t.imm, 1))))))
-		case uint16(wasm.OpI32Load8U):
-			regs[t.d] = uint64(rt.LdU8(mem, rt.CheckAddr(regs[t.a], t.imm, 1)))
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto ld8s32
+		case uint16(wasm.OpI32Load8U), uint16(wasm.OpI64Load8U):
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto ld8u
 		case uint16(wasm.OpI32Load16S):
-			regs[t.d] = uint64(uint32(int32(int16(rt.LdU16(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 2))))))
-		case uint16(wasm.OpI32Load16U):
-			regs[t.d] = uint64(rt.LdU16(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 2)))
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto ld16s32
+		case uint16(wasm.OpI32Load16U), uint16(wasm.OpI64Load16U):
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto ld16u
 		case uint16(wasm.OpI64Load8S):
-			regs[t.d] = uint64(int64(int8(rt.LdU8(mem, rt.CheckAddr(regs[t.a], t.imm, 1)))))
-		case uint16(wasm.OpI64Load8U):
-			regs[t.d] = uint64(rt.LdU8(mem, rt.CheckAddr(regs[t.a], t.imm, 1)))
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto ld8s64
 		case uint16(wasm.OpI64Load16S):
-			regs[t.d] = uint64(int64(int16(rt.LdU16(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 2)))))
-		case uint16(wasm.OpI64Load16U):
-			regs[t.d] = uint64(rt.LdU16(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 2)))
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto ld16s64
 		case uint16(wasm.OpI64Load32S):
-			regs[t.d] = uint64(int64(int32(rt.LdU32(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 4)))))
-		case uint16(wasm.OpI64Load32U):
-			regs[t.d] = uint64(rt.LdU32(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 4)))
-		case uint16(wasm.OpI32Store), uint16(wasm.OpF32Store):
-			rt.StU32(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 4), uint32(regs[t.b]))
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto ld32s64
+		case uint16(wasm.OpI32Store), uint16(wasm.OpF32Store), uint16(wasm.OpI64Store32):
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto st32
 		case uint16(wasm.OpI64Store), uint16(wasm.OpF64Store):
-			rt.StU64(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 8), regs[t.b])
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto st64
 		case uint16(wasm.OpI32Store8), uint16(wasm.OpI64Store8):
-			rt.StU8(mem, rt.CheckAddr(regs[t.a], t.imm, 1), byte(regs[t.b]))
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto st8
 		case uint16(wasm.OpI32Store16), uint16(wasm.OpI64Store16):
-			rt.StU16(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 2), uint16(regs[t.b]))
-		case uint16(wasm.OpI64Store32):
-			rt.StU32(pages, mem, rt.CheckAddr(regs[t.a], t.imm, 4), uint32(regs[t.b]))
+			ea = uint64(uint32(regs[t.a])) + t.imm
+			goto st16
 
 		// i32 comparisons.
 		case uint16(wasm.OpI32Eqz):
@@ -755,52 +760,70 @@ func (c *Code) run(env *rt.Env, regs []uint64) {
 			regs[t.d] = t.imm - regs[t.a]
 
 		// Loads with an addressing mode. The index arithmetic wraps at 32 bits
-		// exactly like the i32.shl / i32.add it replaces, then CheckAddr adds
-		// the offset without wrapping — the same address, the same trap.
+		// exactly like the i32.shl / i32.add it replaces; the offset is added
+		// without wrapping — the same address, the same trap.
 		case tLoad32Scaled:
-			regs[t.d] = uint64(rt.LdU32(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 4)))
+			ea = uint64(uint32(regs[t.a])<<(uint32(t.b)&31)) + t.imm
+			goto ld32u
 		case tLoad64Scaled:
-			regs[t.d] = rt.LdU64(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 8))
+			ea = uint64(uint32(regs[t.a])<<(uint32(t.b)&31)) + t.imm
+			goto ld64
 		case tLoad8S32Scaled:
-			regs[t.d] = uint64(uint32(int32(int8(rt.LdU8(mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 1))))))
+			ea = uint64(uint32(regs[t.a])<<(uint32(t.b)&31)) + t.imm
+			goto ld8s32
 		case tLoad8UScaled:
-			regs[t.d] = uint64(rt.LdU8(mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 1)))
+			ea = uint64(uint32(regs[t.a])<<(uint32(t.b)&31)) + t.imm
+			goto ld8u
 		case tLoad16S32Scaled:
-			regs[t.d] = uint64(uint32(int32(int16(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 2))))))
+			ea = uint64(uint32(regs[t.a])<<(uint32(t.b)&31)) + t.imm
+			goto ld16s32
 		case tLoad16UScaled:
-			regs[t.d] = uint64(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 2)))
+			ea = uint64(uint32(regs[t.a])<<(uint32(t.b)&31)) + t.imm
+			goto ld16u
 		case tLoad8S64Scaled:
-			regs[t.d] = uint64(int64(int8(rt.LdU8(mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 1)))))
+			ea = uint64(uint32(regs[t.a])<<(uint32(t.b)&31)) + t.imm
+			goto ld8s64
 		case tLoad16S64Scaled:
-			regs[t.d] = uint64(int64(int16(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 2)))))
+			ea = uint64(uint32(regs[t.a])<<(uint32(t.b)&31)) + t.imm
+			goto ld16s64
 		case tLoad32S64Scaled:
-			regs[t.d] = uint64(int64(int32(rt.LdU32(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 4)))))
+			ea = uint64(uint32(regs[t.a])<<(uint32(t.b)&31)) + t.imm
+			goto ld32s64
 		case tLoad32Indexed:
-			regs[t.d] = uint64(rt.LdU32(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 4)))
+			ea = uint64(uint32(regs[t.a])+uint32(regs[t.b])) + t.imm
+			goto ld32u
 		case tLoad64Indexed:
-			regs[t.d] = rt.LdU64(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 8))
+			ea = uint64(uint32(regs[t.a])+uint32(regs[t.b])) + t.imm
+			goto ld64
 		case tLoad8S32Indexed:
-			regs[t.d] = uint64(uint32(int32(int8(rt.LdU8(mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 1))))))
+			ea = uint64(uint32(regs[t.a])+uint32(regs[t.b])) + t.imm
+			goto ld8s32
 		case tLoad8UIndexed:
-			regs[t.d] = uint64(rt.LdU8(mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 1)))
+			ea = uint64(uint32(regs[t.a])+uint32(regs[t.b])) + t.imm
+			goto ld8u
 		case tLoad16S32Indexed:
-			regs[t.d] = uint64(uint32(int32(int16(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 2))))))
+			ea = uint64(uint32(regs[t.a])+uint32(regs[t.b])) + t.imm
+			goto ld16s32
 		case tLoad16UIndexed:
-			regs[t.d] = uint64(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 2)))
+			ea = uint64(uint32(regs[t.a])+uint32(regs[t.b])) + t.imm
+			goto ld16u
 		case tLoad8S64Indexed:
-			regs[t.d] = uint64(int64(int8(rt.LdU8(mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 1)))))
+			ea = uint64(uint32(regs[t.a])+uint32(regs[t.b])) + t.imm
+			goto ld8s64
 		case tLoad16S64Indexed:
-			regs[t.d] = uint64(int64(int16(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 2)))))
+			ea = uint64(uint32(regs[t.a])+uint32(regs[t.b])) + t.imm
+			goto ld16s64
 		case tLoad32S64Indexed:
-			regs[t.d] = uint64(int64(int32(rt.LdU32(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 4)))))
+			ea = uint64(uint32(regs[t.a])+uint32(regs[t.b])) + t.imm
+			goto ld32s64
 
 		// Read-modify-write accumulation.
 		case tI64AddMem:
-			ea := rt.CheckAddr(regs[t.a], t.imm, 8)
-			rt.StU64(pages, mem, ea, rt.LdU64(pages, mem, ea)+regs[t.b])
+			ea, v = uint64(uint32(regs[t.a]))+t.imm, regs[t.b]
+			goto add64
 		case tI64AddMemImm:
-			ea := rt.CheckAddr(regs[t.a], t.imm, 8)
-			rt.StU64(pages, mem, ea, rt.LdU64(pages, mem, ea)+uint64(int64(t.b)))
+			ea, v = uint64(uint32(regs[t.a]))+t.imm, uint64(int64(t.b))
+			goto add64
 
 		default:
 			rt.Trap("turbofan: unknown opcode %#x", t.op)
@@ -813,5 +836,162 @@ func (c *Code) run(env *rt.Env, regs []uint64) {
 			env.UseFuel(1)
 		}
 		pc = int(t.imm)
+		continue
+
+		// The access tails, one per width and extension. The fast path is a
+		// page-table index and one length test, which covers both bounds and
+		// presence: a committed or host-mapped page is 64 KiB long, a reserved
+		// (demand-zero) page is nil, and the table is never longer than 2¹⁶
+		// pages, so an address that passes lies below 4 GiB and below the end
+		// of memory. The bytes are combined by hand, which compiles to one
+		// load or store. Everything else — a reserved page, an access that
+		// straddles a page, an address past the end or past 4 GiB — takes the
+		// slow path: rt.CheckAddr, then the wmem accessor, which commits the
+		// page or raises the trap.
+
+	ld8u:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+1 <= len(pages[p]) {
+			b := pages[p][off : off+1]
+			regs[t.d] = uint64(b[0])
+		} else {
+			regs[t.d] = uint64(mem.U8(rt.CheckAddr(ea, 1)))
+		}
+		pc++
+		continue
+
+	ld8s32:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+1 <= len(pages[p]) {
+			b := pages[p][off : off+1]
+			regs[t.d] = uint64(uint32(int32(int8(b[0]))))
+		} else {
+			regs[t.d] = uint64(uint32(int32(int8(mem.U8(rt.CheckAddr(ea, 1))))))
+		}
+		pc++
+		continue
+
+	ld8s64:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+1 <= len(pages[p]) {
+			b := pages[p][off : off+1]
+			regs[t.d] = uint64(int64(int8(b[0])))
+		} else {
+			regs[t.d] = uint64(int64(int8(mem.U8(rt.CheckAddr(ea, 1)))))
+		}
+		pc++
+		continue
+
+	ld16u:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+2 <= len(pages[p]) {
+			b := pages[p][off : off+2]
+			regs[t.d] = uint64(uint16(b[0]) | uint16(b[1])<<8)
+		} else {
+			regs[t.d] = uint64(mem.U16(rt.CheckAddr(ea, 2)))
+		}
+		pc++
+		continue
+
+	ld16s32:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+2 <= len(pages[p]) {
+			b := pages[p][off : off+2]
+			regs[t.d] = uint64(uint32(int32(int16(uint16(b[0]) | uint16(b[1])<<8))))
+		} else {
+			regs[t.d] = uint64(uint32(int32(int16(mem.U16(rt.CheckAddr(ea, 2))))))
+		}
+		pc++
+		continue
+
+	ld16s64:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+2 <= len(pages[p]) {
+			b := pages[p][off : off+2]
+			regs[t.d] = uint64(int64(int16(uint16(b[0]) | uint16(b[1])<<8)))
+		} else {
+			regs[t.d] = uint64(int64(int16(mem.U16(rt.CheckAddr(ea, 2)))))
+		}
+		pc++
+		continue
+
+	ld32u:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+4 <= len(pages[p]) {
+			b := pages[p][off : off+4]
+			regs[t.d] = uint64(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
+		} else {
+			regs[t.d] = uint64(mem.U32(rt.CheckAddr(ea, 4)))
+		}
+		pc++
+		continue
+
+	ld32s64:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+4 <= len(pages[p]) {
+			b := pages[p][off : off+4]
+			regs[t.d] = uint64(int64(int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)))
+		} else {
+			regs[t.d] = uint64(int64(int32(mem.U32(rt.CheckAddr(ea, 4)))))
+		}
+		pc++
+		continue
+
+	ld64:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+8 <= len(pages[p]) {
+			b := pages[p][off : off+8]
+			regs[t.d] = uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+				uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		} else {
+			regs[t.d] = mem.U64(rt.CheckAddr(ea, 8))
+		}
+		pc++
+		continue
+
+	st8:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+1 <= len(pages[p]) {
+			b, x := pages[p][off:off+1], regs[t.b]
+			b[0] = byte(x)
+		} else {
+			mem.PutU8(rt.CheckAddr(ea, 1), byte(regs[t.b]))
+		}
+		pc++
+		continue
+
+	st16:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+2 <= len(pages[p]) {
+			b, x := pages[p][off:off+2], regs[t.b]
+			b[0], b[1] = byte(x), byte(x>>8)
+		} else {
+			mem.PutU16(rt.CheckAddr(ea, 2), uint16(regs[t.b]))
+		}
+		pc++
+		continue
+
+	st32:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+4 <= len(pages[p]) {
+			b, x := pages[p][off:off+4], regs[t.b]
+			b[0], b[1], b[2], b[3] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
+		} else {
+			mem.PutU32(rt.CheckAddr(ea, 4), uint32(regs[t.b]))
+		}
+		pc++
+		continue
+
+	st64:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+8 <= len(pages[p]) {
+			b, x := pages[p][off:off+8], regs[t.b]
+			b[0], b[1], b[2], b[3] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
+			b[4], b[5], b[6], b[7] = byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56)
+		} else {
+			mem.PutU64(rt.CheckAddr(ea, 8), regs[t.b])
+		}
+		pc++
+		continue
+
+	add64:
+		if p, off := ea>>16, int(ea&0xFFFF); p < uint64(len(pages)) && off+8 <= len(pages[p]) {
+			b := pages[p][off : off+8]
+			x := v + (uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+				uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
+			b[0], b[1], b[2], b[3] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
+			b[4], b[5], b[6], b[7] = byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56)
+		} else {
+			a := rt.CheckAddr(ea, 8)
+			mem.PutU64(a, mem.U64(a)+v)
+		}
+		pc++
 	}
 }

@@ -92,11 +92,13 @@ func New(minPages, maxPages uint32) *Memory {
 // Pages returns the current size in pages.
 func (m *Memory) Pages() uint32 { return uint32(len(m.pages)) }
 
-// PageSlice exposes the page table for the run loop's inline fast paths
-// (see rt.LdU32 and friends). The returned slice becomes stale after Grow;
-// callers refresh it after any operation that may grow the memory. Map,
-// Unmap and first-touch commits write into the same backing array, so a
-// cached slice sees them.
+// PageSlice exposes the page table for the run loop's memory fast path,
+// which is written into the loop (turbofan/run.go): an access that lies
+// within one committed or host-mapped page reads or writes the page slice
+// directly, everything else comes back to this type's accessors. The
+// returned slice becomes stale after Grow; callers refresh it after any
+// operation that may grow the memory. Map, Unmap and first-touch commits
+// write into the same backing array, so a cached slice sees them.
 func (m *Memory) PageSlice() [][]byte { return m.pages }
 
 // Committed returns how many module-owned pages have been committed —

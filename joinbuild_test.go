@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -307,12 +308,20 @@ func TestJoinBuildKeyCanonicalisation(t *testing.T) {
 		adhoc: "SELECT COUNT(*), SUM(l.x), SUM(r.y) FROM l, r WHERE l.a = r.a AND l.b = r.b"})
 }
 
-// TestJoinBuildMemoryLimitInReserve sets the budget one page below what an
-// unbudgeted run reserves. The last growth of this query is the directory
-// allocation at the build barrier, so that is where the budget trips: a typed
-// error naming the reserve call, no panic, and the database keeps serving.
+// TestJoinBuildMemoryLimitInReserve sets budgets the build barrier's reserve
+// call cannot fit in: a typed error naming the reserve call, no panic, and
+// the database keeps serving. Both budgets come from the serial run, whose
+// memory does not depend on a schedule. Serially the directory is the last
+// growth, so one page below the peak trips there. On two workers a worker's
+// high-water mark depends on the morsel schedule — the guest allocator grows
+// with 16 pages of headroom, and a worker that appended few chunks must alias
+// many — so the serial peak less one directory is used: before its reserve
+// call a worker holds at most the base, every build tuple in page-sized
+// chunks and the headroom, which fits; after it, each worker must also hold
+// the directory, and on every schedule some worker's growth does not fit.
 func TestJoinBuildMemoryLimitInReserve(t *testing.T) {
-	bld := make([][]types.Value, 70_000)
+	const n = 70_000
+	bld := make([][]types.Value, n)
 	for i := range bld {
 		bld[i] = ints(i, i)
 	}
@@ -323,20 +332,24 @@ func TestJoinBuildMemoryLimitInReserve(t *testing.T) {
 	db := joinTables(t, map[string]string{"bld": "k INT, tag INT", "prb": "k INT, val INT"},
 		map[string][][]types.Value{"bld": bld, "prb": prb})
 	const src = "SELECT COUNT(*) FROM bld, prb WHERE bld.k = prb.k"
-	for _, workers := range []int{1, 2} {
-		opts := []wasmdb.Option{wasmdb.WithBackend(wasmdb.BackendWasmLiftoff), wasmdb.WithParallelism(workers)}
-		free, err := db.Query(src, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perWorker := free.Stats.PeakMemBytes / uint64(workers)
-		_, err = db.Query(src, append(opts, wasmdb.WithMemoryLimit(perWorker-64*1024))...)
+	free, err := db.Query(src, wasmdb.WithBackend(wasmdb.BackendWasmLiftoff), wasmdb.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := free.Stats.PeakMemBytes
+	directory := uint64(4) << bits.Len(2*n-1) // pow2ceil(2·n) four-byte slots
+	for _, c := range []struct {
+		workers int
+		limit   uint64
+	}{{1, serial - 64*1024}, {2, serial - directory}} {
+		opts := []wasmdb.Option{wasmdb.WithBackend(wasmdb.BackendWasmLiftoff), wasmdb.WithParallelism(c.workers)}
+		_, err = db.Query(src, append(opts, wasmdb.WithMemoryLimit(c.limit))...)
 		if !errors.Is(err, wasmdb.ErrMemoryLimit) || !strings.Contains(err.Error(), "q_join_reserve_0") {
-			t.Fatalf("%d workers: budgeted join returned %v; want ErrMemoryLimit from q_join_reserve_0", workers, err)
+			t.Fatalf("%d workers: budgeted join returned %v; want ErrMemoryLimit from q_join_reserve_0", c.workers, err)
 		}
 		res, err := db.Query(src, opts...)
 		if err != nil || res.Row(0)[0] != "70000" {
-			t.Fatalf("%d workers: database unusable after the memory-limit failure: %v", workers, err)
+			t.Fatalf("%d workers: database unusable after the memory-limit failure: %v", c.workers, err)
 		}
 	}
 }

@@ -3,6 +3,8 @@
 package wasmdb_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"wasmdb"
@@ -76,12 +78,12 @@ func TestRetiredInstructions(t *testing.T) {
 	if err := db.LoadTPCH(0.01, 42); err != nil {
 		t.Fatal(err)
 	}
-	measure := func(src string, backend wasmdb.Backend) uint64 {
+	measure := func(src string, backend wasmdb.Backend) (uint64, []turbofan.OpCount) {
 		turbofan.ResetRetired()
 		if _, err := db.Query(src, wasmdb.WithBackend(backend), wasmdb.WithPlanCache(false)); err != nil {
 			t.Fatal(err)
 		}
-		return turbofan.Retired()
+		return turbofan.Retired(), turbofan.Dispatched()
 	}
 	for _, q := range retiredQueries {
 		id, src := q.id, q.src
@@ -91,7 +93,9 @@ func TestRetiredInstructions(t *testing.T) {
 		}
 		var now [2]uint64
 		for i, backend := range []wasmdb.Backend{wasmdb.BackendWasmLiftoff, wasmdb.BackendWasmTurbofan} {
-			first, second := measure(src, backend), measure(src, backend)
+			first, ops := measure(src, backend)
+			second, _ := measure(src, backend)
+			logOpHistogram(t, id, i+1, first, ops)
 			if first != second {
 				t.Errorf("%s on %v: retired count does not repeat: %d then %d", id, backend, first, second)
 			}
@@ -123,4 +127,27 @@ func TestRetiredInstructions(t *testing.T) {
 			t.Errorf("%s: %d instructions retired by tier 2, more than 75 %% of PR 12's %d", id, now[1], pr12Retired[id])
 		}
 	}
+}
+
+// logOpHistogram prints one query's 20 most frequent opcodes on one tier and
+// the share of its instructions that access memory: the profile a fused
+// instruction is chosen from. In the run loop a memory access is a page-table
+// index, a length test and the load or store, with no call.
+func logOpHistogram(t *testing.T, id string, tier int, total uint64, ops []turbofan.OpCount) {
+	t.Helper()
+	var mem uint64
+	for _, c := range ops {
+		if c.Memory {
+			mem += c.N
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-8s tier %d: %d retired, memory ops %.1f %%; top 20:", id, tier, total, 100*float64(mem)/float64(total))
+	for i, c := range ops[:min(20, len(ops))] {
+		if i%5 == 0 {
+			b.WriteString("\n        ")
+		}
+		fmt.Fprintf(&b, " %-20s %5.1f %%", c.Name, 100*float64(c.N)/float64(total))
+	}
+	t.Log(b.String())
 }
