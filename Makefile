@@ -33,16 +33,17 @@ verify: lint-layers
 # tier-diff runs what pins the two compilers to each other and to the values
 # computed outside them, ahead of the full suite so a compiler bug fails here
 # by name: the tier-differential corpora (generated programs, every immediate
-# form, every addressing mode), the abstract-stack hazards and the opcode ×
-# operand-place matrix (both checked against Go), the fuel-equivalence and
-# exhaustion-point tests, the golden listings of the three hot kernels from
-# either compiler, and the density of the dispatch switch's opcode space. A
-# pattern that stops matching after a rename would pass vacuously, so the
-# number of selected tests is checked first.
-TIER_DIFF = Differential|Fuel|Golden|OpcodeSpace|AbstractStack|NumericOpcodes
+# form, every addressing mode), the abstract-stack hazards, the value-numbering
+# hazards and the opcode × operand-place matrix (all checked against Go), the
+# fuel-equivalence and exhaustion-point tests, the golden listings of the
+# three hot kernels from either compiler and the value-numbering listings,
+# and the density of the dispatch switch's opcode space. A pattern that stops
+# matching after a rename would pass vacuously, so the number of selected
+# tests is checked first.
+TIER_DIFF = Differential|Fuel|Golden|OpcodeSpace|AbstractStack|NumericOpcodes|ValueNumbering
 tier-diff:
 	@n=$$($(GO) test -list '$(TIER_DIFF)' ./internal/engine/... | grep -c '^Test\|^Fuzz'); \
-		if [ $$n -lt 15 ]; then echo "tier-diff: the pattern selects $$n tests, expected at least 15" >&2; exit 1; fi
+		if [ $$n -lt 18 ]; then echo "tier-diff: the pattern selects $$n tests, expected at least 18" >&2; exit 1; fi
 	$(GO) test -race -run '$(TIER_DIFF)' ./internal/engine/...
 
 # parallel-diff runs what pins a worker pool to serial execution, ahead of the
@@ -138,7 +139,9 @@ lint-layers:
 # tuple append and barrier together, and the barrier alone in µs.
 # Last it prints the engine's kernel benchmarks once: ns/row and emitted
 # instructions of the three golden kernels on each tier, and each compiler's
-# speed in B/µs over the same three modules.
+# speed in B/µs over the same three modules with its B/op and allocs/op — the
+# optimizing compiler's allocation is paid inside every cold query's
+# alloc_kb_per_query.
 bench-smoke:
 	$(GO) run ./cmd/bench -experiment fig1,abl-tier -sf 0.01 -reps 1
 	$(GO) run ./benchmark -workload all -rounds 3 -seed 1
@@ -162,7 +165,7 @@ bench-smoke:
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkJoinBuild$$' -benchtime 3x \
 		| awk '/^BenchmarkJoinBuild/ { n++; printf "bench-smoke: %s %s %s, %s %s\n", $$1, $$7, $$8, $$5, $$6 } \
 		       END { if (n != 12) { print "bench-smoke: missing join-build benchmark output" > "/dev/stderr"; exit 1 } }'
-	@$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkTier[12]Kernels|Benchmark(Turbofan|Baseline)Compile$$' -benchtime 5x \
+	@$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkTier[12]Kernels|Benchmark(Turbofan|Baseline)Compile$$' -benchtime 5x -benchmem \
 		| awk '/^Benchmark/ { n++; printf "bench-smoke: %s", $$1; for (i = 5; i <= NF; i += 2) printf " %s %s", $$i, $$(i+1); print "" } \
 		       END { if (n != 8) { print "bench-smoke: missing kernel benchmark output" > "/dev/stderr"; exit 1 } }'
 

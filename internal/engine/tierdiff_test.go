@@ -37,6 +37,14 @@ var (
 		0x0123456789ABCDEF, 1099511628211}
 )
 
+// Bounds the range tests draw from: the limits of each width, the values next
+// to them, and a few in between.
+var (
+	rangeConst32 = []int32{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, 7, 100, math.MaxInt32 - 1, math.MaxInt32}
+	rangeConst64 = []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt32, -1, 0, 1, 7, 100, math.MaxInt32,
+		math.MaxInt64 - 1, math.MaxInt64}
+)
+
 var (
 	diffBin32 = []wasm.Opcode{wasm.OpI32Add, wasm.OpI32Sub, wasm.OpI32Mul, wasm.OpI32DivS, wasm.OpI32DivU,
 		wasm.OpI32RemS, wasm.OpI32RemU, wasm.OpI32And, wasm.OpI32Or, wasm.OpI32Xor, wasm.OpI32Shl,
@@ -115,7 +123,7 @@ func (g *progGen) expr32(depth int) {
 		}
 		return
 	}
-	switch g.pick(8) {
+	switch g.pick(9) {
 	case 0:
 		f.LocalGet(g.local32())
 	case 1: // a constant on either side of an operation
@@ -163,6 +171,62 @@ func (g *progGen) expr32(depth int) {
 		g.expr32(depth - 1)
 		g.expr32(depth - 1)
 		f.Select()
+	case 8:
+		g.rangeTest(depth - 1)
+	}
+}
+
+// rangeTest pushes a conjunction of two signed comparisons of one value with
+// constants at or next to the limits of its width — mostly a lower and an
+// upper bound, strict or not, the empty ranges among them — sometimes at the
+// end of an `and` chain behind another value. The value's expression is
+// generated twice from the same bytes, so both comparisons read one value.
+func (g *progGen) rangeTest(depth int) {
+	f := g.f
+	wide := g.pick(2) == 0
+	chain := g.pick(3) == 0
+	if chain {
+		g.expr32(depth)
+	}
+	lower := []wasm.Opcode{wasm.OpI32GeS, wasm.OpI32GtS}
+	upper := []wasm.Opcode{wasm.OpI32LeS, wasm.OpI32LtS}
+	if wide {
+		lower = []wasm.Opcode{wasm.OpI64GeS, wasm.OpI64GtS}
+		upper = []wasm.Opcode{wasm.OpI64LeS, wasm.OpI64LtS}
+	}
+	ops := [2]wasm.Opcode{lower[g.pick(2)], upper[g.pick(2)]}
+	switch g.pick(4) {
+	case 0:
+		ops[0], ops[1] = ops[1], ops[0]
+	case 1:
+		ops[1] = lower[g.pick(2)] // two lower bounds: no range
+	}
+	operand := func() {
+		if wide {
+			g.expr64(depth)
+		} else {
+			g.expr32(depth)
+		}
+	}
+	x := g.pos
+	for i, op := range ops {
+		if i == 0 {
+			operand()
+		} else {
+			next := g.pos
+			g.pos = x
+			operand()
+			g.pos = next
+		}
+		if wide {
+			f.I64Const(rangeConst64[g.pick(len(rangeConst64))])
+		} else {
+			f.I32Const(rangeConst32[g.pick(len(rangeConst32))])
+		}
+		f.Op(op)
+		if chain || i == 1 {
+			f.I32And()
+		}
 	}
 }
 
@@ -256,7 +320,7 @@ func (g *progGen) offset() uint64 {
 func (g *progGen) stmt(depth int) {
 	f := g.f
 	g.stmts--
-	switch g.pick(18) {
+	switch g.pick(19) {
 	case 0:
 		g.expr32(2)
 		f.LocalSet(g.local32())
@@ -416,7 +480,80 @@ func (g *progGen) stmt(depth int) {
 		}
 		f.Op(diffBin64[g.pick(3)])
 		f.LocalSet(g.local64())
+	case 18:
+		g.reevaluate()
 	}
+}
+
+// reevaluate evaluates a load or an expression, then possibly something that
+// changes what it reads, then the same load or expression again — generated
+// twice from the same bytes — and combines the two values. In between comes
+// nothing, a store to the load's address, to an overlapping or to a disjoint
+// one, a call, an indirect call, a global.set, a memory.grow, an update in
+// place of the slot or a local.set.
+func (g *progGen) reevaluate() {
+	f := g.f
+	load, off := g.pick(3) != 0, g.offset()
+	op := diffLoad64[g.pick(len(diffLoad64))]
+	x := g.pos
+	value := func() {
+		if load {
+			g.address(1)
+			f.Emit(op, off, 0)
+		} else {
+			g.expr64(2)
+		}
+	}
+	replay := func(fn func()) {
+		next := g.pos
+		g.pos = x
+		fn()
+		g.pos = next
+	}
+	value()
+	switch g.pick(9) {
+	case 0:
+	case 1: // a store at the load's address plus 0, 1, 3 or 8
+		if load {
+			replay(func() { g.address(1) })
+			g.expr64(1)
+			f.Emit(diffStore64[g.pick(len(diffStore64))], off+[]uint64{0, 1, 3, 8}[g.pick(4)], 0)
+		}
+	case 2:
+		l := g.local64()
+		f.LocalGet(l)
+		f.Call(g.helper)
+		f.LocalSet(l)
+	case 3:
+		l := g.local64()
+		f.LocalGet(l)
+		f.I32Const(0)
+		f.Emit(wasm.OpCallIndirect, uint64(g.hType), 0)
+		f.LocalSet(l)
+	case 4:
+		g.expr64(1)
+		f.GlobalSet(0)
+	case 5: // fails: the memory is at its maximum
+		f.I32Const(int32(g.pick(2)))
+		f.MemoryGrow()
+		f.LocalSet(g.local32())
+	case 6:
+		f.LocalGet(g.slot)
+		f.LocalGet(g.slot)
+		f.I64Load(0)
+		g.expr64(0)
+		f.I64Add()
+		f.I64Store(0)
+	case 7:
+		g.expr64(1)
+		f.LocalSet(g.local64())
+	case 8:
+		g.expr32(1)
+		f.LocalSet(g.local32())
+	}
+	replay(value)
+	f.Op(diffBin64[g.pick(3)])
+	f.LocalSet(g.local64())
 }
 
 func (g *progGen) block(depth int) {

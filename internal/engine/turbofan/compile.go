@@ -41,9 +41,10 @@ const DefaultOptRounds = 1
 
 // CompileRounds is the optimizing compiler with an explicit optimization
 // budget: the baseline emitter's output, split into basic blocks, given its
-// final instruction forms (isel.go) with liveness-based dead-code elimination
-// and laid out again with its loops rotated. Every round runs the dead-code
-// elimination, the last one instruction selection with it.
+// final instruction forms (isel.go), value-numbered (vn.go), cleaned by
+// liveness-based dead-code elimination and laid out again with its loops
+// rotated. Every round runs the dead-code elimination; the last one runs
+// instruction selection and value numbering, once each, in front of it.
 func CompileRounds(m *wasm.Module, fn *wasm.Func, rounds int) (*Code, error) {
 	c, err := emitFunc(m, fn)
 	if err != nil {
@@ -55,6 +56,7 @@ func CompileRounds(m *wasm.Module, fn *wasm.Func, rounds int) (*Code, error) {
 		o.deadCodeElim(false)
 	}
 	o.selectInstructions()
+	o.numberValues()
 	o.deadCodeElim(true)
 	linearize(c, g)
 	return c, nil

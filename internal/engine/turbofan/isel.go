@@ -200,6 +200,11 @@ func (s *selector) selectLoad(t *tin) {
 // [a+off] ← x` with x dead afterwards — the update of an aggregate slot —
 // becomes one `i64.add@mem [a+off] += y`. Load and store touch the same eight
 // bytes, so the fused instruction traps exactly when the load did.
+//
+// Compare-and-branch: `cmp@imm x ← a, c; br.nez x` (or br.eqz) with x dead
+// afterwards becomes `br.cmp@imm a, c` (or its inverse). The emitter fuses a
+// comparison that directly feeds a branch; this catches the range tests value
+// numbering (vn.go) makes of a conjunction.
 func (c *Code) peephole(ins []tin, ii int, live liveSet) {
 	t := &ins[ii]
 	pi := prev(ins, ii)
@@ -244,6 +249,31 @@ func (c *Code) peephole(ins []tin, ii int, live liveSet) {
 		if l := &ins[li]; l.op == uint16(wasm.OpI64Load) && l.d == x && l.a == t.a && l.imm == t.imm {
 			*l, *p, *t = tin{op: tNop}, tin{op: tNop}, fused
 		}
+	case (t.op == tJumpIfNot || t.op == tJumpIfZero) && !live.has(t.a):
+		// The comparison may sit behind the moves that flushed the stack
+		// for the branch; they must leave its operand alone.
+		for pi >= 0 && pure(ins[pi].op) && ins[pi].d != t.a && !c.reads(&ins[pi], t.a) {
+			pi = prev(ins, pi)
+		}
+		if pi < 0 {
+			return
+		}
+		p := &ins[pi]
+		b, fits := brImmOperand(p.op >= tI64EqImm, p.imm)
+		if p.d != t.a || ops[p.op].kind != kindBinImm || ops[p.op].br == 0 || !fits {
+			return
+		}
+		for k := pi + 1; k < ii; k++ {
+			if ins[k].op != tNop && ins[k].d == p.a {
+				return
+			}
+		}
+		br := ops[p.op].br
+		if t.op == tJumpIfZero {
+			br = ops[br].inv
+		}
+		*t = tin{op: br, a: p.a, b: b, imm: t.imm}
+		*p = tin{op: tNop}
 	}
 }
 

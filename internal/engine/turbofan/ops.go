@@ -16,9 +16,12 @@
 //     dataflow facts: its back end (isel.go) selects the forms only those
 //     justify — immediates of constants that reached their use through a
 //     local or a move, scaled and indexed addressing across instructions,
-//     multiply strength reduction, read-modify-write accumulation — with
-//     global liveness-based dead-code elimination (opt.go), and
-//     linearization rotates small loop headers into bottom-tested loops.
+//     multiply strength reduction, read-modify-write accumulation — value
+//     numbering (vn.go) computes each block's loads and expressions once and
+//     fuses two-sided range tests into one unsigned compare, global
+//     liveness-based dead-code elimination (opt.go) removes what that left
+//     dead, and linearization rotates small loop headers into bottom-tested
+//     loops.
 //
 // The ops table gives every instruction's operand shape and its related
 // forms; it drives the emitter's form selection, the dataflow passes, the
@@ -256,6 +259,10 @@ func (k opKind) memory() bool {
 	}
 	return false
 }
+
+// call reports whether the shape is a call, whose arguments and results sit
+// in a window of registers fixed by the instruction.
+func (k opKind) call() bool { return k == kindCall || k == kindCallIndirect }
 
 // opInfo is one row of the instruction table.
 type opInfo struct {

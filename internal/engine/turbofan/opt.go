@@ -49,13 +49,14 @@ func buildBlocks(ins []tin, tables [][]uint32) *graph {
 	} else {
 		blockOf[n] = numBlocks - 1
 	}
+	// The blocks share one copy of the code, each capped at its end.
 	g := &graph{blocks: make([]block, numBlocks)}
-	cur := -1
-	for i := 0; i < n; i++ {
-		if leader[i] {
-			cur++
+	all := append([]tin(nil), ins...)
+	for i, start := 0, 0; i < n; i++ {
+		if i+1 == n || leader[i+1] {
+			g.blocks[blockOf[i]].ins = all[start : i+1 : i+1]
+			start = i + 1
 		}
-		g.blocks[cur].ins = append(g.blocks[cur].ins, ins[i])
 	}
 	// Rewrite pc targets to block ids.
 	for bi := range g.blocks {
@@ -117,44 +118,45 @@ type optimizer struct {
 func (o *optimizer) deadCodeElim(selecting bool) {
 	nb := len(o.g.blocks)
 	words := (o.nRegs + 63) / 64
-	liveIn := make([][]uint64, nb)
-	liveOut := make([][]uint64, nb)
-	for i := range liveIn {
-		liveIn[i] = make([]uint64, words)
-		liveOut[i] = make([]uint64, words)
-	}
+	// Per block: the registers live at entry and at exit, and the ones the
+	// block reads before writing them (use) and writes (def).
+	slab := make([]uint64, 4*nb*words)
+	sets := func(i int) []uint64 { return slab[i*words : (i+1)*words : (i+1)*words] }
+	liveIn, liveOut, use, def := make([][]uint64, nb), make([][]uint64, nb), make([][]uint64, nb), make([][]uint64, nb)
 	set := func(bs []uint64, r int32) { bs[r>>6] |= 1 << (r & 63) }
 	clear := func(bs []uint64, r int32) { bs[r>>6] &^= 1 << (r & 63) }
+	for bi := range o.g.blocks {
+		liveIn[bi], liveOut[bi], use[bi], def[bi] = sets(4*bi), sets(4*bi+1), sets(4*bi+2), sets(4*bi+3)
+		ins := o.g.blocks[bi].ins
+		for ii := len(ins) - 1; ii >= 0; ii-- {
+			t := &ins[ii]
+			if t.op == tNop {
+				continue
+			}
+			regDefs(t, func(r int32) { set(def[bi], r); clear(use[bi], r) })
+			o.code.regUses(t, func(r int32) { set(use[bi], r) })
+		}
+	}
 
-	// Backward fixpoint.
+	// Backward fixpoint over the blocks: in = use ∪ (out − def).
 	scratch := make([]uint64, words)
 	var succ []int
 	for changed := true; changed; {
 		changed = false
 		for bi := nb - 1; bi >= 0; bi-- {
 			succ = o.g.successors(bi, succ[:0])
-			for w := range scratch {
-				scratch[w] = 0
+			out := liveOut[bi]
+			for w := range out {
+				out[w] = 0
 			}
 			for _, s := range succ {
-				for w := range scratch {
-					scratch[w] |= liveIn[s][w]
+				for w := range out {
+					out[w] |= liveIn[s][w]
 				}
 			}
-			copy(liveOut[bi], scratch)
-			// live = out; walk block backwards applying use/def.
-			ins := o.g.blocks[bi].ins
-			for ii := len(ins) - 1; ii >= 0; ii-- {
-				t := &ins[ii]
-				if t.op == tNop {
-					continue
-				}
-				regDefs(t, func(r int32) { clear(scratch, r) })
-				o.code.regUses(t, func(r int32) { set(scratch, r) })
-			}
-			for w := range scratch {
-				if scratch[w] != liveIn[bi][w] {
-					liveIn[bi][w] = scratch[w]
+			for w := range out {
+				if in := use[bi][w] | out[w]&^def[bi][w]; in != liveIn[bi][w] {
+					liveIn[bi][w] = in
 					changed = true
 				}
 			}
@@ -200,7 +202,11 @@ const maxRotatedHeader = 4
 func linearize(c *Code, g *graph) {
 	// Emit blocks in order, dropping nops and jumps to the next block,
 	// rotating loops at their back-edges, and record each block's start pc.
-	var out []tin
+	n := 0
+	for _, b := range g.blocks {
+		n += len(b.ins)
+	}
+	out := make([]tin, 0, n+2*maxRotatedHeader)
 	start := make([]int, len(g.blocks)+1)
 	for bi := range g.blocks {
 		start[bi] = len(out)
