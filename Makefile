@@ -50,11 +50,13 @@ tier-diff:
 # full suite so a barrier bug fails here by name: the serial-vs-parallel
 # differentials (public corpus, TPC-H, prepared LIMIT, the join-build corpus
 # over six backends × workers {1,2,4}, and the core-level group, keyless,
-# sort, scan, join and FLOAT-key cases), the library-style differentials
-# (Styled: the library sort's sorted-run barrier on 2 and 4 workers, every
-# style flag over the style corpus), the fallback matrix through Execute and
-# its DESIGN.md rendering, the faults, engine panics and cancellations
-# injected into the group, keyless and join barriers and the morsel loop, the
+# sort, scan, join and FLOAT-key cases; the sort differentials on 2, 3 and 4
+# workers over every key type), the library-style differentials (Styled: the
+# library sort's sorted-run barrier, every style flag over the style corpus),
+# the generated sort merge against Go's stable merge, the fallback matrix
+# through Execute and its DESIGN.md rendering, the faults, engine panics,
+# cancellations and memory limits injected into the group, keyless, sort and
+# join barriers and the morsel loop, the
 # scheduler's lease and yield tests, and the CHAR corpus (CharWord: equality,
 # IN, GROUP BY and joins across CHAR widths on six backends × workers
 # {1,2,4}, the word-width routines against Go, values on page boundaries) —
@@ -64,7 +66,7 @@ tier-diff:
 PARALLEL_DIFF = Parallel|Barrier|Scheduler|Fallback|JoinBuild|Styled|CharWord
 parallel-diff:
 	@n=$$($(GO) test -list '$(PARALLEL_DIFF)' . ./internal/core | grep -c '^Test'); \
-		if [ $$n -lt 40 ]; then echo "parallel-diff: the pattern selects $$n tests, expected at least 40" >&2; exit 1; fi
+		if [ $$n -lt 43 ]; then echo "parallel-diff: the pattern selects $$n tests, expected at least 43" >&2; exit 1; fi
 	GOMAXPROCS=2 $(GO) test -race -run '$(PARALLEL_DIFF)' . ./internal/core
 
 # retired prints the instructions each tier's code retires per TPC-H query

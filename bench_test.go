@@ -2,11 +2,15 @@ package wasmdb_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
+	"wasmdb"
 	"wasmdb/internal/catalog"
 	"wasmdb/internal/core"
 	"wasmdb/internal/experiments"
+	"wasmdb/internal/obs"
 	"wasmdb/internal/tpch"
 	"wasmdb/internal/workload"
 )
@@ -181,6 +185,44 @@ func BenchmarkAblationSort(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkParallelOrderBy is the sorted-run barrier's probe: an ungrouped
+// ORDER BY over TPC-H SF 0.01's 60 k lineitem rows, warm (a plan-cache hit
+// on an optimized module), on 1, 2 and 4 workers. p50-ms is the median
+// query, merge-ms/op the barrier's span alone: gathering the runs and
+// merging them.
+func BenchmarkParallelOrderBy(b *testing.B) {
+	db := wasmdb.Open()
+	if err := db.LoadTPCH(0.01, 42); err != nil {
+		b.Fatal(err)
+	}
+	const src = "SELECT l_extendedprice, l_orderkey FROM lineitem ORDER BY l_extendedprice DESC, l_orderkey"
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			run := func(tr *wasmdb.Trace) {
+				if _, err := db.Query(src, wasmdb.WithParallelism(workers), wasmdb.WithTrace(tr)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for range 3 { // compile, tier up
+				run(wasmdb.NewTrace())
+			}
+			var merge time.Duration
+			lat := make([]time.Duration, b.N)
+			b.ResetTimer()
+			for i := range lat {
+				tr := wasmdb.NewTrace()
+				start := time.Now()
+				run(tr)
+				lat[i] = time.Since(start)
+				merge += tr.Dur(obs.SpanMerge)
+			}
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2].Microseconds())/1e3, "p50-ms")
+			b.ReportMetric(float64(merge.Microseconds())/1e3/float64(b.N), "merge-ms/op")
 		})
 	}
 }

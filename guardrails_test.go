@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -158,6 +159,40 @@ func TestMemoryLimitTyped(t *testing.T) {
 	// The database keeps serving queries.
 	if res, err = db.Query("SELECT COUNT(*) FROM g"); err != nil || res.Value(0, 0).(int64) != 120_000 {
 		t.Fatalf("database unusable after memory-limit failures: %v", err)
+	}
+}
+
+// TestMemoryLimitNearMaxUint64 pins WithMemoryLimit's rounding at the top of
+// its range: a limit within 64 KiB of math.MaxUint64 rounds up to the
+// 65 536-page cap, as a 4 GiB limit does, instead of wrapping past zero to a
+// one-page budget that fails every query whose heap grows. A GROUP BY that
+// grows its table must succeed under each and return the unbudgeted rows.
+func TestMemoryLimitNearMaxUint64(t *testing.T) {
+	db := wasmdb.Open()
+	if err := db.Exec("CREATE TABLE g (k INT, v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO g VALUES (0, 1)")
+	for i := 1; i < 60_000; i++ {
+		fmt.Fprintf(&sb, ",(%d, %d)", i, i%7)
+	}
+	if err := db.Exec(sb.String()); err != nil {
+		t.Fatal(err)
+	}
+	const agg = "SELECT k, SUM(v) FROM g GROUP BY k ORDER BY k"
+	want, err := db.Query(agg, wasmdb.WithBackend(wasmdb.BackendWasmLiftoff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []uint64{math.MaxUint64, math.MaxUint64 - 64*1024 + 2, 65536 * 64 * 1024} {
+		res, err := db.Query(agg, wasmdb.WithBackend(wasmdb.BackendWasmLiftoff), wasmdb.WithMemoryLimit(limit))
+		if err != nil {
+			t.Fatalf("WithMemoryLimit(%d): %v", limit, err)
+		}
+		if res.Format() != want.Format() {
+			t.Fatalf("WithMemoryLimit(%d): rows differ from the unbudgeted query", limit)
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ type Barrier struct {
 	// primary, which runs every later pipeline.
 	Fold *FoldMerge
 	// Sort: Pipeline is the sort call every worker runs on its own tuple
-	// array; the sorted runs are merged into the primary's.
+	// array; the module's merge export combines the runs on the primary.
 	Sort *SortMerge
 }
 
@@ -130,32 +130,24 @@ type JoinMerge struct {
 	ChunkPages uint32
 }
 
-// SortKeyField is one ORDER BY key inside a sorted-run tuple; the host-side
-// k-way merge comparator mirrors the generated quicksort's emitLess over
-// these fields exactly.
-type SortKeyField struct {
-	Offset uint32
-	T      types.Type
-	Desc   bool
-}
-
-// SortMerge describes the metadata a sort module provides for parallel
-// sorted-run merging: every worker quicksorts its private tuple array at
-// the barrier, the host k-way merges the runs, and RecvExport installs the
-// merged array (gBase/gCount) on the primary worker so the output pipeline
-// scans it unchanged.
+// SortMerge describes the sorted-run barrier: every worker quicksorts its
+// private tuple array, and the host gathers the runs onto the primary worker
+// (RecvExport) and merges adjacent pairs with MergeExport until one run — the
+// primary's sort array (BaseGlobal/CountGlobal) — remains, which the output
+// pipeline scans unchanged. The host moves tuples and compares none.
 type SortMerge struct {
-	// RecvExport allocates room for n tuples on the primary worker, points
-	// the sort array globals at it, and returns the base address.
+	// RecvExport(n) allocates room for 2n tuples on the primary worker,
+	// points the sort array globals at the first n, and returns its base.
 	RecvExport string
+	// MergeExport(a, b, end, out) merges the sorted runs at [a, b) and
+	// [b, end) into out, the left run's tuple first on ties.
+	MergeExport string
 	// BaseGlobal / CountGlobal are the sort array's base-address and
 	// tuple-count module globals (read per worker to locate each run).
 	BaseGlobal  uint32
 	CountGlobal uint32
 	// Stride is the tuple size in bytes.
 	Stride uint32
-	// Keys are the ORDER BY comparator fields, in significance order.
-	Keys []SortKeyField
 }
 
 // CompiledQuery is the output of Compile: a binary Wasm module plus the
@@ -552,10 +544,7 @@ func (c *compiler) rangePipeline(kind PipelineKind, tableIdx int, countGlobal ui
 	f.I32GeU()
 	f.BrIf(1)
 	body(g, i)
-	f.LocalGet(i)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(i)
+	f.LocalAddI32(i, 1)
 	f.Br(0)
 	f.End()
 	f.End()

@@ -501,10 +501,7 @@ func (c *compiler) strcmpFunc(w1, w2 int) *wasm.FuncBuilder {
 	f.BrIf(1)
 	f.Drop()
 	// i++
-	f.LocalGet(i)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(i)
+	f.LocalAddI32(i, 1)
 	f.Br(0)
 	f.End()
 	f.End()

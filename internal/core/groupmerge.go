@@ -25,7 +25,8 @@ const (
 // and returns what the executor needs to run the fold barrier with them.
 func (c *compiler) genGroupMerge(gr *plan.Group, ht *htInfo, aggSlots []*sema.AggRef) *FoldMerge {
 	c.genDumpFunc(groupDumpExport, ht)
-	gRecv := c.genRecvFunc(groupRecvExport, ht)
+	gRecv := c.b.AddGlobal(wasm.I32, true, 0)
+	c.genRecvFunc(groupRecvExport, ht.layout.stride, gRecv)
 	c.genGroupMergeFunc(gr, ht, aggSlots, gRecv)
 	return &FoldMerge{
 		MergeExport: groupMergeExport,
@@ -79,38 +80,31 @@ func (c *compiler) genDumpFunc(name string, ht *htInfo) {
 	f.LocalGet(entry)
 	f.Emit(wasm.OpI32Load, 0, 2) // occupancy flag
 	f.If(wasm.BlockVoid)
-	emitWordCopy(f, w, out, entry, stride)
-	f.LocalGet(out)
-	f.I32Const(stride)
-	f.I32Add()
-	f.LocalSet(out)
+	emitWordCopy(f, w, out, entry, func() { f.I32Const(stride) })
+	f.LocalAddI32(out, stride)
 	f.End()
-	f.LocalGet(i)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(i)
+	f.LocalAddI32(i, 1)
 	f.Br(0)
 	f.End()
 	f.End()
 	f.LocalGet(base)
 }
 
-// genRecvFunc emits <name>(n) -> i32: allocate room for n merged records,
-// remember the base in a dedicated global (the merge loop reads it), and
-// return it so the host can write the records.
-func (c *compiler) genRecvFunc(name string, ht *htInfo) uint32 {
-	gRecv := c.b.AddGlobal(wasm.I32, true, 0)
+// genRecvFunc emits <name>(n) -> i32: allocate room for n records of size
+// bytes, point the global g at them (the merge reads it), and return the
+// address the host writes the records to.
+func (c *compiler) genRecvFunc(name string, size, g uint32) *wasm.FuncBuilder {
 	f := c.b.NewFunc(name, wasm.FuncType{
 		Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32},
 	})
 	c.b.Export(name, wasm.ExternFunc, f.Index)
 	f.LocalGet(f.Param(0))
-	f.I32Const(int32(ht.layout.stride))
+	f.I32Const(int32(size))
 	f.I32Mul()
 	f.Call(c.allocFunc().Index)
-	f.GlobalSet(gRecv)
-	f.GlobalGet(gRecv)
-	return gRecv
+	f.GlobalSet(g)
+	f.GlobalGet(g)
+	return f
 }
 
 // genGroupMergeFunc emits q_group_merge(begin, end) -> i32: fold received
@@ -153,7 +147,7 @@ func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sem
 	g.emitUpsert(ht, keys, idx, entry, func() {
 		// The record is a full entry image (flag, keys, partial states), so a
 		// verbatim copy installs the group.
-		emitWordCopy(f, f.AddLocal(wasm.I32), entry, rec, stride)
+		emitWordCopy(f, f.AddLocal(wasm.I32), entry, rec, func() { f.I32Const(stride) })
 	}, func() {
 		for ai, a := range gr.Aggs {
 			fld, _ := ht.layout.find(aggSlots[ai])
@@ -162,10 +156,7 @@ func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sem
 		}
 	})
 
-	f.LocalGet(i)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(i)
+	f.LocalAddI32(i, 1)
 	f.Br(0)
 	f.End()
 	f.End()
@@ -173,49 +164,16 @@ func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sem
 	c.noteErr(g)
 }
 
-// sortRecvExport is the receive export of the parallel sorted-run merge.
-const sortRecvExport = "q_sort_recv"
-
-// genSortMerge emits q_sort_recv(n) -> i32 — allocate room for n merged
-// tuples, point the sort array globals at it, and return the base the host
-// writes the k-way-merged run to — and returns the sorted-run barrier's
-// metadata.
-func (c *compiler) genSortMerge(s *plan.Sort, layout tupleLayout, gBase, gCount uint32) *SortMerge {
-	sm := &SortMerge{
-		RecvExport:  sortRecvExport,
-		BaseGlobal:  gBase,
-		CountGlobal: gCount,
-		Stride:      layout.stride,
-	}
-	for _, k := range s.Keys {
-		fld, _ := layout.find(k.Expr)
-		sm.Keys = append(sm.Keys, SortKeyField{Offset: fld.offset, T: fld.t, Desc: k.Desc})
-	}
-
-	f := c.b.NewFunc(sortRecvExport, wasm.FuncType{
-		Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32},
-	})
-	c.b.Export(sortRecvExport, wasm.ExternFunc, f.Index)
-	f.LocalGet(f.Param(0))
-	f.I32Const(int32(layout.stride))
-	f.I32Mul()
-	f.Call(c.allocFunc().Index)
-	f.GlobalSet(gBase)
-	f.LocalGet(f.Param(0))
-	f.GlobalSet(gCount)
-	f.GlobalGet(gBase)
-	return sm
-}
-
-// emitWordCopy copies stride bytes (a multiple of 8) from src to dst with an
-// i64 word loop counted in the local w.
-func emitWordCopy(f *wasm.FuncBuilder, w, dst, src wasm.Local, stride int32) {
+// emitWordCopy copies n bytes (a multiple of 8, pushed by pushN on every
+// iteration: a constant or a local) from src to dst with an i64 word loop
+// counted in the local w.
+func emitWordCopy(f *wasm.FuncBuilder, w, dst, src wasm.Local, pushN func()) {
 	f.I32Const(0)
 	f.LocalSet(w)
 	f.Block(wasm.BlockVoid)
 	f.Loop(wasm.BlockVoid)
 	f.LocalGet(w)
-	f.I32Const(stride)
+	pushN()
 	f.I32GeU()
 	f.BrIf(1)
 	f.LocalGet(dst)
@@ -226,10 +184,7 @@ func emitWordCopy(f *wasm.FuncBuilder, w, dst, src wasm.Local, stride int32) {
 	f.I32Add()
 	f.I64Load(0)
 	f.I64Store(0)
-	f.LocalGet(w)
-	f.I32Const(8)
-	f.I32Add()
-	f.LocalSet(w)
+	f.LocalAddI32(w, 8)
 	f.Br(0)
 	f.End()
 	f.End()

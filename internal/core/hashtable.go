@@ -446,10 +446,7 @@ func (g *gen) copyChar(dst wasm.Local, offset uint32, pushSrc func(), width int)
 	f.I32Add()
 	f.I32Load8U(0)
 	f.I32Store8(offset)
-	f.LocalGet(i)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(i)
+	f.LocalAddI32(i, 1)
 	f.Br(0)
 	f.End()
 	f.End()
@@ -579,13 +576,10 @@ func (c *compiler) genGrowFunc(ht *htInfo) *wasm.FuncBuilder {
 	f.Br(0)
 	f.End()
 	f.End()
-	emitWordCopy(f, w, ne, entry, stride)
+	emitWordCopy(f, w, ne, entry, func() { f.I32Const(stride) })
 	f.End() // if filled
 	// i++
-	f.LocalGet(i)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(i)
+	f.LocalAddI32(i, 1)
 	f.Br(0)
 	f.End()
 	f.End()

@@ -338,10 +338,7 @@ func (c *compiler) genJoinBarrier(jt *joinTable) {
 	f.LocalGet(slot)
 	f.LocalGet(tup)
 	f.I32Store(0)
-	f.LocalGet(tup)
-	f.I32Const(int32(jt.layout.stride))
-	f.I32Add()
-	f.LocalSet(tup)
+	f.LocalAddI32(tup, int32(jt.layout.stride))
 	f.Br(0)
 	f.End()
 	f.End()

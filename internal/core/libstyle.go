@@ -25,6 +25,7 @@ type libRoutines struct {
 	htLookup *wasm.FuncBuilder // (ctrl, hash, cmpFn) -> entry | 0
 	htNext   *wasm.FuncBuilder // (entry, hash, cmpFn) -> entry | 0
 	sort     *wasm.FuncBuilder // (lo, hi, base, stride, cmpFn, scratchA, scratchB)
+	copy     *wasm.FuncBuilder // (dst, src, n)
 	cmp1Type uint32            // type of (entry i32) -> i32
 	cmp2Type uint32            // type of (a i32, b i32) -> i32
 }
@@ -153,10 +154,7 @@ func (c *compiler) libs() *libRoutines {
 		f.Br(0)
 		f.End()
 		f.End()
-		f.LocalGet(bi)
-		f.I32Const(1)
-		f.I32Add()
-		f.LocalSet(bi)
+		f.LocalAddI32(bi, 1)
 		f.Br(0)
 		f.End()
 		f.End()
@@ -290,9 +288,9 @@ func (c *compiler) libs() *libRoutines {
 	}
 
 	// lib_copy(dst, src, n): the generic element move, a byte loop.
-	copyBytes := b.NewFunc("lib_copy", wasm.FuncType{Params: []wasm.ValType{i32, i32, i32}})
+	l.copy = b.NewFunc("lib_copy", wasm.FuncType{Params: []wasm.ValType{i32, i32, i32}})
 	{
-		f := copyBytes
+		f := l.copy
 		dst, src, n := f.Param(0), f.Param(1), f.Param(2)
 		i := f.AddLocal(i32)
 		f.Block(wasm.BlockVoid)
@@ -309,10 +307,7 @@ func (c *compiler) libs() *libRoutines {
 		f.I32Add()
 		f.I32Load8U(0)
 		f.I32Store8(0)
-		f.LocalGet(i)
-		f.I32Const(1)
-		f.I32Add()
-		f.LocalSet(i)
+		f.LocalAddI32(i, 1)
 		f.Br(0)
 		f.End()
 		f.End()
@@ -322,39 +317,47 @@ func (c *compiler) libs() *libRoutines {
 	// (genQuicksort), type-agnostic — the stride is an argument, every
 	// comparison an indirect call, every element move a byte loop.
 	const base, stride, cmpFn, scr = 2, 3, 4, 5
-	move := func(f *wasm.FuncBuilder, pushDst, pushSrc func()) {
-		pushDst()
-		pushSrc()
+	em := l.sortHooks(func(f *wasm.FuncBuilder) { f.LocalGet(stride) },
+		func(f *wasm.FuncBuilder) { f.LocalGet(cmpFn) })
+	em.isort, em.qsort = "lib_isort", "lib_sort"
+	em.pass = []wasm.ValType{i32, i32, i32, i32, i32}
+	em.addr = func(f *wasm.FuncBuilder, pushIdx func()) {
+		f.LocalGet(base)
+		pushIdx()
 		f.LocalGet(stride)
-		f.Call(copyBytes.Index)
+		f.I32Mul()
+		f.I32Add()
 	}
-	l.sort = c.genQuicksort(sortEmit{
-		isort: "lib_isort",
-		qsort: "lib_sort",
-		pass:  []wasm.ValType{i32, i32, i32, i32, i32},
-		addr: func(f *wasm.FuncBuilder, pushIdx func()) {
-			f.LocalGet(base)
-			pushIdx()
-			f.LocalGet(stride)
-			f.I32Mul()
-			f.I32Add()
-		},
-		scratch: func(f *wasm.FuncBuilder, n int) { f.LocalGet(wasm.Local(scr + n)) },
+	em.scratch = func(f *wasm.FuncBuilder, n int) { f.LocalGet(wasm.Local(scr + n)) }
+	em.swap = func(f *wasm.FuncBuilder, a, b, _ wasm.Local) {
+		carrier := func() { f.LocalGet(scr + 1) }
+		em.move(f, carrier, func() { f.LocalGet(a) })
+		em.move(f, func() { f.LocalGet(a) }, func() { f.LocalGet(b) })
+		em.move(f, func() { f.LocalGet(b) }, carrier)
+	}
+	l.sort = c.genQuicksort(em)
+	return l
+}
+
+// sortHooks returns the library sort's comparison and element move: the
+// comparator at the table index pushCmp pushes, called through the table, and
+// a lib_copy of the pushStride bytes. lib_sort passes both as parameters; a
+// query's sorted-run merge bakes them in as constants.
+func (l *libRoutines) sortHooks(pushStride, pushCmp func(f *wasm.FuncBuilder)) sortEmit {
+	return sortEmit{
 		less: func(g *gen, a, b wasm.Local) {
 			g.f.LocalGet(a)
 			g.f.LocalGet(b)
-			g.f.LocalGet(cmpFn)
+			pushCmp(g.f)
 			g.f.Emit(wasm.OpCallIndirect, uint64(l.cmp2Type), 0)
 		},
-		move: move,
-		swap: func(f *wasm.FuncBuilder, a, b, _ wasm.Local) {
-			carrier := func() { f.LocalGet(scr + 1) }
-			move(f, carrier, func() { f.LocalGet(a) })
-			move(f, func() { f.LocalGet(a) }, func() { f.LocalGet(b) })
-			move(f, func() { f.LocalGet(b) }, carrier)
+		move: func(f *wasm.FuncBuilder, pushDst, pushSrc func()) {
+			pushDst()
+			pushSrc()
+			pushStride(f)
+			f.Call(l.copy.Index)
 		},
-	})
-	return l
+	}
 }
 
 // registerTableFunc adds a function to the call_indirect table, returning

@@ -167,10 +167,7 @@ func (c *compiler) emitLikeContains(f *wasm.FuncBuilder, addr uint32, nlen, w in
 	c.emitMemEq(f, p, addr, nlen)
 	f.BrIf(1)
 	f.Drop()
-	f.LocalGet(off)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(off)
+	f.LocalAddI32(off, 1)
 	f.Br(0)
 	f.End()
 	f.End()
@@ -213,10 +210,7 @@ func (c *compiler) emitLikeComplex(f *wasm.FuncBuilder, pAddr uint32, patLen, w 
 	f.I32Const('%')
 	f.I32Ne()
 	f.BrIf(1)
-	f.LocalGet(p)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(p)
+	f.LocalAddI32(p, 1)
 	f.Br(0)
 	f.End()
 	f.End()
@@ -248,10 +242,7 @@ func (c *compiler) emitLikeComplex(f *wasm.FuncBuilder, pAddr uint32, patLen, w 
 	f.LocalSet(star)
 	f.LocalGet(s)
 	f.LocalSet(ss)
-	f.LocalGet(p)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(p)
+	f.LocalAddI32(p, 1)
 	f.Else()
 	// else if pc == '_' or pc == str[s]: s++, p++
 	f.LocalGet(pc)
@@ -265,14 +256,8 @@ func (c *compiler) emitLikeComplex(f *wasm.FuncBuilder, pAddr uint32, patLen, w 
 	f.I32Eq()
 	f.I32Or()
 	f.If(wasm.BlockVoid)
-	f.LocalGet(s)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(s)
-	f.LocalGet(p)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(p)
+	f.LocalAddI32(s, 1)
+	f.LocalAddI32(p, 1)
 	f.Else()
 	// else if star >= 0: p = star+1, ss++, s = ss
 	f.LocalGet(star)

@@ -1,17 +1,14 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
+	"math/bits"
 	"slices"
 	"time"
 
 	"wasmdb/internal/engine/wmem"
 	"wasmdb/internal/faultpoint"
 	"wasmdb/internal/obs"
-	"wasmdb/internal/types"
 )
 
 // Intra-query parallelism (morsel-driven, Leis et al. adapted to the paper's
@@ -35,11 +32,12 @@ import (
 //	              entries, or the globals of a keyless aggregation — is handed,
 //	              uninterpreted and in worker order, to the primary's generated
 //	              merge export; the fold rule exists only in the module
-//	sorted runs   every worker sorts its own tuple array and the host k-way
-//	              merges the runs into the primary's — the one place the host
-//	              still mirrors generated code (sortTupleLess), because folding
-//	              runs pairwise in the guest would turn one native pass into
-//	              workers − 1 interpreted ones
+//	sorted runs   every worker sorts its own tuple array; the runs are
+//	              gathered onto the primary in worker order and its generated
+//	              merge export combines adjacent pairs until one run is left
+//
+// The host moves bytes and interprets none: it knows no aggregate function,
+// no key type and no order.
 //
 // Result rows need no barrier: per-worker buffers are concatenated in worker
 // order. Whatever runs serially although a pool was asked for is recorded in
@@ -172,16 +170,10 @@ func (x *executor) fold(fm *FoldMerge) error {
 	if fm.Globals != nil {
 		args := make([]uint64, len(fm.Globals))
 		for _, w := range x.ws[1:] {
-			if err := x.canceled(); err != nil {
-				return err
-			}
-			if err := faultpoint.Hit("core-morsel"); err != nil {
-				return fmt.Errorf("core: %s: %w", fm.MergeExport, err)
-			}
 			for i, g := range fm.Globals {
 				args[i] = w.inst.Global(int(g))
 			}
-			if _, err := x.call(primary, fm.MergeExport, args...); err != nil {
+			if err := x.barrierCall(primary, fm.MergeExport, args...); err != nil {
 				return err
 			}
 		}
@@ -189,69 +181,120 @@ func (x *executor) fold(fm *FoldMerge) error {
 	}
 
 	sp := x.tr.Begin(obs.SpanMerge)
-	runs := make([][]byte, 0, len(x.ws)-1)
-	records := 0
-	for _, w := range x.ws[1:] {
-		if err := x.canceled(); err != nil {
-			return err
-		}
+	_, records, err := x.gather(x.ws[1:], fm.RecvExport, fm.CountGlobal, fm.Stride, 0, func(w *worker) (uint32, error) {
 		r, err := x.call(w, fm.DumpExport)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		n := uint32(w.inst.Global(int(fm.CountGlobal)))
-		runs = append(runs, w.mem.ReadBytes(uint32(r[0]), n*fm.Stride))
-		records += int(n)
+		return uint32(r[0]), nil
+	})
+	if err != nil {
+		return err
 	}
 	if records > 0 {
-		r, err := x.call(primary, fm.RecvExport, uint64(uint32(records)))
-		if err != nil {
-			return err
-		}
-		at := uint32(r[0])
-		for _, run := range runs {
-			primary.mem.WriteBytes(at, run)
-			at += uint32(len(run))
-		}
-		if _, err := x.drive(x.ws[:1], fm.MergeExport, records); err != nil {
+		if _, err := x.drive(x.ws[:1], fm.MergeExport, int(records)); err != nil {
 			return err
 		}
 	}
-	x.stats.GroupsMerged = records
+	x.stats.GroupsMerged = int(records)
 	x.tr.Event(obs.EvGroupMerge, obs.I("groups", int64(records)), obs.I("workers", int64(len(x.ws))))
 	sp.End(obs.I("groups", int64(records)))
 	return nil
 }
 
-// mergeRuns merges the workers' sorted tuple runs into the primary's array:
-// a host k-way merge with the emitLess-mirroring comparator, installed
-// through the module's receive export. When only the primary holds tuples —
-// serial execution, or a sort fed by state a fold barrier already brought to
-// the primary — its sorted run is the result.
+// mergeRuns merges the workers' sorted tuple runs into the primary's array.
+// The non-empty runs are gathered onto the primary in worker order, into the
+// two halves q_sort_recv allocates, and the module's merge export combines
+// adjacent pairs, pass after pass, between the halves. The gather starts in
+// the half that leaves the last pass's output where the sort array points.
+// A merge takes the left run's tuple on ties, so ties leave in worker order.
+// When only the primary holds tuples — serial execution, or a sort fed by
+// state a fold barrier already brought to the primary — its run is the result.
 func (x *executor) mergeRuns(sm *SortMerge) error {
 	primary := x.ws[0]
-	counts := make([]uint32, len(x.ws))
-	total := uint32(0)
-	for i, w := range x.ws {
-		counts[i] = uint32(w.inst.Global(int(sm.CountGlobal)))
-		total += counts[i]
+	bounds := []uint32{0} // run boundaries once gathered, in tuples
+	for _, w := range x.ws {
+		if n := uint32(w.inst.Global(int(sm.CountGlobal))); n > 0 {
+			bounds = append(bounds, bounds[len(bounds)-1]+n)
+		}
 	}
-	if total == counts[0] {
+	total := bounds[len(bounds)-1]
+	if total == uint32(primary.inst.Global(int(sm.CountGlobal))) {
 		return nil
 	}
 	sp := x.tr.Begin(obs.SpanMerge)
-	runs := make([][]byte, len(x.ws))
-	for i, w := range x.ws {
-		runs[i] = w.mem.ReadBytes(uint32(w.inst.Global(int(sm.BaseGlobal))), counts[i]*sm.Stride)
+	src, dst := uint32(0), total*sm.Stride
+	if bits.Len(uint(len(bounds)-2))%2 == 1 { // ⌈log₂ runs⌉ passes
+		src, dst = dst, src
 	}
-	r, err := x.call(primary, sm.RecvExport, uint64(total))
+	base, _, err := x.gather(x.ws, sm.RecvExport, sm.CountGlobal, sm.Stride, src, func(w *worker) (uint32, error) {
+		return uint32(w.inst.Global(int(sm.BaseGlobal))), nil
+	})
 	if err != nil {
 		return err
 	}
-	primary.mem.WriteBytes(uint32(r[0]), mergeSortedRuns(sm, runs))
+	at := func(region, tuple uint32) uint64 { return uint64(base + region + tuple*sm.Stride) }
+	for ; len(bounds) > 2; src, dst = dst, src {
+		next := []uint32{0}
+		for i := 1; i < len(bounds); i += 2 { // a last run without a partner is copied
+			lo, mid, hi := bounds[i-1], bounds[i], bounds[min(i+1, len(bounds)-1)]
+			if err := x.barrierCall(primary, sm.MergeExport, at(src, lo), at(src, mid), at(src, hi), at(dst, lo)); err != nil {
+				return err
+			}
+			next = append(next, hi)
+		}
+		bounds = next
+	}
 	x.tr.Event(obs.EvSortMerge, obs.I("tuples", int64(total)), obs.I("workers", int64(len(x.ws))))
 	sp.End(obs.I("tuples", int64(total)))
 	return nil
+}
+
+// gather copies every worker's records — as many as its count global holds,
+// stride bytes each, at the address addr returns — onto the primary in worker
+// order, skip bytes into the region recv allocates there for the total. It
+// returns the region and the total; no records allocate nothing.
+func (x *executor) gather(ws []*worker, recv string, countGlobal, stride, skip uint32,
+	addr func(*worker) (uint32, error)) (base, total uint32, err error) {
+	runs := make([][]byte, 0, len(ws))
+	for _, w := range ws {
+		if err := x.canceled(); err != nil {
+			return 0, 0, err
+		}
+		a, err := addr(w)
+		if err != nil {
+			return 0, 0, err
+		}
+		n := uint32(w.inst.Global(int(countGlobal)))
+		runs = append(runs, w.mem.ReadBytes(a, n*stride))
+		total += n
+	}
+	if total == 0 {
+		return 0, 0, nil
+	}
+	r, err := x.call(x.ws[0], recv, uint64(total))
+	if err != nil {
+		return 0, 0, err
+	}
+	base = uint32(r[0])
+	for _, run := range runs {
+		x.ws[0].mem.WriteBytes(base+skip, run)
+		skip += uint32(len(run))
+	}
+	return base, total, nil
+}
+
+// barrierCall makes one merge call of a barrier on w, behind the
+// cancellation check and the core-morsel fault point.
+func (x *executor) barrierCall(w *worker, export string, args ...uint64) error {
+	if err := x.canceled(); err != nil {
+		return err
+	}
+	if err := faultpoint.Hit("core-morsel"); err != nil {
+		return fmt.Errorf("core: %s: %w", export, err)
+	}
+	_, err := x.call(w, export, args...)
+	return err
 }
 
 // buildJoin is the build barrier of one join table (see joinbuild.go), the
@@ -336,84 +379,4 @@ func (x *executor) buildJoin(jm *JoinMerge) ([]obs.Arg, error) {
 	x.tr.Event(obs.EvJoinMerge, append(args, obs.I("workers", int64(len(ws))))...)
 	sp.End(obs.I("tuples", int64(total)))
 	return args, nil
-}
-
-// mergeSortedRuns k-way merges per-worker sorted tuple runs. The comparator
-// mirrors the generated quicksort's inlined multi-key comparison exactly
-// (see genQuicksort's emitLess), so the merged array is ordered precisely as
-// a serial sort of the concatenation would be; ties resolve to the lowest
-// run index. Worker counts are small, so a linear head scan beats a heap.
-func mergeSortedRuns(sm *SortMerge, runs [][]byte) []byte {
-	stride := int(sm.Stride)
-	heads := make([]int, len(runs))
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	out := make([]byte, 0, total)
-	for {
-		best := -1
-		for i, r := range runs {
-			if heads[i] >= len(r) {
-				continue
-			}
-			if best < 0 || sortTupleLess(sm,
-				r[heads[i]:heads[i]+stride],
-				runs[best][heads[best]:heads[best]+stride]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, runs[best][heads[best]:heads[best]+stride]...)
-		heads[best] += stride
-	}
-}
-
-// sortTupleLess is the host mirror of the generated emitLess: per key, a
-// differing field decides (DESC swaps operands), an equal field defers to
-// the next key. Char compares the full padded field byte-wise (equal widths
-// make this identical to the guest's padded strcmp); Float64 uses the
-// F64Ne-guarded F64Lt shape, which Go's != and < reproduce including NaN
-// behavior; integer classes compare signed.
-func sortTupleLess(sm *SortMerge, a, b []byte) bool {
-	for _, k := range sm.Keys {
-		off := int(k.Offset)
-		lo, hi := a, b
-		if k.Desc {
-			lo, hi = b, a
-		}
-		switch k.T.Kind {
-		case types.Char:
-			c := bytes.Compare(lo[off:off+k.T.Length], hi[off:off+k.T.Length])
-			if c != 0 {
-				return c < 0
-			}
-		case types.Float64:
-			x := math.Float64frombits(binary.LittleEndian.Uint64(lo[off:]))
-			y := math.Float64frombits(binary.LittleEndian.Uint64(hi[off:]))
-			if x != y {
-				return x < y
-			}
-		case types.Int64, types.Decimal:
-			x := int64(binary.LittleEndian.Uint64(lo[off:]))
-			y := int64(binary.LittleEndian.Uint64(hi[off:]))
-			if x != y {
-				return x < y
-			}
-		case types.Bool:
-			x, y := int32(lo[off]), int32(hi[off])
-			if x != y {
-				return x < y
-			}
-		default: // Int32, Date
-			x := int32(binary.LittleEndian.Uint32(lo[off:]))
-			y := int32(binary.LittleEndian.Uint32(hi[off:]))
-			if x != y {
-				return x < y
-			}
-		}
-	}
-	return false
 }

@@ -1,22 +1,28 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"wasmdb/internal/catalog"
 	"wasmdb/internal/engine"
+	"wasmdb/internal/engine/rt"
+	"wasmdb/internal/engine/wmem"
 	"wasmdb/internal/faultpoint"
 	"wasmdb/internal/plan"
 	"wasmdb/internal/sema"
 	"wasmdb/internal/sql"
 	"wasmdb/internal/storage"
 	"wasmdb/internal/types"
+	"wasmdb/internal/wasm"
 	"wasmdb/internal/workload"
 )
 
@@ -233,9 +239,11 @@ func TestParallelGroupMatchesSerial(t *testing.T) {
 }
 
 // TestParallelSortMatchesSerial checks the sorted-run merge: ORDER BY over a
-// scan executed by 4 workers must produce byte-identical row order to serial
-// execution. Select lists are subsets of the sort keys so key-tie
-// permutations (quicksort is unstable) cannot masquerade as order bugs.
+// scan executed by 4 workers, and the key-type corpus (sortCorpus) by 2, 3 and
+// 4, must produce byte-identical row order to serial execution. Select lists
+// are subsets of the sort keys, or the order ends in a unique column, so
+// key-tie permutations (quicksort is unstable) cannot masquerade as order
+// bugs.
 func TestParallelSortMatchesSerial(t *testing.T) {
 	cat := parCatalog(t, 100_000)
 	for _, src := range []string{
@@ -244,35 +252,24 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 		"SELECT f0 FROM t ORDER BY f0",
 		"SELECT i0, i1 FROM t ORDER BY i0, i1 DESC",
 	} {
-		cq, q := compileOn(t, cat, src)
-		eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
-		serial, _, err := Execute(cq, q, eng, ExecOptions{})
-		if err != nil {
-			t.Fatalf("serial %s: %v", src, err)
-		}
-		par, st, err := Execute(cq, q, eng, ExecOptions{Parallelism: 4, MorselRows: 4096})
-		if err != nil {
-			t.Fatalf("parallel %s: %v", src, err)
-		}
-		if got, want := fmt.Sprint(par.Rows), fmt.Sprint(serial.Rows); got != want {
-			t.Errorf("%s: parallel order differs from serial", src)
-		}
-		if st.Workers != 4 || st.PipelinesParallel != 1 || st.SerialFallback != "" {
-			t.Errorf("%s: stats = workers %d, parallel %d, fallback %q; want 4/1/none",
-				src, st.Workers, st.PipelinesParallel, st.SerialFallback)
+		checkSortParallel(t, cat, src, Style{}, 4096, 4)
+	}
+	for _, cat := range sortCorpus(t) {
+		for _, src := range sortCorpusQueries {
+			checkSortParallel(t, cat, src, Style{}, 1024, 2, 3, 4)
 		}
 	}
 }
 
 // TestStyledSortParallelMatchesSerial checks that the library sort carries the
 // sorted-run barrier like the generated one: it sorts the same per-worker
-// array, so ORDER BY under Style{LibrarySort} on 2 and 4 workers must equal
-// serial execution row for row — ASC and DESC, CHAR and FLOAT keys, with and
-// without LIMIT — with no fallback recorded. Every order ends in the unique id,
-// so ties cannot hide an order bug.
+// array and merges through its comparator, so ORDER BY under
+// Style{LibrarySort} must equal serial execution row for row — ASC and DESC,
+// CHAR and FLOAT keys, with and without LIMIT on 2 and 4 workers, and the
+// key-type corpus (sortCorpus) on 2, 3 and 4 — with no fallback recorded.
+// Every order ends in a unique column, so ties cannot hide an order bug.
 func TestStyledSortParallelMatchesSerial(t *testing.T) {
 	cat := microCatalog(t, 20_000)
-	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
 	for _, src := range []string{
 		"SELECT name, id FROM r ORDER BY name, id",
 		"SELECT name, id FROM r WHERE g < 5 ORDER BY name DESC, id DESC",
@@ -281,24 +278,262 @@ func TestStyledSortParallelMatchesSerial(t *testing.T) {
 		"SELECT name, y, id FROM r ORDER BY name, y DESC, id LIMIT 1000",
 		"SELECT x, id FROM r ORDER BY x DESC, id",
 	} {
-		cq, q := compileStyledOn(t, cat, src, Style{LibrarySort: true})
-		serial, _, err := Execute(cq, q, eng, ExecOptions{})
+		checkSortParallel(t, cat, src, Style{LibrarySort: true}, 1024, 2, 4)
+	}
+	for _, cat := range sortCorpus(t) {
+		for _, src := range sortCorpusQueries {
+			checkSortParallel(t, cat, src, Style{LibrarySort: true}, 1024, 2, 3, 4)
+		}
+	}
+}
+
+// checkSortParallel runs src serially and on each worker count and requires
+// the same rows in the same order, with a parallel scan and no fallback. When
+// the table has a morsel for every worker, a rendezvous gives each worker one,
+// so every run is non-empty and the merge sees exactly that many runs.
+func checkSortParallel(t *testing.T, cat *catalog.Catalog, src string, style Style, morsel int, workers ...int) {
+	t.Helper()
+	cq, q := compileStyledOn(t, cat, src, style)
+	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
+	serial, _, err := Execute(cq, q, eng, ExecOptions{})
+	if err != nil {
+		t.Fatalf("serial %s: %v", src, err)
+	}
+	for _, workers := range workers {
+		if q.Tables[0].Table.Rows() >= workers*morsel {
+			sortRendezvous(workers, nil)
+		}
+		par, st, err := Execute(cq, q, eng, ExecOptions{Parallelism: workers, MorselRows: morsel})
+		faultpoint.Disable("core-morsel")
 		if err != nil {
-			t.Fatalf("serial %s: %v", src, err)
+			t.Fatalf("%d workers %s: %v", workers, src, err)
 		}
-		for _, workers := range []int{2, 4} {
-			par, st, err := Execute(cq, q, eng, ExecOptions{Parallelism: workers, MorselRows: 1024})
+		if fmt.Sprint(par.Rows) != fmt.Sprint(serial.Rows) {
+			t.Errorf("%+v %s: order on %d workers differs from serial", style, src, workers)
+		}
+		if st.Workers != workers || st.PipelinesParallel != 1 || st.SerialFallback != "" {
+			t.Errorf("%s: stats = workers %d, parallel %d, fallback %q; want %d/1/none",
+				src, st.Workers, st.PipelinesParallel, st.SerialFallback, workers)
+		}
+	}
+}
+
+// sortCorpusQueries are the key-type corpus of the serial-vs-parallel ORDER
+// BY differentials: FLOAT keys with NaN and ±0, BIGINT, DECIMAL, DATE, BOOL,
+// and CHAR of widths 1, 7 and 25, ascending and descending. Each order ends
+// in the unique id. A NaN key compares neither less nor greater than anything
+// and ends the comparison, so it is no order: NaN rows share their a with no
+// other row, and a NaN group's rows differ in id only, which the select list
+// leaves out — within a, equal and −0/+0 floats fall through to id.
+var sortCorpusQueries = []string{
+	"SELECT a, f FROM t ORDER BY a, f, id",
+	"SELECT a, f FROM t ORDER BY a DESC, f DESC, id",
+	"SELECT flag, c1, d, id FROM t ORDER BY flag DESC, c1, d, id DESC",
+	"SELECT c7, c25, dec, id FROM t ORDER BY c7 DESC, c25, dec DESC, id",
+	"SELECT b, id FROM t WHERE flag ORDER BY b, id",
+}
+
+// sortCorpus returns the corpus tables: one smaller than a 1024-row morsel
+// (every run but one is empty), one of 2.5 morsels (on four workers at least
+// one run is empty) and one of 8 000 rows.
+func sortCorpus(t *testing.T) []*catalog.Catalog {
+	t.Helper()
+	var out []*catalog.Catalog
+	chars := []string{"", " ", "a", "a ", "ab", "b", "PROMO", "PROMO X", "zz\xff", "\x00q"}
+	floats := []float64{0, math.Copysign(0, -1), 1.5, -2.25, 1e300, -1e-300}
+	for _, rows := range []int{700, 2500, 8000} {
+		rng := rand.New(rand.NewSource(int64(rows)))
+		tbl := storage.NewTable("t",
+			[]string{"id", "a", "f", "b", "dec", "d", "flag", "c1", "c7", "c25"},
+			[]types.Type{types.TInt32, types.TInt32, types.TFloat64, types.TInt64, types.TDecimal(12, 2),
+				types.TDate, types.TBool, types.TChar(1), types.TChar(7), types.TChar(25)})
+		for i := 0; i < rows; i++ {
+			a, f := rng.Intn(rows/8), floats[rng.Intn(len(floats))]
+			if i%97 == 0 {
+				a, f = -1-i/194, math.NaN() // NaN groups of two rows
+			}
+			c := func(w int) types.Value {
+				v := chars[rng.Intn(len(chars))]
+				return types.NewChar(v[:min(len(v), w)], w)
+			}
+			if err := tbl.AppendRow(types.NewInt32(int32(i)), types.NewInt32(int32(a)), types.NewFloat64(f),
+				types.NewInt64(rng.Int63n(1<<40)-1<<39), types.NewDecimal(rng.Int63n(20_000)-10_000, 12, 2),
+				types.NewDate(int32(9000+rng.Intn(400))), types.NewBool(rng.Intn(2) == 0),
+				c(1), c(7), c(25)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat := catalog.New()
+		if err := cat.Add(tbl); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, cat)
+	}
+	return out
+}
+
+// TestParallelSortMergeExport calls the generated merge directly, in both
+// styles and on both tiers, on hand-built sorted runs of INT keys with
+// payloads: the output must be Go's stable merge of the two runs, so a tie
+// takes the left run's tuple first. Runs are empty or up to 40 tuples over
+// eight keys, so ties are common.
+func TestParallelSortMergeExport(t *testing.T) {
+	tbl := storage.NewTable("t", []string{"k", "p"}, []types.Type{types.TInt32, types.TInt32})
+	cat := catalog.New()
+	if err := cat.Add(tbl); err != nil {
+		t.Fatal(err)
+	}
+	for _, style := range []Style{{}, {LibrarySort: true}} {
+		cq, _ := compileStyledOn(t, cat, "SELECT k, p FROM t ORDER BY k", style)
+		var sm *SortMerge
+		for _, b := range cq.Barriers {
+			if b.Sort != nil {
+				sm = b.Sort
+			}
+		}
+		if sm == nil || sm.Stride != 8 {
+			t.Fatalf("%+v: sorted-run barrier %+v, want one with 8-byte tuples (k, p)", style, sm)
+		}
+		for _, tier := range []engine.Tier{engine.TierLiftoff, engine.TierTurbofan} {
+			mod, err := engine.New(engine.Config{Tier: tier}).Compile(cq.Bin)
 			if err != nil {
-				t.Fatalf("%d workers %s: %v", workers, src, err)
+				t.Fatal(err)
 			}
-			if fmt.Sprint(par.Rows) != fmt.Sprint(serial.Rows) {
-				t.Errorf("%s: order on %d workers differs from serial", src, workers)
+			mem := wmem.New(cq.MinPages+1, cq.MinPages+1)
+			inst, err := mod.Instantiate(engine.Imports{Memory: mem, Funcs: map[string]*rt.HostFunc{
+				"env.result_flush": {
+					Type: wasm.FuncType{Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32}},
+					Fn:   func(*rt.Env, []uint64, []uint64) {},
+				},
+			}})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if st.Workers != workers || st.PipelinesParallel != 1 || st.SerialFallback != "" {
-				t.Errorf("%s: stats = workers %d, parallel %d, fallback %q; want %d/1/none",
-					src, st.Workers, st.PipelinesParallel, st.SerialFallback, workers)
+			rng := rand.New(rand.NewSource(5))
+			base := cq.MinPages * wmem.PageSize
+			for trial := 0; trial < 200; trial++ {
+				var runs [2][][2]int32
+				payload := int32(0)
+				for r := range runs {
+					for range rng.Intn(41) {
+						runs[r] = append(runs[r], [2]int32{int32(rng.Intn(8)) - 4, payload})
+						payload++
+					}
+					slices.SortStableFunc(runs[r], func(x, y [2]int32) int { return cmp.Compare(x[0], y[0]) })
+				}
+				want := slices.SortedStableFunc(slices.Values(append(slices.Clone(runs[0]), runs[1]...)),
+					func(x, y [2]int32) int { return cmp.Compare(x[0], y[0]) })
+				at := base
+				for _, tup := range append(slices.Clone(runs[0]), runs[1]...) {
+					mem.PutU32(at, uint32(tup[0]))
+					mem.PutU32(at+4, uint32(tup[1]))
+					at += 8
+				}
+				mid, end := base+8*uint32(len(runs[0])), at
+				out := base + 8*100
+				if _, err := inst.Call(sm.MergeExport, uint64(base), uint64(mid), uint64(end), uint64(out)); err != nil {
+					t.Fatal(err)
+				}
+				for i, w := range want {
+					got := [2]int32{int32(mem.U32(out + 8*uint32(i))), int32(mem.U32(out + 8*uint32(i) + 4))}
+					if got != w {
+						t.Fatalf("%+v tier %v: merge of %v and %v: tuple %d = %v, want %v",
+							style, tier, runs[0], runs[1], i, got, w)
+					}
+				}
 			}
 		}
+	}
+}
+
+// sortRendezvous arms the morsel fault point so each of the first n morsels
+// waits for the others: with n workers and n morsels, every worker scans
+// exactly one and holds a non-empty run. hit, if not nil, answers every later
+// hit — the merge calls of the sorted-run barrier.
+func sortRendezvous(n int, hit func(int) error) {
+	var arrived sync.WaitGroup
+	arrived.Add(n)
+	faultpoint.Enable("core-morsel", func(h int) error {
+		if h <= n {
+			arrived.Done()
+			arrived.Wait()
+			return nil
+		}
+		if hit != nil {
+			return hit(h)
+		}
+		return nil
+	})
+}
+
+// TestParallelSortMergeFaultAndCancel injects a failure, and separately a
+// cancellation, at the second merge call of the sorted-run barrier: four
+// workers hold one run each, so the merges are hits 5 and 6 (first pass) and
+// 7 (second pass). The query must return the error and no rows — never a
+// partly merged order.
+func TestParallelSortMergeFaultAndCancel(t *testing.T) {
+	cat := parCatalog(t, 4000)
+	for _, style := range []Style{{}, {LibrarySort: true}} {
+		cq, q := compileStyledOn(t, cat, "SELECT i0, i1 FROM t ORDER BY i0, i1", style)
+		eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
+		boom := errors.New("injected sort-merge failure")
+		sortRendezvous(4, func(h int) error {
+			if h == 6 {
+				return boom
+			}
+			return nil
+		})
+		res, _, err := Execute(cq, q, eng, ExecOptions{Parallelism: 4, MorselRows: 1000})
+		faultpoint.Disable("core-morsel")
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), sortMergeExport) || res != nil {
+			t.Fatalf("%+v: Execute returned %v (result %v), want the injected %s failure and no result",
+				style, err, res != nil, sortMergeExport)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		sortRendezvous(4, func(h int) error {
+			if h == 6 {
+				cancel()
+			}
+			return nil
+		})
+		res, _, err = Execute(cq, q, eng, ExecOptions{Parallelism: 4, MorselRows: 1000, Ctx: ctx})
+		faultpoint.Disable("core-morsel")
+		cancel()
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("%+v: Execute returned %v (result %v), want context.Canceled and no result", style, err, res != nil)
+		}
+	}
+}
+
+// TestParallelSortMergeMemoryLimit gives the query the memory serial
+// execution peaks at. Serially that fits. On four workers each worker holds a
+// quarter of the tuples, which fits too, but the primary must also hold the
+// gathered runs and the merge target — twice the tuples, 4 MiB of 64-byte
+// tuples more than its quarter saves — so q_sort_recv fails with
+// ErrMemoryLimit and no rows.
+func TestParallelSortMergeMemoryLimit(t *testing.T) {
+	const morsel = 16384 // four morsels: the sort array's last doubling is exactly full
+	cat, err := workload.Catalog(workload.Spec{Name: "t", Rows: 4 * morsel, IntCols: 4, FloatCols: 6, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cq, q := compileOn(t, cat, "SELECT i0, i1, i2, i3, f0, f1, f2, f3, f4, f5 FROM t ORDER BY i0, f0")
+	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
+	_, st, err := Execute(cq, q, eng, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := uint32(st.PeakMemBytes / wmem.PageSize)
+	if _, _, err := Execute(cq, q, eng, ExecOptions{MemoryBudgetPages: budget}); err != nil {
+		t.Fatalf("serial run within its own peak of %d pages: %v", budget, err)
+	}
+	sortRendezvous(4, nil)
+	defer faultpoint.Disable("core-morsel")
+	res, _, err := Execute(cq, q, eng, ExecOptions{Parallelism: 4, MorselRows: morsel, MemoryBudgetPages: budget})
+	if !errors.Is(err, engine.ErrMemoryLimit) || !strings.Contains(err.Error(), sortRecvExport) || res != nil {
+		t.Fatalf("4 workers under %d pages returned %v (result %v), want ErrMemoryLimit from %s and no result",
+			budget, err, res != nil, sortRecvExport)
 	}
 }
 

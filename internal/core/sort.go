@@ -77,8 +77,10 @@ func (c *compiler) produceSort(s *plan.Sort, consume consumer) error {
 		return err
 	}
 
-	// The sort routine, and what its call hands over besides the bounds.
+	// The sort routine, what its call hands over besides the bounds, and the
+	// comparison and move the sorted-run merge is built from.
 	var qs *wasm.FuncBuilder
+	var em sortEmit
 	pushPass := func(*wasm.FuncBuilder) {}
 	if c.style.LibrarySort {
 		// The comparison becomes a function of two tuple pointers, which the
@@ -90,6 +92,8 @@ func (c *compiler) produceSort(s *plan.Sort, consume consumer) error {
 		c.noteErr(g)
 		cmpIdx := c.registerTableFunc(cmp)
 		qs = c.libs().sort
+		em = c.libs().sortHooks(func(f *wasm.FuncBuilder) { f.I32Const(stride) },
+			func(f *wasm.FuncBuilder) { f.I32Const(int32(cmpIdx)) })
 		pushPass = func(f *wasm.FuncBuilder) {
 			f.GlobalGet(gBase)
 			f.I32Const(stride)
@@ -98,11 +102,12 @@ func (c *compiler) produceSort(s *plan.Sort, consume consumer) error {
 			f.GlobalGet(gScratchB)
 		}
 	} else {
-		qs = c.genQuicksort(inlinedSort(sortID, s.Keys, layout, gBase, [2]uint32{gScratchA, gScratchB}))
+		em = inlinedSort(sortID, s.Keys, layout, gBase, [2]uint32{gScratchA, gScratchB})
+		qs = c.genQuicksort(em)
 	}
 
-	// Receive export of the sorted-run barrier (dead code on serial runs).
-	runs := c.genSortMerge(s, layout, gBase, gCount)
+	// Exports of the sorted-run barrier (dead code on serial runs).
+	runs := c.genSortMerge(em, layout.stride, gBase, gCount)
 
 	// Run-once pipeline sorting [0, count): under a pool every worker calls
 	// it on its own array, and the barrier merges the sorted runs.
@@ -174,6 +179,7 @@ func (c *compiler) genArrayGrow(id int, gBase, gCount, gCap uint32, stride uint3
 	newBase := f.AddLocal(wasm.I32)
 	n := f.AddLocal(wasm.I32)
 	w := f.AddLocal(wasm.I32)
+	old := f.AddLocal(wasm.I32)
 
 	f.GlobalGet(gCap)
 	f.I32Const(1)
@@ -182,32 +188,14 @@ func (c *compiler) genArrayGrow(id int, gBase, gCount, gCap uint32, stride uint3
 	f.I32Mul()
 	f.Call(c.allocFunc().Index)
 	f.LocalSet(newBase)
-	// n = count*stride bytes; copy as 8-byte words (stride is 8-aligned).
+	f.GlobalGet(gBase)
+	f.LocalSet(old)
+	// n = count*stride bytes (stride is 8-aligned).
 	f.GlobalGet(gCount)
 	f.I32Const(int32(stride))
 	f.I32Mul()
 	f.LocalSet(n)
-	f.Block(wasm.BlockVoid)
-	f.Loop(wasm.BlockVoid)
-	f.LocalGet(w)
-	f.LocalGet(n)
-	f.I32GeU()
-	f.BrIf(1)
-	f.LocalGet(newBase)
-	f.LocalGet(w)
-	f.I32Add()
-	f.GlobalGet(gBase)
-	f.LocalGet(w)
-	f.I32Add()
-	f.I64Load(0)
-	f.I64Store(0)
-	f.LocalGet(w)
-	f.I32Const(8)
-	f.I32Add()
-	f.LocalSet(w)
-	f.Br(0)
-	f.End()
-	f.End()
+	emitWordCopy(f, w, newBase, old, func() { f.LocalGet(n) })
 	f.LocalGet(newBase)
 	f.GlobalSet(gBase)
 	f.GlobalGet(gCap)
@@ -355,10 +343,7 @@ func (c *compiler) genQuicksort(em sortEmit) *wasm.FuncBuilder {
 		em.addr(f, local(f, m))
 		f.LocalSet(cur)
 		em.move(f, local(f, cur), local(f, carrier))
-		f.LocalGet(k)
-		f.I32Const(1)
-		f.I32Add()
-		f.LocalSet(k)
+		f.LocalAddI32(k, 1)
 		f.Br(0)
 		f.End()
 		f.End()
@@ -421,10 +406,7 @@ func (c *compiler) genQuicksort(em sortEmit) *wasm.FuncBuilder {
 		// do i++ while arr[i] < pivot
 		f.Block(wasm.BlockVoid)
 		f.Loop(wasm.BlockVoid)
-		f.LocalGet(i)
-		f.I32Const(1)
-		f.I32Add()
-		f.LocalSet(i)
+		f.LocalAddI32(i, 1)
 		em.addr(f, local(f, i))
 		f.LocalSet(pi)
 		em.less(g, pi, pivot)
@@ -506,12 +488,88 @@ func (c *compiler) genQuicksort(em sortEmit) *wasm.FuncBuilder {
 	return qs
 }
 
+// Exports of the sorted-run barrier.
+const (
+	sortRecvExport  = "q_sort_recv"
+	sortMergeExport = "q_sort_merge"
+)
+
+// genSortMerge emits the sorted-run barrier's exports and returns its
+// metadata. q_sort_recv(n) -> i32 allocates room for 2n tuples — the gathered
+// runs and one merge target — points the sort array at the first n and
+// returns its base. q_sort_merge(a, b, end, out) merges the sorted runs at
+// [a, b) and [b, end) into out, taking the left run's tuple on ties. It is
+// built from the quicksort's own comparison and move (em.less, em.move), so
+// the ORDER BY rule exists only in the module.
+func (c *compiler) genSortMerge(em sortEmit, stride, gBase, gCount uint32) *SortMerge {
+	f := c.genRecvFunc(sortRecvExport, 2*stride, gBase)
+	f.LocalGet(f.Param(0)) // count = n; the base below stays the result
+	f.GlobalSet(gCount)
+
+	f = c.b.NewFunc(sortMergeExport, wasm.FuncType{Params: []wasm.ValType{wasm.I32, wasm.I32, wasm.I32, wasm.I32}})
+	c.b.Export(sortMergeExport, wasm.ExternFunc, f.Index)
+	g := &gen{c: c, f: f}
+	i, mid, end, out := f.Param(0), f.Param(1), f.Param(2), f.Param(3)
+	j := f.AddLocal(wasm.I32)
+	src := f.AddLocal(wasm.I32)
+	take := func(l wasm.Local) { // src = l; l += stride
+		f.LocalGet(l)
+		f.LocalTee(src)
+		f.I32Const(int32(stride))
+		f.I32Add()
+		f.LocalSet(l)
+	}
+	f.LocalGet(mid)
+	f.LocalSet(j)
+	f.Block(wasm.BlockVoid)
+	f.Loop(wasm.BlockVoid)
+	// The left run's tuple, unless the left run is done or the right run's is
+	// strictly less; both done ends the merge.
+	f.LocalGet(i)
+	f.LocalGet(mid)
+	f.I32LtU()
+	f.If(wasm.BlockOf(wasm.I32))
+	f.LocalGet(j)
+	f.LocalGet(end)
+	f.I32GeU()
+	f.If(wasm.BlockOf(wasm.I32))
+	f.I32Const(1)
+	f.Else()
+	em.less(g, j, i)
+	f.I32Eqz()
+	f.End()
+	f.Else()
+	f.LocalGet(j)
+	f.LocalGet(end)
+	f.I32GeU()
+	f.BrIf(2)
+	f.I32Const(0)
+	f.End()
+	f.If(wasm.BlockVoid)
+	take(i)
+	f.Else()
+	take(j)
+	f.End()
+	em.move(f, func() { f.LocalGet(out) }, func() { f.LocalGet(src) })
+	f.LocalAddI32(out, int32(stride))
+	f.Br(0)
+	f.End()
+	f.End()
+	c.noteErr(g)
+	return &SortMerge{
+		RecvExport:  sortRecvExport,
+		MergeExport: sortMergeExport,
+		BaseGlobal:  gBase,
+		CountGlobal: gCount,
+		Stride:      stride,
+	}
+}
+
 // emitLess pushes the multi-key "tuple@a < tuple@b" of ORDER BY, honoring
 // ASC/DESC: for each key, if the fields differ the result is their
 // comparison; otherwise the next key decides. It is the only definition of the
-// order in generated code — inlined at the quicksort's use sites, or the body
-// of the comparator a library sort calls — and the host's sortTupleLess
-// mirrors it for the k-way merge of sorted runs.
+// order — inlined at the quicksort's and the sorted-run merge's use sites, or
+// the body of the comparator a library sort and its merge call.
 func emitLess(g *gen, keys []sema.OrderKey, layout tupleLayout, a, b wasm.Local) {
 	f := g.f
 	f.Block(wasm.BlockOf(wasm.I32))

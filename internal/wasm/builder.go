@@ -226,6 +226,15 @@ func (f *FuncBuilder) LocalSet(l Local) { f.Emit(OpLocalSet, uint64(l), 0) }
 // LocalTee stores the top of stack into l, leaving it on the stack.
 func (f *FuncBuilder) LocalTee(l Local) { f.Emit(OpLocalTee, uint64(l), 0) }
 
+// LocalAddI32 adds n to the i32 local l (local.get, i32.const, i32.add,
+// local.set).
+func (f *FuncBuilder) LocalAddI32(l Local, n int32) {
+	f.LocalGet(l)
+	f.I32Const(n)
+	f.I32Add()
+	f.LocalSet(l)
+}
+
 // GlobalGet pushes the value of global g.
 func (f *FuncBuilder) GlobalGet(g uint32) { f.Emit(OpGlobalGet, uint64(g), 0) }
 

@@ -431,9 +431,9 @@ func WithPlanCache(enabled bool) Option {
 // Wasm backends.
 func WithMemoryLimit(maxBytes uint64) Option {
 	return func(o *queryOpts) {
-		pages := (maxBytes + 64*1024 - 1) / (64 * 1024)
-		if pages == 0 {
-			pages = 1
+		pages := maxBytes / (64 * 1024)
+		if pages == 0 || maxBytes%(64*1024) != 0 {
+			pages++ // round up without overflowing near math.MaxUint64
 		}
 		if pages > 65536 {
 			pages = 65536
@@ -803,18 +803,8 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 			if useCache {
 				// The fingerprint was computed on the parameterized query (a
 				// stable feedback key); the interpreter executes the literal
-				// one — re-derive it exactly as the param-region overflow
-				// path below does.
-				if q, err = sema.Analyze(stmt, db.cat); err != nil {
-					return nil, err
-				}
-				if q.LimitParam >= 0 {
-					q.Limit = args[q.LimitParam].I
-				}
-				if q.NumParams > 0 {
-					sema.SubstituteParams(q, args)
-				}
-				if p, err = plan.Build(q); err != nil {
+				// one.
+				if q, p, err = db.literalQuery(stmt, args); err != nil {
 					return nil, err
 				}
 				params = nil
@@ -907,17 +897,8 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 					obs.S("tier", tier))
 			case errors.Is(cerr, core.ErrParamRegionOverflow):
 				// More literal bytes than the parameter region holds:
-				// re-derive the literal query and compile it below, uncached.
-				if q, err = sema.Analyze(stmt, db.cat); err != nil {
-					return nil, err
-				}
-				if q.LimitParam >= 0 {
-					q.Limit = args[q.LimitParam].I
-				}
-				if q.NumParams > 0 {
-					sema.SubstituteParams(q, args)
-				}
-				if p, err = plan.Build(q); err != nil {
+				// compile the literal query below, uncached.
+				if q, p, err = db.literalQuery(stmt, args); err != nil {
 					return nil, err
 				}
 				params = nil
@@ -1002,15 +983,29 @@ func (db *DB) analyze(src string) (*sema.Query, error) {
 	return sema.Analyze(stmt, db.cat)
 }
 
+// literalQuery re-derives a statement whose literals were hoisted into the
+// parameter vector as the literal query: analyzed afresh, the placeholder
+// arguments and LIMIT ? folded in as constants, and planned.
+func (db *DB) literalQuery(stmt *sql.SelectStmt, args []types.Value) (*sema.Query, plan.Node, error) {
+	q, err := sema.Analyze(stmt, db.cat)
+	if err != nil {
+		return nil, nil, err
+	}
+	if q.LimitParam >= 0 {
+		q.Limit = args[q.LimitParam].I
+	}
+	if q.NumParams > 0 {
+		sema.SubstituteParams(q, args)
+	}
+	p, err := plan.Build(q)
+	return q, p, err
+}
+
 // Explain returns the physical plan and its pipeline dissection.
 func (db *DB) Explain(src string) (string, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	stmt, err := sql.ParseSelect(src)
-	if err != nil {
-		return "", err
-	}
-	q, err := sema.Analyze(stmt, db.cat)
+	q, err := db.analyze(src)
 	if err != nil {
 		return "", err
 	}
@@ -1033,11 +1028,7 @@ func (db *DB) Explain(src string) (string, error) {
 func (db *DB) ExplainWAT(src string) (string, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	stmt, err := sql.ParseSelect(src)
-	if err != nil {
-		return "", err
-	}
-	q, err := sema.Analyze(stmt, db.cat)
+	q, err := db.analyze(src)
 	if err != nil {
 		return "", err
 	}
