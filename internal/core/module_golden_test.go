@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wasmdb/internal/tpch"
+	"wasmdb/internal/wasm"
 )
 
 // TestModuleGolden pins the generated modules byte for byte: the SHA-256 and
@@ -16,7 +17,9 @@ import (
 // ad-hoc style and in the HyPer-like style, must equal
 // testdata/module_hashes.txt. A change to the code generator shows here
 // exactly which shapes it touched; rerun with -update to accept them, and say
-// in the PR why each ad-hoc module moved.
+// in the PR why each ad-hoc module moved. Every module hashed is also decoded
+// and validated here, since the compiler itself leaves validation to the
+// engine: a code-generation bug fails at code generation.
 func TestModuleGolden(t *testing.T) {
 	const path = "testdata/module_hashes.txt"
 	var got strings.Builder
@@ -32,6 +35,11 @@ func TestModuleGolden(t *testing.T) {
 			style Style
 		}{{"adhoc", Style{}}, {"hyper", hyperStyle}} {
 			bin := compile(s.style).Bin
+			if m, err := wasm.Decode(bin); err != nil {
+				t.Errorf("%s %s: %v", s.name, name, err)
+			} else if err := wasm.Validate(m); err != nil {
+				t.Errorf("%s %s: generated module does not validate: %v", s.name, name, err)
+			}
 			fmt.Fprintf(&got, "%s %x %d %s\n", s.name, sha256.Sum256(bin), len(bin), name)
 		}
 	}

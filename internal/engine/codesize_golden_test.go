@@ -9,9 +9,6 @@ import (
 
 	"wasmdb/internal/core"
 	"wasmdb/internal/engine/turbofan"
-	"wasmdb/internal/plan"
-	"wasmdb/internal/sema"
-	"wasmdb/internal/sql"
 	"wasmdb/internal/tpch"
 	"wasmdb/internal/wasm"
 )
@@ -35,30 +32,12 @@ var codeSizeQueries = []struct{ id, src string }{
 // function, which says whether any function grew. Run with -update to accept.
 func TestCodeSizeGolden(t *testing.T) {
 	const path = "testdata/code_sizes.txt"
-	cat, err := tpch.Generate(0.01, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	qs := planQueries(t)
 	var got strings.Builder
 	got.WriteString("# style query function tier1 tier2 — regenerate with go test ./internal/engine -run CodeSizeGolden -update\n")
-	for _, s := range []struct {
-		name  string
-		style core.Style
-	}{{"adhoc", core.Style{}}, {"hyper", core.Style{LibraryHT: true, LibrarySort: true, PredicatedSelection: true}}} {
-		for _, q := range codeSizeQueries {
-			stmt, err := sql.ParseSelect(q.src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sq, err := sema.Analyze(stmt, cat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := plan.Build(sq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cq, err := core.CompileStyled(sq, p, s.style)
+	for _, s := range styles {
+		for _, q := range qs {
+			cq, err := core.CompileStyled(q.q, q.root, s.style)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -93,7 +93,8 @@ type localConst struct {
 	epoch uint32
 }
 
-// emitFunc translates one validated function body.
+// emitFunc translates one validated function body, reading its bytes one
+// instruction at a time through wasm.Reader.
 func emitFunc(m *wasm.Module, fn *wasm.Func) (*Code, error) {
 	ft := m.Types[fn.Type]
 	nLocals := len(ft.Params) + len(fn.Locals)
@@ -104,7 +105,7 @@ func emitFunc(m *wasm.Module, fn *wasm.Func) (*Code, error) {
 			NParams:  len(ft.Params),
 			NResults: len(ft.Results),
 			NLocals:  nLocals,
-			ins:      make([]tin, 0, len(fn.Body)),
+			ins:      make([]tin, 0, len(fn.Code)/2),
 		},
 		base:    int32(nLocals),
 		stack:   make([]slot, 0, 16),
@@ -114,15 +115,17 @@ func emitFunc(m *wasm.Module, fn *wasm.Func) (*Code, error) {
 		epoch:   1,
 	}
 	e.labels[0] = label{arity: len(ft.Results), liveIn: true, pending: -1, elseJump: -1}
-	for i := range fn.Body {
-		if err := e.instr(&fn.Body[i]); err != nil {
+	var in wasm.Instr
+	r := wasm.NewReader(fn.Code)
+	for r.Next(&in) {
+		if err := e.instr(&in); err != nil {
 			return nil, err
 		}
-		if len(e.labels) == 0 {
-			return e.code, nil
-		}
 	}
-	return nil, fmt.Errorf("missing end")
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return e.code, nil
 }
 
 func (e *emitter) pc() int { return len(e.code.ins) }

@@ -38,8 +38,9 @@ const (
 
 var elemNames = [...]string{"i32", "i64", "f64", "u8"}
 
-// buildKernels encodes the generic kernel module.
-func buildKernels() []byte { return wasm.Encode(buildKernelModule()) }
+// KernelBinary encodes the generic kernel module: the bytes the engine
+// compiles once for the whole process.
+func KernelBinary() []byte { return wasm.Encode(buildKernelModule()) }
 
 // buildKernelModule constructs the generic kernel module. All vectors are
 // positional arrays of 8-byte slots indexed by batch row; selection vectors
@@ -98,7 +99,7 @@ var (
 // optimization) and caches it — the "pre-compiled library".
 func kernelModule() (*engine.Module, error) {
 	kernelOnce.Do(func() {
-		kernelBin = buildKernels()
+		kernelBin = KernelBinary()
 		eng := engine.New(engine.Config{Tier: engine.TierTurbofan})
 		kernelMod, kernelErr = eng.Compile(kernelBin)
 	})

@@ -34,14 +34,20 @@ func TestKernelModuleGolden(t *testing.T) {
 	for _, fn := range m.Funcs {
 		h := sha256.New()
 		fmt.Fprintf(h, "%s %v\n", m.Types[fn.Type], fn.Locals)
-		for _, in := range fn.Body {
+		n := 0
+		var in wasm.Instr
+		r := wasm.NewReader(fn.Code)
+		for ; r.Next(&in); n++ {
 			if in.Op == wasm.OpCall {
 				fmt.Fprintf(h, "call %s\n", m.Funcs[in.A].Name)
 				continue
 			}
 			fmt.Fprintf(h, "%d %d %d %v\n", in.Op, in.A, in.B, in.Table)
 		}
-		fmt.Fprintf(&got, "%s %d %x\n", fn.Name, len(fn.Body), h.Sum(nil))
+		if err := r.Err(); err != nil {
+			t.Fatalf("%s: %v", fn.Name, err)
+		}
+		fmt.Fprintf(&got, "%s %d %x\n", fn.Name, n, h.Sum(nil))
 	}
 	bin := wasm.Encode(m)
 	t.Logf("kernel module: %d functions, %d exports, %d bytes, sha256 %x",

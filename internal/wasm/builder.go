@@ -108,7 +108,7 @@ func (b *ModuleBuilder) Module() *Module {
 		fn := fb.fn
 		// Append the end closing the function frame; inner constructs are
 		// balanced (depth is zero), so exactly one is needed.
-		fn.Body = append(fn.Body, Instr{Op: OpEnd})
+		fn.Code = append(fn.Code, byte(OpEnd))
 		b.mod.Funcs = append(b.mod.Funcs, fn)
 	}
 	return &b.mod
@@ -153,9 +153,9 @@ func (f *FuncBuilder) AddLocal(t ValType) Local {
 	return l
 }
 
-// Emit appends a raw instruction.
+// Emit appends a raw instruction, its immediates packed as in Instr.
 func (f *FuncBuilder) Emit(op Opcode, a, b uint64) {
-	f.fn.Body = append(f.fn.Body, Instr{Op: op, A: a, B: b})
+	f.fn.Code = appendInstr(f.fn.Code, Instr{Op: op, A: a, B: b})
 }
 
 // Op appends an instruction with no immediates.
@@ -192,7 +192,7 @@ func (f *FuncBuilder) BrIf(depth uint32) { f.Emit(OpBrIf, uint64(depth), 0) }
 
 // BrTable emits a branch table with the given targets and default.
 func (f *FuncBuilder) BrTable(targets []uint32, def uint32) {
-	f.fn.Body = append(f.fn.Body, Instr{Op: OpBrTable, A: uint64(def), Table: targets})
+	f.fn.Code = appendInstr(f.fn.Code, Instr{Op: OpBrTable, A: uint64(def), Table: targets})
 }
 
 // Return emits a function return.

@@ -64,6 +64,15 @@ func (d *decoder) u32() (uint32, error) {
 	return uint32(v), err
 }
 
+// zero reads a reserved byte that must be zero.
+func (d *decoder) zero(msg string) error {
+	b, err := d.byte()
+	if err == nil && b != 0 {
+		err = errors.New(msg)
+	}
+	return err
+}
+
 func (d *decoder) name() (string, error) {
 	n, err := d.u32()
 	if err != nil {
@@ -284,6 +293,9 @@ func (d *decoder) module() (*Module, error) {
 				return nil, err
 			}
 		case secCode:
+			// Bodies stay slices of one copy of the section, so a Module
+			// never aliases the caller's buffer.
+			sd.buf = append([]byte(nil), body...)
 			if err := sd.codeSection(m, funcTypes); err != nil {
 				return nil, err
 			}
@@ -293,6 +305,9 @@ func (d *decoder) module() (*Module, error) {
 			}
 		default:
 			return nil, fmt.Errorf("wasm: unknown section id %d", id)
+		}
+		if id != secCustom && sd.remaining() != 0 {
+			return nil, fmt.Errorf("wasm: section %d: %d bytes past its content", id, sd.remaining())
 		}
 	}
 	if len(funcTypes) != len(m.Funcs) {
@@ -552,133 +567,122 @@ func (d *decoder) codeSection(m *Module, funcTypes []uint32) error {
 				fn.Locals = append(fn.Locals, t)
 			}
 		}
-		if fn.Body, err = bd.instrs(); err != nil {
-			return fmt.Errorf("wasm: function %d: %w", i, err)
-		}
-		if bd.remaining() != 0 {
-			return fmt.Errorf("wasm: function %d: trailing bytes after body", i)
-		}
+		fn.Code = body[bd.pos:len(body):len(body)]
 		m.Funcs = append(m.Funcs, fn)
 	}
 	return nil
 }
 
-// instrs decodes an instruction sequence up to and including the final end
-// that closes the function body.
-func (d *decoder) instrs() ([]Instr, error) {
-	var out []Instr
-	depth := 0
-	for {
-		opb, err := d.byte()
-		if err != nil {
-			return nil, err
+// Reader reads a function body's instructions (Func.Code) one at a time. It
+// is the package's one instruction decoder: Validate, Print and the engine's
+// compilers all read bodies through it. It checks the encoding only — known
+// opcodes, block types, zero table and memory bytes, LEB128 widths, the final
+// end and nothing after it — and never panics: on a malformed body Next
+// returns false and Err says why.
+type Reader struct {
+	d     decoder
+	depth int // open blocks; -1 once the final end has been read
+	err   error
+	table []uint32
+}
+
+// NewReader returns a reader over a function body's instruction bytes.
+func NewReader(code []byte) *Reader { return &Reader{d: decoder{buf: code}} }
+
+// Err returns the error that stopped Next, or nil once the body has been read
+// through its final end.
+func (r *Reader) Err() error { return r.err }
+
+// Next decodes the next instruction into in and reports whether there was
+// one: false after the end that closes the body, or at a malformed
+// instruction. in.Table is overwritten by the next call.
+func (r *Reader) Next(in *Instr) bool {
+	if r.depth < 0 || r.err != nil {
+		return false
+	}
+	at := r.d.pos
+	if err := r.read(in); err != nil {
+		r.err = fmt.Errorf("byte %d: %w", at, err)
+		return false
+	}
+	return true
+}
+
+func (r *Reader) read(in *Instr) error {
+	d := &r.d
+	opb, err := d.byte()
+	if err != nil {
+		return errors.New("missing end")
+	}
+	op := Opcode(opb)
+	if !op.Known() {
+		return fmt.Errorf("unknown opcode 0x%02x", opb)
+	}
+	*in = Instr{Op: op}
+	var v, align uint32
+	var x int64
+	var b []byte
+	switch op.Imm() {
+	case ImmBlockType:
+		var bt byte
+		if bt, err = d.byte(); err == nil && BlockType(bt) != BlockVoid && !ValType(bt).Valid() {
+			err = fmt.Errorf("invalid block type 0x%02x", bt)
 		}
-		op := Opcode(opb)
-		if !op.Known() {
-			return nil, fmt.Errorf("unknown opcode 0x%02x", opb)
+		in.A = uint64(bt)
+	case ImmLabel, ImmFuncIdx, ImmLocalIdx, ImmGlobalIdx:
+		v, err = d.u32()
+		in.A = uint64(v)
+	case ImmBrTable:
+		var cnt uint32
+		if cnt, err = d.u32(); err == nil && int(cnt) > d.remaining() {
+			err = errUnexpectedEOF
 		}
-		in := Instr{Op: op}
-		switch op.Imm() {
-		case ImmNone:
-		case ImmBlockType:
-			bt, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
-			if BlockType(bt) != BlockVoid && !ValType(bt).Valid() {
-				return nil, fmt.Errorf("invalid block type 0x%02x", bt)
-			}
-			in.A = uint64(bt)
-		case ImmLabel, ImmFuncIdx, ImmLocalIdx, ImmGlobalIdx:
-			v, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			in.A = uint64(v)
-		case ImmBrTable:
-			cnt, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			if int(cnt) > d.remaining() {
-				return nil, errUnexpectedEOF
-			}
-			in.Table = make([]uint32, cnt)
-			for j := range in.Table {
-				if in.Table[j], err = d.u32(); err != nil {
-					return nil, err
-				}
-			}
-			def, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			in.A = uint64(def)
-		case ImmTypeIdx:
-			v, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			in.A = uint64(v)
-			tb, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
-			if tb != 0x00 {
-				return nil, errors.New("call_indirect: non-zero table index")
-			}
-		case ImmMemArg:
-			align, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			offset, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			in.A, in.B = uint64(offset), uint64(align)
-		case ImmMemIdx:
-			mb, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
-			if mb != 0x00 {
-				return nil, errors.New("memory instruction: non-zero memory index")
-			}
-		case ImmI32:
-			v, err := d.sleb(32)
-			if err != nil {
-				return nil, err
-			}
-			in.A = uint64(uint32(int32(v)))
-		case ImmI64:
-			v, err := d.sleb(64)
-			if err != nil {
-				return nil, err
-			}
-			in.A = uint64(v)
-		case ImmF32:
-			b, err := d.take(4)
-			if err != nil {
-				return nil, err
-			}
+		r.table = r.table[:0]
+		for j := uint32(0); j < cnt && err == nil; j++ {
+			v, err = d.u32()
+			r.table = append(r.table, v)
+		}
+		if err == nil {
+			v, err = d.u32()
+		}
+		in.A, in.Table = uint64(v), r.table
+	case ImmTypeIdx:
+		if v, err = d.u32(); err == nil {
+			err = d.zero("call_indirect: non-zero table index")
+		}
+		in.A = uint64(v)
+	case ImmMemArg:
+		if align, err = d.u32(); err == nil {
+			v, err = d.u32()
+		}
+		in.A, in.B = uint64(v), uint64(align)
+	case ImmMemIdx:
+		err = d.zero("memory instruction: non-zero memory index")
+	case ImmI32:
+		x, err = d.sleb(32)
+		in.A = uint64(uint32(int32(x)))
+	case ImmI64:
+		x, err = d.sleb(64)
+		in.A = uint64(x)
+	case ImmF32:
+		if b, err = d.take(4); err == nil {
 			in.A = uint64(binary.LittleEndian.Uint32(b))
-		case ImmF64:
-			b, err := d.take(8)
-			if err != nil {
-				return nil, err
-			}
+		}
+	case ImmF64:
+		if b, err = d.take(8); err == nil {
 			in.A = binary.LittleEndian.Uint64(b)
 		}
-		out = append(out, in)
-		switch op {
-		case OpBlock, OpLoop, OpIf:
-			depth++
-		case OpEnd:
-			if depth == 0 {
-				return out, nil
-			}
-			depth--
+	}
+	if err != nil {
+		return err
+	}
+	switch op {
+	case OpBlock, OpLoop, OpIf:
+		r.depth++
+	case OpEnd:
+		if r.depth--; r.depth < 0 && d.remaining() != 0 {
+			return errors.New("trailing bytes after body")
 		}
 	}
+	return nil
 }

@@ -155,12 +155,13 @@ func Encode(m *Module) []byte {
 
 	// Code section.
 	if len(m.Funcs) > 0 {
-		var body []byte
+		var body, locals []byte
 		body = AppendUleb(body, uint64(len(m.Funcs)))
 		for i := range m.Funcs {
-			code := encodeFuncBody(&m.Funcs[i])
-			body = AppendUleb(body, uint64(len(code)))
-			body = append(body, code...)
+			f := &m.Funcs[i]
+			locals = appendLocals(locals[:0], f.Locals)
+			body = AppendUleb(body, uint64(len(locals)+len(f.Code)))
+			body = append(append(body, locals...), f.Code...)
 		}
 		out = appendSection(out, secCode, body)
 	}
@@ -190,7 +191,6 @@ func Encode(m *Module) []byte {
 			if m.Funcs[i].Name != "" {
 				n++
 			}
-			_ = i
 		}
 		sub = AppendUleb(sub, uint64(n))
 		base := uint64(m.NumImportedFuncs())
@@ -219,30 +219,24 @@ func hasNames(m *Module) bool {
 	return false
 }
 
-func encodeFuncBody(f *Func) []byte {
-	var body []byte
-	// Run-length compress locals.
-	type run struct {
-		t ValType
-		n uint64
-	}
-	var runs []run
-	for _, l := range f.Locals {
-		if len(runs) > 0 && runs[len(runs)-1].t == l {
-			runs[len(runs)-1].n++
-		} else {
-			runs = append(runs, run{l, 1})
+// appendLocals appends the locals vector, run-length compressed.
+func appendLocals(out []byte, locals []ValType) []byte {
+	runs := 0
+	for i := range locals {
+		if i == 0 || locals[i] != locals[i-1] {
+			runs++
 		}
 	}
-	body = AppendUleb(body, uint64(len(runs)))
-	for _, r := range runs {
-		body = AppendUleb(body, r.n)
-		body = append(body, byte(r.t))
+	out = AppendUleb(out, uint64(runs))
+	for i := 0; i < len(locals); {
+		j := i + 1
+		for j < len(locals) && locals[j] == locals[i] {
+			j++
+		}
+		out = append(AppendUleb(out, uint64(j-i)), byte(locals[i]))
+		i = j
 	}
-	for _, in := range f.Body {
-		body = appendInstr(body, in)
-	}
-	return body
+	return out
 }
 
 func appendInstr(body []byte, in Instr) []byte {

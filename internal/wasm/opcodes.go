@@ -261,203 +261,221 @@ const (
 	ImmF64               // f64.const: 8 bytes
 )
 
+// opInfo is an opcode's row: its mnemonic, its immediates and its fixed
+// signature, which the validator and the compilers read.
 type opInfo struct {
 	name string
 	imm  ImmKind
+	sig  sig
 }
 
+// sig is a fixed signature: the opcode pops in[:n] and pushes out unless out
+// is 0. The zero sig marks an opcode without one (control, calls, locals,
+// globals, drop and select), whose effect depends on its immediates or its
+// context; no fixed signature pops and pushes nothing.
+type sig struct {
+	in  [2]ValType
+	n   uint8
+	out ValType
+}
+
+func un(a, r ValType) sig  { return sig{in: [2]ValType{a}, n: 1, out: r} }
+func bin(a, r ValType) sig { return sig{in: [2]ValType{a, a}, n: 2, out: r} }
+func st(t ValType) sig     { return sig{in: [2]ValType{I32, t}, n: 2} }
+func push(t ValType) sig   { return sig{out: t} }
+
 var opTable = [256]opInfo{
-	OpUnreachable:  {"unreachable", ImmNone},
-	OpNop:          {"nop", ImmNone},
-	OpBlock:        {"block", ImmBlockType},
-	OpLoop:         {"loop", ImmBlockType},
-	OpIf:           {"if", ImmBlockType},
-	OpElse:         {"else", ImmNone},
-	OpEnd:          {"end", ImmNone},
-	OpBr:           {"br", ImmLabel},
-	OpBrIf:         {"br_if", ImmLabel},
-	OpBrTable:      {"br_table", ImmBrTable},
-	OpReturn:       {"return", ImmNone},
-	OpCall:         {"call", ImmFuncIdx},
-	OpCallIndirect: {"call_indirect", ImmTypeIdx},
+	OpUnreachable:  {"unreachable", ImmNone, sig{}},
+	OpNop:          {"nop", ImmNone, sig{}},
+	OpBlock:        {"block", ImmBlockType, sig{}},
+	OpLoop:         {"loop", ImmBlockType, sig{}},
+	OpIf:           {"if", ImmBlockType, sig{}},
+	OpElse:         {"else", ImmNone, sig{}},
+	OpEnd:          {"end", ImmNone, sig{}},
+	OpBr:           {"br", ImmLabel, sig{}},
+	OpBrIf:         {"br_if", ImmLabel, sig{}},
+	OpBrTable:      {"br_table", ImmBrTable, sig{}},
+	OpReturn:       {"return", ImmNone, sig{}},
+	OpCall:         {"call", ImmFuncIdx, sig{}},
+	OpCallIndirect: {"call_indirect", ImmTypeIdx, sig{}},
 
-	OpDrop:   {"drop", ImmNone},
-	OpSelect: {"select", ImmNone},
+	OpDrop:   {"drop", ImmNone, sig{}},
+	OpSelect: {"select", ImmNone, sig{}},
 
-	OpLocalGet:  {"local.get", ImmLocalIdx},
-	OpLocalSet:  {"local.set", ImmLocalIdx},
-	OpLocalTee:  {"local.tee", ImmLocalIdx},
-	OpGlobalGet: {"global.get", ImmGlobalIdx},
-	OpGlobalSet: {"global.set", ImmGlobalIdx},
+	OpLocalGet:  {"local.get", ImmLocalIdx, sig{}},
+	OpLocalSet:  {"local.set", ImmLocalIdx, sig{}},
+	OpLocalTee:  {"local.tee", ImmLocalIdx, sig{}},
+	OpGlobalGet: {"global.get", ImmGlobalIdx, sig{}},
+	OpGlobalSet: {"global.set", ImmGlobalIdx, sig{}},
 
-	OpI32Load:    {"i32.load", ImmMemArg},
-	OpI64Load:    {"i64.load", ImmMemArg},
-	OpF32Load:    {"f32.load", ImmMemArg},
-	OpF64Load:    {"f64.load", ImmMemArg},
-	OpI32Load8S:  {"i32.load8_s", ImmMemArg},
-	OpI32Load8U:  {"i32.load8_u", ImmMemArg},
-	OpI32Load16S: {"i32.load16_s", ImmMemArg},
-	OpI32Load16U: {"i32.load16_u", ImmMemArg},
-	OpI64Load8S:  {"i64.load8_s", ImmMemArg},
-	OpI64Load8U:  {"i64.load8_u", ImmMemArg},
-	OpI64Load16S: {"i64.load16_s", ImmMemArg},
-	OpI64Load16U: {"i64.load16_u", ImmMemArg},
-	OpI64Load32S: {"i64.load32_s", ImmMemArg},
-	OpI64Load32U: {"i64.load32_u", ImmMemArg},
-	OpI32Store:   {"i32.store", ImmMemArg},
-	OpI64Store:   {"i64.store", ImmMemArg},
-	OpF32Store:   {"f32.store", ImmMemArg},
-	OpF64Store:   {"f64.store", ImmMemArg},
-	OpI32Store8:  {"i32.store8", ImmMemArg},
-	OpI32Store16: {"i32.store16", ImmMemArg},
-	OpI64Store8:  {"i64.store8", ImmMemArg},
-	OpI64Store16: {"i64.store16", ImmMemArg},
-	OpI64Store32: {"i64.store32", ImmMemArg},
-	OpMemorySize: {"memory.size", ImmMemIdx},
-	OpMemoryGrow: {"memory.grow", ImmMemIdx},
+	OpI32Load:    {"i32.load", ImmMemArg, un(I32, I32)},
+	OpI64Load:    {"i64.load", ImmMemArg, un(I32, I64)},
+	OpF32Load:    {"f32.load", ImmMemArg, un(I32, F32)},
+	OpF64Load:    {"f64.load", ImmMemArg, un(I32, F64)},
+	OpI32Load8S:  {"i32.load8_s", ImmMemArg, un(I32, I32)},
+	OpI32Load8U:  {"i32.load8_u", ImmMemArg, un(I32, I32)},
+	OpI32Load16S: {"i32.load16_s", ImmMemArg, un(I32, I32)},
+	OpI32Load16U: {"i32.load16_u", ImmMemArg, un(I32, I32)},
+	OpI64Load8S:  {"i64.load8_s", ImmMemArg, un(I32, I64)},
+	OpI64Load8U:  {"i64.load8_u", ImmMemArg, un(I32, I64)},
+	OpI64Load16S: {"i64.load16_s", ImmMemArg, un(I32, I64)},
+	OpI64Load16U: {"i64.load16_u", ImmMemArg, un(I32, I64)},
+	OpI64Load32S: {"i64.load32_s", ImmMemArg, un(I32, I64)},
+	OpI64Load32U: {"i64.load32_u", ImmMemArg, un(I32, I64)},
+	OpI32Store:   {"i32.store", ImmMemArg, st(I32)},
+	OpI64Store:   {"i64.store", ImmMemArg, st(I64)},
+	OpF32Store:   {"f32.store", ImmMemArg, st(F32)},
+	OpF64Store:   {"f64.store", ImmMemArg, st(F64)},
+	OpI32Store8:  {"i32.store8", ImmMemArg, st(I32)},
+	OpI32Store16: {"i32.store16", ImmMemArg, st(I32)},
+	OpI64Store8:  {"i64.store8", ImmMemArg, st(I64)},
+	OpI64Store16: {"i64.store16", ImmMemArg, st(I64)},
+	OpI64Store32: {"i64.store32", ImmMemArg, st(I64)},
+	OpMemorySize: {"memory.size", ImmMemIdx, push(I32)},
+	OpMemoryGrow: {"memory.grow", ImmMemIdx, un(I32, I32)},
 
-	OpI32Const: {"i32.const", ImmI32},
-	OpI64Const: {"i64.const", ImmI64},
-	OpF32Const: {"f32.const", ImmF32},
-	OpF64Const: {"f64.const", ImmF64},
+	OpI32Const: {"i32.const", ImmI32, push(I32)},
+	OpI64Const: {"i64.const", ImmI64, push(I64)},
+	OpF32Const: {"f32.const", ImmF32, push(F32)},
+	OpF64Const: {"f64.const", ImmF64, push(F64)},
 
-	OpI32Eqz: {"i32.eqz", ImmNone},
-	OpI32Eq:  {"i32.eq", ImmNone},
-	OpI32Ne:  {"i32.ne", ImmNone},
-	OpI32LtS: {"i32.lt_s", ImmNone},
-	OpI32LtU: {"i32.lt_u", ImmNone},
-	OpI32GtS: {"i32.gt_s", ImmNone},
-	OpI32GtU: {"i32.gt_u", ImmNone},
-	OpI32LeS: {"i32.le_s", ImmNone},
-	OpI32LeU: {"i32.le_u", ImmNone},
-	OpI32GeS: {"i32.ge_s", ImmNone},
-	OpI32GeU: {"i32.ge_u", ImmNone},
+	OpI32Eqz: {"i32.eqz", ImmNone, un(I32, I32)},
+	OpI32Eq:  {"i32.eq", ImmNone, bin(I32, I32)},
+	OpI32Ne:  {"i32.ne", ImmNone, bin(I32, I32)},
+	OpI32LtS: {"i32.lt_s", ImmNone, bin(I32, I32)},
+	OpI32LtU: {"i32.lt_u", ImmNone, bin(I32, I32)},
+	OpI32GtS: {"i32.gt_s", ImmNone, bin(I32, I32)},
+	OpI32GtU: {"i32.gt_u", ImmNone, bin(I32, I32)},
+	OpI32LeS: {"i32.le_s", ImmNone, bin(I32, I32)},
+	OpI32LeU: {"i32.le_u", ImmNone, bin(I32, I32)},
+	OpI32GeS: {"i32.ge_s", ImmNone, bin(I32, I32)},
+	OpI32GeU: {"i32.ge_u", ImmNone, bin(I32, I32)},
 
-	OpI64Eqz: {"i64.eqz", ImmNone},
-	OpI64Eq:  {"i64.eq", ImmNone},
-	OpI64Ne:  {"i64.ne", ImmNone},
-	OpI64LtS: {"i64.lt_s", ImmNone},
-	OpI64LtU: {"i64.lt_u", ImmNone},
-	OpI64GtS: {"i64.gt_s", ImmNone},
-	OpI64GtU: {"i64.gt_u", ImmNone},
-	OpI64LeS: {"i64.le_s", ImmNone},
-	OpI64LeU: {"i64.le_u", ImmNone},
-	OpI64GeS: {"i64.ge_s", ImmNone},
-	OpI64GeU: {"i64.ge_u", ImmNone},
+	OpI64Eqz: {"i64.eqz", ImmNone, un(I64, I32)},
+	OpI64Eq:  {"i64.eq", ImmNone, bin(I64, I32)},
+	OpI64Ne:  {"i64.ne", ImmNone, bin(I64, I32)},
+	OpI64LtS: {"i64.lt_s", ImmNone, bin(I64, I32)},
+	OpI64LtU: {"i64.lt_u", ImmNone, bin(I64, I32)},
+	OpI64GtS: {"i64.gt_s", ImmNone, bin(I64, I32)},
+	OpI64GtU: {"i64.gt_u", ImmNone, bin(I64, I32)},
+	OpI64LeS: {"i64.le_s", ImmNone, bin(I64, I32)},
+	OpI64LeU: {"i64.le_u", ImmNone, bin(I64, I32)},
+	OpI64GeS: {"i64.ge_s", ImmNone, bin(I64, I32)},
+	OpI64GeU: {"i64.ge_u", ImmNone, bin(I64, I32)},
 
-	OpF32Eq: {"f32.eq", ImmNone},
-	OpF32Ne: {"f32.ne", ImmNone},
-	OpF32Lt: {"f32.lt", ImmNone},
-	OpF32Gt: {"f32.gt", ImmNone},
-	OpF32Le: {"f32.le", ImmNone},
-	OpF32Ge: {"f32.ge", ImmNone},
+	OpF32Eq: {"f32.eq", ImmNone, bin(F32, I32)},
+	OpF32Ne: {"f32.ne", ImmNone, bin(F32, I32)},
+	OpF32Lt: {"f32.lt", ImmNone, bin(F32, I32)},
+	OpF32Gt: {"f32.gt", ImmNone, bin(F32, I32)},
+	OpF32Le: {"f32.le", ImmNone, bin(F32, I32)},
+	OpF32Ge: {"f32.ge", ImmNone, bin(F32, I32)},
 
-	OpF64Eq: {"f64.eq", ImmNone},
-	OpF64Ne: {"f64.ne", ImmNone},
-	OpF64Lt: {"f64.lt", ImmNone},
-	OpF64Gt: {"f64.gt", ImmNone},
-	OpF64Le: {"f64.le", ImmNone},
-	OpF64Ge: {"f64.ge", ImmNone},
+	OpF64Eq: {"f64.eq", ImmNone, bin(F64, I32)},
+	OpF64Ne: {"f64.ne", ImmNone, bin(F64, I32)},
+	OpF64Lt: {"f64.lt", ImmNone, bin(F64, I32)},
+	OpF64Gt: {"f64.gt", ImmNone, bin(F64, I32)},
+	OpF64Le: {"f64.le", ImmNone, bin(F64, I32)},
+	OpF64Ge: {"f64.ge", ImmNone, bin(F64, I32)},
 
-	OpI32Clz:    {"i32.clz", ImmNone},
-	OpI32Ctz:    {"i32.ctz", ImmNone},
-	OpI32Popcnt: {"i32.popcnt", ImmNone},
-	OpI32Add:    {"i32.add", ImmNone},
-	OpI32Sub:    {"i32.sub", ImmNone},
-	OpI32Mul:    {"i32.mul", ImmNone},
-	OpI32DivS:   {"i32.div_s", ImmNone},
-	OpI32DivU:   {"i32.div_u", ImmNone},
-	OpI32RemS:   {"i32.rem_s", ImmNone},
-	OpI32RemU:   {"i32.rem_u", ImmNone},
-	OpI32And:    {"i32.and", ImmNone},
-	OpI32Or:     {"i32.or", ImmNone},
-	OpI32Xor:    {"i32.xor", ImmNone},
-	OpI32Shl:    {"i32.shl", ImmNone},
-	OpI32ShrS:   {"i32.shr_s", ImmNone},
-	OpI32ShrU:   {"i32.shr_u", ImmNone},
-	OpI32Rotl:   {"i32.rotl", ImmNone},
-	OpI32Rotr:   {"i32.rotr", ImmNone},
+	OpI32Clz:    {"i32.clz", ImmNone, un(I32, I32)},
+	OpI32Ctz:    {"i32.ctz", ImmNone, un(I32, I32)},
+	OpI32Popcnt: {"i32.popcnt", ImmNone, un(I32, I32)},
+	OpI32Add:    {"i32.add", ImmNone, bin(I32, I32)},
+	OpI32Sub:    {"i32.sub", ImmNone, bin(I32, I32)},
+	OpI32Mul:    {"i32.mul", ImmNone, bin(I32, I32)},
+	OpI32DivS:   {"i32.div_s", ImmNone, bin(I32, I32)},
+	OpI32DivU:   {"i32.div_u", ImmNone, bin(I32, I32)},
+	OpI32RemS:   {"i32.rem_s", ImmNone, bin(I32, I32)},
+	OpI32RemU:   {"i32.rem_u", ImmNone, bin(I32, I32)},
+	OpI32And:    {"i32.and", ImmNone, bin(I32, I32)},
+	OpI32Or:     {"i32.or", ImmNone, bin(I32, I32)},
+	OpI32Xor:    {"i32.xor", ImmNone, bin(I32, I32)},
+	OpI32Shl:    {"i32.shl", ImmNone, bin(I32, I32)},
+	OpI32ShrS:   {"i32.shr_s", ImmNone, bin(I32, I32)},
+	OpI32ShrU:   {"i32.shr_u", ImmNone, bin(I32, I32)},
+	OpI32Rotl:   {"i32.rotl", ImmNone, bin(I32, I32)},
+	OpI32Rotr:   {"i32.rotr", ImmNone, bin(I32, I32)},
 
-	OpI64Clz:    {"i64.clz", ImmNone},
-	OpI64Ctz:    {"i64.ctz", ImmNone},
-	OpI64Popcnt: {"i64.popcnt", ImmNone},
-	OpI64Add:    {"i64.add", ImmNone},
-	OpI64Sub:    {"i64.sub", ImmNone},
-	OpI64Mul:    {"i64.mul", ImmNone},
-	OpI64DivS:   {"i64.div_s", ImmNone},
-	OpI64DivU:   {"i64.div_u", ImmNone},
-	OpI64RemS:   {"i64.rem_s", ImmNone},
-	OpI64RemU:   {"i64.rem_u", ImmNone},
-	OpI64And:    {"i64.and", ImmNone},
-	OpI64Or:     {"i64.or", ImmNone},
-	OpI64Xor:    {"i64.xor", ImmNone},
-	OpI64Shl:    {"i64.shl", ImmNone},
-	OpI64ShrS:   {"i64.shr_s", ImmNone},
-	OpI64ShrU:   {"i64.shr_u", ImmNone},
-	OpI64Rotl:   {"i64.rotl", ImmNone},
-	OpI64Rotr:   {"i64.rotr", ImmNone},
+	OpI64Clz:    {"i64.clz", ImmNone, un(I64, I64)},
+	OpI64Ctz:    {"i64.ctz", ImmNone, un(I64, I64)},
+	OpI64Popcnt: {"i64.popcnt", ImmNone, un(I64, I64)},
+	OpI64Add:    {"i64.add", ImmNone, bin(I64, I64)},
+	OpI64Sub:    {"i64.sub", ImmNone, bin(I64, I64)},
+	OpI64Mul:    {"i64.mul", ImmNone, bin(I64, I64)},
+	OpI64DivS:   {"i64.div_s", ImmNone, bin(I64, I64)},
+	OpI64DivU:   {"i64.div_u", ImmNone, bin(I64, I64)},
+	OpI64RemS:   {"i64.rem_s", ImmNone, bin(I64, I64)},
+	OpI64RemU:   {"i64.rem_u", ImmNone, bin(I64, I64)},
+	OpI64And:    {"i64.and", ImmNone, bin(I64, I64)},
+	OpI64Or:     {"i64.or", ImmNone, bin(I64, I64)},
+	OpI64Xor:    {"i64.xor", ImmNone, bin(I64, I64)},
+	OpI64Shl:    {"i64.shl", ImmNone, bin(I64, I64)},
+	OpI64ShrS:   {"i64.shr_s", ImmNone, bin(I64, I64)},
+	OpI64ShrU:   {"i64.shr_u", ImmNone, bin(I64, I64)},
+	OpI64Rotl:   {"i64.rotl", ImmNone, bin(I64, I64)},
+	OpI64Rotr:   {"i64.rotr", ImmNone, bin(I64, I64)},
 
-	OpF32Abs:      {"f32.abs", ImmNone},
-	OpF32Neg:      {"f32.neg", ImmNone},
-	OpF32Ceil:     {"f32.ceil", ImmNone},
-	OpF32Floor:    {"f32.floor", ImmNone},
-	OpF32Trunc:    {"f32.trunc", ImmNone},
-	OpF32Nearest:  {"f32.nearest", ImmNone},
-	OpF32Sqrt:     {"f32.sqrt", ImmNone},
-	OpF32Add:      {"f32.add", ImmNone},
-	OpF32Sub:      {"f32.sub", ImmNone},
-	OpF32Mul:      {"f32.mul", ImmNone},
-	OpF32Div:      {"f32.div", ImmNone},
-	OpF32Min:      {"f32.min", ImmNone},
-	OpF32Max:      {"f32.max", ImmNone},
-	OpF32Copysign: {"f32.copysign", ImmNone},
+	OpF32Abs:      {"f32.abs", ImmNone, un(F32, F32)},
+	OpF32Neg:      {"f32.neg", ImmNone, un(F32, F32)},
+	OpF32Ceil:     {"f32.ceil", ImmNone, un(F32, F32)},
+	OpF32Floor:    {"f32.floor", ImmNone, un(F32, F32)},
+	OpF32Trunc:    {"f32.trunc", ImmNone, un(F32, F32)},
+	OpF32Nearest:  {"f32.nearest", ImmNone, un(F32, F32)},
+	OpF32Sqrt:     {"f32.sqrt", ImmNone, un(F32, F32)},
+	OpF32Add:      {"f32.add", ImmNone, bin(F32, F32)},
+	OpF32Sub:      {"f32.sub", ImmNone, bin(F32, F32)},
+	OpF32Mul:      {"f32.mul", ImmNone, bin(F32, F32)},
+	OpF32Div:      {"f32.div", ImmNone, bin(F32, F32)},
+	OpF32Min:      {"f32.min", ImmNone, bin(F32, F32)},
+	OpF32Max:      {"f32.max", ImmNone, bin(F32, F32)},
+	OpF32Copysign: {"f32.copysign", ImmNone, bin(F32, F32)},
 
-	OpF64Abs:      {"f64.abs", ImmNone},
-	OpF64Neg:      {"f64.neg", ImmNone},
-	OpF64Ceil:     {"f64.ceil", ImmNone},
-	OpF64Floor:    {"f64.floor", ImmNone},
-	OpF64Trunc:    {"f64.trunc", ImmNone},
-	OpF64Nearest:  {"f64.nearest", ImmNone},
-	OpF64Sqrt:     {"f64.sqrt", ImmNone},
-	OpF64Add:      {"f64.add", ImmNone},
-	OpF64Sub:      {"f64.sub", ImmNone},
-	OpF64Mul:      {"f64.mul", ImmNone},
-	OpF64Div:      {"f64.div", ImmNone},
-	OpF64Min:      {"f64.min", ImmNone},
-	OpF64Max:      {"f64.max", ImmNone},
-	OpF64Copysign: {"f64.copysign", ImmNone},
+	OpF64Abs:      {"f64.abs", ImmNone, un(F64, F64)},
+	OpF64Neg:      {"f64.neg", ImmNone, un(F64, F64)},
+	OpF64Ceil:     {"f64.ceil", ImmNone, un(F64, F64)},
+	OpF64Floor:    {"f64.floor", ImmNone, un(F64, F64)},
+	OpF64Trunc:    {"f64.trunc", ImmNone, un(F64, F64)},
+	OpF64Nearest:  {"f64.nearest", ImmNone, un(F64, F64)},
+	OpF64Sqrt:     {"f64.sqrt", ImmNone, un(F64, F64)},
+	OpF64Add:      {"f64.add", ImmNone, bin(F64, F64)},
+	OpF64Sub:      {"f64.sub", ImmNone, bin(F64, F64)},
+	OpF64Mul:      {"f64.mul", ImmNone, bin(F64, F64)},
+	OpF64Div:      {"f64.div", ImmNone, bin(F64, F64)},
+	OpF64Min:      {"f64.min", ImmNone, bin(F64, F64)},
+	OpF64Max:      {"f64.max", ImmNone, bin(F64, F64)},
+	OpF64Copysign: {"f64.copysign", ImmNone, bin(F64, F64)},
 
-	OpI32WrapI64:        {"i32.wrap_i64", ImmNone},
-	OpI32TruncF32S:      {"i32.trunc_f32_s", ImmNone},
-	OpI32TruncF32U:      {"i32.trunc_f32_u", ImmNone},
-	OpI32TruncF64S:      {"i32.trunc_f64_s", ImmNone},
-	OpI32TruncF64U:      {"i32.trunc_f64_u", ImmNone},
-	OpI64ExtendI32S:     {"i64.extend_i32_s", ImmNone},
-	OpI64ExtendI32U:     {"i64.extend_i32_u", ImmNone},
-	OpI64TruncF32S:      {"i64.trunc_f32_s", ImmNone},
-	OpI64TruncF32U:      {"i64.trunc_f32_u", ImmNone},
-	OpI64TruncF64S:      {"i64.trunc_f64_s", ImmNone},
-	OpI64TruncF64U:      {"i64.trunc_f64_u", ImmNone},
-	OpF32ConvertI32S:    {"f32.convert_i32_s", ImmNone},
-	OpF32ConvertI32U:    {"f32.convert_i32_u", ImmNone},
-	OpF32ConvertI64S:    {"f32.convert_i64_s", ImmNone},
-	OpF32ConvertI64U:    {"f32.convert_i64_u", ImmNone},
-	OpF32DemoteF64:      {"f32.demote_f64", ImmNone},
-	OpF64ConvertI32S:    {"f64.convert_i32_s", ImmNone},
-	OpF64ConvertI32U:    {"f64.convert_i32_u", ImmNone},
-	OpF64ConvertI64S:    {"f64.convert_i64_s", ImmNone},
-	OpF64ConvertI64U:    {"f64.convert_i64_u", ImmNone},
-	OpF64PromoteF32:     {"f64.promote_f32", ImmNone},
-	OpI32ReinterpretF32: {"i32.reinterpret_f32", ImmNone},
-	OpI64ReinterpretF64: {"i64.reinterpret_f64", ImmNone},
-	OpF32ReinterpretI32: {"f32.reinterpret_i32", ImmNone},
-	OpF64ReinterpretI64: {"f64.reinterpret_i64", ImmNone},
+	OpI32WrapI64:        {"i32.wrap_i64", ImmNone, un(I64, I32)},
+	OpI32TruncF32S:      {"i32.trunc_f32_s", ImmNone, un(F32, I32)},
+	OpI32TruncF32U:      {"i32.trunc_f32_u", ImmNone, un(F32, I32)},
+	OpI32TruncF64S:      {"i32.trunc_f64_s", ImmNone, un(F64, I32)},
+	OpI32TruncF64U:      {"i32.trunc_f64_u", ImmNone, un(F64, I32)},
+	OpI64ExtendI32S:     {"i64.extend_i32_s", ImmNone, un(I32, I64)},
+	OpI64ExtendI32U:     {"i64.extend_i32_u", ImmNone, un(I32, I64)},
+	OpI64TruncF32S:      {"i64.trunc_f32_s", ImmNone, un(F32, I64)},
+	OpI64TruncF32U:      {"i64.trunc_f32_u", ImmNone, un(F32, I64)},
+	OpI64TruncF64S:      {"i64.trunc_f64_s", ImmNone, un(F64, I64)},
+	OpI64TruncF64U:      {"i64.trunc_f64_u", ImmNone, un(F64, I64)},
+	OpF32ConvertI32S:    {"f32.convert_i32_s", ImmNone, un(I32, F32)},
+	OpF32ConvertI32U:    {"f32.convert_i32_u", ImmNone, un(I32, F32)},
+	OpF32ConvertI64S:    {"f32.convert_i64_s", ImmNone, un(I64, F32)},
+	OpF32ConvertI64U:    {"f32.convert_i64_u", ImmNone, un(I64, F32)},
+	OpF32DemoteF64:      {"f32.demote_f64", ImmNone, un(F64, F32)},
+	OpF64ConvertI32S:    {"f64.convert_i32_s", ImmNone, un(I32, F64)},
+	OpF64ConvertI32U:    {"f64.convert_i32_u", ImmNone, un(I32, F64)},
+	OpF64ConvertI64S:    {"f64.convert_i64_s", ImmNone, un(I64, F64)},
+	OpF64ConvertI64U:    {"f64.convert_i64_u", ImmNone, un(I64, F64)},
+	OpF64PromoteF32:     {"f64.promote_f32", ImmNone, un(F32, F64)},
+	OpI32ReinterpretF32: {"i32.reinterpret_f32", ImmNone, un(F32, I32)},
+	OpI64ReinterpretF64: {"i64.reinterpret_f64", ImmNone, un(F64, I64)},
+	OpF32ReinterpretI32: {"f32.reinterpret_i32", ImmNone, un(I32, F32)},
+	OpF64ReinterpretI64: {"f64.reinterpret_i64", ImmNone, un(I64, F64)},
 
-	OpI32Extend8S:  {"i32.extend8_s", ImmNone},
-	OpI32Extend16S: {"i32.extend16_s", ImmNone},
-	OpI64Extend8S:  {"i64.extend8_s", ImmNone},
-	OpI64Extend16S: {"i64.extend16_s", ImmNone},
-	OpI64Extend32S: {"i64.extend32_s", ImmNone},
+	OpI32Extend8S:  {"i32.extend8_s", ImmNone, un(I32, I32)},
+	OpI32Extend16S: {"i32.extend16_s", ImmNone, un(I32, I32)},
+	OpI64Extend8S:  {"i64.extend8_s", ImmNone, un(I64, I64)},
+	OpI64Extend16S: {"i64.extend16_s", ImmNone, un(I64, I64)},
+	OpI64Extend32S: {"i64.extend32_s", ImmNone, un(I64, I64)},
 }
 
 // String returns the text-format mnemonic of the opcode.
@@ -474,6 +492,25 @@ func (op Opcode) Imm() ImmKind { return opTable[op].imm }
 
 // Known reports whether op is a defined opcode.
 func (op Opcode) Known() bool { return opTable[op].name != "" }
+
+// InOut returns the operand counts (popped, pushed) for instructions with a
+// fixed signature. It reports ok=false for control, call, variable and
+// parametric instructions whose effect depends on context; compilers handle
+// those explicitly.
+func (op Opcode) InOut() (in, out int, ok bool) {
+	s := opTable[op].sig
+	if s.out != 0 {
+		out = 1
+	}
+	return int(s.n), out, s != sig{}
+}
+
+// ResultType returns the type an instruction with a fixed signature pushes,
+// if it pushes exactly one value.
+func (op Opcode) ResultType() (ValType, bool) {
+	t := opTable[op].sig.out
+	return t, t != 0
+}
 
 // Instr is a single decoded instruction. Immediate operands are packed into
 // A and B depending on the opcode's ImmKind:

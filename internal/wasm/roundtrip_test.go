@@ -1,6 +1,7 @@
 package wasm
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,8 +97,8 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		if f1.Type != f2.Type || !reflect.DeepEqual(f1.Locals, f2.Locals) {
 			t.Errorf("func %d header differs", i)
 		}
-		if !reflect.DeepEqual(f1.Body, f2.Body) {
-			t.Errorf("func %d body differs:\n%v\nvs\n%v", i, f1.Body, f2.Body)
+		if !bytes.Equal(f1.Code, f2.Code) {
+			t.Errorf("func %d code differs:\n%x\nvs\n%x", i, f1.Code, f2.Code)
 		}
 	}
 	if !reflect.DeepEqual(m1c.Exports, m2.Exports) {
@@ -117,6 +118,17 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	if string(bytes2) != string(stripped) {
 		t.Errorf("re-encoded bytes differ (%d vs %d bytes)", len(bytes2), len(stripped))
 	}
+
+	// Decoded bodies share one copy of the code section; appending to one
+	// must not write into the next.
+	if len(m2.Funcs) < 2 {
+		t.Fatal("test module needs two functions")
+	}
+	next := append([]byte(nil), m2.Funcs[1].Code...)
+	_ = append(m2.Funcs[0].Code, make([]byte, 64)...)
+	if !bytes.Equal(m2.Funcs[1].Code, next) {
+		t.Errorf("appending to func 0's code changed func 1's code")
+	}
 }
 
 func TestValidateBuiltModule(t *testing.T) {
@@ -133,10 +145,94 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		[]byte("not a wasm module"),
 		{0x00, 0x61, 0x73, 0x6D, 0x02, 0x00, 0x00, 0x00},       // bad version
 		{0x00, 0x61, 0x73, 0x6D, 0x01, 0x00, 0x00, 0x00, 0xFF}, // bad section
+		// A type section whose size was raised by one, with a trailing 0x00.
+		{0x00, 0x61, 0x73, 0x6D, 0x01, 0x00, 0x00, 0x00, 0x01, 0x05, 0x01, 0x60, 0x00, 0x00, 0x00},
 	}
 	for i, c := range cases {
 		if _, err := Decode(c); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
+		}
+	}
+}
+
+// TestValidateRejectsMalformedBodies checks that a function body stays bytes
+// through Decode, however malformed, and that Validate rejects each way an
+// instruction encoding can be wrong.
+func TestValidateRejectsMalformedBodies(t *testing.T) {
+	cases := []struct {
+		name string
+		code []byte
+		want string
+	}{
+		{"unknown opcode", []byte{0xFF, 0x0B}, "unknown opcode 0xff"},
+		{"bad block type", []byte{0x02, 0x01, 0x0B, 0x0B}, "invalid block type 0x01"},
+		{"non-zero table byte", []byte{0x41, 0x00, 0x11, 0x00, 0x01, 0x0B}, "non-zero table index"},
+		{"non-zero memory byte", []byte{0x3F, 0x01, 0x1A, 0x0B}, "non-zero memory index"},
+		{"LEB overflow", []byte{0x41, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 0x1A, 0x0B}, "malformed LEB128"},
+		{"LEB overflow in a memarg offset", []byte{0x41, 0x00, 0x28, 0x02, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 0x1A, 0x0B}, "malformed LEB128"},
+		{"br_table without default", []byte{0x41, 0x00, 0x0E, 0x01, 0x00}, "malformed LEB128"},
+		{"br_table longer than the body", []byte{0x41, 0x00, 0x0E, 0x09, 0x00, 0x0B}, "unexpected end"},
+		{"truncated immediate", []byte{0x44, 0x00, 0x00}, "unexpected end"},
+		{"missing final end", []byte{0x02, 0x40, 0x0B}, "missing end"},
+		{"empty body", nil, "missing end"},
+		{"trailing bytes", []byte{0x0B, 0x01}, "trailing bytes after body"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewModuleBuilder()
+			b.AddMemory(1, 1)
+			b.NewFunc("f", FuncType{})
+			m := b.Module()
+			m.HasTable, m.TableMin = true, 1
+			m.Funcs[0].Code = c.code
+			d, err := Decode(Encode(m))
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			if !bytes.Equal(d.Funcs[0].Code, c.code) {
+				t.Fatalf("decoded code %x, want %x", d.Funcs[0].Code, c.code)
+			}
+			if err := Validate(d); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate = %v, want an error containing %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestValidateRejectsImpossibleMemoryLimits checks defined and imported
+// memories: a minimum above the maximum, or a limit above 65 536 pages, is
+// rejected after Decode; the largest possible limits are accepted.
+func TestValidateRejectsImpossibleMemoryLimits(t *testing.T) {
+	for _, c := range []struct {
+		l  Limits
+		ok bool
+	}{
+		{Limits{Min: 10, Max: 5, HasMax: true}, false},
+		{Limits{Min: 1, Max: 65537, HasMax: true}, false},
+		{Limits{Min: 65537}, false},
+		{Limits{Min: 65536, Max: 65536, HasMax: true}, true},
+		{Limits{Min: 65536}, true},
+	} {
+		for _, imported := range []bool{false, true} {
+			b := NewModuleBuilder()
+			if imported {
+				b.ImportMemory("env", "memory", 0, 0)
+			} else {
+				b.AddMemory(0, 0)
+			}
+			m := b.Module()
+			if imported {
+				m.Imports[0].Mem = c.l
+			} else {
+				m.Memory = c.l
+			}
+			d, err := Decode(Encode(m))
+			if err != nil {
+				t.Fatalf("%+v imported=%v: Decode: %v", c.l, imported, err)
+			}
+			if err := Validate(d); (err == nil) != c.ok {
+				t.Errorf("%+v imported=%v: Validate = %v, want ok=%v", c.l, imported, err, c.ok)
+			}
 		}
 	}
 }

@@ -5,9 +5,13 @@
 // The package plays the role of the "interchange format" layer of the paper:
 // the query compiler (internal/core) emits genuine .wasm bytes through
 // ModuleBuilder, and the execution engine (internal/engine) consumes the same
-// bytes through Decode/Validate. Only features needed by a query engine are
-// implemented: the full numeric/control/memory instruction set of the MVP,
-// one memory, one table (for call_indirect), globals, imports and exports.
+// bytes through Decode/Validate. A function body is its instruction bytes
+// from the builder to the engine's compilers (Func.Code): the builder
+// appends them, Encode and Decode only assemble and split sections, and one
+// Reader decodes instructions for every consumer. Only features needed by a
+// query engine are implemented: the full numeric/control/memory instruction
+// set of the MVP, one memory, one table (for call_indirect), globals, imports
+// and exports.
 package wasm
 
 import "fmt"
@@ -185,14 +189,16 @@ type ElemSegment struct {
 }
 
 // Func is a module-defined function: its type, declared locals (beyond
-// parameters), and decoded instruction sequence.
+// parameters), and body.
 type Func struct {
 	Type uint32
 	// Locals lists the non-parameter locals in declaration order, one entry
 	// per local (run-length compression happens at encode time).
 	Locals []ValType
-	// Body is the decoded instruction sequence including the final End.
-	Body []Instr
+	// Code is the body's instruction bytes as in the binary format: what
+	// follows the locals vector, up to and including the final end. Read it
+	// with NewReader; Validate checks that it is well formed.
+	Code []byte
 	// Name is an optional debug name (encoded in the name section).
 	Name string
 }

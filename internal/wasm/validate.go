@@ -14,6 +14,16 @@ func Validate(m *Module) error {
 		if im.Kind == ExternFunc && int(im.Type) >= len(m.Types) {
 			return fmt.Errorf("wasm: import %d: type index %d out of range", i, im.Type)
 		}
+		if im.Kind == ExternMemory {
+			if err := checkMemory(im.Mem); err != nil {
+				return fmt.Errorf("wasm: import %d: %w", i, err)
+			}
+		}
+	}
+	if m.HasMemory {
+		if err := checkMemory(m.Memory); err != nil {
+			return fmt.Errorf("wasm: memory: %w", err)
+		}
 	}
 	numFuncs := uint32(m.NumImportedFuncs() + len(m.Funcs))
 	for i, e := range m.Exports {
@@ -52,18 +62,34 @@ func Validate(m *Module) error {
 			return errors.New("wasm: start function must have empty signature")
 		}
 	}
+	v := &validator{m: m}
 	for i := range m.Funcs {
 		fn := &m.Funcs[i]
 		if int(fn.Type) >= len(m.Types) {
 			return fmt.Errorf("wasm: function %d: type index out of range", i)
 		}
-		if err := validateBody(m, fn); err != nil {
+		if err := v.body(fn); err != nil {
 			name := fn.Name
 			if name == "" {
 				name = fmt.Sprintf("#%d", i)
 			}
 			return fmt.Errorf("wasm: function %s: %w", name, err)
 		}
+	}
+	return nil
+}
+
+// maxPages is the memory size limit in pages: 4 GiB of 64 KiB pages.
+const maxPages = 65536
+
+// checkMemory rejects limits no memory can have: a minimum above the
+// maximum, or either above maxPages.
+func checkMemory(l Limits) error {
+	if l.Min > maxPages || l.HasMax && l.Max > maxPages {
+		return fmt.Errorf("limits exceed %d pages", maxPages)
+	}
+	if l.HasMax && l.Min > l.Max {
+		return fmt.Errorf("minimum %d exceeds maximum %d", l.Min, l.Max)
 	}
 	return nil
 }
@@ -104,23 +130,22 @@ type validator struct {
 	ctrls  []ctrlFrame
 }
 
-func validateBody(m *Module, fn *Func) error {
-	ft := m.Types[fn.Type]
-	v := &validator{m: m}
-	v.locals = append(append([]ValType{}, ft.Params...), fn.Locals...)
-	v.ctrls = []ctrlFrame{{op: OpCall, results: ft.Results}}
-	for pc, in := range fn.Body {
-		if err := v.instr(in); err != nil {
+// body checks one function body, reading it through the Reader, which
+// rejects malformed bytes; the control stack ends empty exactly where the
+// Reader stops at the body's final end.
+func (v *validator) body(fn *Func) error {
+	ft := v.m.Types[fn.Type]
+	v.locals = append(append(v.locals[:0], ft.Params...), fn.Locals...)
+	v.vals = v.vals[:0]
+	v.ctrls = append(v.ctrls[:0], ctrlFrame{op: OpCall, results: ft.Results})
+	var in Instr
+	r := NewReader(fn.Code)
+	for pc := 0; r.Next(&in); pc++ {
+		if err := v.instr(&in); err != nil {
 			return fmt.Errorf("instr %d (%s): %w", pc, in.Op, err)
 		}
-		if len(v.ctrls) == 0 {
-			if pc != len(fn.Body)-1 {
-				return fmt.Errorf("instr %d: code after function end", pc)
-			}
-			return nil
-		}
 	}
-	return errors.New("missing end")
+	return r.Err()
 }
 
 func (v *validator) pushVal(t ValType) { v.vals = append(v.vals, t) }
@@ -210,13 +235,15 @@ func (v *validator) globalType(idx uint64) (GlobalType, error) {
 	return v.m.Globals[idx].Type, nil
 }
 
-func (v *validator) instr(in Instr) error {
-	// Simple (fixed-signature) instructions are table-driven.
-	if sig, ok := simpleSigs[in.Op]; ok {
-		if err := v.popVals(sig.in); err != nil {
+func (v *validator) instr(in *Instr) error {
+	// Fixed-signature instructions are driven by the opcode table.
+	if s := opTable[in.Op].sig; s != (sig{}) {
+		if err := v.popVals(s.in[:s.n]); err != nil {
 			return err
 		}
-		v.pushVals(sig.out)
+		if s.out != 0 {
+			v.pushVal(s.out)
+		}
 		return nil
 	}
 	switch in.Op {
@@ -398,119 +425,4 @@ func (v *validator) hasImportedTable() bool {
 		}
 	}
 	return false
-}
-
-type sig struct {
-	in, out []ValType
-}
-
-var simpleSigs = buildSimpleSigs()
-
-func buildSimpleSigs() map[Opcode]sig {
-	m := make(map[Opcode]sig, 160)
-	un := func(op Opcode, a, r ValType) { m[op] = sig{[]ValType{a}, []ValType{r}} }
-	bin := func(op Opcode, a, r ValType) { m[op] = sig{[]ValType{a, a}, []ValType{r}} }
-
-	// Memory.
-	loads := map[Opcode]ValType{
-		OpI32Load: I32, OpI64Load: I64, OpF32Load: F32, OpF64Load: F64,
-		OpI32Load8S: I32, OpI32Load8U: I32, OpI32Load16S: I32, OpI32Load16U: I32,
-		OpI64Load8S: I64, OpI64Load8U: I64, OpI64Load16S: I64, OpI64Load16U: I64,
-		OpI64Load32S: I64, OpI64Load32U: I64,
-	}
-	for op, t := range loads {
-		un(op, I32, t)
-	}
-	stores := map[Opcode]ValType{
-		OpI32Store: I32, OpI64Store: I64, OpF32Store: F32, OpF64Store: F64,
-		OpI32Store8: I32, OpI32Store16: I32,
-		OpI64Store8: I64, OpI64Store16: I64, OpI64Store32: I64,
-	}
-	for op, t := range stores {
-		m[op] = sig{in: []ValType{I32, t}}
-	}
-	m[OpMemorySize] = sig{out: []ValType{I32}}
-	un(OpMemoryGrow, I32, I32)
-
-	// Constants.
-	m[OpI32Const] = sig{out: []ValType{I32}}
-	m[OpI64Const] = sig{out: []ValType{I64}}
-	m[OpF32Const] = sig{out: []ValType{F32}}
-	m[OpF64Const] = sig{out: []ValType{F64}}
-
-	// Comparisons.
-	un(OpI32Eqz, I32, I32)
-	for op := OpI32Eq; op <= OpI32GeU; op++ {
-		bin(op, I32, I32)
-	}
-	un(OpI64Eqz, I64, I32)
-	for op := OpI64Eq; op <= OpI64GeU; op++ {
-		bin(op, I64, I32)
-	}
-	for op := OpF32Eq; op <= OpF32Ge; op++ {
-		bin(op, F32, I32)
-	}
-	for op := OpF64Eq; op <= OpF64Ge; op++ {
-		bin(op, F64, I32)
-	}
-
-	// Numerics.
-	for op := OpI32Clz; op <= OpI32Popcnt; op++ {
-		un(op, I32, I32)
-	}
-	for op := OpI32Add; op <= OpI32Rotr; op++ {
-		bin(op, I32, I32)
-	}
-	for op := OpI64Clz; op <= OpI64Popcnt; op++ {
-		un(op, I64, I64)
-	}
-	for op := OpI64Add; op <= OpI64Rotr; op++ {
-		bin(op, I64, I64)
-	}
-	for op := OpF32Abs; op <= OpF32Sqrt; op++ {
-		un(op, F32, F32)
-	}
-	for op := OpF32Add; op <= OpF32Copysign; op++ {
-		bin(op, F32, F32)
-	}
-	for op := OpF64Abs; op <= OpF64Sqrt; op++ {
-		un(op, F64, F64)
-	}
-	for op := OpF64Add; op <= OpF64Copysign; op++ {
-		bin(op, F64, F64)
-	}
-
-	// Conversions.
-	un(OpI32WrapI64, I64, I32)
-	un(OpI32TruncF32S, F32, I32)
-	un(OpI32TruncF32U, F32, I32)
-	un(OpI32TruncF64S, F64, I32)
-	un(OpI32TruncF64U, F64, I32)
-	un(OpI64ExtendI32S, I32, I64)
-	un(OpI64ExtendI32U, I32, I64)
-	un(OpI64TruncF32S, F32, I64)
-	un(OpI64TruncF32U, F32, I64)
-	un(OpI64TruncF64S, F64, I64)
-	un(OpI64TruncF64U, F64, I64)
-	un(OpF32ConvertI32S, I32, F32)
-	un(OpF32ConvertI32U, I32, F32)
-	un(OpF32ConvertI64S, I64, F32)
-	un(OpF32ConvertI64U, I64, F32)
-	un(OpF32DemoteF64, F64, F32)
-	un(OpF64ConvertI32S, I32, F64)
-	un(OpF64ConvertI32U, I32, F64)
-	un(OpF64ConvertI64S, I64, F64)
-	un(OpF64ConvertI64U, I64, F64)
-	un(OpF64PromoteF32, F32, F64)
-	un(OpI32ReinterpretF32, F32, I32)
-	un(OpI64ReinterpretF64, F64, I64)
-	un(OpF32ReinterpretI32, I32, F32)
-	un(OpF64ReinterpretI64, I64, F64)
-	un(OpI32Extend8S, I32, I32)
-	un(OpI32Extend16S, I32, I32)
-	un(OpI64Extend8S, I64, I64)
-	un(OpI64Extend16S, I64, I64)
-	un(OpI64Extend32S, I64, I64)
-
-	return m
 }

@@ -98,29 +98,31 @@ func printFunc(b *strings.Builder, m *Module, idx int, f *Func) {
 		b.WriteString(")\n")
 	}
 	indent := 2
-	for i, in := range f.Body {
-		if i == len(f.Body)-1 && in.Op == OpEnd {
-			break // implicit function-closing end
+	var in Instr
+	r := NewReader(f.Code)
+	for r.Next(&in) {
+		if in.Op == OpEnd && indent == 2 {
+			break // the function's closing end is implicit
 		}
 		switch in.Op {
 		case OpEnd, OpElse:
 			indent--
 		}
-		if indent < 1 {
-			indent = 1
-		}
 		b.WriteString(strings.Repeat("  ", indent+1))
-		b.WriteString(instrString(in))
+		b.WriteString(instrString(&in))
 		b.WriteString("\n")
 		switch in.Op {
 		case OpBlock, OpLoop, OpIf, OpElse:
 			indent++
 		}
 	}
+	if err := r.Err(); err != nil {
+		fmt.Fprintf(b, "    ;; malformed body: %v\n", err)
+	}
 	b.WriteString("  )\n")
 }
 
-func instrString(in Instr) string {
+func instrString(in *Instr) string {
 	switch in.Op.Imm() {
 	case ImmNone:
 		return in.Op.String()
