@@ -57,16 +57,20 @@ tier-diff:
 # through Execute and its DESIGN.md rendering, the faults, engine panics,
 # cancellations and memory limits injected into the group, keyless, sort and
 # join barriers and the morsel loop, the
-# scheduler's lease and yield tests, and the CHAR corpus (CharWord: equality,
+# scheduler's lease and yield tests, the CHAR corpus (CharWord: equality,
 # IN, GROUP BY and joins across CHAR widths on six backends × workers
-# {1,2,4}, the word-width routines against Go, values on page boundaries) —
+# {1,2,4}, the word-width routines against Go, values on page boundaries),
+# and the page-recycling tests (ParallelRelease: a two-worker query stopped
+# mid-morsel by a fault or a cancellation hands its pages back only after
+# both workers returned; ParallelQueriesLeaveColumnsIntact: mapped table
+# columns are never cleared or recycled) —
 # under the race detector on two cores, where workers really interleave. A pattern that stops matching after
 # a rename would pass vacuously, so the number of selected tests is checked
 # first.
 PARALLEL_DIFF = Parallel|Barrier|Scheduler|Fallback|JoinBuild|Styled|CharWord
 parallel-diff:
 	@n=$$($(GO) test -list '$(PARALLEL_DIFF)' . ./internal/core | grep -c '^Test'); \
-		if [ $$n -lt 43 ]; then echo "parallel-diff: the pattern selects $$n tests, expected at least 43" >&2; exit 1; fi
+		if [ $$n -lt 46 ]; then echo "parallel-diff: the pattern selects $$n tests, expected at least 46" >&2; exit 1; fi
 	GOMAXPROCS=2 $(GO) test -race -run '$(PARALLEL_DIFF)' . ./internal/core
 
 # retired prints the instructions each tier's code retires per TPC-H query
@@ -83,12 +87,15 @@ retired:
 # winning the select against ctx.Done()) and the join build's memory limit (a
 # budget taken from one two-worker run's high-water marks, which depend on
 # the morsel schedule) — 20 times under the race detector, so a relapse fails
-# here by name instead of once in a while somewhere in the full suite.
+# here by name instead of once in a while somewhere in the full suite. With
+# them runs the release of a cancelled two-worker query's pages, whose
+# interleaving of watchdog, workers and release differs from run to run.
 flake-guard:
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestScheduler(ConcurrentAcquireRelease|YieldBeyondGrant)$$' ./internal/core
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestFlightRecorderConcurrent$$' ./internal/obs
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestReplInterrupt$$' ./cmd/wasmdb
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestJoinBuildMemoryLimitInReserve$$' .
+	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestParallelReleaseAfterCancel$$' .
 
 # internal/obs must stay at the bottom of the dependency graph: it may
 # import nothing from this module, or every layer recording into it would
@@ -135,7 +142,9 @@ lint-layers:
 # server, best of three runs each.
 # Then it runs the per-query start-up benchmark once (rewire + instantiate +
 # q_init, 1 and 2 workers) and prints its B/op: demand-zero linear memory
-# keeps that near 0.1 MiB per worker, an eager allocation shows as MiB.
+# whose pages and frame arenas are recycled keeps that to a few KiB per
+# worker, a page or arena no longer recycled shows as 64 KiB or more, and an
+# eager allocation as MiB.
 # Then it prints the join-build benchmark once (build rows {2 k, 32 k, 256 k} ×
 # build rows per key {1, 4} × workers {1, 2}): ns per build row for scan,
 # tuple append and barrier together, and the barrier alone in µs.
@@ -144,10 +153,13 @@ lint-layers:
 # speed in B/µs over the same three modules with its B/op and allocs/op — the
 # optimizing compiler's allocation is paid inside every cold query's
 # alloc_kb_per_query.
-# Last it prints the cold-compile benchmark once: code generation plus the
+# Then it prints the cold-compile benchmark once: code generation plus the
 # engine's decode, validate and baseline compile over the seven measured
 # queries in both styles, in ns/op and B/op — the per-query fixed cost of
 # every plan-cache miss.
+# Last it prints the warm-query benchmark once: a prepared point aggregate
+# served from the plan cache, in B/op and allocs/op — the figure
+# TestWarmQueryAllocBudget bounds, kept low by recycled pages and arenas.
 bench-smoke:
 	$(GO) run ./cmd/bench -experiment fig1,abl-tier -sf 0.01 -reps 1
 	$(GO) run ./benchmark -workload all -rounds 3 -seed 1
@@ -177,6 +189,9 @@ bench-smoke:
 	@$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkColdCompile$$' -benchtime 20x -benchmem \
 		| awk '/^BenchmarkColdCompile/ { n++; printf "bench-smoke: %s %s ns/op, %s B/op\n", $$1, $$3, $$5 } \
 		       END { if (n != 1) { print "bench-smoke: missing cold-compile benchmark output" > "/dev/stderr"; exit 1 } }'
+	@$(GO) test . -run '^$$' -bench 'BenchmarkWarmQuery$$' -benchtime 200x -benchmem \
+		| awk '/^BenchmarkWarmQuery/ { n++; printf "bench-smoke: %s %s B/op, %s allocs/op\n", $$1, $$5, $$7 } \
+		       END { if (n != 1) { print "bench-smoke: missing warm-query benchmark output" > "/dev/stderr"; exit 1 } }'
 
 # fuzz the adversarial-module executor, the tier-differential generator and
 # the bit-flipped real modules (TPC-H Q1 and Q3, the kernel library) that

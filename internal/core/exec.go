@@ -24,6 +24,8 @@ var (
 	mFuelConsumed   = obs.Default.Counter(obs.MetricFuelConsumed)
 	mPeakHeapPages  = obs.Default.Gauge(obs.MetricPeakHeapPages)
 	mPagesCommitted = obs.Default.Counter(obs.MetricPagesCommitted)
+	mPagesRecycled  = obs.Default.Counter(obs.MetricPagesRecycled)
+	mPagesFresh     = obs.Default.Counter(obs.MetricPagesFresh)
 	mMorselLatency  = obs.Default.Histogram(obs.MetricMorselLatency)
 )
 
@@ -210,7 +212,8 @@ type executor struct {
 // Execute runs a compiled query against its bound tables on the given
 // engine: it rewires the referenced columns into a fresh linear memory
 // (§6.1), instantiates the module, and drives every pipeline morsel-wise so
-// the engine's background tier-up can swap code between morsels.
+// the engine's background tier-up can swap code between morsels. When it
+// returns, every worker's pages and frame arena are back in their pools.
 func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptions) (*ResultSet, *ExecStats, error) {
 	x := &executor{cq: cq, q: q, opt: opt, ctx: opt.Ctx, tr: opt.Trace,
 		stats: &ExecStats{ModuleBytes: len(cq.Bin)}, limit: cq.Limit}
@@ -247,6 +250,7 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 
 	workers := x.poolSize()
 	defer x.lease.Release()
+	defer x.release()
 	t0 := time.Now()
 	if err := x.rewire(workers); err != nil {
 		return nil, nil, err
@@ -344,6 +348,7 @@ func (x *executor) rewire(workers int) error {
 	mapped, pagesMapped := 0, 0
 	for wi := range x.ws {
 		w := &worker{id: wi, mem: wmem.New(x.cq.MinPages, 65536)}
+		x.ws[wi] = w
 		w.mem.SetTracer(x.tr)
 		if x.opt.MemoryBudgetPages > 0 {
 			// The budget bounds each worker's heap: it exists to stop
@@ -369,10 +374,25 @@ func (x *executor) rewire(workers int) error {
 				return err
 			}
 		}
-		x.ws[wi] = w
 	}
 	sp.End(obs.I("columns", int64(mapped)), obs.I("pages_mapped", int64(pagesMapped)), obs.I("workers", int64(workers)))
 	return nil
+}
+
+// release hands every worker's frame arena and memory back to their pools.
+// Execute defers it, so it runs after every worker has returned (each joins
+// its goroutines before it returns) on success and on every error path
+// alike. The memories go together because Alias shares pages between them.
+func (x *executor) release() {
+	for _, w := range x.ws {
+		if w == nil {
+			continue
+		}
+		if w.inst != nil {
+			w.inst.Close()
+		}
+		w.mem.Release()
+	}
 }
 
 // mapChunk rewires rows [start, start+n) of every referenced column of table
@@ -692,6 +712,7 @@ func (x *executor) foldStats(mod *engine.Module, rows int) {
 		stats.Liftoff, stats.Turbofan = es.Liftoff, es.Turbofan
 	}
 	stats.TurbofanFailed = es.TurbofanFailed
+	var recycled, fresh int64
 	for _, w := range x.ws {
 		lo, tf := w.inst.TierCalls()
 		stats.MorselsLiftoff += lo
@@ -700,11 +721,15 @@ func (x *executor) foldStats(mod *engine.Module, rows int) {
 		stats.CommittedMemBytes += uint64(w.mem.Committed()) * wmem.PageSize
 		mPeakHeapPages.SetMax(int64(w.mem.Pages()))
 		mPagesCommitted.Add(int64(w.mem.Committed()))
+		recycled += int64(w.mem.Committed() - w.mem.Fresh())
+		fresh += int64(w.mem.Fresh())
 		if len(x.ws) > 1 {
 			tr.Set(obs.WorkerCtr(w.id, obs.CtrMorselsLiftoff), int64(lo))
 			tr.Set(obs.WorkerCtr(w.id, obs.CtrMorselsTurbofan), int64(tf))
 		}
 	}
+	mPagesRecycled.Add(recycled)
+	mPagesFresh.Add(fresh)
 	if x.opt.Fuel > 0 {
 		if left := x.ws[0].inst.FuelLeft(); left >= 0 {
 			stats.FuelUsed = x.opt.Fuel - left
@@ -719,6 +744,8 @@ func (x *executor) foldStats(mod *engine.Module, rows int) {
 		tr.Set(obs.CtrFuelUsed, stats.FuelUsed)
 		tr.Set(obs.CtrPeakMemBytes, int64(stats.PeakMemBytes))
 		tr.Set(obs.CtrCommittedMemBytes, int64(stats.CommittedMemBytes))
+		tr.Set(obs.CtrPagesRecycled, recycled)
+		tr.Set(obs.CtrPagesFresh, fresh)
 		tr.Set(obs.CtrResultRows, int64(rows))
 		tr.Set(obs.CtrWorkers, int64(stats.Workers))
 		tr.Set(obs.CtrPipelinesParallel, int64(stats.PipelinesParallel))

@@ -74,8 +74,9 @@ func BenchmarkMorselDispatchDetail(b *testing.B) {
 // morsel — building each worker's linear memory, rewiring the columns,
 // instantiating the precompiled module and running q_init — on a table small
 // enough (1000 rows, one morsel) that the run phase is noise. init-ns/op is
-// ExecStats.Init; B/op is the whole execution and is dominated by the pages
-// q_init and the single morsel commit.
+// ExecStats.Init; B/op is the whole execution. The pages q_init and the
+// single morsel commit come from the pool the previous execution refilled,
+// so B/op is the page table, instance and result alone.
 func BenchmarkExecuteStartup(b *testing.B) {
 	cq, q := compileOn(b, parCatalog(b, 1000), "SELECT COUNT(*), SUM(i0), MIN(i1) FROM t WHERE i0 < 0")
 	eng := engine.New(engine.Config{Tier: engine.TierTurbofan})

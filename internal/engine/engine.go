@@ -390,6 +390,9 @@ type Imports struct {
 type Instance struct {
 	mod *Module
 	env *rt.Env
+	// ownMem is set when the module defined its memory itself (rather than
+	// importing the host's), so Close releases it.
+	ownMem bool
 
 	// tr receives this instance's tier-switch events. It defaults to the
 	// module's compile trace but can differ when a cached module is shared
@@ -419,7 +422,7 @@ func (m *Module) Instantiate(imp Imports) (*Instance, error) {
 // and each execution records into its own trace. tr may be nil.
 func (m *Module) InstantiateWithTrace(imp Imports, tr *obs.Trace) (*Instance, error) {
 	wm := m.wmod
-	env := &rt.Env{Types: wm.Types}
+	env := rt.NewEnv(wm.Types)
 
 	// Resolve imports.
 	for _, im := range wm.Imports {
@@ -494,7 +497,7 @@ func (m *Module) InstantiateWithTrace(imp Imports, tr *obs.Trace) (*Instance, er
 		env.Mem.WriteBytes(d.Offset, d.Bytes)
 	}
 
-	inst := &Instance{mod: m, env: env, tr: tr}
+	inst := &Instance{mod: m, env: env, tr: tr, ownMem: wm.HasMemory}
 	if tr != nil {
 		inst.tierSeen = make([]atomic.Bool, len(env.Funcs))
 	}
@@ -508,6 +511,17 @@ func (m *Module) InstantiateWithTrace(imp Imports, tr *obs.Trace) (*Instance, er
 
 // Memory returns the instance's linear memory.
 func (i *Instance) Memory() *wmem.Memory { return i.env.Mem }
+
+// Close returns the instance's frame arena to the pool and releases the
+// memory the module defined itself (wmem.Memory.Release). An imported memory
+// belongs to the host, which releases it. The instance must not be called
+// afterwards; closing twice is a no-op.
+func (i *Instance) Close() {
+	i.env.Release()
+	if i.ownMem {
+		i.env.Mem.Release()
+	}
+}
 
 // Global returns the current value of a module-defined global.
 func (i *Instance) Global(idx int) uint64 { return i.env.Globals[idx] }

@@ -227,6 +227,11 @@ func TestMemoryOps(t *testing.T) {
 		if got := mustCall(t, inst, "get", 16); got[0] != 0xDEADBEEF {
 			t.Errorf("%v: mem[16] = %#x", tier, got[0])
 		}
+		// Close releases the memory the module defined itself.
+		inst.Close()
+		if n := inst.Memory().Pages(); n != 0 {
+			t.Errorf("%v: defined memory has %d pages after Close, want it released", tier, n)
+		}
 	}
 }
 
@@ -332,6 +337,11 @@ func TestImportedMemoryRewiring(t *testing.T) {
 			t.Errorf("%v: after host write sum = %d, want %d", tier, int64(got2[0]), want+1)
 		}
 		host[0]--
+		// Close leaves an imported memory to the host that owns it.
+		inst.Close()
+		if n := mem.Pages(); n != 2 {
+			t.Errorf("%v: imported memory has %d pages after Close, want 2", tier, n)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ package rt
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"wasmdb/internal/engine/wmem"
@@ -57,20 +58,28 @@ type Env struct {
 	Depth int
 
 	// Metered enables fuel accounting (set via SetFuel). The run loop
-	// checks it before touching the atomic counters so unmetered execution
+	// checks it before touching the fuel counter so unmetered execution
 	// pays a single predictable branch per back-edge.
 	Metered bool
 
-	// arena is the shared arena the register frames are carved from.
+	// arena is the shared arena the register frames are carved from. NewEnv
+	// takes it from arenaPool and Release hands it back; box is the pool's
+	// handle for it (nil until the arena was pooled once).
 	arena []uint64
 	top   int
+	box   *[]uint64
 
-	// fuel is the remaining execution budget; interrupted is set by
-	// Interrupt from another goroutine (the executor's cancellation
-	// watchdog), hence both are atomics.
-	fuel        atomic.Int64
+	// fuel is the remaining execution budget. Only the goroutine running
+	// guest code on this Env reads or writes it, so it is a plain integer.
+	// interrupted is set by Interrupt from another goroutine (the
+	// executor's cancellation watchdog), hence an atomic.
+	fuel        int64
 	interrupted atomic.Bool
 }
+
+// arenaPool recycles frame arenas across instances. Entries are *[]uint64,
+// so a Put stores a pointer and allocates nothing.
+var arenaPool sync.Pool
 
 // TrapError is a non-memory trap (unreachable, division by zero, bad
 // conversion, indirect call failure, stack or fuel exhaustion).
@@ -91,8 +100,20 @@ func Trap(format string, args ...any) {
 	panic(&TrapError{Msg: fmt.Sprintf(format, args...)})
 }
 
-// Frame carves n value slots from the shared arena. Release with PopFrame in
-// LIFO order.
+// NewEnv returns an Env for a module with the given type section, its frame
+// arena taken from the pool when one is there. A pooled arena needs no
+// clearing: Frame zeroes the slots it carves.
+func NewEnv(types []wasm.FuncType) *Env {
+	e := &Env{Types: types}
+	if b, ok := arenaPool.Get().(*[]uint64); ok {
+		e.box, e.arena = b, *b
+	}
+	return e
+}
+
+// Frame carves n value slots from the shared arena, zeroed. Release with
+// PopFrame in LIFO order. It is inlined into every guest call, so it stays
+// within the compiler's inlining budget.
 func (e *Env) Frame(n int) []uint64 {
 	if e.top+n > len(e.arena) {
 		grow := len(e.arena)*2 + n + 4096
@@ -106,6 +127,20 @@ func (e *Env) Frame(n int) []uint64 {
 	}
 	e.top += n
 	return f
+}
+
+// Release returns the frame arena to the pool. No guest code may run on
+// the Env afterwards; a later Frame would take a new arena.
+func (e *Env) Release() {
+	if e.arena == nil {
+		return
+	}
+	if e.box == nil {
+		e.box = new([]uint64)
+	}
+	*e.box = e.arena
+	arenaPool.Put(e.box)
+	e.arena, e.box, e.top = nil, nil, 0
 }
 
 // PopFrame releases the most recent n slots.
@@ -124,7 +159,7 @@ func (e *Env) Reset() {
 // function entry and per taken loop back-edge.
 func (e *Env) SetFuel(n int64) {
 	e.Metered = n > 0
-	e.fuel.Store(n)
+	e.fuel = n
 	e.interrupted.Store(false)
 }
 
@@ -134,8 +169,8 @@ func (e *Env) FuelLeft() int64 {
 	if !e.Metered {
 		return -1
 	}
-	if f := e.fuel.Load(); f > 0 {
-		return f
+	if e.fuel > 0 {
+		return e.fuel
 	}
 	return 0
 }
@@ -155,7 +190,7 @@ func (e *Env) UseFuel(n int64) {
 	if e.interrupted.Load() {
 		panic(&TrapError{Msg: "execution interrupted", Cause: ErrInterrupted})
 	}
-	if e.fuel.Add(-n) < 0 {
+	if e.fuel -= n; e.fuel < 0 {
 		panic(&TrapError{Msg: "fuel exhausted", Cause: ErrFuelExhausted})
 	}
 }

@@ -129,3 +129,33 @@ func TestCheckAddr(t *testing.T) {
 	}()
 	CheckAddr(0xFFFFFFFF+16, 8)
 }
+
+// TestFrameArenaRecycled: a released arena serves the next Env's frames, and
+// what the first Env left in it never shows through a new frame.
+func TestFrameArenaRecycled(t *testing.T) {
+	a := NewEnv(nil)
+	f := a.Frame(64)
+	for i := range f {
+		f[i] = ^uint64(0)
+	}
+	a.Release()
+	if a.arena != nil || a.top != 0 {
+		t.Fatal("Release kept the arena")
+	}
+	a.Release() // a second Release is a no-op
+
+	recycled := false
+	for range 8 { // the race detector's sync.Pool drops a quarter of its puts
+		b := NewEnv(nil)
+		for i, v := range b.Frame(64) {
+			if v != 0 {
+				t.Fatalf("slot %d of a recycled arena reads %#x, want 0", i, v)
+			}
+		}
+		recycled = recycled || b.box != nil
+		b.Release()
+	}
+	if !recycled {
+		t.Error("no Env took its arena from the pool")
+	}
+}

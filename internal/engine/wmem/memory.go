@@ -12,16 +12,21 @@
 // WebAssembly page, mirroring the OS page granularity of mmap-based rewiring.
 //
 // Like an anonymous mmap, the address space is demand-zero: New, Grow and
-// Unmap only size the page table, and a module-owned page is allocated
-// (already zero) by the first access that touches it. Building a memory and
-// rewiring host columns into it therefore costs O(pages mapped) pointer
-// writes plus O(pages touched) allocations — never O(address space).
+// Unmap only size the page table, and a module-owned page is taken from a
+// pool of zeroed pages by the first access that touches it. Release hands
+// the memory's own pages back, cleared, when its query ends. Building a
+// memory and rewiring host columns into it therefore costs O(pages mapped)
+// pointer writes plus O(pages touched) pool takes — never O(address space),
+// and a fresh allocation only when the pool runs dry.
 package wmem
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"wasmdb/internal/faultpoint"
 	"wasmdb/internal/obs"
@@ -32,6 +37,14 @@ const PageSize = 64 * 1024
 
 const pageShift = 16
 const pageMask = PageSize - 1
+
+// pagePool holds zeroed module-owned pages between queries. It is one pool
+// for the process, with no size cap: pages are interchangeable across
+// engines and queries, and the garbage collector drains what stays unused.
+var pagePool sync.Pool
+
+// pagesReleased counts the pages Release has handed back to pagePool.
+var pagesReleased atomic.Int64
 
 // ErrMemoryLimit reports that a heap budget installed with SetBudget was
 // exceeded — the typed, host-visible form of "this query allocated too
@@ -56,15 +69,25 @@ func (t *Trap) Error() string {
 func (t *Trap) Unwrap() error { return t.Cause }
 
 // Memory is a 32-bit addressable linear memory backed by a page table.
-// Pages are either module-owned or host-mapped (installed by Map). A nil
-// entry below Pages() is a reserved module-owned page: it reads as zero and
-// is committed — allocated, zero-filled — by the first load or store that
-// touches it. Only addresses at or beyond Pages() trap.
+// Pages are either module-owned or installed from outside (by Map from a host
+// buffer, by Alias from another memory). A nil entry below Pages() is a
+// reserved module-owned page: it reads as zero and is committed — taken from
+// the pool of zeroed pages — by the first load or store that touches it. Only
+// addresses at or beyond Pages() trap.
 type Memory struct {
 	pages    [][]byte
 	maxPages uint32
-	// committed counts the module-owned pages allocated on first touch.
+	// own has bit p set while pages[p] is a page this memory committed; only
+	// those go back to the pool on Release. Map, Alias and Unmap clear the
+	// bits of the entries they overwrite, so an installed page is never
+	// marked, and an owned page they drop is left to the garbage collector.
+	// It grows on commit, never past the page table.
+	own []uint64
+	// committed counts the module-owned pages committed on first touch;
+	// fresh counts those that were newly allocated because the pool was
+	// empty.
 	committed uint32
+	fresh     uint32
 	// budget, when non-zero, caps the total size in pages that Grow may
 	// reach; exceeding it traps with ErrMemoryLimit (unlike maxPages, whose
 	// wasm semantics silently return -1 to the guest).
@@ -101,10 +124,43 @@ func (m *Memory) Pages() uint32 { return uint32(len(m.pages)) }
 // write into the same backing array, so a cached slice sees them.
 func (m *Memory) PageSlice() [][]byte { return m.pages }
 
-// Committed returns how many module-owned pages have been committed —
-// allocated by a first touch — since the memory was created. Host-mapped
-// pages and reserved pages nobody touched are not counted.
+// Committed returns how many module-owned pages have been committed by a
+// first touch since the memory was created. Host-mapped and aliased pages
+// and reserved pages nobody touched are not counted.
 func (m *Memory) Committed() uint32 { return m.committed }
+
+// Fresh returns how many of the Committed pages were newly allocated because
+// the pool of zeroed pages was empty; the rest were recycled.
+func (m *Memory) Fresh() uint32 { return m.fresh }
+
+// Release hands the committed pages still in this memory's page table back
+// to the pool, each cleared and each exactly once, and drops the page table,
+// so any later access traps as out of bounds instead of reaching a recycled
+// page. Pages installed by Map or Alias are left as they are: they belong to
+// a host buffer or to another memory. Pages returns 0 afterwards, so read it
+// first. Memories that alias each other's pages must all be done running
+// before any of them is released. Releasing twice is a no-op.
+func (m *Memory) Release() {
+	n := 0
+	for wi, w := range m.own {
+		for ; w != 0; w &= w - 1 {
+			pg := (*[PageSize]byte)(m.pages[wi<<6+bits.TrailingZeros64(w)])
+			clear(pg[:])
+			pagePool.Put(pg)
+			n++
+		}
+	}
+	pagesReleased.Add(int64(n))
+	m.pages, m.own = nil, nil
+}
+
+// disown clears the ownership bits of pages [first, first+n), whose
+// entries are about to be overwritten.
+func (m *Memory) disown(first, n uint32) {
+	for p := first; p < first+n && int(p>>6) < len(m.own); p++ {
+		m.own[p>>6] &^= 1 << (p & 63)
+	}
+}
 
 // MaxPages returns the maximum size in pages.
 func (m *Memory) MaxPages() uint32 { return m.maxPages }
@@ -161,6 +217,7 @@ func (m *Memory) Map(addr uint32, data []byte) error {
 	if uint64(first)+uint64(n) > uint64(len(m.pages)) {
 		return fmt.Errorf("wmem: map of %d pages at %#x exceeds memory size (%d pages)", n, addr, len(m.pages))
 	}
+	m.disown(first, n)
 	for i := uint32(0); i < n; i++ {
 		m.pages[first+i] = data[i<<pageShift : (i+1)<<pageShift : (i+1)<<pageShift]
 	}
@@ -183,12 +240,14 @@ func (m *Memory) Alias(addr uint32, src *Memory, srcAddr, n uint32) error {
 		return fmt.Errorf("wmem: alias of %d pages from %#x to %#x exceeds memory size (%d and %d pages)",
 			n, srcAddr, addr, len(src.pages), len(m.pages))
 	}
+	m.disown(first, n)
 	copy(m.pages[first:first+n], src.pages[sfirst:sfirst+n])
 	return nil
 }
 
 // Unmap returns n pages starting at the page-aligned addr to the reserved
-// state: whatever they held is dropped and they read as zero again.
+// state: whatever they held is dropped and they read as zero again. A
+// committed page it drops is not recycled (another memory may alias it).
 func (m *Memory) Unmap(addr uint32, n uint32) error {
 	if addr&pageMask != 0 {
 		return fmt.Errorf("wmem: unmap address %#x not page-aligned", addr)
@@ -197,6 +256,7 @@ func (m *Memory) Unmap(addr uint32, n uint32) error {
 	if uint64(first)+uint64(n) > uint64(len(m.pages)) {
 		return fmt.Errorf("wmem: unmap out of range")
 	}
+	m.disown(first, n)
 	clear(m.pages[first : first+n])
 	return nil
 }
@@ -223,11 +283,26 @@ func (m *Memory) page(addr, size uint32) []byte {
 	}
 	pg := m.pages[p]
 	if pg == nil {
-		pg = make([]byte, PageSize)
-		m.pages[p] = pg
-		m.committed++
+		pg = m.commit(p)
 	}
 	return pg
+}
+
+// commit installs a zeroed owned page at page index p: a pooled one if any,
+// else a new allocation.
+func (m *Memory) commit(p uint32) []byte {
+	pg, ok := pagePool.Get().(*[PageSize]byte)
+	if !ok {
+		pg = new([PageSize]byte)
+		m.fresh++
+	}
+	if int(p>>6) >= len(m.own) {
+		m.own = append(m.own, make([]uint64, (len(m.pages)+63)>>6-len(m.own))...)
+	}
+	m.own[p>>6] |= 1 << (p & 63)
+	m.committed++
+	m.pages[p] = pg[:]
+	return pg[:]
 }
 
 // span returns the in-page slice for an access of size bytes at addr, or nil

@@ -20,6 +20,8 @@ const (
 	MetricFuelConsumed     = "core_fuel_consumed_total"
 	MetricPeakHeapPages    = "core_peak_heap_pages"
 	MetricPagesCommitted   = "wmem_pages_committed"
+	MetricPagesRecycled    = "wmem_pages_recycled"
+	MetricPagesFresh       = "wmem_pages_fresh"
 	MetricMorselLatency    = "core_morsel_latency_ns"
 	MetricFaultpointHits   = "faultpoint_hits_total" // {point}
 

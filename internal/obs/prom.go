@@ -35,7 +35,9 @@ var helpText = map[string]string{
 	MetricTurbofanFailures:          "Background optimizing compiles that failed (query degraded to liftoff).",
 	MetricFuelConsumed:              "Fuel units consumed against explicit WithFuel budgets.",
 	MetricPeakHeapPages:             "High-water linear-memory pages of the most memory-hungry query.",
-	MetricPagesCommitted:            "Module-owned linear-memory pages committed (allocated on first touch) by queries.",
+	MetricPagesCommitted:            "Module-owned linear-memory pages committed (on first touch) by queries.",
+	MetricPagesRecycled:             "Committed pages taken from the pool of zeroed pages.",
+	MetricPagesFresh:                "Committed pages newly allocated because the pool of zeroed pages was empty.",
 	MetricMorselLatency:             "Per-morsel dispatch latency.",
 	MetricFaultpointHits:            "Armed fault-injection points evaluated, by point.",
 	MetricPlanCacheHits:             "Plan-cache lookups that reused a cached module.",

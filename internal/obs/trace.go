@@ -108,7 +108,12 @@ const (
 	// CtrCommittedMemBytes is the part of peak_mem_bytes the query allocated:
 	// module-owned pages committed by a first touch.
 	CtrCommittedMemBytes = "committed_mem_bytes"
-	CtrResultRows        = "result_rows"
+	// CtrPagesRecycled and CtrPagesFresh split the committed pages by
+	// origin: taken from the pool of zeroed pages, or newly allocated because
+	// the pool was empty.
+	CtrPagesRecycled = "pages_recycled"
+	CtrPagesFresh    = "pages_fresh"
+	CtrResultRows    = "result_rows"
 	// CtrWorkers is the size of the morsel worker pool the query ran with.
 	CtrWorkers = "workers"
 	// CtrPipelinesParallel / CtrPipelinesSerial count pipelines driven by the

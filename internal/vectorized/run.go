@@ -96,7 +96,10 @@ func Run(q *sema.Query, root plan.Node) (names []string, rows [][]types.Value, s
 	r.charSpans = [][2]uint32{{alloc(charPoolCap), charPoolCap}}
 	heapBase := (cursor + pageSize - 1) &^ (pageSize - 1)
 
+	// The memory and the instance go back to their pools when Run returns,
+	// whatever the outcome; the rows are decoded out of it by then.
 	mem := wmem.New(heapBase/pageSize+16, 65536)
+	defer mem.Release()
 	r.mem = mem
 	for key, base := range r.colBase {
 		col := q.Tables[key[0]].Table.Columns[key[1]]
@@ -113,6 +116,7 @@ func Run(q *sema.Query, root plan.Node) (names []string, rows [][]types.Value, s
 	if r.inst, err = mod.Instantiate(engine.Imports{Memory: mem}); err != nil {
 		return nil, nil, nil, err
 	}
+	defer r.inst.Close()
 	defer func() {
 		if p := recover(); p != nil {
 			qe, ok := p.(queryError)
