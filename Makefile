@@ -16,14 +16,16 @@ loc:
 		awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline l < $$i) > 0) n++; close($$i) } \
 		       printf "%7d %s\n", n, $$1; t += n } END { printf "%7d total\n", t }'
 
-# verify is the CI gate: compile everything, lint with vet, enforce the
-# observability layering invariant, repeat the three once-flaky concurrency
-# tests, check the engine's two compilers against each other and parallel
-# execution against serial, and run the full suite under the race detector
-# (the guardrail watchdog, background tier-up, and the parallel morsel worker
-# pool are concurrency-heavy paths).
+# verify is the CI gate: compile everything, check that gofmt would change
+# nothing, lint with vet, enforce the observability layering invariant, repeat
+# the three once-flaky concurrency tests, check the engine's two compilers
+# against each other and parallel execution against serial, and run the full
+# suite under the race detector (the guardrail watchdog, background tier-up,
+# and the parallel morsel worker pool are concurrency-heavy paths).
 verify: lint-layers
 	$(GO) build ./...
+	@files=$$($$($(GO) env GOROOT)/bin/gofmt -l .) || exit 1; if [ -n "$$files" ]; then \
+		echo "verify: gofmt -l lists files that are not formatted:" >&2; echo "$$files" >&2; exit 1; fi
 	$(GO) vet ./...
 	$(MAKE) flake-guard
 	$(MAKE) tier-diff

@@ -298,13 +298,6 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 	if x.limit >= 0 && int64(len(res.Rows)) > x.limit {
 		res.Rows = res.Rows[:x.limit]
 	}
-	// SQL semantics: a global aggregation over zero input rows still yields
-	// one row (COUNT = 0, SUM/MIN/MAX = 0 by this system's convention) —
-	// unless a HAVING clause exists, in which case the generated code already
-	// evaluated it over the zero group and its verdict (zero rows) stands.
-	if len(res.Rows) == 0 && q.Grouped && len(q.GroupBy) == 0 && len(q.Having) == 0 && x.limit != 0 {
-		res.Rows = append(res.Rows, zeroAggregateRow(q, opt.Params))
-	}
 	return res, x.stats, nil
 }
 
@@ -753,55 +746,6 @@ func (x *executor) foldStats(mod *engine.Module, rows int) {
 		tr.Set(obs.CtrGroupsMerged, int64(stats.GroupsMerged))
 		tr.Set(obs.CtrJoinPartitionsMerged, int64(stats.JoinPartitionsMerged))
 	}
-}
-
-// zeroAggregateRow fabricates the zero-group output row. params resolves
-// hoisted literals so the parameterized query yields the same row the
-// constant-folded one would.
-func zeroAggregateRow(q *sema.Query, params []types.Value) []types.Value {
-	out := make([]types.Value, len(q.Select))
-	for i, oc := range q.Select {
-		out[i] = evalZero(oc.Expr, q, params)
-	}
-	return out
-}
-
-func evalZero(e sema.Expr, q *sema.Query, params []types.Value) types.Value {
-	switch x := e.(type) {
-	case *sema.Const:
-		return x.V
-	case *sema.Param:
-		if x.Idx < len(params) {
-			return params[x.Idx]
-		}
-	case *sema.AggRef:
-		t := q.Aggs[x.Idx].T
-		switch t.Kind {
-		case types.Float64:
-			return types.NewFloat64(0)
-		case types.Decimal:
-			return types.NewDecimal(0, t.Prec, t.Scale)
-		case types.Int32:
-			return types.NewInt32(0)
-		case types.Date:
-			return types.NewDate(0)
-		default:
-			return types.NewInt64(0)
-		}
-	case *sema.Binary:
-		l := evalZero(x.L, q, params)
-		if x.Op == sema.OpDiv {
-			return types.NewFloat64(0) // 0/0 reported as 0
-		}
-		return l
-	case *sema.Cast:
-		v := evalZero(x.E, q, params)
-		if x.To.Kind == types.Float64 {
-			return types.NewFloat64(0)
-		}
-		return v
-	}
-	return types.Value{Type: e.Type()}
 }
 
 // decodeRow reads result row i from guest memory.

@@ -135,8 +135,8 @@ func fallbackCases(t *testing.T) []fallbackCase {
 		{"join-group", jcat, "SELECT build.nk, COUNT(*) " + join + " GROUP BY build.nk", Style{}, par, "", 2},
 		{"join-sort", jcat, "SELECT build.pk, probe.payload " + join + " ORDER BY build.pk", Style{}, par, "", 2},
 		{"join-limit", jcat, "SELECT build.pk " + join + " LIMIT 5", Style{}, par, fallbackLimit, 0},
-		// LIMIT over merged sorted runs is exact: the k-way merge orders the
-		// tuples before the limit applies, so parallelism stays on.
+		// LIMIT over merged sorted runs is exact: the pairwise merge orders
+		// the tuples before the limit applies, so parallelism stays on.
 		{"join-sort-limit", jcat, "SELECT build.pk " + join + " ORDER BY build.pk LIMIT 5", Style{}, par, "", 2},
 		{"join-library", jcat, "SELECT COUNT(*) " + join, Style{LibraryHT: true}, par, fallbackUnmergeable, 0},
 		// The library join is met first, so its reason stands.

@@ -10,6 +10,7 @@ import (
 	"wasmdb/internal/core"
 	"wasmdb/internal/engine/turbofan"
 	"wasmdb/internal/tpch"
+	"wasmdb/internal/vectorized"
 	"wasmdb/internal/wasm"
 )
 
@@ -26,7 +27,8 @@ var codeSizeQueries = []struct{ id, src string }{
 }
 
 // TestCodeSizeGolden records, for every function of the measured queries'
-// modules in the ad-hoc and the HyPer-like style (TPC-H SF 0.01, seed 42),
+// modules in the ad-hoc and the HyPer-like style (TPC-H SF 0.01, seed 42) and
+// of the vectorized baseline's kernel module, which tier 2 compiles at start-up,
 // how many instructions each compiler emits for it. A change to either
 // compiler shows up as a diff of testdata/code_sizes.txt, function by
 // function, which says whether any function grew. Run with -update to accept.
@@ -35,36 +37,40 @@ func TestCodeSizeGolden(t *testing.T) {
 	qs := planQueries(t)
 	var got strings.Builder
 	got.WriteString("# style query function tier1 tier2 — regenerate with go test ./internal/engine -run CodeSizeGolden -update\n")
+	sizes := func(prefix string, bin []byte) {
+		m, err := wasm.Decode(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(m.Funcs))
+		for _, e := range m.Exports {
+			if fi := int(e.Index) - m.NumImportedFuncs(); e.Kind == wasm.ExternFunc && fi >= 0 {
+				names[fi] = e.Name
+			}
+		}
+		for fi := range m.Funcs {
+			fn := &m.Funcs[fi]
+			lo, err := turbofan.CompileBaseline(m, fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tf, err := turbofan.Compile(m, fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%s %d:%s %d %d\n", prefix, fi, names[fi], lo.NumInstrs(), tf.NumInstrs())
+		}
+	}
 	for _, s := range styles {
 		for _, q := range qs {
 			cq, err := core.CompileStyled(q.q, q.root, s.style)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := wasm.Decode(cq.Bin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			names := make([]string, len(m.Funcs))
-			for _, e := range m.Exports {
-				if fi := int(e.Index) - m.NumImportedFuncs(); e.Kind == wasm.ExternFunc && fi >= 0 {
-					names[fi] = e.Name
-				}
-			}
-			for fi := range m.Funcs {
-				fn := &m.Funcs[fi]
-				lo, err := turbofan.CompileBaseline(m, fn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tf, err := turbofan.Compile(m, fn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fmt.Fprintf(&got, "%s %s %d:%s %d %d\n", s.name, q.id, fi, names[fi], lo.NumInstrs(), tf.NumInstrs())
-			}
+			sizes(s.name+" "+q.id, cq.Bin)
 		}
 	}
+	sizes("vectorized kernels", vectorized.KernelBinary())
 	if *update {
 		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)

@@ -40,11 +40,12 @@ func Compile(m *wasm.Module, fn *wasm.Func) (*Code, error) {
 const DefaultOptRounds = 1
 
 // CompileRounds is the optimizing compiler with an explicit optimization
-// budget: the baseline emitter's output, split into basic blocks, given its
-// final instruction forms (isel.go), value-numbered (vn.go), cleaned by
-// liveness-based dead-code elimination and laid out again with its loops
-// rotated. Every round runs the dead-code elimination; the last one runs
-// instruction selection and value numbering, once each, in front of it.
+// budget: the baseline emitter's output, split into basic blocks,
+// value-numbered with its remaining instruction forms selected (vn.go),
+// cleaned by liveness-based dead-code elimination with its peepholes
+// (opt.go, isel.go) and laid out again with its loops rotated. Every round
+// runs the dead-code elimination; the last one runs value numbering, once,
+// in front of it.
 func CompileRounds(m *wasm.Module, fn *wasm.Func, rounds int) (*Code, error) {
 	c, err := emitFunc(m, fn)
 	if err != nil {
@@ -55,7 +56,6 @@ func CompileRounds(m *wasm.Module, fn *wasm.Func, rounds int) (*Code, error) {
 	for r := 1; r < rounds; r++ {
 		o.deadCodeElim(false)
 	}
-	o.selectInstructions()
 	o.numberValues()
 	o.deadCodeElim(true)
 	linearize(c, g)

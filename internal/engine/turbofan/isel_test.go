@@ -91,9 +91,9 @@ func listing(t *testing.T, m *wasm.Module) string {
 	return s[strings.Index(s, "\n")+1:]
 }
 
-// TestSelectionForms pins, per rewrite of the back end, one input that must
-// take the new form and — where there is one — the neighbouring input that
-// must not.
+// TestSelectionForms pins, per form-selection rule of the optimizing compiler
+// (the emitter's or value numbering's), one input that must take the new form
+// and — where there is one — the neighbouring input that must not.
 func TestSelectionForms(t *testing.T) {
 	i32, i64 := wasm.I32, wasm.I64
 	cases := []struct {

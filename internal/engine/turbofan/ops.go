@@ -13,15 +13,14 @@
 //     second pass;
 //   - the optimizing compiler (Compile, TierTurbofan) starts from the same
 //     emitter's output, splits it into basic blocks and adds what needs
-//     dataflow facts: its back end (isel.go) selects the forms only those
-//     justify — immediates of constants that reached their use through a
-//     local or a move, scaled and indexed addressing across instructions,
-//     multiply strength reduction, read-modify-write accumulation — value
-//     numbering (vn.go) computes each block's loads and expressions once and
-//     fuses two-sided range tests into one unsigned compare, global
-//     liveness-based dead-code elimination (opt.go) removes what that left
-//     dead, and linearization rotates small loop headers into bottom-tested
-//     loops.
+//     dataflow facts: one forward pass per block (vn.go) reads moves through,
+//     reduces multiplications, selects indexed addressing, computes each
+//     block's loads and expressions once and fuses two-sided range tests
+//     into one unsigned compare; global liveness-based dead-code elimination
+//     (opt.go) removes what that left dead and applies the peepholes that
+//     need liveness (isel.go: destination forwarding, read-modify-write,
+//     compare-and-branch); linearization rotates small loop headers into
+//     bottom-tested loops.
 //
 // The ops table gives every instruction's operand shape and its related
 // forms; it drives the emitter's form selection, the dataflow passes, the
@@ -398,7 +397,7 @@ func buildOps() [numOps]opInfo {
 
 	// Integer arithmetic with a constant operand. Commutative operations are
 	// their own mirror; the mirror of a subtraction is rsub, which exists only
-	// in immediate form (isel.go handles it).
+	// in immediate form (immForm handles it).
 	for _, f := range []struct {
 		ty       string
 		add, imm uint16

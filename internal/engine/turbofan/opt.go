@@ -111,11 +111,11 @@ type optimizer struct {
 }
 
 // deadCodeElim removes pure instructions whose results are never used,
-// using global liveness over the block graph. When selecting (the last
-// round), the removal walk also applies the back end's peepholes that need to
-// know a register is dead (isel.go) — they reuse this pass's liveness, so
-// selection pays for no fix-point of its own.
-func (o *optimizer) deadCodeElim(selecting bool) {
+// using global liveness over the block graph. With peepholes set (the last
+// round), the removal walk also applies the rewrites that need to know a
+// register is dead (isel.go) — they reuse this pass's liveness, so they pay
+// for no fix-point of their own.
+func (o *optimizer) deadCodeElim(peepholes bool) {
 	nb := len(o.g.blocks)
 	words := (o.nRegs + 63) / 64
 	// Per block: the registers live at entry and at exit, and the ones the
@@ -177,7 +177,7 @@ func (o *optimizer) deadCodeElim(selecting bool) {
 				*t = tin{op: tNop}
 				continue
 			}
-			if selecting {
+			if peepholes {
 				o.code.peephole(ins, ii, live)
 			}
 			regDefs(t, func(r int32) { clear(scratch, r) })

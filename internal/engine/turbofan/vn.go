@@ -8,11 +8,21 @@ import (
 	"wasmdb/internal/wasm"
 )
 
-// Value numbering: the optimizing compiler's redundancy elimination, what
-// TurboFan calls value numbering and load elimination. It runs once, after
-// instruction selection and before the last dead-code elimination, one basic
-// block at a time:
+// Value numbering: the optimizing compiler's one forward pass, its
+// redundancy elimination (what TurboFan calls value numbering and load
+// elimination) and the instruction selection that needs forward facts. It
+// runs once, before the last dead-code elimination, one basic block at a
+// time:
 //
+//   - Selection first. The emitter has already chosen every form one
+//     instruction and the abstract stack justify — immediates, scaled loads,
+//     compare-and-branch; this pass adds the three that need to know what a
+//     register holds. A move's destination becomes a copy of its source's
+//     value: later reads of it read the value's holder while that holds it.
+//     A multiplication by one becomes a move, by a power of two a shift. A
+//     load whose address is an i32.add of two values whose holders are
+//     intact takes the indexed form. The instructions that computed what
+//     these forms no longer read are left for dead-code elimination.
 //   - Pure operations, constants, loads and global.get get a value number
 //     from what they compute: the op and the value numbers of their operands,
 //     or, for a load, its addressing mode, its behaviour class (the load
@@ -40,7 +50,7 @@ import (
 //     becomes the unsigned range test `x − lo ≤u hi − lo`: one add and one
 //     compare instead of two compares and an and. It also applies when the
 //     two bounds meet along the left-deep `and` chain a conjunction compiles
-//     to, `(a & lo-test) & hi-test`. The peephole of isel.go then fuses a
+//     to, `(a & lo-test) & hi-test`. A peephole of isel.go then fuses a
 //     test whose result only a br.eqz or br.nez reads into the branch.
 //
 // The tables are dense slices reused from block to block; a stamp per block
@@ -67,8 +77,7 @@ type vnValue struct {
 }
 
 // vnReg is a register's value number, current while stamp is the block's;
-// copy marks a destination of a move this pass made, whose reads go to the
-// value's holder.
+// copy marks the destination of a move, whose reads go to the value's holder.
 type vnReg struct {
 	v     int32
 	stamp uint32
@@ -89,7 +98,7 @@ type numberer struct {
 	maxFresh int32
 	stamp    uint32
 	tmp      int32 // the range tests' scratch register in this block, or -1
-	copies   bool  // the block has a move this pass made
+	copies   bool  // the block has a copy
 	regs     []vnReg
 	vals     []vnValue // vals[0] is no value
 	table    []vnSlot  // open addressing, a power of two long
@@ -153,12 +162,20 @@ func (s *numberer) block(b *block) {
 	}
 }
 
-// visit numbers one instruction and appends what replaces it to the output.
+// visit selects one instruction's form, numbers it and appends what replaces
+// it to the output.
 func (s *numberer) visit(t tin, fuse bool) {
 	if s.copies {
 		renameUses(&t, s.use)
 	}
-	if fuse && t.op == uint16(wasm.OpI32And) && s.fuseRange(t) {
+	reduceMul(&t)
+	switch {
+	case t.op == tMove:
+		s.move(t)
+		return
+	case ops[t.op].kind == kindLoad:
+		s.selectIndexed(&t)
+	case fuse && t.op == uint16(wasm.OpI32And) && s.fuseRange(t):
 		return
 	}
 	key, keyed := s.keyOf(&t)
@@ -188,6 +205,53 @@ func (s *numberer) visit(t tin, fuse bool) {
 	}
 }
 
+// move makes a move's destination a copy of its source's value: later reads
+// of it read the value's holder while that holds it, so dead-code elimination
+// removes the move when nothing else needs it. A move to a register that
+// holds the value already is dropped.
+func (s *numberer) move(t tin) {
+	v := s.vn(t.a)
+	if x := s.regs[t.d]; x.stamp == s.stamp && x.v == v {
+		return
+	}
+	s.define(t.d, v, s.put(t), true)
+}
+
+// selectIndexed moves the address computation into a load when the address
+// is an i32.add of two values whose holders are intact: the load takes the
+// register-plus-register form, and the add is left for dead-code elimination.
+// The fused load wraps the sum at 32 bits like the add and bounds-checks the
+// same effective address, so it traps exactly when the pair did.
+func (s *numberer) selectIndexed(t *tin) {
+	k := s.vals[s.vn(t.a)].key
+	if k.op != uint16(wasm.OpI32Add) {
+		return
+	}
+	a, b := &s.vals[k.a], &s.vals[k.b]
+	if a.killed < 0 && b.killed < 0 {
+		t.op, t.a, t.b = ops[t.op].indexed, a.reg, b.reg
+	}
+}
+
+// reduceMul turns a multiplication by one into a move and by a power of two
+// into a shift.
+func reduceMul(t *tin) {
+	shl := uint16(tI64ShlImm)
+	switch t.op {
+	case tI32MulImm:
+		shl = tI32ShlImm
+	case tI64MulImm:
+	default:
+		return
+	}
+	switch {
+	case t.imm == 1:
+		*t = tin{op: tMove, d: t.d, a: t.a}
+	case bits.OnesCount64(t.imm) == 1:
+		t.op, t.imm = shl, uint64(bits.TrailingZeros64(t.imm))
+	}
+}
+
 func (s *numberer) put(t tin) int32 {
 	s.out = append(s.out, t)
 	return int32(len(s.out) - 1)
@@ -199,9 +263,6 @@ func (s *numberer) put(t tin) int32 {
 func (s *numberer) emit(t tin, sl *vnSlot, key vnKey) {
 	p := s.put(t)
 	switch ops[t.op].kind {
-	case kindMove:
-		s.define(t.d, s.vn(t.a), p, false)
-		return
 	case kindStore, kindMemOp, kindMemOpImm, kindMemoryGrow:
 		s.memGen++
 	case kindCall, kindCallIndirect:
@@ -285,8 +346,8 @@ func (s *numberer) define(r, v, p int32, copy bool) {
 	s.copies = s.copies || copy
 }
 
-// use is the renaming of reads: a destination of a move this pass made reads
-// as the value's holder while that holds it.
+// use is the renaming of reads: a destination of a move reads as the value's
+// holder while that holds it.
 func (s *numberer) use(r int32) int32 {
 	if x := s.regs[r]; x.stamp == s.stamp && x.copy {
 		if val := &s.vals[x.v]; val.killed < 0 {

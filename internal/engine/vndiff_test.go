@@ -19,10 +19,10 @@ import (
 // check both tiers against values computed here in Go.
 
 // vnHazard is one function p(x i64, y i64) i64 over locals x, y and z (i64)
-// in a module with two i64 globals, a two-page memory that may grow to four,
-// and helper h(v) = 3v+1, which also stores v at address 8 and adds v to
-// global 0, reachable by call and through table slot 0. Every call starts
-// from a fresh instance with both globals zero.
+// and any a hazard adds, in a module with two i64 globals, a two-page memory
+// that may grow to four, and helper h(v) = 3v+1, which also stores v at
+// address 8 and adds v to global 0, reachable by call and through table slot
+// 0. Every call starts from a fresh instance with both globals zero.
 type vnHazard struct {
 	name string
 	body func(f *wasm.FuncBuilder, z wasm.Local, h, hType uint32)
@@ -318,6 +318,42 @@ var vnHazards = []vnHazard{
 		w := uint64(uint32(x >> 16))
 		return w + 3*w + 5*uint64(int64(int32(uint32(w))))
 	}},
+	{"a local read after the local it copied was overwritten", func(f *wasm.FuncBuilder, z wasm.Local, _, _ uint32) {
+		f.LocalGet(0)
+		f.LocalSet(z) // move z ← x: reads of z may read x while x holds it
+		f.LocalGet(1)
+		f.LocalSet(0)
+		f.LocalGet(z)
+		f.LocalGet(0)
+		f.I64Sub()
+	}, func(x, y uint64) uint64 { return x - y }},
+	{"a summed address whose summand was overwritten before the load", func(f *wasm.FuncBuilder, _ wasm.Local, _, _ uint32) {
+		a, b := f.AddLocal(wasm.I32), f.AddLocal(wasm.I32)
+		f.I32Const(0)
+		f.LocalGet(1)
+		f.I64Store(72)
+		f.I32Const(0)
+		f.LocalGet(0)
+		f.I64Store(88)
+		f.LocalGet(0) // a = 0 and b = 8, computed at run time
+		f.Op(wasm.OpI32WrapI64)
+		f.I32Const(0)
+		f.I32And()
+		f.LocalSet(a)
+		f.LocalGet(1)
+		f.Op(wasm.OpI32WrapI64)
+		f.I32Const(0)
+		f.I32And()
+		f.I32Const(8)
+		f.I32Add()
+		f.LocalSet(b)
+		f.LocalGet(a)
+		f.LocalGet(b)
+		f.I32Add()
+		f.I32Const(16)
+		f.LocalSet(a) // the load reads 72, not a + b + 64 = 88
+		f.I64Load(64)
+	}, func(x, y uint64) uint64 { return y }},
 	{"bounds of two widths on one loaded value, i32 first", func(f *wasm.FuncBuilder, _ wasm.Local, _, _ uint32) {
 		vnStore(f, 0, 0)
 		vnTwoWidths(f, false)

@@ -59,10 +59,10 @@ type QueryLogRecord struct {
 	// Auto is the autopilot's routing decision for BackendAuto queries
 	// ("volcano" | "vectorized" | "liftoff" | "adaptive"; empty for manual
 	// backends).
-	Auto string `json:"auto,omitempty"`
-	FuelUsed       int64  `json:"fuel_used,omitempty"`
-	PeakMemBytes   int64  `json:"peak_mem_bytes,omitempty"`
-	Rows           int    `json:"rows"`
+	Auto         string `json:"auto,omitempty"`
+	FuelUsed     int64  `json:"fuel_used,omitempty"`
+	PeakMemBytes int64  `json:"peak_mem_bytes,omitempty"`
+	Rows         int    `json:"rows"`
 	// Latency breakdown: parse (parse+sema), plan, compile (codegen through
 	// liftoff), execute (rewire+instantiate+execute), and wall-clock total.
 	ParseNs   int64  `json:"parse_ns"`

@@ -85,7 +85,8 @@ const (
 	// group records folded —, workers).
 	EvGroupMerge = "group-merge"
 	// EvSortMerge marks the order-by barrier: per-worker sorted runs were
-	// k-way merged into the primary worker's array (args: tuples, workers).
+	// gathered onto the primary worker and merged there by the generated
+	// q_sort_merge, adjacent pairs in ⌈log₂ k⌉ passes (args: tuples, workers).
 	EvSortMerge = "sort-merge"
 	// EvJoinMerge marks a join build barrier: the build pipeline's tuple
 	// chunks were counted, every worker reserved a directory of the exact

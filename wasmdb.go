@@ -337,14 +337,14 @@ func WithFuel(n int64) Option { return func(o *queryOpts) { o.fuel = n } }
 // aggregation, single-level GROUP BY and ORDER BY parallelize: per-worker
 // partial state is combined at the barriers the code generator declared —
 // aggregate globals and group hash tables by the module's own generated
-// merge functions, sorted runs by a k-way merge, result buffers by
-// concatenation — and a join's build-side tuples are shared between the
-// workers by rewiring, each worker building its own directory over all of
-// them. Modules without a barrier for state a scan fills (library-style hash
-// tables) and float SUMs, whose result depends on addition order, run
-// serially; the trace and Stats record the fallback reason. Applies to the
-// Wasm backends; result row order may differ from serial execution for
-// unordered queries.
+// merge functions, k sorted runs by its generated merge of adjacent pairs in
+// ⌈log₂ k⌉ passes, result buffers by concatenation — and a join's build-side
+// tuples are shared between the workers by rewiring, each worker building
+// its own directory over all of them. Modules without a barrier for state a
+// scan fills (library-style hash tables) and float SUMs, whose result depends
+// on addition order, run serially; the trace and Stats record the fallback
+// reason. Applies to the Wasm backends; result row order may differ from
+// serial execution for unordered queries.
 func WithParallelism(n int) Option {
 	return func(o *queryOpts) {
 		if n <= 0 {
