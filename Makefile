@@ -159,9 +159,12 @@ lint-layers:
 # engine's decode, validate and baseline compile over the seven measured
 # queries in both styles, in ns/op and B/op — the per-query fixed cost of
 # every plan-cache miss.
-# Last it prints the warm-query benchmark once: a prepared point aggregate
+# Then it prints the warm-query benchmark once: a prepared point aggregate
 # served from the plan cache, in B/op and allocs/op — the figure
 # TestWarmQueryAllocBudget bounds, kept low by recycled pages and arenas.
+# Last it runs the auto-versus-backends benchmark once: the ten auto-mixed
+# shapes (SF 0.02, seed 1) warm on auto, volcano, vectorized, liftoff and
+# adaptive, in ns/op and B/op — the comparison that keeps auto compiling.
 bench-smoke:
 	$(GO) run ./cmd/bench -experiment fig1,abl-tier -sf 0.01 -reps 1
 	$(GO) run ./benchmark -workload all -rounds 3 -seed 1
@@ -194,6 +197,9 @@ bench-smoke:
 	@$(GO) test . -run '^$$' -bench 'BenchmarkWarmQuery$$' -benchtime 200x -benchmem \
 		| awk '/^BenchmarkWarmQuery/ { n++; printf "bench-smoke: %s %s B/op, %s allocs/op\n", $$1, $$5, $$7 } \
 		       END { if (n != 1) { print "bench-smoke: missing warm-query benchmark output" > "/dev/stderr"; exit 1 } }'
+	@$(GO) test . -run '^$$' -bench 'BenchmarkAutoVersusBackends$$' -benchtime 1x -benchmem \
+		| awk '/^BenchmarkAutoVersusBackends\// { n++; printf "bench-smoke: %s %s ns/op, %s B/op\n", $$1, $$3, $$5 } \
+		       END { if (n != 50) { print "bench-smoke: missing auto-versus-backends benchmark output" > "/dev/stderr"; exit 1 } }'
 
 # fuzz the adversarial-module executor, the tier-differential generator and
 # the bit-flipped real modules (TPC-H Q1 and Q3, the kernel library) that

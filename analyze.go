@@ -138,7 +138,7 @@ func renderAnalyze(planText string, tr *Trace, st Stats, rows int) string {
 
 	sb.WriteString("\ntotals:\n")
 	fmt.Fprintf(&sb, "  backend            %s\n", st.Backend)
-	// The autopilot's routing decision, when the query ran with backend auto.
+	// The autopilot's decision, when the query ran with backend auto.
 	for _, ev := range tr.Events() {
 		if ev.Name != obs.EvAutopilot {
 			continue

@@ -25,9 +25,9 @@
 // Meta commands:
 //
 //	\backend <name>       switch execution backend (auto, wasm, liftoff,
-//	                      turbofan, hyper, vectorized, volcano); "auto" lets
-//	                      the autopilot pick interpret/compile and workers
-//	                      per query ("\set backend <name>" is an alias)
+//	                      turbofan, hyper, vectorized, volcano); "auto" is
+//	                      wasm with the autopilot's per-query worker grant
+//	                      ("\set backend <name>" is an alias)
 //	\set parallelism <n>  morsel worker-pool size for the Wasm backends
 //	                      (1 = serial, 0 = GOMAXPROCS)
 //	\set plancache on|off reuse compiled modules across same-shaped queries

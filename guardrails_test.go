@@ -208,6 +208,41 @@ func TestQueryContextPreCanceled(t *testing.T) {
 	}
 }
 
+// TestAutoEnforcesFuel: auto always compiles, so a fuel budget binds it on
+// every shape, the smallest included — auto-mixed's 200-row supplier and
+// 3 k-row customer shapes, which interpreter bands once ran without any
+// budget.
+func TestAutoEnforcesFuel(t *testing.T) {
+	db := autoMixedDB(t)
+	for _, s := range autoMixed[:4] {
+		res, err := db.Query(s.src, wasmdb.WithBackend(wasmdb.BackendAuto), wasmdb.WithFuel(1))
+		if !errors.Is(err, wasmdb.ErrFuelExhausted) {
+			t.Errorf("%s: auto under WithFuel(1) returned %v (%v), want ErrFuelExhausted", s.src, err, res != nil)
+		}
+	}
+}
+
+// TestInterpretersRejectBudgets: volcano and vectorized run no guest code to
+// charge fuel to and allocate no linear memory, so they refuse a fuel or
+// memory budget with an error naming it instead of running without it.
+func TestInterpretersRejectBudgets(t *testing.T) {
+	db := runawayJoinDB(t, 10)
+	for _, backend := range []wasmdb.Backend{wasmdb.BackendVolcano, wasmdb.BackendVectorized} {
+		for _, c := range []struct {
+			name string
+			opt  wasmdb.Option
+		}{
+			{"WithFuel", wasmdb.WithFuel(1 << 40)},
+			{"WithMemoryLimit", wasmdb.WithMemoryLimit(1 << 30)},
+		} {
+			_, err := db.Query("SELECT COUNT(*) FROM a", wasmdb.WithBackend(backend), c.opt)
+			if err == nil || !strings.Contains(err.Error(), c.name) {
+				t.Errorf("%v with %s: error %v, want one naming %s", backend, c.name, err, c.name)
+			}
+		}
+	}
+}
+
 // TestConstantRegionOverflowIsAnError: a query whose string constants exceed
 // the generated module's constant region must fail with an error, not a
 // panic out of the public API.

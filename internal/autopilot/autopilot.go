@@ -1,20 +1,18 @@
-// Package autopilot decides, per query, how the engine should execute when
-// the caller selects BackendAuto: interpret (tuple-at-a-time volcano for the
-// very smallest queries, the vectorized engine above that — zero compilation
-// either way) versus compile (liftoff-only versus adaptive tier-up), and
-// the morsel worker-pool size. The paper's architecture makes adaptivity a
-// per-morsel engine concern; this package closes the remaining loop one
-// level up — whether to enter the compiling engine at all, and with how
-// much parallelism — following the empirical observation (Ma et al.,
-// arXiv:2311.04692) that compilation only pays off past a data-volume
-// threshold.
+// Package autopilot sizes BackendAuto's execution: auto always compiles
+// (baseline code at once, background tier-up, exactly BackendWasm), and the
+// autopilot adds the morsel worker-pool size. The paper's two-tier engine
+// with background tier-up is what makes an interpreter band unnecessary: a
+// cold compile is paid once per query shape (the plan cache keeps the
+// module), and from then on compiled code is faster than either interpreter
+// at every size the benchmark runs (DESIGN §14).
 //
 // The cost model is deliberately small: a single scalar "work" estimate in
 // row units, derived from the planner's cardinality estimates (ProfilePlan),
-// bucketed by three thresholds (Knobs). Cold decisions use estimates alone;
-// warm decisions additionally consult the execution feedback the plan cache
-// stores per fingerprint (plancache.Feedback), so a cold decision made from
-// a wrong estimate corrects itself on the next run of the same shape.
+// scaled by a bound LIMIT and mapped to a worker grant (Knobs). Cold
+// decisions use estimates alone; warm decisions additionally consult the
+// execution feedback the plan cache stores per fingerprint
+// (plancache.Feedback), so a cold estimate that was wrong corrects itself on
+// the next run of the same shape.
 //
 // Decisions are a pure function of (profile, feedback, knobs): no clocks,
 // no randomness, no global state. Given the same fingerprint, feedback
@@ -34,27 +32,17 @@ import (
 	"wasmdb/internal/plancache"
 )
 
-// Choice is the backend-and-tier half of a decision.
+// Choice names an execution strategy. Decide returns ChoiceAdaptive only;
+// the other three name the strategies auto once chose between (volcano and
+// vectorized interpretation, baseline-only compilation), which stay as
+// explicit backends and as labels of the benchmark's decision counters.
 type Choice int
 
-// The four execution strategies auto picks between.
 const (
-	// ChoiceVectorized interprets over pre-compiled vector kernels — no
-	// compilation at all, the right call when the query finishes before
-	// even baseline compilation would pay for itself.
 	ChoiceVectorized Choice = iota
-	// ChoiceLiftoff compiles with the baseline tier only: the query is big
-	// enough that compiled code wins, but would finish before background
-	// optimization could publish anything worth the compile burn.
 	ChoiceLiftoff
-	// ChoiceAdaptive compiles baseline and tiers up in the background —
-	// the paper's default for long queries.
+	// ChoiceAdaptive compiles baseline code and tiers up in the background.
 	ChoiceAdaptive
-	// ChoiceVolcano interprets tuple-at-a-time. Boxed values lose to the
-	// vectorized engine as soon as there is real data volume, but the
-	// vectorized engine pays a fixed batch-machinery setup cost (~10⁵ ns)
-	// that tuple-at-a-time does not — so for the very smallest queries
-	// volcano is the fastest thing we have.
 	ChoiceVolcano
 )
 
@@ -136,21 +124,8 @@ func profileNode(n plan.Node, p *Profile) {
 	}
 }
 
-// Knobs are the decision thresholds, in estimated row-work units. The
-// defaults place the vectorized/liftoff crossover where per-query codegen +
-// baseline compilation (~a millisecond) stops dominating, and the
-// liftoff/adaptive crossover where background optimization has enough
-// morsels left to publish into.
+// Knobs size the worker grant, in estimated row-work units.
 type Knobs struct {
-	// Below VolcanoBelow, interpret tuple-at-a-time: the query is too small
-	// to amortize even the vectorized engine's fixed batch setup.
-	VolcanoBelow float64
-	// Below InterpretBelow (and at or above VolcanoBelow), interpret
-	// vectorized (ChoiceVectorized).
-	InterpretBelow float64
-	// Below AdaptiveAbove (and at or above InterpretBelow), compile
-	// baseline-only; at or above it, tier up adaptively.
-	AdaptiveAbove float64
 	// At or above ParallelAbove grant 2 workers, at 4× grant 4, at 16×
 	// grant 8 — capped by MaxWorkers.
 	ParallelAbove float64
@@ -164,12 +139,9 @@ type Knobs struct {
 // DefaultKnobs returns the tuned defaults.
 func DefaultKnobs() Knobs {
 	return Knobs{
-		VolcanoBelow:   1024,
-		InterpretBelow: 4096,
-		AdaptiveAbove:  32768,
-		ParallelAbove:  65536,
-		MaxWorkers:     8,
-		FeedbackClamp:  64,
+		ParallelAbove: 65536,
+		MaxWorkers:    8,
+		FeedbackClamp: 64,
 	}
 }
 
@@ -178,7 +150,7 @@ type Decision struct {
 	Choice Choice
 	// Workers is the morsel worker-pool size to request (1 = serial).
 	Workers int
-	// Work is the scalar cost estimate the thresholds were applied to.
+	// Work is the scalar cost estimate the worker grant was sized from.
 	Work float64
 	// Corrected reports that stored feedback changed the work estimate.
 	Corrected bool
@@ -186,9 +158,9 @@ type Decision struct {
 	Reason string
 }
 
-// Decide maps a plan profile (and optional stored feedback) to an execution
-// strategy. It is a pure function — see the package comment for why that
-// matters.
+// Decide estimates a plan profile's work (corrected by optional stored
+// feedback) and sizes its worker grant; the strategy is always adaptive. It
+// is a pure function — see the package comment for why that matters.
 func Decide(p Profile, fb *plancache.Feedback, k Knobs) Decision {
 	scan, tail := p.ScanRows, p.TailRows
 
@@ -196,8 +168,8 @@ func Decide(p Profile, fb *plancache.Feedback, k Knobs) Decision {
 	// limit is hit, so the expected scan volume is the fraction of the
 	// estimated pre-limit output the limit keeps. Sorts, groups, and joins
 	// must consume their whole input first, so only the no-tail shape
-	// scales down. This term is why the decision depends on a bound LIMIT
-	// parameter — and why deciding before bind would misclassify.
+	// scales down. This term is why the estimate depends on a bound LIMIT
+	// parameter — and why estimating before bind would be wrong.
 	if p.Limit >= 0 && !p.Sorted && !p.Grouped && p.Joins == 0 && p.PreLimitRows >= 1 {
 		if frac := float64(p.Limit) / p.PreLimitRows; frac < 1 {
 			scan *= frac
@@ -227,26 +199,11 @@ func Decide(p Profile, fb *plancache.Feedback, k Knobs) Decision {
 	}
 
 	work := scan + tail
-	d := Decision{Work: work, Corrected: corrected, Workers: 1}
-	switch {
-	case work < k.VolcanoBelow:
-		d.Choice = ChoiceVolcano
-	case work < k.InterpretBelow:
-		d.Choice = ChoiceVectorized
-	case work < k.AdaptiveAbove:
-		d.Choice = ChoiceLiftoff
-	default:
-		d.Choice = ChoiceAdaptive
-	}
-	if d.Choice == ChoiceLiftoff || d.Choice == ChoiceAdaptive {
-		d.Workers = workersFor(work, p, fb, k)
-	}
-	suffix := ""
+	reason := fmt.Sprintf("est-work %.0f rows", work)
 	if corrected {
-		suffix = ", feedback-corrected"
+		reason += ", feedback-corrected"
 	}
-	d.Reason = fmt.Sprintf("est-work %.0f rows%s", work, suffix)
-	return d
+	return Decision{Choice: ChoiceAdaptive, Workers: workersFor(work, p, fb, k), Work: work, Corrected: corrected, Reason: reason}
 }
 
 // workersFor sizes the worker-pool request. Workers are granted only for

@@ -8,30 +8,29 @@ import (
 
 func knobs() Knobs { return DefaultKnobs() }
 
+// TestDecideBands: there are no bands. Every profile, however small,
+// compiles adaptively; what differs is the work estimate and the grant.
 func TestDecideBands(t *testing.T) {
 	k := knobs()
-	cases := []struct {
+	for _, c := range []struct {
 		name string
 		p    Profile
-		want Choice
+		work float64
 	}{
-		{"tiny", Profile{ScanRows: 100, TailRows: 10, OutRows: 100, Limit: -1}, ChoiceVolcano},
-		{"small", Profile{ScanRows: 2000, TailRows: 100, OutRows: 2000, Limit: -1}, ChoiceVectorized},
-		{"mid", Profile{ScanRows: 10000, TailRows: 2000, OutRows: 10000, Limit: -1}, ChoiceLiftoff},
-		{"large", Profile{ScanRows: 50000, TailRows: 10000, OutRows: 50000, Limit: -1}, ChoiceAdaptive},
-		{"band-edge-volcano", Profile{ScanRows: k.VolcanoBelow, Limit: -1}, ChoiceVectorized},
-		{"band-edge-interpret", Profile{ScanRows: k.InterpretBelow, Limit: -1}, ChoiceLiftoff},
-		{"band-edge-adaptive", Profile{ScanRows: k.AdaptiveAbove, Limit: -1}, ChoiceAdaptive},
-	}
-	for _, c := range cases {
-		if d := Decide(c.p, nil, k); d.Choice != c.want {
-			t.Errorf("%s: choice %v (work %.0f), want %v", c.name, d.Choice, d.Work, c.want)
+		{"tiny", Profile{ScanRows: 100, TailRows: 10, OutRows: 100, Limit: -1}, 110},
+		{"small", Profile{ScanRows: 2000, TailRows: 100, OutRows: 2000, Limit: -1}, 2100},
+		{"mid", Profile{ScanRows: 10000, TailRows: 2000, OutRows: 10000, Limit: -1}, 12000},
+		{"large", Profile{ScanRows: 50000, TailRows: 10000, OutRows: 50000, Limit: -1}, 60000},
+		{"empty", Profile{Limit: -1}, 0},
+	} {
+		d := Decide(c.p, nil, k)
+		if d.Choice != ChoiceAdaptive || d.Work != c.work || d.Workers != 1 {
+			t.Errorf("%s: %+v, want adaptive, work %.0f, 1 worker", c.name, d, c.work)
 		}
 	}
 }
 
-// Interpret choices never carry a worker grant; compile choices get workers
-// only for order-stable shapes above the threshold.
+// Workers are granted only to order-stable shapes above the threshold.
 func TestWorkerGrant(t *testing.T) {
 	k := knobs()
 	sorted := Profile{ScanRows: 100000, TailRows: 50000, OutRows: 100000, Limit: -1, Sorted: true}
@@ -81,19 +80,19 @@ func TestLimitShortCircuit(t *testing.T) {
 	base := Profile{ScanRows: 60000, TailRows: 60000, OutRows: 4, PreLimitRows: 60000}
 	small := base
 	small.Limit = 4
-	if d := Decide(small, nil, k); d.Choice != ChoiceVolcano {
-		t.Errorf("limit 4: choice %v (work %.0f), want volcano", d.Choice, d.Work)
+	if d := Decide(small, nil, k); d.Work != 8 {
+		t.Errorf("limit 4: work %.0f, want 8", d.Work)
 	}
 	large := base
 	large.Limit = 60000
-	if d := Decide(large, nil, k); d.Choice != ChoiceAdaptive {
-		t.Errorf("limit 60000: choice %v (work %.0f), want adaptive", d.Choice, d.Work)
+	if d := Decide(large, nil, k); d.Work != 120000 {
+		t.Errorf("limit 60000: work %.0f, want 120000", d.Work)
 	}
 	// Sorts, groups, and joins must consume their whole input: no scaling.
 	sorted := small
 	sorted.Sorted = true
-	if d := Decide(sorted, nil, k); d.Choice != ChoiceAdaptive {
-		t.Errorf("limit 4 over sort: choice %v (work %.0f), want adaptive", d.Choice, d.Work)
+	if d := Decide(sorted, nil, k); d.Work != 120000 {
+		t.Errorf("limit 4 over sort: work %.0f, want 120000", d.Work)
 	}
 }
 
@@ -102,16 +101,15 @@ func TestLimitShortCircuit(t *testing.T) {
 // groups, not processed rows), and clamped.
 func TestFeedbackCorrection(t *testing.T) {
 	k := knobs()
-	// Estimate says ~94 rows (vectorized); observation says every row
-	// qualified.
+	// Estimate says ~94 rows; observation says every row qualified.
 	p := Profile{ScanRows: 1500, TailRows: 700, OutRows: 94, Limit: -1, Sorted: true}
 	cold := Decide(p, nil, k)
-	if cold.Choice != ChoiceVectorized || cold.Corrected {
-		t.Fatalf("cold: %+v", cold)
+	if cold.Work != 2200 || cold.Corrected {
+		t.Fatalf("cold: %+v, want work 2200 uncorrected", cold)
 	}
 	warm := Decide(p, &plancache.Feedback{Rows: 1500}, k)
-	if !warm.Corrected || warm.Choice != ChoiceLiftoff {
-		t.Fatalf("warm: %+v, want corrected liftoff", warm)
+	if want := 1500 + 700*(1500/94.0); !warm.Corrected || warm.Work != want || warm.Choice != ChoiceAdaptive {
+		t.Fatalf("warm: %+v, want corrected adaptive with work %.0f", warm, want)
 	}
 
 	// Clamp: a pathological ratio cannot swing the estimate unboundedly.

@@ -110,11 +110,9 @@ type Config struct {
 	// TierPolicy, when non-nil under TierAdaptive, gates background
 	// optimization per compiled module: Compile consults it once with the
 	// module's function count and binary size, and a false return leaves
-	// the module on baseline code — deferred, not forbidden — until
-	// Module.EnsureOptimizing is called. This is the hook the autopilot's
-	// liftoff-only decision uses: the module keeps its adaptive identity
-	// (and plan-cache fingerprint), so a later feedback-corrected adaptive
-	// decision on the same cached module can still kick tier-up.
+	// the module on baseline code for good, as TierLiftoff would. Its only
+	// caller is the repo benchmark's traced pass; the public API never sets
+	// it.
 	TierPolicy func(numFuncs, codeBytes int) bool
 }
 
@@ -198,16 +196,6 @@ type Module struct {
 	stats     CompileStats
 	optimized chan struct{}
 	optErr    error
-
-	// Adaptive-tier bookkeeping for deferred background optimization:
-	// adaptive marks the module as tier-up capable, optStart makes the kick
-	// idempotent, optStarted lets WaitOptimized distinguish "deferred, never
-	// kicked" (return immediately) from "running" (block), and optRounds
-	// carries the engine's budget to the background compile.
-	adaptive   bool
-	optStart   sync.Once
-	optStarted atomic.Bool
-	optRounds  int
 }
 
 // Compile decodes, validates, and compiles a binary module according to the
@@ -277,12 +265,8 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 		mInstrsLiftoff.Add(int64(m.stats.LiftoffInstrs))
 		hCompileLiftoff.Observe(m.stats.Liftoff.Nanoseconds())
 		sp.End(obs.I("funcs", int64(len(wmod.Funcs))), obs.I("instrs", int64(m.stats.LiftoffInstrs)))
-		if e.cfg.Tier == TierAdaptive {
-			m.adaptive = true
-			m.optRounds = e.optRounds()
-			if e.cfg.TierPolicy == nil || e.cfg.TierPolicy(len(wmod.Funcs), len(bin)) {
-				m.EnsureOptimizing()
-			}
+		if e.cfg.Tier == TierAdaptive && (e.cfg.TierPolicy == nil || e.cfg.TierPolicy(len(wmod.Funcs), len(bin))) {
+			go m.optimize(e.optRounds())
 		} else {
 			close(m.optimized)
 		}
@@ -290,19 +274,10 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 	return m, nil
 }
 
-// EnsureOptimizing starts an adaptive module's background optimization if it
-// has not started yet — the tier-up kick for modules whose compile-time
-// TierPolicy deferred it. Idempotent and safe for concurrent use; a no-op
-// for non-adaptive modules, whose tier was final at compile time.
-func (m *Module) EnsureOptimizing() {
-	if !m.adaptive {
-		return
-	}
-	m.optStart.Do(func() {
-		m.optStarted.Store(true)
-		go m.optimize(m.optRounds)
-	})
-}
+// EnsureOptimizing does nothing: an adaptive module starts its background
+// optimization when it is compiled. It remains because the repo benchmark's
+// traced pass (benchmark/layers.go) still calls it.
+func (m *Module) EnsureOptimizing() {}
 
 // optimize runs turbofan over every function in the background, publishing
 // each one as it completes. Each publish is a tier-up event stamped with
@@ -356,14 +331,10 @@ func (m *Module) Optimized() bool {
 }
 
 // WaitOptimized blocks until background optimization has finished (it
-// returns immediately for non-adaptive tiers) and reports any compile error;
-// execution continues on baseline code for functions that failed. An
-// adaptive module whose TierPolicy deferred optimization and that was never
-// kicked has no background work to wait for and returns immediately.
+// returns immediately for non-adaptive tiers and for a module TierPolicy
+// kept on baseline code) and reports any compile error; execution continues
+// on baseline code for functions that failed.
 func (m *Module) WaitOptimized() error {
-	if m.adaptive && !m.optStarted.Load() {
-		return nil
-	}
 	<-m.optimized
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -668,9 +668,8 @@ func TestImportErrors(t *testing.T) {
 }
 
 func TestTierPolicyDefersOptimization(t *testing.T) {
-	// A TierPolicy veto keeps an adaptive module's identity (it still caches
-	// and shares as adaptive) but defers background optimization until
-	// EnsureOptimizing is called — the autopilot's liftoff-only decision.
+	// A TierPolicy veto keeps an adaptive module on baseline code for good,
+	// as TierLiftoff would.
 	build := func() []byte {
 		b := wasm.NewModuleBuilder()
 		f := b.NewFunc("work", wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}})
@@ -709,22 +708,6 @@ func TestTierPolicyDefersOptimization(t *testing.T) {
 	if st := m.Stats(); st.Turbofan != 0 {
 		t.Errorf("vetoed module spent turbofan compile time: %+v", st)
 	}
-
-	// The deferred kick: EnsureOptimizing starts the background compile; after
-	// WaitOptimized, calls dispatch optimized code.
-	m.EnsureOptimizing()
-	if err := m.WaitOptimized(); err != nil {
-		t.Fatal(err)
-	}
-	mustCall(t, inst, "work", 1)
-	if _, tf := inst.TierCalls(); tf != 1 {
-		t.Errorf("post-kick turbofan calls = %d, want 1", tf)
-	}
-	// Idempotent: a second kick must not restart anything.
-	m.EnsureOptimizing()
-	if err := m.WaitOptimized(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestTierPolicyApproveMatchesAdaptive(t *testing.T) {
@@ -748,22 +731,6 @@ func TestTierPolicyApproveMatchesAdaptive(t *testing.T) {
 	mustCall(t, inst, "work", 7)
 	if _, tf := inst.TierCalls(); tf != 1 {
 		t.Errorf("approved module turbofan calls = %d, want 1", tf)
-	}
-}
-
-// EnsureOptimizing on a non-adaptive module is a no-op (nothing to kick).
-func TestEnsureOptimizingNonAdaptive(t *testing.T) {
-	b := wasm.NewModuleBuilder()
-	f := b.NewFunc("work", wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}})
-	f.LocalGet(0)
-	b.Export("work", wasm.ExternFunc, f.Index)
-	m, err := New(Config{Tier: TierLiftoff}).Compile(b.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.EnsureOptimizing()
-	if st := m.Stats(); st.Turbofan != 0 {
-		t.Errorf("liftoff-tier module optimized after kick: %+v", st)
 	}
 }
 

@@ -27,7 +27,9 @@ import (
 //     from what they compute: the op and the value numbers of their operands,
 //     or, for a load, its addressing mode, its behaviour class (the load
 //     forms table shares: i32.load8_u and i64.load8_u are one), its address
-//     operands and its offset. An instruction whose value a register already
+//     operands and its offset. A load is keyed before it takes the indexed
+//     form, by its address value, so a plain and an indexed load of one
+//     address are one value. An instruction whose value a register already
 //     holds becomes a move from that register, and later reads of the move's
 //     destination read the register instead, so dead-code elimination
 //     removes the move as well.
@@ -173,12 +175,14 @@ func (s *numberer) visit(t tin, fuse bool) {
 	case t.op == tMove:
 		s.move(t)
 		return
-	case ops[t.op].kind == kindLoad:
-		s.selectIndexed(&t)
 	case fuse && t.op == uint16(wasm.OpI32And) && s.fuseRange(t):
 		return
 	}
+	// A load is keyed by its address value, before it takes the indexed form.
 	key, keyed := s.keyOf(&t)
+	if ops[t.op].kind == kindLoad {
+		s.selectIndexed(&t)
+	}
 	if !keyed {
 		s.emit(t, nil, key)
 		return
@@ -304,15 +308,10 @@ func (s *numberer) keyOf(t *tin) (vnKey, bool) {
 	case kindGlobalGet:
 		k.gen = s.callGen
 	case kindLoad:
-		// b = 0, which no value number is, marks the plain form.
+		// The indexed form's op stands for the load's behaviour class.
 		k.op, k.gen, k.a = info.indexed, s.memGen, s.vn(t.a)
 	case kindLoadScaled:
 		k.gen, k.a, k.b = s.memGen, s.vn(t.a), t.b
-	case kindLoadIndexed:
-		k.gen, k.a, k.b = s.memGen, s.vn(t.a), s.vn(t.b)
-		if k.b < k.a {
-			k.a, k.b = k.b, k.a
-		}
 	default:
 		return k, false
 	}

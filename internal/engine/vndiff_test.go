@@ -354,6 +354,48 @@ var vnHazards = []vnHazard{
 		f.LocalSet(a) // the load reads 72, not a + b + 64 = 88
 		f.I64Load(64)
 	}, func(x, y uint64) uint64 { return y }},
+	{"a plain load after an indexed load of one address whose summand was overwritten", func(f *wasm.FuncBuilder, _ wasm.Local, _, _ uint32) {
+		a, b, sum := f.AddLocal(wasm.I32), f.AddLocal(wasm.I32), f.AddLocal(wasm.I32)
+		f.I32Const(0)
+		f.LocalGet(1)
+		f.I64Store(72)
+		f.I32Const(0)
+		f.LocalGet(0)
+		f.I64Store(88)
+		f.LocalGet(0) // a = 0 and b = 8, computed at run time
+		f.Op(wasm.OpI32WrapI64)
+		f.I32Const(0)
+		f.I32And()
+		f.LocalSet(a)
+		f.LocalGet(1)
+		f.Op(wasm.OpI32WrapI64)
+		f.I32Const(0)
+		f.I32And()
+		f.I32Const(8)
+		f.I32Add()
+		f.LocalSet(b)
+		f.LocalGet(a)
+		f.LocalGet(b)
+		f.I32Add()
+		f.LocalSet(sum)
+		f.LocalGet(sum)
+		f.I64Load(64) // indexed: a + b + 64 = 72
+		f.I32Const(16)
+		f.LocalSet(a)
+		f.LocalGet(sum)
+		f.I64Load(64) // the same value: still 72, not a + b + 64 = 88
+		f.I64Const(3)
+		f.I64Mul()
+		f.I64Add()
+		f.I32Const(0)
+		f.LocalGet(0)
+		f.I64Store(96) // a disjoint store: the next load is a new value
+		f.LocalGet(sum)
+		f.I64Load(64) // selected afresh, with a overwritten: plain, 72
+		f.I64Const(5)
+		f.I64Mul()
+		f.I64Add()
+	}, func(x, y uint64) uint64 { return 9 * y }},
 	{"bounds of two widths on one loaded value, i32 first", func(f *wasm.FuncBuilder, _ wasm.Local, _, _ uint32) {
 		vnStore(f, 0, 0)
 		vnTwoWidths(f, false)

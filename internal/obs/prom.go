@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -252,43 +251,4 @@ func CaptureRuntimeMetrics(r *Registry) {
 	r.Gauge("go_heap_sys_bytes").Set(int64(ms.HeapSys))
 	r.Gauge("go_gc_cycles").Set(int64(ms.NumGC))
 	r.Gauge("go_gc_pause_total_ns").Set(int64(ms.PauseTotalNs))
-}
-
-// registryJSON is the machine-readable form served by the legacy
-// /v1/metrics endpoint under Accept: application/json.
-type registryJSON struct {
-	Counters   map[string]int64       `json:"counters"`
-	Gauges     map[string]int64       `json:"gauges"`
-	Histograms map[string]histSummary `json:"histograms"`
-}
-
-type histSummary struct {
-	Count int64 `json:"count"`
-	Sum   int64 `json:"sum"`
-	Mean  int64 `json:"mean"`
-	Max   int64 `json:"max"`
-}
-
-// WriteJSON renders the registry as one JSON object: counters and gauges by
-// name, histograms as {count,sum,mean,max} summaries.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	out := registryJSON{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]histSummary{},
-	}
-	r.mu.Lock()
-	for name, c := range r.counters {
-		out.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		out.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		out.Histograms[name] = histSummary{Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(), Max: h.Max()}
-	}
-	r.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -233,20 +233,3 @@ func TestCaptureRuntimeMetrics(t *testing.T) {
 	}
 	parseProm(t, buf.String())
 }
-
-// TestWriteJSONSummaries: the legacy JSON dump carries histogram summaries.
-func TestWriteJSONSummaries(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total").Add(7)
-	r.Histogram("h_ns").Observe(100)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	for _, want := range []string{`"c_total": 7`, `"h_ns"`, `"count": 1`, `"sum": 100`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("JSON dump missing %q:\n%s", want, s)
-		}
-	}
-}

@@ -56,9 +56,8 @@ type QueryLogRecord struct {
 	// why a parallel request ran serially (empty otherwise).
 	Workers        int    `json:"workers,omitempty"`
 	SerialFallback string `json:"serial_fallback,omitempty"`
-	// Auto is the autopilot's routing decision for BackendAuto queries
-	// ("volcano" | "vectorized" | "liftoff" | "adaptive"; empty for manual
-	// backends).
+	// Auto is the autopilot's decision for BackendAuto queries (always
+	// "adaptive"; empty for manual backends).
 	Auto         string `json:"auto,omitempty"`
 	FuelUsed     int64  `json:"fuel_used,omitempty"`
 	PeakMemBytes int64  `json:"peak_mem_bytes,omitempty"`

@@ -71,9 +71,9 @@ const (
 	// EvSerialFallback marks a query that requested parallelism but ran its
 	// pipelines serially (args: reason — e.g. unmergeable pipeline state).
 	EvSerialFallback = "serial-fallback"
-	// EvAutopilot marks a BackendAuto routing decision (args: choice —
-	// "vectorized" | "liftoff" | "adaptive", workers, corrected — 1 when
-	// stored feedback overrode the estimate-only decision, reason).
+	// EvAutopilot marks a BackendAuto decision (args: choice — always
+	// "adaptive", workers — the granted worker-pool size, corrected — 1 when
+	// stored feedback corrected the work estimate, reason).
 	EvAutopilot = "autopilot"
 	// EvPlanCache marks a plan-cache lookup (args: result — "hit" or "miss",
 	// fingerprint — the plan fingerprint's short prefix, tier — the tier the

@@ -63,12 +63,11 @@ type Entry struct {
 // feedback loop. The cold decision runs on planner estimates alone; every
 // execution writes what actually happened back here, and the next decision
 // for the same fingerprint corrects itself against it. Feedback lives in a
-// side table rather than on the LRU entry because interpret decisions have
-// no compiled module to hang it on, and because it must survive tier-up
-// sharing: liftoff-only and adaptive decisions for one shape use a single
-// slot (and a single cached module). Like code entries, feedback is
-// invalidated wholesale on DDL Flush — the catalog statistics it was
-// observed under are gone.
+// side table rather than on the LRU entry because it must outlive the
+// entry: an evicted module is recompiled, but what the shape's runs
+// observed still holds. Like code entries, feedback is invalidated
+// wholesale on DDL Flush — the catalog statistics it was observed under are
+// gone.
 type Feedback struct {
 	// Runs counts executions recorded for this fingerprint.
 	Runs int64
@@ -134,8 +133,8 @@ type fbSlot struct {
 }
 
 // feedbackSlotsPerEntry scales the feedback bound off the entry bound:
-// feedback is retained for more shapes than code is, since shapes the
-// autopilot routed to the interpreter occupy no code entry at all.
+// feedback is retained for more shapes than code is, since a slot is a few
+// dozen bytes and a compiled entry far more.
 const feedbackSlotsPerEntry = 4
 
 // flight is one in-progress compilation that concurrent identical queries

@@ -126,25 +126,11 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	_ = reg.WritePrometheus(w)
 }
 
-// handleMetricsV1 serves the legacy /v1/metrics endpoint with content
-// negotiation: the expvar-style text dump by default, the structured JSON
-// form under Accept: application/json, and the Prometheus exposition when
-// the scraper asks for it by version.
+// handleMetricsV1 serves the legacy /v1/metrics endpoint: the expvar-style
+// text dump. The Prometheus exposition is /metrics.
 func (s *Server) handleMetricsV1(w http.ResponseWriter, r *http.Request) {
-	reg := s.db.Metrics()
-	accept := r.Header.Get("Accept")
-	switch {
-	case strings.Contains(accept, "application/json"):
-		w.Header().Set("Content-Type", "application/json")
-		_ = reg.WriteJSON(w)
-	case strings.Contains(accept, "version=0.0.4") || strings.Contains(accept, "openmetrics"):
-		obs.CaptureRuntimeMetrics(reg)
-		w.Header().Set("Content-Type", obs.ContentTypePrometheus)
-		_ = reg.WritePrometheus(w)
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte(reg.Dump()))
-	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	_, _ = w.Write([]byte(s.db.Metrics().Dump()))
 }
 
 // handleFlightRecorder serves GET /debug/flightrecorder: the captured-query

@@ -121,28 +121,19 @@ func TestPrometheusEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsV1ContentNegotiation: the legacy endpoint keeps its text dump,
-// serves JSON under Accept: application/json, and the Prometheus form when
-// asked for by version.
+// TestMetricsV1ContentNegotiation: the legacy endpoint has one format, the
+// text dump, whatever the Accept header asks for; the Prometheus exposition
+// is /metrics.
 func TestMetricsV1ContentNegotiation(t *testing.T) {
 	_, hs := newServer(t, Config{})
 	call(t, hs, "POST", "/v1/query", map[string]any{"sql": "SELECT 1 FROM t LIMIT 1"})
 
-	_, body, hdr := getBody(t, hs.URL+"/v1/metrics", nil)
-	if !strings.HasPrefix(hdr.Get("Content-Type"), "text/plain") || !strings.Contains(body, `queries_total{backend="wasm-adaptive"}:`) {
-		t.Errorf("default /v1/metrics is not the legacy dump: %q", hdr.Get("Content-Type"))
-	}
-	_, body, hdr = getBody(t, hs.URL+"/v1/metrics", map[string]string{"Accept": "application/json"})
-	if hdr.Get("Content-Type") != "application/json" {
-		t.Errorf("JSON Accept got Content-Type %q", hdr.Get("Content-Type"))
-	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte(body), &m); err != nil {
-		t.Fatalf("JSON form did not parse: %v", err)
-	}
-	_, body, hdr = getBody(t, hs.URL+"/v1/metrics", map[string]string{"Accept": obs.ContentTypePrometheus})
-	if hdr.Get("Content-Type") != obs.ContentTypePrometheus || !strings.Contains(body, "# TYPE") {
-		t.Errorf("Prometheus Accept not honored: %q", hdr.Get("Content-Type"))
+	for _, accept := range []string{"", "application/json", obs.ContentTypePrometheus, "application/openmetrics-text"} {
+		_, body, hdr := getBody(t, hs.URL+"/v1/metrics", map[string]string{"Accept": accept})
+		if !strings.HasPrefix(hdr.Get("Content-Type"), "text/plain; charset=utf-8") ||
+			!strings.Contains(body, `queries_total{backend="wasm-adaptive"}:`) || strings.Contains(body, "# TYPE") {
+			t.Errorf("Accept %q: /v1/metrics is not the legacy dump (Content-Type %q)", accept, hdr.Get("Content-Type"))
+		}
 	}
 }
 

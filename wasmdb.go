@@ -66,16 +66,13 @@ const (
 	BackendVectorized
 	// BackendVolcano is the PostgreSQL-style iterator baseline.
 	BackendVolcano
-	// BackendAuto lets the engine pick the execution strategy per query —
-	// interpretation (vectorized) for queries too small to amortize
-	// compilation, baseline-only compilation for the mid band, adaptive
-	// tier-up plus a sized worker pool for large ones — from the planner's
-	// cardinality estimates, corrected on warm plan-cache hits by the
-	// execution feedback recorded for the query's fingerprint. The decision
-	// is deterministic given the query shape, the catalog statistics and that
-	// feedback; Stats.Auto and EXPLAIN ANALYZE report what was chosen and
-	// why. An explicit WithParallelism overrides the worker half of the
-	// decision.
+	// BackendAuto compiles exactly as BackendWasm and sizes the morsel
+	// worker pool per query from the planner's cardinality estimates,
+	// corrected on warm plan-cache hits by the execution feedback recorded
+	// for the query's fingerprint. The decision is deterministic given the
+	// query shape, the catalog statistics and that feedback; Stats.Auto and
+	// EXPLAIN ANALYZE report it and why. An explicit WithParallelism
+	// overrides the grant.
 	BackendAuto
 )
 
@@ -328,7 +325,8 @@ func WithTimeout(d time.Duration) Option { return func(o *queryOpts) { o.timeout
 
 // WithFuel bounds the query to n units of guest execution (one unit per
 // function entry and per taken loop back-edge). Exhaustion returns an error
-// matching ErrFuelExhausted. Applies to the Wasm backends.
+// matching ErrFuelExhausted. Applies to the Wasm backends and auto; volcano
+// and vectorized refuse it with an error.
 func WithFuel(n int64) Option { return func(o *queryOpts) { o.fuel = n } }
 
 // WithParallelism runs the query's morsel loops on a pool of n workers, each
@@ -428,7 +426,7 @@ func WithPlanCache(enabled bool) Option {
 // WithMemoryLimit caps the query's linear-memory heap at roughly maxBytes
 // (rounded up to whole 64 KiB Wasm pages). A query that tries to grow
 // beyond the cap returns an error matching ErrMemoryLimit. Applies to the
-// Wasm backends.
+// Wasm backends and auto; volcano and vectorized refuse it with an error.
 func WithMemoryLimit(maxBytes uint64) Option {
 	return func(o *queryOpts) {
 		pages := maxBytes / (64 * 1024)
@@ -495,9 +493,9 @@ type Stats struct {
 	// tuples were shared at parallel join build barriers: workers − 1 per
 	// barrier (0 when the query ran serially).
 	JoinPartitionsMerged int
-	// Auto is the autopilot's resolved choice for a BackendAuto query
-	// ("vectorized", "liftoff", "adaptive"; empty for manual backends), and
-	// AutoReason its one-line rationale.
+	// Auto is the autopilot's decision for a BackendAuto query (always
+	// "adaptive"; empty for manual backends), and AutoReason its one-line
+	// rationale: the work estimate the worker grant was sized from.
 	Auto       string
 	AutoReason string
 }
@@ -707,6 +705,15 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("wasmdb: query canceled: %w", err)
 	}
+	// The interpreters run no guest code to charge fuel to and allocate no
+	// linear memory: a budget they would silently ignore is refused.
+	wasmBackend := o.backend != BackendVolcano && o.backend != BackendVectorized
+	if !wasmBackend && o.fuel > 0 {
+		return nil, fmt.Errorf("wasmdb: the %v backend cannot enforce WithFuel", o.backend)
+	}
+	if !wasmBackend && o.memBudget > 0 {
+		return nil, fmt.Errorf("wasmdb: the %v backend cannot enforce WithMemoryLimit", o.backend)
+	}
 
 	sp := tr.Begin(obs.SpanParse)
 	stmt, err := sql.ParseSelect(src)
@@ -741,7 +748,6 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		}
 	}
 
-	wasmBackend := o.backend != BackendVolcano && o.backend != BackendVectorized
 	useCache := wasmBackend && !o.planCacheOff
 
 	// With the plan cache on, hoist value-carrying literals into the
@@ -765,55 +771,44 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		return nil, err
 	}
 
-	// Resolve BackendAuto into a concrete strategy. The decision runs after
-	// placeholder binding (an explicit LIMIT ? is already resolved into
-	// q.Limit and the plan's limit node — deciding earlier would repeat PR
-	// 5's unbound-LimitSlot misclassification) and is a pure function of
-	// the plan profile, the stored feedback, and the knobs, so it is
-	// deterministic per (fingerprint, feedback, catalog stats). The
-	// feedback key is the adaptive-tier fingerprint regardless of the tier
-	// chosen: liftoff-only and adaptive decisions share one slot and one
-	// cached module, so a warm hit can correct a wrong cold choice without
-	// recompiling.
-	backend := o.backend
+	// BackendAuto compiles exactly as BackendWasm (DESIGN §14); the
+	// autopilot only sizes its worker pool.
+	style, cfg := core.Style{}, engine.Config{Tier: engine.TierAdaptive}
+	switch o.backend {
+	case BackendWasmLiftoff:
+		cfg.Tier = engine.TierLiftoff
+	case BackendWasmTurbofan:
+		cfg.Tier = engine.TierTurbofan
+	case BackendHyperLike:
+		cfg.OptRounds = hyperOptRounds
+		style = core.Style{LibraryHT: true, LibrarySort: true, PredicatedSelection: true}
+	}
+	// The plan-cache key, and under BackendAuto the feedback key too.
+	fp := ""
+	if useCache || o.backend == BackendAuto {
+		fp = core.Fingerprint(q, p, db.cat.Version(), style, cfg.Tier, cfg.OptRounds)
+	}
 	var dec autopilot.Decision
-	autoKey := ""
 	if o.backend == BackendAuto {
-		autoKey = core.Fingerprint(q, p, db.cat.Version(), core.Style{}, engine.TierAdaptive, 0)
+		// The decision runs after placeholder binding (an explicit LIMIT ? is
+		// already resolved into q.Limit and the plan's limit node) and is a
+		// pure function of the plan profile, the stored feedback and the
+		// knobs, so it is deterministic per (fingerprint, feedback, catalog
+		// stats).
 		var fbp *plancache.Feedback
-		if fb, ok := db.pcache.Feedback(autoKey); ok {
+		if fb, ok := db.pcache.Feedback(fp); ok {
 			fbp = &fb
 		}
 		knobs := autopilot.DefaultKnobs()
-		if n := runtime.GOMAXPROCS(0); knobs.MaxWorkers > n {
-			knobs.MaxWorkers = n
-		}
+		knobs.MaxWorkers = min(knobs.MaxWorkers, runtime.GOMAXPROCS(0))
 		dec = autopilot.Decide(autopilot.ProfilePlan(p), fbp, knobs)
 		if o.parallelism > 0 {
-			// An explicit WithParallelism overrides the worker half of the
-			// decision; the backend half still applies.
+			// An explicit WithParallelism overrides the worker grant.
 			dec.Workers = o.parallelism
 		}
 		dec.Record(tr)
-		if dec.Choice == autopilot.ChoiceVectorized || dec.Choice == autopilot.ChoiceVolcano {
-			backend = BackendVectorized
-			if dec.Choice == autopilot.ChoiceVolcano {
-				backend = BackendVolcano
-			}
-			if useCache {
-				// The fingerprint was computed on the parameterized query (a
-				// stable feedback key); the interpreter executes the literal
-				// one.
-				if q, p, err = db.literalQuery(stmt, args); err != nil {
-					return nil, err
-				}
-				params = nil
-			}
-		} else {
-			backend = BackendWasm
-			if dec.Workers > 1 {
-				o.parallelism = dec.Workers
-			}
+		if dec.Workers > 1 {
+			o.parallelism = dec.Workers
 		}
 	}
 
@@ -822,7 +817,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		res.Columns = append(res.Columns, oc.Name)
 	}
 
-	switch backend {
+	switch o.backend {
 	case BackendVolcano:
 		sp = tr.Begin(obs.SpanExecute)
 		_, rows, err := volcano.Run(q, p)
@@ -840,34 +835,10 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		}
 		res.rows = rows
 	default:
-		style := core.Style{}
-		cfg := engine.Config{}
-		switch backend {
-		case BackendWasm:
-			cfg.Tier = engine.TierAdaptive
-		case BackendWasmLiftoff:
-			cfg.Tier = engine.TierLiftoff
-		case BackendWasmTurbofan:
-			cfg.Tier = engine.TierTurbofan
-		case BackendHyperLike:
-			cfg.Tier = engine.TierAdaptive
-			cfg.OptRounds = hyperOptRounds
-			style = core.Style{LibraryHT: true, LibrarySort: true, PredicatedSelection: true}
-		}
-		// A liftoff-only auto decision keeps the module's adaptive identity
-		// (same fingerprint, same cache entry as an adaptive decision) but
-		// vetoes its background optimization; an adaptive decision — cold or
-		// a later feedback-corrected warm hit on the same entry — kicks it
-		// via EnsureOptimizing below.
-		autoLiftoff := autoKey != "" && dec.Choice == autopilot.ChoiceLiftoff
-		if autoLiftoff {
-			cfg.TierPolicy = func(int, int) bool { return false }
-		}
 		eng := engine.New(cfg)
 		var cq *core.CompiledQuery
 		var mod *engine.Module
 		if useCache {
-			fp := core.Fingerprint(q, p, db.cat.Version(), style, cfg.Tier, cfg.OptRounds)
 			ent, hit, cerr := db.pcache.GetOrCompile(fp, func() (*core.CompiledQuery, *engine.Module, error) {
 				csp := tr.Begin(obs.SpanCodegen)
 				c, err := core.CompileStyled(q, p, style)
@@ -914,12 +885,6 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 				return nil, err
 			}
 		}
-		if mod != nil && cfg.Tier == engine.TierAdaptive && !autoLiftoff {
-			// A warm hit on a module whose earlier liftoff-only compile
-			// deferred tier-up starts it now; modules already optimizing (or
-			// optimized) ignore the kick.
-			mod.EnsureOptimizing()
-		}
 		out, _, err := core.Execute(cq, q, eng, core.ExecOptions{
 			MorselRows:        o.morselRows,
 			WaitOptimized:     o.wait,
@@ -942,7 +907,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 	}
 	res.Stats = statsFromTrace(tr, o.backend)
 	obs.Default.CounterWith(obs.MetricQueries, obs.Label{Key: "backend", Val: o.backend.String()}).Add(1)
-	if autoKey != "" {
+	if o.backend == BackendAuto {
 		// Close the feedback loop: store what actually happened under this
 		// fingerprint, so the next decision for the shape corrects itself.
 		// The write goes through the cache's own lock — concurrent warm hits
@@ -969,7 +934,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 				}
 			}
 		}
-		db.pcache.RecordFeedback(autoKey, fb)
+		db.pcache.RecordFeedback(fp, fb)
 	}
 	return res, nil
 }
