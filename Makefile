@@ -135,10 +135,12 @@ lint-layers:
 # bench-smoke first builds and runs two of the paper's figures at a small
 # scale (Fig 1 and the tier ablation), then every workload of the repo
 # benchmark for three rounds, which checks each result against volcano and
-# exits non-zero on any failure. It then asserts the disabled-tracer contract
-# on the morsel dispatch path: with no trace attached the telemetry must cost
-# only a nil check, so traced-vs-untraced overhead stays ≈0% (≤5% allows
-# timer noise). Next it holds the serving layer's telemetry budget: one
+# exits non-zero on any failure. It then checks the two disabled paths
+# exactly: an untraced morsel dispatch and the default server's telemetry
+# sinks allocate nothing (testing.AllocsPerRun == 0). Next it asserts the
+# disabled-tracer contract on the morsel dispatch path in time: with no trace
+# attached the telemetry must cost only a nil check, so traced-vs-untraced
+# overhead stays ≈0% (≤5% allows timer noise). Next it holds the serving layer's telemetry budget: one
 # parameterized /v1/query over HTTP with full telemetry (query log, every
 # query captured and classified slow) may cost at most 5% over the default
 # server, best of three runs each.
@@ -168,6 +170,7 @@ lint-layers:
 bench-smoke:
 	$(GO) run ./cmd/bench -experiment fig1,abl-tier -sf 0.01 -reps 1
 	$(GO) run ./benchmark -workload all -rounds 3 -seed 1
+	$(GO) test ./internal/core ./internal/server -run 'AllocatesNothing$$' -count=1
 	@$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkMorselDispatch(Untraced|Traced)$$' -benchtime 200x -count 3 \
 		| awk '/DispatchUntraced/ { if (u==0 || $$3<u) u=$$3 } \
 		       /DispatchTraced/   { if (t==0 || $$3<t) t=$$3 } \

@@ -106,33 +106,46 @@ func renderAnalyze(planText string, tr *Trace, st Stats, rows int) string {
 		}
 	}
 
-	// Tier timeline: background publishes (tier-up) and first optimized
-	// dispatches (tier-switch), ordered by time.
+	// Tier timeline: functions entering the tier-up queue, background
+	// publishes (tier-up) and first optimized dispatches (tier-switch),
+	// ordered by time.
 	var tiers []obs.Event
 	for _, ev := range tr.Events() {
-		if ev.Name == obs.EvTierUp || ev.Name == obs.EvTierSwitch {
+		if ev.Name == obs.EvTierUpQueued || ev.Name == obs.EvTierUp || ev.Name == obs.EvTierSwitch {
 			tiers = append(tiers, ev)
 		}
 	}
 	if len(tiers) > 0 {
-		sort.Slice(tiers, func(i, j int) bool { return tiers[i].Time.Before(tiers[j].Time) })
+		sort.SliceStable(tiers, func(i, j int) bool { return tiers[i].Time.Before(tiers[j].Time) })
 		sb.WriteString("\ntier timeline:\n")
 		for _, ev := range tiers {
-			var fn, morsel int64
+			var fn, morsel, rows int64
+			var trigger string
 			for _, a := range ev.Args {
 				switch a.Key {
 				case "func":
 					fn = a.Val
 				case "morsel":
 					morsel = a.Val
+				case "rows":
+					rows = a.Val
+				case "trigger":
+					trigger = a.Str
 				}
 			}
-			verb := "optimized code published"
-			if ev.Name == obs.EvTierSwitch {
-				verb = "first optimized call"
+			at := fmtAnalyzeDur(ev.Time.Sub(tr.StartTime()))
+			switch ev.Name {
+			case obs.EvTierUpQueued:
+				if rows > 0 {
+					fmt.Fprintf(&sb, "  +%-9s func %-3d queued for tier-up (%s, %d rows)\n", at, fn, trigger, rows)
+				} else {
+					fmt.Fprintf(&sb, "  +%-9s func %-3d queued for tier-up (%s)\n", at, fn, trigger)
+				}
+			case obs.EvTierUp:
+				fmt.Fprintf(&sb, "  +%-9s func %-3d optimized code published (at morsel %d)\n", at, fn, morsel)
+			default:
+				fmt.Fprintf(&sb, "  +%-9s func %-3d first optimized call (at morsel %d)\n", at, fn, morsel)
 			}
-			fmt.Fprintf(&sb, "  +%-9s func %-3d %s (at morsel %d)\n",
-				fmtAnalyzeDur(ev.Time.Sub(tr.StartTime())), fn, verb, morsel)
 		}
 	}
 

@@ -125,6 +125,12 @@ func TestAutoPreparedDecisionFlip(t *testing.T) {
 				if res.Stats.Auto != "adaptive" {
 					t.Errorf("limit %d: choice %q, want adaptive", limit, res.Stats.Auto)
 				}
+				// Each run returns the rows its own binding's estimate
+				// predicted, so feedback recorded under either binding
+				// corrects nothing.
+				if strings.Contains(res.Stats.AutoReason, "feedback-corrected") {
+					t.Errorf("limit %d: reason %q, want the uncorrected estimate", limit, res.Stats.AutoReason)
+				}
 				return autoWork(t, res.Stats)
 			}
 			binds := []int{4, 60000}
@@ -132,7 +138,8 @@ func TestAutoPreparedDecisionFlip(t *testing.T) {
 				binds = []int{60000, 4}
 			}
 			// The second pass runs with feedback present: the estimates must
-			// stay apart.
+			// stay apart, and read exactly as cold.
+			var cold map[int]int
 			for _, pass := range []string{"cold", "warm"} {
 				work := map[int]int{}
 				for _, n := range binds {
@@ -140,6 +147,11 @@ func TestAutoPreparedDecisionFlip(t *testing.T) {
 				}
 				if work[4] >= 100 || work[60000] < 60000 {
 					t.Errorf("%s est-work: bind 4 %d, bind 60000 %d; want < 100 and >= 60000", pass, work[4], work[60000])
+				}
+				if cold == nil {
+					cold = work
+				} else if work[4] != cold[4] || work[60000] != cold[60000] {
+					t.Errorf("warm est-work %v, want the cold estimates %v", work, cold)
 				}
 			}
 		})

@@ -178,14 +178,20 @@ func Decide(p Profile, fb *plancache.Feedback, k Knobs) Decision {
 	}
 
 	// Feedback correction: scale the estimate-derived tail by the observed
-	// result cardinality relative to the estimate. Only for unaggregated
+	// result cardinality relative to the estimate that observation was made
+	// against — the run's own, which under another binding of the same
+	// prepared shape (LIMIT ?) is not this one's. Only for unaggregated
 	// plans — a grouped query's result counts groups, not processed rows,
 	// so it says nothing about the work estimate (whose scan term is exact
 	// catalog data anyway). The clamp bounds the swing; the correction is
 	// deterministic because the feedback slot is part of the decision input.
 	corrected := false
-	if fb != nil && fb.Rows > 0 && !p.Grouped && p.OutRows >= 1 {
-		ratio := float64(fb.Rows) / p.OutRows
+	est := p.OutRows
+	if fb != nil && fb.EstRows > 0 {
+		est = fb.EstRows
+	}
+	if fb != nil && fb.Rows > 0 && !p.Grouped && est >= 1 {
+		ratio := float64(fb.Rows) / est
 		if ratio > k.FeedbackClamp {
 			ratio = k.FeedbackClamp
 		}

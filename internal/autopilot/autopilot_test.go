@@ -127,6 +127,22 @@ func TestFeedbackCorrection(t *testing.T) {
 
 // Feedback recording an intrinsic serial fallback stops future worker
 // requests for the shape; transient reasons do not.
+// The correction compares an observation with the estimate it was made
+// against: a LIMIT 4 run that returned its 4 rows leaves a LIMIT 60000
+// binding's estimate alone, and a misprediction under one binding corrects
+// another by the same ratio.
+func TestFeedbackAcrossBindings(t *testing.T) {
+	k := knobs()
+	large := Profile{ScanRows: 60000, TailRows: 60000, OutRows: 60000, Limit: 60000, PreLimitRows: 60000}
+	if d := Decide(large, &plancache.Feedback{Rows: 4, EstRows: 4}, k); d.Corrected || d.Work != 120000 {
+		t.Errorf("after a LIMIT 4 run: %+v, want work 120000 uncorrected", d)
+	}
+	p := Profile{ScanRows: 1500, TailRows: 700, OutRows: 94, Limit: -1, Sorted: true}
+	if d := Decide(p, &plancache.Feedback{Rows: 400, EstRows: 100}, k); !d.Corrected || d.Work != 1500+700*4 {
+		t.Errorf("4× misprediction under another binding: %+v, want work %d corrected", d, 1500+700*4)
+	}
+}
+
 func TestIntrinsicFallbackStopsWorkers(t *testing.T) {
 	k := knobs()
 	p := Profile{ScanRows: 1000000, TailRows: 100000, OutRows: 1000000, Limit: -1, Sorted: true}

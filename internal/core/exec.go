@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,9 +41,10 @@ type ExecOptions struct {
 	// processed. Must be a multiple of 65536 so every column's chunk stays
 	// page-aligned; 0 disables chunking.
 	ChunkRows int
-	// WaitOptimized blocks until background optimization finished before
-	// the first morsel runs — used by benchmarks that want to measure pure
-	// TurboFan-tier execution under the adaptive configuration.
+	// WaitOptimized queues every function of the module for tier-up and
+	// blocks until all of them are optimized before the first morsel runs —
+	// used by benchmarks that want to measure pure TurboFan-tier execution
+	// under the adaptive configuration.
 	WaitOptimized bool
 	// Ctx cancels the query: between morsels via a direct check, and inside
 	// a running morsel via the instance's interrupt flag (metering is
@@ -60,10 +62,10 @@ type ExecOptions struct {
 	// counters (compile phases, rewiring, per-pipeline execution, tier-up
 	// timeline). nil disables span recording on the hot path.
 	Trace *obs.Trace
-	// DrainBackground waits for background optimization to finish after the
-	// last morsel — adaptive behavior during the query is unchanged, but the
-	// trace's tier-up timeline and Turbofan timing are complete when Execute
-	// returns.
+	// DrainBackground waits, after the last morsel, for the background
+	// compile of what is already queued — adaptive behavior during the query
+	// is unchanged and nothing more is queued, but the trace's tier-up
+	// timeline and Turbofan timing are complete when Execute returns.
 	DrainBackground bool
 	// Parallelism sets the morsel worker-pool size (<= 1 runs serially).
 	// Each worker owns a private instance and linear memory created from the
@@ -104,8 +106,9 @@ type ExecStats struct {
 	Validate time.Duration
 	Liftoff  time.Duration
 	// Turbofan is the optimizing-tier compile time. Under TierAdaptive it is
-	// measured on the background goroutine and is valid once optimization
-	// finished (WaitOptimized or DrainBackground).
+	// measured on the background goroutine and sums the functions compiled
+	// so far: complete once what was queued finished (WaitOptimized or
+	// DrainBackground).
 	Turbofan time.Duration
 	// Rewire covers mapping the referenced columns into linear memory.
 	Rewire time.Duration
@@ -184,6 +187,10 @@ type worker struct {
 	// limitHit is set by the drain once the query's LIMIT is satisfied; the
 	// morsel loop treats it like the guest's stop signal.
 	limitHit bool
+	// args and res carry a morsel call's range and stop signal, so the
+	// dispatch allocates nothing.
+	args [2]uint64
+	res  [1]uint64
 }
 
 // executor is one execution of a compiled query: the per-call decisions, the
@@ -207,6 +214,10 @@ type executor struct {
 	// nil without a scheduler.
 	ws    []*worker
 	lease *Lease
+	// mod is the compiled module; firstRun says this is its first execution,
+	// which queues for tier-up only the pipelines with rows still ahead.
+	mod      *engine.Module
+	firstRun bool
 }
 
 // Execute runs a compiled query against its bound tables on the given
@@ -262,11 +273,18 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		return nil, nil, err
 	}
 	x.stats.Init = time.Since(t0)
+	x.mod, x.firstRun = mod, mod.CountRun() == 0
+	if x.firstRun {
+		x.tierUpScans()
+	} else {
+		mod.TierUp(x.tr, engine.TriggerRerun, 0)
+	}
 	if opt.WaitOptimized {
 		// A failed background compile is not a query error: affected
 		// functions keep running on baseline code, and the failure is
 		// visible in CompileStats.TurbofanFailed.
-		_ = mod.WaitOptimized()
+		mod.TierUp(x.tr, engine.TriggerWait, 0)
+		_ = mod.WaitQueued()
 	}
 
 	t1 := time.Now()
@@ -291,7 +309,7 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		// Complete the tier-up timeline (and Turbofan timing) without having
 		// perturbed adaptive behavior during the query. A failed background
 		// compile is not a query error — see WaitOptimized above.
-		_ = mod.WaitOptimized()
+		_ = mod.WaitQueued()
 	}
 	x.foldStats(mod, len(res.Rows))
 
@@ -482,6 +500,44 @@ func (x *executor) start(mod *engine.Module, done <-chan struct{}) error {
 	return nil
 }
 
+// tierUpScans queues, on a module's first execution, the table-scan
+// pipelines that have rows ahead (rowsAhead), the largest tables first, so
+// their tier-2 code lands while the most morsels are left to run it.
+func (x *executor) tierUpScans() {
+	type scan struct {
+		fn   uint32
+		rows int
+	}
+	var scans []scan
+	for pi, p := range x.cq.Pipelines {
+		if p.Kind != PipeScanTable {
+			continue
+		}
+		rows := x.q.Tables[p.TableIdx].Table.Rows()
+		if fn, ok := x.mod.ExportedFunc(p.Export); ok && x.rowsAhead(pi, rows) {
+			scans = append(scans, scan{fn, rows})
+		}
+	}
+	slices.SortStableFunc(scans, func(a, b scan) int { return b.rows - a.rows })
+	for _, s := range scans {
+		x.mod.TierUp(x.tr, engine.TriggerRowsAhead, s.rows, s.fn)
+	}
+}
+
+// rowsAhead is the first execution's tier-up rule: pipeline pi over total
+// rows is worth optimizing when it has more morsels than workers to run
+// them. Swapped-in code takes effect only at a morsel boundary, so with no
+// more morsels than workers every worker has started its last morsel before
+// a compile queued now could land. It reads MorselRows and the worker count,
+// and nothing else.
+func (x *executor) rowsAhead(pi, total int) bool {
+	workers := 1
+	if x.cq.poolDriven(pi) {
+		workers = len(x.ws)
+	}
+	return total > workers*x.opt.MorselRows
+}
+
 // drain decodes count rows from a worker's result buffer into its private
 // row slice. The decode stops as soon as the query's LIMIT is satisfied —
 // rows beyond it would be discarded anyway — and trips the worker's limitHit
@@ -523,17 +579,19 @@ func (x *executor) call(w *worker, export string, args ...uint64) ([]uint64, err
 	return r, nil
 }
 
-// callMorsel dispatches one morsel on one worker: faultpoint check, morsel
-// count (the tier-up timeline is stamped against it), latency histogram, and
-// — only when the trace asks for Detail — a per-morsel span carrying the
-// worker id. It returns the guest's stop signal.
-func (x *executor) callMorsel(w *worker, export string, begin, end int) (bool, error) {
+// callMorsel dispatches one morsel of export (function index fn) on one
+// worker: faultpoint check, morsel count (the tier-up timeline is stamped
+// against it), latency histogram, and — only when the trace asks for Detail
+// — a per-morsel span carrying the worker id. It returns the guest's stop
+// signal. Untraced, it allocates nothing.
+func (x *executor) callMorsel(w *worker, fn uint32, export string, begin, end int) (bool, error) {
 	if ferr := faultpoint.Hit("core-morsel"); ferr != nil {
 		return false, fmt.Errorf("core: %s[%d,%d): %w", export, begin, end, ferr)
 	}
 	x.tr.AddMorsel()
 	tm := time.Now()
-	r, err := w.inst.Call(export, uint64(uint32(begin)), uint64(uint32(end)))
+	w.args = [2]uint64{uint64(uint32(begin)), uint64(uint32(end))}
+	err := w.inst.CallInto(fn, w.args[:], w.res[:])
 	d := time.Since(tm)
 	mMorselLatency.Observe(d.Nanoseconds())
 	if x.tr != nil && x.tr.Detail {
@@ -544,7 +602,17 @@ func (x *executor) callMorsel(w *worker, export string, begin, end int) (bool, e
 	if err != nil {
 		return false, fmt.Errorf("core: %s[%d,%d): %w", export, begin, end, x.wrapErr(err))
 	}
-	return r[0] != 0, nil
+	return w.res[0] != 0, nil
+}
+
+// funcIndex resolves an export of the query's module to its function
+// index, once per morsel loop rather than once per morsel.
+func (x *executor) funcIndex(export string) (uint32, error) {
+	fn, ok := x.mod.ExportedFunc(export)
+	if !ok {
+		return 0, fmt.Errorf("core: no exported function %q", export)
+	}
+	return fn, nil
 }
 
 // each runs fn on every given worker — concurrently when there is more than
@@ -580,6 +648,10 @@ func (x *executor) each(ws []*worker, fn func(w *worker) error) error {
 // morsel boundary: the others keep claiming, and its partial state is still
 // merged at the barrier, so results are unchanged.
 func (x *executor) drive(ws []*worker, export string, total int) (stopped bool, err error) {
+	fn, err := x.funcIndex(export)
+	if err != nil {
+		return false, err
+	}
 	var next atomic.Int64
 	var stop atomic.Bool
 	morsel := x.opt.MorselRows
@@ -593,7 +665,7 @@ func (x *executor) drive(ws []*worker, export string, total int) (stopped bool, 
 			if begin >= total {
 				break
 			}
-			halt, err := x.callMorsel(w, export, begin, min(begin+morsel, total))
+			halt, err := x.callMorsel(w, fn, export, begin, min(begin+morsel, total))
 			if err != nil {
 				stop.Store(true)
 				return err
@@ -662,6 +734,12 @@ func (x *executor) drivePipeline(pi int, p PipelineInfo) ([]obs.Arg, error) {
 	case PipeScanBuckets:
 		ctrl := uint32(primary.inst.Global(int(p.CountGlobal)))
 		total = int(primary.mem.U32(ctrl+4)) + 1
+	}
+	if x.firstRun && p.Kind != PipeScanTable && x.rowsAhead(pi, total) {
+		// A table scan was judged at start; other counts are known only now.
+		if fn, ok := x.mod.ExportedFunc(p.Export); ok {
+			x.mod.TierUp(x.tr, engine.TriggerRowsAhead, total, fn)
+		}
 	}
 	args := []obs.Arg{obs.I("rows", int64(total))}
 	if len(ws) > 1 {

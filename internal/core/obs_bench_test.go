@@ -150,3 +150,41 @@ func BenchmarkJoinBuild(b *testing.B) {
 		}
 	}
 }
+
+// TestUntracedMorselDispatchAllocatesNothing is the exact half of the
+// disabled-tracer contract that make bench-smoke times: with no trace, a
+// morsel dispatch — fault point, morsel count, latency histogram and the
+// engine call itself — allocates nothing, on either tier.
+func TestUntracedMorselDispatchAllocatesNothing(t *testing.T) {
+	cq, q := compileOn(t, parCatalog(t, 4096), "SELECT COUNT(*) FROM t WHERE i0 < 500")
+	for _, tier := range []engine.Tier{engine.TierLiftoff, engine.TierTurbofan} {
+		mod, err := engine.New(engine.Config{Tier: tier}).Compile(cq.Bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := &executor{cq: cq, q: q, opt: ExecOptions{MorselRows: 512}, ctx: t.Context(),
+			stats: &ExecStats{}, limit: -1, mod: mod}
+		if err := x.rewire(1); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		if err := x.start(mod, done); err != nil {
+			t.Fatal(err)
+		}
+		export := cq.Pipelines[0].Export
+		fn, err := x.funcIndex(export)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := x.callMorsel(x.ws[0], fn, export, 0, 512); err != nil {
+				t.Fatal(err)
+			}
+		})
+		close(done)
+		x.release()
+		if allocs != 0 {
+			t.Errorf("%v: an untraced morsel dispatch allocates %.1f times", tier, allocs)
+		}
+	}
+}

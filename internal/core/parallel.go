@@ -356,13 +356,17 @@ func (x *executor) buildJoin(jm *JoinMerge) ([]obs.Arg, error) {
 			return nil, fmt.Errorf("core: rewiring join chunks: %w", err)
 		}
 	}
+	finish, err := x.funcIndex(jm.FinishExport)
+	if err != nil {
+		return nil, err
+	}
 	tFinish := time.Now()
-	err := x.each(ws, func(w *worker) error {
+	err = x.each(ws, func(w *worker) error {
 		for _, c := range todo[w.id] {
 			if err := x.canceled(); err != nil {
 				return err
 			}
-			if _, err := x.callMorsel(w, jm.FinishExport, int(c.addr), int(c.n)); err != nil {
+			if _, err := x.callMorsel(w, finish, jm.FinishExport, int(c.addr), int(c.n)); err != nil {
 				return err
 			}
 		}

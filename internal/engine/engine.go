@@ -2,14 +2,18 @@
 // stand-in for V8 in the paper's architecture (§2.2). It decodes and
 // validates binary modules, compiles every function with the baseline
 // compiler (tier 1, "liftoff"), optionally with the optimizing compiler
-// (tier 2, "turbofan") — synchronously or concurrently in the background —
-// and dispatches each call to the best code available at that moment. Both
-// compilers live in package turbofan and target one register machine with
-// one run loop; a tier is a compiler, not a second VM. Background tier-up
-// replaces code at function granularity via an atomic pointer swap, so a
-// query that invokes its pipeline function once per morsel transparently
-// migrates from baseline to optimized code mid-query, exactly the adaptive
-// execution the paper delegates to the engine.
+// (tier 2, "turbofan") — synchronously, or in the background for the
+// functions the embedder queues with Module.TierUp — and dispatches each call
+// to the best code available at that moment. Both compilers live in package
+// turbofan and target one register machine with one run loop; a tier is a
+// compiler, not a second VM. Background tier-up replaces code at function
+// granularity via an atomic pointer swap, so a query that invokes its
+// pipeline function once per morsel transparently migrates from baseline to
+// optimized code mid-query, exactly the adaptive execution the paper
+// delegates to the engine. Like V8's dynamic tiering, the engine optimizes
+// only what it is told is worth it: the executor queues a pipeline when some
+// worker will still start a morsel of it after the compile can land, and a
+// whole module once it runs again.
 package engine
 
 import (
@@ -34,9 +38,10 @@ var (
 	mCompilesTurbofan = obs.Default.CounterWith(obs.MetricCompiles, obs.Label{Key: "tier", Val: "turbofan"})
 	mTurbofanFailures = obs.Default.Counter(obs.MetricTurbofanFailures)
 	mTierUpLatency    = obs.Default.Histogram(obs.MetricTierUpLatency)
-	// Per-module compile latency, labeled by the tier that did the work —
-	// the SLO view of "how much am I paying before (liftoff) and behind
-	// (turbofan) the first morsel".
+	// Compile latency, labeled by the tier that did the work — per module
+	// for liftoff, per drain of the tier-up queue for turbofan: the SLO view
+	// of "how much am I paying before (liftoff) and behind (turbofan) the
+	// first morsel".
 	hCompileLiftoff  = obs.Default.HistogramWith(obs.MetricEngineCompileLatency, obs.Label{Key: "tier", Val: "liftoff"})
 	hCompileTurbofan = obs.Default.HistogramWith(obs.MetricEngineCompileLatency, obs.Label{Key: "tier", Val: "turbofan"})
 	// Instructions emitted per tier — with the compile counters above, the
@@ -77,7 +82,9 @@ type Tier int
 const (
 	// TierAdaptive compiles with liftoff synchronously and with turbofan in
 	// the background, swapping code in as it becomes ready (the default,
-	// mirroring V8's Liftoff→TurboFan pipeline).
+	// mirroring V8's Liftoff→TurboFan pipeline). Only the functions queued
+	// with Module.TierUp are optimized, in the order they were queued;
+	// WaitOptimized queues the rest.
 	TierAdaptive Tier = iota
 	// TierLiftoff uses only the baseline compiler.
 	TierLiftoff
@@ -137,7 +144,9 @@ type CompileStats struct {
 	Validate time.Duration
 	Liftoff  time.Duration
 	// Turbofan is the optimizing-tier compile time. Under TierAdaptive it is
-	// measured on the background goroutine and is valid after WaitOptimized.
+	// the sum over the functions the background compiler has finished so
+	// far: complete for what was queued after WaitQueued, for the whole
+	// module after WaitOptimized.
 	Turbofan  time.Duration
 	CodeBytes int
 	NumFuncs  int
@@ -146,7 +155,8 @@ type CompileStats struct {
 	TurbofanFailed int
 	// LiftoffInstrs and TurbofanInstrs are the instructions each tier
 	// emitted, summed over the module's functions (TurbofanInstrs, like
-	// Turbofan, is valid after WaitOptimized under TierAdaptive).
+	// Turbofan, sums only the functions optimized so far under TierAdaptive:
+	// 0 for a module that never queued one).
 	LiftoffInstrs  int
 	TurbofanInstrs int
 }
@@ -183,19 +193,60 @@ func (g *guestFunc) Call(env *rt.Env, args, res []uint64) {
 	g.code.Load().c.Call(env, args, res)
 }
 
+// Why functions join the tier-up queue: the trigger a tier-up-queued event
+// records.
+const (
+	// TriggerRowsAhead: a pipeline with more morsels still ahead than
+	// workers to run them, so some worker starts a morsel after the compile.
+	TriggerRowsAhead = "rows-ahead"
+	// TriggerRerun: a module executed again, so all of it can pay.
+	TriggerRerun = "rerun"
+	// TriggerWait: WaitOptimized, which asks for pure tier-2 execution.
+	TriggerWait = "wait"
+)
+
 // Module is a compiled module ready for instantiation.
 type Module struct {
 	wmod  *wasm.Module
 	funcs []*guestFunc
 	// tr is the query trace the module records compile spans and tier-up
-	// events into (nil when compiled without one). The background optimizer
-	// and instances share it.
+	// events into (nil when compiled without one). Instances share it, and
+	// WaitOptimized queues into it.
 	tr *obs.Trace
+	// rounds is the optimizing tier's round count (Engine.optRounds).
+	rounds int
+	// runs counts CountRun calls: how often the module was executed.
+	runs atomic.Int64
+	// allQueued is set once every function has entered the tier-up queue —
+	// from the start when the module never tiers up in the background — so
+	// TierUp is then one atomic load.
+	allQueued atomic.Bool
+	// settled counts functions whose tier-2 compile finished or failed
+	// (every function, from the start, when the module never tiers up).
+	settled atomic.Int64
 
-	mu        sync.Mutex
-	stats     CompileStats
-	optimized chan struct{}
-	optErr    error
+	mu     sync.Mutex
+	stats  CompileStats
+	optErr error
+	// queued marks the module-defined functions that entered the tier-up
+	// queue; nQueued counts them.
+	queued  []bool
+	nQueued int
+	// queue holds the queued functions not yet taken by the drain goroutine,
+	// first in, first out.
+	queue []tierJob
+	// drained is closed when the running drain goroutine exits, with the
+	// queue empty; nil before the first TierUp. draining says one runs.
+	drained  chan struct{}
+	draining bool
+}
+
+// tierJob is one queued function: its module-defined index, the trace its
+// publication is recorded on, and when it was queued.
+type tierJob struct {
+	def int
+	tr  *obs.Trace
+	at  time.Time
 }
 
 // Compile decodes, validates, and compiles a binary module according to the
@@ -221,7 +272,7 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 		return nil, verr
 	}
 
-	m := &Module{wmod: wmod, tr: tr, optimized: make(chan struct{})}
+	m := &Module{wmod: wmod, tr: tr, rounds: e.optRounds()}
 	m.stats.Decode = t1.Sub(t0)
 	m.stats.Validate = t2.Sub(t1)
 	m.stats.CodeBytes = len(bin)
@@ -246,7 +297,7 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 		mInstrsTurbofan.Add(int64(m.stats.TurbofanInstrs))
 		hCompileTurbofan.Observe(m.stats.Turbofan.Nanoseconds())
 		sp.End(obs.I("funcs", int64(len(wmod.Funcs))), obs.I("instrs", int64(m.stats.TurbofanInstrs)))
-		close(m.optimized)
+		m.settle()
 	default:
 		sp := tr.Begin(obs.SpanLiftoff)
 		start := time.Now()
@@ -266,79 +317,206 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 		hCompileLiftoff.Observe(m.stats.Liftoff.Nanoseconds())
 		sp.End(obs.I("funcs", int64(len(wmod.Funcs))), obs.I("instrs", int64(m.stats.LiftoffInstrs)))
 		if e.cfg.Tier == TierAdaptive && (e.cfg.TierPolicy == nil || e.cfg.TierPolicy(len(wmod.Funcs), len(bin))) {
-			go m.optimize(e.optRounds())
+			m.queued = make([]bool, len(wmod.Funcs))
 		} else {
-			close(m.optimized)
+			m.settle()
 		}
 	}
 	return m, nil
 }
 
-// EnsureOptimizing does nothing: an adaptive module starts its background
-// optimization when it is compiled. It remains because the repo benchmark's
-// traced pass (benchmark/layers.go) still calls it.
+// settle marks a module that never tiers up in the background as fully
+// queued and optimized, so TierUp does nothing and WaitOptimized returns at
+// once.
+func (m *Module) settle() {
+	m.allQueued.Store(true)
+	m.settled.Store(int64(len(m.funcs)))
+}
+
+// EnsureOptimizing does nothing: an adaptive module tiers up what its
+// executions queue. It remains because the repo benchmark's traced pass
+// (benchmark/layers.go) still calls it.
 func (m *Module) EnsureOptimizing() {}
 
-// optimize runs turbofan over every function in the background, publishing
-// each one as it completes. Each publish is a tier-up event stamped with
-// the morsel count at that moment — the observable timeline of adaptive
-// code replacement.
-func (m *Module) optimize(rounds int) {
-	sp := m.tr.Begin(obs.SpanTurbofan)
-	start := time.Now()
-	var firstErr error
-	failed, instrs := 0, 0
-	for i := range m.wmod.Funcs {
-		tf, err := safeTurbofanCompile(m.wmod, &m.wmod.Funcs[i], rounds)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			failed++
-			mTurbofanFailures.Add(1)
-			continue // keep running on liftoff code
-		}
-		m.funcs[i].code.Store(&tiered{tier: TierTurbofan, c: tf})
-		instrs += tf.NumInstrs()
-		mCompilesTurbofan.Add(1)
-		mTierUpLatency.Observe(time.Since(start).Nanoseconds())
-		if m.tr != nil {
-			m.tr.Event(obs.EvTierUp, obs.I("func", int64(i)), obs.I("morsel", m.tr.MorselCount()))
-		}
+// ExportedFunc returns the function index exported under name — the index
+// space TierUp and Instance.CallIndex use (imports first).
+func (m *Module) ExportedFunc(name string) (uint32, bool) { return m.wmod.ExportedFunc(name) }
+
+// CountRun records one execution of the module and returns how many came
+// before it: 0 marks the first run, when only what is still ahead of it is
+// worth optimizing; a later run may queue the whole module.
+func (m *Module) CountRun() int64 { return m.runs.Add(1) - 1 }
+
+// TierUp queues funcs (function indices; every function when none is given)
+// for background optimization, each with its static callees: the transitive
+// call targets and, for a call_indirect, every table entry, read from the
+// bodies as they are queued. A function already queued is skipped, and so
+// is an imported one. One drain goroutine per module compiles the queue in
+// order, publishes each function through the atomic code swap and exits when
+// the queue is empty. tr receives a tier-up-queued event per newly queued
+// function carrying trigger and rows, and the tier-up event of its
+// publication. Under TierLiftoff, TierTurbofan or a TierPolicy veto TierUp
+// does nothing; once every function is queued it is one atomic load.
+func (m *Module) TierUp(tr *obs.Trace, trigger string, rows int, funcs ...uint32) {
+	if m.allQueued.Load() {
+		return
 	}
-	sp.End(obs.I("funcs", int64(len(m.wmod.Funcs))), obs.I("failed", int64(failed)), obs.I("instrs", int64(instrs)))
-	mInstrsTurbofan.Add(int64(instrs))
-	hCompileTurbofan.Observe(time.Since(start).Nanoseconds())
 	m.mu.Lock()
-	m.stats.Turbofan = time.Since(start)
-	m.stats.TurbofanFailed = failed
-	m.stats.TurbofanInstrs = instrs
-	m.optErr = firstErr
-	m.mu.Unlock()
-	close(m.optimized)
-}
-
-// Optimized reports, without blocking, whether background optimization has
-// finished — on an adaptive module that has been alive a while (a plan-cache
-// hit), true means calls dispatch straight to turbofan code.
-func (m *Module) Optimized() bool {
-	select {
-	case <-m.optimized:
-		return true
-	default:
-		return false
+	defer m.mu.Unlock()
+	n := len(m.queue)
+	if len(funcs) == 0 {
+		for def := range m.funcs {
+			m.enqueue(def, tr, trigger, rows)
+		}
+	} else {
+		nImp := uint32(m.wmod.NumImportedFuncs())
+		for _, f := range funcs {
+			if f >= nImp && int(f-nImp) < len(m.funcs) {
+				m.enqueue(int(f-nImp), tr, trigger, rows)
+			}
+		}
+		// The queue grew only by the functions above; take their callees in
+		// queue order, which appends theirs in turn.
+		for i := n; i < len(m.queue); i++ {
+			m.enqueueCallees(m.queue[i].def, tr, trigger, rows)
+		}
+	}
+	if m.nQueued == len(m.funcs) {
+		m.allQueued.Store(true)
+	}
+	if len(m.queue) > n && !m.draining {
+		m.draining = true
+		m.drained = make(chan struct{})
+		go m.drain(m.drained, tr)
 	}
 }
 
-// WaitOptimized blocks until background optimization has finished (it
-// returns immediately for non-adaptive tiers and for a module TierPolicy
-// kept on baseline code) and reports any compile error; execution continues
-// on baseline code for functions that failed.
-func (m *Module) WaitOptimized() error {
-	<-m.optimized
+// enqueue appends module-defined function def to the queue unless it was
+// queued before. The caller holds m.mu.
+func (m *Module) enqueue(def int, tr *obs.Trace, trigger string, rows int) {
+	if m.queued[def] {
+		return
+	}
+	m.queued[def] = true
+	m.nQueued++
+	m.queue = append(m.queue, tierJob{def: def, tr: tr, at: time.Now()})
+	tr.Event(obs.EvTierUpQueued, obs.I("func", int64(def+m.wmod.NumImportedFuncs())),
+		obs.I("rows", int64(rows)), obs.S("trigger", trigger))
+}
+
+// enqueueCallees queues the functions def calls directly: call targets and,
+// for a call_indirect, every table entry. The caller holds m.mu.
+func (m *Module) enqueueCallees(def int, tr *obs.Trace, trigger string, rows int) {
+	nImp := uint64(m.wmod.NumImportedFuncs())
+	callee := func(f uint64) {
+		if f >= nImp {
+			m.enqueue(int(f-nImp), tr, trigger, rows)
+		}
+	}
+	var in wasm.Instr
+	// The module was validated, so every body reads to its end.
+	for r := wasm.NewReader(m.wmod.Funcs[def].Code); r.Next(&in); {
+		switch in.Op {
+		case wasm.OpCall:
+			callee(in.A)
+		case wasm.OpCallIndirect:
+			for _, seg := range m.wmod.Elems {
+				for _, f := range seg.Funcs {
+					callee(uint64(f))
+				}
+			}
+		}
+	}
+}
+
+// drain is the module's drain goroutine: it compiles the queued functions in
+// order with turbofan and publishes each one as it completes, until the
+// queue is empty; then it closes done. Each publish is a tier-up event
+// stamped with the morsel count at that moment — the observable timeline of
+// adaptive code replacement. One turbofan span, on the trace of the TierUp
+// call that started it, covers the goroutine's life.
+func (m *Module) drain(done chan struct{}, tr *obs.Trace) {
+	sp := tr.Begin(obs.SpanTurbofan)
+	start := time.Now()
+	funcs, failed, instrs := 0, 0, 0
+	nImp := m.wmod.NumImportedFuncs()
+	for {
+		m.mu.Lock()
+		if len(m.queue) == 0 {
+			m.queue, m.draining = nil, false
+			m.mu.Unlock()
+			break
+		}
+		job := m.queue[0]
+		m.queue = m.queue[1:]
+		m.mu.Unlock()
+
+		t := time.Now()
+		tf, err := safeTurbofanCompile(m.wmod, &m.wmod.Funcs[job.def], m.rounds)
+		d := time.Since(t)
+		funcs++
+		if err == nil {
+			m.funcs[job.def].code.Store(&tiered{tier: TierTurbofan, c: tf})
+			instrs += tf.NumInstrs()
+			mCompilesTurbofan.Add(1)
+			mInstrsTurbofan.Add(int64(tf.NumInstrs()))
+			mTierUpLatency.Observe(time.Since(job.at).Nanoseconds())
+			job.tr.Event(obs.EvTierUp, obs.I("func", int64(job.def+nImp)), obs.I("morsel", job.tr.MorselCount()))
+		} else {
+			failed++
+			mTurbofanFailures.Add(1) // the function keeps running on liftoff code
+		}
+		m.mu.Lock()
+		m.stats.Turbofan += d
+		if err == nil {
+			m.stats.TurbofanInstrs += tf.NumInstrs()
+		} else {
+			m.stats.TurbofanFailed++
+			if m.optErr == nil {
+				m.optErr = err
+			}
+		}
+		m.mu.Unlock()
+		m.settled.Add(1)
+	}
+	sp.End(obs.I("funcs", int64(funcs)), obs.I("failed", int64(failed)), obs.I("instrs", int64(instrs)))
+	hCompileTurbofan.Observe(time.Since(start).Nanoseconds())
+	close(done)
+}
+
+// Optimized reports, without blocking, whether every function has been
+// queued and compiled by the background optimizer — on an adaptive module
+// that has been alive a while (a plan-cache hit), true means calls dispatch
+// straight to turbofan code.
+func (m *Module) Optimized() bool {
+	return m.settled.Load() == int64(len(m.funcs))
+}
+
+// WaitQueued blocks until the background optimizer has finished every
+// function queued so far (it returns at once when nothing is queued) and
+// reports the first compile error; functions that failed keep running on
+// baseline code. It queues nothing itself.
+func (m *Module) WaitQueued() error {
+	m.mu.Lock()
+	done := m.drained
+	m.mu.Unlock()
+	if done != nil {
+		<-done
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.optErr
+}
+
+// WaitOptimized asks for pure tier-2 execution: it queues every function not
+// yet queued (trigger "wait", recorded on the module's compile trace) and
+// blocks until all of them are optimized. It returns immediately for
+// non-adaptive tiers and for a module TierPolicy kept on baseline code, and
+// reports any compile error; execution continues on baseline code for
+// functions that failed.
+func (m *Module) WaitOptimized() error {
+	m.TierUp(m.tr, TriggerWait, 0)
+	return m.WaitQueued()
 }
 
 // Stats returns the compile statistics gathered so far.
@@ -513,13 +691,30 @@ func (i *Instance) Call(name string, args ...uint64) ([]uint64, error) {
 }
 
 // CallIndex invokes a function by index.
-func (i *Instance) CallIndex(idx uint32, args ...uint64) (results []uint64, err error) {
+func (i *Instance) CallIndex(idx uint32, args ...uint64) ([]uint64, error) {
 	if idx >= uint32(len(i.env.Funcs)) {
 		return nil, fmt.Errorf("engine: function index %d out of range", idx)
 	}
+	res := make([]uint64, len(i.mod.wmod.Types[i.env.FuncTypes[idx]].Results))
+	if err := i.CallInto(idx, args, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// CallInto is CallIndex writing the results into res, which must have
+// exactly one slot per result: with args and res owned by the caller, a
+// call allocates nothing — the form the executor's morsel loop uses.
+func (i *Instance) CallInto(idx uint32, args, res []uint64) (err error) {
+	if idx >= uint32(len(i.env.Funcs)) {
+		return fmt.Errorf("engine: function index %d out of range", idx)
+	}
 	ft := i.mod.wmod.Types[i.env.FuncTypes[idx]]
 	if len(args) != len(ft.Params) {
-		return nil, fmt.Errorf("engine: function expects %d arguments, got %d", len(ft.Params), len(args))
+		return fmt.Errorf("engine: function expects %d arguments, got %d", len(ft.Params), len(args))
+	}
+	if len(res) != len(ft.Results) {
+		return fmt.Errorf("engine: function returns %d results, got room for %d", len(ft.Results), len(res))
 	}
 	// Record which tier serves this call, for adaptive-execution stats.
 	if g, ok := i.env.Funcs[idx].(*guestFunc); ok {
@@ -555,9 +750,8 @@ func (i *Instance) CallIndex(idx uint32, args ...uint64) (results []uint64, err 
 	if ferr := faultpoint.Hit("engine-call-panic"); ferr != nil {
 		panic(ferr.Error())
 	}
-	res := make([]uint64, len(ft.Results))
 	i.env.Funcs[idx].Call(i.env, args, res)
-	return res, nil
+	return nil
 }
 
 // SetFuel installs an execution budget of n units on the instance (n <= 0
@@ -589,6 +783,6 @@ func (i *Instance) TierCalls() (liftoffCalls, turbofanCalls uint64) {
 	return i.callsLiftoff.Load(), i.callsTurbofan.Load()
 }
 
-// WaitOptimized blocks until the instance's module finished background
-// optimization.
+// WaitOptimized is the instance's Module.WaitOptimized: every function
+// queued and optimized.
 func (i *Instance) WaitOptimized() error { return i.mod.WaitOptimized() }

@@ -20,6 +20,13 @@ const (
 	CaptureSampled = "sampled"
 )
 
+// The capture counters, resolved once so a capture allocates nothing.
+var (
+	mFlightError   = Default.CounterWith(MetricFlightRecords, Label{"reason", CaptureError})
+	mFlightSlow    = Default.CounterWith(MetricFlightRecords, Label{"reason", CaptureSlow})
+	mFlightSampled = Default.CounterWith(MetricFlightRecords, Label{"reason", CaptureSampled})
+)
+
 // FlightEntry is one captured query: its log record plus the capture reason
 // and a monotonically increasing sequence number (older entries have lower
 // sequence numbers; the ring evicts the lowest first).
@@ -66,13 +73,14 @@ func (f *FlightRecorder) Observe(rec QueryLogRecord) string {
 	defer f.mu.Unlock()
 	f.count++
 	var reason string
+	var captures *Counter
 	switch {
 	case rec.Error != "":
-		reason = CaptureError
+		reason, captures = CaptureError, mFlightError
 	case rec.Slow:
-		reason = CaptureSlow
+		reason, captures = CaptureSlow, mFlightSlow
 	case f.sampleEvery > 0 && (f.count-1)%uint64(f.sampleEvery) == 0:
-		reason = CaptureSampled
+		reason, captures = CaptureSampled, mFlightSampled
 	default:
 		return ""
 	}
@@ -82,7 +90,7 @@ func (f *FlightRecorder) Observe(rec QueryLogRecord) string {
 	if f.n < len(f.ring) {
 		f.n++
 	}
-	Default.CounterWith(MetricFlightRecords, Label{"reason", reason}).Add(1)
+	captures.Add(1)
 	return reason
 }
 

@@ -30,7 +30,7 @@ const ContentTypePrometheus = "text/plain; version=0.0.4; charset=utf-8"
 var helpText = map[string]string{
 	MetricQueries:                   "Queries executed, by backend.",
 	MetricCompiles:                  "Functions compiled, by engine tier.",
-	MetricTierUpLatency:             "Latency from liftoff publish to each function's turbofan tier-up.",
+	MetricTierUpLatency:             "Latency from a function entering the tier-up queue to the publication of its turbofan code.",
 	MetricTurbofanFailures:          "Background optimizing compiles that failed (query degraded to liftoff).",
 	MetricFuelConsumed:              "Fuel units consumed against explicit WithFuel budgets.",
 	MetricPeakHeapPages:             "High-water linear-memory pages of the most memory-hungry query.",

@@ -50,6 +50,11 @@ const (
 
 // Point-event names.
 const (
+	// EvTierUpQueued marks a function entering its module's tier-up queue
+	// (args: func — the function index, imports first; rows — the rows still
+	// ahead of the pipeline that queued it, 0 for a whole-module trigger;
+	// trigger — "rows-ahead", "rerun" or "wait").
+	EvTierUpQueued = "tier-up-queued"
 	// EvTierUp marks a function's optimized code being published by the
 	// background compiler (args: func, morsel — the morsel count at publish).
 	EvTierUp = "tier-up"

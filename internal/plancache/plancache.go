@@ -73,6 +73,12 @@ type Feedback struct {
 	Runs int64
 	// Rows is the last observed result cardinality.
 	Rows int64
+	// EstRows is the planner's result estimate that run was made against
+	// (autopilot.Profile.OutRows under its own bindings): the feedback
+	// correction scales by Rows/EstRows, so a run bound to one LIMIT does
+	// not rescale another binding's estimate. 0 when the recorder did not
+	// say; the correction then compares Rows with the current estimate.
+	EstRows float64
 	// ExecNs / Morsels / MorselNs describe the last execution's cost:
 	// pipeline execution time, morsel calls driven, and mean per-morsel
 	// latency.

@@ -363,3 +363,30 @@ func benchQueryTelemetry(b *testing.B, cfg Config) {
 		query(i)
 	}
 }
+
+// TestDefaultTelemetryAllocatesNothing is the exact half of the telemetry
+// budget make bench-smoke times: on the default server, handing a finished
+// query to the telemetry sinks — slow classification, the flight recorder
+// and the absent query log — allocates nothing, whichever way the recorder
+// decides. AllocsPerRun floors its average, so each case takes one branch on
+// every run: errored and slow queries are always captured, and the ordinary
+// query is checked with sampling off (never captured) and at a 1-in-1
+// sample (always captured), the two halves of the default 1-in-64.
+func TestDefaultTelemetryAllocatesNothing(t *testing.T) {
+	ordinary := wasmdb.QueryLogRecord{SQL: "SELECT COUNT(*) FROM t", TotalNs: 1000}
+	for _, c := range []struct {
+		name        string
+		sampleEvery int
+		rec         wasmdb.QueryLogRecord
+	}{
+		{"errored", 0, wasmdb.QueryLogRecord{SQL: "SELECT x FROM nowhere", Error: "no such table"}},
+		{"slow", 0, wasmdb.QueryLogRecord{SQL: "SELECT COUNT(*) FROM t", Slow: true}},
+		{"not sampled", -1, ordinary},
+		{"sampled", 1, ordinary},
+	} {
+		s := New(wasmdb.Open(), Config{TraceSampleEvery: c.sampleEvery})
+		if allocs := testing.AllocsPerRun(100, func() { s.observeQuery(c.rec, "s1") }); allocs != 0 {
+			t.Errorf("%s query: observeQuery allocates %.1f times", c.name, allocs)
+		}
+	}
+}

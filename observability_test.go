@@ -124,13 +124,16 @@ func TestExplainAnalyzeJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := db.ExplainAnalyze("SELECT COUNT(*) FROM a, b WHERE a.k = b.k")
+	// 2 000 rows are one morsel at the default size, which a first run never
+	// tiers up; 512-row morsels leave both scans rows ahead.
+	out, err := db.ExplainAnalyze("SELECT COUNT(*) FROM a, b WHERE a.k = b.k", wasmdb.WithMorselRows(512))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
 		"phases:", "parse", "codegen", "liftoff compile", "execute",
-		"pipelines:", "tier timeline:", "optimized code published",
+		"pipelines:", "tier timeline:", "queued for tier-up (rows-ahead, 2000 rows)",
+		"optimized code published",
 		"totals:", "morsels", "module",
 	} {
 		if !strings.Contains(out, want) {

@@ -314,8 +314,11 @@ func WithBackend(b Backend) Option { return func(o *queryOpts) { o.backend = b }
 // WithMorselRows overrides the morsel size for the Wasm backends.
 func WithMorselRows(n int) Option { return func(o *queryOpts) { o.morselRows = n } }
 
-// WithWaitOptimized blocks execution until background optimization
-// completes — useful when benchmarking pure optimized-tier throughput.
+// WithWaitOptimized queues every function of the query's module for
+// background optimization and blocks execution until all of them are
+// optimized — useful when benchmarking pure optimized-tier throughput.
+// Without it a module's first run tiers up only the pipelines that still
+// have morsels ahead, and a later run the rest (DESIGN.md §5.2).
 func WithWaitOptimized() Option { return func(o *queryOpts) { o.wait = true } }
 
 // WithTimeout bounds the query's wall-clock time. On expiry the query stops
@@ -789,6 +792,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		fp = core.Fingerprint(q, p, db.cat.Version(), style, cfg.Tier, cfg.OptRounds)
 	}
 	var dec autopilot.Decision
+	var prof autopilot.Profile
 	if o.backend == BackendAuto {
 		// The decision runs after placeholder binding (an explicit LIMIT ? is
 		// already resolved into q.Limit and the plan's limit node) and is a
@@ -801,7 +805,8 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		}
 		knobs := autopilot.DefaultKnobs()
 		knobs.MaxWorkers = min(knobs.MaxWorkers, runtime.GOMAXPROCS(0))
-		dec = autopilot.Decide(autopilot.ProfilePlan(p), fbp, knobs)
+		prof = autopilot.ProfilePlan(p)
+		dec = autopilot.Decide(prof, fbp, knobs)
 		if o.parallelism > 0 {
 			// An explicit WithParallelism overrides the worker grant.
 			dec.Workers = o.parallelism
@@ -914,6 +919,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		// replace the slot whole, never tear it.
 		fb := plancache.Feedback{
 			Rows:           int64(len(res.rows)),
+			EstRows:        prof.OutRows,
 			ExecNs:         tr.Dur(obs.SpanExecute).Nanoseconds(),
 			Morsels:        int64(res.Stats.MorselsLiftoff + res.Stats.MorselsTurbofan),
 			TierUpMorsel:   -1,
