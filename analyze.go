@@ -44,12 +44,19 @@ func renderAnalyze(planText string, tr *Trace, st Stats, rows int) string {
 		{"instantiate", obs.SpanInstantiate},
 		{"execute", obs.SpanExecute},
 	}
-	// The two compile spans carry the instructions the tier emitted.
-	instrs := map[string]int64{}
+	// The two compile spans carry the instructions the tier emitted, and
+	// the liftoff ones how many of the module's functions they compiled: an
+	// adaptive module compiles a function on its first call, so k of n.
+	instrs, funcs, of := map[string]int64{}, int64(0), int64(0)
 	for _, sp := range tr.Spans() {
 		for _, a := range sp.Args {
-			if a.Key == "instrs" {
+			switch {
+			case a.Key == "instrs":
 				instrs[sp.Name] += a.Val
+			case sp.Name == obs.SpanLiftoff && a.Key == "funcs":
+				funcs += a.Val
+			case sp.Name == obs.SpanLiftoff && a.Key == "of":
+				of = max(of, a.Val)
 			}
 		}
 	}
@@ -58,9 +65,12 @@ func renderAnalyze(planText string, tr *Trace, st Stats, rows int) string {
 		if d <= 0 {
 			continue
 		}
-		if n := instrs[p.span]; n > 0 {
+		switch n := instrs[p.span]; {
+		case p.span == obs.SpanLiftoff && of > 0:
+			fmt.Fprintf(&sb, "  %-18s %-10s %d of %d functions, %d instrs\n", p.label, fmtAnalyzeDur(d), funcs, of, n)
+		case n > 0:
 			fmt.Fprintf(&sb, "  %-18s %-10s %d instrs\n", p.label, fmtAnalyzeDur(d), n)
-		} else {
+		default:
 			fmt.Fprintf(&sb, "  %-18s %s\n", p.label, fmtAnalyzeDur(d))
 		}
 	}

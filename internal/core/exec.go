@@ -104,7 +104,9 @@ type ExecStats struct {
 	// Engine compilation phases.
 	Decode   time.Duration
 	Validate time.Duration
-	Liftoff  time.Duration
+	// Liftoff is the baseline-tier compile time. Under TierAdaptive it sums
+	// the first-call compiles, which run inside Run.
+	Liftoff time.Duration
 	// Turbofan is the optimizing-tier compile time. Under TierAdaptive it is
 	// measured on the background goroutine and sums the functions compiled
 	// so far: complete once what was queued finished (WaitOptimized or
@@ -529,7 +531,8 @@ func (x *executor) tierUpScans() {
 // them. Swapped-in code takes effect only at a morsel boundary, so with no
 // more morsels than workers every worker has started its last morsel before
 // a compile queued now could land. It reads MorselRows and the worker count,
-// and nothing else.
+// and nothing else. A join build's finish loop (buildJoin) follows the same
+// rule with its chunks for morsels.
 func (x *executor) rowsAhead(pi, total int) bool {
 	workers := 1
 	if x.cq.poolDriven(pi) {
@@ -777,8 +780,8 @@ func (x *executor) foldStats(mod *engine.Module, rows int) {
 	es := mod.Stats()
 	if x.opt.Precompiled == nil {
 		// On a plan-cache hit the module's compile phases belong to the
-		// execution that populated the cache; this one paid nothing and
-		// reports nothing.
+		// execution that populated the cache and are not reported here; the
+		// first-call compiles this execution ran are on its trace.
 		stats.Decode, stats.Validate = es.Decode, es.Validate
 		stats.Liftoff, stats.Turbofan = es.Liftoff, es.Turbofan
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"wasmdb/internal/engine"
 	"wasmdb/internal/engine/wmem"
 	"wasmdb/internal/faultpoint"
 	"wasmdb/internal/obs"
@@ -359,6 +360,11 @@ func (x *executor) buildJoin(jm *JoinMerge) ([]obs.Arg, error) {
 	finish, err := x.funcIndex(jm.FinishExport)
 	if err != nil {
 		return nil, err
+	}
+	if x.firstRun && nChunks > 1 {
+		// Every worker places every chunk, one finish call each: the
+		// rows-ahead rule of the morsel loops, with chunks for morsels.
+		x.mod.TierUp(x.tr, engine.TriggerRowsAhead, int(total), finish)
 	}
 	tFinish := time.Now()
 	err = x.each(ws, func(w *worker) error {

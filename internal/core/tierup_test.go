@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -142,8 +143,9 @@ func lineitemScan(t *testing.T, cq *CompiledQuery, q *sema.Query, mod *engine.Mo
 
 // TestTierUpQueueOrder: on every cold TPC-H query the lineitem scan pipeline
 // is the first function queued — before its first morsel runs — and the
-// first one published; a cold run leaves q_init and the barrier exports
-// unqueued, and the rerun queues the rest.
+// first one published; a cold run leaves q_init and the merge exports
+// unqueued but queues a join finish function that runs more than once (Q3),
+// and the rerun queues the rest.
 func TestTierUpQueueOrder(t *testing.T) {
 	cat, err := tpch.Generate(0.01, 42)
 	if err != nil {
@@ -183,6 +185,21 @@ func TestTierUpQueueOrder(t *testing.T) {
 			}
 			if mod.Optimized() {
 				t.Errorf("cold run queued every function (%v): q_init and the barrier exports should wait for a rerun", queued)
+			}
+			if id == "Q3" {
+				// Q3's join builds place their tuples in many chunks, one
+				// finish call each, so the cold run queues a finish function.
+				finishQueued := false
+				for _, b := range cq.Barriers {
+					if b.Join == nil {
+						continue
+					}
+					fn, _ := mod.ExportedFunc(b.Join.FinishExport)
+					finishQueued = finishQueued || slices.Contains(queued, int64(fn))
+				}
+				if !finishQueued {
+					t.Errorf("cold run queued %v, no join finish function", queued)
+				}
 			}
 			tr = obs.NewTrace()
 			if _, _, err := Execute(cq, q, eng, ExecOptions{Precompiled: mod, Trace: tr, DrainBackground: true}); err != nil {
@@ -266,5 +283,62 @@ func TestTierUpCompileFault(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestParallelFirstCallCompilesOnce: two workers that reach the same
+// uncompiled pipeline at once compile it once — the second waits for the
+// first one's code. Each first-call compile is held for a moment, so both
+// workers are in the stub together. A module run cold on two workers must
+// count as many tier-1 compiles as one that ran serially first, whose
+// two-worker run then compiles only the merge functions, each called by one
+// worker; and the results equal the serial ones and those of the module
+// optimized before it ran.
+func TestParallelFirstCallCompilesOnce(t *testing.T) {
+	cat, err := tpch.Generate(0.01, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cq, q := compileOn(t, cat, "SELECT l_returnflag, l_linestatus, COUNT(*), SUM(l_quantity), MIN(l_shipdate) FROM lineitem GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus")
+	// No tier 2, so every function runs the code its first call compiled.
+	eng := engine.New(engine.Config{Tier: engine.TierAdaptive, TierPolicy: func(int, int) bool { return false }})
+	run := func(mod *engine.Module, opt ExecOptions) string {
+		t.Helper()
+		opt.Precompiled, opt.MorselRows = mod, 2048
+		res, st, err := Execute(cq, q, eng, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.Parallelism > 1 && st.Workers != 2 {
+			t.Fatalf("ran on %d workers (%s), want 2", st.Workers, st.SerialFallback)
+		}
+		return fmtRows(res)
+	}
+	compile := func(eng *engine.Engine) *engine.Module {
+		t.Helper()
+		mod, err := eng.Compile(cq.Bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mod
+	}
+
+	faultpoint.Enable("liftoff-compile", func(int) error {
+		time.Sleep(2 * time.Millisecond)
+		return nil
+	})
+	cold := compile(eng)
+	got := run(cold, ExecOptions{Parallelism: 2})
+	warm := compile(eng)
+	serial := run(warm, ExecOptions{})
+	run(warm, ExecOptions{Parallelism: 2})
+	faultpoint.Disable("liftoff-compile")
+
+	if c, w := cold.Stats().LiftoffFuncs, warm.Stats().LiftoffFuncs; c != w || c == 0 {
+		t.Errorf("a cold two-worker run compiled %d functions, a serial then a two-worker run %d: a first call compiled twice", c, w)
+	}
+	optimized := run(compile(engine.New(engine.Config{Tier: engine.TierAdaptive})), ExecOptions{Parallelism: 2, WaitOptimized: true})
+	if got != serial || got != optimized {
+		t.Errorf("two workers:\n%s\nserial:\n%s\noptimized first:\n%s", got, serial, optimized)
 	}
 }

@@ -1,10 +1,11 @@
 // Package engine is the embeddable WebAssembly execution engine — the
 // stand-in for V8 in the paper's architecture (§2.2). It decodes and
-// validates binary modules, compiles every function with the baseline
-// compiler (tier 1, "liftoff"), optionally with the optimizing compiler
-// (tier 2, "turbofan") — synchronously, or in the background for the
-// functions the embedder queues with Module.TierUp — and dispatches each call
-// to the best code available at that moment. Both compilers live in package
+// validates binary modules up front, compiles each function with the
+// baseline compiler (tier 1, "liftoff") on its first call, as V8 does, and
+// with the optimizing compiler (tier 2, "turbofan") in the background for the
+// functions the embedder queues with Module.TierUp, and dispatches each call
+// to the best code available at that moment. The forced tiers compile every
+// function up front with their one compiler. Both compilers live in package
 // turbofan and target one register machine with one run loop; a tier is a
 // compiler, not a second VM. Background tier-up replaces code at function
 // granularity via an atomic pointer swap, so a query that invokes its
@@ -38,10 +39,11 @@ var (
 	mCompilesTurbofan = obs.Default.CounterWith(obs.MetricCompiles, obs.Label{Key: "tier", Val: "turbofan"})
 	mTurbofanFailures = obs.Default.Counter(obs.MetricTurbofanFailures)
 	mTierUpLatency    = obs.Default.Histogram(obs.MetricTierUpLatency)
-	// Compile latency, labeled by the tier that did the work — per module
-	// for liftoff, per drain of the tier-up queue for turbofan: the SLO view
-	// of "how much am I paying before (liftoff) and behind (turbofan) the
-	// first morsel".
+	// Compile latency, labeled by the tier that did the work — for liftoff
+	// per eagerly compiled module and per instance whose calls compiled
+	// functions, for turbofan per eagerly compiled module and per drain of
+	// the tier-up queue: the SLO view of "how much am I paying in front of
+	// (liftoff) and behind (turbofan) the morsels".
 	hCompileLiftoff  = obs.Default.HistogramWith(obs.MetricEngineCompileLatency, obs.Label{Key: "tier", Val: "liftoff"})
 	hCompileTurbofan = obs.Default.HistogramWith(obs.MetricEngineCompileLatency, obs.Label{Key: "tier", Val: "turbofan"})
 	// Instructions emitted per tier — with the compile counters above, the
@@ -80,13 +82,16 @@ type Tier int
 
 // Available tiers.
 const (
-	// TierAdaptive compiles with liftoff synchronously and with turbofan in
-	// the background, swapping code in as it becomes ready (the default,
-	// mirroring V8's Liftoff→TurboFan pipeline). Only the functions queued
-	// with Module.TierUp are optimized, in the order they were queued;
-	// WaitOptimized queues the rest.
+	// TierAdaptive compiles a function with liftoff on its first call and
+	// with turbofan in the background, swapping code in as it becomes ready
+	// (the default, mirroring V8's Liftoff→TurboFan pipeline with lazy
+	// compilation). Only the functions queued with Module.TierUp are
+	// optimized, in the order they were queued; WaitOptimized queues the
+	// rest. A function optimized before its first call is never compiled by
+	// liftoff.
 	TierAdaptive Tier = iota
-	// TierLiftoff uses only the baseline compiler.
+	// TierLiftoff compiles every function with the baseline compiler before
+	// execution begins, and never with the other.
 	TierLiftoff
 	// TierTurbofan compiles everything with the optimizing compiler before
 	// execution begins.
@@ -142,7 +147,10 @@ func (e *Engine) optRounds() int {
 type CompileStats struct {
 	Decode   time.Duration
 	Validate time.Duration
-	Liftoff  time.Duration
+	// Liftoff is the baseline-tier compile time. Under TierAdaptive it is the
+	// sum over the functions compiled so far, each on its first call: 0
+	// before the module ran.
+	Liftoff time.Duration
 	// Turbofan is the optimizing-tier compile time. Under TierAdaptive it is
 	// the sum over the functions the background compiler has finished so
 	// far: complete for what was queued after WaitQueued, for the whole
@@ -153,10 +161,14 @@ type CompileStats struct {
 	// TurbofanFailed counts functions whose background optimizing compile
 	// failed (error or panic); those functions keep serving liftoff code.
 	TurbofanFailed int
+	// LiftoffFuncs counts the functions the baseline tier has compiled:
+	// NumFuncs under TierLiftoff, the functions called so far (and not
+	// optimized before their first call) under TierAdaptive.
+	LiftoffFuncs int
 	// LiftoffInstrs and TurbofanInstrs are the instructions each tier
-	// emitted, summed over the module's functions (TurbofanInstrs, like
-	// Turbofan, sums only the functions optimized so far under TierAdaptive:
-	// 0 for a module that never queued one).
+	// emitted, summed over the functions it compiled — under TierAdaptive
+	// the ones compiled so far, as with Liftoff and Turbofan: both 0 for a
+	// module that never ran nor queued a function.
 	LiftoffInstrs  int
 	TurbofanInstrs int
 }
@@ -179,8 +191,15 @@ func safeTurbofanCompile(m *wasm.Module, fn *wasm.Func, rounds int) (c *turbofan
 }
 
 // guestFunc dispatches calls to the best available code for one function.
+// Under TierAdaptive it starts as a stub without code, and its first call
+// compiles the function (compile).
 type guestFunc struct {
 	code atomic.Pointer[tiered]
+	mod  *Module
+	def  int // module-defined function index
+	// mu makes the first-call compile run once: callers that arrive while it
+	// runs wait for its code.
+	mu sync.Mutex
 }
 
 type tiered struct {
@@ -190,7 +209,60 @@ type tiered struct {
 
 // Call implements rt.Callee.
 func (g *guestFunc) Call(env *rt.Env, args, res []uint64) {
-	g.code.Load().c.Call(env, args, res)
+	t := g.code.Load()
+	if t == nil {
+		t = g.compile(env)
+	}
+	t.c.Call(env, args, res)
+}
+
+// compileError carries a failed first-call compile out of guest code to
+// CallInto, which returns it as the call's error.
+type compileError struct{ err error }
+
+// compile is a stub's first call: it compiles the function with liftoff on
+// the caller's goroutine, tallied on env, and publishes the code with a
+// compare-and-swap, so it never replaces tier-2 code the tier-up queue
+// published meanwhile. A failure panics with a compileError and leaves the
+// stub in place, so a later call tries again. The "liftoff-compile" fault
+// point lets tests force a failure here.
+func (g *guestFunc) compile(env *rt.Env) *tiered {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if t := g.code.Load(); t != nil {
+		return t
+	}
+	m := g.mod
+	start := time.Now()
+	fn := &m.wmod.Funcs[g.def]
+	if err := faultpoint.Hit("liftoff-compile"); err != nil {
+		panic(&compileError{fmt.Errorf("liftoff: %s: %w", fn.Name, err)})
+	}
+	lo, err := turbofan.CompileBaseline(m.wmod, fn)
+	if err != nil {
+		panic(&compileError{err})
+	}
+	d, n := time.Since(start), lo.NumInstrs()
+	t := &tiered{tier: TierLiftoff, c: lo}
+	if !g.code.CompareAndSwap(nil, t) {
+		t = g.code.Load()
+	}
+	mCompilesLiftoff.Add(1)
+	mInstrsLiftoff.Add(int64(n))
+	m.mu.Lock()
+	m.stats.Liftoff += d
+	m.stats.LiftoffFuncs++
+	m.stats.LiftoffInstrs += n
+	m.mu.Unlock()
+	c := env.Compiled
+	if c == nil {
+		c = &rt.CompileTally{Start: start}
+		env.Compiled = c
+	}
+	c.Funcs++
+	c.Instrs += n
+	c.Dur += d
+	return t
 }
 
 // Why functions join the tier-up queue: the trigger a tier-up-queued event
@@ -208,7 +280,7 @@ const (
 // Module is a compiled module ready for instantiation.
 type Module struct {
 	wmod  *wasm.Module
-	funcs []*guestFunc
+	funcs []guestFunc
 	// tr is the query trace the module records compile spans and tier-up
 	// events into (nil when compiled without one). Instances share it, and
 	// WaitOptimized queues into it.
@@ -222,7 +294,7 @@ type Module struct {
 	// TierUp is then one atomic load.
 	allQueued atomic.Bool
 	// settled counts functions whose tier-2 compile finished or failed
-	// (every function, from the start, when the module never tiers up).
+	// (every function, from the start, under TierTurbofan).
 	settled atomic.Int64
 
 	mu     sync.Mutex
@@ -249,8 +321,10 @@ type tierJob struct {
 	at  time.Time
 }
 
-// Compile decodes, validates, and compiles a binary module according to the
-// engine's tier configuration.
+// Compile decodes and validates a binary module and compiles it according
+// to the engine's tier configuration: every function up front under the
+// forced tiers, none under TierAdaptive, whose functions compile on their
+// first call.
 func (e *Engine) Compile(bin []byte) (*Module, error) {
 	return e.CompileTraced(bin, nil)
 }
@@ -272,11 +346,14 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 		return nil, verr
 	}
 
-	m := &Module{wmod: wmod, tr: tr, rounds: e.optRounds()}
+	m := &Module{wmod: wmod, tr: tr, rounds: e.optRounds(), funcs: make([]guestFunc, len(wmod.Funcs))}
 	m.stats.Decode = t1.Sub(t0)
 	m.stats.Validate = t2.Sub(t1)
 	m.stats.CodeBytes = len(bin)
 	m.stats.NumFuncs = len(wmod.Funcs)
+	for i := range m.funcs {
+		m.funcs[i].mod, m.funcs[i].def = m, i
+	}
 
 	switch e.cfg.Tier {
 	case TierTurbofan:
@@ -287,9 +364,7 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 			if err != nil {
 				return nil, err
 			}
-			g := &guestFunc{}
-			g.code.Store(&tiered{tier: TierTurbofan, c: tf})
-			m.funcs = append(m.funcs, g)
+			m.funcs[i].code.Store(&tiered{tier: TierTurbofan, c: tf})
 			m.stats.TurbofanInstrs += tf.NumInstrs()
 		}
 		m.stats.Turbofan = time.Since(start)
@@ -298,7 +373,10 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 		hCompileTurbofan.Observe(m.stats.Turbofan.Nanoseconds())
 		sp.End(obs.I("funcs", int64(len(wmod.Funcs))), obs.I("instrs", int64(m.stats.TurbofanInstrs)))
 		m.settle()
-	default:
+		m.settled.Store(int64(len(m.funcs)))
+	case TierLiftoff:
+		// Eager, like TierTurbofan: a forced tier exists to measure its
+		// compiler, so its compile is one phase in front of execution.
 		sp := tr.Begin(obs.SpanLiftoff)
 		start := time.Now()
 		for i := range wmod.Funcs {
@@ -306,17 +384,19 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 			if err != nil {
 				return nil, err
 			}
-			g := &guestFunc{}
-			g.code.Store(&tiered{tier: TierLiftoff, c: lo})
-			m.funcs = append(m.funcs, g)
+			m.funcs[i].code.Store(&tiered{tier: TierLiftoff, c: lo})
 			m.stats.LiftoffInstrs += lo.NumInstrs()
 		}
 		m.stats.Liftoff = time.Since(start)
+		m.stats.LiftoffFuncs = len(wmod.Funcs)
 		mCompilesLiftoff.Add(int64(len(wmod.Funcs)))
 		mInstrsLiftoff.Add(int64(m.stats.LiftoffInstrs))
 		hCompileLiftoff.Observe(m.stats.Liftoff.Nanoseconds())
-		sp.End(obs.I("funcs", int64(len(wmod.Funcs))), obs.I("instrs", int64(m.stats.LiftoffInstrs)))
-		if e.cfg.Tier == TierAdaptive && (e.cfg.TierPolicy == nil || e.cfg.TierPolicy(len(wmod.Funcs), len(bin))) {
+		sp.End(obs.I("funcs", int64(len(wmod.Funcs))), obs.I("of", int64(len(wmod.Funcs))),
+			obs.I("instrs", int64(m.stats.LiftoffInstrs)))
+		m.settle()
+	default:
+		if e.cfg.TierPolicy == nil || e.cfg.TierPolicy(len(wmod.Funcs), len(bin)) {
 			m.queued = make([]bool, len(wmod.Funcs))
 		} else {
 			m.settle()
@@ -326,12 +406,8 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 }
 
 // settle marks a module that never tiers up in the background as fully
-// queued and optimized, so TierUp does nothing and WaitOptimized returns at
-// once.
-func (m *Module) settle() {
-	m.allQueued.Store(true)
-	m.settled.Store(int64(len(m.funcs)))
-}
+// queued, so TierUp does nothing and WaitOptimized returns at once.
+func (m *Module) settle() { m.allQueued.Store(true) }
 
 // EnsureOptimizing does nothing: an adaptive module tiers up what its
 // executions queue. It remains because the repo benchmark's traced pass
@@ -485,9 +561,11 @@ func (m *Module) drain(done chan struct{}, tr *obs.Trace) {
 }
 
 // Optimized reports, without blocking, whether every function has been
-// queued and compiled by the background optimizer — on an adaptive module
-// that has been alive a while (a plan-cache hit), true means calls dispatch
-// straight to turbofan code.
+// compiled by the optimizing tier (or failed to be): at once under
+// TierTurbofan, never under TierLiftoff or a TierPolicy veto, and under
+// TierAdaptive once the background optimizer has compiled every function —
+// on a module that has been alive a while (a plan-cache hit), true means
+// calls dispatch straight to turbofan code.
 func (m *Module) Optimized() bool {
 	return m.settled.Load() == int64(len(m.funcs))
 }
@@ -599,8 +677,8 @@ func (m *Module) InstantiateWithTrace(imp Imports, tr *obs.Trace) (*Instance, er
 			return nil, errors.New("engine: global/table imports not supported")
 		}
 	}
-	for i, g := range m.funcs {
-		env.Funcs = append(env.Funcs, g)
+	for i := range m.funcs {
+		env.Funcs = append(env.Funcs, &m.funcs[i])
 		env.FuncTypes = append(env.FuncTypes, wm.Funcs[i].Type)
 	}
 
@@ -661,11 +739,19 @@ func (m *Module) InstantiateWithTrace(imp Imports, tr *obs.Trace) (*Instance, er
 // Memory returns the instance's linear memory.
 func (i *Instance) Memory() *wmem.Memory { return i.env.Mem }
 
-// Close returns the instance's frame arena to the pool and releases the
-// memory the module defined itself (wmem.Memory.Release). An imported memory
-// belongs to the host, which releases it. The instance must not be called
-// afterwards; closing twice is a no-op.
+// Close records the functions the instance's calls compiled as one liftoff
+// span on its trace (args funcs, of — the module's function count — and
+// instrs), returns the frame arena to the pool and releases the memory the
+// module defined itself (wmem.Memory.Release). An imported memory belongs to
+// the host, which releases it. The instance must not be called afterwards;
+// closing twice is a no-op.
 func (i *Instance) Close() {
+	if c := i.env.Compiled; c != nil {
+		i.tr.AddSpan(obs.SpanLiftoff, c.Start, c.Dur, obs.I("funcs", int64(c.Funcs)),
+			obs.I("of", int64(len(i.mod.funcs))), obs.I("instrs", int64(c.Instrs)))
+		hCompileLiftoff.Observe(c.Dur.Nanoseconds())
+		i.env.Compiled = nil
+	}
 	i.env.Release()
 	if i.ownMem {
 		i.env.Mem.Release()
@@ -716,9 +802,10 @@ func (i *Instance) CallInto(idx uint32, args, res []uint64) (err error) {
 	if len(res) != len(ft.Results) {
 		return fmt.Errorf("engine: function returns %d results, got room for %d", len(ft.Results), len(res))
 	}
-	// Record which tier serves this call, for adaptive-execution stats.
+	// Record which tier serves this call, for adaptive-execution stats: a
+	// function not compiled yet is about to be, by liftoff.
 	if g, ok := i.env.Funcs[idx].(*guestFunc); ok {
-		if g.code.Load().tier == TierTurbofan {
+		if t := g.code.Load(); t != nil && t.tier == TierTurbofan {
 			i.callsTurbofan.Add(1)
 			// First turbofan-served call of a traced function marks the
 			// moment dispatch actually switched tiers (tier-up is when the
@@ -734,6 +821,8 @@ func (i *Instance) CallInto(idx uint32, args, res []uint64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			switch t := r.(type) {
+			case *compileError:
+				err = t.err
 			case *rt.TrapError:
 				err = t
 			case *wmem.Trap:

@@ -740,6 +740,8 @@ func TestTierPolicyApproveMatchesAdaptive(t *testing.T) {
 // so it may emit more instructions than tier 1. What the counts must show is
 // what each tier does with extra code in the loop: the emitter folds a
 // constant expression for both, and only tier 2 drops a value nobody uses.
+// The stats are read after a call, which is when an adaptive module compiles
+// tier 1.
 func TestCompileStatsInstrs(t *testing.T) {
 	build := func(extra bool) []byte {
 		b := wasm.NewModuleBuilder()
@@ -786,6 +788,12 @@ func TestCompileStatsInstrs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// An adaptive module compiles tier 1 on the first call.
+			inst, err := m.Instantiate(Imports{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustCall(t, inst, "sum", 3)
 			if err := m.WaitOptimized(); err != nil {
 				t.Fatal(err)
 			}

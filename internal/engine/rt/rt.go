@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wasmdb/internal/engine/wmem"
 	"wasmdb/internal/wasm"
@@ -75,6 +76,21 @@ type Env struct {
 	// executor's cancellation watchdog), hence an atomic.
 	fuel        int64
 	interrupted atomic.Bool
+
+	// Compiled sums the compiles that calls on this Env ran (nil until the
+	// first): the engine compiles a function on its first call, on the
+	// caller's goroutine. Only the goroutine running guest code on the Env
+	// touches it.
+	Compiled *CompileTally
+}
+
+// CompileTally sums first-call compiles: how many functions, the
+// instructions they emitted, when the first one began and how long they took
+// together.
+type CompileTally struct {
+	Funcs, Instrs int
+	Start         time.Time
+	Dur           time.Duration
 }
 
 // arenaPool recycles frame arenas across instances. Entries are *[]uint64,

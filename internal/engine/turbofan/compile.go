@@ -21,10 +21,13 @@ type Code struct {
 // CompileBaseline is the baseline compiler — the engine's tier 1, what V8
 // calls Liftoff: the single-pass emitter of emit.go and nothing else.
 func CompileBaseline(m *wasm.Module, fn *wasm.Func) (*Code, error) {
-	c, err := emitFunc(m, fn)
+	buf := emitBufs.Get().(*emitBuf)
+	defer emitBufs.Put(buf)
+	c, err := emitFunc(m, fn, buf)
 	if err != nil {
 		return nil, fmt.Errorf("liftoff: %s: %w", fn.Name, err)
 	}
+	c.ins = append(make([]tin, 0, len(c.ins)), c.ins...)
 	return c, nil
 }
 
@@ -45,9 +48,12 @@ const DefaultOptRounds = 1
 // cleaned by liveness-based dead-code elimination with its peepholes
 // (opt.go, isel.go) and laid out again with its loops rotated. Every round
 // runs the dead-code elimination; the last one runs value numbering, once,
-// in front of it.
+// in front of it. The blocks work in the emitter's buffer, and linearize
+// writes the code anew, so the emitted stream is never copied out.
 func CompileRounds(m *wasm.Module, fn *wasm.Func, rounds int) (*Code, error) {
-	c, err := emitFunc(m, fn)
+	buf := emitBufs.Get().(*emitBuf)
+	defer emitBufs.Put(buf)
+	c, err := emitFunc(m, fn, buf)
 	if err != nil {
 		return nil, fmt.Errorf("turbofan: %s: %w", fn.Name, err)
 	}

@@ -3,6 +3,8 @@ package turbofan
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"wasmdb/internal/wasm"
 )
@@ -82,8 +84,7 @@ type emitter struct {
 	// behind it; control instructions reset it to -1.
 	lastDef int
 	// consts[x] is the constant local x was last set to; it holds while its
-	// epoch is the emitter's, which every control instruction advances. The
-	// first local.set of a constant allocates it.
+	// epoch is the emitter's, which every control instruction advances.
 	consts []localConst
 	epoch  uint32
 }
@@ -93,9 +94,26 @@ type localConst struct {
 	epoch uint32
 }
 
+// emitBuf is the emitter's working storage: the instruction stream, the
+// abstract stack, the open labels and the constant-local records. Compiles
+// take one from emitBufs and put it back when they are done with the stream,
+// so a compile allocates no working storage once the pool is warm, and its
+// code once, at its exact length (CompileBaseline) or not at all (the
+// optimizing tier, which lays the code out anew).
+type emitBuf struct {
+	ins    []tin
+	stack  []slot
+	labels []label
+	consts []localConst
+}
+
+var emitBufs = sync.Pool{New: func() any { return new(emitBuf) }}
+
 // emitFunc translates one validated function body, reading its bytes one
-// instruction at a time through wasm.Reader.
-func emitFunc(m *wasm.Module, fn *wasm.Func) (*Code, error) {
+// instruction at a time through wasm.Reader, into buf: the returned Code's
+// ins is buf's stream, which the caller copies out or drops before it puts
+// buf back into emitBufs.
+func emitFunc(m *wasm.Module, fn *wasm.Func, buf *emitBuf) (*Code, error) {
 	ft := m.Types[fn.Type]
 	nLocals := len(ft.Params) + len(fn.Locals)
 	e := &emitter{
@@ -105,16 +123,18 @@ func emitFunc(m *wasm.Module, fn *wasm.Func) (*Code, error) {
 			NParams:  len(ft.Params),
 			NResults: len(ft.Results),
 			NLocals:  nLocals,
-			ins:      make([]tin, 0, len(fn.Code)/2),
+			ins:      buf.ins[:0],
 		},
 		base:    int32(nLocals),
-		stack:   make([]slot, 0, 16),
-		labels:  make([]label, 1, 8),
+		stack:   buf.stack[:0],
+		labels:  buf.labels[:0],
 		live:    true,
 		lastDef: -1,
 		epoch:   1,
+		consts:  slices.Grow(buf.consts[:0], nLocals)[:nLocals],
 	}
-	e.labels[0] = label{arity: len(ft.Results), liveIn: true, pending: -1, elseJump: -1}
+	clear(e.consts)
+	e.labels = append(e.labels, label{arity: len(ft.Results), liveIn: true, pending: -1, elseJump: -1})
 	var in wasm.Instr
 	r := wasm.NewReader(fn.Code)
 	for r.Next(&in) {
@@ -125,6 +145,8 @@ func emitFunc(m *wasm.Module, fn *wasm.Func) (*Code, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	// Keep what grew for the next compile.
+	buf.ins, buf.stack, buf.labels, buf.consts = e.code.ins, e.stack, e.labels, e.consts
 	return e.code, nil
 }
 
@@ -204,7 +226,7 @@ func (e *emitter) constant(i int) (uint64, bool) {
 	case isConst:
 		return s.v, true
 	case inLocal:
-		if e.consts != nil && e.consts[s.v].epoch == e.epoch {
+		if e.consts[s.v].epoch == e.epoch {
 			return e.consts[s.v].v, true
 		}
 	}
@@ -236,11 +258,8 @@ func (e *emitter) fold(op uint16, n int, x, y uint64) bool {
 func (e *emitter) setLocal(x int32, tee bool) {
 	top := len(e.stack) - 1
 	if c, ok := e.constant(top); ok {
-		if e.consts == nil {
-			e.consts = make([]localConst, e.code.NLocals)
-		}
 		e.consts[x] = localConst{c, e.epoch}
-	} else if e.consts != nil {
+	} else {
 		e.consts[x].epoch = 0 // never current: the epoch starts at 1
 	}
 	for i := 0; i < top; i++ {

@@ -12,8 +12,8 @@ type graph struct {
 	tables [][]uint32 // entries are block ids during optimization
 }
 
-// buildBlocks splits linear code (with pc targets) into basic blocks and
-// rewrites targets to block ids.
+// buildBlocks splits linear code (with pc targets) into basic blocks over ins
+// itself and rewrites targets to block ids in place.
 func buildBlocks(ins []tin, tables [][]uint32) *graph {
 	n := len(ins)
 	leader := make([]bool, n+1)
@@ -49,12 +49,11 @@ func buildBlocks(ins []tin, tables [][]uint32) *graph {
 	} else {
 		blockOf[n] = numBlocks - 1
 	}
-	// The blocks share one copy of the code, each capped at its end.
+	// Each block is ins capped at its end.
 	g := &graph{blocks: make([]block, numBlocks)}
-	all := append([]tin(nil), ins...)
 	for i, start := 0, 0; i < n; i++ {
 		if i+1 == n || leader[i+1] {
-			g.blocks[blockOf[i]].ins = all[start : i+1 : i+1]
+			g.blocks[blockOf[i]].ins = ins[start : i+1 : i+1]
 			start = i + 1
 		}
 	}

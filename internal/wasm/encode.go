@@ -20,194 +20,218 @@ const (
 
 var magic = []byte{0x00, 0x61, 0x73, 0x6D, 0x01, 0x00, 0x00, 0x00}
 
-// Encode serializes the module into the WebAssembly binary format.
+// Encode serializes the module into the WebAssembly binary format. Every
+// section body is written straight into the output behind room for its
+// length prefix (openSection, closeSection), and the output is sized up front
+// from the bodies and data it copies, so an encode allocates about once.
 func Encode(m *Module) []byte {
-	out := append([]byte(nil), magic...)
+	out := append(make([]byte, 0, encodedSizeHint(m)), magic...)
+	var at int
 
 	// Type section.
 	if len(m.Types) > 0 {
-		var body []byte
-		body = AppendUleb(body, uint64(len(m.Types)))
+		out, at = openSection(out, secType)
+		out = AppendUleb(out, uint64(len(m.Types)))
 		for _, t := range m.Types {
-			body = append(body, 0x60)
-			body = AppendUleb(body, uint64(len(t.Params)))
+			out = append(out, 0x60)
+			out = AppendUleb(out, uint64(len(t.Params)))
 			for _, p := range t.Params {
-				body = append(body, byte(p))
+				out = append(out, byte(p))
 			}
-			body = AppendUleb(body, uint64(len(t.Results)))
+			out = AppendUleb(out, uint64(len(t.Results)))
 			for _, r := range t.Results {
-				body = append(body, byte(r))
+				out = append(out, byte(r))
 			}
 		}
-		out = appendSection(out, secType, body)
+		out = closeSection(out, at)
 	}
 
 	// Import section.
 	if len(m.Imports) > 0 {
-		var body []byte
-		body = AppendUleb(body, uint64(len(m.Imports)))
+		out, at = openSection(out, secImport)
+		out = AppendUleb(out, uint64(len(m.Imports)))
 		for _, im := range m.Imports {
-			body = appendName(body, im.Module)
-			body = appendName(body, im.Name)
-			body = append(body, byte(im.Kind))
+			out = appendName(out, im.Module)
+			out = appendName(out, im.Name)
+			out = append(out, byte(im.Kind))
 			switch im.Kind {
 			case ExternFunc:
-				body = AppendUleb(body, uint64(im.Type))
+				out = AppendUleb(out, uint64(im.Type))
 			case ExternMemory:
-				body = appendLimits(body, im.Mem)
+				out = appendLimits(out, im.Mem)
 			case ExternGlobal:
-				body = append(body, byte(im.Global.Type), boolByte(im.Global.Mutable))
+				out = append(out, byte(im.Global.Type), boolByte(im.Global.Mutable))
 			case ExternTable:
-				body = append(body, 0x70) // funcref
-				body = appendLimits(body, im.Table)
+				out = append(out, 0x70) // funcref
+				out = appendLimits(out, im.Table)
 			}
 		}
-		out = appendSection(out, secImport, body)
+		out = closeSection(out, at)
 	}
 
 	// Function section.
 	if len(m.Funcs) > 0 {
-		var body []byte
-		body = AppendUleb(body, uint64(len(m.Funcs)))
+		out, at = openSection(out, secFunction)
+		out = AppendUleb(out, uint64(len(m.Funcs)))
 		for _, f := range m.Funcs {
-			body = AppendUleb(body, uint64(f.Type))
+			out = AppendUleb(out, uint64(f.Type))
 		}
-		out = appendSection(out, secFunction, body)
+		out = closeSection(out, at)
 	}
 
 	// Table section.
 	if m.HasTable {
-		var body []byte
-		body = AppendUleb(body, 1)
-		body = append(body, 0x70) // funcref
-		body = appendLimits(body, Limits{Min: m.TableMin})
-		out = appendSection(out, secTable, body)
+		out, at = openSection(out, secTable)
+		out = AppendUleb(out, 1)
+		out = append(out, 0x70) // funcref
+		out = appendLimits(out, Limits{Min: m.TableMin})
+		out = closeSection(out, at)
 	}
 
 	// Memory section.
 	if m.HasMemory {
-		var body []byte
-		body = AppendUleb(body, 1)
-		body = appendLimits(body, m.Memory)
-		out = appendSection(out, secMemory, body)
+		out, at = openSection(out, secMemory)
+		out = AppendUleb(out, 1)
+		out = appendLimits(out, m.Memory)
+		out = closeSection(out, at)
 	}
 
 	// Global section.
 	if len(m.Globals) > 0 {
-		var body []byte
-		body = AppendUleb(body, uint64(len(m.Globals)))
+		out, at = openSection(out, secGlobal)
+		out = AppendUleb(out, uint64(len(m.Globals)))
 		for _, g := range m.Globals {
-			body = append(body, byte(g.Type.Type), boolByte(g.Type.Mutable))
+			out = append(out, byte(g.Type.Type), boolByte(g.Type.Mutable))
 			switch g.Type.Type {
 			case I32:
-				body = append(body, byte(OpI32Const))
-				body = AppendSleb(body, int64(int32(uint32(g.Init))))
+				out = append(out, byte(OpI32Const))
+				out = AppendSleb(out, int64(int32(uint32(g.Init))))
 			case I64:
-				body = append(body, byte(OpI64Const))
-				body = AppendSleb(body, int64(g.Init))
+				out = append(out, byte(OpI64Const))
+				out = AppendSleb(out, int64(g.Init))
 			case F32:
-				body = append(body, byte(OpF32Const))
-				body = binary.LittleEndian.AppendUint32(body, uint32(g.Init))
+				out = append(out, byte(OpF32Const))
+				out = binary.LittleEndian.AppendUint32(out, uint32(g.Init))
 			case F64:
-				body = append(body, byte(OpF64Const))
-				body = binary.LittleEndian.AppendUint64(body, g.Init)
+				out = append(out, byte(OpF64Const))
+				out = binary.LittleEndian.AppendUint64(out, g.Init)
 			}
-			body = append(body, byte(OpEnd))
+			out = append(out, byte(OpEnd))
 		}
-		out = appendSection(out, secGlobal, body)
+		out = closeSection(out, at)
 	}
 
 	// Export section.
 	if len(m.Exports) > 0 {
-		var body []byte
-		body = AppendUleb(body, uint64(len(m.Exports)))
+		out, at = openSection(out, secExport)
+		out = AppendUleb(out, uint64(len(m.Exports)))
 		for _, e := range m.Exports {
-			body = appendName(body, e.Name)
-			body = append(body, byte(e.Kind))
-			body = AppendUleb(body, uint64(e.Index))
+			out = appendName(out, e.Name)
+			out = append(out, byte(e.Kind))
+			out = AppendUleb(out, uint64(e.Index))
 		}
-		out = appendSection(out, secExport, body)
+		out = closeSection(out, at)
 	}
 
 	// Start section.
 	if m.Start >= 0 {
-		var body []byte
-		body = AppendUleb(body, uint64(m.Start))
-		out = appendSection(out, secStart, body)
+		out, at = openSection(out, secStart)
+		out = AppendUleb(out, uint64(m.Start))
+		out = closeSection(out, at)
 	}
 
 	// Element section.
 	if len(m.Elems) > 0 {
-		var body []byte
-		body = AppendUleb(body, uint64(len(m.Elems)))
+		out, at = openSection(out, secElem)
+		out = AppendUleb(out, uint64(len(m.Elems)))
 		for _, e := range m.Elems {
-			body = AppendUleb(body, 0) // active, table 0
-			body = append(body, byte(OpI32Const))
-			body = AppendSleb(body, int64(int32(e.Offset)))
-			body = append(body, byte(OpEnd))
-			body = AppendUleb(body, uint64(len(e.Funcs)))
+			out = AppendUleb(out, 0) // active, table 0
+			out = append(out, byte(OpI32Const))
+			out = AppendSleb(out, int64(int32(e.Offset)))
+			out = append(out, byte(OpEnd))
+			out = AppendUleb(out, uint64(len(e.Funcs)))
 			for _, fi := range e.Funcs {
-				body = AppendUleb(body, uint64(fi))
+				out = AppendUleb(out, uint64(fi))
 			}
 		}
-		out = appendSection(out, secElem, body)
+		out = closeSection(out, at)
 	}
 
 	// Code section.
 	if len(m.Funcs) > 0 {
-		var body, locals []byte
-		body = AppendUleb(body, uint64(len(m.Funcs)))
+		out, at = openSection(out, secCode)
+		out = AppendUleb(out, uint64(len(m.Funcs)))
+		var scratch [32]byte // the locals vector of a function, usually
 		for i := range m.Funcs {
 			f := &m.Funcs[i]
-			locals = appendLocals(locals[:0], f.Locals)
-			body = AppendUleb(body, uint64(len(locals)+len(f.Code)))
-			body = append(append(body, locals...), f.Code...)
+			locals := appendLocals(scratch[:0], f.Locals)
+			out = AppendUleb(out, uint64(len(locals)+len(f.Code)))
+			out = append(append(out, locals...), f.Code...)
 		}
-		out = appendSection(out, secCode, body)
+		out = closeSection(out, at)
 	}
 
 	// Data section.
 	if len(m.Data) > 0 {
-		var body []byte
-		body = AppendUleb(body, uint64(len(m.Data)))
+		out, at = openSection(out, secData)
+		out = AppendUleb(out, uint64(len(m.Data)))
 		for _, d := range m.Data {
-			body = AppendUleb(body, 0) // active, memory 0
-			body = append(body, byte(OpI32Const))
-			body = AppendSleb(body, int64(int32(d.Offset)))
-			body = append(body, byte(OpEnd))
-			body = AppendUleb(body, uint64(len(d.Bytes)))
-			body = append(body, d.Bytes...)
+			out = AppendUleb(out, 0) // active, memory 0
+			out = append(out, byte(OpI32Const))
+			out = AppendSleb(out, int64(int32(d.Offset)))
+			out = append(out, byte(OpEnd))
+			out = AppendUleb(out, uint64(len(d.Bytes)))
+			out = append(out, d.Bytes...)
 		}
-		out = appendSection(out, secData, body)
+		out = closeSection(out, at)
 	}
 
 	// Name section (function names only), for debuggability.
 	if hasNames(m) {
-		var names []byte
-		names = appendName(names, "name")
-		var sub []byte
+		out, at = openSection(out, secCustom)
+		out = appendName(out, "name")
+		var sub int
+		out, sub = openSection(out, 1) // function names subsection
 		n := 0
 		for i := range m.Funcs {
 			if m.Funcs[i].Name != "" {
 				n++
 			}
 		}
-		sub = AppendUleb(sub, uint64(n))
+		out = AppendUleb(out, uint64(n))
 		base := uint64(m.NumImportedFuncs())
 		for i := range m.Funcs {
 			if m.Funcs[i].Name == "" {
 				continue
 			}
-			sub = AppendUleb(sub, base+uint64(i))
-			sub = appendName(sub, m.Funcs[i].Name)
+			out = AppendUleb(out, base+uint64(i))
+			out = appendName(out, m.Funcs[i].Name)
 		}
-		names = append(names, 1) // function names subsection
-		names = AppendUleb(names, uint64(len(sub)))
-		names = append(names, sub...)
-		out = appendSection(out, secCustom, names)
+		out = closeSection(out, sub)
+		out = closeSection(out, at)
 	}
 
 	return out
+}
+
+// encodedSizeHint estimates the encoded size of m from what Encode copies
+// (bodies, data, names) plus a few bytes per entry for ids, counts and
+// immediates.
+func encodedSizeHint(m *Module) int {
+	n := 64 + 16*(len(m.Types)+len(m.Imports)+len(m.Globals)+len(m.Exports)+len(m.Elems)+len(m.Data))
+	for i := range m.Funcs {
+		n += len(m.Funcs[i].Code) + len(m.Funcs[i].Name) + 8
+	}
+	for _, d := range m.Data {
+		n += len(d.Bytes)
+	}
+	for _, e := range m.Exports {
+		n += len(e.Name)
+	}
+	for _, e := range m.Elems {
+		n += 2 * len(e.Funcs)
+	}
+	return n
 }
 
 func hasNames(m *Module) bool {
@@ -273,10 +297,25 @@ func appendInstr(body []byte, in Instr) []byte {
 	return body
 }
 
-func appendSection(out []byte, id byte, body []byte) []byte {
+// sectionRoom is the room openSection leaves for a length prefix: the
+// longest unsigned LEB128 encoding of a u32.
+const sectionRoom = 5
+
+// openSection appends a section (or subsection) id and room for its length
+// prefix, and returns where the body starts.
+func openSection(out []byte, id byte) ([]byte, int) {
 	out = append(out, id)
-	out = AppendUleb(out, uint64(len(body)))
-	return append(out, body...)
+	out = append(out, make([]byte, sectionRoom)...)
+	return out, len(out)
+}
+
+// closeSection writes the length of the body that starts at at in front of
+// it, moving the body down over the room the shortest prefix leaves.
+func closeSection(out []byte, at int) []byte {
+	var buf [sectionRoom]byte
+	p := at - sectionRoom
+	p += copy(out[p:], AppendUleb(buf[:0], uint64(len(out)-at)))
+	return out[:p+copy(out[p:], out[at:])]
 }
 
 func appendName(out []byte, s string) []byte {

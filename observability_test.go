@@ -140,13 +140,15 @@ func TestExplainAnalyzeJoin(t *testing.T) {
 			t.Errorf("EXPLAIN ANALYZE output missing %q:\n%s", want, out)
 		}
 	}
-	// The compile lines carry the instructions each tier emitted (the
-	// turbofan line exists only once the background compile has finished).
-	for _, tier := range []string{"liftoff", "turbofan"} {
+	// The compile lines carry the instructions each tier emitted, the
+	// liftoff one also how many of the module's functions the run compiled
+	// on their first call (the turbofan line exists only once the background
+	// compile has finished).
+	for tier, count := range map[string]string{"liftoff": `[1-9]\d* of [1-9]\d* functions, `, "turbofan": ""} {
 		if tier == "turbofan" && !strings.Contains(out, "turbofan compile") {
 			continue
 		}
-		if !regexp.MustCompile(tier + ` compile\s+\S+\s+[1-9]\d* instrs`).MatchString(out) {
+		if !regexp.MustCompile(tier + ` compile\s+\S+\s+` + count + `[1-9]\d* instrs`).MatchString(out) {
 			t.Errorf("EXPLAIN ANALYZE has no instruction count on the %s compile line:\n%s", tier, out)
 		}
 	}

@@ -180,6 +180,27 @@ func TestPlanCacheExplainAnalyze(t *testing.T) {
 	}
 }
 
+// TestPlanCacheExplainAnalyzeForcedTier: a hit on a forced tier's module is
+// labeled with the one tier that module runs — a liftoff-only module never
+// counts as optimized, however settled its (empty) tier-up queue is.
+func TestPlanCacheExplainAnalyzeForcedTier(t *testing.T) {
+	db := tpchDB(t)
+	for backend, tier := range map[wasmdb.Backend]string{
+		wasmdb.BackendWasmLiftoff: "liftoff", wasmdb.BackendWasmTurbofan: "turbofan",
+	} {
+		var out string
+		for _, q := range []string{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 24", "SELECT COUNT(*) FROM lineitem WHERE l_quantity < 31"} {
+			var err error
+			if out, err = db.ExplainAnalyze(q, wasmdb.WithBackend(backend)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := ", tier=" + tier + ")"; !strings.Contains(out, "hit (fingerprint=") || !strings.Contains(out, want) {
+			t.Errorf("%v: the hit is not labeled %q:\n%s", backend, want, out)
+		}
+	}
+}
+
 // TestPreparedVsAdhoc: Stmt.Query across argument sets must agree with the
 // equivalent literal query run cache-off, for numeric, CHAR, date, and
 // LIMIT ? parameters.

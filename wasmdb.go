@@ -449,7 +449,9 @@ type Stats struct {
 	// Translate is SQL→plan→Wasm code generation time.
 	Translate time.Duration
 	// Liftoff and Turbofan are the engine's compile times for each tier
-	// (zero for backends that do not compile).
+	// (zero for backends that do not compile). Under adaptive execution
+	// tier 1 compiles each function on its first call, so Liftoff is also
+	// part of Execute.
 	Liftoff  time.Duration
 	Turbofan time.Duration
 	// Execute is pipeline execution time (includes instantiation).
