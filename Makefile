@@ -159,8 +159,8 @@ lint-layers:
 # alloc_kb_per_query.
 # Then it prints the cold-compile benchmark once: code generation plus the
 # engine's decode, validate and baseline compile over the seven measured
-# queries in both styles, in ns/op and B/op — the per-query fixed cost of
-# every plan-cache miss.
+# queries in both styles, in ns/op, B/op and allocs/op — the per-query fixed
+# cost of every plan-cache miss, whose bytes TestColdCompileAllocBudget bounds.
 # Then it prints the warm-query benchmark once: a prepared point aggregate
 # served from the plan cache, in B/op and allocs/op — the figure
 # TestWarmQueryAllocBudget bounds, kept low by recycled pages and arenas.
@@ -195,7 +195,7 @@ bench-smoke:
 		| awk '/^Benchmark/ { n++; printf "bench-smoke: %s", $$1; for (i = 5; i <= NF; i += 2) printf " %s %s", $$i, $$(i+1); print "" } \
 		       END { if (n != 8) { print "bench-smoke: missing kernel benchmark output" > "/dev/stderr"; exit 1 } }'
 	@$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkColdCompile$$' -benchtime 20x -benchmem \
-		| awk '/^BenchmarkColdCompile/ { n++; printf "bench-smoke: %s %s ns/op, %s B/op\n", $$1, $$3, $$5 } \
+		| awk '/^BenchmarkColdCompile/ { n++; printf "bench-smoke: %s %s ns/op, %s B/op, %s allocs/op\n", $$1, $$3, $$5, $$7 } \
 		       END { if (n != 1) { print "bench-smoke: missing cold-compile benchmark output" > "/dev/stderr"; exit 1 } }'
 	@$(GO) test . -run '^$$' -bench 'BenchmarkWarmQuery$$' -benchtime 200x -benchmem \
 		| awk '/^BenchmarkWarmQuery/ { n++; printf "bench-smoke: %s %s B/op, %s allocs/op\n", $$1, $$5, $$7 } \

@@ -7,7 +7,13 @@ import (
 	"testing"
 
 	"wasmdb"
+	"wasmdb/internal/core"
+	"wasmdb/internal/engine"
 	"wasmdb/internal/obs"
+	"wasmdb/internal/plan"
+	"wasmdb/internal/sema"
+	"wasmdb/internal/sql"
+	"wasmdb/internal/tpch"
 )
 
 // warmStmt prepares the warm-path probe — a parameterized point aggregate
@@ -82,6 +88,87 @@ func TestWarmQueryAllocBudget(t *testing.T) {
 		t.Errorf("warm prepared query allocates %d KiB per execution, budget %d KiB", perQuery>>10, budget>>10)
 	} else {
 		t.Logf("warm prepared query: %d KiB per execution (budget %d KiB)", perQuery>>10, budget>>10)
+	}
+}
+
+// coldCorpus plans BenchmarkColdCompile's queries (internal/engine, the
+// queries of TestCodeSizeGolden) on TPC-H SF 0.01, seed 42: the five TPC-H
+// queries and two grouped, ordered scans.
+func coldCorpus(tb testing.TB) (qs []*sema.Query, roots []plan.Node) {
+	tb.Helper()
+	cat, err := tpch.Generate(0.01, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srcs := []string{
+		"SELECT l_shipmode, COUNT(*), SUM(l_quantity) FROM lineitem WHERE l_shipdate >= DATE '1994-04-01' GROUP BY l_shipmode ORDER BY l_shipmode",
+		"SELECT o_orderpriority, COUNT(*) FROM orders WHERE o_orderstatus = 'F' GROUP BY o_orderpriority ORDER BY o_orderpriority",
+	}
+	for _, id := range tpch.QueryIDs {
+		srcs = append(srcs, tpch.Queries[id])
+	}
+	for _, src := range srcs {
+		stmt, err := sql.ParseSelect(src)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		q, err := sema.Analyze(stmt, cat)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		root, err := plan.Build(q)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		qs, roots = append(qs, q), append(roots, root)
+	}
+	return qs, roots
+}
+
+// TestColdCompileAllocBudget is the allocation gate for the cold path's
+// fixed cost: code generation (core.CompileStyled, in the ad-hoc and the
+// HyPer-like style) plus engine.Compile on the baseline tier, over
+// BenchmarkColdCompile's seven queries. After one warm-up pass the module
+// builder and the emitter buffers come from their pools, so what remains is
+// the encoded module, the decoded one the engine keeps, and the compiled
+// code: ≈ 515 KB per pass. The gate is 600 KB; before the builder was pooled
+// a pass allocated 765 KB, so a builder that is no longer reused, or bodies
+// copied again, fails it. Under -race sync.Pool drops a quarter of its puts
+// on purpose and a pass allocates ≈ 885 KB, so there the gate is 1 MiB;
+// without the pooled builder it was ≈ 1 060 KB.
+func TestColdCompileAllocBudget(t *testing.T) {
+	budget := uint64(600_000)
+	if raceEnabled() {
+		budget = 1 << 20
+	}
+	qs, roots := coldCorpus(t)
+	eng := engine.New(engine.Config{Tier: engine.TierLiftoff})
+	styles := []core.Style{{}, {LibraryHT: true, LibrarySort: true, PredicatedSelection: true}}
+	pass := func() {
+		for _, style := range styles {
+			for i, q := range qs {
+				cq, err := core.CompileStyled(q, roots[i], style)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Compile(cq.Bin); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	pass()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	if perPass := (after.TotalAlloc - before.TotalAlloc) / runs; perPass > budget {
+		t.Errorf("cold compile of the corpus allocates %d KB per pass, budget %d KB", perPass/1000, budget/1000)
+	} else {
+		t.Logf("cold compile of the corpus: %d KB per pass (budget %d KB)", perPass/1000, budget/1000)
 	}
 }
 

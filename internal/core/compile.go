@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"wasmdb/internal/faultpoint"
 	"wasmdb/internal/plan"
@@ -151,10 +152,12 @@ type SortMerge struct {
 }
 
 // CompiledQuery is the output of Compile: a binary Wasm module plus the
-// metadata the executor needs to wire memory and drive pipelines.
+// metadata the executor needs to wire memory and drive pipelines. Bin is the
+// only form of the module it keeps: the builder that produced it is pooled,
+// and its Module is invalid once the builder is Reset for the next compile,
+// so WAT and every other reader decode Bin.
 type CompiledQuery struct {
 	Bin       []byte
-	Module    *wasm.Module // for WAT dumps
 	Pipelines []PipelineInfo
 	Columns   []ColumnMapping
 
@@ -234,13 +237,28 @@ type Style struct {
 	PredicatedSelection bool
 }
 
+// builders holds the module builders of finished compiles: a compile takes
+// one, and puts it back Reset once Encode has written Bin, so bodies, locals
+// and tables go into buffers earlier compiles grew.
+var builders = sync.Pool{New: func() any { return wasm.NewModuleBuilder() }}
+
 // CompileStyled compiles with explicit style flags.
 func CompileStyled(q *sema.Query, root plan.Node, style Style) (*CompiledQuery, error) {
+	b := builders.Get().(*wasm.ModuleBuilder)
+	defer func() {
+		b.Reset()
+		builders.Put(b)
+	}()
+	return compileWith(q, root, style, b)
+}
+
+// compileWith compiles into the empty builder b.
+func compileWith(q *sema.Query, root plan.Node, style Style, b *wasm.ModuleBuilder) (*CompiledQuery, error) {
 	c := &compiler{
 		q:     q,
 		style: style,
 		out:   &CompiledQuery{Limit: q.Limit, LimitSlot: -1},
-		b:     wasm.NewModuleBuilder(),
+		b:     b,
 
 		constStrings: map[string]uint32{},
 		strcmps:      map[[2]int]*wasm.FuncBuilder{},
@@ -392,11 +410,10 @@ func (c *compiler) compile(root plan.Node) error {
 	if len(c.tableFuncs) > 0 {
 		mod.HasTable = true
 		mod.TableMin = uint32(len(c.tableFuncs))
-		mod.Elems = []wasm.ElemSegment{{Offset: 0, Funcs: c.tableFuncs}}
+		mod.Elems = append(mod.Elems, wasm.ElemSegment{Offset: 0, Funcs: c.tableFuncs})
 	}
 	// The engine validates every module before it compiles one
 	// (engine.Compile); TestModuleGolden validates the corpus at codegen.
-	c.out.Module = mod
 	c.out.Bin = wasm.Encode(mod)
 	return nil
 }

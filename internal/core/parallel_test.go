@@ -793,7 +793,7 @@ func TestParallelUnmergeableFallsBack(t *testing.T) {
 		if cq.SerialReason != fallbackUnmergeable {
 			t.Fatalf("%s: library module has reason %q, want %q", c.src, cq.SerialReason, fallbackUnmergeable)
 		}
-		for _, e := range cq.Module.Exports {
+		for _, e := range decodeBin(t, cq).Exports {
 			if strings.Contains(e.Name, "group") || strings.Contains(e.Name, "join") {
 				t.Errorf("%s: library module exports %s", c.src, e.Name)
 			}
@@ -864,6 +864,16 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 	}
 }
 
+// decodeBin decodes the query's module, function names included.
+func decodeBin(t *testing.T, cq *CompiledQuery) *wasm.Module {
+	t.Helper()
+	m, err := wasm.DecodeNamed(cq.Bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestJoinModuleExports pins what a join module exports for its barrier — two
 // functions per table — and that nothing of the protocols it replaced (grow,
 // dump, recv, presize, merge, install) is generated any more.
@@ -875,7 +885,7 @@ func TestJoinModuleExports(t *testing.T) {
 	// A bare join: an aggregate on top would add its own fold export.
 	cq, _ := compileOn(t, cat, "SELECT build.pk, probe.payload FROM build, probe WHERE build.pk = probe.fk")
 	var barrier []string
-	for _, e := range cq.Module.Exports {
+	for _, e := range decodeBin(t, cq).Exports {
 		if strings.HasPrefix(e.Name, "q_join_") {
 			barrier = append(barrier, e.Name)
 		}

@@ -12,6 +12,11 @@ import (
 //
 // All function imports must be declared before the first call to NewFunc,
 // because imported functions occupy the lowest function indices.
+//
+// A builder can be reused: Reset empties it and keeps its storage, so the
+// next module's bodies, locals and tables go into the buffers the last one
+// grew. The Module that Module returned and every FuncBuilder that NewFunc
+// handed out are invalid after Reset; encode the module first.
 type ModuleBuilder struct {
 	mod        Module
 	numImports int
@@ -22,6 +27,28 @@ type ModuleBuilder struct {
 // NewModuleBuilder returns an empty module builder.
 func NewModuleBuilder() *ModuleBuilder {
 	return &ModuleBuilder{mod: Module{Start: -1}}
+}
+
+// Reset empties the builder for the next module and keeps its storage: the
+// module's slices and every function builder's body and locals buffers are
+// reused by the builds that follow. The Module returned before and every
+// FuncBuilder handed out before are invalid afterwards.
+func (b *ModuleBuilder) Reset() {
+	m := &b.mod
+	// Data and element segments point at the caller's buffers; drop them so
+	// an idle builder keeps nothing of its last module alive.
+	clear(m.Data)
+	clear(m.Elems)
+	*m = Module{
+		Types: m.Types[:0], Imports: m.Imports[:0], Funcs: m.Funcs[:0], Globals: m.Globals[:0],
+		Exports: m.Exports[:0], Elems: m.Elems[:0], Data: m.Data[:0], Start: -1,
+	}
+	for _, fb := range b.funcs {
+		fb.fn.Code = fb.fn.Code[:0]
+		fb.fn.Locals = fb.fn.Locals[:0]
+	}
+	b.funcs = b.funcs[:0]
+	b.numImports, b.sealed = 0, false
 }
 
 // AddType interns a function type and returns its type index.
@@ -82,34 +109,47 @@ func (b *ModuleBuilder) Export(name string, kind ExternKind, index uint32) {
 // NewFunc creates a new module-defined function with the given debug name and
 // signature and returns a FuncBuilder for its body. The function index is
 // available immediately as FuncBuilder.Index, so mutually recursive calls can
-// be emitted.
+// be emitted. After a Reset it reuses a function builder of the last module,
+// with its emptied body and locals buffers.
 func (b *ModuleBuilder) NewFunc(name string, ft FuncType) *FuncBuilder {
 	b.sealed = true
 	ti := b.AddType(ft)
-	fb := &FuncBuilder{
+	var fb *FuncBuilder
+	if n := len(b.funcs); n < cap(b.funcs) {
+		fb = b.funcs[:n+1][n]
+	}
+	if fb == nil {
+		fb = new(FuncBuilder)
+	}
+	*fb = FuncBuilder{
 		mb:     b,
 		Index:  uint32(b.numImports + len(b.funcs)),
 		typ:    ft,
-		fn:     Func{Type: ti, Name: name},
+		fn:     Func{Type: ti, Name: name, Code: fb.fn.Code, Locals: fb.fn.Locals},
 		nLocal: len(ft.Params),
 	}
 	b.funcs = append(b.funcs, fb)
 	return fb
 }
 
-// Module finalizes all function bodies and returns the built module.
-// It panics if any function has unbalanced control nesting.
+// Module finalizes all function bodies and returns the built module, whose
+// bodies are the function builders' own buffers. It may be called again, and
+// returns the same bodies. It panics if any function has unbalanced control
+// nesting.
 func (b *ModuleBuilder) Module() *Module {
 	b.mod.Funcs = b.mod.Funcs[:0]
 	for _, fb := range b.funcs {
 		if fb.depth != 0 {
 			panic(fmt.Sprintf("wasm: function %q has unbalanced control nesting (%d open)", fb.fn.Name, fb.depth))
 		}
-		fn := fb.fn
-		// Append the end closing the function frame; inner constructs are
-		// balanced (depth is zero), so exactly one is needed.
-		fn.Code = append(fn.Code, byte(OpEnd))
-		b.mod.Funcs = append(b.mod.Funcs, fn)
+		if !fb.ended {
+			// Append the end closing the function frame, once; inner
+			// constructs are balanced (depth is zero), so exactly one is
+			// needed.
+			fb.fn.Code = append(fb.fn.Code, byte(OpEnd))
+			fb.ended = true
+		}
+		b.mod.Funcs = append(b.mod.Funcs, fb.fn)
 	}
 	return &b.mod
 }
@@ -132,6 +172,7 @@ type FuncBuilder struct {
 	fn     Func
 	nLocal int
 	depth  int
+	ended  bool // Module appended the final end
 }
 
 // Type returns the function's signature.

@@ -11,7 +11,15 @@ import (
 // segments, constant initializers) and rejects everything else with an error.
 func Decode(buf []byte) (*Module, error) {
 	d := &decoder{buf: buf}
-	return d.module()
+	return d.module(false)
+}
+
+// DecodeNamed is Decode that also reads the function names of the "name"
+// custom section into Func.Name, for Print. Decode skips that section: no
+// compiler reads a name.
+func DecodeNamed(buf []byte) (*Module, error) {
+	d := &decoder{buf: buf}
+	return d.module(true)
 }
 
 type decoder struct {
@@ -179,7 +187,7 @@ func (d *decoder) constExpr(want ValType) (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) module() (*Module, error) {
+func (d *decoder) module(withNames bool) (*Module, error) {
 	hdr, err := d.take(8)
 	if err != nil {
 		return nil, err
@@ -191,6 +199,7 @@ func (d *decoder) module() (*Module, error) {
 	}
 	m := &Module{Start: -1}
 	var funcTypes []uint32
+	var names *decoder // the "name" custom section, read once Funcs exist
 	lastSec := -1
 	for d.remaining() > 0 {
 		id, err := d.byte()
@@ -214,7 +223,12 @@ func (d *decoder) module() (*Module, error) {
 		sd := &decoder{buf: body}
 		switch id {
 		case secCustom:
-			// Skipped (names are debug-only).
+			// Skipped (names are debug-only) unless printing asked for them.
+			if withNames {
+				if n, err := sd.name(); err == nil && n == "name" {
+					names = &decoder{buf: sd.buf[sd.pos:]}
+				}
+			}
 		case secType:
 			if err := sd.typeSection(m); err != nil {
 				return nil, err
@@ -313,7 +327,55 @@ func (d *decoder) module() (*Module, error) {
 	if len(funcTypes) != len(m.Funcs) {
 		return nil, fmt.Errorf("wasm: function section declares %d functions, code section has %d", len(funcTypes), len(m.Funcs))
 	}
+	if names != nil {
+		if err := names.funcNames(m); err != nil {
+			return nil, err
+		}
+	}
 	return m, nil
+}
+
+// funcNames reads the subsections of a "name" custom section and sets the
+// names its function-names subsection (id 1) gives; the others are skipped.
+func (d *decoder) funcNames(m *Module) error {
+	base := uint32(m.NumImportedFuncs())
+	for d.remaining() > 0 {
+		id, err := d.byte()
+		if err != nil {
+			return err
+		}
+		size, err := d.u32()
+		if err != nil {
+			return err
+		}
+		body, err := d.take(int(size))
+		if err != nil {
+			return err
+		}
+		if id != 1 {
+			continue
+		}
+		sd := &decoder{buf: body}
+		n, err := sd.u32()
+		if err != nil {
+			return err
+		}
+		for i := uint32(0); i < n; i++ {
+			idx, err := sd.u32()
+			if err != nil {
+				return err
+			}
+			name, err := sd.name()
+			if err != nil {
+				return err
+			}
+			if idx < base || idx-base >= uint32(len(m.Funcs)) {
+				return fmt.Errorf("wasm: name section names function %d of %d", idx, int(base)+len(m.Funcs))
+			}
+			m.Funcs[idx-base].Name = name
+		}
+	}
+	return nil
 }
 
 func (d *decoder) typeSection(m *Module) error {
@@ -418,6 +480,9 @@ func (d *decoder) globalSection(m *Module) error {
 	if err != nil {
 		return err
 	}
+	// Every entry takes at least one byte, so the section's size bounds what
+	// a hostile count can make this reserve.
+	m.Globals = make([]Global, 0, min(int(n), d.remaining()))
 	for i := uint32(0); i < n; i++ {
 		t, err := d.valType()
 		if err != nil {
@@ -441,7 +506,10 @@ func (d *decoder) exportSection(m *Module) error {
 	if err != nil {
 		return err
 	}
-	seen := make(map[string]bool, n)
+	// Every entry takes at least one byte, so the section's size bounds what
+	// a hostile count can make this reserve.
+	m.Exports = make([]Export, 0, min(int(n), d.remaining()))
+	seen := make(map[string]bool, cap(m.Exports))
 	for i := uint32(0); i < n; i++ {
 		var e Export
 		if e.Name, err = d.name(); err != nil {
@@ -536,6 +604,7 @@ func (d *decoder) codeSection(m *Module, funcTypes []uint32) error {
 	if int(n) != len(funcTypes) {
 		return fmt.Errorf("wasm: code count %d does not match function count %d", n, len(funcTypes))
 	}
+	m.Funcs = make([]Func, 0, n)
 	for i := uint32(0); i < n; i++ {
 		size, err := d.u32()
 		if err != nil {

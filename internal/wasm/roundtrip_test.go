@@ -9,8 +9,11 @@ import (
 
 // buildTestModule constructs a module exercising most builder features:
 // imports, memory, globals, control flow, memory ops, calls, and exports.
-func buildTestModule() *ModuleBuilder {
-	b := NewModuleBuilder()
+func buildTestModule() *ModuleBuilder { return buildTestModuleInto(NewModuleBuilder()) }
+
+// buildTestModuleInto builds buildTestModule's module into the empty builder
+// b.
+func buildTestModuleInto(b *ModuleBuilder) *ModuleBuilder {
 	logIdx := b.ImportFunc("env", "log", FuncType{Params: []ValType{I32}})
 	b.ImportMemory("env", "memory", 1, 16)
 	gCounter := b.AddGlobal(I32, true, 0)
