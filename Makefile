@@ -65,14 +65,16 @@ tier-diff:
 # and the page-recycling tests (ParallelRelease: a two-worker query stopped
 # mid-morsel by a fault or a cancellation hands its pages back only after
 # both workers returned; ParallelQueriesLeaveColumnsIntact: mapped table
-# columns are never cleared or recycled) —
+# columns are never cleared or recycled), and the tier-switch sweep
+# (TierSwitch: tier-2 code published before each morsel of a serial run in
+# turn, against tier 1 only) —
 # under the race detector on two cores, where workers really interleave. A pattern that stops matching after
 # a rename would pass vacuously, so the number of selected tests is checked
 # first.
-PARALLEL_DIFF = Parallel|Barrier|Scheduler|Fallback|JoinBuild|Styled|CharWord
+PARALLEL_DIFF = Parallel|Barrier|Scheduler|Fallback|JoinBuild|Styled|CharWord|TierSwitch
 parallel-diff:
 	@n=$$($(GO) test -list '$(PARALLEL_DIFF)' . ./internal/core | grep -c '^Test'); \
-		if [ $$n -lt 46 ]; then echo "parallel-diff: the pattern selects $$n tests, expected at least 46" >&2; exit 1; fi
+		if [ $$n -lt 49 ]; then echo "parallel-diff: the pattern selects $$n tests, expected at least 49" >&2; exit 1; fi
 	GOMAXPROCS=2 $(GO) test -race -run '$(PARALLEL_DIFF)' . ./internal/core
 
 # retired prints the instructions each tier's code retires per TPC-H query

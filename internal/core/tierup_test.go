@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"wasmdb/internal/catalog"
 	"wasmdb/internal/engine"
 	"wasmdb/internal/faultpoint"
+	"wasmdb/internal/leakcheck"
 	"wasmdb/internal/obs"
 	"wasmdb/internal/sema"
 	"wasmdb/internal/tpch"
@@ -340,5 +342,105 @@ func TestParallelFirstCallCompilesOnce(t *testing.T) {
 	optimized := run(compile(engine.New(engine.Config{Tier: engine.TierAdaptive})), ExecOptions{Parallelism: 2, WaitOptimized: true})
 	if got != serial || got != optimized {
 		t.Errorf("two workers:\n%s\nserial:\n%s\noptimized first:\n%s", got, serial, optimized)
+	}
+}
+
+// TestTierSwitchAtEveryMorsel moves the tier switch across every morsel
+// boundary of a serial run. For a query whose run makes n core-morsel hits
+// (morsels and barrier calls) and each k from 1 to n, a cold adaptive
+// module's tier-2 compiles are held until the k-th hit, and that hit and
+// every later one wait for the tier-up queue to drain: everything queued
+// before morsel k lands exactly before it, and anything queued later before
+// the next hit. Each run must answer byte for byte as a TierLiftoff run of
+// the same module. The corpus is TPC-H Q1, Q3, Q6, Q12 and Q14 at SF 0.01
+// and the small shapes, with a morsel size that gives every table scan at
+// least three morsels.
+func TestTierSwitchAtEveryMorsel(t *testing.T) {
+	defer leakcheck.Check(t)
+	var tq []string
+	for _, id := range []string{"Q1", "Q3", "Q6", "Q12", "Q14"} {
+		tq = append(tq, tpch.Queries[id])
+	}
+	adaptive := engine.New(engine.Config{Tier: engine.TierAdaptive})
+	liftoff := engine.New(engine.Config{Tier: engine.TierLiftoff})
+	defer faultpoint.Disable("turbofan-compile")
+	defer faultpoint.Disable("core-morsel")
+	points, switched, start := 0, 0, time.Now()
+	for _, c := range []struct {
+		sf      float64
+		queries []string
+	}{{0.01, tq}, {0.0002, smallShapes}} {
+		cat, err := tpch.Generate(c.sf, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, src := range c.queries {
+			cq, q := compileOn(t, cat, src)
+			opt := ExecOptions{MorselRows: 1 << 30}
+			for _, tb := range q.Tables {
+				opt.MorselRows = min(opt.MorselRows, tb.Table.Rows()/3)
+			}
+			faultpoint.Enable("core-morsel", func(int) error { return nil })
+			want, _, err := Execute(cq, q, liftoff, opt)
+			n := faultpoint.Hits("core-morsel")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 1; k <= n; k++ {
+				mod, err := adaptive.Compile(cq.Bin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				release, once := make(chan struct{}), sync.Once{}
+				// At hit k: the morsel count the landing code is stamped with,
+				// and how many functions were queued before it.
+				var stamp int64
+				var queued int
+				tr := obs.NewTrace()
+				faultpoint.Enable("turbofan-compile", func(int) error { <-release; return nil })
+				faultpoint.Enable("core-morsel", func(hit int) error {
+					if hit == k {
+						stamp, queued = tr.MorselCount(), len(tierEvents(tr, obs.EvTierUpQueued))
+						once.Do(func() { close(release) })
+					}
+					if hit >= k {
+						return mod.WaitQueued()
+					}
+					return nil
+				})
+				run := opt
+				run.Precompiled, run.Trace = mod, tr
+				got, _, err := Execute(cq, q, adaptive, run)
+				faultpoint.Disable("core-morsel")
+				once.Do(func() { close(release) })
+				if werr := mod.WaitQueued(); err == nil {
+					err = werr
+				}
+				if err != nil {
+					t.Fatalf("sf%g/q%d, switch at hit %d of %d: %v", c.sf, qi, k, n, err)
+				}
+				if fmtRows(got) != fmtRows(want) {
+					t.Fatalf("sf%g/q%d, switch at hit %d of %d:\n%s\nwant (TierLiftoff)\n%s", c.sf, qi, k, n, fmtRows(got), fmtRows(want))
+				}
+				var landed []int64
+				for _, ev := range tr.Events() {
+					if ev.Name == obs.EvTierUp {
+						landed = append(landed, ev.Args[1].Val)
+					}
+				}
+				if len(landed) < queued || (queued > 0 && (landed[0] != stamp || landed[queued-1] != stamp)) {
+					t.Fatalf("sf%g/q%d, switch at hit %d of %d: %d functions queued before it landed at morsels %v, want all at %d",
+						c.sf, qi, k, n, queued, landed, stamp)
+				}
+				points++
+				if queued > 0 {
+					switched++
+				}
+			}
+		}
+	}
+	t.Logf("%d (query, k) points, %d with tier-2 code landing at k, in %v", points, switched, time.Since(start).Round(time.Millisecond))
+	if switched == 0 {
+		t.Error("no point had tier-2 code queued before its switch morsel")
 	}
 }

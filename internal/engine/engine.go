@@ -4,11 +4,13 @@
 // baseline compiler (tier 1, "liftoff") on its first call, as V8 does, and
 // with the optimizing compiler (tier 2, "turbofan") in the background for the
 // functions the embedder queues with Module.TierUp, and dispatches each call
-// to the best code available at that moment. The forced tiers compile every
-// function up front with their one compiler. Both compilers live in package
-// turbofan and target one register machine with one run loop; a tier is a
-// compiler, not a second VM. Background tier-up replaces code at function
-// granularity via an atomic pointer swap, so a query that invokes its
+// to the best code available at that moment. Each function has one code slot,
+// and one path compiles code and publishes it there, for the first call, the
+// tier-up drain and the forced tiers alike; a forced tier runs it for every
+// function up front, only for the repo benchmark's probe. Both compilers live
+// in package turbofan and target one register machine with one run loop; a
+// tier is a compiler, not a second VM. Background tier-up replaces code at
+// function granularity via an atomic pointer swap, so a query that invokes its
 // pipeline function once per morsel transparently migrates from baseline to
 // optimized code mid-query, exactly the adaptive execution the paper
 // delegates to the engine. Like V8's dynamic tiering, the engine optimizes
@@ -35,22 +37,27 @@ import (
 
 // Process-wide engine metrics, resolved once so recording is atomic-only.
 var (
-	mCompilesLiftoff  = obs.Default.CounterWith(obs.MetricCompiles, obs.Label{Key: "tier", Val: "liftoff"})
-	mCompilesTurbofan = obs.Default.CounterWith(obs.MetricCompiles, obs.Label{Key: "tier", Val: "turbofan"})
 	mTurbofanFailures = obs.Default.Counter(obs.MetricTurbofanFailures)
 	mTierUpLatency    = obs.Default.Histogram(obs.MetricTierUpLatency)
-	// Compile latency, labeled by the tier that did the work — for liftoff
-	// per eagerly compiled module and per instance whose calls compiled
-	// functions, for turbofan per eagerly compiled module and per drain of
-	// the tier-up queue: the SLO view of "how much am I paying in front of
-	// (liftoff) and behind (turbofan) the morsels".
-	hCompileLiftoff  = obs.Default.HistogramWith(obs.MetricEngineCompileLatency, obs.Label{Key: "tier", Val: "liftoff"})
-	hCompileTurbofan = obs.Default.HistogramWith(obs.MetricEngineCompileLatency, obs.Label{Key: "tier", Val: "turbofan"})
-	// Instructions emitted per tier — with the compile counters above, the
-	// static code-size view of what each tier produces.
-	mInstrsLiftoff  = obs.Default.CounterWith(obs.MetricEngineCodeInstrs, obs.Label{Key: "tier", Val: "liftoff"})
-	mInstrsTurbofan = obs.Default.CounterWith(obs.MetricEngineCodeInstrs, obs.Label{Key: "tier", Val: "turbofan"})
+	mTier             = [...]tierMetrics{TierLiftoff: newTierMetrics(TierLiftoff, obs.SpanLiftoff), TierTurbofan: newTierMetrics(TierTurbofan, obs.SpanTurbofan)}
 )
+
+// tierMetrics is a compiling tier's entry in mTier: the name its compile span
+// and fault point share, and its metrics labeled by tier — functions compiled,
+// instructions emitted, and compile latency per forced module, per drain of
+// the tier-up queue (turbofan) and per instance whose calls compiled
+// functions (liftoff): what is paid in front of and behind the morsels.
+type tierMetrics struct {
+	span             string
+	compiles, instrs *obs.Counter
+	latency          *obs.Histogram
+}
+
+func newTierMetrics(t Tier, span string) tierMetrics {
+	l := obs.Label{Key: "tier", Val: t.String()}
+	return tierMetrics{span, obs.Default.CounterWith(obs.MetricCompiles, l),
+		obs.Default.CounterWith(obs.MetricEngineCodeInstrs, l), obs.Default.HistogramWith(obs.MetricEngineCompileLatency, l)}
+}
 
 // Typed guardrail sentinels, re-exported so embedders need not import the
 // runtime packages. Match with errors.Is against any error returned from
@@ -90,11 +97,10 @@ const (
 	// rest. A function optimized before its first call is never compiled by
 	// liftoff.
 	TierAdaptive Tier = iota
-	// TierLiftoff compiles every function with the baseline compiler before
-	// execution begins, and never with the other.
+	// TierLiftoff and TierTurbofan compile every function with that one
+	// compiler, through the same slot path, in Compile: up front only for
+	// the repo benchmark's probe, which reads Stats right after Compile.
 	TierLiftoff
-	// TierTurbofan compiles everything with the optimizing compiler before
-	// execution begins.
 	TierTurbofan
 )
 
@@ -122,9 +128,10 @@ type Config struct {
 	// TierPolicy, when non-nil under TierAdaptive, gates background
 	// optimization per compiled module: Compile consults it once with the
 	// module's function count and binary size, and a false return leaves
-	// the module on baseline code for good, as TierLiftoff would. Its only
-	// caller is the repo benchmark's traced pass; the public API never sets
-	// it.
+	// the module on baseline code for good, as TierLiftoff would. Its one
+	// setter is the repo benchmark's liftoff-only branch (benchmark/layers.go),
+	// which the autopilot no longer takes, as it always chooses adaptive
+	// execution; the public API never sets it.
 	TierPolicy func(numFuncs, codeBytes int) bool
 }
 
@@ -143,51 +150,26 @@ func (e *Engine) optRounds() int {
 	return turbofan.DefaultOptRounds
 }
 
-// CompileStats records the cost of each compilation phase.
+// CompileStats records the cost of each compilation phase. Every tier field
+// is summed per function by the one path that fills a code slot, as each
+// compile finishes: under a forced tier all of them within Compile, under
+// TierAdaptive tier 1 on first calls (0 before the module ran) and tier 2 as
+// the drain finishes what was queued (complete after WaitQueued).
 type CompileStats struct {
-	Decode   time.Duration
-	Validate time.Duration
-	// Liftoff is the baseline-tier compile time. Under TierAdaptive it is the
-	// sum over the functions compiled so far, each on its first call: 0
-	// before the module ran.
-	Liftoff time.Duration
-	// Turbofan is the optimizing-tier compile time. Under TierAdaptive it is
-	// the sum over the functions the background compiler has finished so
-	// far: complete for what was queued after WaitQueued, for the whole
-	// module after WaitOptimized.
+	Decode    time.Duration
+	Validate  time.Duration
+	Liftoff   time.Duration
 	Turbofan  time.Duration
 	CodeBytes int
 	NumFuncs  int
-	// TurbofanFailed counts functions whose background optimizing compile
-	// failed (error or panic); those functions keep serving liftoff code.
+	// TurbofanFailed counts functions whose optimizing compile failed (error
+	// or panic); under TierAdaptive they keep serving liftoff code.
 	TurbofanFailed int
-	// LiftoffFuncs counts the functions the baseline tier has compiled:
-	// NumFuncs under TierLiftoff, the functions called so far (and not
-	// optimized before their first call) under TierAdaptive.
-	LiftoffFuncs int
-	// LiftoffInstrs and TurbofanInstrs are the instructions each tier
-	// emitted, summed over the functions it compiled — under TierAdaptive
-	// the ones compiled so far, as with Liftoff and Turbofan: both 0 for a
-	// module that never ran nor queued a function.
+	// LiftoffFuncs counts the functions the baseline tier has compiled, and
+	// LiftoffInstrs and TurbofanInstrs the instructions each tier emitted.
+	LiftoffFuncs   int
 	LiftoffInstrs  int
 	TurbofanInstrs int
-}
-
-// safeTurbofanCompile runs the optimizing compiler with panic isolation: a
-// compiler bug on one function must degrade that function to baseline code,
-// not crash the process (under TierAdaptive the compile runs on a background
-// goroutine, where an escaped panic is fatal). The "turbofan-compile" fault
-// point lets tests force a failure here.
-func safeTurbofanCompile(m *wasm.Module, fn *wasm.Func, rounds int) (c *turbofan.Code, err error) {
-	if ferr := faultpoint.Hit("turbofan-compile"); ferr != nil {
-		return nil, ferr
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			c, err = nil, &EngineError{Val: r, Stack: debug.Stack()}
-		}
-	}()
-	return turbofan.CompileRounds(m, fn, rounds)
 }
 
 // guestFunc dispatches calls to the best available code for one function.
@@ -221,39 +203,21 @@ func (g *guestFunc) Call(env *rt.Env, args, res []uint64) {
 type compileError struct{ err error }
 
 // compile is a stub's first call: it compiles the function with liftoff on
-// the caller's goroutine, tallied on env, and publishes the code with a
-// compare-and-swap, so it never replaces tier-2 code the tier-up queue
-// published meanwhile. A failure panics with a compileError and leaves the
-// stub in place, so a later call tries again. The "liftoff-compile" fault
-// point lets tests force a failure here.
+// the caller's goroutine (compileTier), holding the stub's mutex so that
+// callers arriving meanwhile wait for its code, and tallies the compile on
+// env. A failure panics with a compileError and leaves the stub in place, so
+// a later call tries again.
 func (g *guestFunc) compile(env *rt.Env) *tiered {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if t := g.code.Load(); t != nil {
 		return t
 	}
-	m := g.mod
 	start := time.Now()
-	fn := &m.wmod.Funcs[g.def]
-	if err := faultpoint.Hit("liftoff-compile"); err != nil {
-		panic(&compileError{fmt.Errorf("liftoff: %s: %w", fn.Name, err)})
-	}
-	lo, err := turbofan.CompileBaseline(m.wmod, fn)
+	t, n, d, err := g.compileTier(TierLiftoff)
 	if err != nil {
 		panic(&compileError{err})
 	}
-	d, n := time.Since(start), lo.NumInstrs()
-	t := &tiered{tier: TierLiftoff, c: lo}
-	if !g.code.CompareAndSwap(nil, t) {
-		t = g.code.Load()
-	}
-	mCompilesLiftoff.Add(1)
-	mInstrsLiftoff.Add(int64(n))
-	m.mu.Lock()
-	m.stats.Liftoff += d
-	m.stats.LiftoffFuncs++
-	m.stats.LiftoffInstrs += n
-	m.mu.Unlock()
 	c := env.Compiled
 	if c == nil {
 		c = &rt.CompileTally{Start: start}
@@ -263,6 +227,67 @@ func (g *guestFunc) compile(env *rt.Env) *tiered {
 	c.Instrs += n
 	c.Dur += d
 	return t
+}
+
+// compileTier is the one way code enters a function's slot: the first-call
+// stub, the tier-up drain and a forced tier's Compile all call it. It hits
+// the tier's fault point ("liftoff-compile" or "turbofan-compile") and runs
+// the tier's compiler, a panic in either becoming an *EngineError, before
+// it takes the module's lock. It publishes the code by one rule: tier-2 code replaces
+// whatever the slot holds, and tier-1 code fills only an empty slot, so it
+// never replaces tier-2 code the drain published meanwhile (t is then the
+// slot's code). Last it records the compile in the module's CompileStats and
+// the tier's process metrics; a tier-2 compile, done or failed, settles the
+// function, and the first failed one is the module's optErr.
+func (g *guestFunc) compileTier(tier Tier) (t *tiered, instrs int, d time.Duration, err error) {
+	m, tm, fn := g.mod, &mTier[tier], &g.mod.wmod.Funcs[g.def]
+	start := time.Now()
+	var c *turbofan.Code
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = &EngineError{Val: r, Stack: debug.Stack()}
+			}
+		}()
+		if err = faultpoint.Hit(tm.span); err != nil {
+			err = fmt.Errorf("%s: %s: %w", tier, fn.Name, err)
+		} else if tier == TierTurbofan {
+			c, err = turbofan.CompileRounds(m.wmod, fn, m.rounds)
+		} else {
+			c, err = turbofan.CompileBaseline(m.wmod, fn)
+		}
+	}()
+	d = time.Since(start)
+	if err == nil {
+		instrs, t = c.NumInstrs(), &tiered{tier: tier, c: c}
+		if tier == TierTurbofan {
+			g.code.Store(t)
+		} else if !g.code.CompareAndSwap(nil, t) {
+			t = g.code.Load()
+		}
+		tm.compiles.Add(1)
+		tm.instrs.Add(int64(instrs))
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case tier == TierLiftoff && err == nil:
+		m.stats.Liftoff += d
+		m.stats.LiftoffFuncs++
+		m.stats.LiftoffInstrs += instrs
+	case tier == TierTurbofan:
+		m.stats.Turbofan += d
+		m.stats.TurbofanInstrs += instrs
+		if err != nil {
+			mTurbofanFailures.Add(1) // the function keeps running on liftoff code
+			m.stats.TurbofanFailed++
+			if m.optErr == nil {
+				m.optErr = err
+			}
+		}
+		m.settled.Add(1)
+	}
+	return t, instrs, d, err
 }
 
 // Why functions join the tier-up queue: the trigger a tier-up-queued event
@@ -293,8 +318,7 @@ type Module struct {
 	// from the start when the module never tiers up in the background — so
 	// TierUp is then one atomic load.
 	allQueued atomic.Bool
-	// settled counts functions whose tier-2 compile finished or failed
-	// (every function, from the start, under TierTurbofan).
+	// settled counts functions whose tier-2 compile finished or failed.
 	settled atomic.Int64
 
 	mu     sync.Mutex
@@ -355,45 +379,25 @@ func (e *Engine) CompileTraced(bin []byte, tr *obs.Trace) (*Module, error) {
 		m.funcs[i].mod, m.funcs[i].def = m, i
 	}
 
-	switch e.cfg.Tier {
-	case TierTurbofan:
-		sp := tr.Begin(obs.SpanTurbofan)
-		start := time.Now()
-		for i := range wmod.Funcs {
-			tf, err := safeTurbofanCompile(wmod, &wmod.Funcs[i], e.optRounds())
+	switch tier := e.cfg.Tier; tier {
+	case TierLiftoff, TierTurbofan:
+		// A forced tier compiles every function here, in one span of its
+		// tier, through the slot path a first call takes. It is eager only
+		// because the repo benchmark's traced pass reads Stats right after
+		// Compile; once that reader is gone (ROADMAP 2(c)) a forced tier can
+		// be a stub with a fixed compiler.
+		sp := tr.Begin(mTier[tier].span)
+		instrs := 0
+		for i := range m.funcs {
+			_, n, _, err := m.funcs[i].compileTier(tier)
 			if err != nil {
 				return nil, err
 			}
-			m.funcs[i].code.Store(&tiered{tier: TierTurbofan, c: tf})
-			m.stats.TurbofanInstrs += tf.NumInstrs()
+			instrs += n
 		}
-		m.stats.Turbofan = time.Since(start)
-		mCompilesTurbofan.Add(int64(len(wmod.Funcs)))
-		mInstrsTurbofan.Add(int64(m.stats.TurbofanInstrs))
-		hCompileTurbofan.Observe(m.stats.Turbofan.Nanoseconds())
-		sp.End(obs.I("funcs", int64(len(wmod.Funcs))), obs.I("instrs", int64(m.stats.TurbofanInstrs)))
-		m.settle()
-		m.settled.Store(int64(len(m.funcs)))
-	case TierLiftoff:
-		// Eager, like TierTurbofan: a forced tier exists to measure its
-		// compiler, so its compile is one phase in front of execution.
-		sp := tr.Begin(obs.SpanLiftoff)
-		start := time.Now()
-		for i := range wmod.Funcs {
-			lo, err := turbofan.CompileBaseline(wmod, &wmod.Funcs[i])
-			if err != nil {
-				return nil, err
-			}
-			m.funcs[i].code.Store(&tiered{tier: TierLiftoff, c: lo})
-			m.stats.LiftoffInstrs += lo.NumInstrs()
-		}
-		m.stats.Liftoff = time.Since(start)
-		m.stats.LiftoffFuncs = len(wmod.Funcs)
-		mCompilesLiftoff.Add(int64(len(wmod.Funcs)))
-		mInstrsLiftoff.Add(int64(m.stats.LiftoffInstrs))
-		hCompileLiftoff.Observe(m.stats.Liftoff.Nanoseconds())
-		sp.End(obs.I("funcs", int64(len(wmod.Funcs))), obs.I("of", int64(len(wmod.Funcs))),
-			obs.I("instrs", int64(m.stats.LiftoffInstrs)))
+		mTier[tier].latency.Observe(time.Since(t2).Nanoseconds())
+		n := int64(len(m.funcs))
+		sp.End(obs.I("funcs", n), obs.I("of", n), obs.I("instrs", int64(instrs)))
 		m.settle()
 	default:
 		if e.cfg.TierPolicy == nil || e.cfg.TierPolicy(len(wmod.Funcs), len(bin)) {
@@ -527,36 +531,17 @@ func (m *Module) drain(done chan struct{}, tr *obs.Trace) {
 		m.queue = m.queue[1:]
 		m.mu.Unlock()
 
-		t := time.Now()
-		tf, err := safeTurbofanCompile(m.wmod, &m.wmod.Funcs[job.def], m.rounds)
-		d := time.Since(t)
-		funcs++
-		if err == nil {
-			m.funcs[job.def].code.Store(&tiered{tier: TierTurbofan, c: tf})
-			instrs += tf.NumInstrs()
-			mCompilesTurbofan.Add(1)
-			mInstrsTurbofan.Add(int64(tf.NumInstrs()))
-			mTierUpLatency.Observe(time.Since(job.at).Nanoseconds())
-			job.tr.Event(obs.EvTierUp, obs.I("func", int64(job.def+nImp)), obs.I("morsel", job.tr.MorselCount()))
-		} else {
+		_, n, _, err := m.funcs[job.def].compileTier(TierTurbofan)
+		funcs, instrs = funcs+1, instrs+n
+		if err != nil {
 			failed++
-			mTurbofanFailures.Add(1) // the function keeps running on liftoff code
+			continue
 		}
-		m.mu.Lock()
-		m.stats.Turbofan += d
-		if err == nil {
-			m.stats.TurbofanInstrs += tf.NumInstrs()
-		} else {
-			m.stats.TurbofanFailed++
-			if m.optErr == nil {
-				m.optErr = err
-			}
-		}
-		m.mu.Unlock()
-		m.settled.Add(1)
+		mTierUpLatency.Observe(time.Since(job.at).Nanoseconds())
+		job.tr.Event(obs.EvTierUp, obs.I("func", int64(job.def+nImp)), obs.I("morsel", job.tr.MorselCount()))
 	}
 	sp.End(obs.I("funcs", int64(funcs)), obs.I("failed", int64(failed)), obs.I("instrs", int64(instrs)))
-	hCompileTurbofan.Observe(time.Since(start).Nanoseconds())
+	mTier[TierTurbofan].latency.Observe(time.Since(start).Nanoseconds())
 	close(done)
 }
 
@@ -749,7 +734,7 @@ func (i *Instance) Close() {
 	if c := i.env.Compiled; c != nil {
 		i.tr.AddSpan(obs.SpanLiftoff, c.Start, c.Dur, obs.I("funcs", int64(c.Funcs)),
 			obs.I("of", int64(len(i.mod.funcs))), obs.I("instrs", int64(c.Instrs)))
-		hCompileLiftoff.Observe(c.Dur.Nanoseconds())
+		mTier[TierLiftoff].latency.Observe(c.Dur.Nanoseconds())
 		i.env.Compiled = nil
 	}
 	i.env.Release()
@@ -871,7 +856,3 @@ func (i *Instance) SetMemoryBudget(pages uint32) {
 func (i *Instance) TierCalls() (liftoffCalls, turbofanCalls uint64) {
 	return i.callsLiftoff.Load(), i.callsTurbofan.Load()
 }
-
-// WaitOptimized is the instance's Module.WaitOptimized: every function
-// queued and optimized.
-func (i *Instance) WaitOptimized() error { return i.mod.WaitOptimized() }

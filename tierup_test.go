@@ -107,3 +107,29 @@ func TestLiftoffCompileFaultFailsQuery(t *testing.T) {
 		}
 	}
 }
+
+// TestForcedTierCompileFault: a forced tier compiles every function in
+// Compile, through the same fault point as an adaptive one, so a
+// BackendWasmLiftoff query with liftoff-compile armed, and a
+// BackendWasmTurbofan one with turbofan-compile armed, return the injected
+// error and no rows; disarmed, the same query answers.
+func TestForcedTierCompileFault(t *testing.T) {
+	defer leakcheck.Check(t)
+	db := tpchDB(t)
+	src, _ := wasmdb.TPCHQuery("Q6")
+	injected := errors.New("injected forced-tier compile failure")
+	for backend, point := range map[wasmdb.Backend]string{
+		wasmdb.BackendWasmLiftoff:  "liftoff-compile",
+		wasmdb.BackendWasmTurbofan: "turbofan-compile",
+	} {
+		faultpoint.Enable(point, faultpoint.Always(injected))
+		res, err := db.Query(src, wasmdb.WithBackend(backend))
+		faultpoint.Disable(point)
+		if !errors.Is(err, injected) || res != nil {
+			t.Errorf("%v with %s armed: Query returned %v and %v, want the injected error and no result", backend, point, res, err)
+		}
+		if _, err := db.Query(src, wasmdb.WithBackend(backend)); err != nil {
+			t.Errorf("%v disarmed: %v", backend, err)
+		}
+	}
+}
