@@ -57,8 +57,8 @@ func raceEnabled() bool {
 // prepared point query whose module is cached and optimized must not
 // allocate more than 64 KiB per execution. Linear memory is demand-zero and
 // its pages come from a pool of zeroed pages that every query refills when
-// it ends, as does the instance's frame arena; what remains is the page
-// table, the instance and the result — ≈ 15 KiB here. A page or arena no
+// it ends, as do the instance's frame arena and the page table; what
+// remains is the instance, the query's trace and the result — ≈ 12 KiB here. A page or arena no
 // longer recycled costs 32–64 KiB per query and fails this gate, and so does
 // allocating the address space eagerly (result buffer, heap, column windows:
 // ≈ 2.9 MiB per query, per worker). Under -race the pool drops a quarter of
@@ -88,6 +88,46 @@ func TestWarmQueryAllocBudget(t *testing.T) {
 		t.Errorf("warm prepared query allocates %d KiB per execution, budget %d KiB", perQuery>>10, budget>>10)
 	} else {
 		t.Logf("warm prepared query: %d KiB per execution (budget %d KiB)", perQuery>>10, budget>>10)
+	}
+}
+
+// TestWarmAutoQueryExactAllocs is an exact allocation gate on a warm
+// BackendAuto query's fixed cost: auto-mixed's lineitem GROUP BY on TPC-H SF
+// 0.002, served from the plan cache on tier-2 code with one worker, makes at
+// most 225 allocations per execution (testing.AllocsPerRun). It makes 194
+// (199 under -race): the trace is one allocation with no counter map and
+// no per-call argument lists, Stats, the latency histogram and the
+// autopilot's feedback read the trace in place, no query-log record is
+// built without a WithQueryLog callback, the lexer allocates only its token
+// slice, and the page table is recycled. Before those it made 262 (267).
+func TestWarmAutoQueryExactAllocs(t *testing.T) {
+	const budget = 225
+	db := wasmdb.Open()
+	if err := db.LoadTPCH(0.002, 42); err != nil {
+		t.Fatal(err)
+	}
+	const src = "SELECT l_shipmode, COUNT(*), SUM(l_quantity) FROM lineitem WHERE l_shipdate >= DATE '1994-02-19' GROUP BY l_shipmode ORDER BY l_shipmode"
+	opt := wasmdb.WithBackend(wasmdb.BackendAuto)
+	for _, warm := range [][]wasmdb.Option{{opt}, {opt, wasmdb.WithWaitOptimized()}} {
+		if _, err := db.Query(src, warm...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var st wasmdb.Stats
+	allocs := testing.AllocsPerRun(50, func() {
+		res, err := db.Query(src, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = res.Stats
+	})
+	if st.Workers != 1 || st.MorselsLiftoff != 0 {
+		t.Fatalf("the probe ran on %d workers with %d tier-1 morsels, want 1 worker on tier-2 code only", st.Workers, st.MorselsLiftoff)
+	}
+	if allocs > budget {
+		t.Errorf("warm auto query makes %v allocations per execution, budget %d", allocs, budget)
+	} else {
+		t.Logf("warm auto query: %v allocations per execution (budget %d)", allocs, budget)
 	}
 }
 

@@ -797,7 +797,7 @@ func (x *executor) foldStats(mod *engine.Module, rows int) {
 		mPagesCommitted.Add(int64(w.mem.Committed()))
 		recycled += int64(w.mem.Committed() - w.mem.Fresh())
 		fresh += int64(w.mem.Fresh())
-		if len(x.ws) > 1 {
+		if tr != nil && len(x.ws) > 1 {
 			tr.Set(obs.WorkerCtr(w.id, obs.CtrMorselsLiftoff), int64(lo))
 			tr.Set(obs.WorkerCtr(w.id, obs.CtrMorselsTurbofan), int64(tf))
 		}

@@ -6,6 +6,7 @@ import (
 
 	"wasmdb/internal/faultpoint"
 	"wasmdb/internal/leakcheck"
+	"wasmdb/internal/wasm"
 )
 
 // TestCompilePathFaultParity: every way into a code slot — a forced tier's
@@ -117,5 +118,31 @@ func TestFirstCallLosesToTierUp(t *testing.T) {
 	}
 	if funcs, instrs := DoubleCompiled(m); funcs != 1 || instrs == 0 {
 		t.Errorf("DoubleCompiled = %d functions, %d instrs; want calc (1 function)", funcs, instrs)
+	}
+}
+
+// TestCompileErrorNamesFunction: a forced tier's compile fault names the
+// function it hit. The engine decodes without the name section, so the
+// function is named by its function index, imports first, as the tier-up
+// events number it: the module below imports two functions, so its one
+// defined function is func 2.
+func TestCompileErrorNamesFunction(t *testing.T) {
+	b := wasm.NewModuleBuilder()
+	ft := wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}}
+	b.ImportFunc("env", "g", ft)
+	b.ImportFunc("env", "h", ft)
+	f := b.NewFunc("f", ft)
+	f.LocalGet(0)
+	b.Export("f", wasm.ExternFunc, f.Index)
+	bin := b.Bytes()
+
+	injected := errors.New("injected")
+	for tier, point := range map[Tier]string{TierLiftoff: "liftoff-compile", TierTurbofan: "turbofan-compile"} {
+		faultpoint.Enable(point, faultpoint.Always(injected))
+		_, err := New(Config{Tier: tier}).Compile(bin)
+		faultpoint.Disable(point)
+		if want := tier.String() + ": func 2: injected"; err == nil || err.Error() != want {
+			t.Errorf("forced %v with %s armed: error %v, want %q", tier, point, err, want)
+		}
 	}
 }

@@ -250,7 +250,7 @@ func (g *guestFunc) compileTier(tier Tier) (t *tiered, instrs int, d time.Durati
 			}
 		}()
 		if err = faultpoint.Hit(tm.span); err != nil {
-			err = fmt.Errorf("%s: %s: %w", tier, fn.Name, err)
+			err = fmt.Errorf("%s: %s: %w", tier, m.wmod.FuncLabel(fn), err)
 		} else if tier == TierTurbofan {
 			c, err = turbofan.CompileRounds(m.wmod, fn, m.rounds)
 		} else {

@@ -25,7 +25,7 @@ func CompileBaseline(m *wasm.Module, fn *wasm.Func) (*Code, error) {
 	defer emitBufs.Put(buf)
 	c, err := emitFunc(m, fn, buf)
 	if err != nil {
-		return nil, fmt.Errorf("liftoff: %s: %w", fn.Name, err)
+		return nil, fmt.Errorf("liftoff: %s: %w", m.FuncLabel(fn), err)
 	}
 	c.ins = append(make([]tin, 0, len(c.ins)), c.ins...)
 	return c, nil
@@ -55,7 +55,7 @@ func CompileRounds(m *wasm.Module, fn *wasm.Func, rounds int) (*Code, error) {
 	defer emitBufs.Put(buf)
 	c, err := emitFunc(m, fn, buf)
 	if err != nil {
-		return nil, fmt.Errorf("turbofan: %s: %w", fn.Name, err)
+		return nil, fmt.Errorf("turbofan: %s: %w", m.FuncLabel(fn), err)
 	}
 	g := buildBlocks(c.ins, c.tables)
 	o := &optimizer{g: g, nRegs: c.NLocals + c.MaxStack, code: c}

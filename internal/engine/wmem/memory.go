@@ -46,6 +46,18 @@ var pagePool sync.Pool
 // pagesReleased counts the pages Release has handed back to pagePool.
 var pagesReleased atomic.Int64
 
+// tablePool holds cleared page tables and ownership bitmaps between
+// queries, as pagePool holds pages: Release puts a memory's back and New
+// takes one with room for its pages.
+var tablePool sync.Pool
+
+// tables is a page table and an ownership bitmap, both of length 0 and all
+// zero up to their capacity, while they wait in tablePool.
+type tables struct {
+	pages [][]byte
+	own   []uint64
+}
+
 // ErrMemoryLimit reports that a heap budget installed with SetBudget was
 // exceeded — the typed, host-visible form of "this query allocated too
 // much", as opposed to an opaque unreachable trap from guest allocator code.
@@ -96,12 +108,16 @@ type Memory struct {
 	// high-water mark (pages only ever grow, so the current size is the
 	// peak).
 	tr *obs.Trace
+	// tbl is the tablePool entry pages or own came from, if any; Release
+	// puts the memory's page table and bitmap back in it (or in a new one).
+	tbl *tables
 }
 
 // New creates a memory with minPages reserved (demand-zero) module-owned
 // pages and the given maximum size in pages (the paper's 4 GiB address budget
 // corresponds to maxPages = 65536; experiments shrink it to force chunked
-// rewiring). It allocates only the page table.
+// rewiring). It allocates only the page table, and not even that when a
+// released memory left one large enough in the pool.
 func New(minPages, maxPages uint32) *Memory {
 	if maxPages > 65536 {
 		maxPages = 65536
@@ -109,7 +125,17 @@ func New(minPages, maxPages uint32) *Memory {
 	if minPages > maxPages {
 		minPages = maxPages
 	}
-	return &Memory{pages: make([][]byte, minPages), maxPages: maxPages}
+	m := &Memory{maxPages: maxPages}
+	if t, _ := tablePool.Get().(*tables); t != nil {
+		m.tbl, m.own = t, t.own
+		if uint32(cap(t.pages)) >= minPages {
+			m.pages = t.pages[:minPages]
+		}
+	}
+	if m.pages == nil {
+		m.pages = make([][]byte, minPages)
+	}
+	return m
 }
 
 // Pages returns the current size in pages.
@@ -134,12 +160,14 @@ func (m *Memory) Committed() uint32 { return m.committed }
 func (m *Memory) Fresh() uint32 { return m.fresh }
 
 // Release hands the committed pages still in this memory's page table back
-// to the pool, each cleared and each exactly once, and drops the page table,
-// so any later access traps as out of bounds instead of reaching a recycled
-// page. Pages installed by Map or Alias are left as they are: they belong to
-// a host buffer or to another memory. Pages returns 0 afterwards, so read it
-// first. Memories that alias each other's pages must all be done running
-// before any of them is released. Releasing twice is a no-op.
+// to the pool, each cleared and each exactly once, then hands the page table
+// and the ownership bitmap back, cleared, to be reused by a later New. It
+// drops both from the memory, so any later access traps as out of bounds
+// instead of reaching a recycled page. Pages installed by Map or Alias are
+// left as they are: they belong to a host buffer or to another memory.
+// Pages returns 0 afterwards, so read it first. Memories that alias each
+// other's pages must all be done running before any of them is released,
+// and nothing may keep a PageSlice past Release. Releasing twice is a no-op.
 func (m *Memory) Release() {
 	n := 0
 	for wi, w := range m.own {
@@ -151,7 +179,20 @@ func (m *Memory) Release() {
 		}
 	}
 	pagesReleased.Add(int64(n))
-	m.pages, m.own = nil, nil
+	if m.pages != nil {
+		t := m.tbl
+		if t == nil {
+			t = &tables{}
+		}
+		// Grow and commit may have moved either slice to a larger array:
+		// keep the current ones. Nothing writes past a slice's length, so
+		// clearing up to it leaves all of the array zero.
+		clear(m.pages)
+		clear(m.own)
+		t.pages, t.own = m.pages[:0], m.own[:0]
+		tablePool.Put(t)
+	}
+	m.pages, m.own, m.tbl = nil, nil, nil
 }
 
 // disown clears the ownership bits of pages [first, first+n), whose

@@ -2,6 +2,7 @@ package wmem
 
 import (
 	"bytes"
+	"runtime/debug"
 	"testing"
 )
 
@@ -114,4 +115,53 @@ func TestAccessAfterReleaseTraps(t *testing.T) {
 			access()
 		}()
 	}
+}
+
+// TestReleasedPageTableIsReused: Release hands the page table back, cleared,
+// and New takes it when it is large enough. A memory built on a recycled
+// table sees none of the previous memory's entries — not its committed
+// pages, not a host buffer it mapped — and over a New/Release cycle the
+// only allocation is the Memory itself. The count is skipped under -race,
+// whose sync.Pool drops a quarter of its puts.
+func TestReleasedPageTableIsReused(t *testing.T) {
+	host := bytes.Repeat([]byte{0x5A}, PageSize)
+	a := New(8, 16)
+	a.Grow(4)
+	a.PutU64(3*PageSize, 7)
+	if err := a.Map(10*PageSize, host); err != nil {
+		t.Fatal(err)
+	}
+	a.Release()
+
+	b := New(12, 16)
+	for p, pg := range b.PageSlice() {
+		if pg != nil {
+			t.Fatalf("page %d of a new memory is installed (%d bytes)", p, len(pg))
+		}
+	}
+	if b.U8(10*PageSize) != 0 || b.U64(3*PageSize) != 0 || b.Committed() != 2 {
+		t.Errorf("new memory reads the released one's pages (committed %d)", b.Committed())
+	}
+	b.Release()
+
+	if testing.Short() || raceBuild() {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { New(12, 16).Release() }); n > 1 {
+		t.Errorf("a New/Release cycle makes %v allocations, want 1 (the Memory)", n)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

@@ -176,7 +176,27 @@ type Registry struct {
 	// maxSeriesPerFamily so a buggy (or hostile) label value can never grow
 	// the registry without bound.
 	families map[string]int
+	// resolved remembers the series each label set passed to a *With
+	// lookup resolved to, so a repeated lookup formats no series name.
+	// Series are never removed, so a resolution never changes. Only label
+	// sets with a series of their own are kept: those folded into a full
+	// family's overflow series are not, so resolved stays bounded by the
+	// family cap too.
+	resolved map[seriesKey]any
 }
+
+// seriesKey is a *With lookup's arguments as given: the metric kind, the
+// base name and up to maxKeyLabels labels in the caller's order (n of them).
+type seriesKey struct {
+	kind   byte
+	base   string
+	n      int
+	labels [maxKeyLabels]Label
+}
+
+// maxKeyLabels bounds the label sets resolved stores; a lookup with more
+// labels formats its series name every time.
+const maxKeyLabels = 4
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
@@ -185,6 +205,7 @@ func NewRegistry() *Registry {
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		families: map[string]int{},
+		resolved: map[seriesKey]any{},
 	}
 }
 
@@ -277,19 +298,39 @@ func overflowName(base string) string {
 	return base + `{overflow="true"}`
 }
 
-// admitSeries resolves the registry key for a labeled series under the
-// family cap. Caller holds r.mu. exists reports whether the key is already
-// live in the given kind map.
-func admitSeries[M any](r *Registry, kind map[string]*M, base string, labels []Label) string {
-	name := seriesName(base, labels)
-	if _, ok := kind[name]; ok {
-		return name
+// admitSeries returns the series of a label set from the kind map, named
+// name, creating it on first use under the family cap: once the family is
+// full, a label set without a series of its own gets the family's overflow
+// series. A resolution to a series of its own is remembered under key.
+// Caller holds r.mu.
+func admitSeries[M any](r *Registry, kind map[string]*M, key seriesKey, name string) *M {
+	m, own := kind[name], true
+	if m == nil {
+		if r.families[key.base] >= maxSeriesPerFamily {
+			name, own = overflowName(key.base), false
+			m = kind[name]
+		} else {
+			r.families[key.base]++
+		}
 	}
-	if r.families[base] >= maxSeriesPerFamily {
-		return overflowName(base)
+	if m == nil {
+		m = new(M)
+		kind[name] = m
 	}
-	r.families[base]++
-	return name
+	if own && key.n >= 0 {
+		r.resolved[key] = m
+	}
+	return m
+}
+
+// keyOf is the resolved key of a *With lookup; its n is -1, and it is never
+// stored, when there are more than maxKeyLabels labels.
+func keyOf(kind byte, base string, labels []Label) seriesKey {
+	key := seriesKey{kind: kind, base: base, n: -1}
+	if len(labels) <= maxKeyLabels {
+		key.n = copy(key.labels[:], labels)
+	}
+	return key
 }
 
 // CounterWith returns the counter series of base with the given labels,
@@ -297,39 +338,33 @@ func admitSeries[M any](r *Registry, kind map[string]*M, base string, labels []L
 func (r *Registry) CounterWith(base string, labels ...Label) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name := admitSeries(r, r.counters, base, labels)
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
+	key := keyOf('c', base, labels)
+	if c, ok := r.resolved[key]; ok {
+		return c.(*Counter)
 	}
-	return c
+	return admitSeries(r, r.counters, key, seriesName(base, labels))
 }
 
 // GaugeWith returns the gauge series of base with the given labels.
 func (r *Registry) GaugeWith(base string, labels ...Label) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name := admitSeries(r, r.gauges, base, labels)
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
+	key := keyOf('g', base, labels)
+	if g, ok := r.resolved[key]; ok {
+		return g.(*Gauge)
 	}
-	return g
+	return admitSeries(r, r.gauges, key, seriesName(base, labels))
 }
 
 // HistogramWith returns the histogram series of base with the given labels.
 func (r *Registry) HistogramWith(base string, labels ...Label) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name := admitSeries(r, r.hists, base, labels)
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
+	key := keyOf('h', base, labels)
+	if h, ok := r.resolved[key]; ok {
+		return h.(*Histogram)
 	}
-	return h
+	return admitSeries(r, r.hists, key, seriesName(base, labels))
 }
 
 // SeriesCount returns the number of live series of a family (labeled series

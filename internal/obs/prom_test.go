@@ -204,6 +204,40 @@ func TestLabelCardinalityBounded(t *testing.T) {
 	}
 }
 
+// TestResolvedSeriesLookup: a label set seen before resolves to its series
+// without formatting a name — no allocation — in any label order, while the
+// family cap holds as before: a label set past the cap still gets the
+// overflow series, and is not remembered, so the table of resolved label
+// sets stays within the cap too.
+func TestResolvedSeriesLookup(t *testing.T) {
+	r := NewRegistry()
+	labels := []Label{{"backend", "auto"}, {"tier", "turbofan"}, {"cache", "hit"}}
+	h := r.HistogramWith("lat_ns", labels...)
+	if n := testing.AllocsPerRun(100, func() {
+		if r.HistogramWith("lat_ns", Label{"backend", "auto"}, Label{"tier", "turbofan"}, Label{"cache", "hit"}) != h {
+			t.Fatal("a repeated lookup resolved to another series")
+		}
+	}); n != 0 {
+		t.Errorf("a repeated labeled lookup allocates %v times, want 0", n)
+	}
+	if r.HistogramWith("lat_ns", labels[2], labels[0], labels[1]) != h {
+		t.Error("another label order resolved to another series")
+	}
+	for i := 0; i < 10*maxSeriesPerFamily; i++ {
+		r.CounterWith("churn_total", Label{"id", fmt.Sprintf("v%d", i)})
+	}
+	over := r.Counter(overflowName("churn_total"))
+	if r.CounterWith("churn_total", Label{"id", "v999999"}) != over {
+		t.Error("a label set past the cap did not get the overflow series")
+	}
+	if r.CounterWith("churn_total", Label{"id", "v0"}) == over {
+		t.Error("an admitted label set resolved to the overflow series")
+	}
+	if n := len(r.resolved); n > maxSeriesPerFamily+2 {
+		t.Errorf("%d label sets remembered, want at most the cap %d plus lat_ns's two orders", n, maxSeriesPerFamily)
+	}
+}
+
 // TestSeriesNameCanonical: label order must not mint distinct series.
 func TestSeriesNameCanonical(t *testing.T) {
 	r := NewRegistry()

@@ -112,19 +112,9 @@ func RecordFromTrace(tr *Trace) QueryLogRecord {
 	rec.PeakMemBytes = tr.Value(CtrPeakMemBytes)
 	rec.Rows = int(tr.Value(CtrResultRows))
 
-	lo, tf := tr.Value(CtrMorselsLiftoff), tr.Value(CtrMorselsTurbofan)
-	switch {
-	case lo > 0 && tf > 0:
-		rec.Tier = "mixed"
-	case tf > 0:
-		rec.Tier = "turbofan"
-	case lo > 0:
-		rec.Tier = "liftoff"
-	default:
-		rec.Tier = "none"
-	}
+	rec.Tier = TierOf(tr)
 
-	for _, e := range tr.Events() {
+	tr.EachEvent(func(e Event) {
 		switch e.Name {
 		case EvTierUp:
 			var tu TierUp
@@ -159,8 +149,41 @@ func RecordFromTrace(tr *Trace) QueryLogRecord {
 				}
 			}
 		}
-	}
+	})
 	return rec
+}
+
+// TierOf is a finished query's dispatch mix, QueryLogRecord.Tier: "mixed"
+// when both tiers ran morsels, else the one that did, or "none".
+func TierOf(tr *Trace) string {
+	lo, tf := tr.Value(CtrMorselsLiftoff), tr.Value(CtrMorselsTurbofan)
+	switch {
+	case lo > 0 && tf > 0:
+		return "mixed"
+	case tf > 0:
+		return "turbofan"
+	case lo > 0:
+		return "liftoff"
+	}
+	return "none"
+}
+
+// PlanCacheOf is a query's plan-cache outcome, QueryLogRecord.PlanCache:
+// the result of its plan-cache event, "hit" or "miss", or "" when the query
+// did not use the cache.
+func PlanCacheOf(tr *Trace) string {
+	var res string
+	tr.EachEvent(func(e Event) {
+		if e.Name != EvPlanCache {
+			return
+		}
+		for _, a := range e.Args {
+			if a.Key == "result" {
+				res = a.Str
+			}
+		}
+	})
+	return res
 }
 
 // spanTimeline renders the trace's full span list relative to its start —

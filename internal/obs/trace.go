@@ -10,9 +10,28 @@
 // A non-nil Trace is safe for concurrent use — the background TurboFan
 // compiler publishes tier-up events into the same trace the morsel loop is
 // writing to.
+//
+// An enabled trace is what every query records into, so its cost is part of
+// every query's fixed cost. NewTrace is one allocation of 3 KiB that holds a
+// typical query's spans, events and their arguments inline, as compact
+// records with times relative to the trace's start; the Ctr* counters live
+// in a fixed table and need no map; recording copies a span's or event's
+// Args into storage the trace owns, so the variadic arguments of End and
+// Event stay on the caller's stack. A query that outgrows the inline storage
+// (a detailed trace's per-morsel spans, a wide parallel plan's tier-switch
+// events) allocates again: its records grow as a slice, its arguments in
+// chunks of 32. The readers inside the process — Stats, the query log
+// record, the autopilot's feedback — walk the events in place with
+// EachEvent; Spans and Events copy for outside callers.
+//
+// Traces are deliberately not pooled: a module's tier-up drain keeps writing
+// tier-up events into the trace of the query that queued the function after
+// that query has returned, so a recycled trace would receive another query's
+// events.
 package obs
 
 import (
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -103,7 +122,9 @@ const (
 	EvJoinMerge = "join-merge"
 )
 
-// Counter names stored on the trace (set by the executor at query end).
+// Counter names stored on the trace (set by the executor at query end). Each
+// has a slot in the trace's fixed counter table (ctrIndex); any other name,
+// such as a WorkerCtr, goes to a short list.
 const (
 	CtrMorselsLiftoff  = "morsels_liftoff"
 	CtrMorselsTurbofan = "morsels_turbofan"
@@ -134,6 +155,46 @@ const (
 	// were shared at parallel join build barriers (0 when serial).
 	CtrJoinPartitionsMerged = "join_partitions_merged"
 )
+
+// numCtrs is the size of the fixed counter table: one slot per Ctr* name.
+const numCtrs = 15
+
+// ctrIndex returns the table slot of a Ctr* name, or -1 for any other name.
+func ctrIndex(name string) int {
+	switch name {
+	case CtrMorselsLiftoff:
+		return 0
+	case CtrMorselsTurbofan:
+		return 1
+	case CtrTurbofanFailed:
+		return 2
+	case CtrModuleBytes:
+		return 3
+	case CtrFuelUsed:
+		return 4
+	case CtrPeakMemBytes:
+		return 5
+	case CtrCommittedMemBytes:
+		return 6
+	case CtrPagesRecycled:
+		return 7
+	case CtrPagesFresh:
+		return 8
+	case CtrResultRows:
+		return 9
+	case CtrWorkers:
+		return 10
+	case CtrPipelinesParallel:
+		return 11
+	case CtrPipelinesSerial:
+		return 12
+	case CtrGroupsMerged:
+		return 13
+	case CtrJoinPartitionsMerged:
+		return 14
+	}
+	return -1
+}
 
 // WorkerCtr names a per-worker trace counter, e.g. "worker.2.morsels_turbofan"
 // — the per-worker breakdown of adaptive tier usage under parallel execution.
@@ -189,15 +250,52 @@ type Trace struct {
 	// Hot counters, written from the morsel loop without taking mu.
 	morsels atomic.Int64
 
-	mu       sync.Mutex
-	spans    []Span
-	events   []Event
-	counters map[string]int64
+	mu sync.Mutex
+	// recs holds the spans and events in the order they were recorded.
+	recs []record
+	// args is the chunk of Arg storage that records' Args are taken from;
+	// a full chunk is left to the records that point into it and a new one
+	// started, so an Arg is never moved or written again.
+	args []Arg
+	// ctrs is the Ctr* counters by ctrIndex; extra holds every other name.
+	ctrs  [numCtrs]int64
+	extra []namedCtr
+
+	// The first storage of recs and args, room for a warm serial query's
+	// spans, events and arguments with some to spare (a Trace is 3 KiB), so
+	// that a typical query's trace is one allocation.
+	recBuf [24]record
+	argBuf [32]Arg
+}
+
+// record is a span or an event. Times are offsets from the trace's start,
+// from which Span.Start and Event.Time are restored; args is a window of an
+// Arg chunk, nil for none.
+type record struct {
+	name string
+	at   time.Duration
+	dur  time.Duration // isEvent for an event
+	args []Arg
+}
+
+// isEvent is an event record's dur: no span lasts that long.
+const isEvent = time.Duration(math.MinInt64)
+
+// argChunk is the size of the Arg chunks a trace allocates once its inline
+// storage is used up.
+const argChunk = 32
+
+// namedCtr is a counter outside the fixed table.
+type namedCtr struct {
+	name string
+	v    int64
 }
 
 // NewTrace creates an empty trace anchored at the current time.
 func NewTrace() *Trace {
-	return &Trace{start: time.Now(), counters: map[string]int64{}}
+	t := &Trace{start: time.Now()}
+	t.recs, t.args = t.recBuf[:0], t.argBuf[:0]
+	return t
 }
 
 // StartTime returns the trace's anchor time.
@@ -230,10 +328,7 @@ func (tm Timer) End(args ...Arg) {
 	if tm.t == nil {
 		return
 	}
-	sp := Span{Name: tm.name, Start: tm.start, Dur: time.Since(tm.start), Args: args}
-	tm.t.mu.Lock()
-	tm.t.spans = append(tm.t.spans, sp)
-	tm.t.mu.Unlock()
+	tm.t.AddSpan(tm.name, tm.start, time.Since(tm.start), args...)
 }
 
 // AddSpan records an externally timed span.
@@ -241,9 +336,7 @@ func (t *Trace) AddSpan(name string, start time.Time, dur time.Duration, args ..
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.spans = append(t.spans, Span{Name: name, Start: start, Dur: dur, Args: args})
-	t.mu.Unlock()
+	t.record(name, start.Sub(t.start), dur, args)
 }
 
 // Event records a point event at the current time.
@@ -251,10 +344,32 @@ func (t *Trace) Event(name string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	ev := Event{Name: name, Time: time.Now(), Args: args}
+	t.record(name, time.Since(t.start), isEvent, args)
+}
+
+// record appends a span, or an event if dur is isEvent, copying args into
+// the trace's own storage.
+func (t *Trace) record(name string, at, dur time.Duration, args []Arg) {
 	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	r := record{name: name, at: at, dur: dur}
+	if n := len(args); n > 0 {
+		if cap(t.args)-len(t.args) < n {
+			t.args = make([]Arg, 0, max(argChunk, n))
+		}
+		t.args = append(t.args, args...)
+		r.args = t.args[len(t.args)-n : len(t.args) : len(t.args)]
+	}
+	t.recs = append(t.recs, r)
+}
+
+// span and event restore a record's public form.
+func (t *Trace) span(r *record) Span {
+	return Span{Name: r.name, Start: t.start.Add(r.at), Dur: r.dur, Args: r.args}
+}
+
+func (t *Trace) event(r *record) Event {
+	return Event{Name: r.name, Time: t.start.Add(r.at), Args: r.args}
 }
 
 // AddMorsel counts one morsel dispatch (atomic; no lock).
@@ -280,7 +395,7 @@ func (t *Trace) Add(name string, delta int64) {
 		return
 	}
 	t.mu.Lock()
-	t.counters[name] += delta
+	*t.counter(name) += delta
 	t.mu.Unlock()
 }
 
@@ -290,8 +405,26 @@ func (t *Trace) Set(name string, v int64) {
 		return
 	}
 	t.mu.Lock()
-	t.counters[name] = v
+	*t.counter(name) = v
 	t.mu.Unlock()
+}
+
+// counter returns the named counter's storage, adding a zero counter for a
+// name not seen before. Caller holds t.mu.
+func (t *Trace) counter(name string) *int64 {
+	if i := ctrIndex(name); i >= 0 {
+		return &t.ctrs[i]
+	}
+	for i := range t.extra {
+		if t.extra[i].name == name {
+			return &t.extra[i].v
+		}
+	}
+	if t.extra == nil {
+		t.extra = make([]namedCtr, 0, 4) // a two-worker query's WorkerCtrs
+	}
+	t.extra = append(t.extra, namedCtr{name: name})
+	return &t.extra[len(t.extra)-1].v
 }
 
 // Value reads the named counter (0 if absent or trace is nil).
@@ -301,7 +434,15 @@ func (t *Trace) Value(name string) int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.counters[name]
+	if i := ctrIndex(name); i >= 0 {
+		return t.ctrs[i]
+	}
+	for _, c := range t.extra {
+		if c.name == name {
+			return c.v
+		}
+	}
+	return 0
 }
 
 // Dur sums the durations of all spans with the given name.
@@ -312,9 +453,9 @@ func (t *Trace) Dur(name string) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var d time.Duration
-	for _, s := range t.spans {
-		if s.Name == name {
-			d += s.Dur
+	for i := range t.recs {
+		if r := &t.recs[i]; r.dur != isEvent && r.name == name {
+			d += r.dur
 		}
 	}
 	return d
@@ -327,8 +468,12 @@ func (t *Trace) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
+	out := make([]Span, 0, len(t.recs))
+	for i := range t.recs {
+		if r := &t.recs[i]; r.dur != isEvent {
+			out = append(out, t.span(r))
+		}
+	}
 	return out
 }
 
@@ -339,9 +484,30 @@ func (t *Trace) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
+	out := make([]Event, 0, len(t.recs))
+	for i := range t.recs {
+		if r := &t.recs[i]; r.dur == isEvent {
+			out = append(out, t.event(r))
+		}
+	}
 	return out
+}
+
+// EachEvent calls fn with each recorded event in order, in place: unlike
+// Events it copies nothing, so the readers that derive a query's Stats, log
+// record and feedback from its trace allocate nothing. It holds the trace's
+// lock throughout, so fn must not call methods of t.
+func (t *Trace) EachEvent(fn func(Event)) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.recs {
+		if r := &t.recs[i]; r.dur == isEvent {
+			fn(t.event(r))
+		}
+	}
 }
 
 // HasEvent reports whether an event with the given name was recorded.
@@ -351,8 +517,8 @@ func (t *Trace) HasEvent(name string) bool {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, e := range t.events {
-		if e.Name == name {
+	for i := range t.recs {
+		if r := &t.recs[i]; r.dur == isEvent && r.name == name {
 			return true
 		}
 	}

@@ -29,126 +29,181 @@ type token struct {
 	pos  int
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "LIMIT": true, "AS": true, "AND": true, "OR": true,
-	"NOT": true, "BETWEEN": true, "IN": true, "LIKE": true, "CASE": true,
-	"WHEN": true, "THEN": true, "ELSE": true, "END": true, "ASC": true,
-	"DESC": true, "JOIN": true, "INNER": true, "ON": true, "DATE": true,
-	"INTERVAL": true, "DAY": true, "MONTH": true, "YEAR": true,
-	"EXTRACT": true, "CREATE": true, "TABLE": true, "INSERT": true,
-	"INTO": true, "VALUES": true, "TRUE": true, "FALSE": true,
-	"INT": true, "INTEGER": true, "BIGINT": true, "DOUBLE": true,
-	"DECIMAL": true, "CHAR": true, "VARCHAR": true, "BOOLEAN": true,
-	"COUNT": true, "SUM": true, "MIN": true, "MAX": true, "AVG": true,
-	"DISTINCT": true, "HAVING": true,
+// keywords maps each keyword, upper-cased, to itself: a token's text is the
+// map's own string, so recognising a keyword allocates nothing.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, k := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "LIMIT", "AS", "AND", "OR",
+		"NOT", "BETWEEN", "IN", "LIKE", "CASE", "WHEN", "THEN", "ELSE", "END", "ASC",
+		"DESC", "JOIN", "INNER", "ON", "DATE", "INTERVAL", "DAY", "MONTH", "YEAR",
+		"EXTRACT", "CREATE", "TABLE", "INSERT", "INTO", "VALUES", "TRUE", "FALSE",
+		"INT", "INTEGER", "BIGINT", "DOUBLE", "DECIMAL", "CHAR", "VARCHAR", "BOOLEAN",
+		"COUNT", "SUM", "MIN", "MAX", "AVG", "DISTINCT", "HAVING",
+	} {
+		m[k] = k
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword; a longer word is an
+// identifier without a lookup.
+const maxKeywordLen = 8
+
+// keyword returns the keyword word spells in any case, upper-cased, and
+// whether it is one. It upper-cases into a stack buffer, so the lookup
+// allocates nothing.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	k, ok := keywords[string(buf[:len(word)])]
+	return k, ok
 }
 
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
 }
 
+// lex splits src into tokens, ending with tokEOF. It scans src twice: the
+// first pass only counts the tokens, so the token slice is allocated once,
+// at its final size; the second fills it and lower-cases identifiers and
+// collapses doubled quotes, which next leaves as written. A token's text is
+// then a substring of src or a keyword's canonical string; only an
+// identifier with upper-case letters and a string literal with a doubled
+// quote allocate their own.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	n := 0
+	counter := lexer{src: src}
 	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
-			return l.toks, nil
+		tok, err := counter.next()
+		if err != nil {
+			return nil, err
 		}
-		start := l.pos
-		c := l.src[l.pos]
-		switch {
-		case isAlpha(c):
-			for l.pos < len(l.src) && (isAlpha(l.src[l.pos]) || isDigit(l.src[l.pos])) {
-				l.pos++
-			}
-			word := l.src[start:l.pos]
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				l.toks = append(l.toks, token{kind: tokKeyword, text: up, pos: start})
-			} else {
-				l.toks = append(l.toks, token{kind: tokIdent, text: strings.ToLower(word), pos: start})
-			}
-		case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
-			isFloat := false
+		n++
+		if tok.kind == tokEOF {
+			break
+		}
+	}
+	toks := make([]token, n)
+	l := lexer{src: src}
+	for i := range toks {
+		toks[i], _ = l.next()
+		switch toks[i].kind {
+		case tokIdent:
+			toks[i].text = strings.ToLower(toks[i].text)
+		case tokString:
+			toks[i].text = strings.ReplaceAll(toks[i].text, "''", "'")
+		}
+	}
+	return toks, nil
+}
+
+// next scans the token at l.pos. An identifier's text keeps its case and a
+// string literal's its doubled quotes.
+func (l *lexer) next() (token, error) {
+	l.skipSpace()
+	if l.pos >= len(l.src) {
+		return token{kind: tokEOF, pos: l.pos}, nil
+	}
+	start := l.pos
+	c := l.src[l.pos]
+	switch {
+	case isAlpha(c):
+		for l.pos < len(l.src) && (isAlpha(l.src[l.pos]) || isDigit(l.src[l.pos])) {
+			l.pos++
+		}
+		word := l.src[start:l.pos]
+		if k, ok := keyword(word); ok {
+			return token{kind: tokKeyword, text: k, pos: start}, nil
+		}
+		return token{kind: tokIdent, text: word, pos: start}, nil
+	case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
+		isFloat := false
+		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
+			l.pos++
+		}
+		if l.pos < len(l.src) && l.src[l.pos] == '.' {
+			isFloat = true
+			l.pos++
 			for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
 				l.pos++
 			}
-			if l.pos < len(l.src) && l.src[l.pos] == '.' {
-				isFloat = true
-				l.pos++
-				for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-					l.pos++
-				}
-			}
-			if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
-				isFloat = true
-				l.pos++
-				if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-					l.pos++
-				}
-				for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-					l.pos++
-				}
-			}
-			kind := tokInt
-			if isFloat {
-				kind = tokFloat
-			}
-			l.toks = append(l.toks, token{kind: kind, text: l.src[start:l.pos], pos: start})
-		case c == '\'':
+		}
+		if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
+			isFloat = true
 			l.pos++
-			var sb strings.Builder
-			for {
-				if l.pos >= len(l.src) {
-					return nil, fmt.Errorf("sql: unterminated string literal at %d", start)
-				}
-				if l.src[l.pos] == '\'' {
-					if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-						sb.WriteByte('\'')
-						l.pos += 2
-						continue
-					}
-					l.pos++
-					break
-				}
-				sb.WriteByte(l.src[l.pos])
+			if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
 				l.pos++
 			}
-			l.toks = append(l.toks, token{kind: tokString, text: sb.String(), pos: start})
-		case strings.ContainsRune("(),.*+-/%;?", rune(c)):
-			l.pos++
-			l.toks = append(l.toks, token{kind: tokOp, text: string(c), pos: start})
-		case c == '<':
-			l.pos++
-			if l.pos < len(l.src) && (l.src[l.pos] == '=' || l.src[l.pos] == '>') {
+			for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
 				l.pos++
 			}
-			l.toks = append(l.toks, token{kind: tokOp, text: l.src[start:l.pos], pos: start})
-		case c == '>':
+		}
+		kind := tokInt
+		if isFloat {
+			kind = tokFloat
+		}
+		return token{kind: kind, text: l.src[start:l.pos], pos: start}, nil
+	case c == '\'':
+		return l.stringLit()
+	case strings.IndexByte("(),.*+-/%;?", c) >= 0:
+		l.pos++
+		return token{kind: tokOp, text: l.src[start:l.pos], pos: start}, nil
+	case c == '<':
+		l.pos++
+		if l.pos < len(l.src) && (l.src[l.pos] == '=' || l.src[l.pos] == '>') {
 			l.pos++
-			if l.pos < len(l.src) && l.src[l.pos] == '=' {
-				l.pos++
-			}
-			l.toks = append(l.toks, token{kind: tokOp, text: l.src[start:l.pos], pos: start})
-		case c == '=':
+		}
+		return token{kind: tokOp, text: l.src[start:l.pos], pos: start}, nil
+	case c == '>':
+		l.pos++
+		if l.pos < len(l.src) && l.src[l.pos] == '=' {
 			l.pos++
-			l.toks = append(l.toks, token{kind: tokOp, text: "=", pos: start})
-		case c == '!':
+		}
+		return token{kind: tokOp, text: l.src[start:l.pos], pos: start}, nil
+	case c == '=':
+		l.pos++
+		return token{kind: tokOp, text: "=", pos: start}, nil
+	case c == '!':
+		l.pos++
+		if l.pos < len(l.src) && l.src[l.pos] == '=' {
 			l.pos++
-			if l.pos < len(l.src) && l.src[l.pos] == '=' {
-				l.pos++
-				l.toks = append(l.toks, token{kind: tokOp, text: "<>", pos: start})
-			} else {
-				return nil, fmt.Errorf("sql: unexpected character %q at %d", c, start)
-			}
-		default:
-			return nil, fmt.Errorf("sql: unexpected character %q at %d", c, start)
+			return token{kind: tokOp, text: "<>", pos: start}, nil
 		}
 	}
+	return token{}, fmt.Errorf("sql: unexpected character %q at %d", c, start)
+}
+
+// stringLit scans the string literal at l.pos; its text is what lies
+// between the quotes.
+func (l *lexer) stringLit() (token, error) {
+	start := l.pos
+	l.pos++
+	for {
+		if l.pos >= len(l.src) {
+			return token{}, fmt.Errorf("sql: unterminated string literal at %d", start)
+		}
+		if l.src[l.pos] == '\'' {
+			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+				l.pos += 2
+				continue
+			}
+			l.pos++
+			break
+		}
+		l.pos++
+	}
+	return token{kind: tokString, text: l.src[start+1 : l.pos-1], pos: start}, nil
 }
 
 func (l *lexer) skipSpace() {

@@ -9,6 +9,10 @@ import (
 // Decode parses a binary WebAssembly module. It accepts the subset of the
 // core MVP emitted by this package (one memory, one funcref table, active
 // segments, constant initializers) and rejects everything else with an error.
+//
+// The module's function bodies (Func.Code) are slices of buf, not copies:
+// the caller must not write buf while the Module is in use. The engine's
+// input, a CompiledQuery's Bin, is never written after code generation.
 func Decode(buf []byte) (*Module, error) {
 	d := &decoder{buf: buf}
 	return d.module(false)
@@ -307,9 +311,7 @@ func (d *decoder) module(withNames bool) (*Module, error) {
 				return nil, err
 			}
 		case secCode:
-			// Bodies stay slices of one copy of the section, so a Module
-			// never aliases the caller's buffer.
-			sd.buf = append([]byte(nil), body...)
+			// Bodies stay slices of the caller's buffer (see Decode).
 			if err := sd.codeSection(m, funcTypes); err != nil {
 				return nil, err
 			}

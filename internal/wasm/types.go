@@ -234,6 +234,22 @@ func (m *Module) NumImportedFuncs() int {
 	return n
 }
 
+// FuncLabel names a module-defined function in messages: its debug name if
+// it has one, else "func N" with N its function index (imports first), the
+// number the engine's tier-up events give it. An unnamed fn that does not
+// point into m.Funcs is "func ?".
+func (m *Module) FuncLabel(fn *Func) string {
+	if fn.Name != "" {
+		return fn.Name
+	}
+	for i := range m.Funcs {
+		if &m.Funcs[i] == fn {
+			return fmt.Sprintf("func %d", m.NumImportedFuncs()+i)
+		}
+	}
+	return "func ?"
+}
+
 // FuncTypeAt returns the signature of the function with the given function
 // index (imports first, then module-defined functions).
 func (m *Module) FuncTypeAt(idx uint32) (FuncType, error) {

@@ -530,7 +530,7 @@ func statsFromTrace(tr *obs.Trace, b Backend) Stats {
 		GroupsMerged:         int(tr.Value(obs.CtrGroupsMerged)),
 		JoinPartitionsMerged: int(tr.Value(obs.CtrJoinPartitionsMerged)),
 	}
-	for _, e := range tr.Events() {
+	tr.EachEvent(func(e obs.Event) {
 		switch e.Name {
 		case obs.EvSerialFallback:
 			for _, a := range e.Args {
@@ -548,7 +548,7 @@ func statsFromTrace(tr *obs.Trace, b Backend) Stats {
 				}
 			}
 		}
-	}
+	})
 	return s
 }
 
@@ -642,11 +642,13 @@ func (db *DB) QueryContext(ctx context.Context, src string, opts ...Option) (*Re
 //
 // It wraps runQuery with the always-on telemetry: every query — success or
 // error — records into a trace (the caller's via WithTrace, or an internal
-// one), lands one observation in the query_latency_ns{backend,tier,cache}
-// histogram, and yields a structured QueryLogRecord to the WithQueryLog
-// callback. The telemetry cost off the serving path is one trace (already
-// the case before this layer — Stats are derived from it) plus one labeled
-// histogram lookup, so it stays on unconditionally.
+// one) and lands one observation in the query_latency_ns{backend,tier,cache}
+// histogram; a query with a WithQueryLog callback also yields a structured
+// QueryLogRecord to it. Off the serving path the cost is the trace (which
+// Stats are derived from anyway) and the histogram's series lookup, which
+// the registry resolves without formatting a series name once it has seen
+// the label set, so it stays on unconditionally. The record, its query hash
+// and its tier-up list are built only when a callback will receive them.
 func (db *DB) queryContext(ctx context.Context, src string, args []types.Value, opts ...Option) (*Result, error) {
 	o := queryOpts{}
 	for _, f := range opts {
@@ -667,27 +669,28 @@ func (db *DB) queryContext(ctx context.Context, src string, args []types.Value, 
 	res, err := db.runQuery(ctx, src, args, &o, tr)
 	total := time.Since(start)
 
-	rec := obs.RecordFromTrace(tr)
-	rec.SQL = src
-	rec.QueryHash = obs.HashQuery(src)
-	rec.Backend = o.backend.String()
-	rec.TotalNs = total.Nanoseconds()
-	if res != nil {
-		rec.Rows = res.NumRows()
-	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	cache := rec.PlanCache
+	backend := o.backend.String()
+	cache := obs.PlanCacheOf(tr)
 	if cache == "" {
 		cache = "off"
 	}
 	obs.Default.HistogramWith(obs.MetricQueryLatency,
-		obs.Label{Key: "backend", Val: rec.Backend},
-		obs.Label{Key: "tier", Val: rec.Tier},
+		obs.Label{Key: "backend", Val: backend},
+		obs.Label{Key: "tier", Val: obs.TierOf(tr)},
 		obs.Label{Key: "cache", Val: cache},
 	).Observe(total.Nanoseconds())
 	if o.onRecord != nil {
+		rec := obs.RecordFromTrace(tr)
+		rec.SQL = src
+		rec.QueryHash = obs.HashQuery(src)
+		rec.Backend = backend
+		rec.TotalNs = total.Nanoseconds()
+		if res != nil {
+			rec.Rows = res.NumRows()
+		}
+		if err != nil {
+			rec.Error = err.Error()
+		}
 		o.onRecord(rec)
 	}
 	return res, err
@@ -933,7 +936,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		if fb.Morsels > 0 {
 			fb.MorselNs = fb.ExecNs / fb.Morsels
 		}
-		for _, ev := range tr.Events() {
+		tr.EachEvent(func(ev obs.Event) {
 			if ev.Name == obs.EvTierSwitch && fb.TierUpMorsel < 0 {
 				for _, a := range ev.Args {
 					if a.Key == "morsel" {
@@ -941,7 +944,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 					}
 				}
 			}
-		}
+		})
 		db.pcache.RecordFeedback(fp, fb)
 	}
 	return res, nil
