@@ -67,14 +67,17 @@ tier-diff:
 # both workers returned; ParallelQueriesLeaveColumnsIntact: mapped table
 # columns are never cleared or recycled), and the tier-switch sweep
 # (TierSwitch: tier-2 code published before each morsel of a serial run in
-# turn, against tier 1 only) —
+# turn, against tier 1 only), and the statement cache (StmtCache: every
+# corpus query as a statement miss, a statement hit and with the plan cache
+# off; re-planning after INSERT, DDL, loads and flushes; LIMIT ?; error
+# texts on a hit; concurrent hits sharing one stored plan) —
 # under the race detector on two cores, where workers really interleave. A pattern that stops matching after
 # a rename would pass vacuously, so the number of selected tests is checked
 # first.
-PARALLEL_DIFF = Parallel|Barrier|Scheduler|Fallback|JoinBuild|Styled|CharWord|TierSwitch
+PARALLEL_DIFF = Parallel|Barrier|Scheduler|Fallback|JoinBuild|Styled|CharWord|TierSwitch|StmtCache
 parallel-diff:
 	@n=$$($(GO) test -list '$(PARALLEL_DIFF)' . ./internal/core | grep -c '^Test'); \
-		if [ $$n -lt 49 ]; then echo "parallel-diff: the pattern selects $$n tests, expected at least 49" >&2; exit 1; fi
+		if [ $$n -lt 55 ]; then echo "parallel-diff: the pattern selects $$n tests, expected at least 55" >&2; exit 1; fi
 	GOMAXPROCS=2 $(GO) test -race -run '$(PARALLEL_DIFF)' . ./internal/core
 
 # retired prints the instructions each tier's code retires per TPC-H query
@@ -93,13 +96,16 @@ retired:
 # the morsel schedule) — 20 times under the race detector, so a relapse fails
 # here by name instead of once in a while somewhere in the full suite. With
 # them runs the release of a cancelled two-worker query's pages, whose
-# interleaving of watchdog, workers and release differs from run to run.
+# interleaving of watchdog, workers and release differs from run to run, and
+# the tier-up drain's exit after an eviction (it read its count of held
+# compiles after releasing them, when the drains had already gone on).
 flake-guard:
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestScheduler(ConcurrentAcquireRelease|YieldBeyondGrant)$$' ./internal/core
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestFlightRecorderConcurrent$$' ./internal/obs
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestReplInterrupt$$' ./cmd/wasmdb
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestJoinBuildMemoryLimitInReserve$$' .
 	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestParallelReleaseAfterCancel$$' .
+	GOMAXPROCS=2 $(GO) test -race -count=20 -run 'TestTierUpDrainExitsAfterEviction$$' .
 
 # internal/obs must stay at the bottom of the dependency graph: it may
 # import nothing from this module, or every layer recording into it would
@@ -141,8 +147,8 @@ lint-layers:
 # exactly: an untraced morsel dispatch and the default server's telemetry
 # sinks allocate nothing (testing.AllocsPerRun == 0); and, as exactly, the
 # always-on path's fixed cost: a warm two-worker query's trace, recorded
-# and read back, allocates at most 8 objects, lexing TPC-H Q1 allocates once,
-# and a warm BackendAuto query makes at most 225 allocations. Next it asserts the
+# and read back, allocates at most 2 objects, lexing TPC-H Q1 allocates once,
+# and a warm BackendAuto query makes at most 110 allocations. Next it asserts the
 # disabled-tracer contract on the morsel dispatch path in time: with no trace
 # attached the telemetry must cost only a nil check, so traced-vs-untraced
 # overhead stays ≈0% (≤5% allows timer noise). Next it holds the serving layer's telemetry budget: one

@@ -93,15 +93,18 @@ func TestWarmQueryAllocBudget(t *testing.T) {
 
 // TestWarmAutoQueryExactAllocs is an exact allocation gate on a warm
 // BackendAuto query's fixed cost: auto-mixed's lineitem GROUP BY on TPC-H SF
-// 0.002, served from the plan cache on tier-2 code with one worker, makes at
-// most 225 allocations per execution (testing.AllocsPerRun). It makes 194
-// (199 under -race): the trace is one allocation with no counter map and
-// no per-call argument lists, Stats, the latency histogram and the
-// autopilot's feedback read the trace in place, no query-log record is
-// built without a WithQueryLog callback, the lexer allocates only its token
-// slice, and the page table is recycled. Before those it made 262 (267).
+// 0.002, served from the statement cache and the plan cache on tier-2 code
+// with one worker, makes at most 110 allocations per execution
+// (testing.AllocsPerRun). It makes 94 (97 under -race): the repeated text
+// skips lex, parse, sema, parameterize, plan and fingerprint, the trace is
+// one allocation with no counter map and no per-call argument lists, Stats,
+// the latency histogram and the autopilot's feedback read the trace in
+// place, no query-log record is built without a WithQueryLog callback, and
+// the page table is recycled. While every execution ran the front end it
+// made 194 (199), and before the trace and lexer were made allocation-light
+// 262 (267).
 func TestWarmAutoQueryExactAllocs(t *testing.T) {
-	const budget = 225
+	const budget = 110
 	db := wasmdb.Open()
 	if err := db.LoadTPCH(0.002, 42); err != nil {
 		t.Fatal(err)

@@ -205,13 +205,14 @@ func renderAnalyze(planText string, tr *Trace, st Stats, rows int) string {
 	if st.JoinPartitionsMerged > 0 {
 		fmt.Fprintf(&sb, "  join partitions    %d merged\n", st.JoinPartitionsMerged)
 	}
-	// Plan-cache outcome: whether this execution reused a cached module, and
-	// which tier the module dispatched from the first morsel on.
+	// Plan-cache outcome: whether this execution reused a cached module,
+	// which tier the module dispatched from the first morsel on, and whether
+	// the statement cache spared it the front end.
 	for _, ev := range tr.Events() {
 		if ev.Name != obs.EvPlanCache {
 			continue
 		}
-		var result, fp, tier string
+		var result, fp, tier, stmt string
 		for _, a := range ev.Args {
 			switch a.Key {
 			case "result":
@@ -220,12 +221,14 @@ func renderAnalyze(planText string, tr *Trace, st Stats, rows int) string {
 				fp = a.Str
 			case "tier":
 				tier = a.Str
+			case "statement":
+				stmt = a.Str
 			}
 		}
 		if result == "hit" {
-			fmt.Fprintf(&sb, "  plan cache         hit (fingerprint=%s, tier=%s)\n", fp, tier)
+			fmt.Fprintf(&sb, "  plan cache         hit (fingerprint=%s, tier=%s), statement %s\n", fp, tier, stmt)
 		} else {
-			fmt.Fprintf(&sb, "  plan cache         miss (fingerprint=%s)\n", fp)
+			fmt.Fprintf(&sb, "  plan cache         miss (fingerprint=%s), statement %s\n", fp, stmt)
 		}
 	}
 	// A query that requested parallelism but could not use it says why.

@@ -89,57 +89,61 @@ func TestTPCHDifferential(t *testing.T) {
 	}
 }
 
+// microCorpus is the root differential corpus over TPC-H SF 0.01: scans,
+// filters, aggregates, GROUP BY, HAVING, joins, ORDER BY/LIMIT, LIKE, IN,
+// CASE and empty inputs.
+var microCorpus = []struct {
+	src     string
+	ordered bool
+}{
+	{"SELECT COUNT(*) FROM lineitem", false},
+	{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 25", false},
+	{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 25 AND l_discount < 0.05", false},
+	{"SELECT COUNT(*), SUM(l_extendedprice), MIN(l_shipdate), MAX(l_shipdate) FROM lineitem", false},
+	{"SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag", false},
+	{"SELECT l_shipmode, MIN(l_quantity), MAX(l_quantity) FROM lineitem GROUP BY l_shipmode", false},
+	{"SELECT o_orderpriority, COUNT(*) FROM orders GROUP BY o_orderpriority ORDER BY o_orderpriority", true},
+	{"SELECT COUNT(*) FROM orders, lineitem WHERE o_orderkey = l_orderkey AND o_totalprice > 200000.0", false},
+	{"SELECT c_mktsegment, COUNT(*) FROM customer, orders WHERE c_custkey = o_custkey GROUP BY c_mktsegment", false},
+	{"SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice DESC LIMIT 25", true},
+	{"SELECT l_orderkey, l_linenumber FROM lineitem WHERE l_shipmode = 'AIR' ORDER BY l_orderkey, l_linenumber LIMIT 100", true},
+	{"SELECT COUNT(*) FROM part WHERE p_type LIKE 'PROMO%'", false},
+	{"SELECT COUNT(*) FROM part WHERE p_type LIKE '%BRASS'", false},
+	{"SELECT COUNT(*) FROM part WHERE p_type LIKE '%ANODIZED%'", false},
+	{"SELECT COUNT(*) FROM part WHERE p_type NOT LIKE 'PROMO%'", false},
+	{"SELECT COUNT(*) FROM orders WHERE o_orderpriority IN ('1-URGENT', '5-LOW')", false},
+	{"SELECT COUNT(*) FROM lineitem WHERE l_quantity BETWEEN 10 AND 20", false},
+	{"SELECT COUNT(*) FROM lineitem WHERE NOT (l_quantity < 25)", false},
+	{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 10 OR l_quantity > 45", false},
+	{"SELECT EXTRACT(YEAR FROM o_orderdate) AS y, COUNT(*) FROM orders GROUP BY EXTRACT(YEAR FROM o_orderdate) ORDER BY y", true},
+	{"SELECT SUM(CASE WHEN l_discount > 0.05 THEN l_extendedprice ELSE 0 END) FROM lineitem", false},
+	// An INT CASE whose BIGINT literal arm is cast down to INT.
+	{"SELECT SUM(CASE WHEN l_linenumber > 3 THEN l_linenumber ELSE 0 END) FROM lineitem", false},
+	{"SELECT l_returnflag, SUM(CASE WHEN l_linenumber > 3 THEN l_linenumber ELSE 0 END) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag", true},
+	{"SELECT COUNT(*) FROM lineitem WHERE l_commitdate < l_receiptdate", false},
+	{"SELECT COUNT(*) FROM lineitem WHERE l_shipdate >= DATE '1995-01-01' AND l_shipdate < DATE '1996-01-01'", false},
+	{"SELECT COUNT(*), AVG(l_quantity) FROM lineitem WHERE l_discount = 0.03", false},
+	// HAVING: grouped, keyless, and zero-input cases.
+	{"SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag HAVING COUNT(*) > 100", false},
+	{"SELECT l_shipmode, SUM(l_quantity), COUNT(*) FROM lineitem GROUP BY l_shipmode HAVING MIN(l_quantity) < 5 OR COUNT(*) > 500", false},
+	{"SELECT l_returnflag, AVG(l_quantity) FROM lineitem GROUP BY l_returnflag HAVING AVG(l_quantity) > 25 ORDER BY l_returnflag", true},
+	{"SELECT COUNT(*) FROM lineitem HAVING COUNT(*) > 0", false},
+	{"SELECT COUNT(*) FROM lineitem HAVING COUNT(*) < 0", false},
+	// Zero input rows: the zero group exists and HAVING decides its fate.
+	{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 0 HAVING COUNT(*) = 0", false},
+	{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 0 HAVING COUNT(*) > 0", false},
+	{"SELECT l_returnflag, COUNT(*) FROM lineitem WHERE l_quantity < 0 GROUP BY l_returnflag HAVING COUNT(*) > 0", false},
+	// Empty result sets.
+	{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 0", false},
+	{"SELECT l_returnflag, COUNT(*) FROM lineitem WHERE l_quantity < 0 GROUP BY l_returnflag", false},
+	{"SELECT l_orderkey FROM lineitem WHERE l_quantity < 0", false},
+}
+
 // TestMicroDifferential covers the §8.2-style building blocks plus edge
 // cases on every backend.
 func TestMicroDifferential(t *testing.T) {
 	db := tpchDB(t)
-	queries := []struct {
-		src     string
-		ordered bool
-	}{
-		{"SELECT COUNT(*) FROM lineitem", false},
-		{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 25", false},
-		{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 25 AND l_discount < 0.05", false},
-		{"SELECT COUNT(*), SUM(l_extendedprice), MIN(l_shipdate), MAX(l_shipdate) FROM lineitem", false},
-		{"SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag", false},
-		{"SELECT l_shipmode, MIN(l_quantity), MAX(l_quantity) FROM lineitem GROUP BY l_shipmode", false},
-		{"SELECT o_orderpriority, COUNT(*) FROM orders GROUP BY o_orderpriority ORDER BY o_orderpriority", true},
-		{"SELECT COUNT(*) FROM orders, lineitem WHERE o_orderkey = l_orderkey AND o_totalprice > 200000.0", false},
-		{"SELECT c_mktsegment, COUNT(*) FROM customer, orders WHERE c_custkey = o_custkey GROUP BY c_mktsegment", false},
-		{"SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice DESC LIMIT 25", true},
-		{"SELECT l_orderkey, l_linenumber FROM lineitem WHERE l_shipmode = 'AIR' ORDER BY l_orderkey, l_linenumber LIMIT 100", true},
-		{"SELECT COUNT(*) FROM part WHERE p_type LIKE 'PROMO%'", false},
-		{"SELECT COUNT(*) FROM part WHERE p_type LIKE '%BRASS'", false},
-		{"SELECT COUNT(*) FROM part WHERE p_type LIKE '%ANODIZED%'", false},
-		{"SELECT COUNT(*) FROM part WHERE p_type NOT LIKE 'PROMO%'", false},
-		{"SELECT COUNT(*) FROM orders WHERE o_orderpriority IN ('1-URGENT', '5-LOW')", false},
-		{"SELECT COUNT(*) FROM lineitem WHERE l_quantity BETWEEN 10 AND 20", false},
-		{"SELECT COUNT(*) FROM lineitem WHERE NOT (l_quantity < 25)", false},
-		{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 10 OR l_quantity > 45", false},
-		{"SELECT EXTRACT(YEAR FROM o_orderdate) AS y, COUNT(*) FROM orders GROUP BY EXTRACT(YEAR FROM o_orderdate) ORDER BY y", true},
-		{"SELECT SUM(CASE WHEN l_discount > 0.05 THEN l_extendedprice ELSE 0 END) FROM lineitem", false},
-		// An INT CASE whose BIGINT literal arm is cast down to INT.
-		{"SELECT SUM(CASE WHEN l_linenumber > 3 THEN l_linenumber ELSE 0 END) FROM lineitem", false},
-		{"SELECT l_returnflag, SUM(CASE WHEN l_linenumber > 3 THEN l_linenumber ELSE 0 END) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag", true},
-		{"SELECT COUNT(*) FROM lineitem WHERE l_commitdate < l_receiptdate", false},
-		{"SELECT COUNT(*) FROM lineitem WHERE l_shipdate >= DATE '1995-01-01' AND l_shipdate < DATE '1996-01-01'", false},
-		{"SELECT COUNT(*), AVG(l_quantity) FROM lineitem WHERE l_discount = 0.03", false},
-		// HAVING: grouped, keyless, and zero-input cases.
-		{"SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag HAVING COUNT(*) > 100", false},
-		{"SELECT l_shipmode, SUM(l_quantity), COUNT(*) FROM lineitem GROUP BY l_shipmode HAVING MIN(l_quantity) < 5 OR COUNT(*) > 500", false},
-		{"SELECT l_returnflag, AVG(l_quantity) FROM lineitem GROUP BY l_returnflag HAVING AVG(l_quantity) > 25 ORDER BY l_returnflag", true},
-		{"SELECT COUNT(*) FROM lineitem HAVING COUNT(*) > 0", false},
-		{"SELECT COUNT(*) FROM lineitem HAVING COUNT(*) < 0", false},
-		// Zero input rows: the zero group exists and HAVING decides its fate.
-		{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 0 HAVING COUNT(*) = 0", false},
-		{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 0 HAVING COUNT(*) > 0", false},
-		{"SELECT l_returnflag, COUNT(*) FROM lineitem WHERE l_quantity < 0 GROUP BY l_returnflag HAVING COUNT(*) > 0", false},
-		// Empty result sets.
-		{"SELECT COUNT(*) FROM lineitem WHERE l_quantity < 0", false},
-		{"SELECT l_returnflag, COUNT(*) FROM lineitem WHERE l_quantity < 0 GROUP BY l_returnflag", false},
-		{"SELECT l_orderkey FROM lineitem WHERE l_quantity < 0", false},
-	}
-	for _, q := range queries {
+	for _, q := range microCorpus {
 		diffQuery(t, db, q.src, q.ordered)
 	}
 }

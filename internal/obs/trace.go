@@ -32,7 +32,6 @@ package obs
 
 import (
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,7 +100,9 @@ const (
 	EvAutopilot = "autopilot"
 	// EvPlanCache marks a plan-cache lookup (args: result — "hit" or "miss",
 	// fingerprint — the plan fingerprint's short prefix, tier — the tier the
-	// cached module currently dispatches to on a hit).
+	// cached module currently dispatches to on a hit, statement — "reused"
+	// when the statement cache supplied the plan and fingerprint, "planned"
+	// when the front end ran).
 	EvPlanCache = "plan-cache"
 	// EvGroupMerge marks the group-by pipeline barrier of parallel execution:
 	// every secondary worker's partial groups were drained and folded into
@@ -123,8 +124,8 @@ const (
 )
 
 // Counter names stored on the trace (set by the executor at query end). Each
-// has a slot in the trace's fixed counter table (ctrIndex); any other name,
-// such as a WorkerCtr, goes to a short list.
+// has a slot in the trace's fixed counter table (ctrIndex); any other name
+// goes to a short list.
 const (
 	CtrMorselsLiftoff  = "morsels_liftoff"
 	CtrMorselsTurbofan = "morsels_turbofan"
@@ -194,12 +195,6 @@ func ctrIndex(name string) int {
 		return 14
 	}
 	return -1
-}
-
-// WorkerCtr names a per-worker trace counter, e.g. "worker.2.morsels_turbofan"
-// — the per-worker breakdown of adaptive tier usage under parallel execution.
-func WorkerCtr(worker int, name string) string {
-	return "worker." + strconv.Itoa(worker) + "." + name
 }
 
 // Arg is one key/value annotation on a span or event. Val carries numeric
@@ -419,9 +414,6 @@ func (t *Trace) counter(name string) *int64 {
 		if t.extra[i].name == name {
 			return &t.extra[i].v
 		}
-	}
-	if t.extra == nil {
-		t.extra = make([]namedCtr, 0, 4) // a two-worker query's WorkerCtrs
 	}
 	t.extra = append(t.extra, namedCtr{name: name})
 	return &t.extra[len(t.extra)-1].v

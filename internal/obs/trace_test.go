@@ -8,15 +8,13 @@ import (
 )
 
 // recordTwoWorkerQuery records what a warm two-worker GROUP BY over TPC-H
-// lineitem records (auto-mixed's last shape, served from the plan cache on
-// tier-2 code): 11 spans, 15 events with 41 arguments between them, the 15
-// Ctr* counters and the 4 per-worker counters.
+// lineitem records (auto-mixed's last shape, a repeated text served from the
+// statement cache and the plan cache on tier-2 code, so no parse, sema or
+// plan span): 8 spans, 15 events with 42 arguments between them and the 15
+// Ctr* counters.
 func recordTwoWorkerQuery(tr *Trace) {
-	for _, name := range []string{SpanParse, SpanSema, SpanPlan} {
-		tr.Begin(name).End()
-	}
 	tr.Event(EvAutopilot, S("choice", "adaptive"), I("workers", 2), I("corrected", 0), S("reason", "est-work 267338 rows"))
-	tr.Event(EvPlanCache, S("result", "hit"), S("fingerprint", "e98e8e4c6813"), S("tier", "turbofan"))
+	tr.Event(EvPlanCache, S("result", "hit"), S("fingerprint", "e98e8e4c6813"), S("tier", "turbofan"), S("statement", "reused"))
 	tr.Begin(SpanRewire).End(I("columns", 6), I("pages_mapped", 84), I("workers", 2))
 	tr.Begin(SpanInstantiate).End(I("workers", 2))
 	tr.Event(EvParallel, I("workers", 2))
@@ -33,10 +31,6 @@ func recordTwoWorkerQuery(tr *Trace) {
 	tr.Begin(SpanPipeline + "pipeline_2").End()
 	tr.Begin(SpanPipeline + "pipeline_3").End(I("rows", 7))
 	tr.Begin(SpanExecute).End()
-	for w := 0; w < 2; w++ {
-		tr.Set(WorkerCtr(w, CtrMorselsLiftoff), 0)
-		tr.Set(WorkerCtr(w, CtrMorselsTurbofan), 6)
-	}
 	for i, name := range []string{CtrMorselsLiftoff, CtrMorselsTurbofan, CtrTurbofanFailed,
 		CtrModuleBytes, CtrFuelUsed, CtrPeakMemBytes, CtrCommittedMemBytes, CtrPagesRecycled,
 		CtrPagesFresh, CtrResultRows, CtrWorkers, CtrPipelinesParallel, CtrPipelinesSerial,
@@ -77,15 +71,17 @@ func readTwoWorkerQuery(tr *Trace) (sum int64) {
 
 // TestWarmQueryTraceExactAllocs is an exact allocation gate on the
 // always-on trace: creating a trace, recording a warm two-worker query into
-// it and reading it back as the query path does allocates at most 8 objects
-// — the trace, one growth of its records and one chunk of arguments past
-// its inline storage, and the four per-worker counter names with the list
-// that holds them. Before the trace owned its records' arguments and kept
-// its counters in a table, the same work allocated 46 objects: a counter
-// map, every variadic argument list, the span and event slices' growth, and
-// an events snapshot per reader.
+// it and reading it back as the query path does allocates at most 2 objects
+// — the trace, whose inline storage holds the 23 records, and one chunk of
+// arguments past its inline 32. It allocated 8 while the executor named two
+// per-worker counters per worker (four names and the list holding them) and
+// a repeated text recorded its parse, sema and plan spans (one growth of the
+// records). Before the trace owned its records' arguments and kept its
+// counters in a table, the same work allocated 46 objects: a counter map,
+// every variadic argument list, the span and event slices' growth, and an
+// events snapshot per reader.
 func TestWarmQueryTraceExactAllocs(t *testing.T) {
-	const budget = 8
+	const budget = 2
 	allocs := testing.AllocsPerRun(100, func() {
 		tr := NewTrace()
 		recordTwoWorkerQuery(tr)
@@ -166,14 +162,10 @@ func TestTraceStorageRoundTrip(t *testing.T) {
 
 	tr.Add(CtrFuelUsed, 5)
 	tr.Add(CtrFuelUsed, 7)
-	tr.Set(WorkerCtr(3, CtrMorselsTurbofan), 9)
 	tr.Add("custom", 2)
 	tr.Add("custom", 3)
 	if v := tr.Value(CtrFuelUsed); v != 12 {
 		t.Errorf("%s = %d, want 12", CtrFuelUsed, v)
-	}
-	if v := tr.Value(WorkerCtr(3, CtrMorselsTurbofan)); v != 9 {
-		t.Errorf("worker counter = %d, want 9", v)
 	}
 	if v, u := tr.Value("custom"), tr.Value("unset"); v != 5 || u != 0 {
 		t.Errorf("custom = %d, unset = %d, want 5 and 0", v, u)

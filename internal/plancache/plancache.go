@@ -313,6 +313,13 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
+// MaxEntries returns the entry bound.
+func (c *Cache) MaxEntries() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.maxEntries
+}
+
 // SetLimits adjusts the bounds (values <= 0 select the defaults) and evicts
 // immediately if the new bounds are tighter.
 func (c *Cache) SetLimits(maxEntries int, maxBytes int64) {

@@ -672,8 +672,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		res, err = stmt.QueryContext(ctx, convertArgs(req.Args), opts...)
 	} else if len(req.Args) > 0 {
-		// Ad-hoc SQL with args: prepare transparently; the plan cache makes
-		// the repeat path as cheap as a held statement handle.
+		// Ad-hoc SQL with args: prepare transparently. A repeated text is as
+		// cheap as a held statement handle: Prepare reads its placeholders
+		// from the statement cache and the query reuses the stored plan.
 		var stmt *wasmdb.Stmt
 		if stmt, err = s.db.Prepare(req.SQL); err == nil {
 			res, err = stmt.QueryContext(ctx, convertArgs(req.Args), opts...)

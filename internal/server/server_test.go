@@ -184,6 +184,39 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestAdhocArgsRepeatSkipsFrontEnd: an ad-hoc /v1/query with args is
+// prepared transparently; once its text has run, the prepare reads the
+// placeholders from the statement cache and the query reuses the stored
+// plan, so a repeated request's trace holds no parse, sema or plan span.
+func TestAdhocArgsRepeatSkipsFrontEnd(t *testing.T) {
+	_, hs := newServer(t, Config{})
+	const src = "SELECT COUNT(*) FROM t WHERE a < ? AND b = ?"
+	frontEnd := func(m map[string]any) (n int) {
+		for _, sp := range m["trace"].([]any) {
+			switch sp.(map[string]any)["name"] {
+			case "parse", "sema", "plan":
+				n++
+			}
+		}
+		return n
+	}
+	for i, want := range []struct {
+		a, b, rows float64
+		frontEnd   int
+	}{{100, 3, 14, 3}, {200, 5, 28, 0}, {50, 0, 8, 0}} {
+		status, m, _ := call(t, hs, "POST", "/v1/query", map[string]any{"sql": src, "args": []any{want.a, want.b}, "trace": true})
+		if status != http.StatusOK {
+			t.Fatalf("request %d: %d %v", i, status, m)
+		}
+		if got := m["rows"].([]any)[0].([]any)[0].(float64); got != want.rows {
+			t.Errorf("request %d: COUNT(*) = %v, want %v", i, got, want.rows)
+		}
+		if n := frontEnd(m); n != want.frontEnd {
+			t.Errorf("request %d: %d parse/sema/plan spans, want %d: %v", i, n, want.frontEnd, m["trace"])
+		}
+	}
+}
+
 func TestQueryValidation(t *testing.T) {
 	_, hs := newServer(t, Config{})
 	if status, m, _ := call(t, hs, "POST", "/v1/query", map[string]any{}); status != http.StatusBadRequest {

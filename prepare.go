@@ -23,10 +23,15 @@ type Stmt struct {
 
 // Prepare parses and binds a SELECT statement, inferring a type for each ?
 // placeholder from the expression it appears in (a placeholder compared
-// against a column adopts the column's type; LIMIT ? is a BIGINT).
+// against a column adopts the column's type; LIMIT ? is a BIGINT). A text
+// the statement cache already holds is not parsed again: its placeholders
+// are read from the stored entry.
 func (db *DB) Prepare(src string) (*Stmt, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	if n, ts, ok := db.stmts.params(src, db.cat); ok {
+		return &Stmt{db: db, src: src, numParams: n, paramTypes: ts}, nil
+	}
 	q, err := db.analyze(src)
 	if err != nil {
 		return nil, err
@@ -171,8 +176,9 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 // recently used first.
 func (db *DB) SetPlanCacheLimits(maxEntries int, maxBytes int64) {
 	db.pcache.SetLimits(maxEntries, maxBytes)
+	db.stmts.trim(stmtsPerPlan * db.pcache.MaxEntries())
 }
 
-// FlushPlanCache drops every cached compilation and returns how many entries
-// were dropped.
-func (db *DB) FlushPlanCache() int { return db.pcache.Flush() }
+// FlushPlanCache drops every cached compilation, and every statement the
+// front end planned, and returns how many compilations were dropped.
+func (db *DB) FlushPlanCache() int { return db.flushCaches() }

@@ -119,6 +119,9 @@ type DB struct {
 	mu     sync.RWMutex
 	cat    *catalog.Catalog
 	pcache *plancache.Cache
+	// stmts holds each repeated statement's front-end products; it is
+	// flushed with pcache (flushCaches).
+	stmts stmtCache
 }
 
 // Open creates an empty database.
@@ -141,7 +144,7 @@ func (db *DB) LoadTPCH(scaleFactor float64, seed int64) error {
 			return err
 		}
 	}
-	db.pcache.Flush()
+	db.flushCaches()
 	return nil
 }
 
@@ -169,10 +172,10 @@ func (db *DB) Exec(src string) error {
 		if _, err := db.cat.Create(x.Name, defs); err != nil {
 			return err
 		}
-		// DDL invalidates every cached plan: fingerprints embed the schema
-		// version, so stale entries could never hit again — flushing just
-		// frees their code immediately.
-		db.pcache.Flush()
+		// DDL invalidates every cached plan and statement: fingerprints
+		// embed the schema version, so stale entries could never hit again —
+		// flushing just frees their code immediately.
+		db.flushCaches()
 		return nil
 	case *sql.InsertStmt:
 		return db.execInsert(x)
@@ -505,6 +508,23 @@ type Stats struct {
 	AutoReason string
 }
 
+// backendConfig returns how a Wasm backend compiles: its code style and its
+// engine tiering. BackendAuto compiles exactly as BackendWasm (DESIGN §14);
+// the autopilot only sizes its worker pool.
+func backendConfig(b Backend) (core.Style, engine.Config) {
+	style, cfg := core.Style{}, engine.Config{Tier: engine.TierAdaptive}
+	switch b {
+	case BackendWasmLiftoff:
+		cfg.Tier = engine.TierLiftoff
+	case BackendWasmTurbofan:
+		cfg.Tier = engine.TierTurbofan
+	case BackendHyperLike:
+		cfg.OptRounds = hyperOptRounds
+		style = core.Style{LibraryHT: true, LibrarySort: true, PredicatedSelection: true}
+	}
+	return style, cfg
+}
+
 // statsFromTrace derives the public Stats from the query trace — the single
 // source of truth all three stats surfaces (wasmdb.Stats, core.ExecStats,
 // engine.CompileStats) now agree on.
@@ -696,9 +716,10 @@ func (db *DB) queryContext(ctx context.Context, src string, args []types.Value, 
 	return res, err
 }
 
-// runQuery is the execution path proper: parse → analyze → bind → plan →
-// compile (through the plan cache) → execute. The per-morsel hot path stays
-// cheap: one atomic add per morsel, spans only at phase granularity.
+// runQuery is the execution path proper: parse → analyze → bind → plan (or
+// a statement-cache hit, which skips all four) → compile (through the plan
+// cache) → execute. The per-morsel hot path stays cheap: one atomic add per
+// morsel, spans only at phase granularity.
 func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *queryOpts, tr *obs.Trace) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -723,81 +744,25 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		return nil, fmt.Errorf("wasmdb: the %v backend cannot enforce WithMemoryLimit", o.backend)
 	}
 
-	sp := tr.Begin(obs.SpanParse)
-	stmt, err := sql.ParseSelect(src)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	sp = tr.Begin(obs.SpanSema)
-	q, err := sema.Analyze(stmt, db.cat)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Bind explicit ? placeholders. An ad-hoc query must not contain any;
-	// prepared execution must supply exactly one value per placeholder. An
-	// explicit LIMIT ? resolves on the host before planning — the plan's
-	// limit node depends on its presence.
-	if args == nil && q.NumParams > 0 {
-		return nil, fmt.Errorf("wasmdb: query has %d placeholder(s); use Prepare", q.NumParams)
-	}
-	if args != nil {
-		if len(args) != q.NumParams {
-			return nil, fmt.Errorf("wasmdb: statement expects %d argument(s), got %d", q.NumParams, len(args))
-		}
-		if q.LimitParam >= 0 {
-			n := args[q.LimitParam].I
-			if n < 0 {
-				return nil, fmt.Errorf("wasmdb: negative LIMIT argument %d", n)
-			}
-			q.Limit = n
-		}
-	}
-
 	useCache := wasmBackend && !o.planCacheOff
+	st, reused, err := db.statement(src, args, o.backend, useCache, tr)
+	if err != nil {
+		return nil, err
+	}
+	q, p, fp := st.q, st.p, st.fp
 
-	// With the plan cache on, hoist value-carrying literals into the
-	// parameter vector so same-shaped queries share one compiled module.
-	// Otherwise fold the placeholder arguments back into constants — the
-	// baselines and cache-off runs execute the literal query, which keeps
-	// them usable as differential oracles for the parameterized path.
+	// With the plan cache on, the parameter vector is the explicit
+	// arguments followed by the literals the front end hoisted, so
+	// same-shaped queries share one compiled module. Otherwise the
+	// arguments were folded back into constants.
 	var params []types.Value
 	if useCache {
 		params = make([]types.Value, 0, q.TotalParams)
 		params = append(params, args...)
-		params = append(params, sema.Parameterize(q)...)
-	} else if q.NumParams > 0 {
-		sema.SubstituteParams(q, args)
+		params = append(params, st.lits...)
 	}
 
-	sp = tr.Begin(obs.SpanPlan)
-	p, err := plan.Build(q)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// BackendAuto compiles exactly as BackendWasm (DESIGN §14); the
-	// autopilot only sizes its worker pool.
-	style, cfg := core.Style{}, engine.Config{Tier: engine.TierAdaptive}
-	switch o.backend {
-	case BackendWasmLiftoff:
-		cfg.Tier = engine.TierLiftoff
-	case BackendWasmTurbofan:
-		cfg.Tier = engine.TierTurbofan
-	case BackendHyperLike:
-		cfg.OptRounds = hyperOptRounds
-		style = core.Style{LibraryHT: true, LibrarySort: true, PredicatedSelection: true}
-	}
-	// The plan-cache key, and under BackendAuto the feedback key too.
-	fp := ""
-	if useCache || o.backend == BackendAuto {
-		fp = core.Fingerprint(q, p, db.cat.Version(), style, cfg.Tier, cfg.OptRounds)
-	}
 	var dec autopilot.Decision
-	var prof autopilot.Profile
 	if o.backend == BackendAuto {
 		// The decision runs after placeholder binding (an explicit LIMIT ? is
 		// already resolved into q.Limit and the plan's limit node) and is a
@@ -810,8 +775,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		}
 		knobs := autopilot.DefaultKnobs()
 		knobs.MaxWorkers = min(knobs.MaxWorkers, runtime.GOMAXPROCS(0))
-		prof = autopilot.ProfilePlan(p)
-		dec = autopilot.Decide(prof, fbp, knobs)
+		dec = autopilot.Decide(st.prof, fbp, knobs)
 		if o.parallelism > 0 {
 			// An explicit WithParallelism overrides the worker grant.
 			dec.Workers = o.parallelism
@@ -829,7 +793,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 
 	switch o.backend {
 	case BackendVolcano:
-		sp = tr.Begin(obs.SpanExecute)
+		sp := tr.Begin(obs.SpanExecute)
 		_, rows, err := volcano.Run(q, p)
 		sp.End()
 		if err != nil {
@@ -837,7 +801,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		}
 		res.rows = rows
 	case BackendVectorized:
-		sp = tr.Begin(obs.SpanExecute)
+		sp := tr.Begin(obs.SpanExecute)
 		_, rows, _, err := vectorized.Run(q, p)
 		sp.End()
 		if err != nil {
@@ -845,6 +809,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		}
 		res.rows = rows
 	default:
+		style, cfg := backendConfig(o.backend)
 		eng := engine.New(cfg)
 		var cq *core.CompiledQuery
 		var mod *engine.Module
@@ -872,14 +837,19 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 				if mod.Optimized() {
 					tier = "turbofan"
 				}
+				stmtResult := "planned"
+				if reused {
+					stmtResult = "reused"
+				}
 				tr.Event(obs.EvPlanCache,
 					obs.S("result", result),
 					obs.S("fingerprint", fp[:12]),
-					obs.S("tier", tier))
+					obs.S("tier", tier),
+					obs.S("statement", stmtResult))
 			case errors.Is(cerr, core.ErrParamRegionOverflow):
 				// More literal bytes than the parameter region holds:
 				// compile the literal query below, uncached.
-				if q, p, err = db.literalQuery(stmt, args); err != nil {
+				if q, p, err = db.literalQuery(src, args); err != nil {
 					return nil, err
 				}
 				params = nil
@@ -888,7 +858,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 			}
 		}
 		if cq == nil && mod == nil {
-			sp = tr.Begin(obs.SpanCodegen)
+			sp := tr.Begin(obs.SpanCodegen)
 			cq, err = core.CompileStyled(q, p, style)
 			sp.End()
 			if err != nil {
@@ -924,7 +894,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		// replace the slot whole, never tear it.
 		fb := plancache.Feedback{
 			Rows:           int64(len(res.rows)),
-			EstRows:        prof.OutRows,
+			EstRows:        st.prof.OutRows,
 			ExecNs:         tr.Dur(obs.SpanExecute).Nanoseconds(),
 			Morsels:        int64(res.Stats.MorselsLiftoff + res.Stats.MorselsTurbofan),
 			TierUpMorsel:   -1,
@@ -960,10 +930,11 @@ func (db *DB) analyze(src string) (*sema.Query, error) {
 }
 
 // literalQuery re-derives a statement whose literals were hoisted into the
-// parameter vector as the literal query: analyzed afresh, the placeholder
-// arguments and LIMIT ? folded in as constants, and planned.
-func (db *DB) literalQuery(stmt *sql.SelectStmt, args []types.Value) (*sema.Query, plan.Node, error) {
-	q, err := sema.Analyze(stmt, db.cat)
+// parameter vector as the literal query: parsed and analyzed afresh (a
+// stored statement's query is never rewritten), the placeholder arguments
+// and LIMIT ? folded in as constants, and planned.
+func (db *DB) literalQuery(src string, args []types.Value) (*sema.Query, plan.Node, error) {
+	q, err := db.analyze(src)
 	if err != nil {
 		return nil, nil, err
 	}
